@@ -270,9 +270,8 @@ impl LayerKind {
 /// `Vec<Box<dyn Layer>>`), which is what lets [`Stack::fused_service`]
 /// stamp out the fully monomorphized chain — one concrete
 /// `Trace<Breaker<Deadline<Auth<RateLimit<Shed<Ttl<S>>>>>>>` type with
-/// zero virtual calls — while [`Stack::service`] keeps building the
-/// boxed `dyn` onion for partial/custom stacks and the `--dyn-stack`
-/// fallback.
+/// zero virtual calls — while [`Stack::service`] builds the boxed
+/// `dyn` onion, the composition rule for partial/custom stacks.
 pub struct Stack {
     trace: Option<TraceLayer>,
     breaker: Option<BreakerLayer>,
@@ -400,8 +399,9 @@ impl Stack {
 
     /// Build one session's service chain around `inner` (the store
     /// executor), innermost layer first — the type-erased onion, one
-    /// `Box<dyn Service>` per layer. This is the `--dyn-stack` fallback
-    /// and the path for partial stacks and third-party [`Layer`]s.
+    /// `Box<dyn Service>` per layer. This is the path for partial
+    /// stacks and third-party [`Layer`]s, and the reference the fused
+    /// chain is property-tested against.
     pub fn service(&self, session: &Session, inner: BoxService) -> BoxService {
         let mut chain = inner;
         if let Some(layer) = &self.ttl {

@@ -7,7 +7,7 @@
 //! plus the dispatch-plane law: the fused (monomorphized) seven-layer
 //! chain and the boxed `dyn Service` onion produce byte-identical
 //! reply streams for any burst and tuning (the invariant behind
-//! `--dyn-stack` being a pure A/B switch) —
+//! choosing the chain by `Stack::fusible` alone) —
 //! plus Prometheus exposition invariants: metric names survive
 //! rendering and label values escape losslessly.
 

@@ -38,19 +38,15 @@
 //! * `--metrics-addr ADDR` — serve Prometheus text exposition at
 //!   `http://ADDR/metrics` and flight-recorder JSON at
 //!   `http://ADDR/trace` (off by default)
-//! * `--no-batch` — disable the batched pipeline path (A/B runs; the
-//!   group-commit batching is on by default)
-//! * `--dyn-stack` — force the boxed `dyn Service` onion instead of
-//!   the fused (monomorphized) seven-layer chain (A/B runs and custom
-//!   stacks; replies are identical either way)
-//! * `--thread-per-conn` — serve each connection on a dedicated thread
-//!   instead of the default epoll event-loop plane (A/B runs; replies
-//!   are byte-identical either way)
 //! * `--event-loops N` — event-loop thread count (0 = one per core,
-//!   the default; ignored under `--thread-per-conn`)
+//!   floored at two, the default)
 //! * `--idle-timeout-ms N` — event loops close connections idle this
 //!   long with nothing in flight (0 = never, the default)
 //! * `--ack-timeout-ms N` — overall shard-ack deadline per burst/fan-out
+//!
+//! Every flag takes a value; an unknown flag prints the usage and
+//! exits 2. There is one server configuration: epoll event loops, the
+//! fused chain when the stack is the full one, batched pipelining.
 
 use dego_server::{spawn, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,8 +61,7 @@ fn usage_exit(err: &str) -> ! {
          [--shed-queue-depth N] [--shed-ack-p99-us N] [--shard-delay-ms N] \
          [--trace-sample N] [--slowlog-threshold-us N] [--slowlog-capacity N] \
          [--trace-capacity N] [--trace-threshold-us N] [--stats-window-secs N] \
-         [--metrics-addr ADDR] [--no-batch] [--dyn-stack] [--thread-per-conn] \
-         [--event-loops N] [--idle-timeout-ms N] [--ack-timeout-ms N]"
+         [--metrics-addr ADDR] [--event-loops N] [--idle-timeout-ms N] [--ack-timeout-ms N]"
     );
     std::process::exit(2);
 }
@@ -104,18 +99,6 @@ fn main() {
     while let Some(arg) = it.next() {
         if arg.starts_with("--") {
             let flag = arg.as_str();
-            if flag == "--no-batch" {
-                config.batch = false;
-                continue;
-            }
-            if flag == "--dyn-stack" {
-                config.middleware.dyn_stack = true;
-                continue;
-            }
-            if flag == "--thread-per-conn" {
-                config.thread_per_conn = true;
-                continue;
-            }
             let value = it
                 .next()
                 .unwrap_or_else(|| usage_exit(&format!("flag {flag} needs a value")));

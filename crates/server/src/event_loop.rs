@@ -1,20 +1,18 @@
-//! The event-loop connection plane: N loop threads (default = core
-//! count) multiplex every connection over raw `epoll`, replacing the
-//! thread-per-connection model on the road to 100k+ connections.
+//! The connection plane: N event-loop threads (default = core count,
+//! floored at two) multiplex every connection over raw `epoll`.
 //!
 //! Each loop owns a set of nonblocking sockets. A readable connection
-//! has its buffered burst drained, parsed, and driven through the same
-//! per-session middleware chain the threaded plane uses — but the
-//! innermost service *defers* the final ack barrier (see `DeferCell`
-//! in `server.rs`): the burst's mutations are enqueued to the shard
-//! queues and the loop moves straight on to the next readable
-//! connection instead of blocking. Bursts from *different* connections
-//! therefore pile into the same shard sweep and are acknowledged as
-//! one group — **cross-connection group commit** — which the
-//! `MutationMsg` envelope and `ShardAck::Many` reassembly already
-//! support. Shard owners wake the loop through an `eventfd` carried on
-//! the envelope; the loop patches the late replies into their
-//! positional slots and flushes.
+//! has its buffered burst drained, parsed, and driven through its
+//! session's middleware chain; the innermost service *defers* the
+//! final ack barrier (see `DeferCell` in `server.rs`): the burst's
+//! mutations are enqueued to the shard queues and the loop moves
+//! straight on to the next readable connection instead of blocking.
+//! Bursts from *different* connections therefore pile into the same
+//! shard sweep and are acknowledged as one group — **cross-connection
+//! group commit** — which the `MutationMsg` envelope and
+//! `ShardAck::Many` reassembly support. Shard owners wake the loop
+//! through an `eventfd` carried on the envelope; the loop patches the
+//! late replies into their positional slots and flushes.
 //!
 //! Replies are rendered as **per-reply chunks** and written with
 //! `write_vectored`, so a burst's responses go out in one syscall
@@ -25,18 +23,23 @@
 //! glibc — the workspace is offline and already declares `signal(2)`
 //! the same way in the server binary.
 //!
-//! **Client-visible semantics are identical to the threaded plane**
-//! (the equivalence suite in `tests/integration_event_loop.rs` pins
-//! byte-identical reply streams): blank keepalive lines, positional
-//! parse errors, `QUIT` discarding the rest of its burst, the UTF-8
-//! error sequence, ack-timeout poisoning, and drain behaviour
-//! (in-flight bursts flush, buffered input is never acknowledged) all
-//! match `serve_connection`.
+//! **Client-visible semantics are those of sequential execution** —
+//! however TCP cuts the stream into bursts, the reply bytes equal what
+//! a lock-step client (one line, await the reply) would see; the
+//! equivalence suite in `tests/integration_batch.rs` pins that. Blank
+//! lines are keepalives, parse errors keep their positional slot,
+//! `QUIT` discards the rest of its burst, non-UTF-8 input and
+//! over-long lines answer a structured error after the burst's earlier
+//! replies and close, an ack timeout poisons the session, and a drain
+//! flushes in-flight bursts without acknowledging buffered input.
+//!
+//! **Input is bounded per connection**: a read sweep stops once
+//! [`READ_HIGH_WATER`] bytes are buffered (level-triggered epoll
+//! re-reports the rest after the buffered bursts were driven), and a
+//! line longer than [`MAX_LINE_BYTES`] closes the connection.
 
 use crate::protocol::{Command, Reply};
-use crate::server::{
-    build_chain, Chain, ConnTuning, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG,
-};
+use crate::server::{build_chain, Chain, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG};
 use crate::stats::ServerStats;
 use crate::store::{ShardAck, Store};
 use dego_middleware::{Request, Session, Stack};
@@ -98,6 +101,22 @@ const MAX_EVENTS: usize = 256;
 const WAKER_TOKEN: u64 = u64::MAX;
 /// Per-read-sweep scratch buffer.
 const READ_CHUNK: usize = 16 * 1024;
+/// A read sweep stops once this many bytes are buffered unparsed, so
+/// one fast sender can neither grow `Conn::rbuf` without bound nor
+/// keep its loop reading forever; the socket buffer (and through it
+/// TCP flow control) holds the rest until the buffered bursts ran.
+const READ_HIGH_WATER: usize = 256 * 1024;
+/// Longest request line served, newline excluded. A longer one —
+/// terminated or still growing — answers [`LINE_TOO_LONG_MSG`] and
+/// closes: the peer is not speaking this protocol.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+// A maximal line must fit under the high-water mark, or the sweep
+// would stop before its newline could ever arrive.
+const _: () = assert!(MAX_LINE_BYTES < READ_HIGH_WATER);
+/// The two input faults that end a session (positioned after the
+/// burst's earlier replies; the byte stream is unrecoverable).
+const BAD_UTF8_MSG: &str = "protocol requires UTF-8 input";
+const LINE_TOO_LONG_MSG: &str = "line too long";
 /// Most lines dispatched as one burst; the remainder stays buffered
 /// for the next pass. Bounds the per-burst allocation and keeps one
 /// flooding client from parking the loop in a single giant
@@ -234,7 +253,9 @@ pub(crate) struct LoopCtx {
     pub(crate) stack: Arc<Stack>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) ready: Arc<AtomicBool>,
-    pub(crate) tuning: ConnTuning,
+    /// Overall shard-ack deadline per deferred burst (and per
+    /// synchronous barrier inside the chain).
+    pub(crate) ack_timeout: Duration,
     /// Close connections idle past this deadline (`--idle-timeout-ms`;
     /// `None` = never).
     pub(crate) idle_timeout: Option<Duration>,
@@ -248,8 +269,8 @@ enum Emit {
 }
 
 /// A burst whose final ack barrier was deferred: the loop completes it
-/// when the acks arrive (or poisons the session at the deadline,
-/// exactly like the threaded plane's overall burst deadline).
+/// when the acks arrive (or poisons the session at the deadline, one
+/// overall deadline per burst like the synchronous barriers).
 struct Awaiting {
     emits: Vec<Emit>,
     received: HashMap<u64, Reply>,
@@ -296,7 +317,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         stack,
         shutdown,
         ready,
-        tuning,
+        ack_timeout,
         idle_timeout,
     } = ctx;
     epoll
@@ -311,7 +332,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
         stack,
         shutdown,
         ready,
-        tuning,
+        ack_timeout,
         idle_timeout,
         conns: HashMap::new(),
         awaiting: HashSet::new(),
@@ -330,8 +351,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                 return;
             }
             // A peer that stops reading must not wedge the drain
-            // forever (the threaded plane would block in write_all;
-            // here we bound it by the ack deadline and cut).
+            // forever: bound it by the ack deadline and cut.
             if el
                 .drain_deadline
                 .is_some_and(|deadline| Instant::now() >= deadline)
@@ -377,7 +397,7 @@ struct EventLoop {
     stack: Arc<Stack>,
     shutdown: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
-    tuning: ConnTuning,
+    ack_timeout: Duration,
     idle_timeout: Option<Duration>,
     conns: HashMap<u64, Conn>,
     /// Tokens with a deferred burst outstanding (kept separately so an
@@ -420,13 +440,13 @@ impl EventLoop {
             Arc::clone(&self.stats),
             Arc::clone(&self.ready),
             token,
-            self.tuning.ack_timeout,
+            self.ack_timeout,
             ack_tx,
             Rc::clone(&ack_rx),
-            Some(Rc::clone(&defer)),
-            Some(Arc::clone(&self.waker)),
+            Rc::clone(&defer),
+            Arc::clone(&self.waker),
         );
-        let chain = build_chain(&self.stack, &session, exec, self.tuning.dyn_stack);
+        let chain = build_chain(&self.stack, &session, exec);
         let fd = socket.as_raw_fd();
         if self.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
             return;
@@ -453,10 +473,10 @@ impl EventLoop {
 
     /// Shutdown observed: stop reading everywhere, flush what is owed,
     /// and let in-flight deferred bursts complete. Buffered input is
-    /// never acknowledged — exactly the threaded plane's drain.
+    /// never acknowledged.
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.tuning.ack_timeout);
+        self.drain_deadline = Some(Instant::now() + self.ack_timeout);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             let Some(mut conn) = self.conns.remove(&token) else {
@@ -496,10 +516,7 @@ impl EventLoop {
             conn.dead = true;
         } else {
             if bits & EPOLLOUT != 0 {
-                self.flush(&mut conn);
-                if !conn.dead && conn.out.is_empty() && conn.awaiting.is_none() {
-                    self.drive(&mut conn);
-                }
+                self.drive(&mut conn);
             }
             if bits & (EPOLLIN | EPOLLRDHUP) != 0 && conn.interest & EPOLLIN != 0 && !conn.dead {
                 self.read_socket(&mut conn);
@@ -511,14 +528,15 @@ impl EventLoop {
         self.settle(token, conn);
     }
 
-    /// Drain the socket until it would block (or EOF). Level-triggered
-    /// epoll re-reports anything a short read left behind, but reading
-    /// the whole burst now is what feeds cross-connection group
-    /// commit: every readable connection's mutations hit the shard
-    /// queues before any of them waits for an ack.
+    /// Drain the socket until it would block, EOF, or
+    /// [`READ_HIGH_WATER`] buffered bytes. Level-triggered epoll
+    /// re-reports anything left behind, but reading the whole burst
+    /// now is what feeds cross-connection group commit: every readable
+    /// connection's mutations hit the shard queues before any of them
+    /// waits for an ack.
     fn read_socket(&mut self, conn: &mut Conn) {
         let mut buf = [0u8; READ_CHUNK];
-        loop {
+        while conn.rbuf.len() < READ_HIGH_WATER {
             match conn.socket.read(&mut buf) {
                 Ok(0) => {
                     conn.eof = true;
@@ -540,30 +558,33 @@ impl EventLoop {
 
     /// Parse and dispatch bursts until the connection blocks on
     /// something: acks (deferred burst), backpressure (unflushed
-    /// replies), or input (no complete line left).
+    /// replies), or input (no complete line left). Flushing comes
+    /// first, so a caller that just queued replies (a resolved
+    /// deferred burst) carries on with the lines still buffered.
     fn drive(&mut self, conn: &mut Conn) {
         loop {
+            self.flush(conn);
             if conn.closing || conn.dead || conn.awaiting.is_some() || !conn.out.is_empty() {
                 break;
             }
-            let (lines, bad_utf8) = split_burst(&mut conn.rbuf, conn.eof);
-            if lines.is_empty() && !bad_utf8 {
+            let (lines, fault) = split_burst(&mut conn.rbuf, conn.eof);
+            if lines.is_empty() && fault.is_none() {
                 if conn.eof {
                     conn.closing = true;
                 }
                 break;
             }
-            self.dispatch(conn, lines, bad_utf8);
-            self.flush(conn);
+            self.dispatch(conn, lines, fault);
         }
-        self.flush(conn);
     }
 
-    /// Drive one burst through the middleware chain. Mirrors the
-    /// threaded plane's parse/dispatch/emit walk line for line — the
-    /// only difference is that slots whose acks were deferred become
-    /// `Emit::Pending` placeholders instead of blocking here.
-    fn dispatch(&mut self, conn: &mut Conn, lines: Vec<String>, bad_utf8: bool) {
+    /// Drive one burst through the middleware chain: parse each line
+    /// (errors keep their positional slot), dispatch the commands, and
+    /// queue the replies — slots whose acks were deferred become
+    /// `Emit::Pending` placeholders instead of blocking here. `fault`
+    /// is the input error that ended the burst, if any: answered after
+    /// the burst's replies, then the session closes.
+    fn dispatch(&mut self, conn: &mut Conn, lines: Vec<String>, fault: Option<&'static str>) {
         /// What one request line turned into (parse errors keep their
         /// positional slot).
         enum LineSlot {
@@ -600,20 +621,9 @@ impl EventLoop {
             // Singletons keep the unamortized path (and its per-command
             // metrics); nothing to group-commit in a burst of one.
             1 => vec![conn.chain.call_one(requests.pop().expect("one request"))],
-            _ if self.tuning.batch => {
-                // Arm the deferral for exactly this call: the innermost
-                // service skips its final barrier and parks unresolved
-                // slots in the cell instead.
-                conn.defer.arm();
-                let responses = conn.chain.call_batch(requests);
-                conn.defer.disarm();
-                responses
-            }
-            // --no-batch: the per-command A/B path, one call per line.
-            _ => requests
-                .into_iter()
-                .map(|req| conn.chain.call_one(req))
-                .collect(),
+            // The innermost service skips its final barrier and parks
+            // unresolved slots in the cell instead.
+            _ => conn.chain.call_batch(requests),
         };
         let (pending, received) = conn.defer.take_output();
         let mut pending = pending.into_iter();
@@ -645,21 +655,22 @@ impl EventLoop {
                 break;
             }
         }
-        if bad_utf8 && !closing {
-            // Mirror the threaded plane's error arms, positioned after
-            // the burst's replies: non-UTF-8 input gets its structured
-            // error, and the byte stream is unrecoverable — hang up.
+        if let Some(msg) = fault.filter(|_| !closing) {
+            // Positioned after the burst's replies: the input fault
+            // gets its structured error, and the byte stream is
+            // unrecoverable — drop what is buffered and hang up.
             self.stats.note_error();
             let mut rendered = String::new();
-            Reply::Error("protocol requires UTF-8 input".into()).render(&mut rendered);
+            Reply::Error(msg.into()).render(&mut rendered);
             emits.push(Emit::Ready(rendered));
+            conn.rbuf.clear();
             closing = true;
         }
         if emits.iter().any(|e| matches!(e, Emit::Pending(_))) {
             conn.awaiting = Some(Awaiting {
                 emits,
                 received,
-                deadline: Instant::now() + self.tuning.ack_timeout,
+                deadline: Instant::now() + self.ack_timeout,
                 closing,
             });
         } else {
@@ -709,9 +720,9 @@ impl EventLoop {
 
     /// Render a completed (or deadline-poisoned) deferred burst into
     /// the out queue. On timeout the missing slots answer the same
-    /// `ACK_TIMEOUT_MSG` the threaded plane's final barrier produces,
-    /// and the session closes — a late ack could otherwise desync
-    /// every later request/reply pairing.
+    /// `ACK_TIMEOUT_MSG` a synchronous barrier produces, and the
+    /// session closes — a late ack could otherwise desync every later
+    /// request/reply pairing.
     fn resolve(&mut self, conn: &mut Conn, aw: Awaiting, timed_out: bool) {
         let Awaiting {
             emits,
@@ -885,37 +896,41 @@ fn push_out(conn: &mut Conn, rendered: String) {
 }
 
 /// Extract the next burst from `rbuf`: up to [`MAX_BURST_LINES`]
-/// complete lines (plus, at EOF, the final unterminated line — the
-/// threaded plane's `read_line` serves that too). A line that is not
-/// valid UTF-8 ends the burst with `bad_utf8` set; everything consumed
-/// is removed from the buffer, and the caller discards the rest by
-/// closing. Mirrors `BufReader::read_line` semantics byte for byte.
-fn split_burst(rbuf: &mut Vec<u8>, eof: bool) -> (Vec<String>, bool) {
+/// complete lines (plus, at EOF, the final unterminated line). A line
+/// that is not valid UTF-8, or longer than [`MAX_LINE_BYTES`] (whether
+/// or not its newline has arrived yet), ends the burst with that
+/// fault's message; everything consumed is removed from the buffer,
+/// and the caller discards the rest by closing.
+fn split_burst(rbuf: &mut Vec<u8>, eof: bool) -> (Vec<String>, Option<&'static str>) {
     let mut consumed = 0usize;
     let mut lines = Vec::new();
-    let mut bad_utf8 = false;
+    let mut fault = None;
     while lines.len() < MAX_BURST_LINES {
         let rest = &rbuf[consumed..];
         if rest.is_empty() {
             break;
         }
-        let take = match rest.iter().position(|b| *b == b'\n') {
+        let newline = rest.iter().position(|b| *b == b'\n');
+        if newline.unwrap_or(rest.len()) > MAX_LINE_BYTES {
+            fault = Some(LINE_TOO_LONG_MSG);
+            break;
+        }
+        let take = match newline {
             Some(nl) => nl + 1,
             None if eof => rest.len(),
             None => break,
         };
+        consumed += take;
         match std::str::from_utf8(&rest[..take]) {
             Ok(line) => lines.push(line.to_string()),
             Err(_) => {
-                consumed += take;
-                bad_utf8 = true;
+                fault = Some(BAD_UTF8_MSG);
                 break;
             }
         }
-        consumed += take;
     }
     rbuf.drain(..consumed);
-    (lines, bad_utf8)
+    (lines, fault)
 }
 
 #[cfg(test)]
@@ -945,27 +960,27 @@ mod tests {
     #[test]
     fn split_burst_takes_complete_lines_only() {
         let mut buf = b"GET a\nSET b 1\npartial".to_vec();
-        let (lines, bad) = split_burst(&mut buf, false);
+        let (lines, fault) = split_burst(&mut buf, false);
         assert_eq!(lines, vec!["GET a\n".to_string(), "SET b 1\n".to_string()]);
-        assert!(!bad);
+        assert_eq!(fault, None);
         assert_eq!(buf, b"partial");
     }
 
     #[test]
     fn split_burst_serves_unterminated_line_at_eof() {
         let mut buf = b"PING".to_vec();
-        let (lines, bad) = split_burst(&mut buf, true);
+        let (lines, fault) = split_burst(&mut buf, true);
         assert_eq!(lines, vec!["PING".to_string()]);
-        assert!(!bad);
+        assert_eq!(fault, None);
         assert!(buf.is_empty());
     }
 
     #[test]
     fn split_burst_flags_non_utf8_and_keeps_prior_lines() {
         let mut buf = b"PING\n\xff\xfe garbage\nPING\n".to_vec();
-        let (lines, bad) = split_burst(&mut buf, false);
+        let (lines, fault) = split_burst(&mut buf, false);
         assert_eq!(lines, vec!["PING\n".to_string()]);
-        assert!(bad);
+        assert_eq!(fault, Some(BAD_UTF8_MSG));
         // The poisoned line is consumed; the tail stays (discarded by
         // the caller when it hangs up).
         assert_eq!(buf, b"PING\n");
@@ -977,9 +992,102 @@ mod tests {
         for _ in 0..(MAX_BURST_LINES + 10) {
             buf.extend_from_slice(b"PING\n");
         }
-        let (lines, bad) = split_burst(&mut buf, false);
+        let (lines, fault) = split_burst(&mut buf, false);
         assert_eq!(lines.len(), MAX_BURST_LINES);
-        assert!(!bad);
+        assert_eq!(fault, None);
         assert_eq!(buf.len(), 10 * 5);
+    }
+
+    #[test]
+    fn split_burst_faults_an_over_long_line_after_prior_lines() {
+        // Still growing, no newline yet: already past the cap.
+        let mut buf = b"PING\n".to_vec();
+        buf.resize(buf.len() + MAX_LINE_BYTES + 1, b'x');
+        let (lines, fault) = split_burst(&mut buf, false);
+        assert_eq!(lines, vec!["PING\n".to_string()]);
+        assert_eq!(fault, Some(LINE_TOO_LONG_MSG));
+        // Terminated but over the cap faults the same way; at the cap
+        // it is an ordinary line.
+        let mut buf = vec![b'x'; MAX_LINE_BYTES + 1];
+        buf.push(b'\n');
+        assert_eq!(split_burst(&mut buf, false).1, Some(LINE_TOO_LONG_MSG));
+        let mut buf = vec![b'x'; MAX_LINE_BYTES];
+        buf.push(b'\n');
+        let (lines, fault) = split_burst(&mut buf, false);
+        assert_eq!((lines.len(), fault), (1, None));
+    }
+
+    fn one_loop_server() -> crate::ServerHandle {
+        crate::spawn(crate::ServerConfig {
+            shards: 2,
+            capacity: 256,
+            event_loops: 1,
+            ..crate::ServerConfig::default()
+        })
+        .expect("server spawns")
+    }
+
+    /// A line of exactly `MAX_LINE_BYTES` is served over TCP; one byte
+    /// more answers the structured error (counted) and closes.
+    #[test]
+    fn line_at_the_cap_is_served_and_one_past_it_closes() {
+        use std::io::{BufRead, BufReader};
+        let server = one_loop_server();
+        let socket = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut replies = BufReader::new(socket.try_clone().expect("clone")).lines();
+        let mut next = || replies.next().expect("open").expect("reply");
+        let value = "v".repeat(MAX_LINE_BYTES - "SET k ".len());
+        (&socket)
+            .write_all(format!("SET k {value}\nGET k\n").as_bytes())
+            .expect("write");
+        assert_eq!(next(), "+OK");
+        assert_eq!(next(), format!("${value}"));
+        (&socket)
+            .write_all(format!("SET k {value}v\n").as_bytes())
+            .expect("write");
+        assert_eq!(next(), format!("-ERR {LINE_TOO_LONG_MSG}"));
+        // Closed: EOF, or a reset when the close outran unread bytes.
+        assert!(replies.next().is_none_or(|r| r.is_err()));
+        assert_eq!(server.stats().errors, 1);
+        server.shutdown();
+    }
+
+    /// A burst of four high-water marks cannot be read in one sweep:
+    /// it is answered completely and in order across several.
+    #[test]
+    fn burst_past_the_high_water_mark_is_answered_in_order() {
+        use std::io::{BufRead, BufReader};
+        const LINES: usize = 4 * READ_HIGH_WATER / "PING\n".len();
+        const INCR_EVERY: usize = 1000;
+        let server = one_loop_server();
+        let socket = TcpStream::connect(server.local_addr()).expect("connect");
+        let reader = BufReader::new(socket.try_clone().expect("clone"));
+        // Write from a second thread: the server stops reading while
+        // replies are unflushed, so writer and reader must overlap.
+        let writer = std::thread::spawn(move || {
+            let mut burst = Vec::with_capacity(LINES * 8);
+            for i in 0..LINES {
+                let line: &[u8] = if i % INCR_EVERY == 0 {
+                    b"INCR n 1\n"
+                } else {
+                    b"PING\n"
+                };
+                burst.extend_from_slice(line);
+            }
+            (&socket).write_all(&burst).expect("write burst");
+            socket
+        });
+        let mut count = 0usize;
+        for (i, reply) in reader.lines().take(LINES).enumerate() {
+            let want = match i % INCR_EVERY {
+                0 => format!(":{}", i / INCR_EVERY + 1),
+                _ => "+PONG".to_string(),
+            };
+            assert_eq!(reply.expect("reply"), want, "reply {i}");
+            count += 1;
+        }
+        assert_eq!(count, LINES);
+        drop(writer.join().expect("writer"));
+        server.shutdown();
     }
 }

@@ -24,6 +24,7 @@
 //! same hash the maps use internally, so a shard writer never touches
 //! a foreign segment (`debug_assert`ed inside dego-core).
 
+use crate::event_loop::LoopWaker;
 use crate::protocol::Reply;
 use crate::stats::ServerStats;
 use dego_core::{
@@ -76,9 +77,8 @@ pub(crate) struct MutationMsg {
     /// The issuing connection's ack inlet.
     pub reply: Sender<ShardAck>,
     /// The issuing connection's event-loop waker, rung after the ack
-    /// send so the loop's `epoll_wait` observes it; `None` on the
-    /// threaded plane (its blocking `recv` needs no doorbell).
-    pub waker: Option<std::sync::Arc<crate::event_loop::LoopWaker>>,
+    /// send so the loop's `epoll_wait` observes it.
+    pub waker: Arc<LoopWaker>,
     /// When the envelope was built — the shard owner turns this into
     /// the enqueue→apply latency sample.
     pub enqueued_at: Instant,
@@ -426,7 +426,7 @@ struct ShardCtx {
 struct AckRun {
     conn: u64,
     reply: Sender<ShardAck>,
-    waker: Option<std::sync::Arc<crate::event_loop::LoopWaker>>,
+    waker: Arc<LoopWaker>,
     acks: Vec<AckItem>,
 }
 
@@ -442,9 +442,7 @@ impl AckRun {
             ShardAck::Many(self.acks)
         };
         let _ = self.reply.send(ack);
-        if let Some(waker) = self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
     }
 }
 

@@ -1,10 +1,14 @@
 //! Integration of the batched execution path and the server-plane
 //! robustness fixes, over real loopback TCP:
 //!
-//! * **batch ≡ sequential**: randomized pipelined scripts (kv + social
-//!   verbs + parse errors) produce byte-identical reply streams on a
-//!   batching server and a `batch: false` server, with and without the
-//!   full middleware stack;
+//! * **pipelined ≡ lock-step**: randomized scripts (kv and social
+//!   verbs, parse errors) sent in pipelined bursts of random sizes — so
+//!   through `call_batch`, deferred ack barriers and group commit —
+//!   produce byte-identical reply streams to the same script sent one
+//!   line at a time (every command through `call_one` → `call`) on an
+//!   identically booted server, at depth 0 (boxed onion), behind a
+//!   partial stack (boxed onion + layers) and behind the full stack
+//!   (fused chain);
 //! * **accept backoff**: injected `accept()` failures (fd pressure)
 //!   are counted in `STATS` and back off instead of busy-spinning;
 //! * **fan-out deadline**: a stuck shard costs a `POST` one overall
@@ -13,130 +17,87 @@
 //! * **blank lines**: keepalive newlines burn no stats and no
 //!   rate-limit tokens.
 
-use dego_metrics::rng::XorShift64;
 use dego_server::{
-    spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, TokenSpec,
+    spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, Stack, TokenSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::shards;
+use common::{drive, lock_step, random_script, shards};
 
-fn boot(batch: bool, middleware: MiddlewareConfig) -> ServerHandle {
+fn boot(middleware: MiddlewareConfig) -> ServerHandle {
     spawn(ServerConfig {
         shards: shards(4),
         capacity: 4096,
-        batch,
         middleware,
         ..ServerConfig::default()
     })
     .expect("server boots")
 }
 
-/// A deterministic pseudo-random script over kv and social verbs (no
-/// `STATS` — its counters legitimately differ between the two paths).
-fn random_script(seed: u64, len: usize) -> Vec<String> {
-    let mut rng = XorShift64::new(seed);
-    let mut script = Vec::with_capacity(len);
-    for i in 0..len {
-        let key = rng.next_bounded(6);
-        let user = rng.next_bounded(5);
-        let line = match rng.next_bounded(16) {
-            0..=3 => format!("GET k{key}"),
-            4..=5 => format!("SET k{key} v{i}"),
-            6 => format!("DEL k{key}"),
-            7 => format!("INCR c{key} {}", rng.next_bounded(9) as i64 - 4),
-            8 => format!("ADDUSER {user}"),
-            9 => format!("FOLLOW {} {user}", rng.next_bounded(5)),
-            10 => format!("UNFOLLOW {} {user}", rng.next_bounded(5)),
-            11 => format!("POST {user} {i}"),
-            12 => format!("TIMELINE {user}"),
-            13 => format!("ISFOLLOWING {} {user}", rng.next_bounded(5)),
-            14 => match rng.next_bounded(4) {
-                0 => format!("JOIN {user}"),
-                1 => format!("LEAVE {user}"),
-                2 => format!("INGROUP {user}"),
-                _ => format!("PROFILE {user}"),
-            },
-            _ => match rng.next_bounded(3) {
-                0 => "PING".to_string(),
-                1 => format!("FOLLOWERS {user}"),
-                // Parse errors must keep their positional slot.
-                _ => format!("BLORP {i}"),
-            },
-        };
-        script.push(line);
-    }
-    script
-}
-
-/// Drive `script` through `client` in pipelined bursts of pseudo-random
-/// sizes, returning the raw reply stream.
-fn drive(client: &mut Client, script: &[String], seed: u64) -> Vec<dego_server::ClientReply> {
-    let mut rng = XorShift64::new(seed);
-    let mut replies = Vec::with_capacity(script.len());
-    let mut at = 0;
-    while at < script.len() {
-        let burst = (1 + rng.next_bounded(48) as usize).min(script.len() - at);
-        replies.extend(
-            client
-                .pipeline(&script[at..at + burst])
-                .expect("pipelined burst"),
-        );
-        at += burst;
-    }
-    replies
-}
-
-/// The tentpole equivalence guarantee: a pipelined burst through
-/// `call_batch` produces byte-identical replies, in order, to the same
-/// commands executed one at a time.
-#[test]
-fn batched_replies_match_sequential_plain() {
-    let batched = boot(true, MiddlewareConfig::none());
-    let unbatched = boot(false, MiddlewareConfig::none());
-    for seed in [0x5eed1, 0x5eed2, 0x5eed3] {
-        let script = random_script(seed, 400);
-        let mut a = Client::connect(batched.local_addr()).expect("connect");
-        let mut b = Client::connect(unbatched.local_addr()).expect("connect");
-        let got_a = drive(&mut a, &script, seed ^ 0xff);
-        let got_b = drive(&mut b, &script, seed ^ 0xff);
-        assert_eq!(got_a, got_b, "reply streams diverged for seed {seed:#x}");
-    }
-    batched.shutdown();
-    unbatched.shutdown();
-}
-
-/// The same equivalence through the full seven-layer stack (generous
-/// limits, so no timing-dependent rejection can fire).
-#[test]
-fn batched_replies_match_sequential_full_stack() {
-    let stack = || {
-        let mut mw = MiddlewareConfig::full();
-        mw.auth.tokens = vec![TokenSpec {
-            name: "writer".into(),
-            token: "sekrit".into(),
-            role: Role::ReadWrite,
-        }];
-        mw.auth.anon_role = Role::ReadWrite;
-        mw.deadline.read_us = 30_000_000;
-        mw.deadline.write_us = 30_000_000;
-        mw
+/// The `--middleware` spec `layers` with a login token and limits
+/// generous enough that no timing-dependent rejection can fire.
+fn generous(layers: &str) -> MiddlewareConfig {
+    let mut mw = MiddlewareConfig {
+        layers: MiddlewareConfig::parse_layers(layers).expect("layer spec"),
+        ..MiddlewareConfig::default()
     };
-    let batched = boot(true, stack());
-    let unbatched = boot(false, stack());
-    let script = random_script(0xbee5, 400);
-    let mut a = Client::connect(batched.local_addr()).expect("connect");
-    let mut b = Client::connect(unbatched.local_addr()).expect("connect");
-    a.auth("sekrit").expect("login");
-    b.auth("sekrit").expect("login");
-    let got_a = drive(&mut a, &script, 7);
-    let got_b = drive(&mut b, &script, 7);
-    assert_eq!(got_a, got_b, "full-stack reply streams diverged");
-    batched.shutdown();
-    unbatched.shutdown();
+    mw.auth.tokens = vec![TokenSpec {
+        name: "writer".into(),
+        token: "sekrit".into(),
+        role: Role::ReadWrite,
+    }];
+    mw.auth.anon_role = Role::ReadWrite;
+    mw.deadline.read_us = 30_000_000;
+    mw.deadline.write_us = 30_000_000;
+    mw
+}
+
+/// The equivalence guarantee: however the stream is cut into bursts,
+/// the reply bytes are those of sequential execution. One server takes
+/// each script pipelined in random bursts, an identically booted one
+/// takes it in lock step; the streams must match. `fused` pins which
+/// dispatch chain the stack is expected to build.
+fn assert_pipelined_matches_lock_step(layers: &str, fused: bool, seeds: &[u64]) {
+    assert_eq!(Stack::build(&generous(layers)).fusible(), fused);
+    let pipelined = boot(generous(layers));
+    let sequential = boot(generous(layers));
+    let login = layers != "none";
+    for &seed in seeds {
+        let script = random_script(seed, 400);
+        let mut a = Client::connect(pipelined.local_addr()).expect("connect");
+        let mut b = Client::connect(sequential.local_addr()).expect("connect");
+        if login {
+            a.auth("sekrit").expect("login");
+            b.auth("sekrit").expect("login");
+        }
+        let got = drive(&mut a, &script, seed ^ 0xff);
+        let want = lock_step(&mut b, &script);
+        assert_eq!(got, want, "reply streams diverged for seed {seed:#x}");
+    }
+    pipelined.shutdown();
+    sequential.shutdown();
+}
+
+/// Depth 0: the boxed onion is just the innermost service.
+#[test]
+fn pipelined_replies_match_lock_step_plain() {
+    assert_pipelined_matches_lock_step("none", false, &[0x5eed1, 0x5eed2, 0x5eed3]);
+}
+
+/// A partial stack is not fusible, so this is the boxed `dyn Service`
+/// onion — with deferral passing through real layers — over TCP.
+#[test]
+fn pipelined_replies_match_lock_step_partial_stack() {
+    assert_pipelined_matches_lock_step("trace,auth,ttl", false, &[0xe5001, 0xe5002]);
+}
+
+/// The full seven-layer stack: the fused (monomorphized) chain.
+#[test]
+fn pipelined_replies_match_lock_step_full_stack() {
+    assert_pipelined_matches_lock_step("full", true, &[0xbee5, 0xfee1]);
 }
 
 /// Regression (fd pressure): persistent `accept()` failures must count
@@ -233,7 +194,7 @@ fn stuck_shard_fanout_times_out_once_overall() {
 #[test]
 fn non_utf8_mid_burst_errors_and_closes() {
     use std::io::{BufRead, BufReader, Read, Write};
-    let server = boot(true, MiddlewareConfig::none());
+    let server = boot(MiddlewareConfig::none());
     let mut socket = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     socket
         .write_all(b"PING\n\xff\xfe garbage\nPING\n")
@@ -265,7 +226,7 @@ fn blank_lines_burn_no_tokens_or_counters() {
     let mut mw = MiddlewareConfig::full();
     mw.rate.burst = 3;
     mw.rate.refill_per_sec = 1;
-    let server = boot(true, mw);
+    let server = boot(mw);
     let mut c = Client::connect(server.local_addr()).expect("connect");
     // Six keepalives would exhaust a burst of 3 if they were charged.
     for _ in 0..6 {

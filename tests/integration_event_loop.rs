@@ -1,156 +1,31 @@
 //! Integration of the event-loop connection plane, over real loopback
 //! TCP:
 //!
-//! * **event loop ≡ thread-per-connection**: randomized pipelined
-//!   scripts (kv + social verbs + parse errors) produce byte-identical
-//!   reply streams on the default epoll plane and a
-//!   `thread_per_conn: true` server, with and without the full
-//!   middleware stack;
 //! * **idle timeout**: `idle_timeout` reaps connections that stay
 //!   quiet past the deadline (counted in `idle_closed`) while active
 //!   connections on the same loop keep serving;
-//! * **drain**: a shutdown under live write load completes promptly on
-//!   the event-loop plane and never loses an acknowledged write.
+//! * **bounded input**: a newline-free flood is cut off with a
+//!   structured error instead of growing server memory, and its loop
+//!   keeps serving everyone else;
+//! * **drain**: a shutdown under live write load completes promptly
+//!   and never loses an acknowledged write;
+//! * **cross-connection group commit**: concurrent bursts share shard
+//!   sweeps.
+//!
+//! (Reply-byte equivalence of pipelined and sequential execution lives
+//! in `integration_batch.rs`.)
 
-use dego_metrics::rng::XorShift64;
-use dego_server::{spawn, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, TokenSpec};
+use dego_server::{spawn, Client, MiddlewareConfig, ServerConfig};
 use std::time::{Duration, Instant};
 
 mod common;
 use common::shards;
-
-/// `true` when the CI matrix leg forces every server onto the threaded
-/// plane — plane-specific behavior (the idle sweep) is skipped there,
-/// and the A/B equivalence tests degenerate to threaded-vs-threaded
-/// (trivially true, still cheap).
-fn forced_threaded() -> bool {
-    std::env::var("DEGO_TEST_THREAD_PER_CONN").as_deref() == Ok("1")
-}
-
-fn boot(thread_per_conn: bool, middleware: MiddlewareConfig) -> ServerHandle {
-    spawn(ServerConfig {
-        shards: shards(4),
-        capacity: 4096,
-        thread_per_conn,
-        middleware,
-        ..ServerConfig::default()
-    })
-    .expect("server boots")
-}
-
-/// A deterministic pseudo-random script over kv and social verbs (no
-/// `STATS` — its counters legitimately differ between the two planes).
-fn random_script(seed: u64, len: usize) -> Vec<String> {
-    let mut rng = XorShift64::new(seed);
-    let mut script = Vec::with_capacity(len);
-    for i in 0..len {
-        let key = rng.next_bounded(6);
-        let user = rng.next_bounded(5);
-        let line = match rng.next_bounded(16) {
-            0..=3 => format!("GET k{key}"),
-            4..=5 => format!("SET k{key} v{i}"),
-            6 => format!("DEL k{key}"),
-            7 => format!("INCR c{key} {}", rng.next_bounded(9) as i64 - 4),
-            8 => format!("ADDUSER {user}"),
-            9 => format!("FOLLOW {} {user}", rng.next_bounded(5)),
-            10 => format!("UNFOLLOW {} {user}", rng.next_bounded(5)),
-            11 => format!("POST {user} {i}"),
-            12 => format!("TIMELINE {user}"),
-            13 => format!("ISFOLLOWING {} {user}", rng.next_bounded(5)),
-            14 => match rng.next_bounded(4) {
-                0 => format!("JOIN {user}"),
-                1 => format!("LEAVE {user}"),
-                2 => format!("INGROUP {user}"),
-                _ => format!("PROFILE {user}"),
-            },
-            _ => match rng.next_bounded(3) {
-                0 => "PING".to_string(),
-                1 => format!("FOLLOWERS {user}"),
-                // Parse errors must keep their positional slot.
-                _ => format!("BLORP {i}"),
-            },
-        };
-        script.push(line);
-    }
-    script
-}
-
-/// Drive `script` through `client` in pipelined bursts of pseudo-random
-/// sizes, returning the raw reply stream.
-fn drive(client: &mut Client, script: &[String], seed: u64) -> Vec<dego_server::ClientReply> {
-    let mut rng = XorShift64::new(seed);
-    let mut replies = Vec::with_capacity(script.len());
-    let mut at = 0;
-    while at < script.len() {
-        let burst = (1 + rng.next_bounded(48) as usize).min(script.len() - at);
-        replies.extend(
-            client
-                .pipeline(&script[at..at + burst])
-                .expect("pipelined burst"),
-        );
-        at += burst;
-    }
-    replies
-}
-
-/// The tentpole equivalence guarantee: the epoll plane — deferred ack
-/// barriers, cross-connection group commit, vectored writes and all —
-/// produces byte-identical reply streams, in order, to the
-/// thread-per-connection plane.
-#[test]
-fn event_loop_replies_match_thread_per_conn_plain() {
-    let event_loop = boot(false, MiddlewareConfig::none());
-    let threaded = boot(true, MiddlewareConfig::none());
-    for seed in [0xe5001, 0xe5002, 0xe5003] {
-        let script = random_script(seed, 400);
-        let mut a = Client::connect(event_loop.local_addr()).expect("connect");
-        let mut b = Client::connect(threaded.local_addr()).expect("connect");
-        let got_a = drive(&mut a, &script, seed ^ 0xff);
-        let got_b = drive(&mut b, &script, seed ^ 0xff);
-        assert_eq!(got_a, got_b, "reply streams diverged for seed {seed:#x}");
-    }
-    event_loop.shutdown();
-    threaded.shutdown();
-}
-
-/// The same equivalence through the full seven-layer stack (generous
-/// limits, so no timing-dependent rejection can fire).
-#[test]
-fn event_loop_replies_match_thread_per_conn_full_stack() {
-    let stack = || {
-        let mut mw = MiddlewareConfig::full();
-        mw.auth.tokens = vec![TokenSpec {
-            name: "writer".into(),
-            token: "sekrit".into(),
-            role: Role::ReadWrite,
-        }];
-        mw.auth.anon_role = Role::ReadWrite;
-        mw.deadline.read_us = 30_000_000;
-        mw.deadline.write_us = 30_000_000;
-        mw
-    };
-    let event_loop = boot(false, stack());
-    let threaded = boot(true, stack());
-    let script = random_script(0xfee1, 400);
-    let mut a = Client::connect(event_loop.local_addr()).expect("connect");
-    let mut b = Client::connect(threaded.local_addr()).expect("connect");
-    a.auth("sekrit").expect("login");
-    b.auth("sekrit").expect("login");
-    let got_a = drive(&mut a, &script, 7);
-    let got_b = drive(&mut b, &script, 7);
-    assert_eq!(got_a, got_b, "full-stack reply streams diverged");
-    event_loop.shutdown();
-    threaded.shutdown();
-}
 
 /// `--idle-timeout-ms`: a connection quiet past the deadline with
 /// nothing in flight is reaped (and counted), while a chatty
 /// connection sharing the plane keeps serving.
 #[test]
 fn idle_timeout_reaps_quiet_connections() {
-    if forced_threaded() {
-        return; // The idle sweep lives in the event loops only.
-    }
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 512,
@@ -188,6 +63,47 @@ fn idle_timeout_reaps_quiet_connections() {
     server.shutdown();
 }
 
+/// A peer that never sends a newline cannot grow server memory or
+/// starve its loop: a 1 MiB newline-free stream is cut off with
+/// `-ERR line too long` and a close, while a second connection on the
+/// same (only) event loop keeps getting `PONG` throughout.
+#[test]
+fn newline_free_flood_is_cut_off_while_the_loop_keeps_serving() {
+    use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 512,
+        event_loops: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut bystander = Client::connect(server.local_addr()).expect("connect");
+    bystander.ping().expect("serves before the flood");
+
+    let flood = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(flood.try_clone().expect("clone"));
+    let writer = std::thread::spawn(move || {
+        // The server hangs up mid-stream, so late writes may fail.
+        let _ = (&flood).write_all(&vec![b'x'; 1 << 20]);
+        flood
+    });
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error reply");
+    assert_eq!(line.trim_end(), "-ERR line too long");
+    bystander.ping().expect("the loop serves others mid-flood");
+    // Then the connection is closed. Bytes the server never read turn
+    // its close into a reset, so either ending counts.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing after the error"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
+    }
+    drop(writer.join().expect("writer"));
+    bystander.ping().expect("and after it");
+    assert_eq!(server.stats().errors, 1, "counted as an error");
+    server.shutdown();
+}
+
 /// Idle timeout off (the default): a quiet connection lives
 /// indefinitely.
 #[test]
@@ -206,16 +122,14 @@ fn no_idle_timeout_means_no_reaping() {
     server.shutdown();
 }
 
-/// Drain under live write load on the event-loop plane: shutdown
-/// completes promptly (deferred acks are still collected, in-flight
-/// bursts finish) and every write acknowledged before the cut reads
-/// back consistently.
+/// Drain under live write load: shutdown completes promptly (deferred
+/// acks are still collected, in-flight bursts finish) and every write
+/// acknowledged before the cut reads back consistently.
 #[test]
 fn event_loop_drain_under_load_keeps_acked_writes() {
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 1024,
-        thread_per_conn: false,
         middleware: MiddlewareConfig::full(),
         ..ServerConfig::default()
     })
@@ -262,9 +176,6 @@ fn event_loop_drain_under_load_keeps_acked_writes() {
 /// shard sweeps (and all of it stays correct: every ack reads back).
 #[test]
 fn concurrent_bursts_share_shard_sweeps() {
-    if forced_threaded() {
-        return; // Deferred barriers exist on the event-loop plane only.
-    }
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 4096,
