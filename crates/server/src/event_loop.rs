@@ -5,14 +5,15 @@
 //! has its buffered burst drained, parsed, and driven through its
 //! session's middleware chain; the innermost service *defers* the
 //! final ack barrier (see `DeferCell` in `server.rs`): the burst's
-//! mutations are enqueued to the shard queues and the loop moves
-//! straight on to the next readable connection instead of blocking.
-//! Bursts from *different* connections therefore pile into the same
-//! shard sweep and are acknowledged as one group — **cross-connection
-//! group commit** — which the `MutationMsg` envelope and
-//! `ShardAck::Many` reassembly support. Shard owners wake the loop
-//! through an `eventfd` carried on the envelope; the loop patches the
-//! late replies into their positional slots and flushes.
+//! runs of mutations are published to the shard queues, one envelope
+//! per (run, shard), and the loop moves straight on to the next
+//! readable connection instead of blocking. Bursts from *different*
+//! connections therefore pile into the same shard sweep —
+//! **cross-connection group commit**. A shard owner answers each
+//! envelope with one ack and wakes the loop through the `eventfd` the
+//! envelope carries; the loop files the acks into the burst's
+//! `AckTable`, patches the late replies into their positional slots
+//! and flushes.
 //!
 //! Replies are rendered as **per-reply chunks** and written with
 //! `write_vectored`, so a burst's responses go out in one syscall
@@ -39,9 +40,11 @@
 //! line longer than [`MAX_LINE_BYTES`] closes the connection.
 
 use crate::protocol::{Command, Reply};
-use crate::server::{build_chain, Chain, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG};
+use crate::server::{
+    build_chain, AckTable, Chain, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG,
+};
 use crate::stats::ServerStats;
-use crate::store::{ShardAck, Store};
+use crate::store::{Entry, Store};
 use dego_middleware::{Request, Session, Stack};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -197,7 +200,7 @@ impl Drop for Epoll {
 }
 
 /// An `eventfd` that unblocks a loop's `epoll_wait` from another
-/// thread. Shard owners wake the loop after flushing a group ack;
+/// thread. Shard owners wake the loop after acking a deferred run;
 /// the accept thread wakes it after handing off a new connection;
 /// shutdown wakes it so it observes the flag.
 pub(crate) struct LoopWaker {
@@ -273,7 +276,7 @@ enum Emit {
 /// overall deadline per burst like the synchronous barriers).
 struct Awaiting {
     emits: Vec<Emit>,
-    received: HashMap<u64, Reply>,
+    acks: AckTable,
     deadline: Instant,
     /// The dispatch already decided to close after these replies
     /// (QUIT in the burst).
@@ -285,7 +288,7 @@ struct Conn {
     socket: TcpStream,
     chain: Chain,
     defer: Rc<DeferCell>,
-    ack_rx: Rc<Receiver<ShardAck>>,
+    ack_rx: Rc<Receiver<Vec<Entry>>>,
     /// Bytes read but not yet parsed (at most one partial line after
     /// a drive pass, unless a burst is in flight).
     rbuf: Vec<u8>,
@@ -432,17 +435,15 @@ impl EventLoop {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "unknown".to_string()),
         };
-        let (ack_tx, ack_rx) = channel::<ShardAck>();
+        let (ack_tx, ack_rx) = channel::<Vec<Entry>>();
         let ack_rx = Rc::new(ack_rx);
         let defer = Rc::new(DeferCell::new());
         let exec = ExecService::new(
             Arc::clone(&self.store),
             Arc::clone(&self.stats),
             Arc::clone(&self.ready),
-            token,
             self.ack_timeout,
-            ack_tx,
-            Rc::clone(&ack_rx),
+            (ack_tx, Rc::clone(&ack_rx)),
             Rc::clone(&defer),
             Arc::clone(&self.waker),
         );
@@ -528,10 +529,12 @@ impl EventLoop {
         self.settle(token, conn);
     }
 
-    /// Drain the socket until it would block, EOF, or
-    /// [`READ_HIGH_WATER`] buffered bytes. Level-triggered epoll
-    /// re-reports anything left behind, but reading the whole burst
-    /// now is what feeds cross-connection group commit: every readable
+    /// Drain the socket until a short read, EOF, or
+    /// [`READ_HIGH_WATER`] buffered bytes. A short read emptied the
+    /// socket buffer, so a further `read` would only fetch `EAGAIN`;
+    /// level-triggered epoll re-reports whatever arrives later (EOF
+    /// included) and anything left behind. Reading the whole burst now
+    /// is what feeds cross-connection group commit: every readable
     /// connection's mutations hit the shard queues before any of them
     /// waits for an ack.
     fn read_socket(&mut self, conn: &mut Conn) {
@@ -545,6 +548,9 @@ impl EventLoop {
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&buf[..n]);
                     conn.last_read = Instant::now();
+                    if n < buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -625,7 +631,7 @@ impl EventLoop {
             // unresolved slots in the cell instead.
             _ => conn.chain.call_batch(requests),
         };
-        let (pending, received) = conn.defer.take_output();
+        let (pending, acks) = conn.defer.take_output();
         let mut pending = pending.into_iter();
         let mut responses = responses.into_iter();
         let mut emits: Vec<Emit> = Vec::with_capacity(line_slots.len());
@@ -669,7 +675,7 @@ impl EventLoop {
         if emits.iter().any(|e| matches!(e, Emit::Pending(_))) {
             conn.awaiting = Some(Awaiting {
                 emits,
-                received,
+                acks,
                 deadline: Instant::now() + self.ack_timeout,
                 closing,
             });
@@ -690,25 +696,12 @@ impl EventLoop {
         let Some(aw) = conn.awaiting.as_mut() else {
             return true;
         };
-        while let Ok(ack) = conn.ack_rx.try_recv() {
-            match ack {
-                ShardAck::One(item) => {
-                    aw.received.insert(item.seq, item.reply);
-                }
-                ShardAck::Many(items) => {
-                    for item in items {
-                        aw.received.insert(item.seq, item.reply);
-                    }
-                }
-            }
+        while let Ok(acked) = conn.ack_rx.try_recv() {
+            aw.acks.accept(acked);
         }
-        let satisfied = aw.emits.iter().all(|emit| match emit {
-            Emit::Ready(_) => true,
-            Emit::Pending(PendingSlot::Single(seq)) => aw.received.contains_key(seq),
-            Emit::Pending(PendingSlot::Fanout(seqs)) => {
-                seqs.iter().all(|seq| aw.received.contains_key(seq))
-            }
-        });
+        // Every sequence number the burst issued belongs to one of its
+        // slots, so a full table is a complete burst.
+        let satisfied = aw.acks.complete();
         let timed_out = !satisfied && Instant::now() >= aw.deadline;
         if !satisfied && !timed_out {
             return false;
@@ -726,7 +719,7 @@ impl EventLoop {
     fn resolve(&mut self, conn: &mut Conn, aw: Awaiting, timed_out: bool) {
         let Awaiting {
             emits,
-            mut received,
+            mut acks,
             closing,
             ..
         } = aw;
@@ -734,14 +727,7 @@ impl EventLoop {
             let rendered = match emit {
                 Emit::Ready(rendered) => rendered,
                 Emit::Pending(slot) => {
-                    let reply = match slot {
-                        PendingSlot::Single(seq) => received
-                            .remove(&seq)
-                            .unwrap_or_else(|| Reply::Error(ACK_TIMEOUT_MSG.into())),
-                        PendingSlot::Fanout(seqs) => {
-                            ExecService::fanout_reply(&mut received, &seqs, ACK_TIMEOUT_MSG)
-                        }
-                    };
+                    let reply = acks.resolve(slot, ACK_TIMEOUT_MSG);
                     if matches!(reply, Reply::Error(_)) {
                         self.stats.note_error();
                     }
@@ -1049,6 +1035,23 @@ mod tests {
         // Closed: EOF, or a reset when the close outran unread bytes.
         assert!(replies.next().is_none_or(|r| r.is_err()));
         assert_eq!(server.stats().errors, 1);
+        server.shutdown();
+    }
+
+    /// A read sweep ends on a short read, so the EOF behind a peer's
+    /// last line is only seen when epoll re-reports the socket: the
+    /// line is answered, then the session closes cleanly.
+    #[test]
+    fn half_closed_peer_gets_its_reply_then_a_clean_eof() {
+        let server = one_loop_server();
+        let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+        socket.write_all(b"INCR n 7\n").expect("write");
+        socket
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut replies = String::new();
+        socket.read_to_string(&mut replies).expect("clean EOF");
+        assert_eq!(replies, ":7\n");
         server.shutdown();
     }
 

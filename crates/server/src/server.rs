@@ -13,7 +13,7 @@
 //! innermost service ([`ExecService`]) executes against the store,
 //! splitting two ways: **reads** (`GET`, `TIMELINE`, `ISFOLLOWING`, …)
 //! are served inline from the lock-free segment readers; **mutations**
-//! are enqueued to the owning shard thread and acknowledged through
+//! are handed to the owning shard thread and acknowledged through
 //! the connection's reply channel before the response line is emitted
 //! — so a client that saw `+OK` for a `SET` observes that value on
 //! every later read, from any connection (the shard applied it before
@@ -22,11 +22,18 @@
 //! Pipelining is **batched end to end**: the whole buffered burst is
 //! drained into one `Vec<Request>` and driven through
 //! [`Service::call_batch`], so every layer pays its per-request cost
-//! once per burst; below the stack, the burst's mutations are enqueued
-//! tagged with sequence numbers, shard owners group-acknowledge each
-//! drained batch, and the replies are reassembled in request order and
-//! written with one vectored socket write. A burst of one takes the
-//! synchronous [`Service::call`] path instead.
+//! once per burst. Below the stack the unit that crosses to the shard
+//! owners is the **run** — the maximal sequence of consecutive
+//! mutations in the burst (a `POST`'s fan-out pushes included), split
+//! per shard. [`ExecService`] stages a run's mutations by value and
+//! *publishes* it when it ends: at the first non-mutation command (so
+//! the owners apply while the loop serves the reads that follow), at a
+//! barrier, and at the end of the burst — one envelope, one owner
+//! wake-up and one ack per (run, shard). When to publish is read off
+//! the input, so there is nothing to tune; a burst of one
+//! ([`Service::call`]) publishes a run of one. Replies are reassembled
+//! by sequence number in an [`AckTable`] (a burst's numbers are dense,
+//! so a plain index) and written with one vectored socket write.
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
 //! mutations keep per-key order through the FIFO shard queues, and a
@@ -37,14 +44,15 @@
 use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
 use crate::stats::{ServerStats, StatsSnapshot};
-use crate::store::{self, AckItem, Mutation, MutationMsg, ShardAck, Store, FANOUT_LIMIT};
+use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
 use dego_middleware::{
     BoxService, FusedService, MiddlewareConfig, PressureProbe, Request, Response, Service, Session,
     ShardPressure, Stack,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -549,23 +557,114 @@ fn kv_pending(key: &str) -> PendingKey {
     PendingKey::Kv(hasher.finish())
 }
 
+/// The rows a single-shard mutation touches (`ADDUSER` creates three).
+type Touched = [Option<PendingKey>; 3];
+
+/// A reply the shard owners still owe: the subset of [`Slot`] that can
+/// cross the deferral boundary to the event loop (inline replies never
+/// defer).
+pub(crate) enum PendingSlot {
+    /// One mutation: the ack with this sequence number.
+    Single(u64),
+    /// A `POST` fan-out: every one of these (consecutive) acks.
+    Fanout(Range<u64>),
+}
+
 /// What a batched request is waiting on when assembly begins.
 enum Slot {
     /// Answered inline (read, control, structural rejection).
     Done(Reply),
-    /// One mutation: the ack with this sequence number.
-    Single(u64),
-    /// A `POST` fan-out: every one of these acks.
-    Fanout(Vec<u64>),
+    /// `QUIT`: `+OK`, then the session closes.
+    Quit,
+    /// Answered by the shard owners.
+    Pending(PendingSlot),
 }
 
-/// A slot the event loop must still resolve: the subset of [`Slot`]
-/// that can cross the deferral boundary (inline replies never defer).
-pub(crate) enum PendingSlot {
-    /// One mutation: the ack with this sequence number.
-    Single(u64),
-    /// A `POST` fan-out: every one of these acks.
-    Fanout(Vec<u64>),
+/// One burst's acknowledgements, reassembled by sequence number. A
+/// burst issues its numbers densely from `base`, so the reply of `seq`
+/// lives at index `seq − base` — no hashing, one allocation.
+#[derive(Default)]
+pub(crate) struct AckTable {
+    base: u64,
+    replies: Vec<Option<Reply>>,
+    /// Acks filed so far (each sequence number is acked once).
+    filed: usize,
+}
+
+impl AckTable {
+    fn new(base: u64) -> AckTable {
+        AckTable {
+            base,
+            ..AckTable::default()
+        }
+    }
+
+    /// The next sequence number (the one [`AckTable::issue`] returns).
+    fn next_seq(&self) -> u64 {
+        self.base + self.replies.len() as u64
+    }
+
+    /// Issue a sequence number and reserve its reply slot.
+    fn issue(&mut self) -> u64 {
+        self.replies.push(None);
+        self.next_seq() - 1
+    }
+
+    /// Whether every issued sequence number has been acked.
+    pub(crate) fn complete(&self) -> bool {
+        self.filed == self.replies.len()
+    }
+
+    /// File one envelope's ack. A traced entry's store-side segment is
+    /// handed to this thread's active span (a no-op when the span
+    /// already closed, or none was sampled).
+    pub(crate) fn accept(&mut self, acked: Vec<Entry>) {
+        for entry in acked {
+            let Entry::Ack(seq, reply, seg) = entry else {
+                unreachable!("shard owners ack every entry of an envelope");
+            };
+            if let Some(seg) = seg {
+                dego_middleware::span::record_store(seg);
+            }
+            let index = seq.checked_sub(self.base).map(|i| i as usize);
+            if let Some(slot) = index.and_then(|i| self.replies.get_mut(i)) {
+                *slot = Some(reply);
+                self.filed += 1;
+            }
+        }
+    }
+
+    fn has(&self, seq: u64) -> bool {
+        self.replies[(seq - self.base) as usize].is_some()
+    }
+
+    /// Whether every ack `slot` waits on has been filed.
+    fn covers(&self, slot: &PendingSlot) -> bool {
+        match slot {
+            PendingSlot::Single(seq) => self.has(*seq),
+            PendingSlot::Fanout(seqs) => seqs.clone().all(|seq| self.has(seq)),
+        }
+    }
+
+    /// The reply `slot` resolves to; an ack that never arrived answers
+    /// `missing`. A fan-out fails as a whole on any error or missing
+    /// ack (the last one wins).
+    pub(crate) fn resolve(&mut self, slot: PendingSlot, missing: &'static str) -> Reply {
+        let base = self.base;
+        let mut take = |seq: u64| {
+            self.replies[(seq - base) as usize]
+                .take()
+                .unwrap_or_else(|| Reply::Error(missing.into()))
+        };
+        match slot {
+            PendingSlot::Single(seq) => take(seq),
+            PendingSlot::Fanout(seqs) => seqs
+                .map(take)
+                .filter(|reply| matches!(reply, Reply::Error(_)))
+                .last()
+                .unwrap_or(Reply::Status("OK")),
+        }
+    }
 }
 
 /// The contract between an event loop and its connection's innermost
@@ -586,32 +685,24 @@ pub(crate) enum PendingSlot {
 /// reply bytes are identical to sequential execution.
 pub(crate) struct DeferCell {
     pending: RefCell<Vec<PendingSlot>>,
-    received: RefCell<HashMap<u64, Reply>>,
+    acks: RefCell<AckTable>,
 }
 
 impl DeferCell {
     pub(crate) fn new() -> DeferCell {
         DeferCell {
             pending: RefCell::new(Vec::new()),
-            received: RefCell::new(HashMap::new()),
+            acks: RefCell::new(AckTable::default()),
         }
     }
 
-    fn park(&self, slot: PendingSlot) {
-        self.pending.borrow_mut().push(slot);
-    }
-
-    fn stash_received(&self, received: HashMap<u64, Reply>) {
-        *self.received.borrow_mut() = received;
-    }
-
     /// The deferred burst's unresolved slots (in emission order) and
-    /// any acks that had already arrived before the barrier was
-    /// skipped. Empties the cell.
-    pub(crate) fn take_output(&self) -> (Vec<PendingSlot>, HashMap<u64, Reply>) {
+    /// its ack table, holding whatever had already arrived when the
+    /// barrier was skipped. Empties the cell.
+    pub(crate) fn take_output(&self) -> (Vec<PendingSlot>, AckTable) {
         (
             std::mem::take(&mut self.pending.borrow_mut()),
-            std::mem::take(&mut self.received.borrow_mut()),
+            std::mem::take(&mut self.acks.borrow_mut()),
         )
     }
 }
@@ -624,113 +715,122 @@ pub(crate) struct ExecService {
     /// The readiness gate `READY` reports; flips to `false` the moment
     /// a drain begins.
     ready: Arc<AtomicBool>,
-    /// This connection's id: the group-ack run key shard owners batch
-    /// consecutive mutations by.
-    conn: u64,
     /// Next mutation sequence number (reply reassembly key).
     next_seq: u64,
+    /// The run being staged: per shard, the entries of its next
+    /// envelope. Empty between calls — every exit publishes.
+    staged: Vec<Vec<Entry>>,
     ack_timeout: Duration,
-    ack_tx: Sender<ShardAck>,
+    ack_tx: Sender<Vec<Entry>>,
     /// Shared with the event loop (which drains deferred acks); the
     /// chain is thread-local, so `Rc` suffices.
-    ack_rx: Rc<Receiver<ShardAck>>,
+    ack_rx: Rc<Receiver<Vec<Entry>>>,
     /// The deferral contract with the owning event loop.
     defer: Rc<DeferCell>,
-    /// The owning event loop's `epoll` waker, carried on every
-    /// mutation envelope so a shard's group-ack flush can unblock the
-    /// loop.
+    /// The owning event loop's `epoll` waker, carried on the envelopes
+    /// of a deferred burst so the shard's ack can unblock the loop.
     waker: Arc<LoopWaker>,
 }
 
 impl ExecService {
     /// Wire up the innermost service for one connection.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         store: Arc<Store>,
         stats: Arc<ServerStats>,
         ready: Arc<AtomicBool>,
-        conn: u64,
         ack_timeout: Duration,
-        ack_tx: Sender<ShardAck>,
-        ack_rx: Rc<Receiver<ShardAck>>,
+        acks: (Sender<Vec<Entry>>, Rc<Receiver<Vec<Entry>>>),
         defer: Rc<DeferCell>,
         waker: Arc<LoopWaker>,
     ) -> ExecService {
         ExecService {
+            staged: (0..store.shards()).map(|_| Vec::new()).collect(),
             store,
             stats,
             ready,
-            conn,
             next_seq: 0,
             ack_timeout,
-            ack_tx,
-            ack_rx,
+            ack_tx: acks.0,
+            ack_rx: acks.1,
             defer,
             waker,
         }
     }
 
-    /// Enqueue one mutation to its shard, returning its sequence
-    /// number.
-    fn enqueue(&mut self, shard: usize, op: Mutation) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.store.enqueue(
-            shard,
-            MutationMsg {
-                conn: self.conn,
-                seq,
+    /// Stage one mutation for its shard, returning its sequence number.
+    fn stage(&mut self, acks: &mut AckTable, shard: usize, op: Mutation) -> u64 {
+        self.stats.note_mutation();
+        let seq = acks.issue();
+        self.staged[shard].push(Entry::Op(seq, op));
+        seq
+    }
+
+    /// Stage a `POST`'s fan-out (author plus up to `FANOUT_LIMIT`
+    /// followers), returning its sequence numbers; `dirty` sees every
+    /// target.
+    fn stage_post(
+        &mut self,
+        acks: &mut AckTable,
+        (author, msg): (u64, u64),
+        mut dirty: impl FnMut(u64),
+    ) -> Range<u64> {
+        self.stats.note_mutation();
+        let first = acks.next_seq();
+        // The author's own timeline is always a target; a self-follow
+        // must not deliver twice, so filter the author out of the
+        // follower fan-out.
+        let followers = self.store.followers.get(&author).unwrap_or_default();
+        let followers = followers.into_iter().filter(|f| *f != author);
+        for user in std::iter::once(author).chain(followers.take(FANOUT_LIMIT)) {
+            dirty(user);
+            let seq = acks.issue();
+            let shard = self.store.shard_of_user(user);
+            self.staged[shard].push(Entry::Op(seq, Mutation::TimelinePush { user, msg }));
+        }
+        first..acks.next_seq()
+    }
+
+    /// End the staged run: one envelope per touched shard, all stamped
+    /// with the same publish time. `ring` says how this connection will
+    /// wait for the acks — in `epoll_wait` (ring the loop's doorbell)
+    /// or blocked on the ack channel (the send itself wakes it).
+    fn publish(&mut self, ring: bool) {
+        let mut now = None;
+        for (shard, staged) in self.staged.iter_mut().enumerate() {
+            if staged.is_empty() {
+                continue;
+            }
+            let run = Envelope {
+                entries: std::mem::take(staged),
                 reply: self.ack_tx.clone(),
-                waker: Arc::clone(&self.waker),
-                enqueued_at: Instant::now(),
+                waker: ring.then(|| Arc::clone(&self.waker)),
+                enqueued_at: *now.get_or_insert_with(Instant::now),
                 // Only span-sampled requests pay for shard-side
                 // stamping; the flag rides the envelope across the
                 // queue boundary.
                 traced: dego_middleware::span::active(),
-                op,
-            },
-        );
-        seq
-    }
-
-    /// File one acknowledgement: the reply is keyed by sequence number
-    /// for reassembly, and a traced envelope's store-side segment is
-    /// handed to the connection thread's active span (no-op when the
-    /// span already closed — e.g. a late ack after a barrier).
-    fn accept_ack(ack: AckItem, received: &mut HashMap<u64, Reply>) {
-        if let Some(seg) = ack.seg {
-            dego_middleware::span::record_store(seg);
+            };
+            self.store.enqueue(shard, run);
         }
-        received.insert(ack.seq, ack.reply);
     }
 
-    /// Collect acks until every sequence number in `want` has a reply
-    /// in `received`, under **one overall deadline** for the whole
-    /// wait. On timeout the connection must be poisoned by the caller:
-    /// a late ack may still arrive, and once a stale ack can be
-    /// sitting in the channel every later request/reply pairing would
-    /// be off by one — closing the session is the only honest
+    /// Publish the staged run, then collect acks until every issued
+    /// sequence number has one, under **one overall deadline** for the
+    /// whole wait. On timeout the connection must be poisoned by the
+    /// caller: a late ack may still arrive, and once a stale ack can
+    /// be sitting in the channel every later request/reply pairing
+    /// would be off by one — closing the session is the only honest
     /// recovery.
-    fn collect(
-        &mut self,
-        received: &mut HashMap<u64, Reply>,
-        want: &[u64],
-    ) -> Result<(), &'static str> {
+    fn collect(&mut self, acks: &mut AckTable) -> Result<(), &'static str> {
+        self.publish(false);
         let deadline = Instant::now() + self.ack_timeout;
-        while want.iter().any(|seq| !received.contains_key(seq)) {
+        while !acks.complete() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Err(ACK_TIMEOUT_MSG);
             }
             match self.ack_rx.recv_timeout(left) {
-                Ok(ShardAck::One(ack)) => {
-                    Self::accept_ack(ack, received);
-                }
-                Ok(ShardAck::Many(acks)) => {
-                    for ack in acks {
-                        Self::accept_ack(ack, received);
-                    }
-                }
+                Ok(acked) => acks.accept(acked),
                 Err(RecvTimeoutError::Timeout) => return Err(ACK_TIMEOUT_MSG),
                 Err(RecvTimeoutError::Disconnected) => return Err(ACK_GONE_MSG),
             }
@@ -738,89 +838,56 @@ impl ExecService {
         Ok(())
     }
 
-    /// The single-shard mutation (and the rows it touches) for `cmd`,
-    /// or `None` when `cmd` is not a single-shard mutation.
-    fn plan_mutation(&self, cmd: &Command) -> Option<(usize, Mutation, Vec<PendingKey>)> {
-        let planned = match cmd {
-            Command::Set(key, value) => (
-                self.store.shard_of_key(key),
-                Mutation::Set {
-                    key: key.clone(),
-                    value: value.clone(),
-                },
-                vec![kv_pending(key)],
-            ),
-            Command::Del(key) => (
-                self.store.shard_of_key(key),
-                Mutation::Del { key: key.clone() },
-                vec![kv_pending(key)],
-            ),
-            Command::Incr(key, delta) => (
-                self.store.shard_of_key(key),
-                Mutation::Incr {
-                    key: key.clone(),
-                    delta: *delta,
-                },
-                vec![kv_pending(key)],
-            ),
+    /// The single-shard mutation `cmd` moves into (with its shard and
+    /// the rows it touches), or `cmd` back when it is not one.
+    fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
+        use PendingKey::{Follower, Group, Profile, Timeline};
+        let kv = |key: &String| {
+            let touched = [Some(kv_pending(key)), None, None];
+            (self.store.shard_of_key(key), touched)
+        };
+        let row =
+            |user: u64, row: PendingKey| (self.store.shard_of_user(user), [Some(row), None, None]);
+        let ((shard, touched), op) = match cmd {
+            Command::Set(key, value) => (kv(&key), Mutation::Set { key, value }),
+            Command::Del(key) => (kv(&key), Mutation::Del { key }),
+            Command::Incr(key, delta) => (kv(&key), Mutation::Incr { key, delta }),
             Command::AddUser(user) => (
-                self.store.shard_of_user(*user),
-                Mutation::AddUser { user: *user },
-                vec![
-                    PendingKey::Timeline(*user),
-                    PendingKey::Follower(*user),
-                    PendingKey::Profile(*user),
-                ],
+                (
+                    self.store.shard_of_user(user),
+                    [Timeline(user), Follower(user), Profile(user)].map(Some),
+                ),
+                Mutation::AddUser { user },
             ),
             Command::Follow(follower, followee) => (
-                self.store.shard_of_user(*followee),
-                Mutation::FollowerAdd {
-                    followee: *followee,
-                    follower: *follower,
-                },
-                vec![PendingKey::Follower(*followee)],
+                row(followee, Follower(followee)),
+                Mutation::FollowerAdd { followee, follower },
             ),
             Command::Unfollow(follower, followee) => (
-                self.store.shard_of_user(*followee),
-                Mutation::FollowerDel {
-                    followee: *followee,
-                    follower: *follower,
-                },
-                vec![PendingKey::Follower(*followee)],
+                row(followee, Follower(followee)),
+                Mutation::FollowerDel { followee, follower },
             ),
-            Command::Join(user) => (
-                self.store.shard_of_user(*user),
-                Mutation::GroupJoin { user: *user },
-                vec![PendingKey::Group(*user)],
-            ),
-            Command::Leave(user) => (
-                self.store.shard_of_user(*user),
-                Mutation::GroupLeave { user: *user },
-                vec![PendingKey::Group(*user)],
-            ),
-            Command::Profile(user) => (
-                self.store.shard_of_user(*user),
-                Mutation::ProfileBump { user: *user },
-                vec![PendingKey::Profile(*user)],
-            ),
-            _ => return None,
+            Command::Join(user) => (row(user, Group(user)), Mutation::GroupJoin { user }),
+            Command::Leave(user) => (row(user, Group(user)), Mutation::GroupLeave { user }),
+            Command::Profile(user) => (row(user, Profile(user)), Mutation::ProfileBump { user }),
+            other => return Err(other),
         };
-        Some(planned)
+        Ok((shard, op, touched))
     }
 
-    /// The rows a read-class (or `STATS`) command depends on; `None`
-    /// means "everything" (a full barrier).
-    fn read_deps(cmd: &Command) -> Option<Vec<PendingKey>> {
-        match cmd {
-            Command::Get(key) => Some(vec![kv_pending(key)]),
-            Command::Timeline(user) => Some(vec![PendingKey::Timeline(*user)]),
-            Command::IsFollowing(_, followee) => Some(vec![PendingKey::Follower(*followee)]),
-            Command::Followers(user) => Some(vec![PendingKey::Follower(*user)]),
-            Command::InGroup(user) => Some(vec![PendingKey::Group(*user)]),
-            Command::ProfileVer(user) => Some(vec![PendingKey::Profile(*user)]),
-            Command::Stats | Command::StatsShards | Command::StatsReset => None,
-            _ => Some(Vec::new()),
-        }
+    /// The row a read-class (or `STATS`) command depends on: `None`
+    /// means "everything" (a full barrier), `Some(None)` nothing.
+    fn read_dep(cmd: &Command) -> Option<Option<PendingKey>> {
+        Some(match cmd {
+            Command::Get(key) => Some(kv_pending(key)),
+            Command::Timeline(user) => Some(PendingKey::Timeline(*user)),
+            Command::IsFollowing(_, followee) => Some(PendingKey::Follower(*followee)),
+            Command::Followers(user) => Some(PendingKey::Follower(*user)),
+            Command::InGroup(user) => Some(PendingKey::Group(*user)),
+            Command::ProfileVer(user) => Some(PendingKey::Profile(*user)),
+            Command::Stats | Command::StatsShards | Command::StatsReset => return None,
+            _ => None,
+        })
     }
 
     /// Serve a read/control command inline from the lock-free segment
@@ -891,50 +958,6 @@ impl ExecService {
         }
     }
 
-    /// Enqueue a `POST`'s fan-out (author plus up to `FANOUT_LIMIT`
-    /// followers), returning `(target, sequence number)` pairs.
-    fn enqueue_post(&mut self, author: u64, msg: u64) -> Vec<(u64, u64)> {
-        // The author's own timeline is always a target; a self-follow
-        // must not deliver twice (Vec::dedup would only catch it when
-        // adjacent), so filter the author out of the follower fan-out.
-        let mut targets = vec![author];
-        if let Some(row) = self.store.followers.get(&author) {
-            targets.extend(row.into_iter().filter(|f| *f != author).take(FANOUT_LIMIT));
-        }
-        targets
-            .into_iter()
-            .map(|user| {
-                let shard = self.store.shard_of_user(user);
-                (
-                    user,
-                    self.enqueue(shard, Mutation::TimelinePush { user, msg }),
-                )
-            })
-            .collect()
-    }
-
-    /// Resolve a fan-out's collected acks: any error (or missing ack)
-    /// fails the whole `POST`. Also called by the event loop when it
-    /// completes a deferred fan-out slot.
-    pub(crate) fn fanout_reply(
-        received: &mut HashMap<u64, Reply>,
-        seqs: &[u64],
-        missing: &'static str,
-    ) -> Reply {
-        let mut failure = None;
-        for seq in seqs {
-            match received.remove(seq) {
-                Some(Reply::Error(e)) => failure = Some(e),
-                Some(_) => {}
-                None => failure = Some(missing.to_string()),
-            }
-        }
-        match failure {
-            None => Reply::Status("OK"),
-            Some(e) => Reply::Error(e),
-        }
-    }
-
     /// The structural depth-0 rejections: middleware-owned verbs
     /// (`AUTH`, `EXPIRE`, the `SLOWLOG`/`TRACE` rings) answered here,
     /// at the innermost service, when their layer is not in the
@@ -957,92 +980,79 @@ impl ExecService {
 }
 
 impl Service for ExecService {
+    /// A burst of one: a run of one (or one fan-out), published at
+    /// once and awaited on the ack channel.
     fn call(&mut self, req: Request) -> Response {
         if let Some(resp) = Self::structural_rejection(&req.command) {
             return resp;
         }
-        match &req.command {
-            Command::Quit => Response {
-                reply: Reply::Status("OK"),
+        let mut acks = AckTable::new(self.next_seq);
+        let slot = match req.command {
+            Command::Quit => {
+                return Response {
+                    reply: Reply::Status("OK"),
+                    close: true,
+                }
+            }
+            // Fan out to the author plus the first FANOUT_LIMIT
+            // followers; every target's shard must ack before the
+            // client sees +OK, so a post is visible on every timeline
+            // it reached once acknowledged. One overall deadline covers
+            // the whole fan-out — a stuck shard costs ack_timeout once,
+            // not once per follower.
+            Command::Post(author, msg) => {
+                PendingSlot::Fanout(self.stage_post(&mut acks, (author, msg), |_| ()))
+            }
+            cmd => match self.plan_mutation(cmd) {
+                Ok((shard, op, _touched)) => PendingSlot::Single(self.stage(&mut acks, shard, op)),
+                Err(cmd) => return Response::ok(self.serve_read(&cmd)),
+            },
+        };
+        self.next_seq = acks.next_seq();
+        match self.collect(&mut acks) {
+            Ok(()) => Response::ok(acks.resolve(slot, ACK_GONE_MSG)),
+            Err(msg) => Response {
+                reply: Reply::Error(msg.into()),
                 close: true,
             },
-            Command::Post(author, msg) => {
-                self.stats.note_mutation();
-                // Fan out to the author plus the first FANOUT_LIMIT
-                // followers; every target's shard must ack before the
-                // client sees +OK, so a post is visible on every
-                // timeline it reached once acknowledged. One overall
-                // deadline covers the whole fan-out — a stuck shard
-                // costs ack_timeout once, not once per follower — and
-                // a timeout bails immediately instead of draining the
-                // remaining acks against a poisoned session.
-                let seqs: Vec<u64> = self
-                    .enqueue_post(*author, *msg)
-                    .into_iter()
-                    .map(|(_, seq)| seq)
-                    .collect();
-                let mut received = HashMap::new();
-                match self.collect(&mut received, &seqs) {
-                    Ok(()) => Response::ok(Self::fanout_reply(&mut received, &seqs, ACK_GONE_MSG)),
-                    Err(msg) => Response {
-                        reply: Reply::Error(msg.into()),
-                        close: true,
-                    },
-                }
-            }
-            cmd => {
-                if let Some((shard, op, _touched)) = self.plan_mutation(cmd) {
-                    self.stats.note_mutation();
-                    let seq = self.enqueue(shard, op);
-                    let mut received = HashMap::new();
-                    match self.collect(&mut received, &[seq]) {
-                        Ok(()) => {
-                            Response::ok(received.remove(&seq).expect("collect delivered this seq"))
-                        }
-                        Err(msg) => Response {
-                            reply: Reply::Error(msg.into()),
-                            close: true,
-                        },
-                    }
-                } else {
-                    Response::ok(self.serve_read(cmd))
-                }
-            }
         }
     }
 
-    /// The group-commit batch path. Mutations are enqueued as they are
-    /// encountered (FIFO shard queues keep per-key order); reads are
-    /// served inline unless a row they depend on has an outstanding
-    /// mutation in this burst, in which case a barrier collects every
-    /// outstanding ack first. One final collection (single overall
-    /// deadline) gathers the rest, and replies are assembled in
-    /// request order.
+    /// The group-commit batch path. Consecutive mutations are staged
+    /// into a run and published when the run ends (FIFO shard queues
+    /// keep per-key order); reads are served inline unless a row they
+    /// depend on has an outstanding mutation in this burst, in which
+    /// case a barrier collects every outstanding ack first. One final
+    /// collection (single overall deadline) gathers the rest — or the
+    /// event loop does, when the burst defers — and replies are
+    /// assembled in request order.
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         let mut dead: Option<&'static str> = None;
-        let mut received: HashMap<u64, Reply> = HashMap::new();
-        // Sequence numbers issued but not yet confirmed collected.
-        let mut unmet: Vec<u64> = Vec::new();
+        let mut acks = AckTable::new(self.next_seq);
         let mut pending: HashSet<PendingKey> = HashSet::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
+        // How the tail of this burst waits for its acks: the owning
+        // event loop collects them asynchronously, so bursts from
+        // *other* connections can hit the same shard sweep
+        // (cross-connection group commit) — unless the burst is
+        // span-sampled, which stays synchronous so its store segments
+        // land in the trace tree before the span closes.
+        let deferring = !dego_middleware::span::active();
 
-        // A barrier: wait for every outstanding ack, then forget the
-        // pending rows (they are applied and visible).
+        // A barrier: publish, wait for every outstanding ack, then
+        // forget the pending rows (they are applied and visible).
+        // Evaluates to the poison cause, if the wait failed.
         macro_rules! barrier {
-            () => {
-                if !unmet.is_empty() {
-                    match self.collect(&mut received, &unmet) {
-                        Ok(()) => {
-                            unmet.clear();
-                            pending.clear();
-                        }
-                        Err(msg) => dead = Some(msg),
-                    }
+            () => {{
+                match self.collect(&mut acks) {
+                    Ok(()) => pending.clear(),
+                    Err(msg) => dead = Some(msg),
                 }
-            };
+                dead
+            }};
         }
 
-        for req in &reqs {
+        for req in reqs {
             if let Some(cause) = dead {
                 // The session is poisoned: answer without executing
                 // (the sequential path would have hung up already).
@@ -1050,18 +1060,20 @@ impl Service for ExecService {
                 continue;
             }
             if let Some(resp) = Self::structural_rejection(&req.command) {
+                self.publish(deferring);
                 slots.push(Slot::Done(resp.reply));
                 continue;
             }
-            match &req.command {
-                Command::Quit => slots.push(Slot::Done(Reply::Status("OK"))),
+            match req.command {
+                Command::Quit => {
+                    self.publish(deferring);
+                    slots.push(Slot::Quit);
+                }
                 Command::Post(author, msg) => {
-                    self.stats.note_mutation();
                     // The fan-out reads the follower row: wait for any
                     // outstanding FOLLOW/UNFOLLOW before targeting.
-                    if pending.contains(&PendingKey::Follower(*author)) {
-                        barrier!();
-                        if let Some(cause) = dead {
+                    if pending.contains(&PendingKey::Follower(author)) {
+                        if let Some(cause) = barrier!() {
                             slots.push(Slot::Done(Reply::Error(cause.into())));
                             continue;
                         }
@@ -1069,84 +1081,70 @@ impl Service for ExecService {
                     // Every fan-out target's timeline is now dirty: a
                     // TIMELINE of any of them later in this burst must
                     // barrier first.
-                    let mut seqs = Vec::new();
-                    for (target, seq) in self.enqueue_post(*author, *msg) {
+                    let seqs = self.stage_post(&mut acks, (author, msg), |target| {
                         pending.insert(PendingKey::Timeline(target));
-                        unmet.push(seq);
-                        seqs.push(seq);
-                    }
-                    slots.push(Slot::Fanout(seqs));
+                    });
+                    slots.push(Slot::Pending(PendingSlot::Fanout(seqs)));
                 }
-                cmd => {
-                    if let Some((shard, op, touched)) = self.plan_mutation(cmd) {
-                        self.stats.note_mutation();
-                        let seq = self.enqueue(shard, op);
-                        unmet.push(seq);
-                        pending.extend(touched);
-                        slots.push(Slot::Single(seq));
-                    } else {
-                        let needs_barrier = match Self::read_deps(cmd) {
-                            None => !unmet.is_empty(),
-                            Some(deps) => deps.iter().any(|k| pending.contains(k)),
+                cmd => match self.plan_mutation(cmd) {
+                    Ok((shard, op, touched)) => {
+                        let seq = self.stage(&mut acks, shard, op);
+                        pending.extend(touched.into_iter().flatten());
+                        slots.push(Slot::Pending(PendingSlot::Single(seq)));
+                    }
+                    Err(cmd) => {
+                        let needs_barrier = match Self::read_dep(&cmd) {
+                            None => !acks.complete(),
+                            Some(dep) => dep.is_some_and(|row| pending.contains(&row)),
                         };
-                        if needs_barrier {
-                            barrier!();
-                            if let Some(cause) = dead {
-                                slots.push(Slot::Done(Reply::Error(cause.into())));
-                                continue;
-                            }
+                        if !needs_barrier {
+                            // The run ends here: the owners apply it
+                            // while this thread serves the read.
+                            self.publish(deferring);
+                        } else if let Some(cause) = barrier!() {
+                            slots.push(Slot::Done(Reply::Error(cause.into())));
+                            continue;
                         }
-                        slots.push(Slot::Done(self.serve_read(cmd)));
+                        slots.push(Slot::Done(self.serve_read(&cmd)));
                     }
-                }
+                },
             }
         }
-        // The final barrier — skipped when the burst ended healthy:
-        // the owning event loop collects the tail acks asynchronously,
-        // so bursts from *other* connections can hit the same shard
-        // sweep (cross-connection group commit). A span-sampled burst
-        // stays synchronous so its store segments land in the trace
-        // tree before the span closes; a poisoned burst already has
-        // its answer.
-        let deferring = dead.is_none() && !dego_middleware::span::active();
-        if dead.is_none() && !deferring {
+        // The end of the burst ends the run, on every way out. A
+        // deferring burst skips the final barrier; a poisoned one
+        // already has its answer.
+        self.next_seq = acks.next_seq();
+        self.publish(deferring);
+        if !deferring && dead.is_none() {
             barrier!();
         }
 
+        let parking = deferring && dead.is_none();
         let missing = dead.unwrap_or(ACK_GONE_MSG);
-        let mut responses: Vec<Response> = reqs
-            .iter()
-            .zip(slots)
-            .map(|(req, slot)| {
+        let mut responses: Vec<Response> = slots
+            .into_iter()
+            .map(|slot| {
                 let reply = match slot {
                     Slot::Done(reply) => reply,
-                    Slot::Single(seq) => match received.remove(&seq) {
-                        Some(reply) => reply,
-                        None if deferring => {
-                            self.defer.park(PendingSlot::Single(seq));
-                            Reply::Status(PENDING_MARKER)
-                        }
-                        None => Reply::Error(missing.into()),
-                    },
-                    Slot::Fanout(seqs) => {
-                        if deferring && seqs.iter().any(|seq| !received.contains_key(seq)) {
-                            self.defer.park(PendingSlot::Fanout(seqs));
-                            Reply::Status(PENDING_MARKER)
-                        } else {
-                            Self::fanout_reply(&mut received, &seqs, missing)
+                    Slot::Quit => {
+                        return Response {
+                            reply: Reply::Status("OK"),
+                            close: true,
                         }
                     }
+                    Slot::Pending(slot) if parking && !acks.covers(&slot) => {
+                        self.defer.pending.borrow_mut().push(slot);
+                        Reply::Status(PENDING_MARKER)
+                    }
+                    Slot::Pending(slot) => acks.resolve(slot, missing),
                 };
-                Response {
-                    reply,
-                    close: matches!(req.command, Command::Quit),
-                }
+                Response::ok(reply)
             })
             .collect();
-        if deferring && !received.is_empty() {
-            // Acks that arrived early but belong to a parked fan-out:
-            // hand them to the loop alongside the parked slots.
-            self.defer.stash_received(received);
+        if parking && !acks.complete() {
+            // Slots were parked: the loop files the late acks into the
+            // same table, beside those that arrived early.
+            *self.defer.acks.borrow_mut() = acks;
         }
         if dead.is_some() {
             // Poisoned: whatever the client was told, the session ends.
@@ -1169,5 +1167,72 @@ mod tests {
         assert_eq!(accept_backoff(7), ACCEPT_BACKOFF_CAP);
         // Huge streaks must neither overflow nor exceed the cap.
         assert_eq!(accept_backoff(u32::MAX), ACCEPT_BACKOFF_CAP);
+    }
+
+    /// The hand-off is counted, not timed: a run of 64 consecutive
+    /// SETs over 2 shards is 2 envelopes, so exactly 2 owner sweeps —
+    /// and the telemetry still counts the 64 mutations.
+    #[test]
+    fn a_run_is_handed_off_as_one_envelope_per_shard() {
+        let stats = Arc::new(ServerStats::new());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let runtime =
+            store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), None, 60);
+        let (ack_tx, ack_rx) = channel();
+        let ack_rx = Rc::new(ack_rx);
+        let defer = Rc::new(DeferCell::new());
+        let mut exec = ExecService::new(
+            Arc::clone(&runtime.store),
+            Arc::clone(&stats),
+            Arc::new(AtomicBool::new(true)),
+            Duration::from_secs(5),
+            (ack_tx, Rc::clone(&ack_rx)),
+            Rc::clone(&defer),
+            Arc::new(LoopWaker::new().expect("eventfd")),
+        );
+        let sets = |keys: Range<u32>| {
+            keys.map(|i| Request::new(Command::Set(format!("k{i}"), "v".into())))
+        };
+        // Drive one deferring burst to completion the way the event
+        // loop does, returning the owner sweeps it cost.
+        let mut sweeps_of = |burst: Vec<Request>, writes: usize| {
+            let before = stats.snapshot().shard_batches;
+            let responses = exec.call_batch(burst);
+            let parked = responses.iter().filter(|r| is_pending_marker(&r.reply));
+            assert_eq!(parked.count(), writes, "every write defers");
+            let (slots, mut acks) = defer.take_output();
+            assert_eq!(slots.len(), writes);
+            while !acks.complete() {
+                acks.accept(ack_rx.recv_timeout(Duration::from_secs(5)).expect("ack"));
+            }
+            for slot in slots {
+                assert_eq!(acks.resolve(slot, ACK_GONE_MSG), Reply::Status("OK"));
+            }
+            stats.snapshot().shard_batches - before
+        };
+
+        assert_eq!(sweeps_of(sets(0..64).collect(), 64), 2);
+        assert_eq!(runtime.store.applied_since_reset(), 64);
+        let enqueued: u64 = runtime
+            .store
+            .render_shard_lines()
+            .iter()
+            .filter_map(|line| line.split_once("_enqueued="))
+            .map(|(_, count)| count.parse::<u64>().expect("numeric"))
+            .sum();
+        assert_eq!(enqueued, 64, "STATS SHARDS counts mutations, not envelopes");
+
+        // A read of an untouched key in the middle ends the first run
+        // (published at once, no barrier): two runs, at most 4 sweeps.
+        let mut burst: Vec<Request> = sets(64..96).collect();
+        burst.push(Request::new(Command::Get("untouched".into())));
+        burst.extend(sets(96..128));
+        assert!((2..=4).contains(&sweeps_of(burst, 64)));
+        assert_eq!(runtime.store.applied_since_reset(), 128);
+
+        shutdown.store(true, Ordering::Release);
+        for thread in runtime.threads {
+            thread.join().expect("shard owner exits");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! The sharded storage plane: dego-core adjusted objects behind N
-//! shard-owner threads, with **group acknowledgement**.
+//! shard-owner threads, handed work **one run at a time**.
 //!
 //! Every structure is segmented with [`SegmentationKind::Hash`] into
 //! one segment per shard, and each shard's segment writers are claimed
@@ -10,15 +10,20 @@
 //! `QueueMasp`, MWSR) to the owning shard, which applies them in
 //! arrival order and acks through a per-connection reply channel.
 //!
-//! **Group acknowledgement.** A mutation is shipped as a
-//! [`MutationMsg`] envelope tagged with its connection id and a
-//! per-connection sequence number. A shard owner drains its whole
-//! inbox in one sweep, applies every mutation, and sends **one ack per
-//! (connection run, drained batch)** — consecutive mutations from the
-//! same connection collapse into a single [`ShardAck::Many`] message
-//! instead of one channel send each. The connection side reassembles
-//! replies by sequence number, so a pipelined burst of `k` writes
-//! costs the reply channel `O(shards)` sends instead of `O(k)`.
+//! **The unit of hand-off is the run.** A connection stages the
+//! consecutive mutations of a burst per shard and publishes them as
+//! one [`Envelope`] per touched shard: one queue node, one reply
+//! handle, one timestamp, one `unpark`. The owner drains its inbox in
+//! one sweep, turns each envelope's entries from [`Entry::Op`] into
+//! [`Entry::Ack`] **in place**, and sends the same `Vec` back as the
+//! envelope's single ack — so the sender's grouping is never
+//! re-derived, and what the loop thread allocated the loop thread
+//! frees. The eventfd doorbell is rung only when the sender said it
+//! waits in `epoll_wait` ([`Envelope::waker`]); a sender blocked on
+//! its ack channel is woken by the send itself. Telemetry counts
+//! **mutations**, not envelopes: `enqueued` rises by the run's length
+//! at publish, `drained` by one per apply, and `ack_us` / a traced
+//! entry's `queue_us` are measured from the publish.
 //!
 //! Routing is [`dego_core::home_segment`] of the key (or user id), the
 //! same hash the maps use internally, so a shard writer never touches
@@ -44,50 +49,37 @@ pub const TIMELINE_KEEP: usize = 64;
 /// `dego_retwis::FANOUT_LIMIT`).
 pub const FANOUT_LIMIT: usize = 16;
 
-/// One mutation's acknowledgement payload: the reply keyed by its
-/// per-connection sequence number, plus — when the issuing request is
-/// being traced — the store-side span segment the shard owner stamped
-/// (queue wait and apply time on the owner thread).
-pub(crate) struct AckItem {
-    /// Per-connection sequence number (reply reassembly key).
-    pub seq: u64,
-    /// The mutation's reply.
-    pub reply: Reply,
-    /// Store-side trace segment; `None` for untraced mutations.
-    pub seg: Option<StoreSegment>,
+/// One slot of an [`Envelope`]: a planned mutation on the way to the
+/// shard owner, its acknowledgement on the way back. Both carry the
+/// per-connection sequence number replies are reassembled by.
+pub(crate) enum Entry {
+    /// To apply.
+    Op(u64, Mutation),
+    /// Applied: the reply plus — for a traced envelope — the
+    /// store-side span segment the owner stamped (queue wait and apply
+    /// time on the owner thread).
+    Ack(u64, Reply, Option<StoreSegment>),
 }
 
-/// An acknowledgement from a shard owner back to a connection.
-///
-/// `Many` carries every consecutive mutation of one drained batch that
-/// belonged to the same connection.
-pub(crate) enum ShardAck {
-    /// A lone mutation's ack.
-    One(AckItem),
-    /// A group-commit ack: one send for a whole run of the batch.
-    Many(Vec<AckItem>),
-}
-
-/// A mutation envelope on its way to a shard-owner thread.
-pub(crate) struct MutationMsg {
-    /// The issuing connection (group-ack run key).
-    pub conn: u64,
-    /// Per-connection sequence number (reply reassembly key).
-    pub seq: u64,
+/// One connection's run of consecutive mutations for one shard.
+pub(crate) struct Envelope {
+    /// The run, in issue order; sent back through `reply` once every
+    /// entry is an [`Entry::Ack`].
+    pub entries: Vec<Entry>,
     /// The issuing connection's ack inlet.
-    pub reply: Sender<ShardAck>,
-    /// The issuing connection's event-loop waker, rung after the ack
-    /// send so the loop's `epoll_wait` observes it.
-    pub waker: Arc<LoopWaker>,
-    /// When the envelope was built — the shard owner turns this into
-    /// the enqueue→apply latency sample.
+    pub reply: Sender<Vec<Entry>>,
+    /// The issuing connection's event-loop doorbell, when the sender
+    /// will wait for this ack in `epoll_wait` (a deferred burst); rung
+    /// after the ack send so the woken loop's sweep observes it.
+    /// `None` when the sender blocks on the ack channel itself.
+    pub waker: Option<Arc<LoopWaker>>,
+    /// When the run was published — the shard owner turns this into
+    /// the publish→apply latency samples.
     pub enqueued_at: Instant,
     /// Whether a trace span is open on the issuing connection: asks
-    /// the shard owner to stamp a [`StoreSegment`] into the ack.
+    /// the shard owner to stamp a [`StoreSegment`] into each ack.
     /// Untraced envelopes pay nothing extra on the owner thread.
     pub traced: bool,
-    /// The payload.
-    pub op: Mutation,
 }
 
 /// Per-shard observability counters: the load-shedding inputs
@@ -101,9 +93,9 @@ pub(crate) struct ShardTelemetry {
     enqueued: AtomicU64,
     /// Mutations the owner has drained and applied.
     drained: AtomicU64,
-    /// Drained-batch sizes (the group-commit width, log₂ buckets).
+    /// Mutations per owner sweep (the group-commit width, log₂ buckets).
     drained_batch: WindowedHistogram,
-    /// Enqueue→apply latency per mutation, microseconds.
+    /// Publish→apply latency per mutation, microseconds.
     ack_us: WindowedHistogram,
 }
 
@@ -147,13 +139,13 @@ impl ShardTelemetry {
         &self.drained_batch
     }
 
-    /// Enqueue→apply latency histogram, microseconds.
+    /// Publish→apply latency histogram, microseconds.
     pub fn ack_us(&self) -> &WindowedHistogram {
         &self.ack_us
     }
 }
 
-/// A storage-plane mutation (the payload of a [`MutationMsg`]).
+/// A storage-plane mutation (the payload of an [`Entry::Op`]).
 pub(crate) enum Mutation {
     Set { key: String, value: String },
     Del { key: String },
@@ -183,7 +175,7 @@ pub(crate) struct Store {
     /// Mutations applied, one owner-exclusive cell per shard (C3).
     pub applied: Arc<CounterIncrementOnly>,
     /// Mutation inlets, indexed by shard.
-    producers: Vec<mpsc::Producer<MutationMsg>>,
+    producers: Vec<mpsc::Producer<Envelope>>,
     /// Shard threads, for post-enqueue wakeups.
     wakers: Vec<Thread>,
     /// Per-shard observability counters, indexed by shard.
@@ -215,12 +207,12 @@ impl Store {
         self.shards
     }
 
-    /// Hand `msg` to its owning shard and wake the owner.
-    pub(crate) fn enqueue(&self, shard: usize, msg: MutationMsg) {
+    /// Hand a run to its owning shard and wake the owner.
+    pub(crate) fn enqueue(&self, shard: usize, run: Envelope) {
         self.telemetry[shard]
             .enqueued
-            .fetch_add(1, Ordering::Relaxed);
-        self.producers[shard].offer(msg);
+            .fetch_add(run.entries.len() as u64, Ordering::Relaxed);
+        self.producers[shard].offer(run);
         self.wakers[shard].unpark();
     }
 
@@ -263,7 +255,7 @@ impl Store {
 
     /// The `name=value` lines of the `STATS SHARDS` array reply:
     /// per-shard queue depth, group-commit batch shape, and
-    /// enqueue→apply latency percentiles — the inputs a load shedder
+    /// publish→apply latency percentiles — the inputs a load shedder
     /// (or a human squinting at a hot shard) needs.
     /// Percentile lines report the rolling window, with
     /// `_total`-suffixed lifetime twins (same contract as the `mw_*`
@@ -360,7 +352,7 @@ pub(crate) fn spawn_shards(
     let mut threads = Vec::with_capacity(shards);
 
     for (shard, shard_telemetry) in telemetry.iter().enumerate() {
-        let (producer, consumer) = mpsc::queue::<MutationMsg>();
+        let (producer, consumer) = mpsc::queue::<Envelope>();
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<usize>();
         let ctx = ShardCtx {
             shard,
@@ -421,35 +413,10 @@ struct ShardCtx {
     apply_delay: Arc<AtomicU64>,
 }
 
-/// One connection's run of acks within a drained batch, flushed as a
-/// single channel send when the run ends.
-struct AckRun {
-    conn: u64,
-    reply: Sender<ShardAck>,
-    waker: Arc<LoopWaker>,
-    acks: Vec<AckItem>,
-}
-
-impl AckRun {
-    /// Send the run to its connection (a closed channel means the
-    /// connection died mid-flight; the mutations were still applied),
-    /// then ring the connection's event-loop doorbell — the send must
-    /// land first so the woken loop's sweep observes it.
-    fn flush(mut self) {
-        let ack = if self.acks.len() == 1 {
-            ShardAck::One(self.acks.pop().expect("one ack"))
-        } else {
-            ShardAck::Many(self.acks)
-        };
-        let _ = self.reply.send(ack);
-        self.waker.wake();
-    }
-}
-
 /// The owner loop: claim this shard's writers, then drain and apply
-/// mutation batches in arrival order until shutdown, group-acking each
-/// connection's run of a batch with one send.
-fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<MutationMsg>, ready: Sender<usize>) {
+/// envelopes in arrival order until shutdown, answering each with one
+/// ack — its own entries, applied in place.
+fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<usize>) {
     let mut kv_w = ctx.kv.writer();
     let mut tl_w = ctx.timelines.writer();
     let mut fo_w = ctx.followers.writer();
@@ -472,69 +439,63 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<MutationMsg>, ready: Send
             continue;
         }
         ctx.stats.note_shard_batch();
-        ctx.telemetry.drained_batch.record(batch.len() as u64);
-        let mut run: Option<AckRun> = None;
-        for msg in batch {
-            // Stamp the apply start before the delay hook: a stuck
-            // shard's stall is apply time, and the trace tree must
-            // account for it.
-            let apply_started = msg.traced.then(Instant::now);
-            let stall_ns = ctx.apply_delay.load(Ordering::Relaxed);
-            if stall_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(stall_ns));
-            }
-            let reply = apply(
-                &msg.op, &mut kv_w, &mut tl_w, &mut fo_w, &mut pr_w, &mut gr_w,
-            );
-            let seg = apply_started.map(|started| StoreSegment {
-                shard: ctx.shard,
-                // Saturates to zero if clocks read out of order.
-                queue_us: started.duration_since(msg.enqueued_at).as_micros() as u64,
-                apply_us: started.elapsed().as_micros() as u64,
-            });
-            ctx.telemetry
-                .ack_us
-                .record(msg.enqueued_at.elapsed().as_micros() as u64);
-            ctx.telemetry.drained.fetch_add(1, Ordering::Relaxed);
-            // Rejected mutations (e.g. INCR on a non-integer) must
-            // not inflate the applied count.
-            if !matches!(reply, Reply::Error(_)) {
-                cell.inc();
-                ctx.stats.note_applied();
-            }
-            let item = AckItem {
-                seq: msg.seq,
+        let swept: usize = batch.iter().map(|run| run.entries.len()).sum();
+        ctx.telemetry.drained_batch.record(swept as u64);
+        for run in batch {
+            let Envelope {
+                mut entries,
                 reply,
-                seg,
-            };
-            match &mut run {
-                Some(current) if current.conn == msg.conn => {
-                    current.acks.push(item);
+                waker,
+                enqueued_at,
+                traced,
+            } = run;
+            for entry in &mut entries {
+                let Entry::Op(seq, op) = std::mem::replace(entry, Entry::Ack(0, Reply::Nil, None))
+                else {
+                    unreachable!("an envelope arrives as ops");
+                };
+                // Stamp the apply start before the delay hook: a stuck
+                // shard's stall is apply time, and the trace tree must
+                // account for it.
+                let apply_started = traced.then(Instant::now);
+                let stall_ns = ctx.apply_delay.load(Ordering::Relaxed);
+                if stall_ns > 0 {
+                    std::thread::sleep(Duration::from_nanos(stall_ns));
                 }
-                _ => {
-                    if let Some(done) = run.take() {
-                        done.flush();
-                    }
-                    run = Some(AckRun {
-                        conn: msg.conn,
-                        reply: msg.reply,
-                        waker: msg.waker,
-                        acks: vec![item],
-                    });
+                let reply = apply(op, &mut kv_w, &mut tl_w, &mut fo_w, &mut pr_w, &mut gr_w);
+                let seg = apply_started.map(|started| StoreSegment {
+                    shard: ctx.shard,
+                    // Saturates to zero if clocks read out of order.
+                    queue_us: started.duration_since(enqueued_at).as_micros() as u64,
+                    apply_us: started.elapsed().as_micros() as u64,
+                });
+                ctx.telemetry
+                    .ack_us
+                    .record(enqueued_at.elapsed().as_micros() as u64);
+                ctx.telemetry.drained.fetch_add(1, Ordering::Relaxed);
+                // Rejected mutations (e.g. INCR on a non-integer) must
+                // not inflate the applied count.
+                if !matches!(reply, Reply::Error(_)) {
+                    cell.inc();
+                    ctx.stats.note_applied();
                 }
+                *entry = Entry::Ack(seq, reply, seg);
             }
-        }
-        if let Some(done) = run.take() {
-            done.flush();
+            // A closed channel means the connection died mid-flight;
+            // the mutations were still applied.
+            let _ = reply.send(entries);
+            if let Some(waker) = waker {
+                waker.wake();
+            }
         }
     }
 }
 
-/// Apply one mutation through this shard's writers. Single-writer per
-/// segment, so read-modify-write sequences on owned rows are races
-/// with nobody.
+/// Apply one mutation through this shard's writers, consuming it (its
+/// strings move into the map). Single-writer per segment, so
+/// read-modify-write sequences on owned rows are races with nobody.
 fn apply(
-    mutation: &Mutation,
+    mutation: Mutation,
     kv_w: &mut dego_core::SegmentedHashMapWriter<String, String>,
     tl_w: &mut dego_core::SegmentedHashMapWriter<u64, Vec<u64>>,
     fo_w: &mut dego_core::SegmentedHashMapWriter<u64, Vec<u64>>,
@@ -543,72 +504,72 @@ fn apply(
 ) -> Reply {
     match mutation {
         Mutation::Set { key, value } => {
-            kv_w.put(key.clone(), value.clone());
+            kv_w.put(key, value);
             Reply::Status("OK")
         }
         Mutation::Del { key } => {
-            kv_w.remove(key);
+            kv_w.remove(&key);
             Reply::Status("OK")
         }
         Mutation::Incr { key, delta } => {
-            let current = match kv_w.get(key) {
+            let current = match kv_w.get(&key) {
                 None => 0,
                 Some(raw) => match raw.parse::<i64>() {
                     Ok(n) => n,
                     Err(_) => return Reply::Error(format!("value at {key:?} is not an integer")),
                 },
             };
-            let next = current.wrapping_add(*delta);
-            kv_w.put(key.clone(), next.to_string());
+            let next = current.wrapping_add(delta);
+            kv_w.put(key, next.to_string());
             Reply::Int(next)
         }
         Mutation::AddUser { user } => {
-            if tl_w.get(user).is_none() {
-                tl_w.put(*user, Vec::new());
+            if tl_w.get(&user).is_none() {
+                tl_w.put(user, Vec::new());
             }
-            if fo_w.get(user).is_none() {
-                fo_w.put(*user, Vec::new());
+            if fo_w.get(&user).is_none() {
+                fo_w.put(user, Vec::new());
             }
-            if pr_w.get(user).is_none() {
-                pr_w.put(*user, 0);
+            if pr_w.get(&user).is_none() {
+                pr_w.put(user, 0);
             }
             Reply::Status("OK")
         }
         Mutation::TimelinePush { user, msg } => {
-            let mut row = tl_w.get(user).unwrap_or_default();
-            row.push(*msg);
+            let mut row = tl_w.get(&user).unwrap_or_default();
+            row.push(msg);
             if row.len() > TIMELINE_KEEP {
                 let excess = row.len() - TIMELINE_KEEP;
                 row.drain(..excess);
             }
-            tl_w.put(*user, row);
+            tl_w.put(user, row);
             Reply::Status("OK")
         }
         Mutation::FollowerAdd { followee, follower } => {
-            let mut row = fo_w.get(followee).unwrap_or_default();
-            if !row.contains(follower) {
-                row.push(*follower);
+            let mut row = fo_w.get(&followee).unwrap_or_default();
+            if !row.contains(&follower) {
+                row.push(follower);
             }
-            fo_w.put(*followee, row);
+            fo_w.put(followee, row);
             Reply::Status("OK")
         }
         Mutation::FollowerDel { followee, follower } => {
-            let mut row = fo_w.get(followee).unwrap_or_default();
-            row.retain(|f| f != follower);
-            fo_w.put(*followee, row);
+            let mut row = fo_w.get(&followee).unwrap_or_default();
+            row.retain(|f| *f != follower);
+            fo_w.put(followee, row);
             Reply::Status("OK")
         }
         Mutation::GroupJoin { user } => {
-            gr_w.add(*user);
+            gr_w.add(user);
             Reply::Status("OK")
         }
         Mutation::GroupLeave { user } => {
-            gr_w.remove(user);
+            gr_w.remove(&user);
             Reply::Status("OK")
         }
         Mutation::ProfileBump { user } => {
-            let version = pr_w.get(user).unwrap_or(0) + 1;
-            pr_w.put(*user, version);
+            let version = pr_w.get(&user).unwrap_or(0) + 1;
+            pr_w.put(user, version);
             Reply::Int(version as i64)
         }
     }

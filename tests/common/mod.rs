@@ -81,3 +81,109 @@ pub fn lock_step(client: &mut Client, script: &[String]) -> Vec<ClientReply> {
         .map(|line| client.request(line).expect("lock-step request"))
         .collect()
 }
+
+/// A write-run-heavy script as raw request lines (newline included):
+/// runs of 1–64 consecutive `SET`/`INCR`/`DEL`/`FOLLOW`/`POST` — the
+/// unit the server hands to its shard owners — each followed directly
+/// by one non-mutation: a `GET` of a key the run just wrote, a read of
+/// an untouched key, a `TIMELINE`, a `BLORP` parse error or a blank
+/// line. The script ends, straight after a last run, with the session
+/// closing: `QUIT` for even seeds, a non-UTF-8 line for odd ones.
+pub fn write_run_script(seed: u64, runs: usize) -> Vec<Vec<u8>> {
+    let mut rng = XorShift64::new(seed);
+    let mut script: Vec<String> = (0..5).map(|u| format!("ADDUSER {u}")).collect();
+    script.push("FOLLOWERS 0".to_string());
+    for run in 0..=runs {
+        let mut wrote = None;
+        for i in 0..1 + rng.next_bounded(64) {
+            let key = rng.next_bounded(6);
+            let user = rng.next_bounded(5);
+            script.push(match rng.next_bounded(8) {
+                0..=2 => {
+                    wrote = Some(format!("k{key}"));
+                    format!("SET k{key} r{run}i{i}")
+                }
+                3 => {
+                    wrote = Some(format!("c{key}"));
+                    format!("INCR c{key} {}", rng.next_bounded(9) as i64 - 4)
+                }
+                // A counter bump on a string key: an error ack from
+                // the shard owner in the middle of a run.
+                4 => format!("INCR k{key} 1"),
+                5 => {
+                    wrote = Some(format!("k{key}"));
+                    format!("DEL k{key}")
+                }
+                6 => format!("FOLLOW {} {user}", rng.next_bounded(5)),
+                _ => format!("POST {user} {}", run as u64 * 100 + i),
+            });
+        }
+        if run == runs {
+            break;
+        }
+        script.push(match (run % 5, wrote) {
+            (0, Some(key)) => format!("GET {key}"),
+            (1, _) => format!("BLORP {run}"),
+            (2, _) => String::new(),
+            (3, _) => format!("TIMELINE {}", rng.next_bounded(5)),
+            _ => "GET untouched".to_string(),
+        });
+    }
+    let mut lines: Vec<Vec<u8>> = script
+        .into_iter()
+        .map(|line| format!("{line}\n").into_bytes())
+        .collect();
+    lines.push(if seed.is_multiple_of(2) {
+        b"QUIT\n".to_vec()
+    } else {
+        b"\xff\xfe garbage\n".to_vec()
+    });
+    lines
+}
+
+/// Send raw request `lines` in bursts of `burst()` lines — each burst
+/// one socket write, its replies awaited before the next — and return
+/// every reply byte up to the server's close. The script must end the
+/// session (as [`write_run_script`] does).
+pub fn drive_raw(
+    addr: std::net::SocketAddr,
+    lines: &[Vec<u8>],
+    mut burst: impl FnMut() -> usize,
+) -> Vec<u8> {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let mut socket = std::net::TcpStream::connect(addr).expect("connect");
+    socket.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(socket.try_clone().expect("clone"));
+    let mut replies = Vec::new();
+    let mut read_line = |replies: &mut Vec<u8>| -> Option<usize> {
+        let at = replies.len();
+        match reader.read_until(b'\n', replies) {
+            Ok(n) if n > 0 => Some(at),
+            _ => None, // closed (or reset): the session is over
+        }
+    };
+    let mut sent = 0;
+    'bursts: while sent < lines.len() {
+        let chunk = &lines[sent..(sent + burst().max(1)).min(lines.len())];
+        sent += chunk.len();
+        socket.write_all(&chunk.concat()).expect("write burst");
+        // Blank lines are keepalives: no reply to wait for.
+        let owed = chunk.iter().filter(|l| !l.trim_ascii().is_empty()).count();
+        for _ in 0..owed {
+            let Some(at) = read_line(&mut replies) else {
+                break 'bursts;
+            };
+            // `*n` announces n more lines of the same reply.
+            if replies[at] == b'*' {
+                let header = std::str::from_utf8(&replies[at + 1..]).expect("array header");
+                for _ in 0..header.trim().parse::<usize>().expect("array length") {
+                    if read_line(&mut replies).is_none() {
+                        break 'bursts;
+                    }
+                }
+            }
+        }
+    }
+    let _ = reader.read_to_end(&mut replies);
+    replies
+}

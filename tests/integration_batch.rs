@@ -9,6 +9,11 @@
 //!   identically booted server, at depth 0 (boxed onion), behind a
 //!   partial stack (boxed onion + layers) and behind the full stack
 //!   (fused chain);
+//! * **run boundaries**: the same equivalence for a write-run-heavy
+//!   script (runs of up to 64 consecutive mutations, each followed
+//!   directly by a same-key read, a parse error, a keepalive, `QUIT`
+//!   or an input fault), and a staged run is published even when the
+//!   burst ends the session;
 //! * **accept backoff**: injected `accept()` failures (fd pressure)
 //!   are counted in `STATS` and back off instead of busy-spinning;
 //! * **fan-out deadline**: a stuck shard costs a `POST` one overall
@@ -25,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{drive, lock_step, random_script, shards};
+use common::{drive, drive_raw, lock_step, random_script, shards, write_run_script};
 
 fn boot(middleware: MiddlewareConfig) -> ServerHandle {
     spawn(ServerConfig {
@@ -77,6 +82,31 @@ fn assert_pipelined_matches_lock_step(layers: &str, fused: bool, seeds: &[u64]) 
         let want = lock_step(&mut b, &script);
         assert_eq!(got, want, "reply streams diverged for seed {seed:#x}");
     }
+    // The same guarantee at the run boundaries: long runs of
+    // consecutive writes, each followed directly by a same-key read, a
+    // parse error, a keepalive, and finally the session's end (QUIT or
+    // an input fault, by seed parity) — raw bytes, fresh connections.
+    for &seed in &[seeds[0] & !1, seeds[0] | 1] {
+        let mut script = write_run_script(seed, 24);
+        if login {
+            script.insert(0, b"AUTH sekrit\n".to_vec());
+        }
+        let mut rng = dego_metrics::rng::XorShift64::new(seed ^ 0xff);
+        let cut = || 1 + rng.next_bounded(96) as usize;
+        let got = drive_raw(pipelined.local_addr(), &script, cut);
+        let want = drive_raw(sequential.local_addr(), &script, || 1);
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want),
+            "write-run reply streams diverged for seed {seed:#x}"
+        );
+        // One reply per non-blank line, the closing one included.
+        assert!(got.ends_with(if seed.is_multiple_of(2) {
+            b"+OK\n".as_slice()
+        } else {
+            b"-ERR protocol requires UTF-8 input\n".as_slice()
+        }));
+    }
     pipelined.shutdown();
     sequential.shutdown();
 }
@@ -98,6 +128,21 @@ fn pipelined_replies_match_lock_step_partial_stack() {
 #[test]
 fn pipelined_replies_match_lock_step_full_stack() {
     assert_pipelined_matches_lock_step("full", true, &[0xbee5, 0xfee1]);
+}
+
+/// Regression (run hand-off): a run still staged when the burst ends
+/// the session is published all the same — writes ahead of a `QUIT` in
+/// one socket write are acknowledged and visible to everyone.
+#[test]
+fn writes_ahead_of_quit_in_one_burst_are_applied() {
+    let server = boot(MiddlewareConfig::none());
+    let script = [b"SET a 1\nSET b 2\nQUIT\n".to_vec()];
+    let replies = drive_raw(server.local_addr(), &script, || 1);
+    assert_eq!(String::from_utf8_lossy(&replies), "+OK\n+OK\n+OK\n");
+    let mut other = Client::connect(server.local_addr()).expect("connect");
+    assert_eq!(other.get("a").expect("get").as_deref(), Some("1"));
+    assert_eq!(other.get("b").expect("get").as_deref(), Some("2"));
+    server.shutdown();
 }
 
 /// Regression (fd pressure): persistent `accept()` failures must count

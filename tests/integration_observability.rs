@@ -383,6 +383,61 @@ fn trace_tree_crosses_the_shard_boundary() {
     server.shutdown();
 }
 
+/// A span-sampled burst hands its writes over as one run, yet the tree
+/// still carries one store segment per mutation, and each queue wait
+/// is measured from the run's publish: behind a 5 ms apply stall the
+/// k-th mutation of the run has waited for the k before it.
+#[test]
+fn sampled_burst_keeps_one_store_segment_per_mutation() {
+    const WRITES: usize = 8;
+    const STALL_US: u64 = 5_000;
+    let mut middleware = MiddlewareConfig::full();
+    middleware.trace.sample_every = 1;
+    let server = spawn(ServerConfig {
+        shards: 1, // every segment from shard0, in issue order
+        capacity: 256,
+        middleware,
+        shard_delay: Some(Duration::from_micros(STALL_US)),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut c = connect(&server);
+    let burst: Vec<String> = (0..WRITES).map(|i| format!("SET run{i} v")).collect();
+    for reply in c.pipeline(&burst).expect("burst") {
+        assert_eq!(reply, ClientReply::Status("OK".into()));
+    }
+    let entries = c.trace_get().expect("trace get");
+    let tree = entries
+        .iter()
+        .find(|line| line.contains(&format!("burst={WRITES} ")))
+        .unwrap_or_else(|| panic!("no burst tree in {entries:?}"));
+    let segment = |name: &str| -> Vec<u64> {
+        let span = tree.split("span=").nth(1).expect("span field");
+        span.split(',')
+            .filter_map(|seg| seg.strip_prefix(name))
+            .map(|us| us.trim().parse().expect("numeric segment"))
+            .collect()
+    };
+    let (queue, apply) = (segment("shard0/queue:"), segment("shard0/apply:"));
+    assert_eq!(
+        apply.len(),
+        WRITES,
+        "one apply segment per mutation: {tree:?}"
+    );
+    assert_eq!(
+        queue.len(),
+        WRITES,
+        "one queue segment per mutation: {tree:?}"
+    );
+    for (k, waited) in queue.iter().enumerate() {
+        assert!(
+            *waited >= k as u64 * STALL_US,
+            "mutation {k} waited {waited} µs since the publish: {tree:?}"
+        );
+    }
+    server.shutdown();
+}
+
 /// `STATS RESET` zeroes both planes over the wire: server counters,
 /// shard telemetry and the middleware block all restart, while the
 /// slowlog (its own `RESET` verb) keeps its entries.
