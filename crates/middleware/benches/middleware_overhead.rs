@@ -19,8 +19,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dego_middleware::protocol::{Command, Reply};
 use dego_middleware::{
-    AuthLayer, BreakerLayer, DeadlineLayer, MiddlewareConfig, PipelineMetrics, RateLimitLayer,
-    Request, Response, Service, Session, ShedLayer, Stack, TraceLayer, TtlLayer,
+    AuthLayer, BreakerLayer, DeadlineLayer, Layer, MiddlewareConfig, PipelineMetrics,
+    RateLimitLayer, Request, Response, Service, Session, ShedLayer, Stack, TraceLayer, TtlLayer,
 };
 use std::sync::Arc;
 use std::time::Duration;

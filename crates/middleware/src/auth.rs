@@ -13,7 +13,10 @@
 //! or better.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{
+    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Split,
+};
 use crate::protocol::{Command, CommandClass, Reply};
 use dego_core::rcu::{rcu_cell, RcuReader, RcuWriter};
 use dego_core::swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
@@ -145,7 +148,7 @@ impl AuthState {
 
 /// The auth [`Layer`].
 pub struct AuthLayer {
-    state: Arc<AuthState>,
+    pub(crate) state: Arc<AuthState>,
     metrics: Arc<PipelineMetrics>,
 }
 
@@ -177,95 +180,100 @@ impl AuthLayer {
             metrics,
         }
     }
-
-    /// The shared state (for the stack's runtime admin API).
-    pub(crate) fn state(&self) -> Arc<AuthState> {
-        Arc::clone(&self.state)
-    }
 }
 
-impl AuthLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> AuthService<S> {
-        AuthService {
+impl Layer for AuthLayer {
+    type Rule = AuthRule;
+
+    fn rule(&self, _session: &Session) -> AuthRule {
+        AuthRule {
             state: Arc::clone(&self.state),
             metrics: Arc::clone(&self.metrics),
             principal: None,
-            inner,
         }
     }
 }
 
-impl Layer for AuthLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Auth
-    }
+/// The auth layer's per-session link of the chain.
+pub type AuthService<S> = Layered<AuthRule, S>;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
-    }
-}
-
-/// The auth layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct AuthService<S> {
+/// The auth layer's per-session rules.
+pub struct AuthRule {
     pub(crate) state: Arc<AuthState>,
     pub(crate) metrics: Arc<PipelineMetrics>,
     /// Session state: who this connection authenticated as.
     pub(crate) principal: Option<Principal>,
-    pub(crate) inner: S,
 }
 
-impl<S: Service> Service for AuthService<S> {
-    /// Batch path: **one** role lookup for the whole burst — the
+impl AuthRule {
+    /// The session's role (the RCU-published anonymous one before `AUTH`).
+    pub(crate) fn role(&self) -> Role {
+        match &self.principal {
+            Some(p) => p.role,
+            None => self.state.anon_role(),
+        }
+    }
+}
+
+/// The ACL rejection of `cmd` for a session whose role is `role`.
+pub(crate) fn denied(cmd: &Command, role: Role) -> Response {
+    Response::rejection(
+        "AUTH",
+        format_args!(
+            "{} requires {}, session role is {}",
+            cmd.verb(),
+            match cmd.class() {
+                CommandClass::Write => Role::ReadWrite.name(),
+                _ => Role::ReadOnly.name(),
+            },
+            role.name()
+        ),
+    )
+}
+
+impl LayerRule for AuthRule {
+    type Ctx = Split;
+
+    /// Batch rule: **one** role lookup for the whole burst — the
     /// session principal (or the RCU-published anon policy) is resolved
     /// once, then every command is a cheap class check against that
     /// role. Admitted commands travel downstream as one inner batch;
     /// denied ones are rejected in place, order preserved. A burst
     /// containing `AUTH` changes the session's role mid-stream, so it
     /// falls back to the sequential path (logins are not hot).
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
         if reqs.iter().any(|r| matches!(r.command, Command::Auth(_))) {
-            return reqs.into_iter().map(|req| self.call(req)).collect();
+            return Admission::Answered(
+                reqs.into_iter().map(|req| self.call(inner, req)).collect(),
+            );
         }
         let admission_t = crate::span::start();
-        let role = match &self.principal {
-            Some(p) => p.role,
-            None => self.state.anon_role(),
-        };
+        let role = self.role();
         // Fast path: everything admitted (the common case for an
         // authenticated or read-write session) — no slot bookkeeping.
         if reqs.iter().all(|req| role.allows(req.command.class())) {
             self.metrics.auth_admitted.add(reqs.len() as u64);
             crate::span::record(LayerKind::Auth, admission_t);
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         }
-        crate::span::record(LayerKind::Auth, admission_t);
-        let metrics = Arc::clone(&self.metrics);
-        crate::pipeline::partition_batch(&mut self.inner, reqs, |req| {
+        let (reqs, denials) = split(reqs, |req| {
             if role.allows(req.command.class()) {
-                metrics.auth_admitted.increment();
+                self.metrics.auth_admitted.increment();
                 None
             } else {
-                metrics.auth_denied.increment();
-                Some(Response::rejection(
-                    "AUTH",
-                    format_args!(
-                        "{} requires {}, session role is {}",
-                        req.command.verb(),
-                        match req.command.class() {
-                            CommandClass::Write => Role::ReadWrite.name(),
-                            _ => Role::ReadOnly.name(),
-                        },
-                        role.name()
-                    ),
-                ))
+                self.metrics.auth_denied.increment();
+                Some(denied(&req.command, role))
             }
-        })
+        });
+        crate::span::record(LayerKind::Auth, admission_t);
+        Admission::Observe(reqs, denials)
     }
 
-    fn call(&mut self, req: Request) -> Response {
+    fn observe(&mut self, denials: Split, inner: Vec<Response>) -> Vec<Response> {
+        denials.zip(inner)
+    }
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = crate::span::start();
         if let Command::Auth(token) = &req.command {
             let out = match self.state.tokens.get(token) {
@@ -282,29 +290,15 @@ impl<S: Service> Service for AuthService<S> {
             crate::span::record(LayerKind::Auth, admission_t);
             return out;
         }
-        let role = match &self.principal {
-            Some(p) => p.role,
-            None => self.state.anon_role(),
-        };
+        let role = self.role();
         if role.allows(req.command.class()) {
             self.metrics.auth_admitted.increment();
             crate::span::record(LayerKind::Auth, admission_t);
-            self.inner.call(req)
+            inner.call(req)
         } else {
             crate::span::record(LayerKind::Auth, admission_t);
             self.metrics.auth_denied.increment();
-            Response::rejection(
-                "AUTH",
-                format_args!(
-                    "{} requires {}, session role is {}",
-                    req.command.verb(),
-                    match req.command.class() {
-                        CommandClass::Write => Role::ReadWrite.name(),
-                        _ => Role::ReadOnly.name(),
-                    },
-                    role.name()
-                ),
-            )
+            denied(&req.command, role)
         }
     }
 }
@@ -432,7 +426,7 @@ mod tests {
     #[test]
     fn rcu_policy_reload_is_seen_by_live_sessions() {
         let (layer, _) = layer(Role::ReadOnly);
-        let state = layer.state();
+        let state = Arc::clone(&layer.state);
         let mut svc = layer.wrap(&session(), Box::new(Ok200));
         assert!(matches!(svc.call(set()).reply, Reply::Error(_)));
         state.publish_anon_role(Role::ReadWrite);
@@ -442,7 +436,7 @@ mod tests {
     #[test]
     fn runtime_token_insertion_takes_effect() {
         let (layer, _) = layer(Role::ReadOnly);
-        let state = layer.state();
+        let state = Arc::clone(&layer.state);
         let mut svc = layer.wrap(&session(), Box::new(Ok200));
         assert!(matches!(
             svc.call(Request::new(Command::Auth("newtok".into()))).reply,

@@ -21,7 +21,8 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
+    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Split,
 };
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
@@ -292,9 +293,12 @@ impl BreakerState {
     }
 }
 
-/// The circuit-breaker [`Layer`].
+/// The circuit-breaker [`Layer`]. It keeps no per-session state — the
+/// per-class state machines are shared, so one connection's failures
+/// protect every connection — and so serves as its own session rules.
+#[derive(Clone)]
 pub struct BreakerLayer {
-    state: Arc<BreakerState>,
+    pub(crate) state: Arc<BreakerState>,
 }
 
 impl BreakerLayer {
@@ -304,38 +308,30 @@ impl BreakerLayer {
             state: Arc::new(BreakerState::new(config, metrics)),
         }
     }
-
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> BreakerService<S> {
-        BreakerService {
-            state: Arc::clone(&self.state),
-            inner,
-        }
-    }
 }
 
 impl Layer for BreakerLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Breaker
-    }
+    type Rule = Self;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+    fn rule(&self, _session: &Session) -> Self {
+        self.clone()
     }
 }
 
-/// The breaker layer's per-session service, generic over the inner
-/// service it wraps. Sessions share the per-class state machines
-/// through the stack, so one connection's failures protect every
-/// connection.
-pub struct BreakerService<S> {
-    pub(crate) state: Arc<BreakerState>,
-    pub(crate) inner: S,
+/// The breaker layer's per-session link of the chain.
+pub type BreakerService<S> = Layered<BreakerLayer, S>;
+
+/// An admitted burst's pending observations.
+pub struct BreakerCtx {
+    /// The class of each admitted request, in order.
+    admitted: Vec<CommandClass>,
+    rejected: Split,
 }
 
-impl<S: Service> Service for BreakerService<S> {
-    fn call(&mut self, req: Request) -> Response {
+impl LayerRule for BreakerLayer {
+    type Ctx = BreakerCtx;
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = span::start();
         let class = req.command.class();
         if let Some(rejection) = self.state.admit(class) {
@@ -343,50 +339,45 @@ impl<S: Service> Service for BreakerService<S> {
             return rejection;
         }
         span::record(LayerKind::Breaker, admission_t);
-        let resp = self.inner.call(req);
+        let resp = inner.call(req);
         let observe_t = span::start();
         self.state.observe(class, &resp);
         span::record(LayerKind::Breaker, observe_t);
         resp
     }
 
-    /// Batch path: every request is admitted against the state at burst
-    /// start, the admitted ones travel downstream as one inner batch,
-    /// and each admitted response is observed in order. Failure streaks
-    /// therefore accumulate once per burst rather than between its
-    /// commands — the same amortized metering exemption the deadline
-    /// and rate-limit layers take; ordering and reply bytes are
-    /// unchanged.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let admission_t = span::start();
+    /// Batch rule: every request is admitted against the state at burst
+    /// start and the admitted ones travel downstream as one inner
+    /// batch. Failure streaks therefore accumulate once per burst
+    /// rather than between its commands — the same amortized metering
+    /// exemption the deadline and rate-limit layers take; ordering and
+    /// reply bytes are unchanged.
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<BreakerCtx> {
         if !self.state.enabled() {
-            span::record(LayerKind::Breaker, admission_t);
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         }
-        let state = &self.state;
-        let mut admitted: Vec<Option<CommandClass>> = Vec::with_capacity(reqs.len());
-        span::record(LayerKind::Breaker, admission_t);
-        let resps = partition_batch(&mut self.inner, reqs, |req| {
+        let admission_t = span::start();
+        let mut admitted = Vec::with_capacity(reqs.len());
+        let (reqs, rejected) = split(reqs, |req| {
             let class = req.command.class();
-            match state.admit(class) {
-                Some(rejection) => {
-                    admitted.push(None);
-                    Some(rejection)
-                }
-                None => {
-                    admitted.push(Some(class));
-                    None
-                }
+            let verdict = self.state.admit(class);
+            if verdict.is_none() {
+                admitted.push(class);
             }
+            verdict
         });
+        span::record(LayerKind::Breaker, admission_t);
+        Admission::Observe(reqs, BreakerCtx { admitted, rejected })
+    }
+
+    /// Each admitted response is observed, in order, exactly once.
+    fn observe(&mut self, ctx: BreakerCtx, inner: Vec<Response>) -> Vec<Response> {
         let observe_t = span::start();
-        for (resp, class) in resps.iter().zip(&admitted) {
-            if let Some(class) = *class {
-                self.state.observe(class, resp);
-            }
+        for (resp, class) in inner.iter().zip(ctx.admitted) {
+            self.state.observe(class, resp);
         }
         span::record(LayerKind::Breaker, observe_t);
-        resps
+        ctx.rejected.zip(inner)
     }
 }
 
@@ -578,6 +569,45 @@ mod tests {
         ]);
         assert!(matches!(&resps[0].reply, Reply::Error(e) if e.starts_with("BREAKER ")));
         assert!(matches!(&resps[1].reply, Reply::Error(e) if e.starts_with("DEADLINE ")));
+    }
+
+    #[test]
+    fn parked_probes_hold_their_slots_until_they_are_observed() {
+        use crate::pipeline::tests::Parking;
+        use crate::pipeline::Progress;
+        let metrics = Arc::new(PipelineMetrics::new());
+        let layer = BreakerLayer::new(
+            BreakerConfig {
+                failures: 1,
+                cooldown_ms: 0,
+                probes: 2,
+            },
+            Arc::clone(&metrics),
+        );
+        let session = Session {
+            client: "t:1".into(),
+        };
+        let set = || Request::new(Command::Set("k".into(), "v".into()));
+        layer.state.observe_at(WRITE, true, 0); // tripped; no cooldown
+        let (parking, ready) = Parking::new();
+        let mut probing = layer.wrap(&session, Box::new(parking));
+        // Both probes are admitted and park: nothing is known yet, so
+        // the class neither closes nor admits anybody else.
+        assert!(matches!(
+            probing.begin_batch(vec![set(), set()]),
+            Progress::Parked
+        ));
+        assert_eq!(layer.state.state_of(WRITE), HALF_OPEN);
+        let mut bystander = layer.wrap(&session, Box::new(Parking::new().0));
+        match bystander.call(set()).reply {
+            Reply::Error(e) => assert!(e.contains("probe quota exhausted"), "got {e:?}"),
+            other => panic!("expected breaker rejection, got {other:?}"),
+        }
+        // Completion observes both probes: the class closes.
+        ready.set(true);
+        assert_eq!(probing.poll_batch().expect("delivered").len(), 2);
+        assert_eq!(layer.state.state_of(WRITE), CLOSED);
+        assert_eq!(metrics.breaker_recoveries.sum(), 1);
     }
 
     proptest! {

@@ -8,7 +8,9 @@
 //! `Control` verbs are exempt.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{
+    Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+};
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -35,7 +37,9 @@ impl Default for DeadlineConfig {
     }
 }
 
-/// The deadline [`Layer`].
+/// The deadline [`Layer`]: stateless per session, so it serves as its
+/// own session rules.
+#[derive(Clone)]
 pub struct DeadlineLayer {
     config: DeadlineConfig,
     metrics: Arc<PipelineMetrics>,
@@ -48,58 +52,70 @@ impl DeadlineLayer {
     }
 }
 
-impl DeadlineLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> DeadlineService<S> {
-        DeadlineService {
-            config: self.config.clone(),
-            metrics: Arc::clone(&self.metrics),
-            inner,
-        }
-    }
-}
-
 impl Layer for DeadlineLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Deadline
-    }
+    type Rule = Self;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+    fn rule(&self, _session: &Session) -> Self {
+        self.clone()
     }
 }
 
-/// The deadline layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct DeadlineService<S> {
-    pub(crate) config: DeadlineConfig,
-    metrics: Arc<PipelineMetrics>,
-    pub(crate) inner: S,
+/// The deadline layer's per-session link of the chain.
+pub type DeadlineService<S> = Layered<DeadlineLayer, S>;
+
+/// A timed burst's budget and clock.
+pub struct DeadlineCtx {
+    /// Which requests carry no budget (and keep their reply on an
+    /// overrun).
+    exempt: Vec<bool>,
+    budget_us: u64,
+    /// Requests that do carry one.
+    checked: u64,
+    start: Instant,
 }
 
-impl<S: Service> DeadlineService<S> {
+impl DeadlineLayer {
     /// This request's class budget (0 = exempt).
-    fn budget_us(&self, req: &Request) -> u64 {
+    pub(crate) fn budget_us(&self, req: &Request) -> u64 {
         match req.command.class() {
             CommandClass::Read => self.config.read_us,
             CommandClass::Write => self.config.write_us,
             CommandClass::Control => 0,
         }
     }
+
+    /// The singleton check: count it, and answer an overrun with the
+    /// structured `DEADLINE` error instead of its reply.
+    pub(crate) fn check(
+        &self,
+        verb: &str,
+        elapsed_us: u64,
+        budget_us: u64,
+        resp: Response,
+    ) -> Response {
+        self.metrics.deadline_checked.increment();
+        if elapsed_us <= budget_us {
+            return resp;
+        }
+        self.metrics.deadline_missed.increment();
+        Response {
+            reply: Reply::Error(format!(
+                "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
+            )),
+            close: resp.close,
+        }
+    }
 }
 
-impl<S: Service> Service for DeadlineService<S> {
-    /// Batch path: **one** deadline check for the whole burst. The
+impl LayerRule for DeadlineLayer {
+    type Ctx = DeadlineCtx;
+
+    /// Batch rule: **one** deadline check for the whole burst. The
     /// budget is the sum of the per-request class budgets (exempt
     /// requests contribute zero), so the SLO scales with the work
-    /// admitted; if the burst overruns it, every non-exempt response is
-    /// replaced by a structured `DEADLINE` error — the per-request
-    /// attribution is gone, which is exactly the cost amortization
-    /// buys. Under generous budgets (the production default) the group
-    /// check fires in the same pathological stalls the per-request one
-    /// would, and replies stay identical to sequential `call`s.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    /// admitted; the clock runs from here to the observe half, so a
+    /// burst that parks is timed over its real wait.
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<DeadlineCtx> {
         let admission_t = span::start();
         let mut budget_us = 0u64;
         let mut checked = 0u64;
@@ -118,16 +134,32 @@ impl<S: Service> Service for DeadlineService<S> {
             .collect();
         span::record(LayerKind::Deadline, admission_t);
         if budget_us == 0 {
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         }
         let start = Instant::now();
-        let mut resps = self.inner.call_batch(reqs);
-        let elapsed_us = start.elapsed().as_micros() as u64;
+        let ctx = DeadlineCtx {
+            exempt,
+            budget_us,
+            checked,
+            start,
+        };
+        Admission::Observe(reqs, ctx)
+    }
+
+    /// If the burst overran its budget, every non-exempt response is
+    /// replaced by a structured `DEADLINE` error — the per-request
+    /// attribution is gone, which is exactly the cost amortization
+    /// buys. Under generous budgets (the production default) the group
+    /// check fires in the same pathological stalls the per-request one
+    /// would, and replies stay identical to sequential `call`s.
+    fn observe(&mut self, ctx: DeadlineCtx, mut resps: Vec<Response>) -> Vec<Response> {
+        let elapsed_us = ctx.start.elapsed().as_micros() as u64;
         let check_t = span::start();
-        self.metrics.deadline_checked.add(checked);
+        let budget_us = ctx.budget_us;
+        self.metrics.deadline_checked.add(ctx.checked);
         if elapsed_us > budget_us {
-            self.metrics.deadline_missed.add(checked);
-            for (resp, exempt) in resps.iter_mut().zip(exempt) {
+            self.metrics.deadline_missed.add(ctx.checked);
+            for (resp, exempt) in resps.iter_mut().zip(ctx.exempt) {
                 if !exempt {
                     resp.reply = Reply::Error(format!(
                         "DEADLINE batch took {elapsed_us}us budget {budget_us}us"
@@ -139,31 +171,20 @@ impl<S: Service> Service for DeadlineService<S> {
         resps
     }
 
-    fn call(&mut self, req: Request) -> Response {
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = span::start();
         let budget_us = self.budget_us(&req);
         if budget_us == 0 {
             span::record(LayerKind::Deadline, admission_t);
-            return self.inner.call(req);
+            return inner.call(req);
         }
         let verb = req.command.verb();
         let start = Instant::now();
         span::record(LayerKind::Deadline, admission_t);
-        let resp = self.inner.call(req);
+        let resp = inner.call(req);
         let elapsed_us = start.elapsed().as_micros() as u64;
         let check_t = span::start();
-        self.metrics.deadline_checked.increment();
-        let out = if elapsed_us > budget_us {
-            self.metrics.deadline_missed.increment();
-            Response {
-                reply: Reply::Error(format!(
-                    "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
-                )),
-                close: resp.close,
-            }
-        } else {
-            resp
-        };
+        let out = self.check(verb, elapsed_us, budget_us, resp);
         span::record(LayerKind::Deadline, check_t);
         out
     }
@@ -172,6 +193,7 @@ impl<S: Service> Service for DeadlineService<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::BoxService;
     use crate::protocol::Command;
     use std::time::Duration;
 
@@ -250,6 +272,39 @@ mod tests {
         assert!(matches!(resps[1].reply, Reply::Status(_)), "exempt passes");
         assert!(matches!(resps[2].reply, Reply::Error(_)));
         assert_eq!(metrics.deadline_missed.sum(), 2);
+    }
+
+    #[test]
+    fn a_parked_burst_is_timed_to_its_completion() {
+        use crate::pipeline::tests::Parking;
+        use crate::pipeline::Progress;
+        let metrics = Arc::new(PipelineMetrics::new());
+        let tight = DeadlineConfig {
+            read_us: 500,
+            write_us: 500,
+        };
+        let layer = DeadlineLayer::new(tight, Arc::clone(&metrics));
+        let session = Session {
+            client: "t:1".into(),
+        };
+        let (parking, ready) = Parking::new();
+        let mut svc = layer.wrap(&session, Box::new(parking));
+        let begun = svc.begin_batch(vec![
+            Request::new(Command::Set("k".into(), "v".into())),
+            Request::new(Command::Ping), // exempt: keeps its reply
+        ]);
+        assert!(matches!(begun, Progress::Parked));
+        assert_eq!(metrics.deadline_checked.sum(), 0, "not checked yet");
+        // The wait between the halves is what overruns the budget.
+        std::thread::sleep(Duration::from_millis(5));
+        ready.set(true);
+        let resps = svc.poll_batch().expect("delivered");
+        match &resps[0].reply {
+            Reply::Error(e) => assert!(e.starts_with("DEADLINE batch took "), "got {e:?}"),
+            other => panic!("expected deadline error, got {other:?}"),
+        }
+        assert!(matches!(resps[1].reply, Reply::Value(_)), "exempt passes");
+        assert_eq!(metrics.deadline_missed.sum(), 1);
     }
 
     #[test]

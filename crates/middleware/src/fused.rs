@@ -36,14 +36,14 @@
 //! touch for an unsampled singleton is touched here, in the same
 //! order.
 
-use crate::auth::{AuthService, Role};
+use crate::auth::{denied, AuthService};
 use crate::breaker::BreakerService;
 use crate::deadline::DeadlineService;
 use crate::pipeline::{Request, Response, Service};
-use crate::protocol::{Command, CommandClass, Reply};
+use crate::protocol::Command;
 use crate::rate_limit::RateLimitService;
 use crate::shed::ShedService;
-use crate::trace::{class_name, TraceService};
+use crate::trace::{class_name, is_ring_verb, TraceService};
 use crate::ttl::TtlService;
 use std::time::Instant;
 
@@ -59,21 +59,8 @@ pub type FusedService<S> = TraceService<
 /// exemption): these take the layered path so that handling runs
 /// exactly once, in its layer.
 fn needs_layer_dispatch(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Auth(_)
-            | Command::Quit
-            | Command::Health
-            | Command::Ready
-            | Command::Stats
-            | Command::StatsReset
-            | Command::SlowlogGet
-            | Command::SlowlogReset
-            | Command::SlowlogLen
-            | Command::TraceGet
-            | Command::TraceReset
-            | Command::TraceLen
-    )
+    use Command::*;
+    is_ring_verb(cmd) || matches!(cmd, Auth(_) | Quit | Health | Ready | Stats | StatsReset)
 }
 
 impl<S: Service> FusedService<S> {
@@ -85,74 +72,50 @@ impl<S: Service> FusedService<S> {
         // Peek the sampling phase without consuming it: a sampled tick
         // needs the layered path (each layer brackets its own span
         // segment), and the delegated call advances the phase itself.
-        let sampled = self.sample_every != 0 && self.tick == 0;
+        let trace = &mut self.layer;
+        let sampled = trace.sample_every != 0 && trace.tick == 0;
         if sampled || needs_layer_dispatch(&req.command) {
             return self.call(req);
         }
-        // Unsampled: advance the phase exactly as tick_sample() would.
-        if self.sample_every != 0 {
-            self.tick += 1;
-            if self.tick >= self.sample_every {
-                self.tick = 0;
-            }
-        }
+        trace.tick_sample(); // unsampled: just advances the phase
         let class = req.command.class();
         let verb = req.command.verb();
+        let breaker = &mut self.inner;
+        let deadline = &mut breaker.inner;
         // Deadline admission: the class budget (0 = exempt). The
-        // deadline layer now sits one level below the breaker.
-        let budget_us = match class {
-            CommandClass::Read => self.inner.inner.config.read_us,
-            CommandClass::Write => self.inner.inner.config.write_us,
-            CommandClass::Control => 0,
-        };
+        // deadline layer sits one level below the breaker.
+        let budget_us = deadline.layer.budget_us(&req);
         // The one clock read pair, shared by the deadline check and
         // the trace histograms.
         let start = Instant::now();
         // Breaker admission, outside the deadline clock in the onion:
         // a breaker rejection skips the deadline check (and is never
         // observed), exactly like the layered path.
-        let breaker_verdict = self.inner.state.admit(class);
+        let breaker_verdict = breaker.layer.state.admit(class);
         let breaker_admitted = breaker_verdict.is_none();
         let resp = match breaker_verdict {
             Some(rejection) => rejection,
             None => {
                 // Auth admission: one role resolve (session principal
                 // or the RCU-published anon policy), one class check.
-                let auth = &mut self.inner.inner.inner;
-                let role = match &auth.principal {
-                    Some(p) => p.role,
-                    None => auth.state.anon_role(),
-                };
+                let auth = &mut deadline.inner;
+                let role = auth.layer.role();
                 if !role.allows(class) {
-                    auth.metrics.auth_denied.increment();
-                    Response::rejection(
-                        "AUTH",
-                        format_args!(
-                            "{} requires {}, session role is {}",
-                            verb,
-                            match class {
-                                CommandClass::Write => Role::ReadWrite.name(),
-                                _ => Role::ReadOnly.name(),
-                            },
-                            role.name()
-                        ),
-                    )
+                    auth.layer.metrics.auth_denied.increment();
+                    denied(&req.command, role)
                 } else {
-                    auth.metrics.auth_admitted.increment();
+                    auth.layer.metrics.auth_admitted.increment();
                     // Rate-limit admission: one token take from the
                     // session's bucket (QUIT/HEALTH/READY never reach
                     // here — they are layer-dispatch verbs).
                     let rate = &mut auth.inner;
-                    if !rate.state.admit(&rate.bucket) {
-                        Response::rejection(
-                            "RATELIMIT",
-                            format_args!("rejected retry_us={}", rate.state.retry_us()),
-                        )
+                    if !rate.layer.state.admit(&rate.layer.bucket) {
+                        rate.layer.state.rejection()
                     } else {
                         // Shed admission: one pressure read for writes
                         // when the layer is armed and a probe seated.
                         let shed = &mut rate.inner;
-                        if let Some(rejection) = shed.state.admit(&req.command) {
+                        if let Some(rejection) = shed.layer.state.admit(&req.command) {
                             rejection
                         } else {
                             // TTL admission: with no timer armed
@@ -167,9 +130,9 @@ impl<S: Service> FusedService<S> {
                                 | Command::Set(..)
                                 | Command::Del(_)
                                 | Command::Incr(..)
-                                    if ttl.state.sidecar.is_empty() =>
+                                    if ttl.layer.state.sidecar.is_empty() =>
                                 {
-                                    ttl.state.metrics.ttl_checked.increment();
+                                    ttl.layer.state.metrics.ttl_checked.increment();
                                     ttl.inner.call(req)
                                 }
                                 _ => ttl.call(req),
@@ -180,23 +143,12 @@ impl<S: Service> FusedService<S> {
             }
         };
         let elapsed_us = start.elapsed().as_micros() as u64;
-        let metrics = &self.metrics;
         // Deadline check, against the same clock pair — only for
         // responses that passed the breaker (in the onion the deadline
         // layer never sees a breaker rejection).
         let resp = if breaker_admitted && budget_us != 0 {
-            metrics.deadline_checked.increment();
-            if elapsed_us > budget_us {
-                metrics.deadline_missed.increment();
-                Response {
-                    reply: Reply::Error(format!(
-                        "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
-                    )),
-                    close: resp.close,
-                }
-            } else {
-                resp
-            }
+            let deadline = &self.inner.inner.layer;
+            deadline.check(verb, elapsed_us, budget_us, resp)
         } else {
             resp
         };
@@ -204,19 +156,13 @@ impl<S: Service> FusedService<S> {
         // overruns count toward the trip threshold, successes reset
         // the streak — same order as the onion.
         if breaker_admitted {
-            self.inner.state.observe(class, &resp);
+            self.inner.layer.state.observe(class, &resp);
         }
         // Trace bookkeeping: count, class histogram, slowlog offer —
         // what the trace layer records for an unsampled singleton.
-        metrics.traced.increment();
-        match class {
-            CommandClass::Read => metrics.read_latency.record(elapsed_us),
-            CommandClass::Write => metrics.write_latency.record(elapsed_us),
-            CommandClass::Control => metrics.control_latency.record(elapsed_us),
-        }
-        metrics
-            .slowlog
-            .offer(&self.client, verb, class_name(class), 1, elapsed_us, None);
+        let trace = &self.layer;
+        trace.record_singleton(class, elapsed_us);
+        trace.finish(None, verb, class_name(class), 1, elapsed_us);
         resp
     }
 }
@@ -224,9 +170,10 @@ impl<S: Service> FusedService<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auth::TokenSpec;
+    use crate::auth::{Role, TokenSpec};
     use crate::config::MiddlewareConfig;
     use crate::pipeline::{BoxService, Session, Stack};
+    use crate::protocol::{CommandClass, Reply};
     use std::collections::HashMap;
 
     /// A deterministic in-memory store (the same shape the shard plane

@@ -88,7 +88,7 @@ pub use metrics::{
     LatencyHistogram, PipelineMetrics, RelaxedCounter, StatLines, WindowedHistogram,
 };
 pub use pipeline::{
-    BoxService, Layer, LayerKind, Request, Response, Service, Session, Stack, LAYER_COUNT,
+    BoxService, Layer, LayerKind, Progress, Request, Response, Service, Session, Stack, LAYER_COUNT,
 };
 pub use prom::PromText;
 pub use rate_limit::{RateLimitConfig, RateLimitLayer};

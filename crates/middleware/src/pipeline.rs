@@ -1,13 +1,29 @@
 //! The interceptor pipeline: tower-style `Layer`/`Service` onion
 //! composition over protocol [`Request`]s and [`Response`]s.
 //!
-//! A [`Service`] is one synchronous request handler; a [`Layer`] wraps
-//! a service in another service. A [`Stack`] owns the *shared* state of
-//! every configured layer (token buckets, ACL tables, histograms, TTL
+//! A [`Service`] is one request handler; a [`Layer`] wraps a service in
+//! another service. A [`Stack`] owns the *shared* state of every
+//! configured layer (token buckets, ACL tables, histograms, TTL
 //! sidecar) and stamps out one per-connection service chain per
 //! session — per-session state (the authenticated principal, the
 //! session's token bucket) lives in the chain, shared state behind
 //! `Arc`s in the stack.
+//!
+//! **A burst is two-phase.** [`Service::begin_batch`] admits a burst
+//! and starts its work; while the outcome is not known yet (the store
+//! executor awaits shard acks) the chain answers [`Progress::Parked`]
+//! instead of blocking its thread, and [`Service::poll_batch`] later
+//! delivers the responses. Each production layer writes its batch rule
+//! once, as the *admit half* and the *observe half* of a [`LayerRule`],
+//! and [`Layered`] derives all three batch entry points from them — so
+//! deferral is nothing but the gap between the halves: deadline,
+//! breaker and trace see the **real replies after the real wait**,
+//! whether the burst blocked or parked.
+//!
+//! **Every admitted request is observed exactly once.** A chain that
+//! answered `Parked` must be polled until it delivers — also when the
+//! client is gone — because a layer may hold something only its
+//! observe half gives back (a half-open breaker probe slot).
 //!
 //! Layer order is canonical regardless of configuration order:
 //!
@@ -77,23 +93,28 @@ impl Response {
     }
 }
 
-/// One synchronous request handler (the innermost one executes against
-/// the store; every other one is a layer's wrapper).
+/// How far a burst got when [`Service::begin_batch`] returned.
+#[derive(Debug)]
+pub enum Progress {
+    /// Answered: one response per request, in request order.
+    Done(Vec<Response>),
+    /// Admitted and in flight: the chain holds the burst's context and
+    /// [`Service::poll_batch`] will deliver its responses.
+    Parked,
+}
+
+/// One request handler (the innermost one executes against the store;
+/// every other one is a layer's wrapper).
 pub trait Service {
     /// Handle one request.
     fn call(&mut self, req: Request) -> Response;
 
     /// Handle a pipelined burst of requests, returning one response per
-    /// request **in request order**.
+    /// request **in request order**, blocking until every one is known.
     ///
-    /// The default forwards each request through [`Service::call`], so
-    /// third-party layers keep working unchanged; the seven production
-    /// layers override it to pay their per-request costs once per burst
-    /// (one clock read and histogram sample in trace, one breaker
-    /// admission sweep, one deadline check, one auth lookup, one bulk
-    /// token-bucket take, one pressure read per shard in shed, one TTL
-    /// sweep) — and the innermost store executor overrides it to
-    /// group-acknowledge a whole burst of mutations per shard.
+    /// The default loops [`Service::call`], so third-party layers keep
+    /// working; the production layers pay their per-request costs once
+    /// per burst (see [`LayerRule`]).
     ///
     /// Contract: `call_batch(reqs)` must produce the same responses, in
     /// the same order, as calling `call` on each request sequentially
@@ -102,18 +123,34 @@ pub trait Service {
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         reqs.into_iter().map(|req| self.call(req)).collect()
     }
+
+    /// The non-blocking first phase of [`Service::call_batch`]: admit
+    /// the burst and start its work, but rather than wait for an
+    /// outcome, keep the burst's context and answer
+    /// [`Progress::Parked`]. The default never waits: `Done` at once.
+    fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
+        Progress::Done(self.call_batch(reqs))
+    }
+
+    /// The second phase: `None` while the parked burst is still in
+    /// flight, its responses — exactly what `call_batch` would have
+    /// returned — once it is not. Must be called until it answers
+    /// after every `Parked`, and nothing else may be dispatched to the
+    /// service in between: that is what lets each layer observe every
+    /// request it admitted exactly once.
+    fn poll_batch(&mut self) -> Option<Vec<Response>> {
+        None
+    }
 }
 
 /// A boxed service chain link. Chains are built and driven entirely on
 /// their connection's thread, so no `Send` bound is needed.
 pub type BoxService = Box<dyn Service>;
 
-/// Boxing preserves service-ness: a `Box<S>` (including the type-erased
-/// [`BoxService`]) delegates both entry points to its contents, so the
-/// generic layer services compose identically over concrete inners and
-/// over boxed ones. The explicit `call_batch` forwarding matters — the
-/// default would loop `call` and silently lose the inner service's
-/// batch amortization.
+/// A `Box<S>` (including the type-erased [`BoxService`]) delegates
+/// every entry point to its contents. The explicit forwarding matters:
+/// the defaults would loop `call` and never park, silently losing the
+/// inner service's amortization and blocking where it would park.
 impl<S: Service + ?Sized> Service for Box<S> {
     fn call(&mut self, req: Request) -> Response {
         (**self).call(req)
@@ -122,45 +159,170 @@ impl<S: Service + ?Sized> Service for Box<S> {
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
         (**self).call_batch(reqs)
     }
+
+    fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
+        (**self).begin_batch(reqs)
+    }
+
+    fn poll_batch(&mut self) -> Option<Vec<Response>> {
+        (**self).poll_batch()
+    }
 }
 
-/// Drive a burst through `inner` with per-request admission control:
-/// requests `admit` rejects are answered in place, the rest travel
-/// downstream as **one** inner batch, and the replies are zipped back
-/// around the rejections in request order. The shared partial path of
-/// the auth and rate-limit layers' `call_batch` — one implementation
-/// of the ordering invariant instead of two drifting copies.
-pub(crate) fn partition_batch<S: Service + ?Sized>(
-    inner: &mut S,
+/// The rejections a layer answered in place, holding their positions
+/// in the burst until the admitted requests' responses come back: the
+/// single implementation of the ordering invariant.
+#[derive(Debug)]
+pub struct Split {
+    /// One entry per request of the burst: its rejection, or `None`
+    /// for an admitted request.
+    slots: Vec<Option<Response>>,
+}
+
+/// Partition a burst: requests `reject` answers stay behind in the
+/// [`Split`], the rest are returned to travel downstream as one batch.
+pub(crate) fn split(
     reqs: Vec<Request>,
-    mut admit: impl FnMut(&Request) -> Option<Response>,
-) -> Vec<Response> {
-    let mut slots: Vec<Option<Response>> = Vec::with_capacity(reqs.len());
-    let mut admitted: Vec<Request> = Vec::with_capacity(reqs.len());
+    mut reject: impl FnMut(&Request) -> Option<Response>,
+) -> (Vec<Request>, Split) {
+    let mut slots = Vec::with_capacity(reqs.len());
+    let mut admitted = Vec::with_capacity(reqs.len());
     for req in reqs {
-        match admit(&req) {
-            Some(rejection) => slots.push(Some(rejection)),
-            None => {
-                slots.push(None);
-                admitted.push(req);
+        let verdict = reject(&req);
+        if verdict.is_none() {
+            admitted.push(req);
+        }
+        slots.push(verdict);
+    }
+    (admitted, Split { slots })
+}
+
+impl Split {
+    /// Zip the admitted requests' responses back around the rejections,
+    /// in request order.
+    pub(crate) fn zip(self, inner: Vec<Response>) -> Vec<Response> {
+        let mut inner = inner.into_iter();
+        self.slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(rejection) => rejection,
+                None => inner.next().expect("a response per admitted request"),
+            })
+            .collect()
+    }
+}
+
+/// What a layer's admit half decided about a burst.
+pub enum Admission<C> {
+    /// Forward the burst as it is; this layer has nothing to observe.
+    Pass(Vec<Request>),
+    /// Forward these requests as one inner batch and hand their
+    /// responses, with the context, to [`LayerRule::observe`].
+    Observe(Vec<Request>, C),
+    /// Answered here. Any inner traffic was synchronous `call`s.
+    Answered(Vec<Response>),
+}
+
+/// One production layer's rules, written once: the singleton rule, and
+/// the batch rule as an *admit half* and an *observe half*. [`Layered`]
+/// derives the three batch entry points from the halves, so whether a
+/// burst blocks or parks between them is not the layer's business.
+pub trait LayerRule {
+    /// What the admit half hands the observe half.
+    type Ctx;
+
+    /// Handle one request.
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response;
+
+    /// The admit half: decide, per request, what travels downstream.
+    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx>;
+
+    /// The observe half: turn the inner responses of the requests
+    /// `admit` forwarded into this layer's responses for the burst.
+    fn observe(&mut self, ctx: Self::Ctx, inner: Vec<Response>) -> Vec<Response>;
+
+    /// The burst parked below this layer: the thread goes on to serve
+    /// other connections until [`LayerRule::resume`].
+    fn suspend(&mut self, _ctx: &mut Self::Ctx) {}
+
+    /// The parked burst is being polled (and may complete).
+    fn resume(&mut self, _ctx: &mut Self::Ctx) {}
+}
+
+/// A [`LayerRule`] around an inner service: one layer's per-session
+/// link of the chain, generic over what it wraps (a concrete type in
+/// the fused stack, a [`BoxService`] in the dyn onion).
+pub struct Layered<L: LayerRule, S> {
+    pub(crate) layer: L,
+    pub(crate) inner: S,
+    /// The context of the burst parked below this layer, if any.
+    parked: Option<L::Ctx>,
+}
+
+impl<L: LayerRule, S: Service> Layered<L, S> {
+    /// admit · `down` · observe-or-park: the one composition behind
+    /// both `call_batch` (`down` blocks) and `begin_batch` (`down` may
+    /// park).
+    fn drive(
+        &mut self,
+        reqs: Vec<Request>,
+        down: impl FnOnce(&mut S, Vec<Request>) -> Progress,
+    ) -> Progress {
+        let (reqs, mut ctx) = match self.layer.admit(&mut self.inner, reqs) {
+            Admission::Pass(reqs) => return down(&mut self.inner, reqs),
+            Admission::Answered(resps) => return Progress::Done(resps),
+            Admission::Observe(reqs, ctx) => (reqs, ctx),
+        };
+        // Nothing admitted: no inner traffic, but still observed.
+        let progress = if reqs.is_empty() {
+            Progress::Done(Vec::new())
+        } else {
+            down(&mut self.inner, reqs)
+        };
+        match progress {
+            Progress::Done(inner) => Progress::Done(self.layer.observe(ctx, inner)),
+            Progress::Parked => {
+                self.layer.suspend(&mut ctx);
+                self.parked = Some(ctx);
+                Progress::Parked
             }
         }
     }
-    let mut inner_resps = if admitted.is_empty() {
-        Vec::new()
-    } else {
-        inner.call_batch(admitted)
+}
+
+impl<L: LayerRule, S: Service> Service for Layered<L, S> {
+    fn call(&mut self, req: Request) -> Response {
+        self.layer.call(&mut self.inner, req)
     }
-    .into_iter();
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(rejection) => rejection,
-            None => inner_resps
-                .next()
-                .expect("one inner response per admitted request"),
-        })
-        .collect()
+
+    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        match self.drive(reqs, |inner, reqs| Progress::Done(inner.call_batch(reqs))) {
+            Progress::Done(resps) => resps,
+            Progress::Parked => unreachable!("call_batch blocks instead of parking"),
+        }
+    }
+
+    fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
+        self.drive(reqs, S::begin_batch)
+    }
+
+    fn poll_batch(&mut self) -> Option<Vec<Response>> {
+        // Nothing parked here: this layer passed the burst through.
+        let Some(ctx) = self.parked.as_mut() else {
+            return self.inner.poll_batch();
+        };
+        self.layer.resume(ctx);
+        match self.inner.poll_batch() {
+            Some(inner) => {
+                let ctx = self.parked.take().expect("parked context checked above");
+                Some(self.layer.observe(ctx, inner))
+            }
+            None => {
+                self.layer.suspend(ctx);
+                None
+            }
+        }
+    }
 }
 
 /// Per-connection identity the layers key their session state on.
@@ -171,14 +333,29 @@ pub struct Session {
     pub client: String,
 }
 
-/// A middleware layer: shared state plus a factory wrapping an inner
-/// service in this layer's per-connection service.
+/// A middleware layer: shared state plus the factory of its
+/// per-session rules.
 pub trait Layer: Send + Sync {
-    /// Which of the seven production layers this is.
-    fn kind(&self) -> LayerKind;
+    /// The layer's per-session rules.
+    type Rule: LayerRule + 'static;
 
-    /// Wrap `inner` for one session.
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService;
+    /// This layer's rules for one session.
+    fn rule(&self, session: &Session) -> Self::Rule;
+
+    /// Wrap a concrete inner service, preserving its type — the typed
+    /// combinator the fused stack composes with.
+    fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> Layered<Self::Rule, S> {
+        Layered {
+            layer: self.rule(session),
+            inner,
+            parked: None,
+        }
+    }
+
+    /// Wrap a boxed inner service: one link of the dyn onion.
+    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
+        Box::new(self.wrap_typed(session, inner))
+    }
 }
 
 /// Number of production [`LayerKind`]s — the size of every
@@ -220,18 +397,11 @@ impl LayerKind {
         LayerKind::Ttl,
     ];
 
-    /// This layer's slot in per-layer metric arrays (canonical order).
+    /// This layer's slot in per-layer metric arrays (canonical order:
+    /// the declaration order above).
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            LayerKind::Trace => 0,
-            LayerKind::Breaker => 1,
-            LayerKind::Deadline => 2,
-            LayerKind::Auth => 3,
-            LayerKind::RateLimit => 4,
-            LayerKind::Shed => 5,
-            LayerKind::Ttl => 6,
-        }
+        self as usize
     }
 
     /// The lowercase config/display name.
@@ -281,8 +451,6 @@ pub struct Stack {
     shed: Option<ShedLayer>,
     ttl: Option<TtlLayer>,
     metrics: Arc<PipelineMetrics>,
-    auth_state: Option<Arc<crate::auth::AuthState>>,
-    shed_state: Option<Arc<crate::shed::ShedState>>,
 }
 
 impl std::fmt::Debug for Stack {
@@ -301,90 +469,36 @@ impl Stack {
     /// irrelevant; duplicates collapse.
     pub fn build(config: &MiddlewareConfig) -> Arc<Stack> {
         let metrics = Arc::new(PipelineMetrics::with_trace(&config.trace));
-        let mut kinds = config.layers.clone();
-        kinds.sort();
-        kinds.dedup();
-        let depth = kinds.len();
-        let mut stack = Stack {
-            trace: None,
-            breaker: None,
-            deadline: None,
-            auth: None,
-            rate: None,
-            shed: None,
-            ttl: None,
-            metrics: Arc::clone(&metrics),
-            auth_state: None,
-            shed_state: None,
-        };
-        for kind in kinds {
-            match kind {
-                LayerKind::Trace => {
-                    stack.trace = Some(TraceLayer::new(
-                        Arc::clone(&metrics),
-                        depth,
-                        config.trace.sample_every,
-                    ))
-                }
-                LayerKind::Breaker => {
-                    stack.breaker = Some(BreakerLayer::new(
-                        config.breaker.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Deadline => {
-                    stack.deadline = Some(DeadlineLayer::new(
-                        config.deadline.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Auth => {
-                    let layer = AuthLayer::new(&config.auth, Arc::clone(&metrics));
-                    stack.auth_state = Some(layer.state());
-                    stack.auth = Some(layer);
-                }
-                LayerKind::RateLimit => {
-                    stack.rate = Some(RateLimitLayer::new(
-                        config.rate.clone(),
-                        Arc::clone(&metrics),
-                    ))
-                }
-                LayerKind::Shed => {
-                    let layer = ShedLayer::new(config.shed.clone(), Arc::clone(&metrics));
-                    stack.shed_state = Some(layer.state());
-                    stack.shed = Some(layer);
-                }
-                LayerKind::Ttl => stack.ttl = Some(TtlLayer::new(Arc::clone(&metrics))),
-            }
-        }
-        Arc::new(stack)
+        let on = |kind: LayerKind| config.layers.contains(&kind);
+        let depth = LayerKind::ALL.into_iter().filter(|kind| on(*kind)).count();
+        let m = || Arc::clone(&metrics);
+        let sample_every = config.trace.sample_every;
+        Arc::new(Stack {
+            trace: on(LayerKind::Trace).then(|| TraceLayer::new(m(), depth, sample_every)),
+            breaker: on(LayerKind::Breaker).then(|| BreakerLayer::new(config.breaker.clone(), m())),
+            deadline: on(LayerKind::Deadline)
+                .then(|| DeadlineLayer::new(config.deadline.clone(), m())),
+            auth: on(LayerKind::Auth).then(|| AuthLayer::new(&config.auth, m())),
+            rate: on(LayerKind::RateLimit).then(|| RateLimitLayer::new(config.rate.clone(), m())),
+            shed: on(LayerKind::Shed).then(|| ShedLayer::new(config.shed.clone(), m())),
+            ttl: on(LayerKind::Ttl).then(|| TtlLayer::new(m())),
+            metrics: m(),
+        })
     }
 
     /// The configured layers in canonical outer→inner order.
     pub fn kinds(&self) -> Vec<LayerKind> {
-        let mut kinds = Vec::new();
-        if self.trace.is_some() {
-            kinds.push(LayerKind::Trace);
-        }
-        if self.breaker.is_some() {
-            kinds.push(LayerKind::Breaker);
-        }
-        if self.deadline.is_some() {
-            kinds.push(LayerKind::Deadline);
-        }
-        if self.auth.is_some() {
-            kinds.push(LayerKind::Auth);
-        }
-        if self.rate.is_some() {
-            kinds.push(LayerKind::RateLimit);
-        }
-        if self.shed.is_some() {
-            kinds.push(LayerKind::Shed);
-        }
-        if self.ttl.is_some() {
-            kinds.push(LayerKind::Ttl);
-        }
-        kinds
+        let configured = [
+            self.trace.is_some(),
+            self.breaker.is_some(),
+            self.deadline.is_some(),
+            self.auth.is_some(),
+            self.rate.is_some(),
+            self.shed.is_some(),
+            self.ttl.is_some(),
+        ];
+        let kinds = LayerKind::ALL.into_iter().zip(configured);
+        kinds.filter(|(_, on)| *on).map(|(kind, _)| kind).collect()
     }
 
     /// Number of configured layers.
@@ -403,42 +517,26 @@ impl Stack {
     /// stacks and third-party [`Layer`]s, and the reference the fused
     /// chain is property-tested against.
     pub fn service(&self, session: &Session, inner: BoxService) -> BoxService {
-        let mut chain = inner;
-        if let Some(layer) = &self.ttl {
-            chain = layer.wrap(session, chain);
+        fn link<L: Layer>(layer: &Option<L>, session: &Session, chain: BoxService) -> BoxService {
+            match layer {
+                Some(layer) => layer.wrap(session, chain),
+                None => chain,
+            }
         }
-        if let Some(layer) = &self.shed {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.rate {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.auth {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.deadline {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.breaker {
-            chain = layer.wrap(session, chain);
-        }
-        if let Some(layer) = &self.trace {
-            chain = layer.wrap(session, chain);
-        }
-        chain
+        let chain = link(&self.ttl, session, inner);
+        let chain = link(&self.shed, session, chain);
+        let chain = link(&self.rate, session, chain);
+        let chain = link(&self.auth, session, chain);
+        let chain = link(&self.deadline, session, chain);
+        let chain = link(&self.breaker, session, chain);
+        link(&self.trace, session, chain)
     }
 
     /// Whether this stack is the canonical full seven-layer pipeline,
     /// i.e. whether [`Stack::fused_service`] can build the
     /// monomorphized chain for it.
     pub fn fusible(&self) -> bool {
-        self.trace.is_some()
-            && self.breaker.is_some()
-            && self.deadline.is_some()
-            && self.auth.is_some()
-            && self.rate.is_some()
-            && self.shed.is_some()
-            && self.ttl.is_some()
+        self.depth() == LAYER_COUNT
     }
 
     /// Build one session's **fused** chain around `inner`: the seven
@@ -452,34 +550,16 @@ impl Stack {
         session: &Session,
         inner: S,
     ) -> Option<crate::fused::FusedService<S>> {
-        match (
-            &self.trace,
-            &self.breaker,
-            &self.deadline,
-            &self.auth,
-            &self.rate,
-            &self.shed,
-            &self.ttl,
-        ) {
-            (
-                Some(trace),
-                Some(breaker),
-                Some(deadline),
-                Some(auth),
-                Some(rate),
-                Some(shed),
-                Some(ttl),
-            ) => {
-                let chain = ttl.wrap_typed(session, inner);
-                let chain = shed.wrap_typed(session, chain);
-                let chain = rate.wrap_typed(session, chain);
-                let chain = auth.wrap_typed(session, chain);
-                let chain = deadline.wrap_typed(session, chain);
-                let chain = breaker.wrap_typed(session, chain);
-                Some(trace.wrap_typed(session, chain))
-            }
-            _ => None,
+        if !self.fusible() {
+            return None; // before any layer builds session state
         }
+        let chain = self.ttl.as_ref()?.wrap_typed(session, inner);
+        let chain = self.shed.as_ref()?.wrap_typed(session, chain);
+        let chain = self.rate.as_ref()?.wrap_typed(session, chain);
+        let chain = self.auth.as_ref()?.wrap_typed(session, chain);
+        let chain = self.deadline.as_ref()?.wrap_typed(session, chain);
+        let chain = self.breaker.as_ref()?.wrap_typed(session, chain);
+        Some(self.trace.as_ref()?.wrap_typed(session, chain))
     }
 
     /// Seat the live shard-pressure probe the shed layer consults (the
@@ -487,52 +567,98 @@ impl Stack {
     /// embedding injects it here once the store is up). Returns `false`
     /// when the shed layer is not configured.
     pub fn shed_set_probe(&self, probe: Arc<dyn PressureProbe>) -> bool {
-        match &self.shed_state {
-            Some(shed) => {
-                shed.set_probe(probe);
-                true
-            }
-            None => false,
-        }
+        let Some(shed) = &self.shed else {
+            return false;
+        };
+        shed.state.set_probe(probe);
+        true
     }
 
     /// Add (or replace) an auth token at runtime. Returns `false` when
     /// the auth layer is not configured.
     pub fn auth_set_token(&self, name: &str, token: &str, role: crate::auth::Role) -> bool {
-        match &self.auth_state {
-            Some(auth) => {
-                auth.set_token(name, token, role);
-                self.metrics.auth_reloads.increment();
-                true
-            }
-            None => false,
-        }
+        let Some(auth) = &self.auth else {
+            return false;
+        };
+        auth.state.set_token(name, token, role);
+        self.metrics.auth_reloads.increment();
+        true
     }
 
     /// RCU-publish a new anonymous-session role (a policy reload: every
     /// connection observes it on its next request). Returns `false`
     /// when the auth layer is not configured.
     pub fn auth_set_anon_role(&self, role: crate::auth::Role) -> bool {
-        match &self.auth_state {
-            Some(auth) => {
-                auth.publish_anon_role(role);
-                self.metrics.auth_reloads.increment();
-                true
-            }
-            None => false,
-        }
+        let Some(auth) = &self.auth else {
+            return false;
+        };
+        auth.state.publish_anon_role(role);
+        self.metrics.auth_reloads.increment();
+        true
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     struct Echo;
     impl Service for Echo {
         fn call(&mut self, req: Request) -> Response {
             Response::ok(Reply::Value(req.command.verb().to_string()))
         }
+    }
+
+    /// An innermost service that parks every burst until the test
+    /// flips `ready`, then answers it like [`Echo`].
+    pub(crate) struct Parking {
+        ready: Rc<Cell<bool>>,
+        held: Option<Vec<Request>>,
+    }
+
+    impl Parking {
+        pub(crate) fn new() -> (Parking, Rc<Cell<bool>>) {
+            let ready = Rc::new(Cell::new(false));
+            let parking = Parking {
+                ready: Rc::clone(&ready),
+                held: None,
+            };
+            (parking, ready)
+        }
+    }
+
+    impl Service for Parking {
+        fn call(&mut self, req: Request) -> Response {
+            Echo.call(req)
+        }
+
+        fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
+            self.held = Some(reqs);
+            Progress::Parked
+        }
+
+        fn poll_batch(&mut self) -> Option<Vec<Response>> {
+            if !self.ready.get() {
+                return None;
+            }
+            let reqs = self.held.take()?;
+            Some(reqs.into_iter().map(|req| self.call(req)).collect())
+        }
+    }
+
+    fn burst() -> Vec<Request> {
+        vec![
+            Request::new(Command::Ping),
+            Request::new(Command::Get("k".into())),
+            Request::new(Command::TraceLen),
+            Request::new(Command::Set("k".into(), "v".into())),
+        ]
+    }
+
+    fn replies(resps: Vec<Response>) -> Vec<Reply> {
+        resps.into_iter().map(|r| r.reply).collect()
     }
 
     fn session() -> Session {
@@ -596,6 +722,64 @@ mod tests {
                 Reply::Value("STATS".into()),
             ]
         );
+    }
+
+    #[test]
+    fn call_only_services_are_done_at_once() {
+        // A third-party service that implements nothing but `call`
+        // never parks: `begin_batch` is `call_batch`.
+        let mut svc = Echo;
+        match svc.begin_batch(burst()) {
+            Progress::Done(resps) => assert_eq!(resps.len(), 4),
+            Progress::Parked => panic!("a call-only service cannot park"),
+        }
+        assert!(svc.poll_batch().is_none(), "nothing was parked");
+    }
+
+    #[test]
+    fn boxed_services_forward_both_phases() {
+        // The bare server stack is a `Box` around the parking executor:
+        // a missed forward would fall back to the blocking defaults.
+        let (parking, ready) = Parking::new();
+        let mut svc: BoxService = Box::new(parking);
+        assert!(matches!(svc.begin_batch(burst()), Progress::Parked));
+        assert!(svc.poll_batch().is_none(), "still in flight");
+        ready.set(true);
+        assert_eq!(svc.poll_batch().expect("delivered").len(), 4);
+        assert!(svc.poll_batch().is_none(), "delivered exactly once");
+    }
+
+    #[test]
+    fn a_parked_burst_is_observed_once_when_it_completes() {
+        // Same burst, blocking through one full stack and parked
+        // through its twins (dyn onion and fused chain): same replies,
+        // and the layers record it only once it has completed.
+        let blocking = Stack::build(&MiddlewareConfig::full());
+        let want = replies(
+            blocking
+                .service(&session(), Box::new(Echo))
+                .call_batch(burst()),
+        );
+        let chains: [fn(&Stack, Parking) -> BoxService; 2] = [
+            |stack, inner| stack.service(&session(), Box::new(inner)),
+            |stack, inner| Box::new(stack.fused_service(&session(), inner).expect("fusible")),
+        ];
+        for chain in chains {
+            let stack = Stack::build(&MiddlewareConfig::full());
+            let (parking, ready) = Parking::new();
+            let mut svc = chain(&stack, parking);
+            assert!(matches!(svc.begin_batch(burst()), Progress::Parked));
+            assert!(svc.poll_batch().is_none());
+            let metrics = stack.metrics();
+            assert_eq!(metrics.batches.sum(), 0, "not observed while parked");
+            assert_eq!(metrics.deadline_checked.sum(), 0);
+            ready.set(true);
+            assert_eq!(replies(svc.poll_batch().expect("delivered")), want);
+            assert_eq!(metrics.batches.sum(), 1);
+            assert_eq!(metrics.traced.sum(), 4, "ring verb included");
+            assert_eq!(metrics.deadline_checked.sum(), 2, "GET and SET");
+            assert!(svc.poll_batch().is_none(), "delivered exactly once");
+        }
     }
 
     #[test]

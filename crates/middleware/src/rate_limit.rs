@@ -10,7 +10,10 @@
 //! Aggregate admission/rejection/refill counts are `LongAdder`s.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{
+    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Split,
+};
 use crate::protocol::Command;
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -144,9 +147,11 @@ impl RateLimitState {
         admitted as u64
     }
 
-    /// Micros until one token refills (the `retry_us` hint).
-    pub(crate) fn retry_us(&self) -> u64 {
-        1_000_000 / self.config.refill_per_sec.max(1)
+    /// The structured rejection; its `retry_us` hint is the micros
+    /// until one token refills.
+    pub(crate) fn rejection(&self) -> Response {
+        let retry_us = 1_000_000 / self.config.refill_per_sec.max(1);
+        Response::rejection("RATELIMIT", format_args!("rejected retry_us={retry_us}"))
     }
 }
 
@@ -174,40 +179,30 @@ impl RateLimitLayer {
     }
 }
 
-impl RateLimitLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> RateLimitService<S> {
+impl Layer for RateLimitLayer {
+    type Rule = RateLimitRule;
+
+    fn rule(&self, session: &Session) -> RateLimitRule {
         let bucket = self.state.bucket_for(&session.client);
-        RateLimitService {
+        RateLimitRule {
             state: Arc::clone(&self.state),
             bucket,
             client: session.client.clone(),
-            inner,
         }
     }
 }
 
-impl Layer for RateLimitLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::RateLimit
-    }
+/// The rate-limit layer's per-session link of the chain.
+pub type RateLimitService<S> = Layered<RateLimitRule, S>;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
-    }
-}
-
-/// The rate-limit layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct RateLimitService<S> {
+/// The rate-limit layer's per-session rules.
+pub struct RateLimitRule {
     pub(crate) state: Arc<RateLimitState>,
     pub(crate) bucket: Arc<Bucket>,
     client: String,
-    pub(crate) inner: S,
 }
 
-impl<S> Drop for RateLimitService<S> {
+impl Drop for RateLimitRule {
     /// Reclaim the client's bucket when its last session ends —
     /// without this, peer-keyed buckets accumulate one entry per
     /// connection ever made. Strong-count 2 = the map and us; the
@@ -227,68 +222,60 @@ impl<S> Drop for RateLimitService<S> {
     }
 }
 
-impl<S: Service> Service for RateLimitService<S> {
-    /// Batch path: `token_bucket.take(n)` instead of `n` takes — one
+/// `QUIT` is never charged (a throttled client must still hang up
+/// cleanly), nor are the `HEALTH`/`READY` probes (an orchestrator must
+/// see liveness even through a throttled connection).
+fn uncharged(cmd: &Command) -> bool {
+    matches!(cmd, Command::Quit | Command::Health | Command::Ready)
+}
+
+impl LayerRule for RateLimitRule {
+    type Ctx = Split;
+
+    /// Batch rule: `token_bucket.take(n)` instead of `n` takes — one
     /// refill and one `fetch_sub` admit the first `k` chargeable
-    /// commands of the burst; the rest are rejected in place. `QUIT`
-    /// is never charged (a throttled client must still hang up
-    /// cleanly), nor are the `HEALTH`/`READY` probes (an orchestrator
-    /// must see liveness even through a throttled connection), and
-    /// order is preserved: admitted commands travel downstream as one
-    /// inner batch and are zipped back around the rejections.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    /// commands of the burst; the rest are rejected in place. Order is
+    /// preserved: admitted commands travel downstream as one inner
+    /// batch and are zipped back around the rejections.
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
         let admission_t = crate::span::start();
-        let chargeable = reqs
-            .iter()
-            .filter(|r| !matches!(r.command, Command::Quit | Command::Health | Command::Ready))
-            .count() as u64;
+        let chargeable = reqs.iter().filter(|r| !uncharged(&r.command)).count() as u64;
         let granted = self.state.admit_n(&self.bucket, chargeable);
         crate::span::record(LayerKind::RateLimit, admission_t);
         // Fast path: the whole burst fit the bucket — no slot
         // bookkeeping.
         if granted == chargeable {
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         }
-        let retry_us = self.state.retry_us();
         let mut spent = 0u64;
-        crate::pipeline::partition_batch(&mut self.inner, reqs, |req| {
-            if matches!(
-                req.command,
-                Command::Quit | Command::Health | Command::Ready
-            ) {
+        let (reqs, rejections) = split(reqs, |req| {
+            if uncharged(&req.command) {
                 None
             } else if spent < granted {
                 spent += 1;
                 None
             } else {
-                Some(Response::rejection(
-                    "RATELIMIT",
-                    format_args!("rejected retry_us={retry_us}"),
-                ))
+                Some(self.state.rejection())
             }
-        })
+        });
+        Admission::Observe(reqs, rejections)
     }
 
-    fn call(&mut self, req: Request) -> Response {
-        // QUIT always goes through (a throttled client must still be
-        // able to hang up cleanly), and so do the HEALTH/READY probes
-        // (liveness must stay visible under throttling).
-        if matches!(
-            req.command,
-            Command::Quit | Command::Health | Command::Ready
-        ) {
-            return self.inner.call(req);
+    fn observe(&mut self, rejections: Split, inner: Vec<Response>) -> Vec<Response> {
+        rejections.zip(inner)
+    }
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
+        if uncharged(&req.command) {
+            return inner.call(req);
         }
         let admission_t = crate::span::start();
         let admitted = self.state.admit(&self.bucket);
         crate::span::record(LayerKind::RateLimit, admission_t);
         if admitted {
-            self.inner.call(req)
+            inner.call(req)
         } else {
-            Response::rejection(
-                "RATELIMIT",
-                format_args!("rejected retry_us={}", self.state.retry_us()),
-            )
+            self.state.rejection()
         }
     }
 }

@@ -26,7 +26,8 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
+    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Split,
 };
 use crate::protocol::{Command, CommandClass};
 use crate::span;
@@ -158,9 +159,11 @@ impl ShedState {
     }
 }
 
-/// The load-shedding [`Layer`].
+/// The load-shedding [`Layer`]: stateless per session, so it serves as
+/// its own session rules.
+#[derive(Clone)]
 pub struct ShedLayer {
-    state: Arc<ShedState>,
+    pub(crate) state: Arc<ShedState>,
 }
 
 impl ShedLayer {
@@ -170,65 +173,45 @@ impl ShedLayer {
             state: Arc::new(ShedState::new(config, metrics)),
         }
     }
-
-    /// The shared state, for post-build probe injection via the stack.
-    pub(crate) fn state(&self) -> Arc<ShedState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> ShedService<S> {
-        ShedService {
-            state: Arc::clone(&self.state),
-            inner,
-        }
-    }
 }
 
 impl Layer for ShedLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Shed
-    }
+    type Rule = Self;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+    fn rule(&self, _session: &Session) -> Self {
+        self.clone()
     }
 }
 
-/// The shed layer's per-session service, generic over the inner
-/// service it wraps.
-pub struct ShedService<S> {
-    pub(crate) state: Arc<ShedState>,
-    pub(crate) inner: S,
-}
+/// The shed layer's per-session link of the chain.
+pub type ShedService<S> = Layered<ShedLayer, S>;
 
-impl<S: Service> Service for ShedService<S> {
-    fn call(&mut self, req: Request) -> Response {
+impl LayerRule for ShedLayer {
+    type Ctx = Split;
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = span::start();
         let verdict = self.state.admit(&req.command);
         span::record(LayerKind::Shed, admission_t);
         match verdict {
             Some(rejection) => rejection,
-            None => self.inner.call(req),
+            None => inner.call(req),
         }
     }
 
-    /// Batch path: pressure is read once per *shard* per burst and the
+    /// Batch rule: pressure is read once per *shard* per burst and the
     /// verdict reused for every write targeting it — the amortized
     /// metering exemption the contract allows (pressure is a clock,
     /// not state the burst itself mutates). Ordering and reply bytes
     /// are unchanged.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let admission_t = span::start();
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
         let state = &self.state;
         let Some(probe) = state.active() else {
-            span::record(LayerKind::Shed, admission_t);
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         };
+        let admission_t = span::start();
         let mut verdicts: HashMap<usize, Option<Response>> = HashMap::new();
-        span::record(LayerKind::Shed, admission_t);
-        partition_batch(&mut self.inner, reqs, |req| {
+        let (reqs, shed) = split(reqs, |req| {
             if req.command.class() != CommandClass::Write {
                 return None;
             }
@@ -242,7 +225,13 @@ impl<S: Service> Service for ShedService<S> {
                 state.metrics.shed_shed.increment();
             }
             verdict
-        })
+        });
+        span::record(LayerKind::Shed, admission_t);
+        Admission::Observe(reqs, shed)
+    }
+
+    fn observe(&mut self, shed: Split, inner: Vec<Response>) -> Vec<Response> {
+        shed.zip(inner)
     }
 }
 
@@ -295,7 +284,7 @@ mod tests {
         let layer = ShedLayer::new(config, Arc::clone(&metrics));
         let probe = FakeProbe::calm();
         layer
-            .state()
+            .state
             .set_probe(probe.clone() as Arc<dyn PressureProbe>);
         let session = Session {
             client: "t:1".into(),

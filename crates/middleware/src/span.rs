@@ -9,8 +9,10 @@
 //!
 //! Thread-locals are sound here by construction: a connection's service
 //! chain ([`crate::pipeline::BoxService`]) is built and driven entirely
-//! on that connection's thread (no `Send` bound), so an active span can
-//! never be observed from another chain.
+//! on that connection's thread (no `Send` bound), and a chain whose
+//! burst parks [`SpanGuard::suspend`]s its span before the thread
+//! serves another connection — so at most one span is active per
+//! thread, and it belongs to the chain being driven.
 //!
 //! The unsampled fast path is one thread-local boolean load per layer
 //! ([`start`] returns `None` and [`record`] is a no-op), which is what
@@ -24,64 +26,83 @@ use std::time::Instant;
 
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static COSTS: Cell<[u64; LAYER_COUNT]> = const { Cell::new([0; LAYER_COUNT]) };
-    static TOUCHED: Cell<[bool; LAYER_COUNT]> = const { Cell::new([false; LAYER_COUNT]) };
-    /// Store-side segments delivered back across the queue boundary:
-    /// the shard owner stamps them into the ack envelope, and the
-    /// connection thread deposits them here while collecting replies.
-    static STORE: RefCell<Vec<StoreSegment>> = const { RefCell::new(Vec::new()) };
+    /// What the thread's active span has collected so far.
+    static COLLECTED: RefCell<SpanHarvest> = const { RefCell::new(SpanHarvest::EMPTY) };
 }
 
-/// An active span scope. Dropping it (or calling
-/// [`SpanGuard::finish`]) deactivates the thread's span.
+/// A span scope: active from [`enter`] until it is dropped, finished
+/// or suspended.
 pub struct SpanGuard {
+    /// What a suspended span had collected, parked here while the
+    /// thread collects for other spans. Boxed: only a sampled burst
+    /// that parks pays for it.
+    suspended: Option<Box<SpanHarvest>>,
     /// Chains are single-threaded; keep the guard that way too.
     _not_send: PhantomData<*const ()>,
 }
 
-/// Everything a finished span saw: per-layer admission costs from this
-/// thread plus the store-side segments the shard owners sent back.
+/// Everything a span saw: per-layer admission costs from this thread
+/// plus the store-side segments the shard owners sent back.
 #[derive(Debug)]
 pub struct SpanHarvest {
     /// `Some(micros)` for every layer that recorded at least one
     /// segment, `None` for layers the span never saw.
     pub layer_us: [Option<u64>; LAYER_COUNT],
-    /// Shard-thread segments in ack-arrival order.
+    /// Shard-thread segments in deposit order.
     pub store: Vec<StoreSegment>,
 }
 
-/// Begin a sampled span on this thread, resetting the cost table.
+impl SpanHarvest {
+    const EMPTY: SpanHarvest = SpanHarvest {
+        layer_us: [None; LAYER_COUNT],
+        store: Vec::new(),
+    };
+}
+
+/// Begin a sampled span on this thread, starting from a clean slate.
 pub fn enter() -> SpanGuard {
     ACTIVE.with(|a| a.set(true));
-    COSTS.with(|c| c.set([0; LAYER_COUNT]));
-    TOUCHED.with(|t| t.set([false; LAYER_COUNT]));
-    STORE.with(|s| s.borrow_mut().clear());
+    COLLECTED.with(|c| c.replace(SpanHarvest::EMPTY));
     SpanGuard {
+        suspended: None,
         _not_send: PhantomData,
     }
 }
 
 impl SpanGuard {
+    /// Stop collecting: lift what the span has off the thread and
+    /// deactivate it, so another span may run here meanwhile. A no-op
+    /// on a span that is already suspended.
+    pub fn suspend(&mut self) {
+        if self.suspended.is_none() {
+            let collected = COLLECTED.with(|c| c.replace(SpanHarvest::EMPTY));
+            self.suspended = Some(Box::new(collected));
+            ACTIVE.with(|a| a.set(false));
+        }
+    }
+
+    /// Carry on collecting where [`SpanGuard::suspend`] left off. A
+    /// no-op on a span that is not suspended.
+    pub fn resume(&mut self) {
+        if let Some(collected) = self.suspended.take() {
+            COLLECTED.with(|c| c.replace(*collected));
+            ACTIVE.with(|a| a.set(true));
+        }
+    }
+
     /// End the span and harvest its segments.
-    pub fn finish(self) -> SpanHarvest {
-        let costs = COSTS.with(|c| c.get());
-        let touched = TOUCHED.with(|t| t.get());
-        let mut layer_us = [None; LAYER_COUNT];
-        for i in 0..LAYER_COUNT {
-            if touched[i] {
-                layer_us[i] = Some(costs[i]);
-            }
-        }
-        SpanHarvest {
-            layer_us,
-            store: STORE.with(|s| std::mem::take(&mut *s.borrow_mut())),
-        }
+    pub fn finish(mut self) -> SpanHarvest {
+        self.resume();
+        COLLECTED.with(|c| c.replace(SpanHarvest::EMPTY))
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        ACTIVE.with(|a| a.set(false));
+        // A suspended span is not the thread's active one.
+        if self.suspended.is_none() {
+            ACTIVE.with(|a| a.set(false));
+        }
     }
 }
 
@@ -103,12 +124,12 @@ pub fn start() -> Option<Instant> {
     }
 }
 
-/// Deposit a store-side segment received in an ack envelope. A no-op
-/// when no span is active (late acks, unsampled requests).
+/// Deposit a store-side segment of the request being resolved. A no-op
+/// when no span is active (unsampled requests).
 #[inline]
 pub fn record_store(seg: StoreSegment) {
     if active() {
-        STORE.with(|s| s.borrow_mut().push(seg));
+        COLLECTED.with(|c| c.borrow_mut().store.push(seg));
     }
 }
 
@@ -118,16 +139,9 @@ pub fn record_store(seg: StoreSegment) {
 pub fn record(kind: LayerKind, segment: Option<Instant>) {
     let Some(started) = segment else { return };
     let us = started.elapsed().as_micros() as u64;
-    let i = kind.index();
-    COSTS.with(|c| {
-        let mut costs = c.get();
-        costs[i] = costs[i].saturating_add(us);
-        c.set(costs);
-    });
-    TOUCHED.with(|t| {
-        let mut touched = t.get();
-        touched[i] = true;
-        t.set(touched);
+    COLLECTED.with(|c| {
+        let slot = &mut c.borrow_mut().layer_us[kind.index()];
+        *slot = Some(slot.unwrap_or(0).saturating_add(us));
     });
 }
 
@@ -177,6 +191,42 @@ mod tests {
         // A fresh span starts with an empty store table.
         let guard = enter();
         assert!(guard.finish().store.is_empty());
+    }
+
+    #[test]
+    fn a_suspended_span_keeps_its_tables_across_another_span() {
+        let seg = StoreSegment {
+            shard: 0,
+            queue_us: 1,
+            apply_us: 2,
+        };
+        let mut parked = enter();
+        record(LayerKind::Auth, start());
+        parked.suspend();
+        assert!(!active(), "nothing is charged while suspended");
+        record_store(seg); // dropped: no span is active
+        {
+            // Another connection's span runs to completion meanwhile.
+            let other = enter();
+            record(LayerKind::Ttl, start());
+            let harvest = other.finish();
+            assert_eq!(harvest.layer_us[LayerKind::Auth.index()], None);
+        }
+        // Dropping a suspended span must not end somebody else's.
+        let mut dropped = enter();
+        dropped.suspend();
+        let bystander = enter();
+        drop(dropped);
+        assert!(active());
+        drop(bystander);
+
+        parked.resume();
+        assert!(active());
+        record_store(seg);
+        let harvest = parked.finish();
+        assert!(harvest.layer_us[LayerKind::Auth.index()].is_some());
+        assert_eq!(harvest.layer_us[LayerKind::Ttl.index()], None);
+        assert_eq!(harvest.store, vec![seg]);
     }
 
     #[test]

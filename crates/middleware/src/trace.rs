@@ -32,7 +32,8 @@
 
 use crate::metrics::{debug_assert_unique_stat_names, PipelineMetrics};
 use crate::pipeline::{
-    partition_batch, BoxService, Layer, LayerKind, Request, Response, Service, Session,
+    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Split,
 };
 use crate::protocol::{Command, CommandClass, Reply};
 use crate::span;
@@ -45,6 +46,16 @@ pub(crate) fn class_name(class: CommandClass) -> &'static str {
         CommandClass::Write => "write",
         CommandClass::Control => "control",
     }
+}
+
+/// Whether `cmd` is one of the ring verbs [`observability_reply`]
+/// answers.
+pub(crate) fn is_ring_verb(cmd: &Command) -> bool {
+    use Command::*;
+    matches!(
+        cmd,
+        SlowlogGet | SlowlogReset | SlowlogLen | TraceGet | TraceReset | TraceLen
+    )
 }
 
 /// Answer a slowlog or flight-recorder verb from its ring, or `None`
@@ -101,35 +112,25 @@ impl TraceLayer {
     }
 }
 
-impl TraceLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> TraceService<S> {
-        TraceService {
+impl Layer for TraceLayer {
+    type Rule = TraceRule;
+
+    fn rule(&self, session: &Session) -> TraceRule {
+        TraceRule {
             metrics: Arc::clone(&self.metrics),
             depth: self.depth,
             client: Arc::from(session.client.as_str()),
             sample_every: self.sample_every,
             tick: 0,
-            inner,
         }
     }
 }
 
-impl Layer for TraceLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Trace
-    }
+/// The trace layer's per-session link of the chain.
+pub type TraceService<S> = Layered<TraceRule, S>;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
-    }
-}
-
-/// The trace layer's per-session service, generic over the inner
-/// service it wraps (a concrete type in the fused stack, a
-/// [`BoxService`] in the dyn onion).
-pub struct TraceService<S> {
+/// The trace layer's per-session rules.
+pub struct TraceRule {
     pub(crate) metrics: Arc<PipelineMetrics>,
     depth: usize,
     pub(crate) client: Arc<str>,
@@ -138,11 +139,24 @@ pub struct TraceService<S> {
     /// first command of every connection is always covered —
     /// contention-free and deterministic for tests.
     pub(crate) tick: u32,
-    pub(crate) inner: S,
 }
 
-impl<S: Service> TraceService<S> {
-    fn tick_sample(&mut self) -> bool {
+/// What a traced burst carries from admission to completion.
+pub struct TraceCtx {
+    /// Per request: whether it is a `STATS`, whose reply grows the
+    /// `mw_*` lines.
+    stats_at: Vec<bool>,
+    has_reset: bool,
+    /// The ring verbs answered here, when the burst carried any.
+    ring: Option<Split>,
+    /// The burst's span, when it was sampled.
+    span: Option<span::SpanGuard>,
+    start: Instant,
+}
+
+impl TraceRule {
+    /// Whether this command/burst is span-sampled; advances the phase.
+    pub(crate) fn tick_sample(&mut self) -> bool {
         if self.sample_every == 0 {
             return false;
         }
@@ -154,11 +168,29 @@ impl<S: Service> TraceService<S> {
         hit
     }
 
+    /// Count one singleton into its class's latency histogram.
+    pub(crate) fn record_singleton(&self, class: CommandClass, elapsed_us: u64) {
+        self.metrics.traced.increment();
+        match class {
+            CommandClass::Read => self.metrics.read_latency.record(elapsed_us),
+            CommandClass::Write => self.metrics.write_latency.record(elapsed_us),
+            CommandClass::Control => self.metrics.control_latency.record(elapsed_us),
+        }
+    }
+
+    /// Grow the store's `STATS` reply by the pipeline's `mw_*` lines.
+    fn fold_stats(&self, resp: &mut Response) {
+        if let Reply::Array(lines) = &mut resp.reply {
+            lines.extend(self.metrics.render_lines(self.depth));
+            debug_assert_unique_stat_names(lines);
+        }
+    }
+
     /// Close out one traced command/burst: harvest the span (if any)
     /// into the per-layer histograms, offer the completed trace tree
     /// to the flight recorder, and offer the observation to the
     /// slowlog ring.
-    fn finish(
+    pub(crate) fn finish(
         &self,
         span: Option<span::SpanGuard>,
         verb: &'static str,
@@ -186,71 +218,91 @@ impl<S: Service> TraceService<S> {
     }
 }
 
-impl<S: Service> Service for TraceService<S> {
-    /// Batch path: one `Instant::now()` pair and one histogram sample
+impl LayerRule for TraceRule {
+    type Ctx = TraceCtx;
+
+    /// Batch rule: one `Instant::now()` pair and one histogram sample
     /// for the whole burst (into `batch_latency`), instead of one per
     /// command — the per-class histograms only see singleton traffic,
     /// which is what they meter best anyway (a per-batch sample would
-    /// conflate k commands into one latency). `STATS` replies inside
-    /// the burst still grow the `mw_*` lines at their position, and
-    /// slowlog verbs are answered in place without travelling further
-    /// down; a slow burst enters the slowlog as one `BATCH` entry
-    /// (covering the burst end to end, which no position inside it
-    /// could observe anyway).
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let n = reqs.len() as u64;
-        let stats_at: Vec<bool> = reqs
+    /// conflate k commands into one latency). The clock runs from here
+    /// to the observe half, so a burst that parks is charged its real
+    /// wait. Ring verbs are answered in place without travelling
+    /// further down.
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<TraceCtx> {
+        let stats_at = reqs
             .iter()
             .map(|r| matches!(r.command, Command::Stats))
             .collect();
         let has_reset = reqs
             .iter()
             .any(|r| matches!(r.command, Command::StatsReset));
-        let has_ring_verbs = reqs.iter().any(|r| {
-            matches!(
-                r.command,
-                Command::SlowlogGet
-                    | Command::SlowlogReset
-                    | Command::SlowlogLen
-                    | Command::TraceGet
-                    | Command::TraceReset
-                    | Command::TraceLen
-            )
-        });
+        let has_ring_verbs = reqs.iter().any(|r| is_ring_verb(&r.command));
         let span = self.tick_sample().then(span::enter);
         let start = Instant::now();
-        let mut resps = if has_ring_verbs {
-            let metrics = Arc::clone(&self.metrics);
-            partition_batch(&mut self.inner, reqs, |req| {
-                observability_reply(&metrics, &req.command).map(Response::ok)
-            })
+        let (reqs, ring) = if has_ring_verbs {
+            let (reqs, ring) = split(reqs, |req| {
+                observability_reply(&self.metrics, &req.command).map(Response::ok)
+            });
+            (reqs, Some(ring))
         } else {
-            self.inner.call_batch(reqs)
+            (reqs, None)
         };
-        let elapsed_us = start.elapsed().as_micros() as u64;
+        let ctx = TraceCtx {
+            stats_at,
+            has_reset,
+            ring,
+            span,
+            start,
+        };
+        Admission::Observe(reqs, ctx)
+    }
+
+    /// `STATS` replies inside the burst grow the `mw_*` lines at their
+    /// position, and a slow burst enters the slowlog as one `BATCH`
+    /// entry (covering the burst end to end, which no position inside
+    /// it could observe anyway).
+    fn observe(&mut self, ctx: TraceCtx, inner: Vec<Response>) -> Vec<Response> {
+        let elapsed_us = ctx.start.elapsed().as_micros() as u64;
         let trace_t = span::start();
-        for (resp, is_stats) in resps.iter_mut().zip(stats_at) {
+        let n = ctx.stats_at.len();
+        let mut resps = match ctx.ring {
+            Some(ring) => ring.zip(inner),
+            None => inner,
+        };
+        for (resp, is_stats) in resps.iter_mut().zip(ctx.stats_at) {
             if is_stats {
-                if let Reply::Array(lines) = &mut resp.reply {
-                    lines.extend(self.metrics.render_lines(self.depth));
-                    debug_assert_unique_stat_names(lines);
-                }
+                self.fold_stats(resp);
             }
         }
-        self.metrics.traced.add(n);
-        self.metrics.batch_commands.add(n);
+        self.metrics.traced.add(n as u64);
+        self.metrics.batch_commands.add(n as u64);
         self.metrics.batches.increment();
         self.metrics.batch_latency.record(elapsed_us);
         span::record(LayerKind::Trace, trace_t);
-        self.finish(span, "BATCH", "batch", n as usize, elapsed_us);
-        if has_reset {
+        self.finish(ctx.span, "BATCH", "batch", n, elapsed_us);
+        if ctx.has_reset {
             // Last, so the burst's own recording nets to zero too.
             self.metrics.reset();
         }
         resps
     }
 
-    fn call(&mut self, req: Request) -> Response {
+    /// A parked burst's span stops collecting: what this thread does
+    /// for other connections meanwhile is not charged to it.
+    fn suspend(&mut self, ctx: &mut TraceCtx) {
+        if let Some(span) = &mut ctx.span {
+            span.suspend();
+        }
+    }
+
+    fn resume(&mut self, ctx: &mut TraceCtx) {
+        if let Some(span) = &mut ctx.span {
+            span.resume();
+        }
+    }
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         if let Some(reply) = observability_reply(&self.metrics, &req.command) {
             self.metrics.traced.increment();
             return Response::ok(reply);
@@ -261,23 +313,15 @@ impl<S: Service> Service for TraceService<S> {
         let is_reset = matches!(req.command, Command::StatsReset);
         let span = self.tick_sample().then(span::enter);
         let start = Instant::now();
-        let mut resp = self.inner.call(req);
+        let mut resp = inner.call(req);
         let elapsed_us = start.elapsed().as_micros() as u64;
         let trace_t = span::start();
         // Render before recording, so a `STATS` reply reflects the
         // traffic *before* it, not itself.
         if is_stats {
-            if let Reply::Array(lines) = &mut resp.reply {
-                lines.extend(self.metrics.render_lines(self.depth));
-                debug_assert_unique_stat_names(lines);
-            }
+            self.fold_stats(&mut resp);
         }
-        self.metrics.traced.increment();
-        match class {
-            CommandClass::Read => self.metrics.read_latency.record(elapsed_us),
-            CommandClass::Write => self.metrics.write_latency.record(elapsed_us),
-            CommandClass::Control => self.metrics.control_latency.record(elapsed_us),
-        }
+        self.record_singleton(class, elapsed_us);
         span::record(LayerKind::Trace, trace_t);
         self.finish(span, verb, class_name(class), 1, elapsed_us);
         if is_reset {
@@ -293,6 +337,7 @@ impl<S: Service> Service for TraceService<S> {
 mod tests {
     use super::*;
     use crate::config::TraceConfig;
+    use crate::pipeline::BoxService;
 
     struct Store;
     impl Service for Store {

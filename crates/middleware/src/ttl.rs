@@ -24,7 +24,9 @@
 //! pay it only on mutation or reap (live reads stay lock-free).
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{BoxService, Layer, LayerKind, Request, Response, Service, Session};
+use crate::pipeline::{
+    Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+};
 use crate::protocol::{Command, Reply};
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +60,11 @@ impl TtlState {
     }
 }
 
-/// The TTL [`Layer`].
+/// The TTL [`Layer`]: stateless per session (the sidecar is shared),
+/// so it serves as its own session rules.
+#[derive(Clone)]
 pub struct TtlLayer {
-    state: Arc<TtlState>,
+    pub(crate) state: Arc<TtlState>,
 }
 
 impl TtlLayer {
@@ -79,52 +83,36 @@ impl TtlLayer {
     }
 }
 
-impl TtlLayer {
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    pub fn wrap_typed<S: Service>(&self, _session: &Session, inner: S) -> TtlService<S> {
-        TtlService {
-            state: Arc::clone(&self.state),
-            inner,
-        }
-    }
-}
-
 impl Layer for TtlLayer {
-    fn kind(&self) -> LayerKind {
-        LayerKind::Ttl
-    }
+    type Rule = Self;
 
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+    fn rule(&self, _session: &Session) -> Self {
+        self.clone()
     }
 }
 
-/// The TTL layer's per-session service, generic over the inner service
-/// it wraps (the innermost layer: `S` is usually the store executor).
-pub struct TtlService<S> {
-    pub(crate) state: Arc<TtlState>,
-    pub(crate) inner: S,
-}
+/// The TTL layer's per-session link of the chain (the innermost layer:
+/// `S` is usually the store executor).
+pub type TtlService<S> = Layered<TtlLayer, S>;
 
 type SidecarWriter<'a> = MutexGuard<'a, SegmentedHashMapWriter<String, Arc<TtlEntry>>>;
 
-impl<S: Service> TtlService<S> {
+impl TtlLayer {
     /// With the lock held: if `key`'s entry is (still) lapsed, reap it
     /// — `DEL` the stale row downstream and drop the entry. Returns
     /// whether a reap happened. The lock stays held across the `DEL`,
     /// which is what makes expiry safe against concurrent rewrites.
-    fn reap_if_lapsed(
+    fn reap_if_lapsed<S: Service>(
+        &self,
         inner: &mut S,
-        state: &TtlState,
         writer: &mut SidecarWriter<'_>,
         key: &String,
     ) -> bool {
-        match state.sidecar.get(key) {
-            Some(entry) if state.lapsed(&entry) => {
+        match self.state.sidecar.get(key) {
+            Some(entry) if self.state.lapsed(&entry) => {
                 let _ = inner.call(Request::new(Command::Del(key.clone())));
                 writer.remove(key);
-                state.metrics.ttl_expired.increment();
+                self.state.metrics.ttl_expired.increment();
                 true
             }
             _ => false,
@@ -132,18 +120,14 @@ impl<S: Service> TtlService<S> {
     }
 
     /// `EXPIRE key millis`: probe the key and arm (or re-arm) a timer.
-    fn expire(&mut self, key: String, millis: u64) -> Response {
+    fn expire<S: Service>(&self, inner: &mut S, key: String, millis: u64) -> Response {
         let mut writer = self.state.writer.lock().expect("ttl writer");
         // A lapsed timer means the value is gone: reap it and report
         // "no such key" instead of resurrecting it.
-        if Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key) {
+        if self.reap_if_lapsed(inner, &mut writer, &key) {
             return Response::ok(Reply::Int(0));
         }
-        match self
-            .inner
-            .call(Request::new(Command::Get(key.clone())))
-            .reply
-        {
+        match inner.call(Request::new(Command::Get(key.clone()))).reply {
             Reply::Nil => Response::ok(Reply::Int(0)),
             Reply::Value(_) => {
                 let deadline = self
@@ -174,10 +158,10 @@ impl<S: Service> TtlService<S> {
     /// rewrite the value; `INCR` keeps its — now reaped-or-live — row
     /// fresh, Redis-style it would keep the TTL, but after a rewrite
     /// through this path the timer is gone either way).
-    fn mutate_timed(&mut self, req: Request, key: String) -> Response {
+    fn mutate_timed<S: Service>(&self, inner: &mut S, req: Request, key: String) -> Response {
         let mut writer = self.state.writer.lock().expect("ttl writer");
-        Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key);
-        let resp = self.inner.call(req);
+        self.reap_if_lapsed(inner, &mut writer, &key);
+        let resp = inner.call(req);
         if !matches!(resp.reply, Reply::Error(_)) {
             // The rewrite clears any remaining timer (and its entry).
             writer.remove(&key);
@@ -187,26 +171,29 @@ impl<S: Service> TtlService<S> {
 
     /// A `GET` on a key whose unlocked probe saw a lapsed timer:
     /// re-check under the lock, reap, answer nil.
-    fn get_lapsed(&mut self, req: Request, key: String) -> Response {
+    fn get_lapsed<S: Service>(&self, inner: &mut S, req: Request, key: String) -> Response {
         let mut writer = self.state.writer.lock().expect("ttl writer");
-        if Self::reap_if_lapsed(&mut self.inner, &self.state, &mut writer, &key) {
+        if self.reap_if_lapsed(inner, &mut writer, &key) {
             return Response::ok(Reply::Nil);
         }
         // Lost the race to a rewrite: the key is live again.
         drop(writer);
-        self.inner.call(req)
+        inner.call(req)
     }
 }
 
-impl<S: Service> Service for TtlService<S> {
-    /// Batch path: **one** sidecar sweep for the whole burst. When no
+impl LayerRule for TtlLayer {
+    /// Nothing to observe: a burst is forwarded whole or answered here.
+    type Ctx = std::convert::Infallible;
+
+    /// Batch rule: **one** sidecar sweep for the whole burst. When no
     /// timer is armed anywhere (`sidecar` empty — by far the common
     /// state under kv load) and the burst carries no `EXPIRE`, no key
     /// can be timed, so the per-command sidecar probes are skipped and
     /// the burst forwards as one inner batch. Any armed timer (or an
     /// `EXPIRE` arming one mid-burst) drops to the sequential path,
     /// whose reap locking is what makes expiry safe.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx> {
         let admission_t = crate::span::start();
         let arming = reqs
             .iter()
@@ -223,13 +210,17 @@ impl<S: Service> Service for TtlService<S> {
                 .count() as u64;
             self.state.metrics.ttl_checked.add(kv);
             crate::span::record(LayerKind::Ttl, admission_t);
-            return self.inner.call_batch(reqs);
+            return Admission::Pass(reqs);
         }
         crate::span::record(LayerKind::Ttl, admission_t);
-        reqs.into_iter().map(|req| self.call(req)).collect()
+        Admission::Answered(reqs.into_iter().map(|req| self.call(inner, req)).collect())
     }
 
-    fn call(&mut self, req: Request) -> Response {
+    fn observe(&mut self, ctx: Self::Ctx, _inner: Vec<Response>) -> Vec<Response> {
+        match ctx {}
+    }
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = crate::span::start();
         // Decide on a borrowed view first so the fast paths forward
         // `req` without cloning its key.
@@ -267,10 +258,10 @@ impl<S: Service> Service for TtlService<S> {
         // traffic, not admission overhead.
         crate::span::record(LayerKind::Ttl, admission_t);
         match plan {
-            Plan::Forward => self.inner.call(req),
-            Plan::MutateTimed(key) => self.mutate_timed(req, key),
-            Plan::GetLapsed(key) => self.get_lapsed(req, key),
-            Plan::Expire(key, millis) => self.expire(key, millis),
+            Plan::Forward => inner.call(req),
+            Plan::MutateTimed(key) => self.mutate_timed(inner, req, key),
+            Plan::GetLapsed(key) => self.get_lapsed(inner, req, key),
+            Plan::Expire(key, millis) => self.expire(inner, key, millis),
         }
     }
 }
@@ -278,6 +269,7 @@ impl<S: Service> Service for TtlService<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::BoxService;
     use std::collections::HashMap;
     use std::time::Duration;
 

@@ -2,18 +2,29 @@
 //! floored at two) multiplex every connection over raw `epoll`.
 //!
 //! Each loop owns a set of nonblocking sockets. A readable connection
-//! has its buffered burst drained, parsed, and driven through its
-//! session's middleware chain; the innermost service *defers* the
-//! final ack barrier (see `DeferCell` in `server.rs`): the burst's
+//! has its buffered burst drained, parsed, and *begun* on its
+//! session's middleware chain (`Service::begin_batch`). The burst's
 //! runs of mutations are published to the shard queues, one envelope
-//! per (run, shard), and the loop moves straight on to the next
-//! readable connection instead of blocking. Bursts from *different*
-//! connections therefore pile into the same shard sweep —
-//! **cross-connection group commit**. A shard owner answers each
-//! envelope with one ack and wakes the loop through the `eventfd` the
-//! envelope carries; the loop files the acks into the burst's
-//! `AckTable`, patches the late replies into their positional slots
-//! and flushes.
+//! per (run, shard); if the last run's acks are still in flight the
+//! chain **parks** the burst — every layer keeps its own context, the
+//! innermost service the slots and the acks — and the loop moves
+//! straight on to the next readable connection instead of blocking.
+//! Bursts from *different* connections therefore pile into the same
+//! shard sweep — **cross-connection group commit**. A shard owner
+//! answers each envelope with one ack and wakes the loop through the
+//! `eventfd` the envelope carries; the loop then polls the chains of
+//! its parked connections (`Service::poll_batch`), and a chain whose
+//! burst is complete — or past its ack deadline — hands back the
+//! responses, observed by every layer on the way up, for the loop to
+//! render and flush. How acks are matched to requests is the
+//! innermost service's business (`server.rs`); all this module keeps
+//! for a parked burst is how to lay its replies out ([`Awaiting`]).
+//!
+//! A connection that dies while its burst is parked leaves the epoll
+//! set at once, but its chain is kept until `poll_batch` has answered,
+//! so every request a layer admitted is also observed — a half-open
+//! breaker probe that never was would hold its probe slot forever. The
+//! replies are then dropped.
 //!
 //! Replies are rendered as **per-reply chunks** and written with
 //! `write_vectored`, so a burst's responses go out in one syscall
@@ -36,23 +47,22 @@
 //!
 //! **Input is bounded per connection**: a read sweep stops once
 //! [`READ_HIGH_WATER`] bytes are buffered (level-triggered epoll
-//! re-reports the rest after the buffered bursts were driven), and a
-//! line longer than [`MAX_LINE_BYTES`] closes the connection.
+//! re-reports the rest after the buffered bursts were driven), a
+//! connection whose burst is parked or whose replies are unflushed
+//! keeps reading only up to that mark, and a line longer than
+//! [`MAX_LINE_BYTES`] closes the connection.
 
 use crate::protocol::{Command, Reply};
-use crate::server::{
-    build_chain, AckTable, Chain, DeferCell, ExecService, PendingSlot, ACK_TIMEOUT_MSG,
-};
+use crate::server::{build_chain, Chain, ExecService};
 use crate::stats::ServerStats;
-use crate::store::{Entry, Store};
-use dego_middleware::{Request, Session, Stack};
+use crate::store::Store;
+use dego_middleware::{Progress, Request, Response, Session, Stack};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -200,7 +210,7 @@ impl Drop for Epoll {
 }
 
 /// An `eventfd` that unblocks a loop's `epoll_wait` from another
-/// thread. Shard owners wake the loop after acking a deferred run;
+/// thread. Shard owners wake the loop after acking a parked burst's run;
 /// the accept thread wakes it after handing off a new connection;
 /// shutdown wakes it so it observes the flag.
 pub(crate) struct LoopWaker {
@@ -256,7 +266,7 @@ pub(crate) struct LoopCtx {
     pub(crate) stack: Arc<Stack>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) ready: Arc<AtomicBool>,
-    /// Overall shard-ack deadline per deferred burst (and per
+    /// Overall shard-ack deadline per parked burst (and per
     /// synchronous barrier inside the chain).
     pub(crate) ack_timeout: Duration,
     /// Close connections idle past this deadline (`--idle-timeout-ms`;
@@ -264,31 +274,32 @@ pub(crate) struct LoopCtx {
     pub(crate) idle_timeout: Option<Duration>,
 }
 
-/// What one reply slot of a dispatched burst is: already rendered, or
-/// waiting on shard acknowledgements the loop collects asynchronously.
-enum Emit {
-    Ready(String),
-    Pending(PendingSlot),
+/// What holds one reply slot of a burst, in line order.
+#[derive(Debug, PartialEq)]
+enum LineSlot {
+    /// A command: the chain's next response.
+    Cmd,
+    /// A line that did not parse: its error.
+    Err(String),
+    /// The input fault that ended the burst: positioned after the
+    /// burst's replies, it gets its structured error and — the byte
+    /// stream being unrecoverable — ends the session.
+    Fault(&'static str),
 }
 
-/// A burst whose final ack barrier was deferred: the loop completes it
-/// when the acks arrive (or poisons the session at the deadline, one
-/// overall deadline per burst like the synchronous barriers).
+/// A burst parked in the connection's chain: what the loop needs to
+/// render it once `poll_batch` delivers its responses.
 struct Awaiting {
-    emits: Vec<Emit>,
-    acks: AckTable,
+    line_slots: Vec<LineSlot>,
+    /// When the chain's ack deadline will have lapsed: poll again by
+    /// then, even if no ack rings the doorbell.
     deadline: Instant,
-    /// The dispatch already decided to close after these replies
-    /// (QUIT in the burst).
-    closing: bool,
 }
 
 /// One multiplexed connection's state.
 struct Conn {
     socket: TcpStream,
     chain: Chain,
-    defer: Rc<DeferCell>,
-    ack_rx: Rc<Receiver<Vec<Entry>>>,
     /// Bytes read but not yet parsed (at most one partial line after
     /// a drive pass, unless a burst is in flight).
     rbuf: Vec<u8>,
@@ -304,39 +315,21 @@ struct Conn {
     eof: bool,
     /// Close once `out` drains and nothing is awaited.
     closing: bool,
-    /// Hard I/O failure: tear down immediately.
+    /// Hard I/O failure: tear down as soon as no burst is parked.
     dead: bool,
+    /// Dead with a burst still parked: already out of the epoll set,
+    /// kept only until its chain has observed the burst.
+    detached: bool,
 }
 
 /// One event-loop thread: multiplexes its share of the connections
 /// until shutdown drains them all.
 pub(crate) fn run_loop(ctx: LoopCtx) {
-    let LoopCtx {
-        epoll,
-        waker,
-        inbox,
-        store,
-        stats,
-        stack,
-        shutdown,
-        ready,
-        ack_timeout,
-        idle_timeout,
-    } = ctx;
-    epoll
-        .add(waker.fd(), WAKER_TOKEN, EPOLLIN)
+    ctx.epoll
+        .add(ctx.waker.fd(), WAKER_TOKEN, EPOLLIN)
         .expect("register loop waker");
     let mut el = EventLoop {
-        epoll,
-        waker,
-        inbox,
-        store,
-        stats,
-        stack,
-        shutdown,
-        ready,
-        ack_timeout,
-        idle_timeout,
+        ctx,
         conns: HashMap::new(),
         awaiting: HashSet::new(),
         draining: false,
@@ -346,7 +339,7 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
     loop {
         el.accept_new();
-        if !el.draining && el.shutdown.load(Ordering::Acquire) {
+        if !el.draining && el.ctx.shutdown.load(Ordering::Acquire) {
             el.begin_drain();
         }
         if el.draining {
@@ -364,46 +357,29 @@ pub(crate) fn run_loop(ctx: LoopCtx) {
                 return;
             }
         }
-        let n = el.epoll.wait(&mut events, el.wait_timeout());
-        let mut woke = false;
-        let mut fired: Vec<(u64, u32)> = Vec::with_capacity(n);
+        let n = el.ctx.epoll.wait(&mut events, el.wait_timeout());
+        el.ctx.stats.note_loop_wakeup();
         for ev in &events[..n] {
             // Copy out of the (possibly packed) kernel struct.
-            let token = ev.data;
-            let bits = ev.events;
+            let (token, bits) = (ev.data, ev.events);
             if token == WAKER_TOKEN {
-                woke = true;
+                el.ctx.waker.drain();
+                el.accept_new();
             } else {
-                fired.push((token, bits));
+                el.handle_event(token, bits);
             }
         }
-        if woke {
-            el.waker.drain();
-            el.accept_new();
-        }
-        for (token, bits) in fired {
-            el.handle_event(token, bits);
-        }
-        // Deferred bursts: collect acks (the waker fired, or the
-        // deadline may have lapsed) for every awaiting connection.
+        // Parked bursts: poll every awaiting connection's chain (the
+        // waker fired, or a deadline may have lapsed).
         el.sweep_awaiting();
         el.sweep_idle();
     }
 }
 
 struct EventLoop {
-    epoll: Epoll,
-    waker: Arc<LoopWaker>,
-    inbox: Receiver<(TcpStream, u64)>,
-    store: Arc<Store>,
-    stats: Arc<ServerStats>,
-    stack: Arc<Stack>,
-    shutdown: Arc<AtomicBool>,
-    ready: Arc<AtomicBool>,
-    ack_timeout: Duration,
-    idle_timeout: Option<Duration>,
+    ctx: LoopCtx,
     conns: HashMap<u64, Conn>,
-    /// Tokens with a deferred burst outstanding (kept separately so an
+    /// Tokens with a parked burst outstanding (kept separately so an
     /// ack wakeup sweeps only the waiters, not every connection).
     awaiting: HashSet<u64>,
     draining: bool,
@@ -414,8 +390,8 @@ struct EventLoop {
 impl EventLoop {
     /// Register connections handed off by the accept thread.
     fn accept_new(&mut self) {
-        while let Ok((socket, token)) = self.inbox.try_recv() {
-            if self.draining || self.shutdown.load(Ordering::Acquire) {
+        while let Ok((socket, token)) = self.ctx.inbox.try_recv() {
+            if self.draining || self.ctx.shutdown.load(Ordering::Acquire) {
                 continue; // Dropped: the listener is already closed to new work.
             }
             self.register(socket, token);
@@ -435,21 +411,16 @@ impl EventLoop {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| "unknown".to_string()),
         };
-        let (ack_tx, ack_rx) = channel::<Vec<Entry>>();
-        let ack_rx = Rc::new(ack_rx);
-        let defer = Rc::new(DeferCell::new());
         let exec = ExecService::new(
-            Arc::clone(&self.store),
-            Arc::clone(&self.stats),
-            Arc::clone(&self.ready),
-            self.ack_timeout,
-            (ack_tx, Rc::clone(&ack_rx)),
-            Rc::clone(&defer),
-            Arc::clone(&self.waker),
+            Arc::clone(&self.ctx.store),
+            Arc::clone(&self.ctx.stats),
+            Arc::clone(&self.ctx.ready),
+            self.ctx.ack_timeout,
+            Arc::clone(&self.ctx.waker),
         );
-        let chain = build_chain(&self.stack, &session, exec);
+        let chain = build_chain(&self.ctx.stack, &session, exec);
         let fd = socket.as_raw_fd();
-        if self.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
+        if self.ctx.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
             return;
         }
         self.conns.insert(
@@ -457,8 +428,6 @@ impl EventLoop {
             Conn {
                 socket,
                 chain,
-                defer,
-                ack_rx,
                 rbuf: Vec::new(),
                 out: VecDeque::new(),
                 out_off: 0,
@@ -468,16 +437,17 @@ impl EventLoop {
                 eof: false,
                 closing: false,
                 dead: false,
+                detached: false,
             },
         );
     }
 
     /// Shutdown observed: stop reading everywhere, flush what is owed,
-    /// and let in-flight deferred bursts complete. Buffered input is
+    /// and let parked bursts complete. Buffered input is
     /// never acknowledged.
     fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(Instant::now() + self.ack_timeout);
+        self.drain_deadline = Some(Instant::now() + self.ctx.ack_timeout);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             let Some(mut conn) = self.conns.remove(&token) else {
@@ -493,7 +463,7 @@ impl EventLoop {
     }
 
     /// The epoll timeout: tight while draining, bounded by the nearest
-    /// ack deadline while bursts are deferred, bounded by the idle
+    /// ack deadline while bursts are parked, bounded by the idle
     /// sweep cadence when an idle timeout is armed.
     fn wait_timeout(&self) -> Duration {
         let mut wait = if self.draining { DRAIN_WAIT } else { IDLE_WAIT };
@@ -503,7 +473,7 @@ impl EventLoop {
                 wait = wait.min(aw.deadline.saturating_duration_since(now));
             }
         }
-        if self.idle_timeout.is_some() && !self.draining {
+        if self.ctx.idle_timeout.is_some() && !self.draining {
             wait = wait.min(Duration::from_millis(50));
         }
         wait
@@ -515,10 +485,12 @@ impl EventLoop {
         };
         if bits & (EPOLLERR | EPOLLHUP) != 0 {
             conn.dead = true;
-        } else {
+        } else if !conn.dead {
             if bits & EPOLLOUT != 0 {
                 self.drive(&mut conn);
             }
+            // Also while a burst is parked or replies are unflushed: the
+            // bytes wait in `rbuf` (`settle` bounds it), undispatched.
             if bits & (EPOLLIN | EPOLLRDHUP) != 0 && conn.interest & EPOLLIN != 0 && !conn.dead {
                 self.read_socket(&mut conn);
                 if !conn.dead {
@@ -563,10 +535,10 @@ impl EventLoop {
     }
 
     /// Parse and dispatch bursts until the connection blocks on
-    /// something: acks (deferred burst), backpressure (unflushed
+    /// something: acks (parked burst), backpressure (unflushed
     /// replies), or input (no complete line left). Flushing comes
-    /// first, so a caller that just queued replies (a resolved
-    /// deferred burst) carries on with the lines still buffered.
+    /// first, so a caller that just queued replies (a completed
+    /// parked burst) carries on with the lines still buffered.
     fn drive(&mut self, conn: &mut Conn) {
         loop {
             self.flush(conn);
@@ -585,163 +557,82 @@ impl EventLoop {
     }
 
     /// Drive one burst through the middleware chain: parse each line
-    /// (errors keep their positional slot), dispatch the commands, and
-    /// queue the replies — slots whose acks were deferred become
-    /// `Emit::Pending` placeholders instead of blocking here. `fault`
-    /// is the input error that ended the burst, if any: answered after
-    /// the burst's replies, then the session closes.
+    /// (errors keep their positional slot) and begin the commands. A
+    /// burst the chain answers at once is rendered here; one it parks
+    /// waits in `conn.awaiting` for `try_complete`. `fault` is the
+    /// input error that ended the burst, if any.
     fn dispatch(&mut self, conn: &mut Conn, lines: Vec<String>, fault: Option<&'static str>) {
-        /// What one request line turned into (parse errors keep their
-        /// positional slot).
-        enum LineSlot {
-            Cmd,
-            Err(String),
+        let (mut requests, mut line_slots) = parse_burst(&lines);
+        for _ in &line_slots {
+            self.ctx.stats.note_command();
         }
-        let mut requests: Vec<Request> = Vec::new();
-        let mut line_slots: Vec<LineSlot> = Vec::new();
-        for raw in &lines {
-            let text = raw.trim_end_matches('\n');
-            // Blank lines are keepalives: no command, no error, no
-            // token — skip before any accounting.
-            if text.trim().is_empty() {
-                continue;
-            }
-            self.stats.note_command();
-            match Command::parse(text) {
-                Ok(cmd) => {
-                    let quit = matches!(cmd, Command::Quit);
-                    requests.push(Request::new(cmd));
-                    line_slots.push(LineSlot::Cmd);
-                    if quit {
-                        // Input after QUIT is discarded; the session is
-                        // closing anyway.
-                        conn.rbuf.clear();
-                        break;
-                    }
-                }
-                Err(e) => line_slots.push(LineSlot::Err(e.0)),
-            }
-        }
-        let responses = match requests.len() {
-            0 => Vec::new(),
+        line_slots.extend(fault.map(LineSlot::Fault));
+        let progress = match requests.len() {
+            0 => Progress::Done(Vec::new()),
             // Singletons keep the unamortized path (and its per-command
             // metrics); nothing to group-commit in a burst of one.
-            1 => vec![conn.chain.call_one(requests.pop().expect("one request"))],
-            // The innermost service skips its final barrier and parks
-            // unresolved slots in the cell instead.
-            _ => conn.chain.call_batch(requests),
+            1 => Progress::Done(vec![conn
+                .chain
+                .call_one(requests.pop().expect("one request"))]),
+            _ => conn.chain.batch().begin_batch(requests),
         };
-        let (pending, acks) = conn.defer.take_output();
-        let mut pending = pending.into_iter();
-        let mut responses = responses.into_iter();
-        let mut emits: Vec<Emit> = Vec::with_capacity(line_slots.len());
-        let mut closing = false;
-        for slot in line_slots {
-            let (reply, close) = match slot {
-                LineSlot::Cmd => {
-                    let resp = responses.next().expect("one response per command");
-                    (resp.reply, resp.close)
-                }
-                LineSlot::Err(e) => (Reply::Error(e), false),
-            };
-            if crate::server::is_pending_marker(&reply) {
-                emits.push(Emit::Pending(
-                    pending.next().expect("a deferred slot per marker"),
-                ));
-            } else {
-                if matches!(reply, Reply::Error(_)) {
-                    self.stats.note_error();
-                }
-                let mut rendered = String::new();
-                reply.render(&mut rendered);
-                emits.push(Emit::Ready(rendered));
+        match progress {
+            Progress::Done(responses) => self.render(conn, line_slots, responses),
+            Progress::Parked => {
+                conn.awaiting = Some(Awaiting {
+                    line_slots,
+                    deadline: Instant::now() + self.ctx.ack_timeout,
+                })
             }
-            if close {
-                closing = true;
-                break;
-            }
-        }
-        if let Some(msg) = fault.filter(|_| !closing) {
-            // Positioned after the burst's replies: the input fault
-            // gets its structured error, and the byte stream is
-            // unrecoverable — drop what is buffered and hang up.
-            self.stats.note_error();
-            let mut rendered = String::new();
-            Reply::Error(msg.into()).render(&mut rendered);
-            emits.push(Emit::Ready(rendered));
-            conn.rbuf.clear();
-            closing = true;
-        }
-        if emits.iter().any(|e| matches!(e, Emit::Pending(_))) {
-            conn.awaiting = Some(Awaiting {
-                emits,
-                acks,
-                deadline: Instant::now() + self.ack_timeout,
-                closing,
-            });
-        } else {
-            for emit in emits {
-                if let Emit::Ready(rendered) = emit {
-                    push_out(conn, rendered);
-                }
-            }
-            conn.closing |= closing;
         }
     }
 
-    /// Collect any acks that arrived for `conn`'s deferred burst; when
-    /// the burst is complete (or its deadline lapsed), render the late
-    /// replies into their slots. Returns whether the wait is over.
+    /// Poll `conn`'s parked burst; when the chain delivers it —
+    /// complete, or poisoned at the ack deadline — render it (or, for a
+    /// connection that died meanwhile, just let it go: what mattered is
+    /// that every layer observed it). Returns whether the wait is over.
     fn try_complete(&mut self, conn: &mut Conn) -> bool {
-        let Some(aw) = conn.awaiting.as_mut() else {
+        if conn.awaiting.is_none() {
             return true;
-        };
-        while let Ok(acked) = conn.ack_rx.try_recv() {
-            aw.acks.accept(acked);
         }
-        // Every sequence number the burst issued belongs to one of its
-        // slots, so a full table is a complete burst.
-        let satisfied = aw.acks.complete();
-        let timed_out = !satisfied && Instant::now() >= aw.deadline;
-        if !satisfied && !timed_out {
+        let Some(responses) = conn.chain.batch().poll_batch() else {
             return false;
-        }
+        };
         let aw = conn.awaiting.take().expect("awaiting checked above");
-        self.resolve(conn, aw, timed_out);
+        if !conn.dead {
+            self.render(conn, aw.line_slots, responses);
+        }
         true
     }
 
-    /// Render a completed (or deadline-poisoned) deferred burst into
-    /// the out queue. On timeout the missing slots answer the same
-    /// `ACK_TIMEOUT_MSG` a synchronous barrier produces, and the
-    /// session closes — a late ack could otherwise desync every later
-    /// request/reply pairing.
-    fn resolve(&mut self, conn: &mut Conn, aw: Awaiting, timed_out: bool) {
-        let Awaiting {
-            emits,
-            mut acks,
-            closing,
-            ..
-        } = aw;
-        for emit in emits {
-            let rendered = match emit {
-                Emit::Ready(rendered) => rendered,
-                Emit::Pending(slot) => {
-                    let reply = acks.resolve(slot, ACK_TIMEOUT_MSG);
-                    if matches!(reply, Reply::Error(_)) {
-                        self.stats.note_error();
-                    }
-                    let mut rendered = String::new();
-                    reply.render(&mut rendered);
-                    rendered
-                }
-            };
-            push_out(conn, rendered);
+    /// Queue a burst's replies in line order. A response that closes
+    /// the session (`QUIT`, an ack timeout, an input fault) ends the
+    /// burst there, and whatever input is buffered behind it is
+    /// discarded: the session is closing anyway.
+    fn render(&mut self, conn: &mut Conn, line_slots: Vec<LineSlot>, responses: Vec<Response>) {
+        for resp in in_line_order(line_slots, responses) {
+            self.push_reply(conn, resp.reply);
+            if resp.close {
+                conn.closing = true;
+                conn.rbuf.clear();
+                break;
+            }
         }
-        conn.closing |= closing || timed_out || self.draining;
+        conn.closing |= self.draining;
     }
 
-    /// Check every connection with a deferred burst outstanding.
+    fn push_reply(&mut self, conn: &mut Conn, reply: Reply) {
+        if matches!(reply, Reply::Error(_)) {
+            self.ctx.stats.note_error();
+        }
+        let mut rendered = String::new();
+        reply.render(&mut rendered);
+        if !rendered.is_empty() {
+            conn.out.push_back(rendered.into_bytes());
+        }
+    }
+
+    /// Check every connection with a parked burst outstanding.
     fn sweep_awaiting(&mut self) {
         if self.awaiting.is_empty() {
             return;
@@ -763,7 +654,7 @@ impl EventLoop {
     /// Close connections idle past `--idle-timeout-ms` (nothing read,
     /// nothing owed): the classic slow fd leak of event-loop servers.
     fn sweep_idle(&mut self) {
-        let Some(limit) = self.idle_timeout else {
+        let Some(limit) = self.ctx.idle_timeout else {
             return;
         };
         if self.draining || self.last_idle_sweep.elapsed() < Duration::from_millis(50) {
@@ -783,7 +674,7 @@ impl EventLoop {
             .collect();
         for token in stale {
             if let Some(conn) = self.conns.remove(&token) {
-                self.stats.note_idle_closed();
+                self.ctx.stats.note_idle_closed();
                 self.teardown(conn);
             }
         }
@@ -830,6 +721,18 @@ impl EventLoop {
     /// tear it down if finished, otherwise reconcile its epoll
     /// interest and put it back.
     fn settle(&mut self, token: u64, mut conn: Conn) {
+        if conn.dead && conn.awaiting.is_some() {
+            // Off the epoll set at once, but the chain lives until
+            // `poll_batch` has answered (bounded by `ack_timeout`): see
+            // the module doc.
+            if !conn.detached {
+                self.ctx.epoll.del(conn.socket.as_raw_fd());
+                conn.detached = true;
+            }
+            self.awaiting.insert(token);
+            self.conns.insert(token, conn);
+            return;
+        }
         if conn.dead || (conn.closing && conn.out.is_empty() && conn.awaiting.is_none()) {
             self.awaiting.remove(&token);
             self.teardown(conn);
@@ -839,26 +742,24 @@ impl EventLoop {
         if !conn.out.is_empty() {
             want |= EPOLLOUT;
         }
-        // Reading stops while a burst awaits acks or backpressure is
-        // owed (level-triggered epoll would spin otherwise, and new
-        // bursts must not start ahead of this one's replies).
-        if conn.awaiting.is_none()
-            && conn.out.is_empty()
-            && !conn.eof
-            && !conn.closing
-            && !self.draining
-        {
+        // While a burst is parked or replies are unflushed nothing new
+        // is dispatched, but reading carries on up to the high-water
+        // mark: a closed-loop client sends nothing until it has its
+        // replies, so dropping read interest for the wait and restoring
+        // it after would be two `epoll_ctl` calls per burst for
+        // nothing. Only a full `rbuf` stops the reads (level-triggered
+        // epoll would spin otherwise).
+        let blocked = conn.awaiting.is_some() || !conn.out.is_empty();
+        let full = blocked && conn.rbuf.len() >= READ_HIGH_WATER;
+        if !full && !conn.eof && !conn.closing && !self.draining {
             want |= EPOLLIN | EPOLLRDHUP;
         }
         if want != conn.interest {
-            if self
-                .epoll
-                .modify(conn.socket.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.awaiting.remove(&token);
-                self.teardown(conn);
-                return;
+            let fd = conn.socket.as_raw_fd();
+            if self.ctx.epoll.modify(fd, token, want).is_err() {
+                // As good as a hard I/O failure: settle again as dead.
+                conn.dead = true;
+                return self.settle(token, conn);
             }
             conn.interest = want;
         }
@@ -870,15 +771,54 @@ impl EventLoop {
 
     /// Deregister and drop: closing the socket returns the fd.
     fn teardown(&mut self, conn: Conn) {
-        self.epoll.del(conn.socket.as_raw_fd());
-        drop(conn);
+        if !conn.detached {
+            self.ctx.epoll.del(conn.socket.as_raw_fd());
+        }
     }
 }
 
-fn push_out(conn: &mut Conn, rendered: String) {
-    if !rendered.is_empty() {
-        conn.out.push_back(rendered.into_bytes());
+/// Parse one burst's lines into the requests to dispatch and, per
+/// non-blank line, its [`LineSlot`] — as many `Cmd` slots as requests,
+/// in the same order. Blank lines are keepalives: no command, no
+/// error, no slot. Parsing stops after `QUIT`.
+fn parse_burst(lines: &[String]) -> (Vec<Request>, Vec<LineSlot>) {
+    let mut requests = Vec::new();
+    let mut line_slots = Vec::new();
+    for raw in lines {
+        let text = raw.trim_end_matches('\n');
+        if text.trim().is_empty() {
+            continue;
+        }
+        match Command::parse(text) {
+            Ok(cmd) => {
+                let quit = matches!(cmd, Command::Quit);
+                requests.push(Request::new(cmd));
+                line_slots.push(LineSlot::Cmd);
+                if quit {
+                    break;
+                }
+            }
+            Err(e) => line_slots.push(LineSlot::Err(e.0)),
+        }
     }
+    (requests, line_slots)
+}
+
+/// A burst's responses in line order: each slot's own (see
+/// [`LineSlot`]).
+fn in_line_order(
+    line_slots: Vec<LineSlot>,
+    responses: Vec<Response>,
+) -> impl Iterator<Item = Response> {
+    let mut responses = responses.into_iter();
+    line_slots.into_iter().map(move |slot| match slot {
+        LineSlot::Cmd => responses.next().expect("one response per command"),
+        LineSlot::Err(e) => Response::ok(Reply::Error(e)),
+        LineSlot::Fault(msg) => Response {
+            reply: Reply::Error(msg.into()),
+            close: true,
+        },
+    })
 }
 
 /// Extract the next burst from `rbuf`: up to [`MAX_BURST_LINES`]
@@ -922,6 +862,7 @@ fn split_burst(rbuf: &mut Vec<u8>, eof: bool) -> (Vec<String>, Option<&'static s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn waker_unblocks_epoll_and_drains() {
@@ -1003,14 +944,218 @@ mod tests {
         assert_eq!((lines.len(), fault), (1, None));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes through `split_burst`, `parse_burst` and
+        /// `in_line_order`: nothing panics, every byte is consumed
+        /// exactly once, and every non-blank line that is dispatched
+        /// holds exactly one reply slot.
+        #[test]
+        fn arbitrary_input_is_consumed_once_and_answered_line_for_line(
+            fragments in collection::vec(
+                prop_oneof![
+                    Just(b"PING\n".to_vec()),
+                    Just(b"SET k v\n".to_vec()),
+                    Just(b"get k\r\n".to_vec()),
+                    Just(b"QUIT\n".to_vec()),
+                    Just(b"BLORP 1 2\n".to_vec()),
+                    Just(b"\n".to_vec()),
+                    Just(b" \t\r\n".to_vec()),
+                    Just(b"\xff\xfe\n".to_vec()),
+                    Just(b"INCR n".to_vec()),
+                    Just(vec![b'x'; MAX_LINE_BYTES + 1]),
+                    any::<u8>().prop_map(|b| vec![b]),
+                ],
+                0..24,
+            ),
+            eof in any::<bool>(),
+        ) {
+            let input = fragments.concat();
+            let mut rbuf = input.clone();
+            let mut seen = 0usize; // bytes of `input` accounted for
+            loop {
+                let before = rbuf.len();
+                let (lines, fault) = split_burst(&mut rbuf, eof);
+                let consumed = before - rbuf.len();
+                // Consumed bytes are the lines, in order, plus (only)
+                // a line poisoned by bad UTF-8.
+                let mut at = seen;
+                for line in &lines {
+                    prop_assert_eq!(&input[at..at + line.len()], line.as_bytes());
+                    at += line.len();
+                }
+                let poisoned = seen + consumed - at;
+                prop_assert_eq!(poisoned > 0, fault == Some(BAD_UTF8_MSG));
+                prop_assert!(input[at..at + poisoned].iter().rev().skip(1).all(|b| *b != b'\n'));
+                seen += consumed;
+                prop_assert_eq!(&input[seen..], &rbuf[..]);
+
+                let (requests, line_slots) = parse_burst(&lines);
+                let quit = matches!(requests.last(), Some(r) if matches!(r.command, Command::Quit));
+                let cmds = line_slots.iter().filter(|s| **s == LineSlot::Cmd).count();
+                prop_assert_eq!(cmds, requests.len());
+                let non_blank = lines.iter().filter(|l| !l.trim().is_empty()).count();
+                if quit {
+                    prop_assert!(line_slots.len() <= non_blank);
+                    prop_assert_eq!(line_slots.last(), Some(&LineSlot::Cmd));
+                } else {
+                    prop_assert_eq!(line_slots.len(), non_blank);
+                }
+                // Number the responses: they come back in their `Cmd`
+                // slots in order, around the parse errors.
+                let responses = (0..requests.len() as i64)
+                    .map(|i| Response::ok(Reply::Int(i)))
+                    .collect();
+                let mut numbers = 0i64..;
+                let expected: Vec<Reply> = line_slots
+                    .iter()
+                    .map(|slot| match slot {
+                        LineSlot::Cmd => Reply::Int(numbers.next().expect("unbounded")),
+                        LineSlot::Err(e) => Reply::Error(e.clone()),
+                        LineSlot::Fault(msg) => Reply::Error((*msg).into()),
+                    })
+                    .collect();
+                let laid_out: Vec<Reply> = in_line_order(line_slots, responses)
+                    .map(|resp| resp.reply)
+                    .collect();
+                prop_assert_eq!(laid_out, expected);
+                if fault.is_some() || lines.is_empty() {
+                    // Whatever is left is one unfinished line.
+                    prop_assert!(fault.is_some() || !rbuf.contains(&b'\n'));
+                    prop_assert!(fault.is_some() || !eof || rbuf.is_empty());
+                    break;
+                }
+            }
+        }
+    }
+
     fn one_loop_server() -> crate::ServerHandle {
+        stalled_one_loop_server(None)
+    }
+
+    fn stalled_one_loop_server(shard_delay: Option<Duration>) -> crate::ServerHandle {
         crate::spawn(crate::ServerConfig {
             shards: 2,
             capacity: 256,
             event_loops: 1,
+            shard_delay,
             ..crate::ServerConfig::default()
         })
         .expect("server spawns")
+    }
+
+    /// Write a two-`SET` burst and return once the server has staged
+    /// it: behind the stall, it is parked from here on.
+    fn park_a_burst(server: &crate::ServerHandle, mut socket: &TcpStream) {
+        socket.write_all(b"SET a 1\nSET b 2\n").expect("write");
+        while server.stats().mutations < 2 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Most `epoll_wait` returns a parked burst may cost its loop: the
+    /// input event, an ack or two per shard, the flush. A loop spinning
+    /// on a level-triggered socket would make thousands.
+    const PARKED_WAKEUPS: u64 = 16;
+
+    /// Read interest stays registered while a burst is parked: input
+    /// that arrives meanwhile is buffered by one event and dispatched
+    /// after the parked burst's replies, in order.
+    #[test]
+    fn second_burst_written_while_the_first_is_parked_waits_its_turn() {
+        let server = stalled_one_loop_server(Some(Duration::from_millis(30)));
+        let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+        park_a_burst(&server, &socket);
+        let before = server.stats().loop_wakeups;
+        socket.write_all(b"GET a\nGET b\nPING\n").expect("write");
+        let mut replies = [0u8; 20];
+        socket.read_exact(&mut replies).expect("five replies");
+        assert_eq!(&replies, b"+OK\n+OK\n$1\n$2\n+PONG\n");
+        let wakeups = server.stats().loop_wakeups - before;
+        assert!(wakeups <= PARKED_WAKEUPS, "{wakeups} epoll_wait returns");
+        server.shutdown();
+    }
+
+    /// A peer that half-closes while its burst is parked: the EOF is
+    /// read once (and read interest dropped, so `EPOLLRDHUP` cannot
+    /// spin), the replies still arrive, then the close is clean.
+    #[test]
+    fn half_close_while_a_burst_is_parked_gets_replies_then_eof() {
+        let server = stalled_one_loop_server(Some(Duration::from_millis(30)));
+        let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+        park_a_burst(&server, &socket);
+        let before = server.stats().loop_wakeups;
+        socket
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut replies = String::new();
+        socket.read_to_string(&mut replies).expect("clean EOF");
+        assert_eq!(replies, "+OK\n+OK\n");
+        let wakeups = server.stats().loop_wakeups - before;
+        assert!(wakeups <= PARKED_WAKEUPS, "{wakeups} epoll_wait returns");
+        server.shutdown();
+    }
+
+    /// Over loopback, around a run of writes that parks: every
+    /// non-blank line draws exactly one reply in line order — a parse
+    /// error in its slot, a blank keepalive none — or, for bad UTF-8
+    /// and an over-long line, the session ends after the earlier
+    /// replies and one structured error. Each placed before, inside
+    /// and after the run.
+    #[test]
+    fn faults_around_a_parked_run_are_answered_line_for_line() {
+        use std::io::{BufRead, BufReader};
+        let server = stalled_one_loop_server(Some(Duration::from_millis(2)));
+        let over_long = vec![b'x'; MAX_LINE_BYTES + 1];
+        // (the line, its reply, whether it ends the session)
+        let faults: [(&[u8], Option<String>, bool); 4] = [
+            (b"BLORP 1", Some("-ERR unknown verb".into()), false),
+            (b" \t", None, false),
+            (b"\xff\xfe", Some(format!("-ERR {BAD_UTF8_MSG}")), true),
+            (&over_long, Some(format!("-ERR {LINE_TOO_LONG_MSG}")), true),
+        ];
+        for (fault, reply, fatal) in &faults {
+            for at in [0, 1, 3] {
+                let mut lines: Vec<&[u8]> = vec![b"SET r0 v", b"SET r1 v", b"SET r2 v", b"PING"];
+                lines.insert(at, fault);
+                let mut expected: Vec<String> = Vec::new();
+                for (i, line) in lines.iter().enumerate() {
+                    if i == at {
+                        expected.extend(reply.clone());
+                        if *fatal {
+                            break;
+                        }
+                    } else if *line == b"PING" {
+                        expected.push("+PONG".into());
+                    } else {
+                        expected.push("+OK".into());
+                    }
+                }
+                if fault.len() > MAX_LINE_BYTES {
+                    // Sent unterminated and last: the server hangs up
+                    // the moment the line is over-long, and bytes still
+                    // on their way then would turn the close into a
+                    // reset that can cost the client the error reply.
+                    lines.truncate(at + 1);
+                }
+                let mut input = lines.join(&b'\n');
+                if fault.len() <= MAX_LINE_BYTES {
+                    input.push(b'\n');
+                }
+                let socket = TcpStream::connect(server.local_addr()).expect("connect");
+                (&socket).write_all(&input).expect("write");
+                let mut replies = BufReader::new(&socket).lines();
+                for want in &expected {
+                    let got = replies.next().expect("open").expect("reply");
+                    assert!(got.starts_with(want), "fault at {at}: {got:?} for {want:?}");
+                }
+                if *fatal {
+                    assert!(replies.next().is_none(), "closed after the error");
+                }
+            }
+        }
+        server.shutdown();
     }
 
     /// A line of exactly `MAX_LINE_BYTES` is served over TCP; one byte

@@ -222,6 +222,11 @@ fn render_exposition(store: &Store, stats: &ServerStats, stack: &Stack, ready: b
         snap.idle_closed,
     );
     prom.counter(
+        "dego_loop_wakeups_total",
+        "epoll_wait returns across the event loops (timeouts included).",
+        snap.loop_wakeups,
+    );
+    prom.counter(
         "dego_cas_failures_total",
         "Process-wide CAS retries (contention stall proxy).",
         snap.contention.cas_failures,

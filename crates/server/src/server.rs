@@ -3,8 +3,8 @@
 //!
 //! Connections are served by the event loops in `event_loop.rs`: the
 //! accept thread hands each socket round-robin to one of N epoll loop
-//! threads, which multiplex every connection they own and defer the
-//! final ack barrier of a burst so bursts from different connections
+//! threads, which multiplex every connection they own and never wait
+//! for a burst's final acks, so bursts from different connections
 //! group-commit into one shard sweep.
 //!
 //! A connection's request lines are parsed and driven through its
@@ -19,10 +19,15 @@
 //! every later read, from any connection (the shard applied it before
 //! acking, and segment publication is release/acquire).
 //!
-//! Pipelining is **batched end to end**: the whole buffered burst is
-//! drained into one `Vec<Request>` and driven through
-//! [`Service::call_batch`], so every layer pays its per-request cost
-//! once per burst. Below the stack the unit that crosses to the shard
+//! Pipelining is **batched end to end** and **two-phase**: the whole
+//! buffered burst is drained into one `Vec<Request>` and begun with
+//! [`Service::begin_batch`], so every layer pays its per-request cost
+//! once per burst; a burst whose last acks are still in flight *parks*
+//! in the chain, and [`Service::poll_batch`] completes it — each layer
+//! then observes the real replies after the real wait. How a burst's
+//! acks are reassembled (the [`AckTable`], the slots, the ack channel)
+//! is known to this module only: the loop sees `Parked`, then
+//! responses. Below the stack the unit that crosses to the shard
 //! owners is the **run** — the maximal sequence of consecutive
 //! mutations in the burst (a `POST`'s fan-out pushes included), split
 //! per shard. [`ExecService`] stages a run's mutations by value and
@@ -46,14 +51,12 @@ use crate::protocol::{Command, Reply};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
 use dego_middleware::{
-    BoxService, FusedService, MiddlewareConfig, PressureProbe, Request, Response, Service, Session,
-    ShardPressure, Stack,
+    BoxService, FusedService, MiddlewareConfig, PressureProbe, Progress, Request, Response,
+    Service, Session, ShardPressure, Stack, StoreSegment,
 };
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -65,20 +68,13 @@ use std::time::{Duration, Instant};
 pub const TIMELINE_LIMIT: usize = 50;
 
 /// The reply when a shard acknowledgement never arrived in time.
-pub(crate) const ACK_TIMEOUT_MSG: &str = "shard ack timeout; closing connection";
+const ACK_TIMEOUT_MSG: &str = "shard ack timeout; closing connection";
 /// The reply when the shard plane is gone (shutdown mid-request).
 const ACK_GONE_MSG: &str = "shard gone; closing connection";
 
-/// The placeholder status a deferred slot answers with inside
-/// `call_batch` — patched by the event loop once the acks arrive. The
-/// sentinel is unforgeable as a *status*: `Reply::Status` only ever
-/// carries compile-time literals (client bytes travel in
-/// `Reply::Value`/`Error`), and no other literal contains `\u{1}`.
-pub(crate) const PENDING_MARKER: &str = "\u{1}DEGO-DEFERRED\u{1}";
-
-/// Whether `reply` is the deferral placeholder (see [`PENDING_MARKER`]).
-pub(crate) fn is_pending_marker(reply: &Reply) -> bool {
-    matches!(reply, Reply::Status(s) if *s == PENDING_MARKER)
+#[cfg(target_env = "gnu")]
+extern "C" {
+    fn malloc_trim(pad: usize) -> i32;
 }
 
 /// Longest single backoff sleep after an `accept()` failure.
@@ -225,9 +221,16 @@ impl ServerHandle {
         self.store.set_shard_delay(delay);
     }
 
-    /// Stop accepting, drain the shards, join every thread.
+    /// Stop accepting, drain the shards, join every thread, and hand the
+    /// freed heap back to the OS: the process's next server otherwise
+    /// inherits this one's freed-but-resident malloc arenas, and reuses
+    /// as much of them as the order its threads start in happens to allow.
     pub fn shutdown(mut self) {
         self.finish();
+        drop(self);
+        // SAFETY: plain glibc call, no pointers.
+        #[cfg(target_env = "gnu")]
+        let _ = unsafe { malloc_trim(0) };
     }
 
     fn finish(&mut self) {
@@ -243,8 +246,8 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Wake every event loop so it observes the flag, then join.
-        // Before the shard threads go down, so in-flight deferred
-        // bursts still receive their acks while draining.
+        // Before the shard threads go down, so parked bursts still
+        // receive their acks while draining.
         for waker in &self.loop_wakers {
             waker.wake();
         }
@@ -304,9 +307,9 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     }));
 
     // Default: one loop per core, floored at two. A dispatch can still
-    // block its loop for a bounded stretch (a span-sampled burst waits
-    // for its store segments, a read-after-write barrier waits for
-    // acks), and with a single loop that would head-of-line block every
+    // block its loop for a bounded stretch (a burst of one and a
+    // read-after-write barrier wait for their acks), and with a
+    // single loop that would head-of-line block every
     // other connection on the box — two is the minimum that keeps one
     // stalled burst from serializing the whole connection plane. An
     // explicit `--event-loops 1` is honored (reproductions and
@@ -454,11 +457,11 @@ impl Chain {
         }
     }
 
-    /// Dispatch a pipelined burst through the group-commit batch path.
-    pub(crate) fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    /// The chain as a [`Service`], for the two-phase batch path.
+    pub(crate) fn batch(&mut self) -> &mut dyn Service {
         match self {
-            Chain::Fused(chain) => chain.call_batch(reqs),
-            Chain::Dyn(chain) => chain.call_batch(reqs),
+            Chain::Fused(chain) => &mut **chain,
+            Chain::Dyn(chain) => &mut **chain,
         }
     }
 }
@@ -560,35 +563,30 @@ fn kv_pending(key: &str) -> PendingKey {
 /// The rows a single-shard mutation touches (`ADDUSER` creates three).
 type Touched = [Option<PendingKey>; 3];
 
-/// A reply the shard owners still owe: the subset of [`Slot`] that can
-/// cross the deferral boundary to the event loop (inline replies never
-/// defer).
-pub(crate) enum PendingSlot {
-    /// One mutation: the ack with this sequence number.
-    Single(u64),
-    /// A `POST` fan-out: every one of these (consecutive) acks.
-    Fanout(Range<u64>),
-}
-
 /// What a batched request is waiting on when assembly begins.
 enum Slot {
     /// Answered inline (read, control, structural rejection).
     Done(Reply),
     /// `QUIT`: `+OK`, then the session closes.
     Quit,
-    /// Answered by the shard owners.
-    Pending(PendingSlot),
+    /// One mutation: the shard owner's ack with this sequence number.
+    Single(u64),
+    /// A `POST` fan-out: every one of these (consecutive) acks.
+    Fanout(Range<u64>),
 }
 
 /// One burst's acknowledgements, reassembled by sequence number. A
 /// burst issues its numbers densely from `base`, so the reply of `seq`
 /// lives at index `seq − base` — no hashing, one allocation.
 #[derive(Default)]
-pub(crate) struct AckTable {
+struct AckTable {
     base: u64,
     replies: Vec<Option<Reply>>,
     /// Acks filed so far (each sequence number is acked once).
     filed: usize,
+    /// The store-side segments of a traced burst's acks, kept until
+    /// the burst resolves.
+    segments: Vec<StoreSegment>,
 }
 
 impl AckTable {
@@ -611,21 +609,17 @@ impl AckTable {
     }
 
     /// Whether every issued sequence number has been acked.
-    pub(crate) fn complete(&self) -> bool {
+    fn complete(&self) -> bool {
         self.filed == self.replies.len()
     }
 
-    /// File one envelope's ack. A traced entry's store-side segment is
-    /// handed to this thread's active span (a no-op when the span
-    /// already closed, or none was sampled).
-    pub(crate) fn accept(&mut self, acked: Vec<Entry>) {
+    /// File one envelope's ack.
+    fn accept(&mut self, acked: Vec<Entry>) {
         for entry in acked {
             let Entry::Ack(seq, reply, seg) = entry else {
                 unreachable!("shard owners ack every entry of an envelope");
             };
-            if let Some(seg) = seg {
-                dego_middleware::span::record_store(seg);
-            }
+            self.segments.extend(seg);
             let index = seq.checked_sub(self.base).map(|i| i as usize);
             if let Some(slot) = index.and_then(|i| self.replies.get_mut(i)) {
                 *slot = Some(reply);
@@ -634,81 +628,41 @@ impl AckTable {
         }
     }
 
-    fn has(&self, seq: u64) -> bool {
-        self.replies[(seq - self.base) as usize].is_some()
-    }
-
-    /// Whether every ack `slot` waits on has been filed.
-    fn covers(&self, slot: &PendingSlot) -> bool {
-        match slot {
-            PendingSlot::Single(seq) => self.has(*seq),
-            PendingSlot::Fanout(seqs) => seqs.clone().all(|seq| self.has(seq)),
+    /// The burst resolves: its store-side segments go to the span that
+    /// traced it — active again by now, however long the burst was
+    /// parked (a no-op for the untraced).
+    fn hand_segments_to_span(&mut self) {
+        for seg in self.segments.drain(..) {
+            dego_middleware::span::record_store(seg);
         }
     }
 
-    /// The reply `slot` resolves to; an ack that never arrived answers
-    /// `missing`. A fan-out fails as a whole on any error or missing
-    /// ack (the last one wins).
-    pub(crate) fn resolve(&mut self, slot: PendingSlot, missing: &'static str) -> Reply {
-        let base = self.base;
-        let mut take = |seq: u64| {
-            self.replies[(seq - base) as usize]
-                .take()
-                .unwrap_or_else(|| Reply::Error(missing.into()))
-        };
-        match slot {
-            PendingSlot::Single(seq) => take(seq),
-            PendingSlot::Fanout(seqs) => seqs
-                .map(take)
-                .filter(|reply| matches!(reply, Reply::Error(_)))
-                .last()
-                .unwrap_or(Reply::Status("OK")),
-        }
+    /// The reply the ack of `seq` carried; an ack that never arrived
+    /// answers `missing`.
+    fn take(&mut self, seq: u64, missing: &'static str) -> Reply {
+        self.replies[(seq - self.base) as usize]
+            .take()
+            .unwrap_or_else(|| Reply::Error(missing.into()))
     }
 }
 
-/// The contract between an event loop and its connection's innermost
-/// service, threaded through the middleware onion out of band (the
-/// chain is thread-local, so plain `Rc` + interior mutability).
-///
-/// Every `call_batch` that reaches the innermost service comes from
-/// the loop's burst dispatch, so when the burst ended healthy and
-/// unsampled the service skips its final ack barrier, answering
-/// unresolved slots with [`PENDING_MARKER`] placeholders and parking
-/// the real work here. The loop pairs the placeholders with the parked
-/// slots positionally (both emitted in request order) and collects the
-/// acks without blocking, which is what lets bursts from many
-/// connections share one shard sweep.
-///
-/// Mid-burst barriers (read-after-write and friends) stay synchronous
-/// inside `call_batch`, and `call` (a burst of one) never defers, so
-/// reply bytes are identical to sequential execution.
-pub(crate) struct DeferCell {
-    pending: RefCell<Vec<PendingSlot>>,
-    acks: RefCell<AckTable>,
-}
-
-impl DeferCell {
-    pub(crate) fn new() -> DeferCell {
-        DeferCell {
-            pending: RefCell::new(Vec::new()),
-            acks: RefCell::new(AckTable::default()),
-        }
-    }
-
-    /// The deferred burst's unresolved slots (in emission order) and
-    /// its ack table, holding whatever had already arrived when the
-    /// barrier was skipped. Empties the cell.
-    pub(crate) fn take_output(&self) -> (Vec<PendingSlot>, AckTable) {
-        (
-            std::mem::take(&mut self.pending.borrow_mut()),
-            std::mem::take(&mut self.acks.borrow_mut()),
-        )
-    }
+/// A burst between its staging and its resolution: what each request
+/// waits on, in request order, and the acks gathered so far.
+struct Burst {
+    slots: Vec<Slot>,
+    acks: AckTable,
+    /// Why the session is poisoned (an ack wait failed), if it is.
+    dead: Option<&'static str>,
 }
 
 /// The innermost service: executes commands against the storage plane
-/// (the thing every middleware layer ultimately wraps).
+/// (the thing every middleware layer ultimately wraps), and the one
+/// place a burst waits. `call` and `call_batch` block on the ack
+/// channel; `begin_batch` instead parks a burst whose last run is
+/// still in flight, and `poll_batch` resolves it once its table is
+/// complete or `ack_timeout` has lapsed. Mid-burst barriers
+/// (read-after-write and friends) block either way, so reply bytes are
+/// identical to sequential execution.
 pub(crate) struct ExecService {
     store: Arc<Store>,
     stats: Arc<ServerStats>,
@@ -722,13 +676,11 @@ pub(crate) struct ExecService {
     staged: Vec<Vec<Entry>>,
     ack_timeout: Duration,
     ack_tx: Sender<Vec<Entry>>,
-    /// Shared with the event loop (which drains deferred acks); the
-    /// chain is thread-local, so `Rc` suffices.
-    ack_rx: Rc<Receiver<Vec<Entry>>>,
-    /// The deferral contract with the owning event loop.
-    defer: Rc<DeferCell>,
+    ack_rx: Receiver<Vec<Entry>>,
+    /// The parked burst, and when its wait times out.
+    parked: Option<(Burst, Instant)>,
     /// The owning event loop's `epoll` waker, carried on the envelopes
-    /// of a deferred burst so the shard's ack can unblock the loop.
+    /// of a parking burst so the shard's ack can unblock the loop.
     waker: Arc<LoopWaker>,
 }
 
@@ -739,10 +691,9 @@ impl ExecService {
         stats: Arc<ServerStats>,
         ready: Arc<AtomicBool>,
         ack_timeout: Duration,
-        acks: (Sender<Vec<Entry>>, Rc<Receiver<Vec<Entry>>>),
-        defer: Rc<DeferCell>,
         waker: Arc<LoopWaker>,
     ) -> ExecService {
+        let (ack_tx, ack_rx) = channel();
         ExecService {
             staged: (0..store.shards()).map(|_| Vec::new()).collect(),
             store,
@@ -750,9 +701,9 @@ impl ExecService {
             ready,
             next_seq: 0,
             ack_timeout,
-            ack_tx: acks.0,
-            ack_rx: acks.1,
-            defer,
+            ack_tx,
+            ack_rx,
+            parked: None,
             waker,
         }
     }
@@ -792,8 +743,9 @@ impl ExecService {
 
     /// End the staged run: one envelope per touched shard, all stamped
     /// with the same publish time. `ring` says how this connection will
-    /// wait for the acks — in `epoll_wait` (ring the loop's doorbell)
-    /// or blocked on the ack channel (the send itself wakes it).
+    /// wait for the acks — parked, its loop in `epoll_wait` (ring the
+    /// loop's doorbell), or blocked on the ack channel (the send itself
+    /// wakes it).
     fn publish(&mut self, ring: bool) {
         let mut now = None;
         for (shard, staged) in self.staged.iter_mut().enumerate() {
@@ -961,9 +913,7 @@ impl ExecService {
     /// The structural depth-0 rejections: middleware-owned verbs
     /// (`AUTH`, `EXPIRE`, the `SLOWLOG`/`TRACE` rings) answered here,
     /// at the innermost service, when their layer is not in the
-    /// pipeline — they never reach the store. One shared check for
-    /// `call` and `call_batch`, so the two paths can never drift apart
-    /// textually.
+    /// pipeline — they never reach the store.
     fn structural_rejection(cmd: &Command) -> Option<Response> {
         match cmd {
             Command::Auth(_) => Some(Response::rejection("AUTH", "auth layer not enabled")),
@@ -979,65 +929,20 @@ impl ExecService {
     }
 }
 
-impl Service for ExecService {
-    /// A burst of one: a run of one (or one fan-out), published at
-    /// once and awaited on the ack channel.
-    fn call(&mut self, req: Request) -> Response {
-        if let Some(resp) = Self::structural_rejection(&req.command) {
-            return resp;
-        }
-        let mut acks = AckTable::new(self.next_seq);
-        let slot = match req.command {
-            Command::Quit => {
-                return Response {
-                    reply: Reply::Status("OK"),
-                    close: true,
-                }
-            }
-            // Fan out to the author plus the first FANOUT_LIMIT
-            // followers; every target's shard must ack before the
-            // client sees +OK, so a post is visible on every timeline
-            // it reached once acknowledged. One overall deadline covers
-            // the whole fan-out — a stuck shard costs ack_timeout once,
-            // not once per follower.
-            Command::Post(author, msg) => {
-                PendingSlot::Fanout(self.stage_post(&mut acks, (author, msg), |_| ()))
-            }
-            cmd => match self.plan_mutation(cmd) {
-                Ok((shard, op, _touched)) => PendingSlot::Single(self.stage(&mut acks, shard, op)),
-                Err(cmd) => return Response::ok(self.serve_read(&cmd)),
-            },
-        };
-        self.next_seq = acks.next_seq();
-        match self.collect(&mut acks) {
-            Ok(()) => Response::ok(acks.resolve(slot, ACK_GONE_MSG)),
-            Err(msg) => Response {
-                reply: Reply::Error(msg.into()),
-                close: true,
-            },
-        }
-    }
-
-    /// The group-commit batch path. Consecutive mutations are staged
+impl ExecService {
+    /// The group-commit staging loop. Consecutive mutations are staged
     /// into a run and published when the run ends (FIFO shard queues
     /// keep per-key order); reads are served inline unless a row they
     /// depend on has an outstanding mutation in this burst, in which
-    /// case a barrier collects every outstanding ack first. One final
-    /// collection (single overall deadline) gathers the rest — or the
-    /// event loop does, when the burst defers — and replies are
-    /// assembled in request order.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+    /// case a barrier collects every outstanding ack first. Returns
+    /// with the last run published and its acks still in flight; `ring`
+    /// says how the caller will wait for them (see
+    /// [`ExecService::publish`]).
+    fn stage_burst(&mut self, reqs: Vec<Request>, ring: bool) -> Burst {
         let mut dead: Option<&'static str> = None;
         let mut acks = AckTable::new(self.next_seq);
         let mut pending: HashSet<PendingKey> = HashSet::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
-        // How the tail of this burst waits for its acks: the owning
-        // event loop collects them asynchronously, so bursts from
-        // *other* connections can hit the same shard sweep
-        // (cross-connection group commit) — unless the burst is
-        // span-sampled, which stays synchronous so its store segments
-        // land in the trace tree before the span closes.
-        let deferring = !dego_middleware::span::active();
 
         // A barrier: publish, wait for every outstanding ack, then
         // forget the pending rows (they are applied and visible).
@@ -1060,13 +965,13 @@ impl Service for ExecService {
                 continue;
             }
             if let Some(resp) = Self::structural_rejection(&req.command) {
-                self.publish(deferring);
+                self.publish(ring);
                 slots.push(Slot::Done(resp.reply));
                 continue;
             }
             match req.command {
                 Command::Quit => {
-                    self.publish(deferring);
+                    self.publish(ring);
                     slots.push(Slot::Quit);
                 }
                 Command::Post(author, msg) => {
@@ -1084,23 +989,27 @@ impl Service for ExecService {
                     let seqs = self.stage_post(&mut acks, (author, msg), |target| {
                         pending.insert(PendingKey::Timeline(target));
                     });
-                    slots.push(Slot::Pending(PendingSlot::Fanout(seqs)));
+                    slots.push(Slot::Fanout(seqs));
                 }
                 cmd => match self.plan_mutation(cmd) {
                     Ok((shard, op, touched)) => {
                         let seq = self.stage(&mut acks, shard, op);
                         pending.extend(touched.into_iter().flatten());
-                        slots.push(Slot::Pending(PendingSlot::Single(seq)));
+                        slots.push(Slot::Single(seq));
                     }
                     Err(cmd) => {
-                        let needs_barrier = match Self::read_dep(&cmd) {
-                            None => !acks.complete(),
-                            Some(dep) => dep.is_some_and(|row| pending.contains(&row)),
-                        };
+                        // Nothing outstanding (the common case: reads
+                        // ahead of a burst's first write): no barrier,
+                        // and no key hashed to find that out.
+                        let needs_barrier = !acks.complete()
+                            && match Self::read_dep(&cmd) {
+                                None => true,
+                                Some(dep) => dep.is_some_and(|row| pending.contains(&row)),
+                            };
                         if !needs_barrier {
                             // The run ends here: the owners apply it
                             // while this thread serves the read.
-                            self.publish(deferring);
+                            self.publish(ring);
                         } else if let Some(cause) = barrier!() {
                             slots.push(Slot::Done(Reply::Error(cause.into())));
                             continue;
@@ -1110,49 +1019,124 @@ impl Service for ExecService {
                 },
             }
         }
-        // The end of the burst ends the run, on every way out. A
-        // deferring burst skips the final barrier; a poisoned one
-        // already has its answer.
+        // The end of the burst ends the run, on every way out.
         self.next_seq = acks.next_seq();
-        self.publish(deferring);
-        if !deferring && dead.is_none() {
-            barrier!();
-        }
+        self.publish(ring);
+        Burst { slots, acks, dead }
+    }
 
-        let parking = deferring && dead.is_none();
+    /// The response `slot` resolves to; an ack that never arrived
+    /// answers `missing`.
+    fn resolve(slot: Slot, acks: &mut AckTable, missing: &'static str) -> Response {
+        Response::ok(match slot {
+            Slot::Done(reply) => reply,
+            Slot::Quit => {
+                return Response {
+                    reply: Reply::Status("OK"),
+                    close: true,
+                }
+            }
+            Slot::Single(seq) => acks.take(seq, missing),
+            // A fan-out fails as a whole on any error or missing ack
+            // (the last one wins).
+            Slot::Fanout(seqs) => seqs
+                .map(|seq| acks.take(seq, missing))
+                .filter(|reply| matches!(reply, Reply::Error(_)))
+                .last()
+                .unwrap_or(Reply::Status("OK")),
+        })
+    }
+
+    /// Resolve a burst whose wait is over into its responses, in
+    /// request order. A poisoned burst answers its missing acks with
+    /// the cause and, whatever the client was told, ends the session —
+    /// a late ack could otherwise desync every later request/reply
+    /// pairing.
+    fn finish(&mut self, burst: Burst) -> Vec<Response> {
+        let (mut acks, dead) = (burst.acks, burst.dead);
+        acks.hand_segments_to_span();
         let missing = dead.unwrap_or(ACK_GONE_MSG);
+        let slots = burst.slots.into_iter();
         let mut responses: Vec<Response> = slots
-            .into_iter()
-            .map(|slot| {
-                let reply = match slot {
-                    Slot::Done(reply) => reply,
-                    Slot::Quit => {
-                        return Response {
-                            reply: Reply::Status("OK"),
-                            close: true,
-                        }
-                    }
-                    Slot::Pending(slot) if parking && !acks.covers(&slot) => {
-                        self.defer.pending.borrow_mut().push(slot);
-                        Reply::Status(PENDING_MARKER)
-                    }
-                    Slot::Pending(slot) => acks.resolve(slot, missing),
-                };
-                Response::ok(reply)
-            })
+            .map(|slot| Self::resolve(slot, &mut acks, missing))
             .collect();
-        if parking && !acks.complete() {
-            // Slots were parked: the loop files the late acks into the
-            // same table, beside those that arrived early.
-            *self.defer.acks.borrow_mut() = acks;
-        }
         if dead.is_some() {
-            // Poisoned: whatever the client was told, the session ends.
             if let Some(last) = responses.last_mut() {
                 last.close = true;
             }
         }
         responses
+    }
+}
+
+impl Service for ExecService {
+    /// A burst of one: a run of one (or one fan-out), published at
+    /// once and awaited on the ack channel — for a `POST`, every
+    /// target's shard under one overall deadline, so a stuck shard
+    /// costs `ack_timeout` once, not once per follower. What a burst
+    /// tracks to order its reads after its writes is not needed here.
+    fn call(&mut self, req: Request) -> Response {
+        if let Some(resp) = Self::structural_rejection(&req.command) {
+            return resp;
+        }
+        let mut acks = AckTable::new(self.next_seq);
+        let slot = match req.command {
+            Command::Quit => Slot::Quit,
+            Command::Post(author, msg) => {
+                Slot::Fanout(self.stage_post(&mut acks, (author, msg), |_| ()))
+            }
+            cmd => match self.plan_mutation(cmd) {
+                Ok((shard, op, _touched)) => Slot::Single(self.stage(&mut acks, shard, op)),
+                Err(cmd) => return Response::ok(self.serve_read(&cmd)),
+            },
+        };
+        self.next_seq = acks.next_seq();
+        let dead = self.collect(&mut acks).err();
+        acks.hand_segments_to_span();
+        let mut resp = Self::resolve(slot, &mut acks, dead.unwrap_or(ACK_GONE_MSG));
+        resp.close |= dead.is_some();
+        resp
+    }
+
+    /// The blocking batch path: stage, then one final collection
+    /// (single overall deadline) on the ack channel.
+    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        let mut burst = self.stage_burst(reqs, false);
+        if burst.dead.is_none() {
+            burst.dead = self.collect(&mut burst.acks).err();
+        }
+        self.finish(burst)
+    }
+
+    /// The parking batch path: stage, and leave acks still in flight
+    /// to [`Service::poll_batch`] — the loop serves other connections
+    /// meanwhile, whose bursts can hit the same shard sweep.
+    fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
+        let burst = self.stage_burst(reqs, true);
+        if burst.dead.is_some() || burst.acks.complete() {
+            return Progress::Done(self.finish(burst));
+        }
+        self.parked = Some((burst, Instant::now() + self.ack_timeout));
+        Progress::Parked
+    }
+
+    /// File whatever acks arrived; resolve once the table is full
+    /// (every number issued belongs to a slot, so that is a complete
+    /// burst) or the deadline lapsed — which answers exactly like a
+    /// timed-out blocking collection.
+    fn poll_batch(&mut self) -> Option<Vec<Response>> {
+        let (burst, deadline) = self.parked.as_mut()?;
+        while let Ok(acked) = self.ack_rx.try_recv() {
+            burst.acks.accept(acked);
+        }
+        if !burst.acks.complete() {
+            if Instant::now() < *deadline {
+                return None;
+            }
+            burst.dead = Some(ACK_TIMEOUT_MSG);
+        }
+        let (burst, _) = self.parked.take()?;
+        Some(self.finish(burst))
     }
 }
 
@@ -1178,36 +1162,33 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let runtime =
             store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), None, 60);
-        let (ack_tx, ack_rx) = channel();
-        let ack_rx = Rc::new(ack_rx);
-        let defer = Rc::new(DeferCell::new());
         let mut exec = ExecService::new(
             Arc::clone(&runtime.store),
             Arc::clone(&stats),
             Arc::new(AtomicBool::new(true)),
             Duration::from_secs(5),
-            (ack_tx, Rc::clone(&ack_rx)),
-            Rc::clone(&defer),
             Arc::new(LoopWaker::new().expect("eventfd")),
         );
         let sets = |keys: Range<u32>| {
             keys.map(|i| Request::new(Command::Set(format!("k{i}"), "v".into())))
         };
-        // Drive one deferring burst to completion the way the event
-        // loop does, returning the owner sweeps it cost.
+        // Drive one parking burst to completion the way the event loop
+        // does, returning the owner sweeps it cost.
         let mut sweeps_of = |burst: Vec<Request>, writes: usize| {
             let before = stats.snapshot().shard_batches;
-            let responses = exec.call_batch(burst);
-            let parked = responses.iter().filter(|r| is_pending_marker(&r.reply));
-            assert_eq!(parked.count(), writes, "every write defers");
-            let (slots, mut acks) = defer.take_output();
-            assert_eq!(slots.len(), writes);
-            while !acks.complete() {
-                acks.accept(ack_rx.recv_timeout(Duration::from_secs(5)).expect("ack"));
-            }
-            for slot in slots {
-                assert_eq!(acks.resolve(slot, ACK_GONE_MSG), Reply::Status("OK"));
-            }
+            let sent = burst.len();
+            let responses = match exec.begin_batch(burst) {
+                Progress::Done(responses) => responses,
+                Progress::Parked => loop {
+                    match exec.poll_batch() {
+                        Some(responses) => break responses,
+                        None => std::thread::yield_now(),
+                    }
+                },
+            };
+            assert_eq!(responses.len(), sent);
+            let oks = responses.iter().filter(|r| r.reply == Reply::Status("OK"));
+            assert_eq!(oks.count(), writes, "every write acknowledged");
             stats.snapshot().shard_batches - before
         };
 

@@ -25,6 +25,7 @@ pub struct ServerStats {
     accept_errors: AtomicU64,
     shard_batches: AtomicU64,
     idle_closed: AtomicU64,
+    loop_wakeups: AtomicU64,
 }
 
 macro_rules! bump {
@@ -54,6 +55,7 @@ impl ServerStats {
         note_accept_error => accept_errors,
         note_shard_batch => shard_batches,
         note_idle_closed => idle_closed,
+        note_loop_wakeup => loop_wakeups,
     }
 
     /// Count a `GET` that found its key.
@@ -78,6 +80,7 @@ impl ServerStats {
         self.accept_errors.store(0, Ordering::Relaxed);
         self.shard_batches.store(0, Ordering::Relaxed);
         self.idle_closed.store(0, Ordering::Relaxed);
+        self.loop_wakeups.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot every counter plus the global contention proxy.
@@ -94,6 +97,7 @@ impl ServerStats {
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             shard_batches: self.shard_batches.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
+            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
             contention: dego_metrics::GLOBAL.snapshot(),
         }
     }
@@ -128,6 +132,9 @@ pub struct StatsSnapshot {
     /// Connections reaped by the event loops' `--idle-timeout-ms`
     /// sweep (idle past the deadline with nothing in flight).
     pub idle_closed: u64,
+    /// `epoll_wait` returns across the event loops, timeouts included:
+    /// a loop that spins instead of waiting shows here first.
+    pub loop_wakeups: u64,
     /// The process-wide stall proxy at snapshot time.
     pub contention: ContentionSnapshot,
 }
@@ -153,6 +160,7 @@ impl StatsSnapshot {
         out.push("accept_errors", self.accept_errors);
         out.push("shard_batches", self.shard_batches);
         out.push("idle_closed", self.idle_closed);
+        out.push("loop_wakeups", self.loop_wakeups);
         out.push("cas_failures", self.contention.cas_failures);
         out.push("lock_spins", self.contention.lock_spins);
         out.push("rmw_ops", self.contention.rmw_ops);

@@ -69,7 +69,7 @@ pub(crate) struct Envelope {
     /// The issuing connection's ack inlet.
     pub reply: Sender<Vec<Entry>>,
     /// The issuing connection's event-loop doorbell, when the sender
-    /// will wait for this ack in `epoll_wait` (a deferred burst); rung
+    /// will wait for this ack in `epoll_wait` (a parked burst); rung
     /// after the ack send so the woken loop's sweep observes it.
     /// `None` when the sender blocks on the ack channel itself.
     pub waker: Option<Arc<LoopWaker>>,

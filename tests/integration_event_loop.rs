@@ -10,7 +10,9 @@
 //! * **drain**: a shutdown under live write load completes promptly
 //!   and never loses an acknowledged write;
 //! * **cross-connection group commit**: concurrent bursts share shard
-//!   sweeps.
+//!   sweeps;
+//! * **no head-of-line blocking**: a span-sampled burst parks like any
+//!   other, so a second connection on its loop is served meanwhile.
 //!
 //! (Reply-byte equivalence of pipelined and sequential execution lives
 //! in `integration_batch.rs`.)
@@ -223,5 +225,61 @@ fn concurrent_bursts_share_shard_sweeps() {
         snap.shard_batches,
         writes
     );
+    server.shutdown();
+}
+
+/// Every burst span-sampled, a long shard stall, two loops: connection
+/// 0's burst parks, and connection 2 — same loop — gets its `+PONG`
+/// while connection 0 still has nothing to read. Ordered by events,
+/// not by a threshold. The sampled burst still carries its trace
+/// context through completion: one store segment per mutation, and a
+/// total that covers the stall.
+#[test]
+fn sampled_burst_does_not_block_its_loop() {
+    use std::io::{ErrorKind, Read, Write};
+    const STALL: Duration = Duration::from_millis(100);
+    let mut middleware = MiddlewareConfig::full();
+    middleware.trace.sample_every = 1;
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 256,
+        middleware,
+        event_loops: 2,
+        shard_delay: Some(STALL),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    // The k-th connection is served by loop k mod 2.
+    let mut first = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let _other_loop = Client::connect(server.local_addr()).expect("connect");
+    let mut neighbour = Client::connect(server.local_addr()).expect("connect");
+
+    first
+        .write_all(b"SET h0 v\nSET h1 v\nSET h2 v\nSET h3 v\n")
+        .expect("write burst");
+    neighbour.ping().expect("served while the burst is parked");
+    first.set_nonblocking(true).expect("nonblocking");
+    match first.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+        other => panic!("the burst was answered before the PING: {other:?}"),
+    }
+    first.set_nonblocking(false).expect("blocking");
+    let mut replies = [0u8; 16];
+    first.read_exact(&mut replies).expect("four replies");
+    assert_eq!(&replies, b"+OK\n+OK\n+OK\n+OK\n");
+
+    let entries = neighbour.trace_get().expect("trace get");
+    let tree = entries
+        .iter()
+        .find(|line| line.contains("burst=4 "))
+        .unwrap_or_else(|| panic!("no burst tree in {entries:?}"));
+    assert_eq!(tree.matches("/apply:").count(), 4, "got {tree:?}");
+    let total_us: u128 = tree
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("total_us="))
+        .expect("total_us field")
+        .parse()
+        .expect("numeric total");
+    assert!(total_us >= STALL.as_micros(), "covers the stall: {tree:?}");
     server.shutdown();
 }

@@ -131,6 +131,44 @@ fn slowlog_captures_the_seeded_slow_request() {
     server.shutdown();
 }
 
+/// A pipelined burst parks in the chain while the shard stalls; the
+/// trace layer observes it when it completes, so it enters the slowlog
+/// as one `BATCH` entry whose time covers the stall.
+#[test]
+fn slowlog_captures_a_stalled_pipelined_burst() {
+    let mut middleware = MiddlewareConfig::full();
+    middleware.trace.slowlog_threshold_us = 10_000; // 10 ms
+    let server = spawn(ServerConfig {
+        shards: shards(1),
+        capacity: 256,
+        middleware,
+        shard_delay: Some(Duration::from_millis(30)),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut c = connect(&server);
+    // Past the connection's first, always span-sampled command.
+    c.ping().expect("ping");
+    for reply in c.pipeline(["SET pa v", "SET pb v"]).expect("burst") {
+        assert_eq!(reply, ClientReply::Status("OK".into()));
+    }
+    let entries = c.slowlog_get().expect("slowlog get");
+    let batches: Vec<&String> = entries
+        .iter()
+        .filter(|line| line.contains("verb=BATCH"))
+        .collect();
+    assert_eq!(batches.len(), 1, "one BATCH entry in {entries:?}");
+    assert!(batches[0].contains("burst=2 "), "got {:?}", batches[0]);
+    let elapsed_us: u64 = batches[0]
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("us="))
+        .expect("us field")
+        .parse()
+        .expect("numeric us");
+    assert!(elapsed_us >= 30_000, "covers the stall: {elapsed_us} µs");
+    server.shutdown();
+}
+
 /// Without a trace layer, the SLOWLOG verbs reject structurally — same
 /// shape as AUTH/EXPIRE at depth 0 — on both the single and batched
 /// paths.

@@ -13,6 +13,10 @@
 //!   breaker (`BREAKER` rejections answer instantly), reads keep
 //!   flowing, and the class recovers through a half-open probe after
 //!   the cooldown;
+//! * the same holds for *pipelined* clients, whose bursts park in the
+//!   chain: they draw `DEADLINE`, count toward the trip, cannot keep a
+//!   breaker closed (or close a half-open one) against a stalled shard,
+//!   and a probe whose connection dies while parked is still observed;
 //! * `HEALTH`/`READY` are admitted even with the token bucket drained,
 //!   and readiness flips are visible to connected clients;
 //! * a drain under live write load completes promptly and every
@@ -195,6 +199,198 @@ fn deadline_burst_trips_breaker_then_recovers() {
     assert!(lookup("mw_breaker_trips") >= 1, "trip was counted");
     assert!(lookup("mw_breaker_recoveries") >= 1, "recovery was counted");
     assert_eq!(lookup("mw_breaker_write_state"), 0, "class closed again");
+    server.shutdown();
+}
+
+/// A server whose writes carry a 1 ms budget that `stall` always
+/// blows; reads stay generous so their class never trips.
+fn stalled_server(failures: u32, cooldown_ms: u64, stall: Duration) -> ServerHandle {
+    let mut middleware = MiddlewareConfig::full();
+    middleware.breaker.failures = failures;
+    middleware.breaker.cooldown_ms = cooldown_ms;
+    middleware.breaker.probes = 1;
+    middleware.deadline.write_us = 1_000;
+    middleware.deadline.read_us = 30_000_000;
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 1024,
+        middleware,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    server.set_shard_delay(Some(stall));
+    server
+}
+
+/// A client past its connection's first, always span-sampled command
+/// (before bursts could park, sampled ones were the only pipelined
+/// traffic the layers saw honestly).
+fn primed(server: &ServerHandle) -> Client {
+    let mut c = connect(server);
+    c.ping().expect("ping");
+    c
+}
+
+fn sets(prefix: &str, n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("SET {prefix}{i} v")).collect()
+}
+
+/// The error text of a reply that must be one.
+fn error_of(reply: ClientReply) -> String {
+    match reply {
+        ClientReply::Error(e) => e,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// The pipelined twin of `deadline_burst_trips_breaker_then_recovers`:
+/// bursts park in the chain, so the deadline times their real wait and
+/// the breaker counts their real outcome.
+#[test]
+fn pipelined_deadline_bursts_trip_the_breaker() {
+    let server = stalled_server(2, 60_000, Duration::from_millis(20));
+    // Two bursts, each one write, both begun (on their own loops)
+    // while the class is still closed: both park behind the stall.
+    let (mut a, mut b) = (primed(&server), primed(&server));
+    for (client, prefix) in [(&mut a, "pa"), (&mut b, "pb")] {
+        for line in sets(prefix, 4) {
+            client.send(&line).expect("send");
+        }
+        client.flush().expect("flush");
+    }
+    for client in [&mut a, &mut b] {
+        for _ in 0..4 {
+            let e = error_of(client.read_reply().expect("reply"));
+            assert!(e.starts_with("DEADLINE batch took "), "got {e:?}");
+        }
+    }
+    // The class is open: the next burst is rejected without touching
+    // the shard plane.
+    let mutations = server.stats().mutations;
+    for reply in a.pipeline(sets("pc", 4)).expect("burst") {
+        let e = error_of(reply);
+        assert!(e.starts_with("BREAKER write open retry_us="), "got {e:?}");
+    }
+    assert_eq!(server.stats().mutations, mutations, "nothing was staged");
+    // Deadline-blown writes were still applied; reads never tripped.
+    for key in ["pa0", "pa3", "pb0", "pb3"] {
+        assert_eq!(a.get(key).expect("get").as_deref(), Some("v"));
+    }
+    assert_eq!(stat(&mut a, "mw_deadline_missed"), 8);
+    assert!(stat(&mut a, "mw_breaker_trips") >= 1);
+    assert_eq!(stat(&mut a, "mw_breaker_write_state"), 1, "open");
+    server.shutdown();
+}
+
+/// A pipelined bystander sharing the breaker with a lock-step client
+/// must not disarm it: its parked bursts are failures too, not
+/// streak-resetting placeholders.
+#[test]
+fn pipelined_bystander_does_not_keep_the_breaker_closed() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let server = stalled_server(3, 60_000, Duration::from_millis(10));
+    let stop = Arc::new(AtomicBool::new(false));
+    let bystander = {
+        let (addr, stop) = (server.local_addr(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.ping().expect("ping");
+            while !stop.load(Ordering::Acquire) {
+                for reply in c.pipeline(sets("by", 2)).expect("burst") {
+                    let e = error_of(reply);
+                    assert!(e.starts_with("DEADLINE ") || e.starts_with("BREAKER "));
+                }
+            }
+        })
+    };
+    let mut c = connect(&server);
+    let tripped = (0..12).any(|i| {
+        let e = error_of(c.request(&format!("SET ls{i} v")).expect("reply"));
+        assert!(e.starts_with("DEADLINE ") || e.starts_with("BREAKER "));
+        e.starts_with("BREAKER write open")
+    });
+    stop.store(true, Ordering::Release);
+    bystander.join().expect("bystander");
+    assert!(tripped, "three consecutive overruns must open the class");
+    server.shutdown();
+}
+
+/// A pipelined probe against a still-stalled shard re-opens the class
+/// (its real outcome is an overrun); once the stall clears, the next
+/// pipelined probe closes it.
+#[test]
+fn pipelined_probe_reopens_a_class_whose_shard_still_stalls() {
+    let server = stalled_server(2, 100, Duration::from_millis(20));
+    let mut c = primed(&server);
+    for reply in c.pipeline(sets("ho", 4)).expect("burst") {
+        assert!(error_of(reply).starts_with("DEADLINE batch "));
+    }
+    assert_eq!(stat(&mut c, "mw_breaker_trips"), 1);
+    std::thread::sleep(Duration::from_millis(150)); // the cooldown
+    let replies = c.pipeline(sets("hp", 2)).expect("probe burst");
+    let [probe, rest] = <[ClientReply; 2]>::try_from(replies).expect("two replies");
+    assert!(error_of(probe).starts_with("DEADLINE batch "), "the probe");
+    assert!(error_of(rest).contains("half-open probe quota exhausted"));
+    assert_eq!(stat(&mut c, "mw_breaker_trips"), 2, "the probe re-opened");
+    assert_eq!(stat(&mut c, "mw_breaker_recoveries"), 0);
+    assert_eq!(stat(&mut c, "mw_breaker_write_state"), 1, "open again");
+
+    // (Retried: on a loaded box even an unstalled probe can miss 1 ms.)
+    server.set_shard_delay(None);
+    let closed = (0..20).any(|_| {
+        std::thread::sleep(Duration::from_millis(150));
+        let replies = c.pipeline(sets("hq", 2)).expect("probe burst");
+        replies[0] == ClientReply::Status("OK".into())
+    });
+    assert!(closed, "an unstalled pipelined probe closes the class");
+    assert_eq!(stat(&mut c, "mw_breaker_recoveries"), 1);
+    assert_eq!(stat(&mut c, "mw_breaker_write_state"), 0, "closed");
+    server.shutdown();
+}
+
+/// A half-open probe admitted on a connection that is reset while the
+/// probe is parked must still be observed, or its slot is never given
+/// back and the class wedges at "probe quota exhausted".
+#[test]
+fn reset_while_a_probe_is_parked_does_not_wedge_the_class() {
+    use std::io::Write;
+    let server = stalled_server(2, 100, Duration::from_millis(100));
+    let mut c = primed(&server);
+    for reply in c.pipeline(sets("rs", 2)).expect("burst") {
+        assert!(error_of(reply).starts_with("DEADLINE batch "));
+    }
+    std::thread::sleep(Duration::from_millis(150)); // the cooldown
+    let probes = stat(&mut c, "mw_breaker_probes");
+    {
+        // Closing a socket with unread input (the +PONG) resets it.
+        let mut doomed = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        doomed.write_all(b"PING\n").expect("write");
+        assert_eq!(doomed.peek(&mut [0u8; 1]).expect("peek"), 1, "+PONG waits");
+        doomed
+            .write_all(b"SET rp0 v\nSET rp1 v\n")
+            .expect("write burst");
+        while stat(&mut c, "mw_breaker_probes") == probes {
+            std::thread::yield_now();
+        }
+    }
+    // The parked probe completes (an overrun: the class re-opens),
+    // the cooldown passes, and a fresh client's probe is admitted.
+    server.set_shard_delay(None);
+    let mut fresh = connect(&server);
+    let mut last = String::new();
+    let admitted = (0..100).any(|_| {
+        std::thread::sleep(Duration::from_millis(20));
+        match fresh.request("SET fresh v").expect("reply") {
+            ClientReply::Status(_) => true,
+            other => {
+                last = error_of(other);
+                false
+            }
+        }
+    });
+    assert!(admitted, "class wedged; last rejection: {last:?}");
+    assert_eq!(stat(&mut c, "mw_breaker_write_state"), 0, "closed");
     server.shutdown();
 }
 
