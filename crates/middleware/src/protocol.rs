@@ -16,6 +16,12 @@
 //! | `-` | error (`-ERR <message>`) |
 //! | `*` | array header `*<n>`, followed by `n` element lines |
 //!
+//! An array's elements are lines of any kind. Two [`Reply`] variants
+//! render as one: [`Reply::Array`] holds pre-rendered element lines
+//! (`STATS`, `SLOWLOG GET`, …), [`Reply::Ints`] holds the integers
+//! themselves and renders each as a `:<m>` line (`TIMELINE`) — the
+//! same bytes, without a `String` per element.
+//!
 //! The full verb set is listed in [`Command`].
 //!
 //! ## Error-reply grammar
@@ -29,8 +35,6 @@
 //! `-ERR BREAKER write open retry_us=740000`).
 //! Parse errors and store-level errors keep their historical free-form
 //! messages.
-
-use std::fmt::Write as _;
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -138,15 +142,52 @@ fn need_u64<'a>(parts: &mut impl Iterator<Item = &'a str>, what: &str) -> Result
         .map_err(|_| ParseError(format!("{what} must be an unsigned integer, got {raw:?}")))
 }
 
+/// The `GET|RESET|LEN` subcommand of a ring verb (`SLOWLOG`, `TRACE`).
+fn ring_subcommand<'a>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    ring: &str,
+    [get, reset, len]: [Command; 3],
+) -> Result<Command, ParseError> {
+    let sub = need(parts, "subcommand (GET|RESET|LEN)")?;
+    if sub.eq_ignore_ascii_case("GET") {
+        Ok(get)
+    } else if sub.eq_ignore_ascii_case("RESET") {
+        Ok(reset)
+    } else if sub.eq_ignore_ascii_case("LEN") {
+        Ok(len)
+    } else {
+        Err(ParseError(format!(
+            "unknown {ring} subcommand {:?} (want GET|RESET|LEN)",
+            sub.to_ascii_uppercase()
+        )))
+    }
+}
+
+/// The longest verb: what the case-folding buffer on
+/// [`Command::parse`]'s stack must hold.
+const LONGEST_VERB: usize = "ISFOLLOWING".len();
+
 impl Command {
     /// Parse one request line (without its terminator).
     pub fn parse(line: &str) -> Result<Command, ParseError> {
         let line = line.strip_suffix('\r').unwrap_or(line).trim_start();
         let mut parts = line.split_whitespace();
-        let verb = need(&mut parts, "verb")?.to_ascii_uppercase();
-        let cmd = match verb.as_str() {
-            "GET" => Command::Get(need(&mut parts, "key")?.to_string()),
-            "SET" => {
+        let raw_verb = need(&mut parts, "verb")?;
+        // Fold the verb's case on the stack. A token longer than every
+        // verb (or with non-ASCII bytes, which folding leaves alone)
+        // matches none and falls through to the error arm.
+        let mut folded = [0u8; LONGEST_VERB];
+        let verb: &[u8] = match folded.get_mut(..raw_verb.len()) {
+            Some(verb) => {
+                verb.copy_from_slice(raw_verb.as_bytes());
+                verb.make_ascii_uppercase();
+                verb
+            }
+            None => &[],
+        };
+        let cmd = match verb {
+            b"GET" => Command::Get(need(&mut parts, "key")?.to_string()),
+            b"SET" => {
                 let key = need(&mut parts, "key")?;
                 // The value is the rest of the line after the key, so
                 // it may contain spaces.
@@ -158,8 +199,8 @@ impl Command {
                 }
                 Command::Set(key.to_string(), value.to_string())
             }
-            "DEL" => Command::Del(need(&mut parts, "key")?.to_string()),
-            "INCR" => {
+            b"DEL" => Command::Del(need(&mut parts, "key")?.to_string()),
+            b"INCR" => {
                 let key = need(&mut parts, "key")?.to_string();
                 let delta = match parts.next() {
                     None => 1,
@@ -169,28 +210,28 @@ impl Command {
                 };
                 Command::Incr(key, delta)
             }
-            "ADDUSER" => Command::AddUser(need_u64(&mut parts, "user")?),
-            "POST" => Command::Post(need_u64(&mut parts, "user")?, need_u64(&mut parts, "msg")?),
-            "FOLLOW" => Command::Follow(
+            b"ADDUSER" => Command::AddUser(need_u64(&mut parts, "user")?),
+            b"POST" => Command::Post(need_u64(&mut parts, "user")?, need_u64(&mut parts, "msg")?),
+            b"FOLLOW" => Command::Follow(
                 need_u64(&mut parts, "follower")?,
                 need_u64(&mut parts, "followee")?,
             ),
-            "UNFOLLOW" => Command::Unfollow(
+            b"UNFOLLOW" => Command::Unfollow(
                 need_u64(&mut parts, "follower")?,
                 need_u64(&mut parts, "followee")?,
             ),
-            "TIMELINE" => Command::Timeline(need_u64(&mut parts, "user")?),
-            "ISFOLLOWING" => Command::IsFollowing(
+            b"TIMELINE" => Command::Timeline(need_u64(&mut parts, "user")?),
+            b"ISFOLLOWING" => Command::IsFollowing(
                 need_u64(&mut parts, "follower")?,
                 need_u64(&mut parts, "followee")?,
             ),
-            "FOLLOWERS" => Command::Followers(need_u64(&mut parts, "user")?),
-            "JOIN" => Command::Join(need_u64(&mut parts, "user")?),
-            "LEAVE" => Command::Leave(need_u64(&mut parts, "user")?),
-            "INGROUP" => Command::InGroup(need_u64(&mut parts, "user")?),
-            "PROFILE" => Command::Profile(need_u64(&mut parts, "user")?),
-            "PROFILEVER" => Command::ProfileVer(need_u64(&mut parts, "user")?),
-            "STATS" => match parts.next() {
+            b"FOLLOWERS" => Command::Followers(need_u64(&mut parts, "user")?),
+            b"JOIN" => Command::Join(need_u64(&mut parts, "user")?),
+            b"LEAVE" => Command::Leave(need_u64(&mut parts, "user")?),
+            b"INGROUP" => Command::InGroup(need_u64(&mut parts, "user")?),
+            b"PROFILE" => Command::Profile(need_u64(&mut parts, "user")?),
+            b"PROFILEVER" => Command::ProfileVer(need_u64(&mut parts, "user")?),
+            b"STATS" => match parts.next() {
                 // Extra tokens after a plain STATS were historically
                 // ignored; only the SHARDS and RESET subcommands change
                 // meaning.
@@ -198,38 +239,26 @@ impl Command {
                 Some(sub) if sub.eq_ignore_ascii_case("RESET") => Command::StatsReset,
                 _ => Command::Stats,
             },
-            "SLOWLOG" => {
-                let sub = need(&mut parts, "subcommand (GET|RESET|LEN)")?;
-                match sub.to_ascii_uppercase().as_str() {
-                    "GET" => Command::SlowlogGet,
-                    "RESET" => Command::SlowlogReset,
-                    "LEN" => Command::SlowlogLen,
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown SLOWLOG subcommand {other:?} (want GET|RESET|LEN)"
-                        )))
-                    }
-                }
-            }
-            "TRACE" => {
-                let sub = need(&mut parts, "subcommand (GET|RESET|LEN)")?;
-                match sub.to_ascii_uppercase().as_str() {
-                    "GET" => Command::TraceGet,
-                    "RESET" => Command::TraceReset,
-                    "LEN" => Command::TraceLen,
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown TRACE subcommand {other:?} (want GET|RESET|LEN)"
-                        )))
-                    }
-                }
-            }
-            "PING" => Command::Ping,
-            "HEALTH" => Command::Health,
-            "READY" => Command::Ready,
-            "QUIT" => Command::Quit,
-            "AUTH" => Command::Auth(need(&mut parts, "token")?.to_string()),
-            "EXPIRE" => {
+            b"SLOWLOG" => ring_subcommand(
+                &mut parts,
+                "SLOWLOG",
+                [
+                    Command::SlowlogGet,
+                    Command::SlowlogReset,
+                    Command::SlowlogLen,
+                ],
+            )?,
+            b"TRACE" => ring_subcommand(
+                &mut parts,
+                "TRACE",
+                [Command::TraceGet, Command::TraceReset, Command::TraceLen],
+            )?,
+            b"PING" => Command::Ping,
+            b"HEALTH" => Command::Health,
+            b"READY" => Command::Ready,
+            b"QUIT" => Command::Quit,
+            b"AUTH" => Command::Auth(need(&mut parts, "token")?.to_string()),
+            b"EXPIRE" => {
                 let key = need(&mut parts, "key")?.to_string();
                 let raw = need(&mut parts, "millis")?;
                 let millis = raw
@@ -237,7 +266,12 @@ impl Command {
                     .map_err(|_| ParseError(format!("bad millis {raw:?}")))?;
                 Command::Expire(key, millis)
             }
-            other => return Err(ParseError(format!("unknown verb {other:?}"))),
+            _ => {
+                return Err(ParseError(format!(
+                    "unknown verb {:?}",
+                    raw_verb.to_ascii_uppercase()
+                )))
+            }
         };
         Ok(cmd)
     }
@@ -367,32 +401,107 @@ pub enum Reply {
     Error(String),
     /// An array of pre-rendered element lines.
     Array(Vec<String>),
+    /// An array of integers, each rendered as a `:<m>` element line
+    /// (a `TIMELINE` row: the wire bytes of an [`Reply::Array`] of
+    /// `":<m>"` strings, without building them).
+    Ints(Vec<u64>),
+}
+
+/// Where wire bytes are appended: a `String` (the public
+/// [`Reply::render`]) or a connection's output buffer
+/// ([`Reply::render_into`]). Everything rendered is UTF-8, so one
+/// rendering body serves both.
+trait WireSink {
+    fn put(&mut self, text: &str);
+
+    /// ASCII digits, which only the `String` has to see proof of.
+    fn put_digits(&mut self, digits: &[u8]);
+
+    /// Decimal digits, without going through `fmt`.
+    fn put_u64(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20]; // u64::MAX has 20
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.put_digits(&digits[at..]);
+    }
+}
+
+impl WireSink for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    fn put_digits(&mut self, digits: &[u8]) {
+        self.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+    }
+}
+
+impl WireSink for Vec<u8> {
+    fn put(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+
+    fn put_digits(&mut self, digits: &[u8]) {
+        self.extend_from_slice(digits);
+    }
 }
 
 impl Reply {
     /// Append the wire form (with terminators) to `out`.
     pub fn render(&self, out: &mut String) {
+        self.write_wire(out);
+    }
+
+    /// Append the wire form (with terminators) to a byte buffer — the
+    /// same bytes as [`Reply::render`].
+    pub fn render_into(&self, out: &mut Vec<u8>) {
+        self.write_wire(out);
+    }
+
+    fn write_wire(&self, out: &mut impl WireSink) {
         match self {
             Reply::Status(s) => {
-                let _ = writeln!(out, "+{s}");
+                out.put("+");
+                out.put(s);
             }
             Reply::Value(v) => {
-                let _ = writeln!(out, "${v}");
+                out.put("$");
+                out.put(v);
             }
-            Reply::Nil => out.push_str("_\n"),
+            Reply::Nil => out.put("_"),
             Reply::Int(i) => {
-                let _ = writeln!(out, ":{i}");
+                out.put(if *i < 0 { ":-" } else { ":" });
+                out.put_u64(i.unsigned_abs());
             }
             Reply::Error(e) => {
-                let _ = writeln!(out, "-ERR {e}");
+                out.put("-ERR ");
+                out.put(e);
             }
             Reply::Array(items) => {
-                let _ = writeln!(out, "*{}", items.len());
+                out.put("*");
+                out.put_u64(items.len() as u64);
                 for item in items {
-                    let _ = writeln!(out, "{item}");
+                    out.put("\n");
+                    out.put(item);
+                }
+            }
+            Reply::Ints(items) => {
+                out.put("*");
+                out.put_u64(items.len() as u64);
+                for item in items {
+                    out.put("\n:");
+                    out.put_u64(*item);
                 }
             }
         }
+        out.put("\n");
     }
 }
 
@@ -541,6 +650,16 @@ mod tests {
         Reply::Int(-3).render(&mut out);
         Reply::Error("nope".into()).render(&mut out);
         Reply::Array(vec![":1".into(), ":2".into()]).render(&mut out);
-        assert_eq!(out, "+OK\n$v with spaces\n_\n:-3\n-ERR nope\n*2\n:1\n:2\n");
+        Reply::Ints(vec![7, u64::MAX]).render(&mut out);
+        Reply::Int(i64::MIN).render(&mut out);
+        assert_eq!(
+            out,
+            "+OK\n$v with spaces\n_\n:-3\n-ERR nope\n*2\n:1\n:2\n\
+             *2\n:7\n:18446744073709551615\n:-9223372036854775808\n"
+        );
+        let mut bytes = Vec::new();
+        Reply::Ints(vec![]).render_into(&mut bytes);
+        Reply::Int(0).render_into(&mut bytes);
+        assert_eq!(bytes, b"*0\n:0\n");
     }
 }

@@ -11,7 +11,7 @@
 //! plus Prometheus exposition invariants: metric names survive
 //! rendering and label values escape losslessly.
 
-use dego_middleware::protocol::{Command, CommandClass, Reply};
+use dego_middleware::protocol::{Command, CommandClass, ParseError, Reply};
 use dego_middleware::{
     AuthConfig, MiddlewareConfig, PromText, Request, Response, Role, Service, Session, Stack,
     TokenSpec, WindowedHistogram,
@@ -69,6 +69,27 @@ fn command() -> impl Strategy<Value = Command> {
         Just(Command::TraceGet),
         Just(Command::TraceReset),
         Just(Command::TraceLen),
+    )
+}
+
+/// Text a reply can carry: printable ASCII and multi-byte UTF-8 (two,
+/// three and four bytes), no line breaks.
+fn wire_text() -> impl Strategy<Value = String> {
+    "[ -~éß√語😀]{0,24}".prop_map(|s| s)
+}
+
+/// Every `Reply` variant, integers over their full range, arrays from
+/// empty up.
+fn reply() -> impl Strategy<Value = Reply> {
+    prop_oneof!(
+        prop_oneof!(Just("OK"), Just("PONG"), Just("READY")).prop_map(Reply::Status),
+        wire_text().prop_map(Reply::Value),
+        Just(Reply::Nil),
+        any::<i64>().prop_map(Reply::Int),
+        prop_oneof!(Just(i64::MIN), Just(-1), Just(0), Just(i64::MAX)).prop_map(Reply::Int),
+        wire_text().prop_map(Reply::Error),
+        proptest::collection::vec(wire_text(), 0..6).prop_map(Reply::Array),
+        proptest::collection::vec(any::<u64>(), 0..60).prop_map(Reply::Ints),
     )
 }
 
@@ -254,6 +275,46 @@ proptest! {
         let verb_len = cmd.verb().len();
         let lowered = format!("{}{}", line[..verb_len].to_ascii_lowercase(), &line[verb_len..]);
         prop_assert_eq!(Command::parse(&lowered), Ok(cmd));
+    }
+
+    /// The verb's case is folded without changing the parse: any mix of
+    /// cases in the verb (and, where the line is verbs only, in its
+    /// subcommand) parses as the upper-case line does.
+    #[test]
+    fn verbs_in_any_case_parse_as_upper_case(
+        cmd in command(),
+        lower in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        let line = cmd.render_line();
+        // A subcommand folds like its verb.
+        let fold = match cmd {
+            _ if line.len() == cmd.verb().len() => line.len(),
+            Command::StatsShards | Command::StatsReset => line.len(),
+            Command::SlowlogGet | Command::SlowlogReset | Command::SlowlogLen => line.len(),
+            Command::TraceGet | Command::TraceReset | Command::TraceLen => line.len(),
+            _ => cmd.verb().len(),
+        };
+        let mixed: String = line
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i < fold && lower[i % lower.len()] { c.to_ascii_lowercase() } else { c })
+            .collect();
+        prop_assert_eq!(Command::parse(&mixed), Command::parse(&line));
+        prop_assert_eq!(Command::parse(&mixed), Ok(cmd));
+    }
+
+    /// What no verb matches — longer than the longest verb, non-ASCII,
+    /// or simply unknown, in any case — is refused with the text the
+    /// `to_ascii_uppercase` parser gave: the token with its ASCII
+    /// letters folded, everything else as sent.
+    #[test]
+    fn unknown_verb_errors_quote_the_folded_token(
+        verb in prop_oneof!("[a-zA-Z]{12,40}", "[a-zA-Zéß√]{1,14}", "[a-zA-Z]{1,11}")
+            .prop_filter("not a real verb", |v| !KNOWN_VERBS.contains(&v.to_ascii_uppercase().as_str())),
+        arg in "[a-z0-9 ]{0,20}",
+    ) {
+        let want = ParseError(format!("unknown verb {:?}", verb.to_ascii_uppercase()));
+        prop_assert_eq!(Command::parse(&format!("{verb} {arg}")), Err(want));
     }
 
     /// Every command belongs to exactly one class, and the class is
@@ -457,6 +518,38 @@ proptest! {
         prop_assert_eq!(h.count(), samples.len() as u64);
     }
 
+    /// One rendering, two sinks: the byte buffer a connection renders
+    /// into and the public `String` entry hold the same bytes — the
+    /// bytes `fmt` produced before rendering was hand-rolled, spelled
+    /// out here.
+    #[test]
+    fn reply_sinks_agree_with_the_fmt_rendering(replies in proptest::collection::vec(reply(), 1..8)) {
+        use std::fmt::Write as _;
+        let (mut text, mut bytes, mut want) = (String::new(), Vec::new(), String::new());
+        for reply in &replies {
+            reply.render(&mut text);
+            reply.render_into(&mut bytes);
+            match reply {
+                Reply::Status(s) => writeln!(want, "+{s}"),
+                Reply::Value(v) => writeln!(want, "${v}"),
+                Reply::Nil => writeln!(want, "_"),
+                Reply::Int(i) => writeln!(want, ":{i}"),
+                Reply::Error(e) => writeln!(want, "-ERR {e}"),
+                Reply::Array(items) => {
+                    writeln!(want, "*{}", items.len()).expect("infallible");
+                    items.iter().try_for_each(|item| writeln!(want, "{item}"))
+                }
+                Reply::Ints(items) => {
+                    writeln!(want, "*{}", items.len()).expect("infallible");
+                    items.iter().try_for_each(|m| writeln!(want, ":{m}"))
+                }
+            }
+            .expect("writing to a String cannot fail");
+        }
+        prop_assert_eq!(&text, &want);
+        prop_assert_eq!(bytes, want.into_bytes());
+    }
+
     /// Reply rendering always emits exactly one line per element
     /// (header + n for arrays), each newline-terminated.
     #[test]
@@ -472,6 +565,7 @@ proptest! {
             (Reply::Int(n), 1),
             (Reply::Error(v.clone()), 1),
             (Reply::Array(items.clone()), items.len() + 1),
+            (Reply::Ints(vec![n.unsigned_abs(); items.len()]), items.len() + 1),
         ] {
             let mut out = String::new();
             reply.render(&mut out);

@@ -26,9 +26,15 @@
 //! breaker probe that never was would hold its probe slot forever. The
 //! replies are then dropped.
 //!
-//! Replies are rendered as **per-reply chunks** and written with
-//! `write_vectored`, so a burst's responses go out in one syscall
-//! without first concatenating into a burst-sized `String`.
+//! The path from socket bytes to socket bytes allocates only what
+//! outlives the request. **In:** one pass over the connection's read
+//! buffer validates, bounds and parses each line as a `&str` borrowed
+//! from the buffer ([`next_burst`]); the buffer is consumed by cursor
+//! ([`ReadBuf`]), not shifted per burst. **Out:** every reply of a
+//! burst is rendered straight into the connection's one contiguous
+//! output buffer and leaves in one `write` (resumed after a partial
+//! one). Both buffers live as long as the connection and hand
+//! capacity above [`READ_CHUNK`] back once they run empty.
 //!
 //! The kernel interface is four raw syscalls (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`) declared `extern "C"` against
@@ -57,8 +63,8 @@ use crate::server::{build_chain, Chain, ExecService};
 use crate::stats::ServerStats;
 use crate::store::Store;
 use dego_middleware::{Progress, Request, Response, Session, Stack};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::collections::{HashMap, HashSet};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,7 +118,8 @@ const MAX_EVENTS: usize = 256;
 /// tokens are the global connection counter, which starts at 0 — so
 /// the waker lives at the top of the space).
 const WAKER_TOKEN: u64 = u64::MAX;
-/// Per-read-sweep scratch buffer.
+/// Per-read-sweep scratch buffer; also the capacity an idle
+/// connection's buffers keep (see [`release_spare`]).
 const READ_CHUNK: usize = 16 * 1024;
 /// A read sweep stops once this many bytes are buffered unparsed, so
 /// one fast sender can neither grow `Conn::rbuf` without bound nor
@@ -136,9 +143,6 @@ const LINE_TOO_LONG_MSG: &str = "line too long";
 /// `call_batch` (burst boundaries are not client-visible — the
 /// equivalence suite pins that).
 const MAX_BURST_LINES: usize = 512;
-/// `IoSlice`s handed to one `write_vectored` call (the kernel caps a
-/// vectored write at `UIO_MAXIOV` = 1024 anyway).
-const MAX_IOV: usize = 64;
 /// Idle epoll timeout when nothing is pending: a defensive upper
 /// bound so a lost wakeup degrades to latency, never to a hang.
 const IDLE_WAIT: Duration = Duration::from_millis(500);
@@ -296,17 +300,68 @@ struct Awaiting {
     deadline: Instant,
 }
 
+/// An empty buffer gives back what it holds above [`READ_CHUNK`], so
+/// one burst of large values does not pin its high-water capacity for
+/// the rest of an idle connection's life. (At or below the floor it is
+/// kept: ordinary traffic never reallocates.)
+fn release_spare(buf: &mut Vec<u8>) {
+    if buf.is_empty() {
+        buf.shrink_to(READ_CHUNK);
+    }
+}
+
+/// Bytes read but not yet dispatched, consumed by cursor: a burst
+/// taken off the front moves nothing. The consumed prefix is dropped
+/// when the buffer runs empty (the common case — free) or when the
+/// next read would otherwise have to grow it, so the unconsumed bytes
+/// are moved once per buffer's worth of input, not once per burst, and
+/// the buffer is never larger than the unconsumed input needed.
+#[derive(Default)]
+struct ReadBuf {
+    bytes: Vec<u8>,
+    /// Where the unconsumed input starts in `bytes`.
+    at: usize,
+}
+
+impl ReadBuf {
+    /// The unconsumed input.
+    fn pending(&self) -> &[u8] {
+        &self.bytes[self.at..]
+    }
+
+    fn extend(&mut self, chunk: &[u8]) {
+        if self.at > 0 && self.bytes.len() + chunk.len() > self.bytes.capacity() {
+            self.bytes.drain(..self.at);
+            self.at = 0;
+        }
+        self.bytes.extend_from_slice(chunk);
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.at += n;
+        if self.at == self.bytes.len() {
+            self.clear();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.at = 0;
+        release_spare(&mut self.bytes);
+    }
+}
+
 /// One multiplexed connection's state.
 struct Conn {
     socket: TcpStream,
     chain: Chain,
     /// Bytes read but not yet parsed (at most one partial line after
     /// a drive pass, unless a burst is in flight).
-    rbuf: Vec<u8>,
-    /// Rendered replies waiting to flush, one chunk per reply —
-    /// `write_vectored` sends them without concatenating.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written (partial-write resume).
+    rbuf: ReadBuf,
+    /// Rendered replies waiting to flush: at most one burst's, back to
+    /// back. Empty whenever nothing is owed (`flush` resets it).
+    out: Vec<u8>,
+    /// Bytes of `out` already written (partial-write resume).
     out_off: usize,
     awaiting: Option<Awaiting>,
     /// Events currently registered with epoll.
@@ -428,8 +483,8 @@ impl EventLoop {
             Conn {
                 socket,
                 chain,
-                rbuf: Vec::new(),
-                out: VecDeque::new(),
+                rbuf: ReadBuf::default(),
+                out: Vec::new(),
                 out_off: 0,
                 awaiting: None,
                 interest: EPOLLIN | EPOLLRDHUP,
@@ -511,14 +566,14 @@ impl EventLoop {
     /// waits for an ack.
     fn read_socket(&mut self, conn: &mut Conn) {
         let mut buf = [0u8; READ_CHUNK];
-        while conn.rbuf.len() < READ_HIGH_WATER {
+        while conn.rbuf.pending().len() < READ_HIGH_WATER {
             match conn.socket.read(&mut buf) {
                 Ok(0) => {
                     conn.eof = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&buf[..n]);
+                    conn.rbuf.extend(&buf[..n]);
                     conn.last_read = Instant::now();
                     if n < buf.len() {
                         break;
@@ -545,38 +600,33 @@ impl EventLoop {
             if conn.closing || conn.dead || conn.awaiting.is_some() || !conn.out.is_empty() {
                 break;
             }
-            let (lines, fault) = split_burst(&mut conn.rbuf, conn.eof);
-            if lines.is_empty() && fault.is_none() {
+            let burst = next_burst(conn.rbuf.pending(), conn.eof);
+            if burst.consumed == 0 && burst.fault.is_none() {
                 if conn.eof {
                     conn.closing = true;
                 }
                 break;
             }
-            self.dispatch(conn, lines, fault);
+            conn.rbuf.consume(burst.consumed);
+            self.dispatch(conn, burst);
         }
     }
 
-    /// Drive one burst through the middleware chain: parse each line
-    /// (errors keep their positional slot) and begin the commands. A
-    /// burst the chain answers at once is rendered here; one it parks
-    /// waits in `conn.awaiting` for `try_complete`. `fault` is the
-    /// input error that ended the burst, if any.
-    fn dispatch(&mut self, conn: &mut Conn, lines: Vec<String>, fault: Option<&'static str>) {
-        let (mut requests, mut line_slots) = parse_burst(&lines);
+    /// Drive one parsed burst through the middleware chain. A burst
+    /// the chain answers at once is rendered here; one it parks waits
+    /// in `conn.awaiting` for `try_complete`.
+    fn dispatch(&mut self, conn: &mut Conn, burst: BurstInput) {
+        let BurstInput {
+            requests,
+            mut line_slots,
+            fault,
+            ..
+        } = burst;
         for _ in &line_slots {
             self.ctx.stats.note_command();
         }
         line_slots.extend(fault.map(LineSlot::Fault));
-        let progress = match requests.len() {
-            0 => Progress::Done(Vec::new()),
-            // Singletons keep the unamortized path (and its per-command
-            // metrics); nothing to group-commit in a burst of one.
-            1 => Progress::Done(vec![conn
-                .chain
-                .call_one(requests.pop().expect("one request"))]),
-            _ => conn.chain.batch().begin_batch(requests),
-        };
-        match progress {
+        match conn.chain.begin(requests) {
             Progress::Done(responses) => self.render(conn, line_slots, responses),
             Progress::Parked => {
                 conn.awaiting = Some(Awaiting {
@@ -610,26 +660,11 @@ impl EventLoop {
     /// burst there, and whatever input is buffered behind it is
     /// discarded: the session is closing anyway.
     fn render(&mut self, conn: &mut Conn, line_slots: Vec<LineSlot>, responses: Vec<Response>) {
-        for resp in in_line_order(line_slots, responses) {
-            self.push_reply(conn, resp.reply);
-            if resp.close {
-                conn.closing = true;
-                conn.rbuf.clear();
-                break;
-            }
+        if render_burst(&mut conn.out, line_slots, responses, &self.ctx.stats) {
+            conn.closing = true;
+            conn.rbuf.clear();
         }
         conn.closing |= self.draining;
-    }
-
-    fn push_reply(&mut self, conn: &mut Conn, reply: Reply) {
-        if matches!(reply, Reply::Error(_)) {
-            self.ctx.stats.note_error();
-        }
-        let mut rendered = String::new();
-        reply.render(&mut rendered);
-        if !rendered.is_empty() {
-            conn.out.push_back(rendered.into_bytes());
-        }
     }
 
     /// Check every connection with a parked burst outstanding.
@@ -680,40 +715,24 @@ impl EventLoop {
         }
     }
 
-    /// Flush the out queue with vectored writes: one syscall covers up
-    /// to [`MAX_IOV`] reply chunks, resuming mid-chunk after a partial
-    /// write.
+    /// Write what is left of the output buffer — normally the whole
+    /// burst in one `write` — resuming at `out_off` after a partial
+    /// one. Fully written, the buffer is reset (and gives its spare
+    /// capacity back), so "replies owed" stays `!out.is_empty()`.
     fn flush(&mut self, conn: &mut Conn) {
-        while !conn.out.is_empty() && !conn.dead {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(conn.out.len().min(MAX_IOV));
-            for (i, chunk) in conn.out.iter().take(MAX_IOV).enumerate() {
-                let from = if i == 0 { conn.out_off } else { 0 };
-                slices.push(IoSlice::new(&chunk[from..]));
-            }
-            match (&conn.socket).write_vectored(&slices) {
-                Ok(0) => {
-                    conn.dead = true;
-                }
-                Ok(mut n) => {
-                    while n > 0 {
-                        let front = conn.out.front().expect("bytes written from a chunk");
-                        let left = front.len() - conn.out_off;
-                        if n >= left {
-                            conn.out.pop_front();
-                            conn.out_off = 0;
-                            n -= left;
-                        } else {
-                            conn.out_off += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+        while conn.out_off < conn.out.len() && !conn.dead {
+            match (&conn.socket).write(&conn.out[conn.out_off..]) {
+                Ok(0) => conn.dead = true,
+                Ok(n) => conn.out_off += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                }
+                Err(_) => conn.dead = true,
             }
+        }
+        if conn.out_off == conn.out.len() {
+            conn.out.clear();
+            conn.out_off = 0;
+            release_spare(&mut conn.out);
         }
     }
 
@@ -750,7 +769,7 @@ impl EventLoop {
         // nothing. Only a full `rbuf` stops the reads (level-triggered
         // epoll would spin otherwise).
         let blocked = conn.awaiting.is_some() || !conn.out.is_empty();
-        let full = blocked && conn.rbuf.len() >= READ_HIGH_WATER;
+        let full = blocked && conn.rbuf.pending().len() >= READ_HIGH_WATER;
         if !full && !conn.eof && !conn.closing && !self.draining {
             want |= EPOLLIN | EPOLLRDHUP;
         }
@@ -777,31 +796,77 @@ impl EventLoop {
     }
 }
 
-/// Parse one burst's lines into the requests to dispatch and, per
-/// non-blank line, its [`LineSlot`] — as many `Cmd` slots as requests,
-/// in the same order. Blank lines are keepalives: no command, no
-/// error, no slot. Parsing stops after `QUIT`.
-fn parse_burst(lines: &[String]) -> (Vec<Request>, Vec<LineSlot>) {
-    let mut requests = Vec::new();
-    let mut line_slots = Vec::new();
-    for raw in lines {
-        let text = raw.trim_end_matches('\n');
+/// What one pass over the buffered input took off its front.
+struct BurstInput {
+    /// The commands to dispatch, in line order.
+    requests: Vec<Request>,
+    /// Per non-blank line, its [`LineSlot`] — as many `Cmd` slots as
+    /// requests, in the same order.
+    line_slots: Vec<LineSlot>,
+    /// The input fault that ended the burst, if one did.
+    fault: Option<&'static str>,
+    /// Bytes of the input this burst accounts for.
+    consumed: usize,
+}
+
+/// Take the next burst off the front of `buf`, in one pass: up to
+/// [`MAX_BURST_LINES`] complete lines (plus, at EOF, the final
+/// unterminated line), each validated as UTF-8 and parsed where it
+/// lies. Blank lines are keepalives: no command, no error, no slot.
+/// The burst ends after `QUIT` (what follows is discarded when the
+/// session closes). A line that is not valid UTF-8, or longer than
+/// [`MAX_LINE_BYTES`] (whether or not its newline has arrived yet),
+/// ends the burst with that fault's message — the poisoned line
+/// consumed, the over-long one not; the caller discards the rest by
+/// closing.
+fn next_burst(buf: &[u8], eof: bool) -> BurstInput {
+    // Size both vectors once, from the newlines in sight: exact for any
+    // burst read in one sweep's first chunk, which is every burst of a
+    // client that waits for its replies.
+    let in_sight = &buf[..buf.len().min(READ_CHUNK)];
+    let lines = in_sight.iter().filter(|b| **b == b'\n').count() + usize::from(eof);
+    let lines = lines.min(MAX_BURST_LINES);
+    let mut burst = BurstInput {
+        requests: Vec::with_capacity(lines),
+        line_slots: Vec::with_capacity(lines + 1), // + the fault's slot
+        fault: None,
+        consumed: 0,
+    };
+    for _ in 0..MAX_BURST_LINES {
+        let rest = &buf[burst.consumed..];
+        if rest.is_empty() {
+            break;
+        }
+        let newline = rest.iter().position(|b| *b == b'\n');
+        let end = newline.unwrap_or(rest.len());
+        if end > MAX_LINE_BYTES {
+            burst.fault = Some(LINE_TOO_LONG_MSG);
+            break;
+        }
+        if newline.is_none() && !eof {
+            break;
+        }
+        burst.consumed += end + usize::from(newline.is_some());
+        let Ok(text) = std::str::from_utf8(&rest[..end]) else {
+            burst.fault = Some(BAD_UTF8_MSG);
+            break;
+        };
         if text.trim().is_empty() {
             continue;
         }
         match Command::parse(text) {
             Ok(cmd) => {
                 let quit = matches!(cmd, Command::Quit);
-                requests.push(Request::new(cmd));
-                line_slots.push(LineSlot::Cmd);
+                burst.requests.push(Request::new(cmd));
+                burst.line_slots.push(LineSlot::Cmd);
                 if quit {
                     break;
                 }
             }
-            Err(e) => line_slots.push(LineSlot::Err(e.0)),
+            Err(e) => burst.line_slots.push(LineSlot::Err(e.0)),
         }
     }
-    (requests, line_slots)
+    burst
 }
 
 /// A burst's responses in line order: each slot's own (see
@@ -821,42 +886,25 @@ fn in_line_order(
     })
 }
 
-/// Extract the next burst from `rbuf`: up to [`MAX_BURST_LINES`]
-/// complete lines (plus, at EOF, the final unterminated line). A line
-/// that is not valid UTF-8, or longer than [`MAX_LINE_BYTES`] (whether
-/// or not its newline has arrived yet), ends the burst with that
-/// fault's message; everything consumed is removed from the buffer,
-/// and the caller discards the rest by closing.
-fn split_burst(rbuf: &mut Vec<u8>, eof: bool) -> (Vec<String>, Option<&'static str>) {
-    let mut consumed = 0usize;
-    let mut lines = Vec::new();
-    let mut fault = None;
-    while lines.len() < MAX_BURST_LINES {
-        let rest = &rbuf[consumed..];
-        if rest.is_empty() {
-            break;
+/// Render a burst's replies in line order onto the end of `out`,
+/// counting the errors. A response that closes the session ends the
+/// burst there; returns whether one did.
+fn render_burst(
+    out: &mut Vec<u8>,
+    line_slots: Vec<LineSlot>,
+    responses: Vec<Response>,
+    stats: &ServerStats,
+) -> bool {
+    for resp in in_line_order(line_slots, responses) {
+        if matches!(resp.reply, Reply::Error(_)) {
+            stats.note_error();
         }
-        let newline = rest.iter().position(|b| *b == b'\n');
-        if newline.unwrap_or(rest.len()) > MAX_LINE_BYTES {
-            fault = Some(LINE_TOO_LONG_MSG);
-            break;
-        }
-        let take = match newline {
-            Some(nl) => nl + 1,
-            None if eof => rest.len(),
-            None => break,
-        };
-        consumed += take;
-        match std::str::from_utf8(&rest[..take]) {
-            Ok(line) => lines.push(line.to_string()),
-            Err(_) => {
-                fault = Some(BAD_UTF8_MSG);
-                break;
-            }
+        resp.reply.render_into(out);
+        if resp.close {
+            return true;
         }
     }
-    rbuf.drain(..consumed);
-    (lines, fault)
+    false
 }
 
 #[cfg(test)]
@@ -884,45 +932,60 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, Duration::from_millis(0)), 0);
     }
 
+    // The `split_burst_*` tests keep the names they had when splitting
+    // was a pass of its own (the suite's floor lists them); what they
+    // assert now holds of the fused `next_burst`.
+    fn commands(burst: &BurstInput) -> Vec<Command> {
+        burst.requests.iter().map(|r| r.command.clone()).collect()
+    }
+
     #[test]
     fn split_burst_takes_complete_lines_only() {
-        let mut buf = b"GET a\nSET b 1\npartial".to_vec();
-        let (lines, fault) = split_burst(&mut buf, false);
-        assert_eq!(lines, vec!["GET a\n".to_string(), "SET b 1\n".to_string()]);
-        assert_eq!(fault, None);
-        assert_eq!(buf, b"partial");
+        let buf = b"GET a\nSET b 1\npartial";
+        let burst = next_burst(buf, false);
+        assert_eq!(
+            commands(&burst),
+            vec![
+                Command::Get("a".into()),
+                Command::Set("b".into(), "1".into())
+            ]
+        );
+        assert_eq!(burst.line_slots, vec![LineSlot::Cmd, LineSlot::Cmd]);
+        assert_eq!(burst.fault, None);
+        assert_eq!(&buf[burst.consumed..], b"partial");
     }
 
     #[test]
     fn split_burst_serves_unterminated_line_at_eof() {
-        let mut buf = b"PING".to_vec();
-        let (lines, fault) = split_burst(&mut buf, true);
-        assert_eq!(lines, vec!["PING".to_string()]);
-        assert_eq!(fault, None);
-        assert!(buf.is_empty());
+        let burst = next_burst(b"PING", true);
+        assert_eq!(commands(&burst), vec![Command::Ping]);
+        assert_eq!(burst.fault, None);
+        assert_eq!(burst.consumed, 4);
     }
 
     #[test]
     fn split_burst_flags_non_utf8_and_keeps_prior_lines() {
-        let mut buf = b"PING\n\xff\xfe garbage\nPING\n".to_vec();
-        let (lines, fault) = split_burst(&mut buf, false);
-        assert_eq!(lines, vec!["PING\n".to_string()]);
-        assert_eq!(fault, Some(BAD_UTF8_MSG));
+        let buf = b"PING\n\xff\xfe garbage\nPING\n";
+        let burst = next_burst(buf, false);
+        assert_eq!(commands(&burst), vec![Command::Ping]);
+        assert_eq!(burst.fault, Some(BAD_UTF8_MSG));
         // The poisoned line is consumed; the tail stays (discarded by
         // the caller when it hangs up).
-        assert_eq!(buf, b"PING\n");
+        assert_eq!(&buf[burst.consumed..], b"PING\n");
     }
 
     #[test]
     fn split_burst_respects_burst_cap() {
-        let mut buf = Vec::new();
-        for _ in 0..(MAX_BURST_LINES + 10) {
-            buf.extend_from_slice(b"PING\n");
-        }
-        let (lines, fault) = split_burst(&mut buf, false);
-        assert_eq!(lines.len(), MAX_BURST_LINES);
-        assert_eq!(fault, None);
-        assert_eq!(buf.len(), 10 * 5);
+        let buf = b"PING\n".repeat(MAX_BURST_LINES + 10);
+        let burst = next_burst(&buf, false);
+        assert_eq!(burst.requests.len(), MAX_BURST_LINES);
+        assert_eq!(burst.fault, None);
+        assert_eq!(buf.len() - burst.consumed, 10 * 5);
+        // Keepalives count toward the cap without holding a slot.
+        let buf = [b"\n".repeat(MAX_BURST_LINES - 1), b"PING\nPING\n".to_vec()].concat();
+        let burst = next_burst(&buf, false);
+        assert_eq!(commands(&burst), vec![Command::Ping]);
+        assert_eq!(&buf[burst.consumed..], b"PING\n");
     }
 
     #[test]
@@ -930,24 +993,101 @@ mod tests {
         // Still growing, no newline yet: already past the cap.
         let mut buf = b"PING\n".to_vec();
         buf.resize(buf.len() + MAX_LINE_BYTES + 1, b'x');
-        let (lines, fault) = split_burst(&mut buf, false);
-        assert_eq!(lines, vec!["PING\n".to_string()]);
-        assert_eq!(fault, Some(LINE_TOO_LONG_MSG));
+        let burst = next_burst(&buf, false);
+        assert_eq!(commands(&burst), vec![Command::Ping]);
+        assert_eq!(burst.fault, Some(LINE_TOO_LONG_MSG));
+        assert_eq!(burst.consumed, 5);
         // Terminated but over the cap faults the same way; at the cap
         // it is an ordinary line.
         let mut buf = vec![b'x'; MAX_LINE_BYTES + 1];
         buf.push(b'\n');
-        assert_eq!(split_burst(&mut buf, false).1, Some(LINE_TOO_LONG_MSG));
+        assert_eq!(next_burst(&buf, false).fault, Some(LINE_TOO_LONG_MSG));
         let mut buf = vec![b'x'; MAX_LINE_BYTES];
         buf.push(b'\n');
-        let (lines, fault) = split_burst(&mut buf, false);
-        assert_eq!((lines.len(), fault), (1, None));
+        let burst = next_burst(&buf, false);
+        assert_eq!((burst.line_slots.len(), burst.fault), (1, None));
+        assert_eq!(burst.consumed, buf.len());
+    }
+
+    #[test]
+    fn next_burst_ends_after_quit() {
+        let buf = b"PING\nquit\nPING\n\xff\n";
+        let burst = next_burst(buf, false);
+        assert_eq!(commands(&burst), vec![Command::Ping, Command::Quit]);
+        assert_eq!(burst.line_slots, vec![LineSlot::Cmd, LineSlot::Cmd]);
+        assert_eq!(burst.fault, None);
+        assert_eq!(&buf[burst.consumed..], b"PING\n\xff\n");
+    }
+
+    /// A high-water-full buffer of short lines is served burst by
+    /// burst without being shifted once per burst — not at all when it
+    /// is served in one go, and, when a slow reader lets only one burst
+    /// through per read, once per buffer's worth of input: bytes moved
+    /// stay within the bytes served, where a shift per burst moved a
+    /// hundred times as many.
+    #[test]
+    fn read_buf_consumes_by_cursor() {
+        let flood = b"PING\n".repeat(8 * READ_HIGH_WATER / 5);
+        let (mut rbuf, mut fed) = (ReadBuf::default(), 0usize);
+        let (mut seen, mut moved, mut bursts) = (0usize, 0usize, 0usize);
+        while seen < flood.len() {
+            // One read sweep (to the high-water mark), then one burst.
+            while fed < flood.len() && rbuf.pending().len() < READ_HIGH_WATER {
+                let chunk = &flood[fed..flood.len().min(fed + READ_CHUNK)];
+                let at = rbuf.at;
+                rbuf.extend(chunk);
+                moved += if rbuf.at < at {
+                    rbuf.pending().len() - chunk.len()
+                } else {
+                    0
+                };
+                fed += chunk.len();
+            }
+            let burst = next_burst(rbuf.pending(), false);
+            assert_eq!(
+                burst.requests.len(),
+                MAX_BURST_LINES.min((flood.len() - seen) / 5)
+            );
+            rbuf.consume(burst.consumed);
+            seen += burst.consumed;
+            bursts += 1;
+            assert_eq!(rbuf.pending(), &flood[seen..fed]);
+            assert!(rbuf.bytes.capacity() <= 2 * READ_HIGH_WATER);
+        }
+        assert!(
+            bursts > 800 && moved <= flood.len(),
+            "{moved} moved in {bursts}"
+        );
+        assert_eq!((rbuf.at, rbuf.bytes.len()), (0, 0));
+    }
+
+    /// What an idle connection keeps: a buffer that ran empty gives
+    /// back its capacity above the floor; one still holding bytes, or
+    /// never grown past the floor, is left alone.
+    #[test]
+    fn empty_buffers_release_capacity_above_the_floor() {
+        let mut big = vec![0u8; 4 * READ_HIGH_WATER];
+        release_spare(&mut big);
+        assert!(big.capacity() >= 4 * READ_HIGH_WATER, "bytes still owed");
+        big.clear();
+        release_spare(&mut big);
+        assert!(big.capacity() <= READ_CHUNK, "{}", big.capacity());
+
+        let mut small = Vec::with_capacity(READ_CHUNK / 2);
+        release_spare(&mut small);
+        assert_eq!(small.capacity(), READ_CHUNK / 2);
+
+        // The read buffer releases through `consume`/`clear`.
+        let mut rbuf = ReadBuf::default();
+        rbuf.extend(&vec![b'x'; READ_HIGH_WATER]);
+        rbuf.consume(READ_HIGH_WATER);
+        assert!(rbuf.bytes.capacity() <= READ_CHUNK);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Arbitrary bytes through `split_burst`, `parse_burst` and
+        /// Arbitrary bytes through `ReadBuf`, `next_burst` and
         /// `in_line_order`: nothing panics, every byte is consumed
         /// exactly once, and every non-blank line that is dispatched
         /// holds exactly one reply slot.
@@ -972,35 +1112,46 @@ mod tests {
             eof in any::<bool>(),
         ) {
             let input = fragments.concat();
-            let mut rbuf = input.clone();
+            let mut rbuf = ReadBuf::default();
+            rbuf.extend(&input);
             let mut seen = 0usize; // bytes of `input` accounted for
             loop {
-                let before = rbuf.len();
-                let (lines, fault) = split_burst(&mut rbuf, eof);
-                let consumed = before - rbuf.len();
-                // Consumed bytes are the lines, in order, plus (only)
-                // a line poisoned by bad UTF-8.
-                let mut at = seen;
-                for line in &lines {
-                    prop_assert_eq!(&input[at..at + line.len()], line.as_bytes());
-                    at += line.len();
+                let BurstInput { requests, line_slots, fault, consumed } =
+                    next_burst(rbuf.pending(), eof);
+                // Consumed bytes are whole lines, in order: valid UTF-8
+                // but for (only) a last line poisoned by bad UTF-8.
+                let mut lines: Vec<&[u8]> = input[seen..seen + consumed]
+                    .split_inclusive(|b| *b == b'\n')
+                    .collect();
+                prop_assert!(lines.len() <= MAX_BURST_LINES);
+                let unterminated = lines.iter().filter(|l| !l.ends_with(b"\n")).count();
+                prop_assert!(unterminated == 0 || (eof && unterminated == 1));
+                if fault == Some(BAD_UTF8_MSG) {
+                    let poisoned = lines.pop().expect("the poisoned line is consumed");
+                    prop_assert!(std::str::from_utf8(poisoned).is_err());
                 }
-                let poisoned = seen + consumed - at;
-                prop_assert_eq!(poisoned > 0, fault == Some(BAD_UTF8_MSG));
-                prop_assert!(input[at..at + poisoned].iter().rev().skip(1).all(|b| *b != b'\n'));
+                let lines: Vec<&str> = lines
+                    .into_iter()
+                    .map(|l| std::str::from_utf8(l).expect("only the last line may be poisoned"))
+                    .collect();
+                rbuf.consume(consumed);
                 seen += consumed;
-                prop_assert_eq!(&input[seen..], &rbuf[..]);
+                prop_assert_eq!(&input[seen..], rbuf.pending());
 
-                let (requests, line_slots) = parse_burst(&lines);
                 let quit = matches!(requests.last(), Some(r) if matches!(r.command, Command::Quit));
                 let cmds = line_slots.iter().filter(|s| **s == LineSlot::Cmd).count();
                 prop_assert_eq!(cmds, requests.len());
+                // Every consumed non-blank line holds a slot — nothing
+                // is consumed past a `QUIT`, so none follows its slot.
                 let non_blank = lines.iter().filter(|l| !l.trim().is_empty()).count();
+                prop_assert_eq!(line_slots.len(), non_blank);
                 if quit {
-                    prop_assert!(line_slots.len() <= non_blank);
                     prop_assert_eq!(line_slots.last(), Some(&LineSlot::Cmd));
-                } else {
-                    prop_assert_eq!(line_slots.len(), non_blank);
+                    prop_assert!(fault.is_none());
+                    prop_assert_eq!(
+                        lines.last().map(|l| l.trim().to_ascii_uppercase()),
+                        Some("QUIT".to_string())
+                    );
                 }
                 // Number the responses: they come back in their `Cmd`
                 // slots in order, around the parse errors.
@@ -1020,13 +1171,146 @@ mod tests {
                     .map(|resp| resp.reply)
                     .collect();
                 prop_assert_eq!(laid_out, expected);
-                if fault.is_some() || lines.is_empty() {
+                if fault.is_some() || consumed == 0 {
                     // Whatever is left is one unfinished line.
-                    prop_assert!(fault.is_some() || !rbuf.contains(&b'\n'));
-                    prop_assert!(fault.is_some() || !eof || rbuf.is_empty());
+                    prop_assert!(fault.is_some() || !rbuf.pending().contains(&b'\n'));
+                    prop_assert!(fault.is_some() || !eof || rbuf.pending().is_empty());
                     break;
                 }
             }
+        }
+    }
+
+    /// Counts the calling thread's allocations (growth included), so a
+    /// test can budget what a code path allocates whatever the other
+    /// tests and the shard owners do meanwhile.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn count_one() {
+        // `try_with`: a thread may free and allocate while its locals
+        // are being torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every request is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the counter is a `const`-
+    // initialised `Cell` without a destructor, so touching it neither
+    // allocates nor re-enters the allocator.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count_one();
+            // SAFETY: the caller's obligations are `System.alloc`'s.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            count_one();
+            // SAFETY: `ptr` came from `System` with this `layout`; the
+            // caller vouches for `new`.
+            unsafe { std::alloc::System.realloc(ptr, layout, new) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// The request path's allocation budget, counted on this thread
+    /// from raw bytes to rendered bytes the way the loop runs a burst
+    /// (`next_burst` → the chain of a `none` stack → `render_burst`
+    /// into a connection-lived buffer): per command only what outlives
+    /// its parse — a `GET`'s key and the value read, a `TIMELINE`'s
+    /// row — plus four per burst (the vectors of requests, line slots,
+    /// reply slots and responses). No line copy, no verb copy, no
+    /// `String` per reply or per timeline element.
+    #[test]
+    fn request_path_allocates_only_what_outlives_the_request() {
+        const GETS: u64 = 16;
+        const TIMELINES: u64 = 8;
+        const PER_BURST: u64 = 4;
+        let stats = Arc::new(ServerStats::new());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let runtime =
+            crate::store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), None, 60);
+        let exec = ExecService::new(
+            Arc::clone(&runtime.store),
+            Arc::clone(&stats),
+            Arc::new(AtomicBool::new(true)),
+            Duration::from_secs(5),
+            Arc::new(LoopWaker::new().expect("eventfd")),
+        );
+        let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
+        let session = Session {
+            client: "budget".into(),
+        };
+        let mut chain = build_chain(&stack, &session, exec);
+        let mut out: Vec<u8> = Vec::new();
+        // One burst, start to finish, returning what it allocated.
+        let mut serve = |input: &[u8]| {
+            let before = ALLOCATIONS.with(|n| n.get());
+            let burst = next_burst(input, false);
+            assert_eq!((burst.consumed, burst.fault), (input.len(), None));
+            let responses = match chain.begin(burst.requests) {
+                Progress::Done(responses) => responses,
+                Progress::Parked => loop {
+                    match chain.batch().poll_batch() {
+                        Some(responses) => break responses,
+                        None => std::thread::yield_now(),
+                    }
+                },
+            };
+            out.clear();
+            render_burst(&mut out, burst.line_slots, responses, &stats);
+            (ALLOCATIONS.with(|n| n.get()) - before, out.clone())
+        };
+
+        let mut preload = String::new();
+        for key in 0..GETS {
+            preload += &format!("SET key:{key} value-of-{key}\n");
+        }
+        for user in 0..TIMELINES {
+            preload += &format!("ADDUSER {user}\n");
+            for msg in 0..crate::TIMELINE_LIMIT as u64 {
+                preload += &format!("POST {user} {}\n", 1000 * user + msg);
+            }
+        }
+        serve(preload.as_bytes());
+
+        let gets: String = (0..GETS).map(|k| format!("GET key:{k}\n")).collect();
+        let timelines: String = (0..TIMELINES).map(|u| format!("TIMELINE {u}\n")).collect();
+        // Once to grow `out` to its working size, as a live connection
+        // has after its first bursts; the second is the steady state.
+        serve(gets.as_bytes());
+        let (allocated, replies) = serve(gets.as_bytes());
+        assert!(replies.starts_with(b"$value-of-0\n$value-of-1\n"));
+        assert!(
+            allocated <= 2 * GETS + PER_BURST,
+            "{allocated} allocations for {GETS} GETs"
+        );
+        serve(timelines.as_bytes());
+        let (allocated, replies) = serve(timelines.as_bytes());
+        assert!(replies.starts_with(b"*50\n:49\n:48\n"));
+        let lines = replies.iter().filter(|b| **b == b'\n').count() as u64;
+        assert_eq!(lines, TIMELINES * (1 + crate::TIMELINE_LIMIT as u64));
+        assert!(
+            allocated <= 2 * TIMELINES + PER_BURST,
+            "{allocated} allocations for {TIMELINES} TIMELINEs"
+        );
+
+        shutdown.store(true, Ordering::Release);
+        for shard in 0..2 {
+            runtime.store.wake(shard);
+        }
+        for thread in runtime.threads {
+            thread.join().expect("shard owner exits");
         }
     }
 

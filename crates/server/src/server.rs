@@ -38,7 +38,8 @@
 //! the input, so there is nothing to tune; a burst of one
 //! ([`Service::call`]) publishes a run of one. Replies are reassembled
 //! by sequence number in an [`AckTable`] (a burst's numbers are dense,
-//! so a plain index) and written with one vectored socket write.
+//! so a plain index), rendered back to back into the connection's one
+//! output buffer and written with one socket write.
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
 //! mutations keep per-key order through the FIFO shard queues, and a
@@ -55,6 +56,7 @@ use dego_middleware::{
     Service, Session, ShardPressure, Stack, StoreSegment,
 };
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,9 +450,20 @@ pub(crate) enum Chain {
 }
 
 impl Chain {
+    /// Begin a burst's commands.
+    pub(crate) fn begin(&mut self, mut requests: Vec<Request>) -> Progress {
+        match requests.len() {
+            0 => Progress::Done(Vec::new()),
+            // Singletons keep the unamortized path (and its per-command
+            // metrics); nothing to group-commit in a burst of one.
+            1 => Progress::Done(vec![self.call_one(requests.pop().expect("one request"))]),
+            _ => self.batch().begin_batch(requests),
+        }
+    }
+
     /// Dispatch a singleton: the fused chain takes its inline batch-1
     /// fast path; the dyn onion pays the per-layer virtual calls.
-    pub(crate) fn call_one(&mut self, req: Request) -> Response {
+    fn call_one(&mut self, req: Request) -> Response {
         match self {
             Chain::Fused(chain) => chain.call_one(req),
             Chain::Dyn(chain) => chain.call(req),
@@ -552,10 +565,40 @@ enum PendingKey {
     Group(u64),
 }
 
+/// The hash of the pending rows: one multiply-xor per word, for the
+/// kv keys ([`kv_pending`]) and for the burst's set of them alike. It
+/// is unkeyed, which a general-purpose table could not afford with
+/// keys a peer chooses; this one holds one burst's rows (at most
+/// `MAX_BURST_LINES` lines' worth) for the length of that burst, and
+/// equal hashes only cost a barrier.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let mixed = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The rows with a mutation outstanding in the burst being staged.
+type PendingRows = HashSet<PendingKey, BuildHasherDefault<RowHasher>>;
+
 /// The hash [`PendingKey::Kv`] tracks string keys by.
 fn kv_pending(key: &str) -> PendingKey {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let mut hasher = RowHasher::default();
     key.hash(&mut hasher);
     PendingKey::Kv(hasher.finish())
 }
@@ -862,7 +905,7 @@ impl ExecService {
                 // Stored oldest→newest; serve newest first, capped.
                 row.reverse();
                 row.truncate(TIMELINE_LIMIT);
-                Reply::Array(row.iter().map(|m| format!(":{m}")).collect())
+                Reply::Ints(row)
             }
             Command::IsFollowing(follower, followee) => {
                 let follows = self
@@ -941,7 +984,7 @@ impl ExecService {
     fn stage_burst(&mut self, reqs: Vec<Request>, ring: bool) -> Burst {
         let mut dead: Option<&'static str> = None;
         let mut acks = AckTable::new(self.next_seq);
-        let mut pending: HashSet<PendingKey> = HashSet::new();
+        let mut pending = PendingRows::default();
         let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
 
         // A barrier: publish, wait for every outstanding ack, then
