@@ -1,32 +1,38 @@
-//! The request flight recorder: completed cross-thread trace trees.
+//! The request flight recorder: the capture rings behind `SLOWLOG` and
+//! `TRACE` — one record type, one lock-free ring, instantiated twice.
 //!
-//! Where the slowlog captures *that* a command was slow, the flight
-//! recorder captures *where the time went*: one [`TraceTree`] per
-//! sampled (or over-threshold) command/burst, carrying the
-//! connection-thread per-layer admission segments harvested from the
-//! span scope **plus** the store-side segments stamped by the
-//! shard-owner threads (queue wait and apply time per mutation). The
-//! tree therefore spans both execution stages — the connection thread
-//! and the shard thread — which no single-thread profile can see.
+//! The trace layer offers every command (or pipelined burst) to the
+//! **slowlog** ring, which keeps those whose wall-clock time crosses
+//! `--slowlog-threshold-us`, and every *span-sampled* one to the
+//! **trace** ring (the flight recorder), whose [`Capture`]s also carry
+//! the store-side segments the shard owners stamped into the acks —
+//! queue wait and apply time per mutation — so a tree spans both the
+//! connection thread and the shard thread.
 //!
-//! The ring is the same lock-free shape as the slowlog: an
-//! [`AtomicLong`] write cursor claimed with one `get_and_increment`,
-//! and one epoch-reclaimed [`AtomicRef`] slot per position. Writers
-//! never block each other or readers; a `TRACE GET` taken mid-write
-//! sees the previous tree in that slot.
+//! They are two rings, each with its own capacity and threshold,
+//! because they are fed at different rates: a sampled tree arrives
+//! once per `sample_every` requests however fast it was, an
+//! over-threshold command arrives rarely. In one shared ring the trees
+//! would evict exactly the entries `SLOWLOG` exists to keep — and an
+//! unsampled slow command has no tree to be a view of.
 //!
-//! Exposure: `TRACE GET|LEN|RESET` over the wire (answered by the
-//! trace layer), and `/trace` as JSON on the metrics responder.
+//! The ring is built on `dego-juc` primitives — an [`AtomicLong`]
+//! write cursor claimed with one `get_and_increment`, and one
+//! epoch-reclaimed [`AtomicRef`] slot per position — so writers from
+//! any connection thread never block each other or readers: a `GET`
+//! taken mid-write simply sees the previous capture in that slot.
+//! [`CaptureRing::entries`] returns the most recent `capacity`
+//! captures sorted slowest-first (Redis-style);
+//! [`CaptureRing::reset`] empties the ring but keeps ids monotonic.
 
 use crate::pipeline::{LayerKind, LAYER_COUNT};
 use dego_juc::{AtomicLong, AtomicRef};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Milliseconds since the Unix epoch — the wall-clock arrival stamp
-/// carried by slowlog entries and trace trees so they can be
-/// correlated with external logs.
-pub fn unix_ms_now() -> u64 {
+/// Milliseconds since the Unix epoch — the wall-clock stamp captures
+/// carry so they can be correlated with external logs.
+fn unix_ms_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -45,13 +51,29 @@ pub struct StoreSegment {
     pub apply_us: u64,
 }
 
-/// A completed request trace: connection-thread layer segments plus
-/// the store-side segments collected across the queue boundary.
+/// What the trace layer saw of one command or burst — the part of a
+/// [`Capture`] known before a ring accepts it.
+#[derive(Clone, Copy, Debug)]
+pub struct Observation<'a> {
+    /// Peer address of the connection that issued it.
+    pub client: &'a Arc<str>,
+    /// Verb, or `"BATCH"` for a pipelined burst.
+    pub verb: &'static str,
+    /// Command class name (`read`/`write`/`control`, `batch` for bursts).
+    pub class: &'static str,
+    /// Commands in the burst (1 for a singleton).
+    pub burst: usize,
+    /// End-to-end wall-clock time through the whole stack.
+    pub elapsed_us: u64,
+}
+
+/// One captured command or burst.
 #[derive(Clone, Debug)]
-pub struct TraceTree {
-    /// Monotonic id (survives [`FlightRecorder::reset`]).
+pub struct Capture {
+    /// Monotonic within its ring (survives [`CaptureRing::reset`]).
     pub id: u64,
-    /// Wall-clock arrival, milliseconds since the Unix epoch.
+    /// Wall-clock capture time, milliseconds since the Unix epoch —
+    /// the other fields are all relative durations.
     pub unix_ms: u64,
     /// Peer address of the connection that issued it.
     pub client: Arc<str>,
@@ -62,49 +84,71 @@ pub struct TraceTree {
     /// Commands in the burst (1 for a singleton).
     pub burst: usize,
     /// End-to-end wall-clock time through the whole stack.
-    pub total_us: u64,
-    /// Per-layer admission cost on the connection thread; `None` for
-    /// layers the span never touched.
-    pub layers: [Option<u64>; LAYER_COUNT],
+    pub elapsed_us: u64,
+    /// Per-layer admission cost on the connection thread when the span
+    /// sampler covered this command (`None` inside for layers the span
+    /// never touched); `None` for an unsampled slowlog entry.
+    pub layers: Option<[Option<u64>; LAYER_COUNT]>,
     /// Store-side segments, one per mutation the request enqueued, in
-    /// ack-arrival order.
+    /// ack-arrival order; empty in the slowlog ring.
     pub store: Vec<StoreSegment>,
 }
 
-impl TraceTree {
-    /// The `TRACE GET` wire line:
-    /// `id=0 unix_ms=1722470400000 client=127.0.0.1:4242 verb=SET class=write burst=1 total_us=31050 span=conn/trace:3,conn/ttl:1,shard0/queue:12,shard0/apply:30021`
-    /// (`span=-` when no segment was recorded).
-    pub fn render_line(&self) -> String {
+impl Capture {
+    /// Every recorded segment as `(shard, name, µs)` — `shard` is
+    /// `None` on the connection thread — layers first in canonical
+    /// order, then each mutation's queue wait and apply. The one walk
+    /// all three grammars render from.
+    fn segments(&self) -> impl Iterator<Item = (Option<usize>, &'static str, u64)> + '_ {
+        let layers = self.layers.iter().flat_map(|costs| {
+            LayerKind::ALL
+                .into_iter()
+                .filter_map(|kind| Some((None, kind.name(), costs[kind.index()]?)))
+        });
+        let store = self.store.iter().flat_map(|seg| {
+            [
+                (Some(seg.shard), "queue", seg.queue_us),
+                (Some(seg.shard), "apply", seg.apply_us),
+            ]
+        });
+        layers.chain(store)
+    }
+
+    /// The line grammar both verbs share; they differ in the name of
+    /// the total and in whether a segment names its thread.
+    fn render_line(&self, total: &str, threads: bool) -> String {
         let mut line = format!(
-            "id={} unix_ms={} client={} verb={} class={} burst={} total_us={} span=",
-            self.id, self.unix_ms, self.client, self.verb, self.class, self.burst, self.total_us
+            "id={} unix_ms={} client={} verb={} class={} burst={} {total}={} span=",
+            self.id, self.unix_ms, self.client, self.verb, self.class, self.burst, self.elapsed_us
         );
-        let mut any = false;
-        for kind in LayerKind::ALL {
-            if let Some(us) = self.layers[kind.index()] {
-                if any {
-                    line.push(',');
-                }
-                let _ = write!(line, "conn/{}:{us}", kind.name());
-                any = true;
-            }
-        }
-        for seg in &self.store {
-            if any {
+        let header = line.len();
+        for (shard, name, us) in self.segments() {
+            if line.len() > header {
                 line.push(',');
             }
-            let _ = write!(
-                line,
-                "shard{}/queue:{},shard{}/apply:{}",
-                seg.shard, seg.queue_us, seg.shard, seg.apply_us
-            );
-            any = true;
+            if threads {
+                let _ = write!(line, "{}/", thread_name(shard));
+            }
+            let _ = write!(line, "{name}:{us}");
         }
-        if !any {
+        if line.len() == header {
             line.push('-');
         }
         line
+    }
+
+    /// The `SLOWLOG GET` wire line:
+    /// `id=3 unix_ms=1722470400000 client=127.0.0.1:4242 verb=SET class=write burst=1 us=15000 span=auth:2,ttl:9`
+    /// (`span=-` when the command was not sampled).
+    pub fn slowlog_line(&self) -> String {
+        self.render_line("us", false)
+    }
+
+    /// The `TRACE GET` wire line:
+    /// `id=0 unix_ms=1722470400000 client=127.0.0.1:4242 verb=SET class=write burst=1 total_us=31050 span=conn/trace:3,conn/ttl:1,shard0/queue:12,shard0/apply:30021`
+    /// (`span=-` when no segment was recorded).
+    pub fn trace_line(&self) -> String {
+        self.render_line("total_us", true)
     }
 
     /// The `/trace` endpoint's JSON object: metadata plus a flat
@@ -118,38 +162,28 @@ impl TraceTree {
             self.verb,
             self.class,
             self.burst,
-            self.total_us
+            self.elapsed_us
         );
-        let mut any = false;
-        for kind in LayerKind::ALL {
-            if let Some(us) = self.layers[kind.index()] {
-                if any {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"thread\":\"conn\",\"name\":\"{}\",\"dur_us\":{us}}}",
-                    kind.name()
-                );
-                any = true;
-            }
-        }
-        for seg in &self.store {
-            if any {
+        for (i, (shard, name, us)) in self.segments().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
+            // The JSON grammar spells the queue segment out.
+            let name = if name == "queue" { "queue_wait" } else { name };
             let _ = write!(
                 out,
-                "{{\"thread\":\"shard{sh}\",\"name\":\"queue_wait\",\"dur_us\":{q}}},{{\"thread\":\"shard{sh}\",\"name\":\"apply\",\"dur_us\":{a}}}",
-                sh = seg.shard,
-                q = seg.queue_us,
-                a = seg.apply_us
+                "{{\"thread\":\"{}\",\"name\":\"{name}\",\"dur_us\":{us}}}",
+                thread_name(shard)
             );
-            any = true;
         }
         out.push_str("]}");
         out
     }
+}
+
+/// The thread a segment ran on: the connection's, or a shard owner's.
+fn thread_name(shard: Option<usize>) -> String {
+    shard.map_or_else(|| "conn".to_string(), |shard| format!("shard{shard}"))
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes) —
@@ -169,59 +203,48 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// The lock-free flight-recorder ring shared by every connection chain.
+/// A lock-free ring of [`Capture`]s shared by every connection chain.
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub struct CaptureRing {
     threshold_us: u64,
-    slots: Vec<AtomicRef<Arc<TraceTree>>>,
-    /// Write cursor; also the source of monotonic tree ids.
+    slots: Vec<AtomicRef<Arc<Capture>>>,
+    /// Write cursor; also the source of monotonic capture ids.
     head: AtomicLong,
 }
 
-impl FlightRecorder {
-    /// A ring holding the `capacity` most recent trees whose total
-    /// time is at or above `threshold_us`. Capacity 0 disables capture
-    /// entirely; the default threshold 0 retains every sampled tree.
+impl CaptureRing {
+    /// A ring holding the `capacity` most recent captures that took at
+    /// least `threshold_us`. Capacity 0 disables capture entirely;
+    /// threshold 0 retains everything offered.
     pub fn new(threshold_us: u64, capacity: usize) -> Self {
-        FlightRecorder {
+        CaptureRing {
             threshold_us,
             slots: (0..capacity).map(|_| AtomicRef::empty()).collect(),
             head: AtomicLong::new(0),
         }
     }
 
-    /// The retention threshold in microseconds.
-    pub fn threshold_us(&self) -> u64 {
-        self.threshold_us
-    }
-
-    /// Offer a completed tree; it is stored only when it crosses the
-    /// threshold and the ring has capacity. Returns whether it was
-    /// captured.
-    #[allow(clippy::too_many_arguments)]
+    /// Offer an observation; it is stored — one `Arc` — only when it
+    /// crosses the threshold and the ring has capacity. Returns
+    /// whether it was captured.
     pub fn offer(
         &self,
-        client: &Arc<str>,
-        verb: &'static str,
-        class: &'static str,
-        burst: usize,
-        total_us: u64,
-        layers: [Option<u64>; LAYER_COUNT],
+        seen: &Observation<'_>,
+        layers: Option<[Option<u64>; LAYER_COUNT]>,
         store: Vec<StoreSegment>,
     ) -> bool {
-        if self.slots.is_empty() || total_us < self.threshold_us {
+        if self.slots.is_empty() || seen.elapsed_us < self.threshold_us {
             return false;
         }
         let id = self.head.get_and_increment() as u64;
-        let slot = &self.slots[(id as usize) % self.slots.len()];
-        slot.set(Arc::new(TraceTree {
+        self.slots[(id as usize) % self.slots.len()].set(Arc::new(Capture {
             id,
             unix_ms: unix_ms_now(),
-            client: Arc::clone(client),
-            verb,
-            class,
-            burst,
-            total_us,
+            client: Arc::clone(seen.client),
+            verb: seen.verb,
+            class: seen.class,
+            burst: seen.burst,
+            elapsed_us: seen.elapsed_us,
             layers,
             store,
         }));
@@ -229,10 +252,17 @@ impl FlightRecorder {
     }
 
     /// Snapshot the ring, sorted slowest-first (ties: newest first).
-    pub fn entries(&self) -> Vec<Arc<TraceTree>> {
-        let mut out: Vec<Arc<TraceTree>> = self.slots.iter().filter_map(|s| s.get()).collect();
-        out.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(b.id.cmp(&a.id)));
+    pub fn entries(&self) -> Vec<Arc<Capture>> {
+        let mut out: Vec<Arc<Capture>> = self.slots.iter().filter_map(|s| s.get()).collect();
+        out.sort_by(|a, b| b.elapsed_us.cmp(&a.elapsed_us).then(b.id.cmp(&a.id)));
         out
+    }
+
+    /// The `/trace` body: every capture, slowest first, as one JSON
+    /// object `{"entries":[{...},...]}`.
+    pub fn render_json(&self) -> String {
+        let entries: Vec<String> = self.entries().iter().map(|c| c.render_json()).collect();
+        format!("{{\"entries\":[{}]}}\n", entries.join(","))
     }
 
     /// Occupied slots (saturates at capacity).
@@ -240,17 +270,17 @@ impl FlightRecorder {
         self.slots.iter().filter(|s| !s.is_empty()).count()
     }
 
-    /// Whether the ring currently holds no trees.
+    /// Whether the ring currently holds no captures.
     pub fn is_empty(&self) -> bool {
         self.slots.iter().all(|s| s.is_empty())
     }
 
-    /// Trees ever captured (not clamped by capacity or reset).
+    /// Captures ever stored (not clamped by capacity or reset).
     pub fn total(&self) -> u64 {
         self.head.get() as u64
     }
 
-    /// Drop every tree; ids keep counting from where they were.
+    /// Drop every capture; ids keep counting from where they were.
     pub fn reset(&self) {
         for slot in &self.slots {
             slot.clear();
@@ -266,72 +296,150 @@ mod tests {
         Arc::from("test:1")
     }
 
-    fn layers_with(kind: LayerKind, us: u64) -> [Option<u64>; LAYER_COUNT] {
-        let mut layers = [None; LAYER_COUNT];
-        layers[kind.index()] = Some(us);
-        layers
+    /// Offer an unsampled observation of `elapsed_us` to `ring`.
+    fn offer(ring: &CaptureRing, who: &Arc<str>, verb: &'static str, elapsed_us: u64) -> bool {
+        let seen = Observation {
+            client: who,
+            verb,
+            class: "write",
+            burst: 1,
+            elapsed_us,
+        };
+        ring.offer(&seen, None, Vec::new())
     }
 
-    #[test]
-    fn render_line_spans_both_threads() {
-        let tree = TraceTree {
-            id: 0,
+    fn capture(layers: &[(LayerKind, u64)], store: Vec<StoreSegment>) -> Capture {
+        let mut costs = [None; LAYER_COUNT];
+        for (kind, us) in layers {
+            costs[kind.index()] = Some(*us);
+        }
+        Capture {
+            id: 9,
             unix_ms: 1_722_470_400_000,
             client: client(),
             verb: "SET",
             class: "write",
             burst: 1,
-            total_us: 31_050,
-            layers: layers_with(LayerKind::Trace, 3),
-            store: vec![StoreSegment {
-                shard: 0,
-                queue_us: 12,
-                apply_us: 30_021,
-            }],
-        };
+            elapsed_us: 31_050,
+            layers: Some(costs),
+            store,
+        }
+    }
+
+    #[test]
+    fn threshold_filters_and_capacity_rings() {
+        let ring = CaptureRing::new(100, 2);
+        assert!(!offer(&ring, &client(), "GET", 99), "below threshold");
+        assert!(ring.is_empty());
+        assert_eq!((ring.len(), ring.total()), (0, 0));
+        assert!(offer(&ring, &client(), "SET", 500));
+        assert!(offer(&ring, &client(), "DEL", 200));
+        assert!(offer(&ring, &client(), "INCR", 300)); // evicts id 0
+        let entries = ring.entries();
+        assert_eq!(entries.len(), 2, "ring keeps the most recent capacity");
+        assert_eq!(entries[0].elapsed_us, 300, "slowest-first among survivors");
+        assert_eq!(entries[1].verb, "DEL");
+        assert_eq!(ring.total(), 3);
+    }
+
+    #[test]
+    fn reset_clears_but_ids_stay_monotonic() {
+        let ring = CaptureRing::new(0, 4);
+        offer(&ring, &client(), "GET", 1);
+        offer(&ring, &client(), "GET", 2);
+        ring.reset();
+        assert_eq!(ring.len(), 0);
+        assert!(ring.is_empty());
+        offer(&ring, &client(), "GET", 3);
+        assert_eq!(ring.entries()[0].id, 2, "ids continue across reset");
+    }
+
+    #[test]
+    fn zero_capacity_disables_capture() {
+        let ring = CaptureRing::new(0, 0);
+        assert!(!offer(&ring, &client(), "GET", u64::MAX));
+        assert!(ring.entries().is_empty());
+    }
+
+    #[test]
+    fn offered_entries_carry_a_wall_clock_stamp() {
+        let ring = CaptureRing::new(0, 1);
+        offer(&ring, &client(), "SET", 5);
+        let entry = &ring.entries()[0];
+        // Any plausible present-day stamp: after 2020-01-01.
+        assert!(entry.unix_ms > 1_577_836_800_000, "got {}", entry.unix_ms);
+    }
+
+    #[test]
+    fn concurrent_writers_never_tear() {
+        let ring = Arc::new(CaptureRing::new(0, 8));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let who: Arc<str> = Arc::from(format!("w{t}"));
+                    for i in 0..500 {
+                        offer(&ring, &who, "SET", 100 + i);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(ring.total(), 2000);
+        let entries = ring.entries();
+        assert_eq!(entries.len(), 8);
+        for pair in entries.windows(2) {
+            assert!(pair[0].elapsed_us >= pair[1].elapsed_us);
+        }
+    }
+
+    #[test]
+    fn render_line_is_well_formed() {
+        let entry = capture(&[(LayerKind::Auth, 7), (LayerKind::Ttl, 0)], Vec::new());
         assert_eq!(
-            tree.render_line(),
-            "id=0 unix_ms=1722470400000 client=test:1 verb=SET class=write burst=1 \
+            entry.slowlog_line(),
+            "id=9 unix_ms=1722470400000 client=test:1 verb=SET class=write burst=1 \
+             us=31050 span=auth:7,ttl:0"
+        );
+        let unsampled = Capture {
+            layers: None,
+            ..entry
+        };
+        assert!(unsampled.slowlog_line().ends_with("span=-"));
+    }
+
+    #[test]
+    fn render_line_spans_both_threads() {
+        let seg = StoreSegment {
+            shard: 0,
+            queue_us: 12,
+            apply_us: 30_021,
+        };
+        let tree = capture(&[(LayerKind::Trace, 3)], vec![seg]);
+        assert_eq!(
+            tree.trace_line(),
+            "id=9 unix_ms=1722470400000 client=test:1 verb=SET class=write burst=1 \
              total_us=31050 span=conn/trace:3,shard0/queue:12,shard0/apply:30021"
         );
     }
 
     #[test]
     fn render_line_with_no_segments_is_dash() {
-        let tree = TraceTree {
-            id: 4,
-            unix_ms: 7,
-            client: client(),
-            verb: "PING",
-            class: "control",
-            burst: 1,
-            total_us: 2,
-            layers: [None; LAYER_COUNT],
-            store: Vec::new(),
-        };
-        assert!(tree.render_line().ends_with("span=-"));
+        assert!(capture(&[], Vec::new()).trace_line().ends_with("span=-"));
     }
 
     #[test]
     fn render_json_carries_store_segments() {
-        let tree = TraceTree {
-            id: 1,
-            unix_ms: 99,
-            client: client(),
-            verb: "SET",
-            class: "write",
-            burst: 1,
-            total_us: 50,
-            layers: layers_with(LayerKind::Auth, 5),
-            store: vec![StoreSegment {
-                shard: 2,
-                queue_us: 10,
-                apply_us: 30,
-            }],
+        let seg = StoreSegment {
+            shard: 2,
+            queue_us: 10,
+            apply_us: 30,
         };
-        let json = tree.render_json();
+        let json = capture(&[(LayerKind::Auth, 5)], vec![seg]).render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"spans\":["), "{json}");
+        assert!(json.contains("\"total_us\":31050,\"spans\":["), "{json}");
         assert!(
             json.contains("{\"thread\":\"conn\",\"name\":\"auth\",\"dur_us\":5}"),
             "{json}"
@@ -349,69 +457,5 @@ mod tests {
     #[test]
     fn json_escaping_neutralizes_hostile_clients() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
-    }
-
-    #[test]
-    fn threshold_filters_and_capacity_rings() {
-        let rec = FlightRecorder::new(100, 2);
-        assert!(!rec.offer(&client(), "GET", "read", 1, 99, [None; LAYER_COUNT], vec![]));
-        assert!(rec.offer(
-            &client(),
-            "SET",
-            "write",
-            1,
-            500,
-            [None; LAYER_COUNT],
-            vec![]
-        ));
-        assert!(rec.offer(
-            &client(),
-            "DEL",
-            "write",
-            1,
-            200,
-            [None; LAYER_COUNT],
-            vec![]
-        ));
-        assert!(rec.offer(
-            &client(),
-            "INCR",
-            "write",
-            1,
-            300,
-            [None; LAYER_COUNT],
-            vec![]
-        ));
-        let entries = rec.entries();
-        assert_eq!(entries.len(), 2, "ring keeps the most recent capacity");
-        assert_eq!(entries[0].total_us, 300, "slowest-first among survivors");
-        assert_eq!(rec.total(), 3);
-    }
-
-    #[test]
-    fn reset_clears_but_ids_stay_monotonic() {
-        let rec = FlightRecorder::new(0, 4);
-        rec.offer(&client(), "GET", "read", 1, 1, [None; LAYER_COUNT], vec![]);
-        rec.offer(&client(), "GET", "read", 1, 2, [None; LAYER_COUNT], vec![]);
-        rec.reset();
-        assert_eq!(rec.len(), 0);
-        assert!(rec.is_empty());
-        rec.offer(&client(), "GET", "read", 1, 3, [None; LAYER_COUNT], vec![]);
-        assert_eq!(rec.entries()[0].id, 2, "ids continue across reset");
-    }
-
-    #[test]
-    fn zero_capacity_disables_capture() {
-        let rec = FlightRecorder::new(0, 0);
-        assert!(!rec.offer(
-            &client(),
-            "GET",
-            "read",
-            1,
-            u64::MAX,
-            [None; LAYER_COUNT],
-            vec![]
-        ));
-        assert!(rec.entries().is_empty());
     }
 }

@@ -73,7 +73,6 @@ pub mod prom;
 pub mod protocol;
 pub mod rate_limit;
 pub mod shed;
-pub mod slowlog;
 pub mod span;
 pub mod trace;
 pub mod ttl;
@@ -82,17 +81,14 @@ pub use auth::{AuthConfig, AuthLayer, Principal, Role, TokenSpec};
 pub use breaker::{BreakerConfig, BreakerLayer};
 pub use config::{MiddlewareConfig, TraceConfig};
 pub use deadline::{DeadlineConfig, DeadlineLayer};
-pub use flight::{FlightRecorder, StoreSegment, TraceTree};
+pub use flight::{Capture, CaptureRing, Observation, StoreSegment};
 pub use fused::FusedService;
-pub use metrics::{
-    LatencyHistogram, PipelineMetrics, RelaxedCounter, StatLines, WindowedHistogram,
-};
+pub use metrics::{LatencyHistogram, PipelineMetrics, Reading, RelaxedCounter, WindowedHistogram};
 pub use pipeline::{
     BoxService, Layer, LayerKind, Progress, Request, Response, Service, Session, Stack, LAYER_COUNT,
 };
-pub use prom::PromText;
+pub use prom::{Histograms, Kind, Quantiles, Row, Surface, P50_P99};
 pub use rate_limit::{RateLimitConfig, RateLimitLayer};
 pub use shed::{PressureProbe, ShardPressure, ShedConfig, ShedLayer};
-pub use slowlog::{SlowLog, SlowLogEntry};
 pub use trace::TraceLayer;
 pub use ttl::TtlLayer;

@@ -1,6 +1,7 @@
 //! Pipeline observability: per-command latency histograms and
 //! per-layer counters, folded into the server's `STATS` reply by the
-//! trace layer.
+//! trace layer — and [`declare_metrics!`], the one place a plane says
+//! which counters and gauges it has.
 //!
 //! The rate limiter's admission/refill counters are
 //! [`dego_juc::LongAdder`]s — the striped, contention-relieved sums the
@@ -13,11 +14,11 @@
 //! `fetch_add`, never a lock.
 
 use crate::config::TraceConfig;
-use crate::flight::FlightRecorder;
+use crate::flight::CaptureRing;
 use crate::pipeline::{LayerKind, LAYER_COUNT};
-use crate::slowlog::SlowLog;
+use crate::prom::{Histograms, Quantiles, Row, Surface, P50_P99};
 use dego_juc::LongAdder;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 /// A relaxed event counter (statistics, not synchronization).
@@ -25,11 +26,6 @@ use std::time::Instant;
 pub struct RelaxedCounter(AtomicU64);
 
 impl RelaxedCounter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        RelaxedCounter(AtomicU64::new(0))
-    }
-
     /// Count one event.
     #[inline]
     pub fn increment(&self) {
@@ -54,6 +50,128 @@ impl RelaxedCounter {
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
     }
+}
+
+/// What a declared row's reading is taken from: a live cell, or the
+/// plain number a snapshot copied out of one.
+pub trait Reading {
+    /// The value now.
+    fn reading(&self) -> u64;
+}
+
+impl Reading for RelaxedCounter {
+    fn reading(&self) -> u64 {
+        self.sum()
+    }
+}
+
+impl Reading for LongAdder {
+    fn reading(&self) -> u64 {
+        self.sum().max(0) as u64
+    }
+}
+
+impl Reading for u64 {
+    fn reading(&self) -> u64 {
+        *self
+    }
+}
+
+/// Declare a metrics plane: every unlabelled counter and gauge is
+/// **one row**, and everything else about it is generated.
+///
+/// A *stored* row, `/// Help.` then `field: Cell => "stat_name",`, is a
+/// counter `STATS RESET` zeroes, in a cell with `default()`, `reset()`
+/// and [`Reading`]. A *computed* row, `/// Help.` then
+/// `Gauge "stat_name" = expr,` inside the readings function, has no
+/// cell. Generated: the struct; its constructor (cells zeroed, the
+/// plane's other fields from the initialisers written there); `ROWS`;
+/// `reset_rows()`; and the readings function, in `ROWS` order.
+/// Prefixing `… struct Snapshot = snapshot of` adds a `Copy` struct of
+/// one `pub u64` per stored row and `snapshot()`, and the readings
+/// function may then be declared on it. [`PipelineMetrics`] is the
+/// model invocation.
+#[macro_export]
+macro_rules! declare_metrics {
+    (
+        $(#[$smeta:meta])* $svis:vis struct $snap:ident = snapshot of
+        $(#[$meta:meta])* $vis:vis struct $name:ident {$(
+            #[doc = $help:literal] $fvis:vis $field:ident: $cell:ty => $stat:literal,
+        )*}
+        $($rest:tt)*
+    ) => {
+        $(#[$smeta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $svis struct $snap {$(
+            #[doc = $help] pub $field: u64,
+        )*}
+
+        impl $name {
+            /// Copy every stored row's reading out.
+            pub fn snapshot(&self) -> $snap {
+                $snap {$( $field: $crate::Reading::reading(&self.$field), )*}
+            }
+        }
+
+        $crate::declare_metrics! {
+            $(#[$meta])* $vis struct $name {$(
+                #[doc = $help] $fvis $field: $cell => $stat,
+            )*}
+            $($rest)*
+        }
+    };
+    (
+        $(#[$meta:meta])* $vis:vis struct $name:ident {$(
+            #[doc = $help:literal] $fvis:vis $field:ident: $cell:ty => $stat:literal,
+        )*}
+        $(#[$nmeta:meta])* $nvis:vis fn $new:ident($($arg:ident: $argty:ty),*) {$(
+            $(#[$rmeta:meta])* $rvis:vis $rfield:ident: $rty:ty = $rinit:expr,
+        )*}
+        impl $target:ident {
+            $(#[$vmeta:meta])*
+            $vvis:vis fn $values:ident(&$me:ident $(, $varg:ident: $vargty:ty)*) {$(
+                #[doc = $dhelp:literal] $dkind:ident $dstat:literal = $dvalue:expr,
+            )*}
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( #[doc = $help] $fvis $field: $cell, )*
+            $( $(#[$rmeta])* $rvis $rfield: $rty, )*
+        }
+
+        impl $name {
+            /// Every unlabelled counter and gauge of this plane: the
+            /// stored rows in field order, then the computed ones.
+            pub const ROWS: &'static [$crate::Row] = &[
+                $( $crate::Row { stat: $stat, kind: $crate::Kind::Counter, resets: true, help: $help }, )*
+                $( $crate::Row { stat: $dstat, kind: $crate::Kind::$dkind, resets: false, help: $dhelp }, )*
+            ];
+
+            $(#[$nmeta])*
+            $nvis fn $new($($arg: $argty),*) -> Self {
+                $name {
+                    $( $field: <$cell>::default(), )*
+                    $( $rfield: $rinit, )*
+                }
+            }
+
+            /// Zero every stored row (`STATS RESET`).
+            pub fn reset_rows(&self) {
+                $( self.$field.reset(); )*
+            }
+        }
+
+        impl $target {
+            $(#[$vmeta])*
+            $vvis fn $values(&$me $(, $varg: $vargty)*) -> Vec<u64> {
+                vec![
+                    $( $crate::Reading::reading(&$me.$field), )*
+                    $( $dvalue, )*
+                ]
+            }
+        }
+    };
 }
 
 /// Number of log₂ buckets: bucket `i` holds samples in
@@ -315,11 +433,6 @@ impl WindowedHistogram {
         self.lifetime.count()
     }
 
-    /// Lifetime sample sum in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.lifetime.sum_us()
-    }
-
     /// The cumulative lifetime histogram (Prometheus families and
     /// `_total` stat lines render from this).
     pub fn lifetime(&self) -> &LatencyHistogram {
@@ -336,139 +449,141 @@ impl WindowedHistogram {
     }
 }
 
-/// The one `name=value` emitter behind every `STATS` line — the
-/// server plane, the `mw_*` block and the `STATS SHARDS` reply all
-/// render through it. In debug builds it asserts that no stat name is
-/// pushed twice, so the server-plane and middleware blocks can never
-/// silently drift into emitting duplicates.
-#[derive(Debug, Default)]
-pub struct StatLines {
-    lines: Vec<String>,
-    #[cfg(debug_assertions)]
-    seen: std::collections::HashSet<String>,
-}
+/// A latency class: label, histogram, the percentiles `STATS` shows,
+/// and the histogram family's help.
+type Class<'a> = (&'static str, &'a WindowedHistogram, Quantiles, String);
 
-impl StatLines {
-    /// An empty emitter.
-    pub fn new() -> Self {
-        Self::default()
+/// Live breaker state per class on both surfaces.
+const BREAKER_STATE: Row = Row::gauge(
+    "mw_breaker_{}_state",
+    "Per-class breaker state: 0 closed, 1 open, 2 half-open.",
+);
+
+/// The scrape-side name of `mw_window_secs`, which predates the rule.
+const WINDOW_SECONDS: Row = Row::gauge(
+    "mw_window_seconds",
+    "Rolling-percentile window width (0 = windowing disabled).",
+);
+
+/// Scrape-only families, one per entry of [`P50_P99`].
+const WINDOWED: [Row; 2] = [
+    Row::gauge(
+        "mw_p50_us_window",
+        "Windowed p50 latency per command class, microseconds.",
+    ),
+    Row::gauge(
+        "mw_p99_us_window",
+        "Windowed p99 latency per command class, microseconds.",
+    ),
+];
+
+declare_metrics! {
+    /// Shared counters for the whole pipeline: each layer bumps its own
+    /// section; the trace layer renders everything into `STATS` lines.
+    #[derive(Debug)]
+    pub struct PipelineMetrics {
+        /// Commands observed by the trace layer.
+        pub traced: RelaxedCounter => "mw_traced",
+        /// Pipelined bursts driven through call_batch.
+        pub batches: RelaxedCounter => "mw_batches",
+        /// Commands carried by those bursts.
+        pub batch_commands: RelaxedCounter => "mw_batch_commands",
+
+        /// Requests admitted by the rate limiter.
+        pub rate_admitted: LongAdder => "mw_rate_admitted",
+        /// Requests rejected by the rate limiter.
+        pub rate_rejected: LongAdder => "mw_rate_rejected",
+        /// Tokens refilled into buckets.
+        pub rate_refilled: LongAdder => "mw_rate_refilled",
+
+        /// Commands admitted by the ACL check.
+        pub auth_admitted: RelaxedCounter => "mw_auth_admitted",
+        /// Commands or AUTH attempts denied.
+        pub auth_denied: RelaxedCounter => "mw_auth_denied",
+        /// Successful AUTH logins.
+        pub auth_logins: RelaxedCounter => "mw_auth_logins",
+        /// Runtime policy/token reloads.
+        pub auth_reloads: RelaxedCounter => "mw_auth_reloads",
+
+        /// Commands measured against a deadline budget.
+        pub deadline_checked: RelaxedCounter => "mw_deadline_checked",
+        /// Commands that blew their budget.
+        pub deadline_missed: RelaxedCounter => "mw_deadline_missed",
+
+        /// Commands measured by the circuit breaker.
+        pub breaker_checked: RelaxedCounter => "mw_breaker_checked",
+        // Or while the half-open probe quota was spent.
+        /// Commands rejected while a breaker was open.
+        pub breaker_rejected: RelaxedCounter => "mw_breaker_rejected",
+        /// Closed- or half-open-to-open breaker transitions.
+        pub breaker_trips: RelaxedCounter => "mw_breaker_trips",
+        /// Half-open-to-closed breaker transitions.
+        pub breaker_recoveries: RelaxedCounter => "mw_breaker_recoveries",
+        /// Probe commands admitted through a half-open breaker.
+        pub breaker_probes: RelaxedCounter => "mw_breaker_probes",
+
+        /// Writes whose target shard's pressure was read.
+        pub shed_checked: RelaxedCounter => "mw_shed_checked",
+        /// Writes shed because their target shard was distressed.
+        pub shed_shed: RelaxedCounter => "mw_shed_shed",
+
+        /// Commands inspected by the TTL layer.
+        pub ttl_checked: RelaxedCounter => "mw_ttl_checked",
+        /// TTL timers armed by EXPIRE.
+        pub ttl_armed: RelaxedCounter => "mw_ttl_armed",
+        /// Keys lazily expired on GET.
+        pub ttl_expired: RelaxedCounter => "mw_ttl_expired",
+
+        // The denominator for `layer_admission_us`.
+        /// Requests whose per-layer costs were sampled.
+        pub spans_sampled: RelaxedCounter => "mw_spans_sampled",
     }
 
-    /// Append one `name=value` line.
-    pub fn push(&mut self, name: &str, value: impl std::fmt::Display) {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.seen.insert(name.to_string()),
-            "duplicate stat name {name:?} in one STATS reply"
-        );
-        self.lines.push(format!("{name}={value}"));
+    /// A zeroed sink whose slowlog ring, trace ring and aggregation
+    /// windows are sized per `trace`.
+    pub fn with_trace(trace: &TraceConfig) {
+        /// Latency of read-class commands (µs, end-to-end below trace).
+        pub read_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        /// Latency of write-class commands.
+        pub write_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        /// Latency of control-class commands.
+        pub control_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        /// Whole-batch latency (µs): one sample per burst, however many
+        /// commands it carried.
+        pub batch_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        /// Live breaker state per class (read 0, write 1): 0 closed,
+        /// 1 open, 2 half-open — a gauge mirror, not reset by
+        /// `STATS RESET`.
+        pub breaker_state: [AtomicU8; 2] = [AtomicU8::new(0), AtomicU8::new(0)],
+        /// Per-layer admission cost (µs), indexed by
+        /// [`LayerKind::index`]; fed only by sampled spans, so each
+        /// histogram describes the sampled population.
+        pub layer_admission_us: [WindowedHistogram; LAYER_COUNT] =
+            std::array::from_fn(|_| WindowedHistogram::new(trace.window_secs)),
+        /// The slow-command ring served by `SLOWLOG GET|RESET|LEN`.
+        pub slowlog: CaptureRing =
+            CaptureRing::new(trace.slowlog_threshold_us, trace.slowlog_capacity),
+        /// The flight-recorder ring of sampled cross-thread trace
+        /// trees, served by `TRACE GET|RESET|LEN` and `/trace`.
+        pub trace: CaptureRing = CaptureRing::new(trace.trace_threshold_us, trace.trace_capacity),
     }
 
-    /// The finished lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
-    }
-}
-
-/// Debug-assert that a fully assembled `STATS` reply carries no
-/// duplicate stat names — the cross-block guard run where the trace
-/// layer folds the `mw_*` lines into the server-plane lines.
-pub fn debug_assert_unique_stat_names(lines: &[String]) {
-    #[cfg(debug_assertions)]
-    {
-        let mut seen = std::collections::HashSet::new();
-        for line in lines {
-            let name = line.split('=').next().unwrap_or(line);
-            debug_assert!(
-                seen.insert(name),
-                "duplicate stat name {name:?} in one STATS reply"
-            );
+    impl PipelineMetrics {
+        /// Every row's reading, in [`PipelineMetrics::ROWS`] order;
+        /// `depth` is the configured stack depth.
+        fn values(&self, depth: usize) {
+            /// Configured middleware layers.
+            Gauge "mw_depth" = depth as u64,
+            /// Entries currently held by the slowlog ring.
+            Gauge "mw_slowlog_len" = self.slowlog.len() as u64,
+            /// Slow commands captured since boot (resets keep counting).
+            Counter "mw_slowlog_total" = self.slowlog.total(),
+            /// Trace trees currently held by the flight recorder.
+            Gauge "mw_trace_len" = self.trace.len() as u64,
+            /// Trace trees captured since boot (resets keep counting).
+            Counter "mw_trace_total" = self.trace.total(),
         }
     }
-    #[cfg(not(debug_assertions))]
-    let _ = lines;
-}
-
-/// Shared counters for the whole pipeline: each layer bumps its own
-/// section; the trace layer renders everything into `STATS` lines.
-#[derive(Debug)]
-pub struct PipelineMetrics {
-    /// Commands observed by the trace layer.
-    pub traced: RelaxedCounter,
-    /// Latency of read-class commands (µs, end-to-end below trace).
-    pub read_latency: WindowedHistogram,
-    /// Latency of write-class commands.
-    pub write_latency: WindowedHistogram,
-    /// Latency of control-class commands.
-    pub control_latency: WindowedHistogram,
-    /// Pipelined bursts driven through `call_batch`.
-    pub batches: RelaxedCounter,
-    /// Commands carried by those bursts (`traced` counts them too).
-    pub batch_commands: RelaxedCounter,
-    /// Whole-batch latency (µs): one sample per burst, however many
-    /// commands it carried.
-    pub batch_latency: WindowedHistogram,
-
-    /// Requests admitted by the rate limiter.
-    pub rate_admitted: LongAdder,
-    /// Requests rejected by the rate limiter.
-    pub rate_rejected: LongAdder,
-    /// Tokens refilled into buckets (LongAdder-style refill counter).
-    pub rate_refilled: LongAdder,
-
-    /// Commands admitted by the ACL check.
-    pub auth_admitted: RelaxedCounter,
-    /// Commands (or `AUTH` attempts) denied.
-    pub auth_denied: RelaxedCounter,
-    /// Successful `AUTH` logins.
-    pub auth_logins: RelaxedCounter,
-    /// Runtime policy/token reloads (RCU publishes).
-    pub auth_reloads: RelaxedCounter,
-
-    /// Commands measured against a deadline budget.
-    pub deadline_checked: RelaxedCounter,
-    /// Commands that blew their budget.
-    pub deadline_missed: RelaxedCounter,
-
-    /// Read/write commands evaluated by an armed circuit breaker.
-    pub breaker_checked: RelaxedCounter,
-    /// Commands rejected because their class was open (or the
-    /// half-open probe quota was spent).
-    pub breaker_rejected: RelaxedCounter,
-    /// Closed→open (and half-open→open) transitions.
-    pub breaker_trips: RelaxedCounter,
-    /// Half-open→closed transitions (every probe succeeded).
-    pub breaker_recoveries: RelaxedCounter,
-    /// Probe requests admitted while half-open.
-    pub breaker_probes: RelaxedCounter,
-    /// Live breaker state per class (read 0, write 1): 0 closed,
-    /// 1 open, 2 half-open — a gauge mirror, not reset by
-    /// `STATS RESET`.
-    pub breaker_state: [std::sync::atomic::AtomicU8; 2],
-
-    /// Write commands evaluated against live shard pressure.
-    pub shed_checked: RelaxedCounter,
-    /// Write commands shed with `-ERR SHED`.
-    pub shed_shed: RelaxedCounter,
-
-    /// Commands inspected by the TTL layer.
-    pub ttl_checked: RelaxedCounter,
-    /// TTL timers armed by `EXPIRE`.
-    pub ttl_armed: RelaxedCounter,
-    /// Keys lazily expired on `GET`.
-    pub ttl_expired: RelaxedCounter,
-
-    /// Per-layer admission cost (µs), indexed by
-    /// [`LayerKind::index`]; fed only by sampled spans, so each
-    /// histogram describes the sampled population.
-    pub layer_admission_us: [WindowedHistogram; LAYER_COUNT],
-    /// Spans actually sampled (the denominator for `layer_admission_us`).
-    pub spans_sampled: RelaxedCounter,
-    /// The slow-command ring served by `SLOWLOG GET|RESET|LEN`.
-    pub slowlog: SlowLog,
-    /// The flight-recorder ring of completed cross-thread trace trees,
-    /// served by `TRACE GET|RESET|LEN` and `/trace`.
-    pub flight: FlightRecorder,
 }
 
 impl Default for PipelineMetrics {
@@ -483,82 +598,33 @@ impl PipelineMetrics {
         Self::with_trace(&TraceConfig::default())
     }
 
-    /// A zeroed sink whose slowlog ring, flight-recorder ring and
-    /// aggregation windows are sized per `trace`.
-    pub fn with_trace(trace: &TraceConfig) -> Self {
-        let w = trace.window_secs;
-        PipelineMetrics {
-            traced: RelaxedCounter::new(),
-            read_latency: WindowedHistogram::new(w),
-            write_latency: WindowedHistogram::new(w),
-            control_latency: WindowedHistogram::new(w),
-            batches: RelaxedCounter::new(),
-            batch_commands: RelaxedCounter::new(),
-            batch_latency: WindowedHistogram::new(w),
-            rate_admitted: LongAdder::new(),
-            rate_rejected: LongAdder::new(),
-            rate_refilled: LongAdder::new(),
-            auth_admitted: RelaxedCounter::new(),
-            auth_denied: RelaxedCounter::new(),
-            auth_logins: RelaxedCounter::new(),
-            auth_reloads: RelaxedCounter::new(),
-            deadline_checked: RelaxedCounter::new(),
-            deadline_missed: RelaxedCounter::new(),
-            breaker_checked: RelaxedCounter::new(),
-            breaker_rejected: RelaxedCounter::new(),
-            breaker_trips: RelaxedCounter::new(),
-            breaker_recoveries: RelaxedCounter::new(),
-            breaker_probes: RelaxedCounter::new(),
-            breaker_state: [
-                std::sync::atomic::AtomicU8::new(0),
-                std::sync::atomic::AtomicU8::new(0),
-            ],
-            shed_checked: RelaxedCounter::new(),
-            shed_shed: RelaxedCounter::new(),
-            ttl_checked: RelaxedCounter::new(),
-            ttl_armed: RelaxedCounter::new(),
-            ttl_expired: RelaxedCounter::new(),
-            layer_admission_us: std::array::from_fn(|_| WindowedHistogram::new(w)),
-            spans_sampled: RelaxedCounter::new(),
-            slowlog: SlowLog::new(trace.slowlog_threshold_us, trace.slowlog_capacity),
-            flight: FlightRecorder::new(trace.trace_threshold_us, trace.trace_capacity),
-        }
+    /// The four latency classes. `STATS` shows both percentiles of
+    /// reads and writes, only the p99 of a burst, nothing of the
+    /// control class.
+    fn classes(&self) -> [Class<'_>; 4] {
+        let below = |class| format!("{class}-class command latency below trace, microseconds.");
+        [
+            ("read", &self.read_latency, P50_P99, below("Read")),
+            ("write", &self.write_latency, P50_P99, below("Write")),
+            ("control", &self.control_latency, &[], below("Control")),
+            (
+                "batch",
+                &self.batch_latency,
+                &P50_P99[1..],
+                "Whole-burst latency, microseconds.".to_string(),
+            ),
+        ]
     }
 
     /// `STATS RESET`: zero every counter and histogram (lifetime and
-    /// windowed). The slowlog and flight-recorder rings are *not*
-    /// touched — they have their own `RESET` verbs.
+    /// windowed). The slowlog and trace rings are *not* touched — they
+    /// have their own `RESET` verbs.
     pub fn reset(&self) {
-        self.traced.reset();
-        self.read_latency.reset();
-        self.write_latency.reset();
-        self.control_latency.reset();
-        self.batches.reset();
-        self.batch_commands.reset();
-        self.batch_latency.reset();
-        self.rate_admitted.reset();
-        self.rate_rejected.reset();
-        self.rate_refilled.reset();
-        self.auth_admitted.reset();
-        self.auth_denied.reset();
-        self.auth_logins.reset();
-        self.auth_reloads.reset();
-        self.deadline_checked.reset();
-        self.deadline_missed.reset();
-        self.breaker_checked.reset();
-        self.breaker_rejected.reset();
-        self.breaker_trips.reset();
-        self.breaker_recoveries.reset();
-        self.breaker_probes.reset();
-        self.shed_checked.reset();
-        self.shed_shed.reset();
-        self.ttl_checked.reset();
-        self.ttl_armed.reset();
-        self.ttl_expired.reset();
-        for hist in &self.layer_admission_us {
+        self.reset_rows();
+        let classes = self.classes().map(|(_, hist, ..)| hist);
+        for hist in classes.into_iter().chain(&self.layer_admission_us) {
             hist.reset();
         }
-        self.spans_sampled.reset();
     }
 
     /// Fold one harvested span into the per-layer histograms.
@@ -571,102 +637,71 @@ impl PipelineMetrics {
         }
     }
 
-    /// The `mw_*` lines appended to the `STATS` array reply.
+    /// The pipeline plane on either surface: the `mw_*` lines appended
+    /// to a `STATS` reply, or the `dego_mw_*` families of a scrape.
     ///
-    /// Percentile lines report the rolling window (the last
-    /// `mw_window_secs` seconds); each carries a `_total`-suffixed
-    /// twin computed over the lifetime histogram. When windowing is
-    /// disabled (`--stats-window-secs 0`) the two are identical.
-    pub fn render_lines(&self, depth: usize) -> Vec<String> {
-        let mut out = StatLines::new();
-        out.push("mw_depth", depth);
-        out.push("mw_window_secs", self.read_latency.window_secs());
-        out.push("mw_traced", self.traced.sum());
-        out.push("mw_read_p50_us", self.read_latency.percentile_us(0.50));
-        out.push("mw_read_p99_us", self.read_latency.percentile_us(0.99));
-        out.push(
-            "mw_read_p50_us_total",
-            self.read_latency.lifetime().percentile_us(0.50),
-        );
-        out.push(
-            "mw_read_p99_us_total",
-            self.read_latency.lifetime().percentile_us(0.99),
-        );
-        out.push("mw_write_p50_us", self.write_latency.percentile_us(0.50));
-        out.push("mw_write_p99_us", self.write_latency.percentile_us(0.99));
-        out.push(
-            "mw_write_p50_us_total",
-            self.write_latency.lifetime().percentile_us(0.50),
-        );
-        out.push(
-            "mw_write_p99_us_total",
-            self.write_latency.lifetime().percentile_us(0.99),
-        );
-        out.push("mw_batches", self.batches.sum());
-        out.push("mw_batch_commands", self.batch_commands.sum());
-        out.push("mw_batch_p99_us", self.batch_latency.percentile_us(0.99));
-        out.push(
-            "mw_batch_p99_us_total",
-            self.batch_latency.lifetime().percentile_us(0.99),
-        );
-        out.push("mw_rate_admitted", self.rate_admitted.sum());
-        out.push("mw_rate_rejected", self.rate_rejected.sum());
-        out.push("mw_rate_refilled", self.rate_refilled.sum());
-        out.push("mw_auth_admitted", self.auth_admitted.sum());
-        out.push("mw_auth_denied", self.auth_denied.sum());
-        out.push("mw_auth_logins", self.auth_logins.sum());
-        out.push("mw_auth_reloads", self.auth_reloads.sum());
-        out.push("mw_deadline_checked", self.deadline_checked.sum());
-        out.push("mw_deadline_missed", self.deadline_missed.sum());
-        out.push("mw_breaker_checked", self.breaker_checked.sum());
-        out.push("mw_breaker_rejected", self.breaker_rejected.sum());
-        out.push("mw_breaker_trips", self.breaker_trips.sum());
-        out.push("mw_breaker_recoveries", self.breaker_recoveries.sum());
-        out.push("mw_breaker_probes", self.breaker_probes.sum());
-        out.push(
-            "mw_breaker_read_state",
-            self.breaker_state[0].load(std::sync::atomic::Ordering::Relaxed),
-        );
-        out.push(
-            "mw_breaker_write_state",
-            self.breaker_state[1].load(std::sync::atomic::Ordering::Relaxed),
-        );
-        out.push("mw_shed_checked", self.shed_checked.sum());
-        out.push("mw_shed_shed", self.shed_shed.sum());
-        out.push("mw_ttl_checked", self.ttl_checked.sum());
-        out.push("mw_ttl_armed", self.ttl_armed.sum());
-        out.push("mw_ttl_expired", self.ttl_expired.sum());
-        out.push("mw_spans_sampled", self.spans_sampled.sum());
-        for kind in LayerKind::ALL {
-            let hist = &self.layer_admission_us[kind.index()];
-            out.push(
-                &format!("mw_{}_us_p50", kind.name()),
-                hist.percentile_us(0.50),
-            );
-            out.push(
-                &format!("mw_{}_us_p99", kind.name()),
-                hist.percentile_us(0.99),
-            );
-            out.push(
-                &format!("mw_{}_us_p50_total", kind.name()),
-                hist.lifetime().percentile_us(0.50),
-            );
-            out.push(
-                &format!("mw_{}_us_p99_total", kind.name()),
-                hist.lifetime().percentile_us(0.99),
-            );
+    /// `STATS` percentile lines report the rolling window (the last
+    /// `mw_window_secs` seconds); each carries a `_total`-suffixed twin
+    /// computed over the lifetime histogram. When windowing is disabled
+    /// (`--stats-window-secs 0`) the two are identical.
+    pub fn render(&self, depth: usize, out: &mut Surface<'_>) {
+        out.rows(Self::ROWS, &self.values(depth));
+        let classes = self.classes();
+        for (class, hist, quantiles, help) in &classes {
+            let family = Histograms {
+                stat: &format!("mw_{class}_{{p}}_us"),
+                quantiles,
+                family: &format!("dego_mw_{class}_us"),
+                key: "",
+                help,
+            };
+            out.histograms(&family, &[("", hist)]);
         }
-        out.push("mw_slowlog_len", self.slowlog.len());
-        out.push("mw_slowlog_total", self.slowlog.total());
-        out.push("mw_trace_len", self.flight.len());
-        out.push("mw_trace_total", self.flight.total());
-        out.into_lines()
+        let layers = LayerKind::ALL.map(|k| (k.name(), &self.layer_admission_us[k.index()]));
+        let family = Histograms {
+            stat: "mw_{l}_us_{p}",
+            quantiles: P50_P99,
+            family: "dego_mw_layer_admission_us",
+            key: "layer",
+            help: "Sampled per-layer admission cost, microseconds.",
+        };
+        out.histograms(&family, &layers);
+        let state = |slot: usize| self.breaker_state[slot].load(Ordering::Relaxed) as u64;
+        out.labelled(
+            &BREAKER_STATE,
+            "class",
+            &[("read", state(0)), ("write", state(1))],
+        );
+        self.render_window(&classes, out);
+    }
+
+    /// The rolling window: its width and — on the scrape side, where
+    /// the histogram families are cumulative — the windowed percentiles
+    /// `STATS` serves as `mw_<class>_p50_us` / `_p99_us`.
+    fn render_window(&self, classes: &[Class<'_>; 4], out: &mut Surface<'_>) {
+        let secs = self.read_latency.window_secs();
+        if let Surface::Stats(lines) = out {
+            return lines.push(format!("mw_window_secs={secs}"));
+        }
+        out.scalar(&WINDOW_SECONDS, secs);
+        for (row, (_, rank)) in WINDOWED.iter().zip(P50_P99) {
+            let windowed = classes
+                .each_ref()
+                .map(|(c, hist, ..)| (*c, hist.percentile_us(*rank)));
+            out.labelled(row, "class", &windowed);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stat_lines(m: &PipelineMetrics, depth: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        m.render(depth, &mut Surface::Stats(&mut lines));
+        lines
+    }
 
     #[test]
     fn histogram_buckets_by_log2() {
@@ -706,26 +741,13 @@ mod tests {
 
     #[test]
     fn stat_lines_render_name_value() {
-        let mut lines = StatLines::new();
-        lines.push("a", 1);
-        lines.push("b", "x");
-        assert_eq!(lines.into_lines(), vec!["a=1".to_string(), "b=x".into()]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "duplicate stat name")]
-    fn stat_lines_reject_duplicates_in_debug() {
-        let mut lines = StatLines::new();
-        lines.push("a", 1);
-        lines.push("a", 2);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "duplicate stat name")]
-    fn assembled_reply_duplicate_names_assert_in_debug() {
-        debug_assert_unique_stat_names(&["a=1".to_string(), "a=2".to_string()]);
+        let m = PipelineMetrics::new();
+        m.traced.increment();
+        for line in stat_lines(&m, 5) {
+            let (name, value) = line.split_once('=').expect("name=value");
+            assert!(name.starts_with("mw_"), "{line}");
+            assert!(value.parse::<u64>().is_ok(), "{line}");
+        }
     }
 
     #[test]
@@ -799,7 +821,7 @@ mod tests {
         let mut costs = [None; LAYER_COUNT];
         costs[LayerKind::Auth.index()] = Some(3);
         m.note_span(&costs);
-        let lines = m.render_lines(5);
+        let lines = stat_lines(&m, 5);
         assert!(lines.contains(&"mw_spans_sampled=1".to_string()));
         assert!(lines.contains(&"mw_auth_us_p50=4".to_string()));
         assert!(lines.contains(&"mw_auth_us_p99=4".to_string()));
@@ -808,7 +830,6 @@ mod tests {
             "untouched"
         );
         assert!(lines.contains(&"mw_slowlog_len=0".to_string()));
-        debug_assert_unique_stat_names(&lines);
     }
 
     #[test]
@@ -819,7 +840,7 @@ mod tests {
         m.auth_admitted.increment();
         m.deadline_checked.increment();
         m.ttl_checked.increment();
-        let lines = m.render_lines(5);
+        let lines = stat_lines(&m, 5);
         assert!(lines.contains(&"mw_depth=5".to_string()));
         assert!(lines.contains(&"mw_traced=1".to_string()));
         assert!(lines.contains(&"mw_rate_admitted=1".to_string()));

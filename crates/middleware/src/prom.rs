@@ -1,17 +1,152 @@
-//! Prometheus text-format exposition (version 0.0.4).
+//! The two surfaces a metric is rendered on, and the one description
+//! both are derived from.
 //!
-//! [`PromText`] is a tiny append-only builder for the plain-text
-//! scrape format: `# HELP`/`# TYPE` headers, counter and gauge
-//! samples (optionally labelled), and histogram families rendered
-//! from the log2 [`LatencyHistogram`]s — cumulative `_bucket{le=...}`
-//! series plus `_sum` and `_count`. No timestamps are emitted; the
-//! scraper assigns them.
-//!
-//! Label values are escaped per the exposition format: backslash,
-//! double quote and newline become `\\`, `\"` and `\n`.
+//! A [`Row`] declares an unlabelled counter or gauge once. A
+//! [`Surface`] is either the `name=value` lines of a `STATS` reply or a
+//! Prometheus text exposition (version 0.0.4; no timestamps — the
+//! scraper assigns them). Rendering a row, a labelled family of rows or
+//! a family of histograms is one call whichever surface it is, so the
+//! two cannot name a metric differently: the `STATS` name is the source
+//! of truth and the Prometheus family name is [`Row::family`] of it.
 
-use crate::metrics::LatencyHistogram;
+use crate::metrics::{LatencyHistogram, WindowedHistogram};
 use std::fmt::Write as _;
+
+/// Whether a metric only grows or moves both ways — its `# TYPE`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic between resets.
+    Counter,
+    /// A level.
+    Gauge,
+}
+
+/// One declared counter or gauge — everything any surface needs to
+/// know about it.
+#[derive(Clone, Copy, Debug)]
+pub struct Row {
+    /// The `STATS` name. For a labelled family, a pattern whose `{}`
+    /// is the member's label (`shard{}_queue_depth`).
+    pub stat: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// Whether `STATS RESET` zeroes it.
+    pub resets: bool,
+    /// The one help string — the field's rustdoc and the `# HELP`
+    /// line — as written: trim a doc comment's leading space.
+    pub help: &'static str,
+}
+
+impl Row {
+    /// A gauge declared by hand rather than by [`crate::declare_metrics!`].
+    pub const fn gauge(stat: &'static str, help: &'static str) -> Row {
+        Row {
+            stat,
+            kind: Kind::Gauge,
+            resets: false,
+            help,
+        }
+    }
+
+    /// The Prometheus family name, derived by the one rule: `dego_` +
+    /// the `STATS` name (less a labelled family's `{}` slot), with
+    /// `_total` appended to counters that do not already end in it.
+    pub fn family(&self) -> String {
+        let stem = self.stat.replace("{}", "").replace("__", "_");
+        match self.kind {
+            Kind::Counter if !stem.ends_with("_total") => format!("dego_{stem}_total"),
+            _ => format!("dego_{stem}"),
+        }
+    }
+}
+
+/// The percentiles a histogram family shows on `STATS`: the name that
+/// fills a pattern's `{p}`, and the rank.
+pub type Quantiles = &'static [(&'static str, f64)];
+
+/// `p50` and `p99`, the usual pair.
+pub const P50_P99: Quantiles = &[("p50", 0.50), ("p99", 0.99)];
+
+/// A family of histograms, described once for both surfaces.
+#[derive(Clone, Copy, Debug)]
+pub struct Histograms<'a> {
+    /// The `STATS` percentile line's name: `{l}` is the member's label,
+    /// `{p}` the percentile. Each line reports the rolling window and
+    /// has a `_total`-suffixed twin over the lifetime histogram.
+    pub stat: &'a str,
+    /// Which percentiles `STATS` shows.
+    pub quantiles: Quantiles,
+    /// The Prometheus histogram family, rendered from the lifetime
+    /// histograms (cumulative, per the exposition contract).
+    pub family: &'a str,
+    /// The label key, or `""` for a family of one unlabelled member.
+    pub key: &'a str,
+    /// The `# HELP` text.
+    pub help: &'a str,
+}
+
+/// Where metrics are being rendered to.
+#[derive(Debug)]
+pub enum Surface<'a> {
+    /// The `name=value` lines of a `STATS` or `STATS SHARDS` reply.
+    Stats(&'a mut Vec<String>),
+    /// A `/metrics` response body. Nothing here stops a family being
+    /// rendered twice: the declarations' unit test and the literal
+    /// family set in `tests/integration_observability.rs` do.
+    Prom(&'a mut String),
+}
+
+impl Surface<'_> {
+    /// One unlabelled row.
+    pub fn scalar(&mut self, row: &Row, value: u64) {
+        self.labelled(row, "", &[("", value)]);
+    }
+
+    /// A plane's unlabelled rows, paired with their readings.
+    pub fn rows(&mut self, rows: &[Row], values: &[u64]) {
+        debug_assert_eq!(rows.len(), values.len(), "one reading per row");
+        for (row, value) in rows.iter().zip(values) {
+            self.scalar(row, *value);
+        }
+    }
+
+    /// A labelled family of one row: a `STATS` line per member, named
+    /// by filling the pattern's `{}` with the member's label; one
+    /// Prometheus family with a `key="label"` sample per member.
+    pub fn labelled(&mut self, row: &Row, key: &str, members: &[(&str, u64)]) {
+        match self {
+            Surface::Stats(lines) => lines.extend(
+                members
+                    .iter()
+                    .map(|(label, value)| format!("{}={value}", row.stat.replace("{}", label))),
+            ),
+            Surface::Prom(text) => family(text, &row.family(), row.help, row.kind, key, members),
+        }
+    }
+
+    /// A family of histograms: percentile lines on `STATS`, cumulative
+    /// buckets on `/metrics`.
+    pub fn histograms(&mut self, family: &Histograms<'_>, members: &[(&str, &WindowedHistogram)]) {
+        match self {
+            Surface::Stats(lines) => {
+                for (label, hist) in members {
+                    for (p, rank) in family.quantiles {
+                        let name = family.stat.replace("{l}", label).replace("{p}", p);
+                        lines.push(format!("{name}={}", hist.percentile_us(*rank)));
+                        let lifetime = hist.lifetime().percentile_us(*rank);
+                        lines.push(format!("{name}_total={lifetime}"));
+                    }
+                }
+            }
+            Surface::Prom(text) => {
+                header(text, family.family, family.help, "histogram");
+                for (label, hist) in members {
+                    histogram(text, family.family, family.key, label, hist.lifetime());
+                }
+            }
+        }
+    }
+}
 
 /// Escape a label value for the text exposition format.
 pub fn escape_label_value(value: &str) -> String {
@@ -27,161 +162,125 @@ pub fn escape_label_value(value: &str) -> String {
     out
 }
 
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
-    }
-    out.push('}');
-    out
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {}", help.trim());
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Builder for one `/metrics` response body.
-#[derive(Debug, Default)]
-pub struct PromText {
-    out: String,
-    #[cfg(debug_assertions)]
-    headered: std::collections::HashSet<String>,
+/// One sample; `key` `""` means unlabelled, `le` is a histogram
+/// bucket's bound.
+fn sample(out: &mut String, name: &str, key: &str, label: &str, le: Option<&str>, value: u64) {
+    out.push_str(name);
+    let label = (!key.is_empty()).then(|| format!("{key}=\"{}\"", escape_label_value(label)));
+    let le = le.map(|le| format!("le=\"{le}\""));
+    let labels: Vec<String> = label.into_iter().chain(le).collect();
+    if !labels.is_empty() {
+        let _ = write!(out, "{{{}}}", labels.join(","));
+    }
+    let _ = writeln!(out, " {value}");
 }
 
-impl PromText {
-    /// An empty exposition.
-    pub fn new() -> Self {
-        Self::default()
+/// Append a counter or gauge family to an exposition: one
+/// `key="label"` sample per member, or one unlabelled sample when
+/// `key` is `""`.
+pub fn family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: Kind,
+    key: &str,
+    members: &[(&str, u64)],
+) {
+    let kind = match kind {
+        Kind::Counter => "counter",
+        Kind::Gauge => "gauge",
+    };
+    header(out, name, help, kind);
+    for (label, value) in members {
+        sample(out, name, key, label, None, *value);
     }
+}
 
-    fn header(&mut self, name: &str, help: &str, kind: &str) {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.headered.insert(name.to_string()),
-            "duplicate metric family {name}"
-        );
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+/// One member of a histogram family: its cumulative `_bucket` series,
+/// `_sum` and `_count`.
+fn histogram(out: &mut String, name: &str, key: &str, label: &str, hist: &LatencyHistogram) {
+    let bucket = format!("{name}_bucket");
+    let mut total = 0;
+    for (le, cumulative) in hist.cumulative_buckets() {
+        let le = le.map_or("+Inf".to_string(), |bound| bound.to_string());
+        sample(out, &bucket, key, label, Some(&le), cumulative);
+        total = cumulative;
     }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
-        let _ = writeln!(self.out, "{name}{} {value}", render_labels(labels));
-    }
-
-    /// One unlabelled counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "counter");
-        self.sample(name, &[], value);
-    }
-
-    /// A counter family with one sample per label set.
-    pub fn counter_vec(&mut self, name: &str, help: &str, series: &[(Vec<(&str, String)>, u64)]) {
-        self.header(name, help, "counter");
-        for (labels, value) in series {
-            let borrowed: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.sample(name, &borrowed, value);
-        }
-    }
-
-    /// One unlabelled gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.header(name, help, "gauge");
-        self.sample(name, &[], value);
-    }
-
-    /// A gauge family with one sample per label set.
-    pub fn gauge_vec(&mut self, name: &str, help: &str, series: &[(Vec<(&str, String)>, u64)]) {
-        self.header(name, help, "gauge");
-        for (labels, value) in series {
-            let borrowed: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.sample(name, &borrowed, value);
-        }
-    }
-
-    /// A histogram family rendered from log2 histograms, one
-    /// `_bucket`/`_sum`/`_count` set per label set.
-    pub fn histogram_vec(
-        &mut self,
-        name: &str,
-        help: &str,
-        series: &[(Vec<(&str, String)>, &LatencyHistogram)],
-    ) {
-        self.header(name, help, "histogram");
-        let bucket = format!("{name}_bucket");
-        for (labels, hist) in series {
-            let base: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            let mut total = 0;
-            for (le, cumulative) in hist.cumulative_buckets() {
-                let le = match le {
-                    Some(bound) => bound.to_string(),
-                    None => "+Inf".to_string(),
-                };
-                let mut with_le = base.clone();
-                with_le.push(("le", le.as_str()));
-                self.sample(&bucket, &with_le, cumulative);
-                total = cumulative;
-            }
-            self.sample(&format!("{name}_sum"), &base, hist.sum_us());
-            self.sample(&format!("{name}_count"), &base, total);
-        }
-    }
-
-    /// A histogram family with a single unlabelled member.
-    pub fn histogram(&mut self, name: &str, help: &str, hist: &LatencyHistogram) {
-        self.histogram_vec(name, help, &[(Vec::new(), hist)]);
-    }
-
-    /// The finished exposition body.
-    pub fn finish(self) -> String {
-        self.out
-    }
+    sample(out, &format!("{name}_sum"), key, label, None, hist.sum_us());
+    sample(out, &format!("{name}_count"), key, label, None, total);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const HITS: Row = Row {
+        stat: "get_hits",
+        kind: Kind::Counter,
+        resets: true,
+        help: " GETs that found the key.",
+    };
+    const DEPTH: Row = Row::gauge("shard{}_queue_depth", "Queued.");
+
     #[test]
     fn counters_and_gauges_render_with_headers() {
-        let mut p = PromText::new();
-        p.counter("dego_commands_total", "Commands handled.", 42);
-        p.gauge("dego_keys", "Live keys.", 7);
-        let text = p.finish();
-        assert!(text.contains("# TYPE dego_commands_total counter\n"));
-        assert!(text.contains("dego_commands_total 42\n"));
-        assert!(text.contains("# TYPE dego_keys gauge\n"));
-        assert!(text.contains("dego_keys 7\n"));
+        let (mut text, mut lines) = (String::new(), Vec::new());
+        for mut out in [Surface::Prom(&mut text), Surface::Stats(&mut lines)] {
+            out.scalar(&HITS, 42);
+            out.labelled(&DEPTH, "shard", &[("0", 7), ("1", 5)]);
+        }
+        assert_eq!(
+            lines,
+            [
+                "get_hits=42",
+                "shard0_queue_depth=7",
+                "shard1_queue_depth=5"
+            ]
+        );
+        assert!(text.contains("# HELP dego_get_hits_total GETs that found the key.\n"));
+        assert!(text.contains("# TYPE dego_get_hits_total counter\n"));
+        assert!(text.contains("dego_get_hits_total 42\n"));
+        assert!(text.contains("# TYPE dego_shard_queue_depth gauge\n"));
+        assert!(text.contains("dego_shard_queue_depth{shard=\"0\"} 7\n"));
     }
 
     #[test]
     fn label_values_are_escaped() {
         assert_eq!(escape_label_value(r#"a\b"c"#), r#"a\\b\"c"#);
         assert_eq!(escape_label_value("a\nb"), r#"a\nb"#);
-        let mut p = PromText::new();
-        p.gauge_vec(
+        let mut text = String::new();
+        let members = [("he said \"hi\"\n", 1)];
+        family(
+            &mut text,
             "dego_widget",
             "Widget.",
-            &[(vec![("name", "he said \"hi\"\n".to_string())], 1)],
+            Kind::Gauge,
+            "name",
+            &members,
         );
-        assert!(p
-            .finish()
-            .contains(r#"dego_widget{name="he said \"hi\"\n"} 1"#));
+        assert!(text.contains(r#"dego_widget{name="he said \"hi\"\n"} 1"#));
     }
 
     #[test]
     fn histogram_emits_cumulative_buckets_sum_and_count() {
-        let hist = LatencyHistogram::new();
-        hist.record(0);
-        hist.record(3);
-        hist.record(3);
-        hist.record(100);
-        let mut p = PromText::new();
-        p.histogram("dego_lat_us", "Latency.", &hist);
-        let text = p.finish();
+        let hist = WindowedHistogram::new(60);
+        for us in [0, 3, 3, 100] {
+            hist.record(us);
+        }
+        let family = Histograms {
+            stat: "lat_{p}_us",
+            quantiles: P50_P99,
+            family: "dego_lat_us",
+            key: "",
+            help: "Latency.",
+        };
+        let mut text = String::new();
+        Surface::Prom(&mut text).histograms(&family, &[("", &hist)]);
         assert!(text.contains("# TYPE dego_lat_us histogram\n"));
         assert!(text.contains("dego_lat_us_bucket{le=\"0\"} 1\n"));
         assert!(text.contains("dego_lat_us_bucket{le=\"3\"} 3\n"));
@@ -189,14 +288,16 @@ mod tests {
         assert!(text.contains("dego_lat_us_bucket{le=\"+Inf\"} 4\n"));
         assert!(text.contains("dego_lat_us_sum 106\n"));
         assert!(text.contains("dego_lat_us_count 4\n"));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate metric family")]
-    #[cfg(debug_assertions)]
-    fn duplicate_family_names_assert_in_debug() {
-        let mut p = PromText::new();
-        p.counter("dego_x", "x", 1);
-        p.counter("dego_x", "x", 2);
+        let mut lines = Vec::new();
+        Surface::Stats(&mut lines).histograms(&family, &[("", &hist)]);
+        assert_eq!(
+            lines,
+            [
+                "lat_p50_us=4",
+                "lat_p50_us_total=4",
+                "lat_p99_us=128",
+                "lat_p99_us_total=128"
+            ]
+        );
     }
 }

@@ -13,14 +13,14 @@
 //!   its admission cost to the scope, and the harvest lands in the
 //!   per-layer histograms behind `mw_<layer>_us_p50/p99`.
 //! * **Slowlog capture**: commands/bursts whose wall-clock time crosses
-//!   the configured threshold are pushed into the lock-free
-//!   [`crate::slowlog::SlowLog`] ring, together with the sampled
+//!   the configured threshold are pushed into the slowlog
+//!   [`crate::flight::CaptureRing`], together with the sampled
 //!   breakdown when one was taken.
-//! * **Flight recording**: every sampled command/burst assembles a
-//!   [`crate::flight::TraceTree`] — the per-layer admission segments
-//!   from this thread plus the store-side queue-wait/apply segments the
-//!   shard owners stamped into the ack envelopes — and offers it to the
-//!   lock-free [`crate::flight::FlightRecorder`] ring.
+//! * **Flight recording**: every sampled command/burst offers a tree —
+//!   the per-layer admission segments from this thread plus the
+//!   store-side queue-wait/apply segments the shard owners stamped into
+//!   the ack envelopes — to the trace ring, a second instance of the
+//!   same lock-free structure.
 //! * **`SLOWLOG GET|RESET|LEN`** and **`TRACE GET|RESET|LEN`** are
 //!   answered here — they never travel further down the stack, so they
 //!   are immune to deadline/rate/ACL policy and usable for diagnosis
@@ -30,11 +30,13 @@
 //!   histograms too — after this command's own recording, so the next
 //!   `STATS` starts from a clean slate.
 
-use crate::metrics::{debug_assert_unique_stat_names, PipelineMetrics};
+use crate::flight::{Capture, CaptureRing, Observation};
+use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
     split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
     Split,
 };
+use crate::prom::Surface;
 use crate::protocol::{Command, CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -61,35 +63,20 @@ pub(crate) fn is_ring_verb(cmd: &Command) -> bool {
 /// Answer a slowlog or flight-recorder verb from its ring, or `None`
 /// for anything else.
 fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply> {
-    match cmd {
-        Command::SlowlogGet => Some(Reply::Array(
-            metrics
-                .slowlog
-                .entries()
-                .iter()
-                .map(|e| e.render_line())
-                .collect(),
-        )),
-        Command::SlowlogReset => {
-            metrics.slowlog.reset();
-            Some(Reply::Status("OK"))
+    use Command::*;
+    let (ring, line): (&CaptureRing, fn(&Capture) -> String) = match cmd {
+        SlowlogGet | SlowlogReset | SlowlogLen => (&metrics.slowlog, Capture::slowlog_line),
+        TraceGet | TraceReset | TraceLen => (&metrics.trace, Capture::trace_line),
+        _ => return None,
+    };
+    Some(match cmd {
+        SlowlogGet | TraceGet => Reply::Array(ring.entries().iter().map(|e| line(e)).collect()),
+        SlowlogLen | TraceLen => Reply::Int(ring.len() as i64),
+        _ => {
+            ring.reset();
+            Reply::Status("OK")
         }
-        Command::SlowlogLen => Some(Reply::Int(metrics.slowlog.len() as i64)),
-        Command::TraceGet => Some(Reply::Array(
-            metrics
-                .flight
-                .entries()
-                .iter()
-                .map(|e| e.render_line())
-                .collect(),
-        )),
-        Command::TraceReset => {
-            metrics.flight.reset();
-            Some(Reply::Status("OK"))
-        }
-        Command::TraceLen => Some(Reply::Int(metrics.flight.len() as i64)),
-        _ => None,
-    }
+    })
 }
 
 /// The trace [`Layer`].
@@ -181,15 +168,13 @@ impl TraceRule {
     /// Grow the store's `STATS` reply by the pipeline's `mw_*` lines.
     fn fold_stats(&self, resp: &mut Response) {
         if let Reply::Array(lines) = &mut resp.reply {
-            lines.extend(self.metrics.render_lines(self.depth));
-            debug_assert_unique_stat_names(lines);
+            self.metrics.render(self.depth, &mut Surface::Stats(lines));
         }
     }
 
     /// Close out one traced command/burst: harvest the span (if any)
-    /// into the per-layer histograms, offer the completed trace tree
-    /// to the flight recorder, and offer the observation to the
-    /// slowlog ring.
+    /// into the per-layer histograms and offer the completed tree to
+    /// the trace ring, then offer the observation to the slowlog ring.
     pub(crate) fn finish(
         &self,
         span: Option<span::SpanGuard>,
@@ -198,23 +183,21 @@ impl TraceRule {
         burst: usize,
         elapsed_us: u64,
     ) {
+        let seen = Observation {
+            client: &self.client,
+            verb,
+            class,
+            burst,
+            elapsed_us,
+        };
         let costs = span.map(|guard| {
             let harvest = guard.finish();
             self.metrics.note_span(&harvest.layer_us);
-            self.metrics.flight.offer(
-                &self.client,
-                verb,
-                class,
-                burst,
-                elapsed_us,
-                harvest.layer_us,
-                harvest.store,
-            );
+            let costs = Some(harvest.layer_us);
+            self.metrics.trace.offer(&seen, costs, harvest.store);
             harvest.layer_us
         });
-        self.metrics
-            .slowlog
-            .offer(&self.client, verb, class, burst, elapsed_us, costs);
+        self.metrics.slowlog.offer(&seen, costs, Vec::new());
     }
 }
 
@@ -455,7 +438,7 @@ mod tests {
         assert_eq!(entry.class, "write");
         assert_eq!(entry.burst, 1);
         assert_eq!(&*entry.client, "t:1");
-        assert!(entry.layer_us.is_some(), "first command is sampled");
+        assert!(entry.layers.is_some(), "first command is sampled");
     }
 
     #[test]
@@ -512,13 +495,13 @@ mod tests {
             ..TraceConfig::default()
         });
         svc.call(Request::new(Command::Set("k".into(), "v".into())));
-        assert_eq!(metrics.flight.len(), 1, "sampled tree captured");
-        let tree = &metrics.flight.entries()[0];
+        assert_eq!(metrics.trace.len(), 1, "sampled tree captured");
+        let tree = &metrics.trace.entries()[0];
         assert_eq!(tree.verb, "SET");
         assert_eq!(tree.class, "write");
         assert_eq!(&*tree.client, "t:1");
         assert!(
-            tree.layers[LayerKind::Trace.index()].is_some(),
+            tree.layers.expect("sampled")[LayerKind::Trace.index()].is_some(),
             "trace segment present"
         );
     }
@@ -531,7 +514,7 @@ mod tests {
         });
         svc.call(Request::new(Command::Ping)); // sampled (phase 0)
         svc.call(Request::new(Command::Ping)); // not sampled
-        assert_eq!(metrics.flight.total(), 1, "only the sampled command");
+        assert_eq!(metrics.trace.total(), 1, "only the sampled command");
     }
 
     #[test]
@@ -557,7 +540,7 @@ mod tests {
             svc.call(Request::new(Command::TraceReset)).reply,
             Reply::Status("OK")
         );
-        assert_eq!(metrics.flight.len(), 0);
+        assert_eq!(metrics.trace.len(), 0);
         // The verbs themselves never became trees (they return before
         // sampling) but were counted as traffic.
         assert_eq!(metrics.traced.sum(), 4);

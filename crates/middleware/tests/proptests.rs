@@ -13,7 +13,7 @@
 
 use dego_middleware::protocol::{Command, CommandClass, ParseError, Reply};
 use dego_middleware::{
-    AuthConfig, MiddlewareConfig, PromText, Request, Response, Role, Service, Session, Stack,
+    prom, AuthConfig, Kind, MiddlewareConfig, Request, Response, Role, Service, Session, Stack,
     TokenSpec, WindowedHistogram,
 };
 use proptest::prelude::*;
@@ -467,10 +467,9 @@ proptest! {
     ) {
         let counter_name = format!("{name}_total");
         let gauge_name = format!("{name}_depth");
-        let mut p = PromText::new();
-        p.counter(&counter_name, "a counter", count);
-        p.gauge_vec(&gauge_name, "a gauge", &[(vec![("l", label.clone())], gauge_val)]);
-        let text = p.finish();
+        let mut text = String::new();
+        prom::family(&mut text, &counter_name, "a counter", Kind::Counter, "", &[("", count)]);
+        prom::family(&mut text, &gauge_name, "a gauge", Kind::Gauge, "l", &[(&label, gauge_val)]);
 
         prop_assert!(
             text.lines().any(|l| l == format!("# TYPE {counter_name} counter")),

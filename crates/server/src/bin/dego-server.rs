@@ -34,7 +34,8 @@
 //!   ring tuning for sampled trace trees (`TRACE GET`; 0 capacity
 //!   disables, 0 threshold keeps every sampled tree, default 64/0)
 //! * `--stats-window-secs N` — rolling window for `STATS` percentiles
-//!   (0 = lifetime only, default 60)
+//!   (0 = lifetime only, default 60; refused together with
+//!   `--shed-ack-p99-us`, which reads the windowed p99)
 //! * `--metrics-addr ADDR` — serve Prometheus text exposition at
 //!   `http://ADDR/metrics` and flight-recorder JSON at
 //!   `http://ADDR/trace` (off by default)
@@ -144,7 +145,7 @@ fn main() {
         usage_exit(&format!("bad listen address {addr:?}: {e}"));
     });
     let server = spawn(config).unwrap_or_else(|e| {
-        eprintln!("failed to bind {addr}: {e}");
+        eprintln!("failed to start on {addr}: {e}");
         std::process::exit(1);
     });
     println!(

@@ -57,10 +57,13 @@ mod store;
 pub use dego_middleware::protocol;
 
 pub use client::{Client, ClientReply};
-pub use dego_middleware::{MiddlewareConfig, Role, Stack, TokenSpec};
+pub use dego_middleware::{Kind, MiddlewareConfig, PipelineMetrics, Role, Row, Stack, TokenSpec};
 pub use server::{spawn, AcceptHook, ServerConfig, ServerHandle, TIMELINE_LIMIT};
 pub use stats::{ServerStats, StatsSnapshot};
-pub use store::{FANOUT_LIMIT, TIMELINE_KEEP};
+pub use store::{FANOUT_LIMIT, KEYS, SHARDS, TIMELINE_KEEP};
+
+/// The per-shard plane's declared rows (`{}` in a name is the shard).
+pub const SHARD_ROWS: &[dego_middleware::Row] = store::ShardTelemetry::ROWS;
 
 #[cfg(test)]
 mod tests {
@@ -348,5 +351,33 @@ mod tests {
         // The port is released: a fresh connection must not find a
         // live server behind it.
         assert!(Client::connect(addr).and_then(|mut c| c.ping()).is_err());
+    }
+
+    /// `--shed-ack-p99-us` reads the windowed ack p99; without a
+    /// window it would latch, so that pair is refused — either alone
+    /// still boots.
+    #[test]
+    fn shedding_on_ack_latency_needs_the_rolling_window() {
+        let boot = |ack_p99_us: u64, window_secs: u64| {
+            let mut middleware = MiddlewareConfig::full();
+            middleware.shed.ack_p99_us = ack_p99_us;
+            middleware.trace.window_secs = window_secs;
+            spawn(ServerConfig {
+                shards: 1,
+                middleware,
+                ..ServerConfig::default()
+            })
+        };
+        let refused = boot(50_000, 0).err().expect("the pair is refused");
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        let message = refused.to_string();
+        assert!(message.contains("--shed-ack-p99-us"), "got {message:?}");
+        assert!(message.contains("--stats-window-secs"), "got {message:?}");
+        boot(50_000, 60)
+            .expect("windowed shedding boots")
+            .shutdown();
+        boot(0, 0)
+            .expect("no window, no ack shedding boots")
+            .shutdown();
     }
 }

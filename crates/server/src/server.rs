@@ -52,8 +52,8 @@ use crate::protocol::{Command, Reply};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
 use dego_middleware::{
-    BoxService, FusedService, MiddlewareConfig, PressureProbe, Progress, Request, Response,
-    Service, Session, ShardPressure, Stack, StoreSegment,
+    BoxService, FusedService, LayerKind, MiddlewareConfig, PressureProbe, Progress, Request,
+    Response, Service, Session, ShardPressure, Stack, StoreSegment, Surface,
 };
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -287,6 +287,17 @@ impl Drop for ServerHandle {
 
 /// Bind and spawn a server.
 pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
+    // The shed layer's ack input is the *windowed* p99. With the window
+    // off it would be the lifetime figure, which one stall keeps above
+    // the limit until a hundred times as many fast acks have arrived.
+    let mw = &config.middleware;
+    if mw.layers.contains(&LayerKind::Shed) && mw.shed.ack_p99_us > 0 && mw.trace.window_secs == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "--shed-ack-p99-us needs a rolling window: with --stats-window-secs 0 \
+             the ack p99 never recovers from a stall and shedding would latch",
+        ));
+    }
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(ServerStats::new());
@@ -925,14 +936,24 @@ impl ExecService {
             Command::Stats => {
                 let mut snap = self.stats.snapshot();
                 snap.applied = self.store.applied_since_reset();
-                Reply::Array(snap.render_lines(self.store.shards(), self.store.kv.len()))
+                let mut lines = Vec::new();
+                let mut out = Surface::Stats(&mut lines);
+                self.store.render_gauges(&mut out);
+                snap.render(&mut out);
+                Reply::Array(lines)
             }
-            Command::StatsShards => Reply::Array(self.store.render_shard_lines()),
+            Command::StatsShards => {
+                let mut lines = Vec::new();
+                let mut out = Surface::Stats(&mut lines);
+                out.scalar(&store::SHARDS, self.store.shards() as u64);
+                self.store.render_shards(&mut out);
+                Reply::Array(lines)
+            }
             Command::StatsReset => {
                 // Zero the server-plane counters and shard telemetry;
                 // the trace layer (when present) resets the middleware
                 // plane after this reply travels back up through it.
-                self.stats.reset();
+                self.stats.reset_rows();
                 self.store.reset_telemetry();
                 Reply::Status("OK")
             }
@@ -1237,9 +1258,11 @@ mod tests {
 
         assert_eq!(sweeps_of(sets(0..64).collect(), 64), 2);
         assert_eq!(runtime.store.applied_since_reset(), 64);
-        let enqueued: u64 = runtime
+        let mut shard_lines = Vec::new();
+        runtime
             .store
-            .render_shard_lines()
+            .render_shards(&mut Surface::Stats(&mut shard_lines));
+        let enqueued: u64 = shard_lines
             .iter()
             .filter_map(|line| line.split_once("_enqueued="))
             .map(|(_, count)| count.parse::<u64>().expect("numeric"))

@@ -4,28 +4,68 @@
 //! synchronization — the same doctrine as [`dego_metrics`]); the
 //! mutation-application counter lives in the storage plane as a
 //! [`dego_core::CounterIncrementOnly`] with one owner-exclusive cell
-//! per shard. The snapshot also folds in the process-wide contention
+//! per shard. The server block also carries the process-wide contention
 //! stall proxy from [`dego_metrics::GLOBAL`].
 
 use dego_metrics::ContentionSnapshot;
-use dego_middleware::StatLines;
-use std::sync::atomic::{AtomicU64, Ordering};
+use dego_middleware::{declare_metrics, RelaxedCounter, Surface};
 
-/// Relaxed event counters bumped by the connection threads.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    connections: AtomicU64,
-    commands: AtomicU64,
-    gets: AtomicU64,
-    get_hits: AtomicU64,
-    mutations: AtomicU64,
-    applied: AtomicU64,
-    timeline_reads: AtomicU64,
-    errors: AtomicU64,
-    accept_errors: AtomicU64,
-    shard_batches: AtomicU64,
-    idle_closed: AtomicU64,
-    loop_wakeups: AtomicU64,
+declare_metrics! {
+    /// A point-in-time view of [`ServerStats`], served by the `STATS`
+    /// verb and `ServerHandle::stats`.
+    pub struct StatsSnapshot = snapshot of
+    /// Relaxed event counters bumped by the connection threads;
+    /// `reset_rows` is their `STATS RESET`.
+    #[derive(Debug, Default)]
+    pub struct ServerStats {
+        /// Connections accepted since boot.
+        connections: RelaxedCounter => "connections",
+        /// Request lines handled.
+        commands: RelaxedCounter => "commands",
+        /// GETs served (hit or miss).
+        gets: RelaxedCounter => "gets",
+        /// GETs that found the key.
+        get_hits: RelaxedCounter => "get_hits",
+        /// Mutations enqueued to shard owners.
+        mutations: RelaxedCounter => "mutations",
+        /// Mutations applied by shard owners.
+        applied: RelaxedCounter => "applied",
+        /// TIMELINE reads served.
+        timeline_reads: RelaxedCounter => "timeline_reads",
+        /// Protocol errors returned.
+        errors: RelaxedCounter => "errors",
+        // fd pressure — EMFILE/ENFILE — and network stack hiccups; each
+        // one also pays a bounded backoff sleep so the loop cannot
+        // busy-spin.
+        /// accept() failures observed by the accept loop.
+        accept_errors: RelaxedCounter => "accept_errors",
+        // The amortization ratio is `applied / shard_batches`.
+        /// Mutation batches drained by shard owners (group commits).
+        shard_batches: RelaxedCounter => "shard_batches",
+        // `--idle-timeout-ms`: idle that long with nothing in flight.
+        /// Connections reaped by the event loops' idle-timeout sweep.
+        idle_closed: RelaxedCounter => "idle_closed",
+        // A loop that spins instead of waiting shows here first.
+        /// epoll_wait returns across the event loops (timeouts included).
+        loop_wakeups: RelaxedCounter => "loop_wakeups",
+    }
+
+    /// A zeroed sink.
+    pub fn new() {}
+
+    impl StatsSnapshot {
+        /// Every row's reading, in [`ServerStats::ROWS`] order;
+        /// `contention` is the process-wide stall proxy, which is shared
+        /// telemetry `STATS RESET` does not touch.
+        fn values(&self, contention: ContentionSnapshot) {
+            /// Process-wide CAS retries (contention stall proxy).
+            Counter "cas_failures" = contention.cas_failures,
+            /// Process-wide lock spin events.
+            Counter "lock_spins" = contention.lock_spins,
+            /// Process-wide read-modify-write operations.
+            Counter "rmw_ops" = contention.rmw_ops,
+        }
+    }
 }
 
 macro_rules! bump {
@@ -33,17 +73,12 @@ macro_rules! bump {
         #[doc = concat!("Count one `", stringify!($field), "` event.")]
         #[inline]
         pub fn $method(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
+            self.$field.increment();
         }
     )*};
 }
 
 impl ServerStats {
-    /// A zeroed sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     bump! {
         note_connection => connections,
         note_command => commands,
@@ -61,116 +96,26 @@ impl ServerStats {
     /// Count a `GET` that found its key.
     #[inline]
     pub fn note_get_hit(&self) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.get_hits.fetch_add(1, Ordering::Relaxed);
+        self.gets.increment();
+        self.get_hits.increment();
     }
-
-    /// Zero every counter (`STATS RESET`). The process-wide contention
-    /// proxy is **not** touched — it is shared telemetry owned by
-    /// `dego_metrics::GLOBAL`, not this server instance.
-    pub fn reset(&self) {
-        self.connections.store(0, Ordering::Relaxed);
-        self.commands.store(0, Ordering::Relaxed);
-        self.gets.store(0, Ordering::Relaxed);
-        self.get_hits.store(0, Ordering::Relaxed);
-        self.mutations.store(0, Ordering::Relaxed);
-        self.applied.store(0, Ordering::Relaxed);
-        self.timeline_reads.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
-        self.accept_errors.store(0, Ordering::Relaxed);
-        self.shard_batches.store(0, Ordering::Relaxed);
-        self.idle_closed.store(0, Ordering::Relaxed);
-        self.loop_wakeups.store(0, Ordering::Relaxed);
-    }
-
-    /// Snapshot every counter plus the global contention proxy.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            commands: self.commands.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            get_hits: self.get_hits.load(Ordering::Relaxed),
-            mutations: self.mutations.load(Ordering::Relaxed),
-            applied: self.applied.load(Ordering::Relaxed),
-            timeline_reads: self.timeline_reads.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            shard_batches: self.shard_batches.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
-            contention: dego_metrics::GLOBAL.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time view served by the `STATS` verb.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted since boot.
-    pub connections: u64,
-    /// Request lines handled.
-    pub commands: u64,
-    /// `GET`s served (hit or miss).
-    pub gets: u64,
-    /// `GET`s that found the key.
-    pub get_hits: u64,
-    /// Mutations enqueued to shard owners.
-    pub mutations: u64,
-    /// Mutations applied by shard owners.
-    pub applied: u64,
-    /// `TIMELINE` reads served.
-    pub timeline_reads: u64,
-    /// Protocol errors returned.
-    pub errors: u64,
-    /// `accept()` failures observed by the accept loop (fd pressure —
-    /// EMFILE/ENFILE — network stack hiccups); each one also pays a
-    /// bounded backoff sleep so the loop cannot busy-spin.
-    pub accept_errors: u64,
-    /// Mutation batches drained by shard owners (group commits); the
-    /// amortization ratio is `applied / shard_batches`.
-    pub shard_batches: u64,
-    /// Connections reaped by the event loops' `--idle-timeout-ms`
-    /// sweep (idle past the deadline with nothing in flight).
-    pub idle_closed: u64,
-    /// `epoll_wait` returns across the event loops, timeouts included:
-    /// a loop that spins instead of waiting shows here first.
-    pub loop_wakeups: u64,
-    /// The process-wide stall proxy at snapshot time.
-    pub contention: ContentionSnapshot,
 }
 
 impl StatsSnapshot {
-    /// The `name=value` lines of the `STATS` array reply.
-    ///
-    /// Emitted through [`StatLines`], which `debug_assert`s that no
-    /// stat name repeats — the invariant clients rely on when they
-    /// parse the reply into a map.
-    pub fn render_lines(&self, shards: usize, keys: usize) -> Vec<String> {
-        let mut out = StatLines::new();
-        out.push("shards", shards);
-        out.push("keys", keys);
-        out.push("connections", self.connections);
-        out.push("commands", self.commands);
-        out.push("gets", self.gets);
-        out.push("get_hits", self.get_hits);
-        out.push("mutations", self.mutations);
-        out.push("applied", self.applied);
-        out.push("timeline_reads", self.timeline_reads);
-        out.push("errors", self.errors);
-        out.push("accept_errors", self.accept_errors);
-        out.push("shard_batches", self.shard_batches);
-        out.push("idle_closed", self.idle_closed);
-        out.push("loop_wakeups", self.loop_wakeups);
-        out.push("cas_failures", self.contention.cas_failures);
-        out.push("lock_spins", self.contention.lock_spins);
-        out.push("rmw_ops", self.contention.rmw_ops);
-        out.into_lines()
+    /// The server block on either surface: the first lines of a `STATS`
+    /// reply, or the `dego_*` counter families of a scrape.
+    pub fn render(&self, out: &mut Surface<'_>) {
+        out.rows(
+            ServerStats::ROWS,
+            &self.values(dego_metrics::GLOBAL.snapshot()),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn counters_roll_up_into_the_snapshot() {
@@ -193,9 +138,10 @@ mod tests {
         assert_eq!(snap.applied, 1);
         assert_eq!(snap.timeline_reads, 1);
         assert_eq!(snap.errors, 1);
-        let lines = snap.render_lines(4, 10);
-        assert!(lines.contains(&"shards=4".to_string()));
+        let mut lines = Vec::new();
+        snap.render(&mut Surface::Stats(&mut lines));
         assert!(lines.contains(&"get_hits=1".to_string()));
+        assert!(lines.iter().any(|l| l.starts_with("cas_failures=")));
     }
 
     #[test]
@@ -208,15 +154,36 @@ mod tests {
         s.note_error();
         s.note_accept_error();
         s.note_shard_batch();
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap.connections, 0);
-        assert_eq!(snap.commands, 0);
-        assert_eq!(snap.gets, 0);
-        assert_eq!(snap.get_hits, 0);
-        assert_eq!(snap.mutations, 0);
-        assert_eq!(snap.errors, 0);
-        assert_eq!(snap.accept_errors, 0);
-        assert_eq!(snap.shard_batches, 0);
+        assert_ne!(s.snapshot(), StatsSnapshot::default());
+        s.reset_rows();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    }
+
+    /// The declarations are the contract both surfaces are derived
+    /// from: no `STATS` name twice within or across the planes, and the
+    /// derived Prometheus names unique and well-formed.
+    #[test]
+    fn declared_names_are_unique_across_planes() {
+        use crate::store::{ShardTelemetry, KEYS, SHARDS};
+        use dego_middleware::PipelineMetrics;
+        let rows = [&SHARDS, &KEYS]
+            .into_iter()
+            .chain(ServerStats::ROWS)
+            .chain(PipelineMetrics::ROWS)
+            .chain(ShardTelemetry::ROWS);
+        let (mut stats, mut families) = (HashSet::new(), HashSet::new());
+        for row in rows {
+            assert!(stats.insert(row.stat), "STATS name {} twice", row.stat);
+            assert!(!row.help.trim().is_empty(), "{} has help", row.stat);
+            let family = row.family();
+            assert!(
+                family
+                    .bytes()
+                    .all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'_')),
+                "family {family}"
+            );
+            assert!(families.insert(family), "family of {} twice", row.stat);
+        }
+        assert!(stats.len() > 40, "found the declarations");
     }
 }

@@ -35,7 +35,10 @@ use crate::stats::ServerStats;
 use dego_core::{
     home_segment, mpsc, CounterIncrementOnly, SegmentationKind, SegmentedHashMap, SegmentedSet,
 };
-use dego_middleware::{StatLines, StoreSegment, WindowedHistogram};
+use dego_middleware::{
+    declare_metrics, Histograms, RelaxedCounter, Row, StoreSegment, Surface, WindowedHistogram,
+    P50_P99,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -82,39 +85,50 @@ pub(crate) struct Envelope {
     pub traced: bool,
 }
 
-/// Per-shard observability counters: the load-shedding inputs
-/// (`STATS SHARDS`, `/metrics`) for one shard owner.
-///
-/// Counters are relaxed atomics and the histograms are the same
-/// log₂-bucket windowed histograms the middleware uses — statistics,
-/// not synchronization, on the storage plane's hottest path.
-pub(crate) struct ShardTelemetry {
-    /// Mutations handed to this shard's queue.
-    enqueued: AtomicU64,
-    /// Mutations the owner has drained and applied.
-    drained: AtomicU64,
-    /// Mutations per owner sweep (the group-commit width, log₂ buckets).
-    drained_batch: WindowedHistogram,
-    /// Publish→apply latency per mutation, microseconds.
-    ack_us: WindowedHistogram,
+/// Storage shards — on `/metrics`, and the first line of both `STATS`
+/// and `STATS SHARDS`.
+pub const SHARDS: Row = Row::gauge("shards", "Storage shards.");
+/// Keys in the string keyspace.
+pub const KEYS: Row = Row::gauge("keys", "Keys in the string keyspace.");
+
+declare_metrics! {
+    /// Per-shard observability counters: the load-shedding inputs
+    /// (`STATS SHARDS`, `/metrics`) for one shard owner. Each row is a
+    /// family labelled by shard: the `{}` in its name.
+    ///
+    /// Counters are relaxed atomics and the histograms are the same
+    /// log₂-bucket windowed histograms the middleware uses — statistics,
+    /// not synchronization, on the storage plane's hottest path.
+    pub(crate) struct ShardTelemetry {
+        /// Mutations handed to the shard since boot.
+        enqueued: RelaxedCounter => "shard{}_enqueued",
+    }
+
+    fn new(window_secs: u64) {
+        /// Mutations the owner has drained and applied.
+        drained: AtomicU64 = AtomicU64::new(0),
+        /// Mutations per owner sweep (the group-commit width, log₂ buckets).
+        drained_batch: WindowedHistogram = WindowedHistogram::new(window_secs),
+        /// Publish→apply latency per mutation, microseconds.
+        ack_us: WindowedHistogram = WindowedHistogram::new(window_secs),
+    }
+
+    impl ShardTelemetry {
+        /// Every row's reading, in [`ShardTelemetry::ROWS`] order.
+        fn values(&self) {
+            /// Mutations enqueued to the shard but not yet applied.
+            Gauge "shard{}_queue_depth" = self.queue_depth(),
+        }
+    }
 }
 
 impl ShardTelemetry {
-    fn new(window_secs: u64) -> Self {
-        ShardTelemetry {
-            enqueued: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            drained_batch: WindowedHistogram::new(window_secs),
-            ack_us: WindowedHistogram::new(window_secs),
-        }
-    }
-
     /// `STATS RESET`: zero the counters and both histogram planes.
     /// The enqueued/drained pair is zeroed together; a mutation in
     /// flight across the reset can transiently read as depth, which
     /// the next drain clears.
     pub fn reset(&self) {
-        self.enqueued.store(0, Ordering::Relaxed);
+        self.reset_rows();
         self.drained.store(0, Ordering::Relaxed);
         self.drained_batch.reset();
         self.ack_us.reset();
@@ -125,18 +139,8 @@ impl ShardTelemetry {
     /// while a drain is in flight — never negative.
     pub fn queue_depth(&self) -> u64 {
         self.enqueued
-            .load(Ordering::Relaxed)
+            .sum()
             .saturating_sub(self.drained.load(Ordering::Relaxed))
-    }
-
-    /// Mutations handed to this shard since boot.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
-    }
-
-    /// Drained-batch size histogram (group-commit width).
-    pub fn drained_batch(&self) -> &WindowedHistogram {
-        &self.drained_batch
     }
 
     /// Publish→apply latency histogram, microseconds.
@@ -209,9 +213,7 @@ impl Store {
 
     /// Hand a run to its owning shard and wake the owner.
     pub(crate) fn enqueue(&self, shard: usize, run: Envelope) {
-        self.telemetry[shard]
-            .enqueued
-            .fetch_add(run.entries.len() as u64, Ordering::Relaxed);
+        self.telemetry[shard].enqueued.add(run.entries.len() as u64);
         self.producers[shard].offer(run);
         self.wakers[shard].unpark();
     }
@@ -253,57 +255,55 @@ impl Store {
             .store(self.applied.get(), Ordering::Relaxed);
     }
 
-    /// The `name=value` lines of the `STATS SHARDS` array reply:
+    /// The storage plane's two gauges on either surface.
+    pub(crate) fn render_gauges(&self, out: &mut Surface<'_>) {
+        out.scalar(&SHARDS, self.shards as u64);
+        out.scalar(&KEYS, self.kv.len() as u64);
+    }
+
+    /// The per-shard plane on either surface — the body of a
+    /// `STATS SHARDS` reply, or the `dego_shard_*` families of a scrape:
     /// per-shard queue depth, group-commit batch shape, and
     /// publish→apply latency percentiles — the inputs a load shedder
-    /// (or a human squinting at a hot shard) needs.
-    /// Percentile lines report the rolling window, with
-    /// `_total`-suffixed lifetime twins (same contract as the `mw_*`
-    /// block).
-    pub(crate) fn render_shard_lines(&self) -> Vec<String> {
-        let mut out = StatLines::new();
-        out.push("shards", self.shards);
-        for (i, t) in self.telemetry.iter().enumerate() {
-            out.push(&format!("shard{i}_queue_depth"), t.queue_depth());
-            out.push(&format!("shard{i}_enqueued"), t.enqueued());
-            out.push(
-                &format!("shard{i}_drained_batches"),
-                t.drained_batch.count(),
-            );
-            out.push(
-                &format!("shard{i}_batch_p50"),
-                t.drained_batch.percentile_us(0.50),
-            );
-            out.push(
-                &format!("shard{i}_batch_p99"),
-                t.drained_batch.percentile_us(0.99),
-            );
-            out.push(
-                &format!("shard{i}_batch_p50_total"),
-                t.drained_batch.lifetime().percentile_us(0.50),
-            );
-            out.push(
-                &format!("shard{i}_batch_p99_total"),
-                t.drained_batch.lifetime().percentile_us(0.99),
-            );
-            out.push(
-                &format!("shard{i}_ack_p50_us"),
-                t.ack_us.percentile_us(0.50),
-            );
-            out.push(
-                &format!("shard{i}_ack_p99_us"),
-                t.ack_us.percentile_us(0.99),
-            );
-            out.push(
-                &format!("shard{i}_ack_p50_us_total"),
-                t.ack_us.lifetime().percentile_us(0.50),
-            );
-            out.push(
-                &format!("shard{i}_ack_p99_us_total"),
-                t.ack_us.lifetime().percentile_us(0.99),
-            );
+    /// (or a human squinting at a hot shard) needs. `STATS` percentile
+    /// lines report the rolling window, with `_total`-suffixed lifetime
+    /// twins (same contract as the `mw_*` block).
+    pub(crate) fn render_shards(&self, out: &mut Surface<'_>) {
+        let labels: Vec<String> = (0..self.shards).map(|i| i.to_string()).collect();
+        let shards = || labels.iter().map(String::as_str).zip(&self.telemetry);
+        let values: Vec<Vec<u64>> = self.telemetry.iter().map(|t| t.values()).collect();
+        for (r, row) in ShardTelemetry::ROWS.iter().enumerate() {
+            let members: Vec<_> = labels
+                .iter()
+                .zip(&values)
+                .map(|(l, v)| (l.as_str(), v[r]))
+                .collect();
+            out.labelled(row, "shard", &members);
         }
-        out.into_lines()
+        if let Surface::Stats(lines) = out {
+            // On the scrape side this is the batch family's `_count`.
+            let drained = |(l, t): (_, &Arc<ShardTelemetry>)| {
+                format!("shard{l}_drained_batches={}", t.drained_batch.count())
+            };
+            lines.extend(shards().map(drained));
+        }
+        let batch = Histograms {
+            stat: "shard{l}_batch_{p}",
+            quantiles: P50_P99,
+            family: "dego_shard_drained_batch_size",
+            key: "shard",
+            help: "Group-commit width: mutations per drained batch.",
+        };
+        let members: Vec<_> = shards().map(|(l, t)| (l, &t.drained_batch)).collect();
+        out.histograms(&batch, &members);
+        let ack = Histograms {
+            stat: "shard{l}_ack_{p}_us",
+            family: "dego_shard_ack_us",
+            help: "Enqueue-to-apply latency per mutation, microseconds.",
+            ..batch
+        };
+        let members: Vec<_> = shards().map(|(l, t)| (l, &t.ack_us)).collect();
+        out.histograms(&ack, &members);
     }
 }
 

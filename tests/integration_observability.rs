@@ -3,11 +3,15 @@
 //! ring, and the Prometheus `/metrics` responder — all exercised over
 //! real loopback TCP.
 
-use dego_server::{spawn, Client, ClientReply, MiddlewareConfig, ServerConfig, ServerHandle};
+use dego_server::{
+    spawn, Client, ClientReply, Kind, MiddlewareConfig, PipelineMetrics, Row, ServerConfig,
+    ServerHandle, ServerStats, KEYS, SHARDS, SHARD_ROWS,
+};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod common;
 use common::shards;
@@ -568,7 +572,303 @@ fn trace_endpoint_serves_flight_recorder_json() {
     // The windowed gauge families ride the Prometheus exposition too.
     let metrics = http_get(metrics_addr, "/metrics");
     assert!(metrics.contains("dego_mw_p99_us_window"));
-    assert!(metrics.contains("dego_mw_flight_total"));
+    assert!(metrics.contains("dego_mw_trace_total"));
+    server.shutdown();
+}
+
+/// A full-stack server with the metrics responder, after a little
+/// traffic of every kind: singletons, a pipelined burst, a miss.
+fn observed_server() -> (ServerHandle, Client) {
+    let mut middleware = MiddlewareConfig::full();
+    middleware.trace.sample_every = 1;
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 512,
+        middleware,
+        metrics_addr: Some("127.0.0.1:0".parse().expect("literal addr")),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut c = connect(&server);
+    for i in 0..16 {
+        c.set(&format!("d{i}"), "v").expect("set");
+        let _ = c.get(&format!("d{i}")).expect("get");
+    }
+    let _ = c.get("absent").expect("miss");
+    c.pipeline(["SET p1 v", "SET p2 v", "GET p1"])
+        .expect("burst");
+    (server, c)
+}
+
+/// The `name` of every `name=value` line of an array reply, in order.
+fn line_names(c: &mut Client, verb: &str) -> Vec<String> {
+    match c.request(verb).expect("reply") {
+        ClientReply::Array(lines) => lines
+            .iter()
+            .map(|l| l.split_once('=').expect("name=value").0.to_string())
+            .collect(),
+        other => panic!("expected an array for {verb}, got {other:?}"),
+    }
+}
+
+/// The `# TYPE` family names of an exposition.
+fn families(exposition: &str) -> Vec<&str> {
+    exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().expect("family name"))
+        .collect()
+}
+
+/// The sample of an unlabelled family.
+fn sample(exposition: &str, family: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{family} ")))
+        .unwrap_or_else(|| panic!("no sample of {family}"))
+        .parse()
+        .expect("numeric sample")
+}
+
+/// The declaration is the contract: every row of the three declared
+/// planes is one `STATS` (or `STATS SHARDS`) line and one `/metrics`
+/// family under its derived name, with the row's help and kind — and
+/// `STATS RESET` zeroes exactly the rows that say so.
+#[test]
+fn every_declared_row_is_on_both_surfaces() {
+    let (server, mut c) = observed_server();
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint configured");
+    let unlabelled: Vec<&Row> = [&SHARDS, &KEYS]
+        .into_iter()
+        .chain(ServerStats::ROWS)
+        .chain(PipelineMetrics::ROWS)
+        .collect();
+    assert!(
+        unlabelled.len() > 40 && SHARD_ROWS.len() == 2,
+        "declarations found"
+    );
+
+    let stats = line_names(&mut c, "STATS");
+    for row in &unlabelled {
+        let hits = stats.iter().filter(|n| *n == row.stat).count();
+        assert_eq!(hits, 1, "{} is one STATS line", row.stat);
+    }
+    let shard_stats = line_names(&mut c, "STATS SHARDS");
+    for row in SHARD_ROWS {
+        for shard in 0..server.shards() {
+            let name = row.stat.replace("{}", &shard.to_string());
+            let hits = shard_stats.iter().filter(|n| **n == name).count();
+            assert_eq!(hits, 1, "{name} is one STATS SHARDS line");
+        }
+    }
+
+    let before = http_get(metrics_addr, "/metrics");
+    for row in unlabelled.iter().copied().chain(SHARD_ROWS) {
+        let family = row.family();
+        let kind = match row.kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        };
+        let help = format!("# HELP {family} {}", row.help.trim());
+        let kind = format!("# TYPE {family} {kind}");
+        assert_eq!(before.lines().filter(|l| *l == help).count(), 1, "{help}");
+        assert_eq!(before.lines().filter(|l| *l == kind).count(), 1, "{kind}");
+        let headers = |l: &&str| l.starts_with(&format!("# HELP {family} "));
+        assert_eq!(
+            before.lines().filter(headers).count(),
+            1,
+            "one HELP for {family}"
+        );
+    }
+
+    let applied = sample(&before, "dego_applied_total");
+    assert!(applied >= 18, "every SET applied: {applied}");
+    assert!(lookup(&c.stats_map().expect("stats"), "commands") >= 35);
+    c.stats_reset().expect("stats reset");
+    // Over the wire a row cannot read exactly 0: the tail of the RESET
+    // and the STATS that observes it are themselves counted.
+    let stats = c.stats_map().expect("stats after reset");
+    for row in unlabelled.iter().filter(|row| row.resets) {
+        let value = lookup(&stats, row.stat);
+        assert!(
+            value <= 4,
+            "{} zeroed by STATS RESET, reads {value}",
+            row.stat
+        );
+    }
+    let shard_stats = c.stats_shards().expect("stats shards after reset");
+    for row in SHARD_ROWS.iter().filter(|row| row.resets) {
+        for shard in 0..server.shards() {
+            let name = row.stat.replace("{}", &shard.to_string());
+            assert_eq!(lookup(&shard_stats, &name), 0, "{name} zeroed");
+        }
+    }
+    let after = http_get(metrics_addr, "/metrics");
+    assert!(
+        sample(&after, "dego_applied_total") >= applied,
+        "a Prometheus counter stays monotonic across STATS RESET"
+    );
+    assert_eq!(
+        sample(&after, "dego_mutations_total"),
+        0,
+        "reset shows here too"
+    );
+    server.shutdown();
+}
+
+/// The `STATS` names of a full-stack server at the parent of the PR
+/// that declared the metrics once.
+#[rustfmt::skip]
+const STATS_NAMES: &[&str] = &[
+    "shards", "keys", "connections", "commands", "gets", "get_hits", "mutations",
+    "applied", "timeline_reads", "errors", "accept_errors", "shard_batches",
+    "idle_closed", "loop_wakeups", "cas_failures", "lock_spins", "rmw_ops", "mw_depth",
+    "mw_window_secs", "mw_traced", "mw_read_p50_us", "mw_read_p99_us",
+    "mw_read_p50_us_total", "mw_read_p99_us_total", "mw_write_p50_us",
+    "mw_write_p99_us", "mw_write_p50_us_total", "mw_write_p99_us_total", "mw_batches",
+    "mw_batch_commands", "mw_batch_p99_us", "mw_batch_p99_us_total",
+    "mw_rate_admitted", "mw_rate_rejected", "mw_rate_refilled", "mw_auth_admitted",
+    "mw_auth_denied", "mw_auth_logins", "mw_auth_reloads", "mw_deadline_checked",
+    "mw_deadline_missed", "mw_breaker_checked", "mw_breaker_rejected",
+    "mw_breaker_trips", "mw_breaker_recoveries", "mw_breaker_probes",
+    "mw_breaker_read_state", "mw_breaker_write_state", "mw_shed_checked",
+    "mw_shed_shed", "mw_ttl_checked", "mw_ttl_armed", "mw_ttl_expired",
+    "mw_spans_sampled", "mw_trace_us_p50", "mw_trace_us_p99", "mw_trace_us_p50_total",
+    "mw_trace_us_p99_total", "mw_breaker_us_p50", "mw_breaker_us_p99",
+    "mw_breaker_us_p50_total", "mw_breaker_us_p99_total", "mw_deadline_us_p50",
+    "mw_deadline_us_p99", "mw_deadline_us_p50_total", "mw_deadline_us_p99_total",
+    "mw_auth_us_p50", "mw_auth_us_p99", "mw_auth_us_p50_total", "mw_auth_us_p99_total",
+    "mw_ratelimit_us_p50", "mw_ratelimit_us_p99", "mw_ratelimit_us_p50_total",
+    "mw_ratelimit_us_p99_total", "mw_shed_us_p50", "mw_shed_us_p99",
+    "mw_shed_us_p50_total", "mw_shed_us_p99_total", "mw_ttl_us_p50", "mw_ttl_us_p99",
+    "mw_ttl_us_p50_total", "mw_ttl_us_p99_total", "mw_slowlog_len", "mw_slowlog_total",
+    "mw_trace_len", "mw_trace_total",
+];
+
+/// Its `STATS SHARDS` names after the leading `shards` (`{}`: the shard).
+#[rustfmt::skip]
+const SHARD_STATS_NAMES: &[&str] = &[
+    "shard{}_queue_depth", "shard{}_enqueued", "shard{}_drained_batches",
+    "shard{}_batch_p50", "shard{}_batch_p99", "shard{}_batch_p50_total",
+    "shard{}_batch_p99_total", "shard{}_ack_p50_us", "shard{}_ack_p99_us",
+    "shard{}_ack_p50_us_total", "shard{}_ack_p99_us_total",
+];
+
+/// And its `/metrics` families — but for the three the naming rule
+/// renamed: `dego_mw_shed_total`, `dego_mw_flight_len` and
+/// `dego_mw_flight_total` are `dego_mw_shed_shed_total`,
+/// `dego_mw_trace_len` and `dego_mw_trace_total` here.
+#[rustfmt::skip]
+const FAMILIES: &[&str] = &[
+    "dego_ready", "dego_connections_total", "dego_commands_total", "dego_gets_total",
+    "dego_get_hits_total", "dego_mutations_total", "dego_applied_total",
+    "dego_timeline_reads_total", "dego_errors_total", "dego_accept_errors_total",
+    "dego_shard_batches_total", "dego_idle_closed_total", "dego_loop_wakeups_total",
+    "dego_cas_failures_total", "dego_lock_spins_total", "dego_rmw_ops_total",
+    "dego_shards", "dego_keys", "dego_shard_queue_depth", "dego_shard_enqueued_total",
+    "dego_shard_drained_batch_size", "dego_shard_ack_us", "dego_mw_depth",
+    "dego_mw_traced_total", "dego_mw_read_us", "dego_mw_write_us",
+    "dego_mw_control_us", "dego_mw_batches_total", "dego_mw_batch_commands_total",
+    "dego_mw_batch_us", "dego_mw_rate_admitted_total", "dego_mw_rate_rejected_total",
+    "dego_mw_rate_refilled_total", "dego_mw_auth_admitted_total",
+    "dego_mw_auth_denied_total", "dego_mw_auth_logins_total",
+    "dego_mw_auth_reloads_total", "dego_mw_deadline_checked_total",
+    "dego_mw_deadline_missed_total", "dego_mw_breaker_checked_total",
+    "dego_mw_breaker_rejected_total", "dego_mw_breaker_trips_total",
+    "dego_mw_breaker_recoveries_total", "dego_mw_breaker_probes_total",
+    "dego_mw_breaker_state", "dego_mw_shed_checked_total", "dego_mw_shed_shed_total",
+    "dego_mw_ttl_checked_total", "dego_mw_ttl_armed_total",
+    "dego_mw_ttl_expired_total", "dego_mw_spans_sampled_total",
+    "dego_mw_layer_admission_us", "dego_mw_slowlog_len", "dego_mw_slowlog_total",
+    "dego_mw_trace_len", "dego_mw_trace_total", "dego_mw_window_seconds",
+    "dego_mw_p50_us_window", "dego_mw_p99_us_window",
+];
+
+/// Both surfaces serve exactly the names they served before the
+/// metrics were declared once: a dropped, doubled or misspelt line is
+/// a failure here, not a review comment.
+#[test]
+fn name_sets_are_the_parents_but_for_three_renamed_families() {
+    let (server, mut c) = observed_server();
+    let set = |names: Vec<String>| -> BTreeSet<String> {
+        let unique: BTreeSet<String> = names.iter().cloned().collect();
+        assert_eq!(unique.len(), names.len(), "no name twice in {names:?}");
+        unique
+    };
+    let want: BTreeSet<String> = STATS_NAMES.iter().map(|n| n.to_string()).collect();
+    let stats = line_names(&mut c, "STATS");
+    let mw = stats
+        .iter()
+        .position(|n| n.starts_with("mw_"))
+        .expect("mw block");
+    assert!(
+        stats[mw..].iter().all(|n| n.starts_with("mw_")),
+        "the server block precedes the mw_* block: {stats:?}"
+    );
+    assert_eq!(set(stats), want);
+    let want: BTreeSet<String> = (0..server.shards())
+        .flat_map(|i| {
+            SHARD_STATS_NAMES
+                .iter()
+                .map(move |n| n.replace("{}", &i.to_string()))
+        })
+        .chain(["shards".to_string()])
+        .collect();
+    assert_eq!(set(line_names(&mut c, "STATS SHARDS")), want);
+    let exposition = http_get(server.metrics_addr().expect("configured"), "/metrics");
+    let want: BTreeSet<String> = FAMILIES.iter().map(|n| n.to_string()).collect();
+    let got = families(&exposition)
+        .iter()
+        .map(|n| n.to_string())
+        .collect();
+    assert_eq!(set(got), want);
+    server.shutdown();
+}
+
+/// The metrics responder bounds the request line in size and in time:
+/// neither a newline-free flood nor a one-byte drip keeps it from
+/// serving the next scrape.
+#[test]
+fn metrics_responder_bounds_the_request_line() {
+    let (server, _c) = observed_server();
+    let addr = server.metrics_addr().expect("metrics endpoint configured");
+
+    // 1 MiB without a newline: a 400 (or a reset, if the close beats
+    // the rest of the flood), never an unbounded buffer.
+    let mut flood = TcpStream::connect(addr).expect("connect");
+    let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+    let mut answer = String::new();
+    let _ = flood.read_to_string(&mut answer);
+    assert!(
+        answer.is_empty() || answer.starts_with("HTTP/1.0 400"),
+        "got {answer:?}"
+    );
+    assert!(http_get(addr, "/metrics").starts_with("HTTP/1.0 200 OK"));
+
+    // One byte every 300 ms, for longer than anyone should wait: the
+    // responder gives the whole line 2 s, not each read.
+    let (dripping, first_byte) = std::sync::mpsc::channel();
+    let drip = std::thread::spawn(move || {
+        let mut socket = TcpStream::connect(addr).expect("connect");
+        for _ in 0..20 {
+            if socket.write_all(b"G").is_err() {
+                break;
+            }
+            let _ = dripping.send(());
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    first_byte
+        .recv()
+        .expect("the drip is in the accept queue first");
+    let asked = Instant::now();
+    assert!(http_get(addr, "/metrics").starts_with("HTTP/1.0 200 OK"));
+    assert!(
+        asked.elapsed() < Duration::from_secs(4),
+        "the scrape waited {:?} behind the drip",
+        asked.elapsed()
+    );
+    drip.join().expect("drip thread");
     server.shutdown();
 }
 
