@@ -7,7 +7,7 @@
 //!
 //! Flags:
 //!
-//! * `--shards N` — storage shards (also `DEGO_SHARDS`, default 4)
+//! * `--shards N` — storage shards (default 4)
 //! * `--middleware SPEC` — `none` (default), `full`, or a comma list
 //!   of `trace,breaker,deadline,auth,ratelimit,shed,ttl`
 //! * `--auth-token NAME:TOKEN:ROLE` — add a token (repeatable; roles:
@@ -88,13 +88,7 @@ extern "C" {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut config = ServerConfig {
-        shards: std::env::var("DEGO_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4),
-        ..ServerConfig::default()
-    };
+    let mut config = ServerConfig::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -144,6 +138,12 @@ fn main() {
     config.addr = addr.parse().unwrap_or_else(|e| {
         usage_exit(&format!("bad listen address {addr:?}: {e}"));
     });
+    // Before the listener exists: a supervisor that reacts to the
+    // `listening` line must never find the default action in force.
+    // SAFETY: `on_term` only stores to an atomic (async-signal-safe).
+    unsafe {
+        signal(SIGTERM, on_term);
+    }
     let server = spawn(config).unwrap_or_else(|e| {
         eprintln!("failed to start on {addr}: {e}");
         std::process::exit(1);
@@ -160,9 +160,6 @@ fn main() {
 
     // Graceful drain on SIGTERM: flip readiness, stop accepting, let
     // in-flight bursts finish and the shard queues flush, exit 0.
-    unsafe {
-        signal(SIGTERM, on_term);
-    }
     while !TERM.load(Ordering::Acquire) {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }

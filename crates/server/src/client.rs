@@ -131,7 +131,7 @@ impl Client {
     /// request line, flush once, read one reply per request, in order.
     ///
     /// The server executes the burst through its batched
-    /// `call_batch`/group-commit path (one middleware walk, one
+    /// `begin_batch`/group-commit path (one middleware walk, one
     /// deadline check, one bulk token-bucket take, group-acked shard
     /// writes), so this is the fastest way to push bulk traffic —
     /// replies are identical to sending the same requests one at a

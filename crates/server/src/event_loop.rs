@@ -140,7 +140,7 @@ const LINE_TOO_LONG_MSG: &str = "line too long";
 /// Most lines dispatched as one burst; the remainder stays buffered
 /// for the next pass. Bounds the per-burst allocation and keeps one
 /// flooding client from parking the loop in a single giant
-/// `call_batch` (burst boundaries are not client-visible — the
+/// `begin_batch` (burst boundaries are not client-visible — the
 /// equivalence suite pins that).
 const MAX_BURST_LINES: usize = 512;
 /// Idle epoll timeout when nothing is pending: a defensive upper

@@ -711,10 +711,10 @@ struct Burst {
 
 /// The innermost service: executes commands against the storage plane
 /// (the thing every middleware layer ultimately wraps), and the one
-/// place a burst waits. `call` and `call_batch` block on the ack
-/// channel; `begin_batch` instead parks a burst whose last run is
-/// still in flight, and `poll_batch` resolves it once its table is
-/// complete or `ack_timeout` has lapsed. Mid-burst barriers
+/// place a burst waits. `call` blocks on the ack channel;
+/// `begin_batch` instead parks a burst whose last run is still in
+/// flight, and `poll_batch` resolves it once its table is complete or
+/// `ack_timeout` has lapsed. Mid-burst barriers
 /// (read-after-write and friends) block either way, so reply bytes are
 /// identical to sequential execution.
 pub(crate) struct ExecService {
@@ -999,10 +999,10 @@ impl ExecService {
     /// keep per-key order); reads are served inline unless a row they
     /// depend on has an outstanding mutation in this burst, in which
     /// case a barrier collects every outstanding ack first. Returns
-    /// with the last run published and its acks still in flight; `ring`
-    /// says how the caller will wait for them (see
+    /// with the last run published and its acks still in flight: the
+    /// caller parks, so every run published here rings the loop (see
     /// [`ExecService::publish`]).
-    fn stage_burst(&mut self, reqs: Vec<Request>, ring: bool) -> Burst {
+    fn stage_burst(&mut self, reqs: Vec<Request>) -> Burst {
         let mut dead: Option<&'static str> = None;
         let mut acks = AckTable::new(self.next_seq);
         let mut pending = PendingRows::default();
@@ -1029,13 +1029,13 @@ impl ExecService {
                 continue;
             }
             if let Some(resp) = Self::structural_rejection(&req.command) {
-                self.publish(ring);
+                self.publish(true);
                 slots.push(Slot::Done(resp.reply));
                 continue;
             }
             match req.command {
                 Command::Quit => {
-                    self.publish(ring);
+                    self.publish(true);
                     slots.push(Slot::Quit);
                 }
                 Command::Post(author, msg) => {
@@ -1073,7 +1073,7 @@ impl ExecService {
                         if !needs_barrier {
                             // The run ends here: the owners apply it
                             // while this thread serves the read.
-                            self.publish(ring);
+                            self.publish(true);
                         } else if let Some(cause) = barrier!() {
                             slots.push(Slot::Done(Reply::Error(cause.into())));
                             continue;
@@ -1085,7 +1085,7 @@ impl ExecService {
         }
         // The end of the burst ends the run, on every way out.
         self.next_seq = acks.next_seq();
-        self.publish(ring);
+        self.publish(true);
         Burst { slots, acks, dead }
     }
 
@@ -1162,21 +1162,11 @@ impl Service for ExecService {
         resp
     }
 
-    /// The blocking batch path: stage, then one final collection
-    /// (single overall deadline) on the ack channel.
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        let mut burst = self.stage_burst(reqs, false);
-        if burst.dead.is_none() {
-            burst.dead = self.collect(&mut burst.acks).err();
-        }
-        self.finish(burst)
-    }
-
     /// The parking batch path: stage, and leave acks still in flight
     /// to [`Service::poll_batch`] — the loop serves other connections
     /// meanwhile, whose bursts can hit the same shard sweep.
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
-        let burst = self.stage_burst(reqs, true);
+        let burst = self.stage_burst(reqs);
         if burst.dead.is_some() || burst.acks.complete() {
             return Progress::Done(self.finish(burst));
         }

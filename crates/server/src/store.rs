@@ -238,7 +238,7 @@ impl Store {
     }
 
     /// Set (or clear) the per-mutation apply stall — the chaos hook the
-    /// stuck-shard tests and the CI chaos-smoke job lean on. Takes
+    /// stuck-shard tests and the binary's drain drill lean on. Takes
     /// effect on the next mutation each shard owner applies.
     pub(crate) fn set_shard_delay(&self, delay: Option<Duration>) {
         let ns = delay.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);

@@ -10,9 +10,8 @@
 //!   `trace → deadline → auth → rate-limit → ttl` stack and a demo
 //!   token, then walks the protocol surface;
 //! * **external**: set `DEGO_SERVER_ADDR=host:port` to drive an
-//!   already-running `dego-server` instead (the CI smoke job boots the
-//!   release binary and points this example at it). When the target
-//!   requires authentication, pass the token via `DEGO_AUTH_TOKEN`.
+//!   already-running `dego-server` instead. When the target requires
+//!   authentication, pass the token via `DEGO_AUTH_TOKEN`.
 //!
 //! Exits non-zero on any protocol failure, so it doubles as a smoke
 //! check.
@@ -86,8 +85,8 @@ fn main() -> std::io::Result<()> {
     check(expired.is_none(), "TTL lazily expires")?;
 
     // 5. Pipelining: many commands, one round trip, through the
-    //    server's batched call_batch/group-commit path. The burst size
-    //    is tunable (the CI smoke job drives it at 32) and the replies
+    //    server's batched begin_batch/group-commit path. The burst size
+    //    is tunable (`DEGO_ROUNDTRIP_PIPELINE`) and the replies
     //    come back in request order — including the GET-after-SET in
     //    the same burst, which the server barriers on.
     let burst: usize = std::env::var("DEGO_ROUNDTRIP_PIPELINE")

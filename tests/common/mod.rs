@@ -16,6 +16,50 @@ pub fn shards(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// One raw HTTP/1.0 request to the metrics responder; returns the
+/// full response text.
+pub fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+    use std::io::{Read, Write};
+    let mut socket = std::net::TcpStream::connect(addr).expect("connect to metrics endpoint");
+    socket
+        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
+        .expect("send request");
+    let mut body = String::new();
+    socket.read_to_string(&mut body).expect("read response");
+    body
+}
+
+/// Poll `done` until it holds: an event-driven wait with a bound, for
+/// conditions the server exports (a counter, a gauge, a probe).
+pub fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The error text of a reply that must be one.
+pub fn error_of(reply: ClientReply) -> String {
+    match reply {
+        ClientReply::Error(message) => message,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// Nothing has reached `socket` yet: the server has not answered `who`.
+pub fn assert_unanswered(socket: &std::net::TcpStream, who: &str) {
+    socket.set_nonblocking(true).expect("nonblocking");
+    match socket.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("{who} was answered too early: {other:?}"),
+    }
+    socket.set_nonblocking(false).expect("blocking");
+}
+
 /// A deterministic pseudo-random script over kv and social verbs (no
 /// `STATS` — its counters legitimately depend on how the stream was
 /// cut into bursts).

@@ -7,8 +7,8 @@
 //! * **bounded input**: a newline-free flood is cut off with a
 //!   structured error instead of growing server memory, and its loop
 //!   keeps serving everyone else;
-//! * **drain**: a shutdown under live write load completes promptly
-//!   and never loses an acknowledged write;
+//! * **drain**: a shutdown with a burst parked flips readiness first,
+//!   then acks every parked write before it closes the session;
 //! * **cross-connection group commit**: concurrent bursts share shard
 //!   sweeps;
 //! * **no head-of-line blocking**: a span-sampled burst parks like any
@@ -21,7 +21,7 @@ use dego_server::{spawn, Client, MiddlewareConfig, ServerConfig};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::shards;
+use common::{assert_unanswered, http_get, shards, wait_until};
 
 /// `--idle-timeout-ms`: a connection quiet past the deadline with
 /// nothing in flight is reaped (and counted), while a chatty
@@ -124,51 +124,64 @@ fn no_idle_timeout_means_no_reaping() {
     server.shutdown();
 }
 
-/// Drain under live write load: shutdown completes promptly (deferred
-/// acks are still collected, in-flight bursts finish) and every write
-/// acknowledged before the cut reads back consistently.
+/// Drain with a burst parked. A pipelined burst of writes parks behind
+/// a shard stall; a bystander's burst blocks in a read-after-write
+/// barrier behind it, a `READY` as its tail. `shutdown()` runs on a
+/// second thread: readiness flips while neither has been answered (the
+/// queues are still flushing), then the barrier's tail reads
+/// `-ERR NOTREADY`, every parked write is acked `+OK`, and both
+/// sessions are closed. Ordered by what the server exports — staged
+/// mutations, `/ready` — not by the clock. (The binary's `SIGTERM` half
+/// of this drill is `crates/server/tests/binary.rs`.)
 #[test]
 fn event_loop_drain_under_load_keeps_acked_writes() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    const BURST: usize = 32;
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 1024,
         middleware: MiddlewareConfig::full(),
+        event_loops: 2,
+        metrics_addr: Some("127.0.0.1:0".parse().expect("literal")),
         ..ServerConfig::default()
     })
     .expect("server boots");
-    let addr = server.local_addr();
+    let metrics = server.metrics_addr().expect("configured");
+    server.set_shard_delay(Some(Duration::from_millis(20)));
+    let staged = |n: usize| {
+        wait_until("the burst to be staged", || {
+            server.stats().mutations == n as u64
+        })
+    };
 
-    let worker = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        let mut pairs = 0u64;
-        loop {
-            let key = format!("evdrain{pairs}");
-            if c.set(&key, "v").is_err() {
-                break; // Connection cut before the ack: write unacked.
-            }
-            match c.get(&key) {
-                Ok(got) => assert_eq!(
-                    got.as_deref(),
-                    Some("v"),
-                    "acked write {key} must be readable"
-                ),
-                Err(_) => break, // Cut between ack and read-back.
-            }
-            pairs += 1;
-        }
-        pairs
-    });
+    let mut parked = TcpStream::connect(server.local_addr()).expect("connect");
+    let burst: String = (0..BURST).map(|i| format!("SET evdrain{i} v\n")).collect();
+    parked.write_all(burst.as_bytes()).expect("one write");
+    staged(BURST);
+    let mut bystander = TcpStream::connect(server.local_addr()).expect("connect");
+    bystander
+        .write_all(b"SET seen v\nGET seen\nREADY\n")
+        .expect("one write");
+    staged(BURST + 1);
 
-    std::thread::sleep(Duration::from_millis(100));
     assert!(server.ready(), "serving before the drain");
-    let begun = Instant::now();
-    server.shutdown();
-    assert!(
-        begun.elapsed() < Duration::from_secs(2),
-        "drain must not wait out a chatty client"
-    );
-    let pairs = worker.join().expect("worker");
-    assert!(pairs > 0, "the worker made progress before the drain");
+    let drain = std::thread::spawn(move || server.shutdown());
+    wait_until("/ready to answer 503", || {
+        http_get(metrics, "/ready").starts_with("HTTP/1.0 503")
+    });
+    assert_unanswered(&parked, "the parked burst");
+    assert_unanswered(&bystander, "the bystander's barrier");
+
+    let mut replies = String::new();
+    bystander
+        .read_to_string(&mut replies)
+        .expect("to the close");
+    assert_eq!(replies, "+OK\n$v\n-ERR NOTREADY draining\n");
+    replies.clear();
+    parked.read_to_string(&mut replies).expect("to the close");
+    assert_eq!(replies, "+OK\n".repeat(BURST), "every parked write acked");
+    drain.join().expect("drain thread");
 }
 
 /// Cross-connection group commit: several connections flooding
@@ -236,7 +249,7 @@ fn concurrent_bursts_share_shard_sweeps() {
 /// total that covers the stall.
 #[test]
 fn sampled_burst_does_not_block_its_loop() {
-    use std::io::{ErrorKind, Read, Write};
+    use std::io::{Read, Write};
     const STALL: Duration = Duration::from_millis(100);
     let mut middleware = MiddlewareConfig::full();
     middleware.trace.sample_every = 1;
@@ -258,12 +271,7 @@ fn sampled_burst_does_not_block_its_loop() {
         .write_all(b"SET h0 v\nSET h1 v\nSET h2 v\nSET h3 v\n")
         .expect("write burst");
     neighbour.ping().expect("served while the burst is parked");
-    first.set_nonblocking(true).expect("nonblocking");
-    match first.peek(&mut [0u8; 1]) {
-        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-        other => panic!("the burst was answered before the PING: {other:?}"),
-    }
-    first.set_nonblocking(false).expect("blocking");
+    assert_unanswered(&first, "the burst (before the PING)");
     let mut replies = [0u8; 16];
     first.read_exact(&mut replies).expect("four replies");
     assert_eq!(&replies, b"+OK\n+OK\n+OK\n+OK\n");

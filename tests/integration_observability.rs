@@ -14,7 +14,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::shards;
+use common::{http_get, shards};
 
 fn connect(server: &ServerHandle) -> Client {
     Client::connect(server.local_addr()).expect("client connects")
@@ -870,15 +870,4 @@ fn metrics_responder_bounds_the_request_line() {
     );
     drip.join().expect("drip thread");
     server.shutdown();
-}
-
-/// One raw HTTP/1.0 request; returns the full response text.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut socket = TcpStream::connect(addr).expect("connect to metrics endpoint");
-    socket
-        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .expect("send request");
-    let mut body = String::new();
-    socket.read_to_string(&mut body).expect("read response");
-    body
 }

@@ -26,7 +26,7 @@ use dego_server::{spawn, Client, ClientReply, MiddlewareConfig, ServerConfig, Se
 use std::time::{Duration, Instant};
 
 mod common;
-use common::shards;
+use common::{error_of, shards};
 
 fn connect(server: &ServerHandle) -> Client {
     Client::connect(server.local_addr()).expect("connect")
@@ -233,14 +233,6 @@ fn primed(server: &ServerHandle) -> Client {
 
 fn sets(prefix: &str, n: usize) -> Vec<String> {
     (0..n).map(|i| format!("SET {prefix}{i} v")).collect()
-}
-
-/// The error text of a reply that must be one.
-fn error_of(reply: ClientReply) -> String {
-    match reply {
-        ClientReply::Error(e) => e,
-        other => panic!("expected an error reply, got {other:?}"),
-    }
 }
 
 /// The pipelined twin of `deadline_burst_trips_breaker_then_recovers`:
