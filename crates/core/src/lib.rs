@@ -21,9 +21,11 @@
 //! | [`SegmentedSet`] | `(S3, CWMR)` | concurrent sets |
 //! | [`SegmentedBag`] | write-dominant `(S2, CWMR)` | synchronized lists |
 //! | [`rcu_cell`] | RCU-like copy-swap (§5.3) | `synchronized` snapshots |
+//! | [`swmr_recent()`] | append-only, newest-`n` reads, SWMR | a copy-and-replace list as a map value |
 //!
 //! Substrates: [`swmr_hash`] and [`swmr_skiplist`] are the single-writer
-//! multi-reader segments (§5.3), [`segmentation`] the segment plumbing
+//! multi-reader segments (§5.3), [`swmr_recent`](mod@swmr_recent) their
+//! bounded-log sibling, [`segmentation`] the segment plumbing
 //! (§5.2), [`registry`] the thread-slot registry.
 //!
 //! **Permissions are types.** Where the Java library documents "only one
@@ -62,6 +64,7 @@ pub mod registry;
 pub mod segmentation;
 pub mod segmented;
 pub mod swmr_hash;
+pub mod swmr_recent;
 pub mod swmr_skiplist;
 pub mod write_once;
 
@@ -75,5 +78,6 @@ pub use segmented::{
     SegmentedSkipListMap, SegmentedSkipListMapWriter,
 };
 pub use swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
+pub use swmr_recent::{swmr_recent, RecentReader, RecentWriter};
 pub use swmr_skiplist::{swmr_skip_list_map, SwmrSkipListReader, SwmrSkipListWriter};
 pub use write_once::{WriteOnceReader, WriteOnceRef};

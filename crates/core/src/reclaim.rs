@@ -29,7 +29,10 @@ pub fn drain(rounds: usize) {
 /// instead collect its retired pointers locally and issue **one**
 /// deferred destruction per batch: the epoch guarantee is identical
 /// (every pointer was unlinked before the flush's pin, so any reader
-/// still using it pinned earlier and blocks the batch's epoch).
+/// still using it pinned earlier and blocks the batch's epoch). That
+/// pin is the only one the writer needs — it is the sole unlinker and
+/// sole retirer of its structure, so nothing it can still reach is ever
+/// in a bin — and the bin takes it itself, once per batch.
 #[derive(Debug)]
 pub struct RetireBin<T> {
     retired: Vec<*mut T>,
@@ -74,25 +77,22 @@ impl<T> RetireBin<T> {
     /// readers (unlinked before this call), be retired exactly once, and
     /// `T`'s destructor must be safe to run on another thread (the same
     /// contract as [`epoch::Guard::defer_destroy`]).
-    pub unsafe fn retire(&mut self, ptr: *mut T, guard: &epoch::Guard) {
+    pub unsafe fn retire(&mut self, ptr: *mut T) {
         self.retired.push(ptr);
         if self.retired.len() >= self.batch {
-            // SAFETY: forwarded from this function's contract.
-            unsafe { self.flush(guard) };
+            self.flush();
+            self.retired.reserve(self.batch);
         }
     }
 
-    /// Defer destruction of everything parked so far.
-    ///
-    /// # Safety
-    ///
-    /// As for [`RetireBin::retire`].
-    pub unsafe fn flush(&mut self, guard: &epoch::Guard) {
+    /// Defer destruction of everything parked so far, under a fresh
+    /// pin: readers that might still hold these pointers pinned earlier.
+    pub fn flush(&mut self) {
         if self.retired.is_empty() {
             return;
         }
         let batch = Batch(std::mem::take(&mut self.retired));
-        self.retired.reserve(self.batch);
+        let guard = epoch::pin();
         // SAFETY: the pointers are unlinked and owned (retire's
         // contract); defer_unchecked type-erases exactly like
         // defer_destroy does.
@@ -102,14 +102,7 @@ impl<T> RetireBin<T> {
 
 impl<T> Drop for RetireBin<T> {
     fn drop(&mut self) {
-        if !self.retired.is_empty() {
-            // Final flush under a fresh pin; readers that might still
-            // hold these pointers pinned earlier.
-            let guard = epoch::pin();
-            let batch = Batch(std::mem::take(&mut self.retired));
-            // SAFETY: as in `flush`.
-            unsafe { guard.defer_unchecked(move || drop(batch)) };
-        }
+        self.flush();
     }
 }
 
@@ -135,16 +128,14 @@ mod tests {
     #[test]
     fn retire_bin_batches_and_flushes() {
         let mut bin: RetireBin<u64> = RetireBin::new(4);
-        let guard = epoch::pin();
         for i in 0..3u64 {
             // SAFETY: fresh boxes, never linked anywhere.
-            unsafe { bin.retire(Box::into_raw(Box::new(i)), &guard) };
+            unsafe { bin.retire(Box::into_raw(Box::new(i))) };
         }
         assert_eq!(bin.len(), 3);
-        unsafe { bin.retire(Box::into_raw(Box::new(3)), &guard) };
+        unsafe { bin.retire(Box::into_raw(Box::new(3))) };
         assert_eq!(bin.len(), 0, "batch flushed at capacity");
-        unsafe { bin.retire(Box::into_raw(Box::new(4)), &guard) };
-        drop(guard);
+        unsafe { bin.retire(Box::into_raw(Box::new(4))) };
         drop(bin); // final flush must not leak or double-free
         drain(256);
     }
@@ -158,11 +149,9 @@ mod tests {
         let value = Box::into_raw(Box::new(77u64));
         let reader_guard = epoch::pin();
         let mut bin: RetireBin<u64> = RetireBin::new(1);
-        {
-            let writer_guard = epoch::pin();
-            // SAFETY: `value` is unlinked (never published) and retired once.
-            unsafe { bin.retire(value, &writer_guard) };
-        }
+        // SAFETY: `value` is unlinked (never published) and retired once.
+        unsafe { bin.retire(value) };
+        assert!(bin.is_empty(), "flushed: only the reader's pin protects it");
         // SAFETY: the reader pinned before the retirement flush.
         assert_eq!(unsafe { *value }, 77);
         drop(reader_guard);

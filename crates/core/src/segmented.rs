@@ -11,7 +11,9 @@
 //! These objects implement the **blind** map/set types (`M2`, `S2`/`S3`):
 //! `put`/`remove`/`add` return nothing. That is not an implementation
 //! accident — voiding the return value is exactly the adjustment that
-//! makes commuting writes conflict-free (Table 1, §4.2).
+//! makes commuting writes conflict-free (Table 1, §4.2) — and the hash
+//! map's writes are blind all the way down: the previous value is
+//! retired without being read, let alone cloned.
 
 use crate::registry::ThreadRegistry;
 use crate::segmentation::SegmentationKind;
@@ -141,31 +143,32 @@ impl<K: Hash + Eq + Clone, V: Clone> SegmentedHashMap<K, V> {
         self.kind
     }
 
-    /// Read a key: one segment under Hash, hint-then-scan under Extended,
-    /// full scan under Base.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Borrow a key's value where it lies: one segment under Hash,
+    /// hint-then-scan under Extended, full scan under Base. `f` runs at
+    /// most once, in the first segment found holding the key.
+    pub fn read<R>(&self, key: &K, mut f: impl FnMut(&V) -> R) -> Option<R> {
+        let mut in_segment = |segment: &SwmrHashReader<K, V>| segment.read(key, &mut f);
         match self.kind {
-            SegmentationKind::Hash => self.readers[home_segment(key, self.readers.len())].get(key),
-            SegmentationKind::Extended => {
-                let hint = self.hints.lookup(key);
-                if hint < self.readers.len() {
-                    if let Some(v) = self.readers[hint].get(key) {
-                        return Some(v);
-                    }
-                }
-                self.scan(key)
+            SegmentationKind::Hash => {
+                in_segment(&self.readers[home_segment(key, self.readers.len())])
             }
-            SegmentationKind::Base => self.scan(key),
+            SegmentationKind::Extended => self
+                .readers
+                .get(self.hints.lookup(key))
+                .and_then(&mut in_segment)
+                .or_else(|| self.readers.iter().find_map(in_segment)),
+            SegmentationKind::Base => self.readers.iter().find_map(in_segment),
         }
     }
 
-    fn scan(&self, key: &K) -> Option<V> {
-        self.readers.iter().find_map(|r| r.get(key))
+    /// Read a key's value.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.read(key, V::clone)
     }
 
     /// Membership test.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.read(key, |_| ()).is_some()
     }
 
     /// Total entries (sums per-segment counts; weakly consistent).
@@ -221,7 +224,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SegmentedHashMapWriter<K, V> {
         self.writer
             .as_mut()
             .expect("writer present until drop")
-            .insert(key, value);
+            .put(key, value);
     }
 
     /// Blind remove (`M2`): removes from this thread's segment.
@@ -229,12 +232,23 @@ impl<K: Hash + Eq + Clone, V: Clone> SegmentedHashMapWriter<K, V> {
         self.writer
             .as_mut()
             .expect("writer present until drop")
-            .remove(key);
+            .delete(key);
     }
 
     /// This writer's segment index.
     pub fn slot(&self) -> usize {
         self.slot
+    }
+
+    /// Borrow a key's value from **this writer's segment** — under
+    /// Hash segmentation, the one segment the key can be in. The owner
+    /// reading its own rows needs no pin and no clone: nobody else
+    /// unlinks them.
+    pub fn peek<R>(&self, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
+        self.writer
+            .as_ref()
+            .expect("writer present until drop")
+            .peek(key, f)
     }
 
     /// Read through the shared map (any segment).
@@ -575,6 +589,54 @@ mod tests {
         for i in 0..20u64 {
             assert_eq!(m.get(&i), Some(i));
         }
+    }
+
+    /// The router consumes the hash's low bits (`hash % n_segments`),
+    /// so a segment must bin on other bits: with two segments a
+    /// low-bit bin index would leave every bin of the wrong parity
+    /// empty.
+    #[test]
+    fn hash_segments_fill_bins_of_both_parities() {
+        fn check<K: Hash + Eq + Clone + Send + Sync>(key: impl Fn(u64) -> K + Sync) {
+            let m: Arc<SegmentedHashMap<K, u64>> =
+                SegmentedHashMap::new(2, 1 << 12, SegmentationKind::Hash);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let mut w = m.writer();
+                        let slot = w.slot();
+                        for n in (0..2_000).filter(|n| home_segment(&key(*n), 2) == slot) {
+                            w.put(key(n), n);
+                        }
+                    });
+                }
+            });
+            assert_eq!(m.len(), 2_000);
+            for (segment, reader) in m.readers.iter().enumerate() {
+                let bins = reader.occupied_bins();
+                for parity in 0..2 {
+                    let filled = bins.iter().filter(|b| *b % 2 == parity).count();
+                    assert!(
+                        filled > bins.len() / 4,
+                        "segment {segment}: {filled} of {} occupied bins have parity {parity}",
+                        bins.len()
+                    );
+                }
+            }
+        }
+        check(|n| n);
+        check(|n| format!("key:{n}"));
+    }
+
+    #[test]
+    fn peek_reads_the_writers_own_segment() {
+        let m = SegmentedHashMap::new(1, 64, SegmentationKind::Hash);
+        let mut w = m.writer();
+        assert!(w.peek(&1u64, |v| v.is_none()));
+        w.put(1, String::from("one"));
+        assert_eq!(w.peek(&1, |v| v.map(String::len)), Some(3));
+        assert_eq!(m.read(&1, |v| v.len()), Some(3));
+        assert_eq!(m.read(&2, |v| v.len()), None);
     }
 
     #[test]

@@ -13,7 +13,22 @@
 //!
 //! The single-writer permission is a type: [`SwmrHashWriter`] is unique
 //! and its mutators take `&mut self`; [`SwmrHashReader`] is `Clone` and
-//! fully lock-free — a reader never executes an atomic RMW.
+//! lock-free. On the table itself a reader executes Acquire loads only,
+//! no RMW — but every read is bracketed by an epoch pin, and the
+//! workspace's offline `crossbeam-epoch` stand-in counts live guards in
+//! one process-wide word: two SeqCst RMWs per read on a cache line all
+//! readers share (and, when garbage is waiting, a mutex for whoever
+//! drops the last guard). The registry crate pins per thread; ROADMAP
+//! item 10 is where that word is adjusted.
+//!
+//! The writer does not pin to touch its own table. It is the only
+//! thread that unlinks or retires anything, so whatever it can still
+//! reach is live; a guard is taken only to hand a full [`RetireBin`]
+//! (or a replaced table) to the epoch. And its writes are blind where
+//! the caller is: [`SwmrHashWriter::put`] / [`SwmrHashWriter::delete`]
+//! swap and retire without looking at what was there, while
+//! [`SwmrHashWriter::insert`] / [`SwmrHashWriter::remove`] clone the
+//! previous value out of the same swap for callers that want it.
 
 use crate::reclaim::RetireBin;
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned};
@@ -46,12 +61,21 @@ struct Table<K, V> {
     bins: Box<[Atomic<Entry<K, V>>]>,
 }
 
-impl<K, V> Table<K, V> {
+impl<K: Hash, V> Table<K, V> {
     fn new(bins: usize) -> Self {
         Table {
             mask: bins - 1,
             bins: (0..bins).map(|_| Atomic::null()).collect(),
         }
+    }
+
+    /// The bin `key` chains into: the *high* half of its hash. A
+    /// segmented map routes on `hash % n_segments`, so within one
+    /// segment the low bits are no longer free — with two segments
+    /// every key of a segment has the same parity, and a low-bit index
+    /// would leave half the bins empty and every chain twice as long.
+    fn bin(&self, key: &K) -> &Atomic<Entry<K, V>> {
+        &self.bins[((hash_of(key) >> 32) as usize) & self.mask]
     }
 }
 
@@ -135,60 +159,105 @@ impl<K, V> std::fmt::Debug for SwmrHashWriter<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> SwmrHashWriter<K, V> {
-    /// Insert or update; returns the previous value.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let guard = epoch::pin();
-        let table_ptr = self.core.table.load(Ordering::Acquire, &guard);
+    /// The guard the writer reads its own table under: none.
+    ///
+    /// Tables, entries and values are unlinked and retired by this
+    /// handle alone, inside `&mut self` methods, so a pointer the
+    /// writer loads stays live for as long as the borrow of `self` it
+    /// was loaded under. Never defer through this guard (the real
+    /// crate would run the destructor on the spot): retirement goes
+    /// through the [`RetireBin`]s and [`SwmrHashWriter::resize`], which
+    /// pin for real.
+    fn own() -> &'static Guard {
+        // SAFETY: nothing is deferred through it; see above for why the
+        // loads it covers need no protection.
+        unsafe { epoch::unprotected() }
+    }
+
+    fn table(&self) -> &Table<K, V> {
         // SAFETY: the writer is the only one who replaces the table, so
         // its load is always the current one.
-        let table = unsafe { table_ptr.deref() };
-        let bin = &table.bins[(hash_of(&key) as usize) & table.mask];
-        let head = bin.load(Ordering::Acquire, &guard);
-        let mut cur = head;
-        // SAFETY: entries are reclaimed only by this writer via epochs.
+        unsafe { self.core.table.load(Ordering::Acquire, Self::own()).deref() }
+    }
+
+    /// `key`'s entry in the chain hanging off `bin`, if linked there.
+    fn find<'a>(&'a self, bin: &'a Atomic<Entry<K, V>>, key: &K) -> Option<&'a Entry<K, V>> {
+        let guard = Self::own();
+        let mut cur = bin.load(Ordering::Acquire, guard);
+        // SAFETY: entries are unlinked only by this writer.
         while let Some(entry) = unsafe { cur.as_ref() } {
-            if entry.key == key {
-                // Paper: existing key updated with setVolatile.
-                let old = entry
-                    .value
-                    .swap(Owned::new(value), Ordering::SeqCst, &guard);
-                // SAFETY: `old` was published; readers may still hold it.
-                let prev = unsafe { old.as_ref() }.cloned();
-                // SAFETY: unlinked by the swap above, retired once.
-                unsafe {
-                    self.retired_values.retire(old.as_raw() as *mut V, &guard);
-                }
-                return prev;
+            if entry.key == *key {
+                return Some(entry);
             }
-            cur = entry.next.load(Ordering::Acquire, &guard);
+            cur = entry.next.load(Ordering::Acquire, guard);
         }
+        None
+    }
+
+    /// Borrow a key's value as the writer sees it — no pin, no clone.
+    pub fn peek<R>(&self, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
+        let entry = self.find(self.table().bin(key), key);
+        // SAFETY: values are swapped out only by this writer, and `f`
+        // runs inside the borrow of `self`.
+        f(entry
+            .and_then(|entry| unsafe { entry.value.load(Ordering::Acquire, Self::own()).as_ref() }))
+    }
+
+    /// Insert or update, showing `prev` the value that was there.
+    fn upsert<R>(&mut self, key: K, value: V, prev: impl FnOnce(Option<&V>) -> R) -> R {
+        let table = self.table();
+        let bin = table.bin(&key);
+        if let Some(entry) = self.find(bin, &key) {
+            // Paper: existing key updated with setVolatile.
+            let old = entry
+                .value
+                .swap(Owned::new(value), Ordering::SeqCst, Self::own());
+            // SAFETY: `old` was published; readers may still hold it,
+            // and it is freed only through the bin below.
+            let out = prev(unsafe { old.as_ref() });
+            // SAFETY: unlinked by the swap above, retired once.
+            unsafe { self.retired_values.retire(old.as_raw() as *mut V) };
+            return out;
+        }
+        let out = prev(None);
         // New node, linked atomically at the bin head (Release publish).
         let entry = Owned::new(Entry {
             key,
             value: Atomic::new(value),
             next: Atomic::null(),
         });
-        entry.next.store(head, Ordering::Relaxed);
+        entry
+            .next
+            .store(bin.load(Ordering::Acquire, Self::own()), Ordering::Relaxed);
         bin.store(entry, Ordering::Release);
         let len = self.core.len.load(Ordering::Relaxed) + 1;
         self.core.len.store(len, Ordering::Release);
         if len > table.bins.len() {
-            self.resize(&guard);
+            self.resize();
         }
-        None
+        out
     }
 
-    /// Remove a key; returns the previous value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let guard = epoch::pin();
-        let table_ptr = self.core.table.load(Ordering::Acquire, &guard);
-        // SAFETY: see `insert`.
-        let table = unsafe { table_ptr.deref() };
-        let bin = &table.bins[(hash_of(key) as usize) & table.mask];
+    /// Insert or update; returns the previous value.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.upsert(key, value, |prev| prev.cloned())
+    }
+
+    /// Blind insert or update (`M2`): the previous value is retired
+    /// unread.
+    pub fn put(&mut self, key: K, value: V) {
+        self.upsert(key, value, |_| ());
+    }
+
+    /// Unlink a key, showing `prev` the value that was there.
+    fn unlink<R>(&mut self, key: &K, prev: impl FnOnce(Option<&V>) -> R) -> R {
+        let guard = Self::own();
+        let bin = self.table().bin(key);
         let mut pred: Option<&Entry<K, V>> = None;
-        let mut cur = bin.load(Ordering::Acquire, &guard);
+        let mut cur = bin.load(Ordering::Acquire, guard);
+        // SAFETY: entries are unlinked only by this writer.
         while let Some(entry) = unsafe { cur.as_ref() } {
-            let next = entry.next.load(Ordering::Acquire, &guard);
+            let next = entry.next.load(Ordering::Acquire, guard);
             if entry.key == *key {
                 // Unlink with a single Release store (readers either see
                 // the node or its successor — never a torn chain).
@@ -196,13 +265,12 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashWriter<K, V> {
                     Some(p) => p.next.store(next, Ordering::Release),
                     None => bin.store(next, Ordering::Release),
                 }
-                let v = entry.value.load(Ordering::Acquire, &guard);
-                // SAFETY: cloned before the entry (and value) is retired.
-                let out = unsafe { v.as_ref() }.cloned();
+                // SAFETY: shown before the entry (and value) is retired.
+                let out = prev(unsafe { entry.value.load(Ordering::Acquire, guard).as_ref() });
                 // SAFETY: unlinked above; Entry::drop frees its value.
                 unsafe {
                     self.retired_entries
-                        .retire(cur.as_raw() as *mut Entry<K, V>, &guard);
+                        .retire(cur.as_raw() as *mut Entry<K, V>);
                 }
                 self.core
                     .len
@@ -212,12 +280,24 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashWriter<K, V> {
             pred = Some(entry);
             cur = next;
         }
-        None
+        prev(None)
+    }
+
+    /// Remove a key; returns the previous value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.unlink(key, |prev| prev.cloned())
+    }
+
+    /// Blind remove (`M2`): the previous value is retired unread.
+    pub fn delete(&mut self, key: &K) {
+        self.unlink(key, |_| ());
     }
 
     /// Grow the table: copy entries (de-duplicated by construction) into
     /// a table twice the size and swap the pointer.
-    fn resize(&mut self, guard: &Guard) {
+    fn resize(&mut self) {
+        // Pinned for real: the old table is deferred through this guard.
+        let guard = &epoch::pin();
         let old_ptr = self.core.table.load(Ordering::Acquire, guard);
         // SAFETY: writer-exclusive table replacement.
         let old = unsafe { old_ptr.deref() };
@@ -228,7 +308,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashWriter<K, V> {
                 let v = entry.value.load(Ordering::Acquire, guard);
                 // SAFETY: value pointers are live while linked.
                 let value = unsafe { v.deref() }.clone();
-                let new_bin = &new.bins[(hash_of(&entry.key) as usize) & new.mask];
+                let new_bin = new.bin(&entry.key);
                 let head = new_bin.load(Ordering::Relaxed, guard);
                 let fresh = Owned::new(Entry {
                     key: entry.key.clone(),
@@ -251,7 +331,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashWriter<K, V> {
                 let next = unsafe { cur.deref() }.next.load(Ordering::Relaxed, guard);
                 unsafe {
                     self.retired_entries
-                        .retire(cur.as_raw() as *mut Entry<K, V>, guard);
+                        .retire(cur.as_raw() as *mut Entry<K, V>);
                 }
                 cur = next;
             }
@@ -300,27 +380,32 @@ impl<K, V> std::fmt::Debug for SwmrHashReader<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> SwmrHashReader<K, V> {
-    /// Read a key's value: Acquire loads only, no RMW.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Borrow a key's value under the pin: Acquire loads only on the
+    /// table, and no clone unless `f` makes one.
+    pub fn read<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         let guard = epoch::pin();
         let table_ptr = self.core.table.load(Ordering::Acquire, &guard);
         // SAFETY: tables/entries are epoch-reclaimed.
         let table = unsafe { table_ptr.deref() };
-        let bin = &table.bins[(hash_of(key) as usize) & table.mask];
-        let mut cur = bin.load(Ordering::Acquire, &guard);
+        let mut cur = table.bin(key).load(Ordering::Acquire, &guard);
         while let Some(entry) = unsafe { cur.as_ref() } {
             if entry.key == *key {
                 let v = entry.value.load(Ordering::Acquire, &guard);
-                return unsafe { v.as_ref() }.cloned();
+                return unsafe { v.as_ref() }.map(f);
             }
             cur = entry.next.load(Ordering::Acquire, &guard);
         }
         None
     }
 
+    /// Read a key's value.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.read(key, V::clone)
+    }
+
     /// Membership test.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
+        self.read(key, |_| ()).is_some()
     }
 
     /// Number of entries.
@@ -352,6 +437,20 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashReader<K, V> {
     }
 }
 
+#[cfg(test)]
+impl<K: Hash + Eq + Clone, V: Clone> SwmrHashReader<K, V> {
+    /// Which bins hold at least one entry, by index.
+    pub(crate) fn occupied_bins(&self) -> Vec<usize> {
+        let guard = epoch::pin();
+        // SAFETY: see `read`.
+        let table = unsafe { self.core.table.load(Ordering::Acquire, &guard).deref() };
+        let occupied = |(i, bin): (usize, &Atomic<Entry<K, V>>)| {
+            (!bin.load(Ordering::Acquire, &guard).is_null()).then_some(i)
+        };
+        table.bins.iter().enumerate().filter_map(occupied).collect()
+    }
+}
+
 // Readers/writer move across threads; entries hold K/V.
 // SAFETY: all shared mutation goes through atomics + epochs.
 unsafe impl<K: Send + Sync, V: Send + Sync> Send for SwmrHashWriter<K, V> {}
@@ -375,6 +474,46 @@ mod tests {
         assert_eq!(w.remove(&2), None);
         assert_eq!(w.len(), 1);
         assert!(!r.is_empty());
+    }
+
+    /// A value that cannot be cloned at all: the blind entry points
+    /// must get through an overwrite and a delete without trying.
+    #[derive(Debug, PartialEq)]
+    struct Unclonable(u64);
+
+    impl Clone for Unclonable {
+        fn clone(&self) -> Self {
+            panic!("a blind write looked at the previous value");
+        }
+    }
+
+    #[test]
+    fn blind_put_and_delete_never_clone_the_previous_value() {
+        let (mut w, r) = swmr_hash_map(8);
+        w.put(1, Unclonable(10));
+        w.put(1, Unclonable(11));
+        assert_eq!(r.read(&1, |v| v.0), Some(11));
+        assert_eq!(w.len(), 1);
+        w.delete(&1);
+        w.delete(&1);
+        assert!(!r.contains_key(&1));
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn peek_is_the_writers_own_view() {
+        let (mut w, _r) = swmr_hash_map(8);
+        assert_eq!(w.peek(&7, |v| v.copied()), None);
+        w.put(7, 70u64);
+        assert_eq!(w.peek(&7, |v| v.copied()), Some(70));
+        // Enough overwrites to hand several bins to the epoch: what the
+        // writer can reach is never among what it retired.
+        for round in 0..2_000u64 {
+            w.put(7, round);
+            assert_eq!(w.peek(&7, |v| v.copied()), Some(round));
+        }
+        w.delete(&7);
+        assert_eq!(w.peek(&7, |v| v.copied()), None);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl<K: Ord + Clone, V: Clone> SwmrSkipListWriter<K, V> {
                 // SAFETY: published value; clone then retire (batched).
                 let prev = unsafe { old.as_ref() }.cloned();
                 unsafe {
-                    self.retired_values.retire(old.as_raw() as *mut V, &guard);
+                    self.retired_values.retire(old.as_raw() as *mut V);
                 }
                 return prev;
             }
@@ -206,7 +206,7 @@ impl<K: Ord + Clone, V: Clone> SwmrSkipListWriter<K, V> {
         let out = unsafe { v.as_ref() }.cloned();
         unsafe {
             self.retired_nodes
-                .retire(victim.as_raw() as *mut SNode<K, V>, &guard);
+                .retire(victim.as_raw() as *mut SNode<K, V>);
         }
         self.core
             .len

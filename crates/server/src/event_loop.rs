@@ -1181,48 +1181,6 @@ mod tests {
         }
     }
 
-    /// Counts the calling thread's allocations (growth included), so a
-    /// test can budget what a code path allocates whatever the other
-    /// tests and the shard owners do meanwhile.
-    struct CountingAlloc;
-
-    thread_local! {
-        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    fn count_one() {
-        // `try_with`: a thread may free and allocate while its locals
-        // are being torn down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-
-    // SAFETY: every request is forwarded unchanged to `System`, which
-    // upholds the `GlobalAlloc` contract; the counter is a `const`-
-    // initialised `Cell` without a destructor, so touching it neither
-    // allocates nor re-enters the allocator.
-    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            count_one();
-            // SAFETY: the caller's obligations are `System.alloc`'s.
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `ptr` came from `System` with this `layout`.
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
-            count_one();
-            // SAFETY: `ptr` came from `System` with this `layout`; the
-            // caller vouches for `new`.
-            unsafe { std::alloc::System.realloc(ptr, layout, new) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: CountingAlloc = CountingAlloc;
-
     /// The request path's allocation budget, counted on this thread
     /// from raw bytes to rendered bytes the way the loop runs a burst
     /// (`next_burst` → the chain of a `none` stack → `render_burst`
@@ -1255,7 +1213,7 @@ mod tests {
         let mut out: Vec<u8> = Vec::new();
         // One burst, start to finish, returning what it allocated.
         let mut serve = |input: &[u8]| {
-            let before = ALLOCATIONS.with(|n| n.get());
+            let before = crate::test_alloc::allocations();
             let burst = next_burst(input, false);
             assert_eq!((burst.consumed, burst.fault), (input.len(), None));
             let responses = match chain.begin(burst.requests) {
@@ -1269,7 +1227,7 @@ mod tests {
             };
             out.clear();
             render_burst(&mut out, burst.line_slots, responses, &stats);
-            (ALLOCATIONS.with(|n| n.get()) - before, out.clone())
+            (crate::test_alloc::allocations() - before, out.clone())
         };
 
         let mut preload = String::new();

@@ -7,7 +7,8 @@
 //!
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
-//! | keyspace, timelines, followers, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
+//! | keyspace, timeline index, followers, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
+//! | each user's timeline | [`dego_core::swmr_recent()`] log, appended by its shard's owner | SWMR, newest-`n` reads |
 //! | interest group | [`dego_core::SegmentedSet`] | `(S3, CWMR)` |
 //! | mutation funnel, one per shard | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
 //! | applied-mutation counter | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |
@@ -18,7 +19,13 @@
 //! threads read lock-free from any segment and funnel every mutation through
 //! the owning shard's MPSC queue — multi-producer is exactly what the
 //! `(Q1, MWSR)` adjustment grants, and single-consumer is what the
-//! single-writer segments require. No lock is taken on any hot path.
+//! single-writer segments require. The objects themselves take no lock.
+//! The epoch reclamation under the maps does, rarely: the workspace's
+//! offline `crossbeam-epoch` stand-in keeps deferred garbage behind one
+//! mutex, taken by an owner once per 256 retirements and by whichever
+//! thread next drops the process's last guard while garbage waits —
+//! and every map read bumps its process-wide guard count twice (see
+//! `dego_core::swmr_hash`; ROADMAP item 10).
 //!
 //! Consistency: a mutation is acknowledged only after the owning shard
 //! applied it, so `GET` after a `SET`'s `+OK` observes the value from
@@ -50,6 +57,8 @@ mod metrics_http;
 mod server;
 pub mod stats;
 mod store;
+#[cfg(test)]
+mod test_alloc;
 
 // The wire protocol lives in dego-middleware (the pipeline intercepts
 // and rewrites commands); re-exported here so `dego_server::protocol`

@@ -784,14 +784,18 @@ impl ExecService {
         // The author's own timeline is always a target; a self-follow
         // must not deliver twice, so filter the author out of the
         // follower fan-out.
-        let followers = self.store.followers.get(&author).unwrap_or_default();
-        let followers = followers.into_iter().filter(|f| *f != author);
-        for user in std::iter::once(author).chain(followers.take(FANOUT_LIMIT)) {
+        let ExecService { store, staged, .. } = self;
+        let mut push = |user: u64| {
             dirty(user);
             let seq = acks.issue();
-            let shard = self.store.shard_of_user(user);
-            self.staged[shard].push(Entry::Op(seq, Mutation::TimelinePush { user, msg }));
-        }
+            staged[store.shard_of_user(user)]
+                .push(Entry::Op(seq, Mutation::TimelinePush { user, msg }));
+        };
+        push(author);
+        store.tables.followers.read(&author, |row| {
+            let followers = row.iter().filter(|f| **f != author);
+            followers.take(FANOUT_LIMIT).copied().for_each(&mut push);
+        });
         first..acks.next_seq()
     }
 
@@ -900,7 +904,7 @@ impl ExecService {
     /// readers (never a mutation, `QUIT`, or a middleware verb).
     fn serve_read(&self, cmd: &Command) -> Reply {
         match cmd {
-            Command::Get(key) => match self.store.kv.get(key) {
+            Command::Get(key) => match self.store.tables.kv.get(key) {
                 Some(v) => {
                     self.stats.note_get_hit();
                     Reply::Value(v)
@@ -912,26 +916,26 @@ impl ExecService {
             },
             Command::Timeline(user) => {
                 self.stats.note_timeline_read();
-                let mut row = self.store.timelines.get(user).unwrap_or_default();
-                // Stored oldest→newest; serve newest first, capped.
-                row.reverse();
-                row.truncate(TIMELINE_LIMIT);
+                let mut row = Vec::new();
+                let timelines = &self.store.tables.timelines;
+                timelines.read(user, |log| log.newest(TIMELINE_LIMIT, &mut row));
                 Reply::Ints(row)
             }
             Command::IsFollowing(follower, followee) => {
-                let follows = self
-                    .store
+                let followers = &self.store.tables.followers;
+                let follows = followers.read(followee, |row| row.contains(follower));
+                Reply::Int(follows.unwrap_or(false) as i64)
+            }
+            Command::Followers(user) => Reply::Int(
+                self.store
+                    .tables
                     .followers
-                    .get(followee)
-                    .is_some_and(|row| row.contains(follower));
-                Reply::Int(follows as i64)
-            }
-            Command::Followers(user) => {
-                Reply::Int(self.store.followers.get(user).map_or(0, |row| row.len()) as i64)
-            }
-            Command::InGroup(user) => Reply::Int(self.store.group.contains(user) as i64),
+                    .read(user, Vec::len)
+                    .unwrap_or(0) as i64,
+            ),
+            Command::InGroup(user) => Reply::Int(self.store.tables.group.contains(user) as i64),
             Command::ProfileVer(user) => {
-                Reply::Int(self.store.profiles.get(user).unwrap_or(0) as i64)
+                Reply::Int(self.store.tables.profiles.get(user).unwrap_or(0) as i64)
             }
             Command::Stats => {
                 let mut snap = self.stats.snapshot();

@@ -28,25 +28,43 @@
 //! Routing is [`dego_core::home_segment`] of the key (or user id), the
 //! same hash the maps use internally, so a shard writer never touches
 //! a foreign segment (`debug_assert`ed inside dego-core).
+//!
+//! **The owner's write path costs what a single writer should**
+//! ([`Owned::apply`]). It reads its own rows through
+//! `SegmentedHashMapWriter::peek` — no pin, no clone: nobody else
+//! unlinks them — and its `put`s are blind, so an overwrite allocates
+//! the new value's box and nothing else. A timeline is a
+//! [`dego_core::swmr_recent()`] log **appended to in place**: the
+//! `timelines` map holds each user's read half, the owner keeps the
+//! append halves in plain owner-local state ([`Owned::logs`]), and a
+//! `TimelinePush` is one local lookup and two stores — no allocation,
+//! nothing retired. `TIMELINE` copies its window straight out of the
+//! ring, newest first.
 
 use crate::event_loop::LoopWaker;
 use crate::protocol::Reply;
 use crate::stats::ServerStats;
 use dego_core::{
-    home_segment, mpsc, CounterIncrementOnly, SegmentationKind, SegmentedHashMap, SegmentedSet,
+    home_segment, mpsc, swmr_recent, CounterIncrementOnly, RecentReader, RecentWriter,
+    SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter, SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
     declare_metrics, Histograms, RelaxedCounter, Row, StoreSegment, Surface, WindowedHistogram,
     P50_P99,
 };
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// Messages never linger longer than this in a timeline row.
+/// Slots in a timeline's ring: messages never linger longer than this.
+/// What it exceeds [`crate::TIMELINE_LIMIT`] by is how many posts may
+/// land on a timeline while it is being read before the read retries.
 pub const TIMELINE_KEEP: usize = 64;
+// `RecentReader::newest` refuses a window of the whole ring.
+const _: () = assert!(crate::TIMELINE_LIMIT < TIMELINE_KEEP);
 
 /// How many followers receive a post synchronously (mirrors
 /// `dego_retwis::FANOUT_LIMIT`).
@@ -163,19 +181,51 @@ pub(crate) enum Mutation {
     ProfileBump { user: u64 },
 }
 
-/// The shared storage plane.
-pub(crate) struct Store {
-    shards: usize,
+/// The storage plane's tables, each Hash-segmented one segment per
+/// shard. Any thread reads them; [`Tables::claim`] hands a shard owner
+/// its segment of each.
+#[derive(Clone)]
+pub(crate) struct Tables {
     /// The string keyspace (GET/SET/DEL/INCR).
     pub kv: Arc<SegmentedHashMap<String, String>>,
-    /// user → recent messages, newest last.
-    pub timelines: Arc<SegmentedHashMap<u64, Vec<u64>>>,
+    /// user → the read half of their timeline log.
+    pub timelines: Arc<SegmentedHashMap<u64, RecentReader>>,
     /// user → who follows them.
     pub followers: Arc<SegmentedHashMap<u64, Vec<u64>>>,
     /// user → profile version.
     pub profiles: Arc<SegmentedHashMap<u64, u64>>,
     /// The interest group.
     pub group: Arc<SegmentedSet<u64>>,
+}
+
+impl Tables {
+    fn new(shards: usize, capacity: usize) -> Self {
+        Tables {
+            kv: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            timelines: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            followers: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            profiles: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            group: SegmentedSet::new(shards, capacity, SegmentationKind::Hash),
+        }
+    }
+
+    /// Claim the calling thread's segment of every table.
+    fn claim(&self) -> Owned {
+        Owned {
+            kv: self.kv.writer(),
+            timelines: self.timelines.writer(),
+            logs: HashMap::new(),
+            followers: self.followers.writer(),
+            profiles: self.profiles.writer(),
+            group: self.group.writer(),
+        }
+    }
+}
+
+/// The shared storage plane.
+pub(crate) struct Store {
+    shards: usize,
+    pub tables: Tables,
     /// Mutations applied, one owner-exclusive cell per shard (C3).
     pub applied: Arc<CounterIncrementOnly>,
     /// Mutation inlets, indexed by shard.
@@ -258,7 +308,7 @@ impl Store {
     /// The storage plane's two gauges on either surface.
     pub(crate) fn render_gauges(&self, out: &mut Surface<'_>) {
         out.scalar(&SHARDS, self.shards as u64);
-        out.scalar(&KEYS, self.kv.len() as u64);
+        out.scalar(&KEYS, self.tables.kv.len() as u64);
     }
 
     /// The per-shard plane on either surface — the body of a
@@ -334,11 +384,7 @@ pub(crate) fn spawn_shards(
     window_secs: u64,
 ) -> ShardRuntime {
     assert!(shards > 0, "need at least one shard");
-    let kv = SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash);
-    let timelines = SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash);
-    let followers = SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash);
-    let profiles = SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash);
-    let group = SegmentedSet::new(shards, capacity, SegmentationKind::Hash);
+    let tables = Tables::new(shards, capacity);
     let applied = CounterIncrementOnly::new(shards);
     let telemetry: Vec<Arc<ShardTelemetry>> = (0..shards)
         .map(|_| Arc::new(ShardTelemetry::new(window_secs)))
@@ -356,11 +402,7 @@ pub(crate) fn spawn_shards(
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<usize>();
         let ctx = ShardCtx {
             shard,
-            kv: Arc::clone(&kv),
-            timelines: Arc::clone(&timelines),
-            followers: Arc::clone(&followers),
-            profiles: Arc::clone(&profiles),
-            group: Arc::clone(&group),
+            tables: tables.clone(),
             applied: Arc::clone(&applied),
             stats: Arc::clone(&stats),
             telemetry: Arc::clone(shard_telemetry),
@@ -382,11 +424,7 @@ pub(crate) fn spawn_shards(
 
     let store = Arc::new(Store {
         shards,
-        kv,
-        timelines,
-        followers,
-        profiles,
-        group,
+        tables,
         applied,
         producers,
         wakers,
@@ -399,11 +437,7 @@ pub(crate) fn spawn_shards(
 
 struct ShardCtx {
     shard: usize,
-    kv: Arc<SegmentedHashMap<String, String>>,
-    timelines: Arc<SegmentedHashMap<u64, Vec<u64>>>,
-    followers: Arc<SegmentedHashMap<u64, Vec<u64>>>,
-    profiles: Arc<SegmentedHashMap<u64, u64>>,
-    group: Arc<SegmentedSet<u64>>,
+    tables: Tables,
     applied: Arc<CounterIncrementOnly>,
     stats: Arc<ServerStats>,
     telemetry: Arc<ShardTelemetry>,
@@ -417,14 +451,10 @@ struct ShardCtx {
 /// envelopes in arrival order until shutdown, answering each with one
 /// ack — its own entries, applied in place.
 fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<usize>) {
-    let mut kv_w = ctx.kv.writer();
-    let mut tl_w = ctx.timelines.writer();
-    let mut fo_w = ctx.followers.writer();
-    let mut pr_w = ctx.profiles.writer();
-    let mut gr_w = ctx.group.writer();
+    let mut owned = ctx.tables.claim();
     let cell = ctx.applied.cell();
-    debug_assert_eq!(kv_w.slot(), ctx.shard);
-    ready.send(kv_w.slot()).expect("startup handshake");
+    debug_assert_eq!(owned.kv.slot(), ctx.shard);
+    ready.send(owned.kv.slot()).expect("startup handshake");
 
     loop {
         let batch = inbox.drain();
@@ -462,7 +492,7 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<
                 if stall_ns > 0 {
                     std::thread::sleep(Duration::from_nanos(stall_ns));
                 }
-                let reply = apply(op, &mut kv_w, &mut tl_w, &mut fo_w, &mut pr_w, &mut gr_w);
+                let reply = owned.apply(op);
                 let seg = apply_started.map(|started| StoreSegment {
                     shard: ctx.shard,
                     // Saturates to zero if clocks read out of order.
@@ -491,86 +521,174 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<
     }
 }
 
-/// Apply one mutation through this shard's writers, consuming it (its
-/// strings move into the map). Single-writer per segment, so
-/// read-modify-write sequences on owned rows are races with nobody.
-fn apply(
-    mutation: Mutation,
-    kv_w: &mut dego_core::SegmentedHashMapWriter<String, String>,
-    tl_w: &mut dego_core::SegmentedHashMapWriter<u64, Vec<u64>>,
-    fo_w: &mut dego_core::SegmentedHashMapWriter<u64, Vec<u64>>,
-    pr_w: &mut dego_core::SegmentedHashMapWriter<u64, u64>,
-    gr_w: &mut dego_core::SegmentedSetWriter<u64>,
-) -> Reply {
-    match mutation {
-        Mutation::Set { key, value } => {
-            kv_w.put(key, value);
-            Reply::Status("OK")
-        }
-        Mutation::Del { key } => {
-            kv_w.remove(&key);
-            Reply::Status("OK")
-        }
-        Mutation::Incr { key, delta } => {
-            let current = match kv_w.get(&key) {
-                None => 0,
-                Some(raw) => match raw.parse::<i64>() {
-                    Ok(n) => n,
-                    Err(_) => return Reply::Error(format!("value at {key:?} is not an integer")),
-                },
-            };
-            let next = current.wrapping_add(delta);
-            kv_w.put(key, next.to_string());
-            Reply::Int(next)
-        }
-        Mutation::AddUser { user } => {
-            if tl_w.get(&user).is_none() {
-                tl_w.put(user, Vec::new());
+/// One shard's write handles: what its owner thread, and nobody else,
+/// holds.
+struct Owned {
+    kv: SegmentedHashMapWriter<String, String>,
+    timelines: SegmentedHashMapWriter<u64, RecentReader>,
+    /// The append halves of the logs whose read halves `timelines`
+    /// publishes — plain owner-local state, same key set as this
+    /// shard's segment of that map.
+    logs: HashMap<u64, RecentWriter>,
+    followers: SegmentedHashMapWriter<u64, Vec<u64>>,
+    profiles: SegmentedHashMapWriter<u64, u64>,
+    group: SegmentedSetWriter<u64>,
+}
+
+impl Owned {
+    /// `user`'s timeline log, created (and its read half published) on
+    /// first use.
+    fn timeline(&mut self, user: u64) -> &mut RecentWriter {
+        let Owned {
+            logs, timelines, ..
+        } = self;
+        logs.entry(user).or_insert_with(|| {
+            let (log, reader) = swmr_recent(TIMELINE_KEEP);
+            timelines.put(user, reader);
+            log
+        })
+    }
+
+    /// Apply one mutation through this shard's writers, consuming it
+    /// (its strings move into the map). Single-writer per segment, so
+    /// read-modify-write sequences on owned rows are races with nobody
+    /// — and the read half is a borrow, not a pinned clone.
+    fn apply(&mut self, mutation: Mutation) -> Reply {
+        match mutation {
+            Mutation::Set { key, value } => {
+                self.kv.put(key, value);
+                Reply::Status("OK")
             }
-            if fo_w.get(&user).is_none() {
-                fo_w.put(user, Vec::new());
+            Mutation::Del { key } => {
+                self.kv.remove(&key);
+                Reply::Status("OK")
             }
-            if pr_w.get(&user).is_none() {
-                pr_w.put(user, 0);
+            Mutation::Incr { key, delta } => {
+                let current = self
+                    .kv
+                    .peek(&key, |raw| raw.map_or(Ok(0), |raw| raw.parse::<i64>()));
+                let Ok(current) = current else {
+                    return Reply::Error(format!("value at {key:?} is not an integer"));
+                };
+                let next = current.wrapping_add(delta);
+                self.kv.put(key, next.to_string());
+                Reply::Int(next)
             }
-            Reply::Status("OK")
-        }
-        Mutation::TimelinePush { user, msg } => {
-            let mut row = tl_w.get(&user).unwrap_or_default();
-            row.push(msg);
-            if row.len() > TIMELINE_KEEP {
-                let excess = row.len() - TIMELINE_KEEP;
-                row.drain(..excess);
+            Mutation::AddUser { user } => {
+                self.timeline(user);
+                if self.followers.peek(&user, |row| row.is_none()) {
+                    self.followers.put(user, Vec::new());
+                }
+                if self.profiles.peek(&user, |version| version.is_none()) {
+                    self.profiles.put(user, 0);
+                }
+                Reply::Status("OK")
             }
-            tl_w.put(user, row);
-            Reply::Status("OK")
-        }
-        Mutation::FollowerAdd { followee, follower } => {
-            let mut row = fo_w.get(&followee).unwrap_or_default();
-            if !row.contains(&follower) {
-                row.push(follower);
+            Mutation::TimelinePush { user, msg } => {
+                self.timeline(user).push(msg);
+                Reply::Status("OK")
             }
-            fo_w.put(followee, row);
-            Reply::Status("OK")
+            Mutation::FollowerAdd { followee, follower } => {
+                let grown = self.followers.peek(&followee, |row| {
+                    let row = row.map_or(&[][..], Vec::as_slice);
+                    (!row.contains(&follower)).then(|| {
+                        let mut grown = Vec::with_capacity(row.len() + 1);
+                        grown.extend_from_slice(row);
+                        grown.push(follower);
+                        grown
+                    })
+                });
+                if let Some(row) = grown {
+                    self.followers.put(followee, row);
+                }
+                Reply::Status("OK")
+            }
+            Mutation::FollowerDel { followee, follower } => {
+                let shrunk = self.followers.peek(&followee, |row| {
+                    let row = row.filter(|row| row.contains(&follower))?;
+                    // `FollowerAdd` admits no duplicates: one goes.
+                    let mut shrunk = Vec::with_capacity(row.len() - 1);
+                    shrunk.extend(row.iter().filter(|f| **f != follower));
+                    Some(shrunk)
+                });
+                if let Some(row) = shrunk {
+                    self.followers.put(followee, row);
+                }
+                Reply::Status("OK")
+            }
+            Mutation::GroupJoin { user } => {
+                self.group.add(user);
+                Reply::Status("OK")
+            }
+            Mutation::GroupLeave { user } => {
+                self.group.remove(&user);
+                Reply::Status("OK")
+            }
+            Mutation::ProfileBump { user } => {
+                let version = self.profiles.peek(&user, |v| v.copied().unwrap_or(0)) + 1;
+                self.profiles.put(user, version);
+                Reply::Int(version as i64)
+            }
         }
-        Mutation::FollowerDel { followee, follower } => {
-            let mut row = fo_w.get(&followee).unwrap_or_default();
-            row.retain(|f| *f != follower);
-            fo_w.put(followee, row);
-            Reply::Status("OK")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_alloc::allocations;
+
+    /// The owner's allocation budget, counted on this thread with the
+    /// writers claimed here: a mutation allocates what it leaves in the
+    /// store and nothing else — no clone of the row it extends, none of
+    /// the value it overwrites, nothing at all for a timeline append.
+    #[test]
+    fn apply_allocates_only_what_it_stores() {
+        let tables = Tables::new(1, 64);
+        let mut owned = tables.claim();
+        let mut spent = |op: Mutation| {
+            let before = allocations();
+            let reply = owned.apply(op);
+            assert!(!matches!(reply, Reply::Error(_)), "rejected");
+            allocations() - before
+        };
+        let set = |value: &str| Mutation::Set {
+            key: "key".into(),
+            value: value.into(),
+        };
+        let incr = || Mutation::Incr {
+            key: "n".into(),
+            delta: 1_000_000_007,
+        };
+        let follow = |follower| Mutation::FollowerAdd {
+            followee: 1,
+            follower,
+        };
+
+        spent(Mutation::AddUser { user: 1 });
+        // Well past a wrap of the ring.
+        for msg in 0..3 * TIMELINE_KEEP as u64 {
+            assert_eq!(spent(Mutation::TimelinePush { user: 1, msg }), 0);
         }
-        Mutation::GroupJoin { user } => {
-            gr_w.add(user);
-            Reply::Status("OK")
-        }
-        Mutation::GroupLeave { user } => {
-            gr_w.remove(&user);
-            Reply::Status("OK")
-        }
-        Mutation::ProfileBump { user } => {
-            let version = pr_w.get(&user).unwrap_or(0) + 1;
-            pr_w.put(user, version);
-            Reply::Int(version as i64)
-        }
+
+        spent(set("a first value, long enough to be worth not cloning"));
+        assert_eq!(spent(set("its replacement")), 1, "the value's box");
+
+        spent(incr());
+        assert_eq!(spent(incr()), 2, "the new string and its box");
+
+        spent(follow(2));
+        assert_eq!(spent(follow(3)), 2, "the new row and its box");
+        assert_eq!(spent(follow(3)), 0, "already following");
+
+        let mut row = Vec::new();
+        tables.timelines.read(&1, |log| log.newest(3, &mut row));
+        assert_eq!(row, [191, 190, 189]);
+        assert_eq!(
+            tables.kv.get(&"key".into()).as_deref(),
+            Some("its replacement")
+        );
+        assert_eq!(tables.kv.get(&"n".into()).as_deref(), Some("2000000014"));
+        assert_eq!(tables.followers.get(&1), Some(vec![2, 3]));
     }
 }

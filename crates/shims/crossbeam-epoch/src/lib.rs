@@ -32,6 +32,11 @@ use std::sync::Mutex;
 static PINS: AtomicUsize = AtomicUsize::new(0);
 static ERA: AtomicU64 = AtomicU64::new(1);
 static GARBAGE: Mutex<Vec<Deferred>> = Mutex::new(Vec::new());
+/// `GARBAGE.len()`, stored under its lock. It gates collection
+/// attempts and publishes nothing: whoever defers an item reads its
+/// own store when it later drops its guard, so no item waits past the
+/// next time the guard count returns to zero.
+static DEFERRED: AtomicUsize = AtomicUsize::new(0);
 
 struct Deferred {
     era: u64,
@@ -45,6 +50,13 @@ unsafe impl Send for Deferred {}
 
 unsafe fn drop_box<T>(ptr: *mut u8) {
     drop(unsafe { Box::from_raw(ptr.cast::<T>()) });
+}
+
+/// Queue `item` for a later [`collect`].
+fn defer(item: Deferred) {
+    let mut garbage = GARBAGE.lock().unwrap_or_else(|p| p.into_inner());
+    garbage.push(item);
+    DEFERRED.store(garbage.len(), Ordering::Relaxed);
 }
 
 /// Free every deferred item stamped strictly before `before_era`.
@@ -64,6 +76,7 @@ fn collect(before_era: u64) {
                 true
             }
         });
+        DEFERRED.store(garbage.len(), Ordering::Relaxed);
         ripe
     };
     // Run destructors outside the lock: they may defer more garbage.
@@ -74,8 +87,12 @@ fn collect(before_era: u64) {
 }
 
 /// Attempt a collection right now; frees garbage only when no guard is
-/// live anywhere in the process.
+/// live anywhere in the process, and looks only while something is
+/// deferred.
 fn try_collect() {
+    if DEFERRED.load(Ordering::Relaxed) == 0 {
+        return;
+    }
     let era = ERA.fetch_add(1, Ordering::SeqCst);
     if PINS.load(Ordering::SeqCst) == 0 {
         collect(era + 1);
@@ -104,7 +121,7 @@ impl Guard {
             ptr: ptr.raw.cast::<u8>(),
             drop_fn: drop_box::<T>,
         };
-        GARBAGE.lock().unwrap_or_else(|p| p.into_inner()).push(item);
+        defer(item);
     }
 
     /// Defer running an arbitrary closure (type-erased like
@@ -138,7 +155,7 @@ impl Guard {
             ptr: Box::into_raw(boxed).cast::<u8>(),
             drop_fn: call_closure,
         };
-        GARBAGE.lock().unwrap_or_else(|p| p.into_inner()).push(item);
+        defer(item);
     }
 
     /// Nudge the collector (mirrors the real crate's `flush`).
@@ -598,6 +615,28 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// The collection gate must not strand garbage: an attempt is
+    /// skipped only while nothing is deferred, so a batch deferred under
+    /// a guard (the `RetireBin` shape: one closure, many pointers) is
+    /// freed once the guard count next returns to zero.
+    #[test]
+    fn deferred_closure_runs_once_the_last_guard_drops() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        {
+            let guard = pin();
+            let ran = Arc::clone(&ran);
+            unsafe { guard.defer_unchecked(move || ran.fetch_add(1, Ordering::SeqCst)) };
+            assert!(DEFERRED.load(Ordering::Relaxed) > 0, "the gate is open");
+        }
+        // As above: guards of concurrently running tests hold it back.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while ran.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+            drop(pin());
+            std::thread::yield_now();
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! from the real structures must be linearizable against the Table 1
 //! sequential specs.
 
-use dego_core::{mpsc, CounterIncrementOnly};
+use dego_core::{mpsc, swmr_recent, CounterIncrementOnly};
 use dego_juc::{AtomicLong, ConcurrentHashMap, ConcurrentLinkedQueue};
 use dego_spec::lin::{is_linearizable, Completed};
 use dego_spec::types::{counter_c1, map_m1, op, queue_q1};
@@ -177,6 +177,90 @@ fn mpsc_queue_history_is_linearizable_against_q1() {
         "MPSC history not linearizable against Q1 ({} events)",
         hist.len()
     );
+}
+
+/// The sequential specification of `dego_core::swmr_recent`: a log
+/// whose only read is "the newest `n` entries, newest first".
+#[derive(Debug)]
+struct RecentLog;
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum LogOp {
+    Push(u64),
+    Newest(usize),
+}
+
+impl DataType for RecentLog {
+    type State = Vec<u64>;
+    type Op = LogOp;
+    /// The window read; empty for a push.
+    type Ret = Vec<u64>;
+
+    fn apply(&self, log: &Vec<u64>, op: &LogOp) -> (Vec<u64>, Vec<u64>) {
+        match op {
+            LogOp::Push(entry) => ([log.as_slice(), &[*entry]].concat(), Vec::new()),
+            LogOp::Newest(n) => (log.clone(), log.iter().rev().take(*n).copied().collect()),
+        }
+    }
+}
+
+/// Many small histories rather than one long one: a ring of four slots
+/// read through a window of three, so the writer laps a reader within
+/// two pushes and the validated re-read is what keeps a window whole.
+#[test]
+fn swmr_recent_histories_are_linearizable() {
+    for round in 0..200 {
+        let (mut writer, reader) = swmr_recent(4);
+        let ts = AtomicU64::new(1);
+        let hist = std::sync::Mutex::new(Vec::<Completed<RecentLog>>::new());
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let reader = reader.clone();
+                s.spawn(|| {
+                    let reader = reader;
+                    let mut window = Vec::new();
+                    start.wait();
+                    for _ in 0..6 {
+                        let t0 = clock(&ts);
+                        reader.newest(3, &mut window);
+                        let t1 = clock(&ts);
+                        let read = Completed::new(LogOp::Newest(3), window.clone(), t0, t1);
+                        hist.lock().unwrap().push(read);
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for entry in 1..=12 {
+                    let t0 = clock(&ts);
+                    writer.push(entry);
+                    let t1 = clock(&ts);
+                    let push = Completed::new(LogOp::Push(entry), Vec::new(), t0, t1);
+                    hist.lock().unwrap().push(push);
+                }
+            });
+        });
+        let hist = hist.into_inner().unwrap();
+        assert!(
+            is_linearizable(&RecentLog, &Vec::new(), &hist),
+            "round {round}: not linearizable against the bounded log: {hist:?}"
+        );
+    }
+}
+
+#[test]
+fn torn_or_stale_log_windows_are_rejected() {
+    let pushes = |upto: u64| (1..=upto).map(|e| Completed::new(LogOp::Push(e), Vec::new(), e, e));
+    let read = |window: &[u64], at: u64| Completed::new(LogOp::Newest(3), window.to_vec(), at, at);
+    let whole: Vec<_> = pushes(5).chain([read(&[5, 4, 3], 6)]).collect();
+    assert!(is_linearizable(&RecentLog, &Vec::new(), &whole));
+    // Entry 5 overwrote the slot of entry 1 while 3, 2, 1 were copied.
+    let torn: Vec<_> = pushes(5).chain([read(&[3, 2, 5], 6)]).collect();
+    assert!(!is_linearizable(&RecentLog, &Vec::new(), &torn));
+    // Whole, but older than a push that had returned before the read.
+    let stale: Vec<_> = pushes(5).chain([read(&[4, 3, 2], 6)]).collect();
+    assert!(!is_linearizable(&RecentLog, &Vec::new(), &stale));
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //!   means increments to a key serialize, losing nothing;
 //! * **shutdown is clean** — every thread joins, the port dies.
 
-use dego_server::{spawn, Client, ClientReply, ServerConfig, ServerHandle};
+use dego_server::{
+    spawn, Client, ClientReply, ServerConfig, ServerHandle, TIMELINE_KEEP, TIMELINE_LIMIT,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -191,6 +193,58 @@ fn social_fanout_across_connections() {
         }
     });
     assert_eq!(setup.follower_count(0).expect("count"), CLIENTS - 1);
+    server.shutdown();
+}
+
+/// The timeline's wire contract over its in-place log: a reader gets
+/// the newest `TIMELINE_LIMIT` posts, newest first, however far past
+/// `TIMELINE_KEEP` the ring has wrapped; an unknown user reads as an
+/// empty array, not an error; and a `POST` → `TIMELINE` pair inside one
+/// burst reads its own write.
+#[test]
+fn timeline_serves_the_newest_posts_of_a_wrapped_log() {
+    let server = boot(2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.add_user(1).expect("adduser");
+    let posts = (TIMELINE_KEEP + 10) as u64;
+    // Lock step first, then one burst that wraps the ring once more.
+    for msg in 0..posts {
+        client.post(1, msg).expect("post");
+    }
+    let newest_first =
+        |last: u64| -> Vec<u64> { (0..TIMELINE_LIMIT as u64).map(|k| last - k).collect() };
+    assert_eq!(
+        client.timeline(1).expect("timeline"),
+        newest_first(posts - 1)
+    );
+    let burst: Vec<String> = (posts..2 * posts)
+        .map(|msg| format!("POST 1 {msg}"))
+        .collect();
+    let acks = client.pipeline(&burst).expect("burst of posts");
+    assert!(acks.iter().all(|ack| matches!(ack, ClientReply::Status(_))));
+    assert_eq!(
+        client.timeline(1).expect("timeline"),
+        newest_first(2 * posts - 1)
+    );
+
+    assert_eq!(
+        client.timeline(404).expect("unknown user"),
+        Vec::<u64>::new()
+    );
+    assert_eq!(
+        client.request("TIMELINE 404").expect("unknown user"),
+        ClientReply::Array(Vec::new())
+    );
+
+    let pair = client
+        .pipeline(["POST 1 9000", "TIMELINE 1", "POST 2 9001", "TIMELINE 2"])
+        .expect("post then read in one burst");
+    let ClientReply::Array(own) = &pair[1] else {
+        panic!("TIMELINE answered {:?}", pair[1]);
+    };
+    assert_eq!((own.len(), own[0].as_str()), (TIMELINE_LIMIT, ":9000"));
+    // A user nobody added: the post creates the row it reads back.
+    assert_eq!(pair[3], ClientReply::Array(vec![":9001".into()]));
     server.shutdown();
 }
 
