@@ -14,8 +14,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
-    Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
 };
 use crate::protocol::{Command, CommandClass, Reply};
 use dego_core::rcu::{rcu_cell, RcuReader, RcuWriter};
@@ -141,7 +140,7 @@ impl AuthState {
         admin.policy.update(|_| AclPolicy { anon_role: role });
     }
 
-    pub(crate) fn anon_role(&self) -> Role {
+    fn anon_role(&self) -> Role {
         self.policy.read(|p| p.anon_role)
     }
 }
@@ -194,20 +193,17 @@ impl Layer for AuthLayer {
     }
 }
 
-/// The auth layer's per-session link of the chain.
-pub type AuthService<S> = Layered<AuthRule, S>;
-
 /// The auth layer's per-session rules.
 pub struct AuthRule {
-    pub(crate) state: Arc<AuthState>,
-    pub(crate) metrics: Arc<PipelineMetrics>,
+    state: Arc<AuthState>,
+    metrics: Arc<PipelineMetrics>,
     /// Session state: who this connection authenticated as.
-    pub(crate) principal: Option<Principal>,
+    principal: Option<Principal>,
 }
 
 impl AuthRule {
     /// The session's role (the RCU-published anonymous one before `AUTH`).
-    pub(crate) fn role(&self) -> Role {
+    fn role(&self) -> Role {
         match &self.principal {
             Some(p) => p.role,
             None => self.state.anon_role(),
@@ -216,7 +212,7 @@ impl AuthRule {
 }
 
 /// The ACL rejection of `cmd` for a session whose role is `role`.
-pub(crate) fn denied(cmd: &Command, role: Role) -> Response {
+fn denied(cmd: &Command, role: Role) -> Response {
     Response::rejection(
         "AUTH",
         format_args!(
@@ -340,7 +336,7 @@ mod tests {
     #[test]
     fn anon_readonly_rejects_writes_until_auth() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         // Reads pass, writes are rejected with the structured tag.
         assert!(matches!(
             svc.call(Request::new(Command::Get("k".into()))).reply,
@@ -363,7 +359,7 @@ mod tests {
     #[test]
     fn bad_tokens_are_denied_and_do_not_upgrade() {
         let (layer, _) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("wrong".into()))).reply,
             Reply::Error(_)
@@ -374,7 +370,7 @@ mod tests {
     #[test]
     fn control_verbs_pass_even_for_role_none() {
         let (layer, _) = layer(Role::None);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)
@@ -388,7 +384,7 @@ mod tests {
     #[test]
     fn batch_resolves_the_role_once_and_preserves_order() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         let resps = svc.call_batch(vec![
             Request::new(Command::Get("a".into())),
             set(), // denied: readonly
@@ -409,7 +405,7 @@ mod tests {
     #[test]
     fn batch_with_auth_falls_back_to_sequential_login() {
         let (layer, metrics) = layer(Role::ReadOnly);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         // The login in the middle must upgrade the commands after it —
         // exactly what the sequential path does.
         let resps = svc.call_batch(vec![
@@ -427,7 +423,7 @@ mod tests {
     fn rcu_policy_reload_is_seen_by_live_sessions() {
         let (layer, _) = layer(Role::ReadOnly);
         let state = Arc::clone(&layer.state);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(svc.call(set()).reply, Reply::Error(_)));
         state.publish_anon_role(Role::ReadWrite);
         assert!(matches!(svc.call(set()).reply, Reply::Status(_)));
@@ -437,7 +433,7 @@ mod tests {
     fn runtime_token_insertion_takes_effect() {
         let (layer, _) = layer(Role::ReadOnly);
         let state = Arc::clone(&layer.state);
-        let mut svc = layer.wrap(&session(), Box::new(Ok200));
+        let mut svc = layer.wrap(&session(), Ok200);
         assert!(matches!(
             svc.call(Request::new(Command::Auth("newtok".into()))).reply,
             Reply::Error(_)

@@ -21,8 +21,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
-    Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
 };
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
@@ -55,9 +54,9 @@ impl Default for BreakerConfig {
 
 /// Breaker states, stored as one atomic byte per class (mirrored into
 /// `mw_breaker_<class>_state`).
-pub(crate) const CLOSED: u8 = 0;
-pub(crate) const OPEN: u8 = 1;
-pub(crate) const HALF_OPEN: u8 = 2;
+const CLOSED: u8 = 0;
+const OPEN: u8 = 1;
+const HALF_OPEN: u8 = 2;
 
 /// One class's lock-free state machine.
 #[derive(Debug)]
@@ -102,7 +101,7 @@ fn class_label(slot: usize) -> &'static str {
 /// Whether a response counts as a downstream failure: a structured
 /// `DEADLINE` overrun or a shard ack timeout (the two shapes a
 /// distressed store answers with).
-pub(crate) fn is_breaker_failure(resp: &Response) -> bool {
+fn is_breaker_failure(resp: &Response) -> bool {
     match &resp.reply {
         Reply::Error(msg) => msg.starts_with("DEADLINE ") || msg.contains("ack timeout"),
         _ => false,
@@ -114,7 +113,7 @@ pub(crate) fn is_breaker_failure(resp: &Response) -> bool {
 ///
 /// [`Stack`]: crate::pipeline::Stack
 #[derive(Debug)]
-pub(crate) struct BreakerState {
+struct BreakerState {
     config: BreakerConfig,
     born: Instant,
     classes: [ClassBreaker; 2],
@@ -122,7 +121,7 @@ pub(crate) struct BreakerState {
 }
 
 impl BreakerState {
-    pub(crate) fn new(config: BreakerConfig, metrics: Arc<PipelineMetrics>) -> Self {
+    fn new(config: BreakerConfig, metrics: Arc<PipelineMetrics>) -> Self {
         BreakerState {
             config,
             born: Instant::now(),
@@ -133,7 +132,7 @@ impl BreakerState {
 
     /// Whether the breaker can ever trip (`failures > 0`).
     #[inline]
-    pub(crate) fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.config.failures > 0
     }
 
@@ -149,7 +148,7 @@ impl BreakerState {
     /// Callers must pair every admission with one
     /// [`BreakerState::observe`] of the eventual response.
     #[inline]
-    pub(crate) fn admit(&self, class: CommandClass) -> Option<Response> {
+    fn admit(&self, class: CommandClass) -> Option<Response> {
         if !self.enabled() {
             return None;
         }
@@ -220,7 +219,7 @@ impl BreakerState {
     /// successes reset the streak (or close the class once the probe
     /// quota all succeeded).
     #[inline]
-    pub(crate) fn observe(&self, class: CommandClass, resp: &Response) {
+    fn observe(&self, class: CommandClass, resp: &Response) {
         if !self.enabled() {
             return;
         }
@@ -298,7 +297,7 @@ impl BreakerState {
 /// protect every connection — and so serves as its own session rules.
 #[derive(Clone)]
 pub struct BreakerLayer {
-    pub(crate) state: Arc<BreakerState>,
+    state: Arc<BreakerState>,
 }
 
 impl BreakerLayer {
@@ -317,9 +316,6 @@ impl Layer for BreakerLayer {
         self.clone()
     }
 }
-
-/// The breaker layer's per-session link of the chain.
-pub type BreakerService<S> = Layered<BreakerLayer, S>;
 
 /// An admitted burst's pending observations.
 pub struct BreakerCtx {
@@ -541,7 +537,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        let mut svc = layer.wrap(&session, Box::new(Failing));
+        let mut svc = layer.wrap(&session, Failing);
         for _ in 0..2 {
             match svc
                 .call(Request::new(Command::Set("k".into(), "v".into())))
@@ -590,7 +586,7 @@ mod tests {
         let set = || Request::new(Command::Set("k".into(), "v".into()));
         layer.state.observe_at(WRITE, true, 0); // tripped; no cooldown
         let (parking, ready) = Parking::new();
-        let mut probing = layer.wrap(&session, Box::new(parking));
+        let mut probing = layer.wrap(&session, parking);
         // Both probes are admitted and park: nothing is known yet, so
         // the class neither closes nor admits anybody else.
         assert!(matches!(
@@ -598,7 +594,7 @@ mod tests {
             Progress::Parked
         ));
         assert_eq!(layer.state.state_of(WRITE), HALF_OPEN);
-        let mut bystander = layer.wrap(&session, Box::new(Parking::new().0));
+        let mut bystander = layer.wrap(&session, Parking::new().0);
         match bystander.call(set()).reply {
             Reply::Error(e) => assert!(e.contains("probe quota exhausted"), "got {e:?}"),
             other => panic!("expected breaker rejection, got {other:?}"),

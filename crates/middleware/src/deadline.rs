@@ -9,7 +9,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session,
 };
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
@@ -60,9 +60,6 @@ impl Layer for DeadlineLayer {
     }
 }
 
-/// The deadline layer's per-session link of the chain.
-pub type DeadlineService<S> = Layered<DeadlineLayer, S>;
-
 /// A timed burst's budget and clock.
 pub struct DeadlineCtx {
     /// Which requests carry no budget (and keep their reply on an
@@ -76,7 +73,7 @@ pub struct DeadlineCtx {
 
 impl DeadlineLayer {
     /// This request's class budget (0 = exempt).
-    pub(crate) fn budget_us(&self, req: &Request) -> u64 {
+    fn budget_us(&self, req: &Request) -> u64 {
         match req.command.class() {
             CommandClass::Read => self.config.read_us,
             CommandClass::Write => self.config.write_us,
@@ -86,13 +83,7 @@ impl DeadlineLayer {
 
     /// The singleton check: count it, and answer an overrun with the
     /// structured `DEADLINE` error instead of its reply.
-    pub(crate) fn check(
-        &self,
-        verb: &str,
-        elapsed_us: u64,
-        budget_us: u64,
-        resp: Response,
-    ) -> Response {
+    fn check(&self, verb: &str, elapsed_us: u64, budget_us: u64, resp: Response) -> Response {
         self.metrics.deadline_checked.increment();
         if elapsed_us <= budget_us {
             return resp;
@@ -211,7 +202,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap(&session, Box::new(Slow(delay))), metrics)
+        (Box::new(layer.wrap(&session, Slow(delay))), metrics)
     }
 
     #[test]
@@ -288,7 +279,7 @@ mod tests {
             client: "t:1".into(),
         };
         let (parking, ready) = Parking::new();
-        let mut svc = layer.wrap(&session, Box::new(parking));
+        let mut svc = layer.wrap(&session, parking);
         let begun = svc.begin_batch(vec![
             Request::new(Command::Set("k".into(), "v".into())),
             Request::new(Command::Ping), // exempt: keeps its reply

@@ -2,7 +2,7 @@
 //!
 //! The paper adjusts shared objects so a middleware's hot paths scale;
 //! this crate *is* the middleware: a tower-style [`Layer`]/[`Service`]
-//! onion over the wire protocol's [`protocol::Command`] /
+//! chain over the wire protocol's [`protocol::Command`] /
 //! [`protocol::Reply`], composed by a [`Stack`] in front of the
 //! `dego-server` storage plane. Every layer's shared state is built
 //! from the adjusted-object catalogue, so the pipeline itself is a
@@ -24,13 +24,12 @@
 //! client → trace → breaker → deadline → auth → rate-limit → shed → ttl → store
 //! ```
 //!
-//! Two dispatch planes build that chain: the full seven-layer stack
-//! monomorphizes into one concrete [`FusedService`] (direct calls
-//! between layers, plus an inline batch-1 fast path via
-//! [`fused::FusedService::call_one`]), while partial/custom stacks
-//! compose as a boxed `dyn Service` onion ([`Stack::service`]).
-//! Replies and metrics are byte-identical across both — the
-//! `fused_stack_matches_dyn_stack` proptest pins it.
+//! Every stack is that one chain: a single concrete type,
+//! [`FusedService`], with direct calls between layers, in which a
+//! layer the configuration leaves out is a `None` link that passes
+//! everything through. A connection holds it boxed once
+//! ([`Stack::service`]). Each layer writes its singleton rule and its
+//! batch rule once, in its [`pipeline::LayerRule`].
 //!
 //! Rejections are structured (`-ERR RATELIMIT …`, `-ERR AUTH …`,
 //! `-ERR DEADLINE …`, `-ERR SHED …`, `-ERR BREAKER …`); see the
@@ -66,7 +65,6 @@ pub mod breaker;
 pub mod config;
 pub mod deadline;
 pub mod flight;
-pub mod fused;
 pub mod metrics;
 pub mod pipeline;
 pub mod prom;
@@ -82,10 +80,10 @@ pub use breaker::{BreakerConfig, BreakerLayer};
 pub use config::{MiddlewareConfig, TraceConfig};
 pub use deadline::{DeadlineConfig, DeadlineLayer};
 pub use flight::{Capture, CaptureRing, Observation, StoreSegment};
-pub use fused::FusedService;
 pub use metrics::{LatencyHistogram, PipelineMetrics, Reading, RelaxedCounter, WindowedHistogram};
 pub use pipeline::{
-    BoxService, Layer, LayerKind, Progress, Request, Response, Service, Session, Stack, LAYER_COUNT,
+    BoxService, FusedService, Layer, LayerKind, Progress, Request, Response, Service, Session,
+    Stack, LAYER_COUNT,
 };
 pub use prom::{Histograms, Kind, Quantiles, Row, Surface, P50_P99};
 pub use rate_limit::{RateLimitConfig, RateLimitLayer};

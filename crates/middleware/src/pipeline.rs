@@ -1,5 +1,5 @@
-//! The interceptor pipeline: tower-style `Layer`/`Service` onion
-//! composition over protocol [`Request`]s and [`Response`]s.
+//! The interceptor pipeline: tower-style `Layer`/`Service` composition
+//! over protocol [`Request`]s and [`Response`]s.
 //!
 //! A [`Service`] is one request handler; a [`Layer`] wraps a service in
 //! another service. A [`Stack`] owns the *shared* state of every
@@ -8,6 +8,12 @@
 //! session — per-session state (the authenticated principal, the
 //! session's token bucket) lives in the chain, shared state behind
 //! `Arc`s in the stack.
+//!
+//! **There is one chain.** Every stack, full, partial or empty, is the
+//! same concrete type, [`FusedService`]: seven [`Layered`] links whose
+//! rules are `Option`s, a layer the stack leaves out being a `None`
+//! link that passes every entry point straight through. Calls between
+//! layers are direct; [`Stack::service`] boxes the chain once.
 //!
 //! **A burst is two-phase.** [`Service::begin_batch`] admits a burst
 //! and starts its work; while the outcome is not known yet (the store
@@ -39,15 +45,15 @@
 //! layer's synthesized reap deletes are never shed), and the TTL
 //! rewriter sits immediately in front of the store.
 
-use crate::auth::AuthLayer;
+use crate::auth::{AuthLayer, AuthRule};
 use crate::breaker::BreakerLayer;
 use crate::config::MiddlewareConfig;
 use crate::deadline::DeadlineLayer;
 use crate::metrics::PipelineMetrics;
 use crate::protocol::{Command, Reply};
-use crate::rate_limit::RateLimitLayer;
+use crate::rate_limit::{RateLimitLayer, RateLimitRule};
 use crate::shed::{PressureProbe, ShedLayer};
-use crate::trace::TraceLayer;
+use crate::trace::{TraceLayer, TraceRule};
 use crate::ttl::TtlLayer;
 use std::sync::Arc;
 
@@ -249,17 +255,63 @@ pub trait LayerRule {
     fn resume(&mut self, _ctx: &mut Self::Ctx) {}
 }
 
+/// A layer the stack does not configure: it admits everything, observes
+/// nothing, and forwards every request unchanged.
+impl<L: LayerRule> LayerRule for Option<L> {
+    type Ctx = L::Ctx;
+
+    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
+        match self {
+            Some(rule) => rule.call(inner, req),
+            None => inner.call(req),
+        }
+    }
+
+    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<L::Ctx> {
+        match self {
+            Some(rule) => rule.admit(inner, reqs),
+            None => Admission::Pass(reqs),
+        }
+    }
+
+    fn observe(&mut self, ctx: L::Ctx, inner: Vec<Response>) -> Vec<Response> {
+        let rule = self
+            .as_mut()
+            .expect("only a present layer admits to observe");
+        rule.observe(ctx, inner)
+    }
+
+    fn suspend(&mut self, ctx: &mut L::Ctx) {
+        if let Some(rule) = self {
+            rule.suspend(ctx);
+        }
+    }
+
+    fn resume(&mut self, ctx: &mut L::Ctx) {
+        if let Some(rule) = self {
+            rule.resume(ctx);
+        }
+    }
+}
+
 /// A [`LayerRule`] around an inner service: one layer's per-session
-/// link of the chain, generic over what it wraps (a concrete type in
-/// the fused stack, a [`BoxService`] in the dyn onion).
+/// link of the chain.
 pub struct Layered<L: LayerRule, S> {
-    pub(crate) layer: L,
-    pub(crate) inner: S,
+    layer: L,
+    inner: S,
     /// The context of the burst parked below this layer, if any.
     parked: Option<L::Ctx>,
 }
 
 impl<L: LayerRule, S: Service> Layered<L, S> {
+    fn new(layer: L, inner: S) -> Self {
+        Layered {
+            layer,
+            inner,
+            parked: None,
+        }
+    }
+
     /// admit · `down` · observe-or-park: the one composition behind
     /// both `call_batch` (`down` blocks) and `begin_batch` (`down` may
     /// park).
@@ -342,19 +394,35 @@ pub trait Layer: Send + Sync {
     /// This layer's rules for one session.
     fn rule(&self, session: &Session) -> Self::Rule;
 
-    /// Wrap a concrete inner service, preserving its type — the typed
-    /// combinator the fused stack composes with.
-    fn wrap_typed<S: Service>(&self, session: &Session, inner: S) -> Layered<Self::Rule, S> {
-        Layered {
-            layer: self.rule(session),
-            inner,
-            parked: None,
-        }
+    /// This layer alone around `inner`, for one session.
+    fn wrap<S: Service>(&self, session: &Session, inner: S) -> Layered<Self::Rule, S> {
+        Layered::new(self.rule(session), inner)
     }
+}
 
-    /// Wrap a boxed inner service: one link of the dyn onion.
-    fn wrap(&self, session: &Session, inner: BoxService) -> BoxService {
-        Box::new(self.wrap_typed(session, inner))
+/// One link of the chain: a layer's rules, `None` where the stack
+/// leaves the layer out.
+type Link<L, S> = Layered<Option<L>, S>;
+
+/// One session's chain around `S`: the seven canonical layers as one
+/// concrete type, outermost first. Built by [`Stack::service`] (boxed)
+/// and [`Stack::fused_service`].
+pub type FusedService<S> = Link<
+    TraceRule,
+    Link<
+        BreakerLayer,
+        Link<
+            DeadlineLayer,
+            Link<AuthRule, Link<RateLimitRule, Link<ShedLayer, Link<TtlLayer, S>>>>,
+        >,
+    >,
+>;
+
+impl<S: Service> FusedService<S> {
+    /// A burst of one: [`Service::call`]. The name is part of what the
+    /// `benchmark/` harness compiles against.
+    pub fn call_one(&mut self, req: Request) -> Response {
+        self.call(req)
     }
 }
 
@@ -436,12 +504,11 @@ impl LayerKind {
 /// The configured pipeline: shared layer state + the per-connection
 /// chain factory.
 ///
-/// The seven production layers are held as **typed** fields (not a
-/// `Vec<Box<dyn Layer>>`), which is what lets [`Stack::fused_service`]
-/// stamp out the fully monomorphized chain — one concrete
-/// `Trace<Breaker<Deadline<Auth<RateLimit<Shed<Ttl<S>>>>>>>` type with
-/// zero virtual calls — while [`Stack::service`] builds the boxed
-/// `dyn` onion, the composition rule for partial/custom stacks.
+/// The seven production layers are held as **typed** `Option` fields
+/// (not a `Vec<Box<dyn Layer>>`), and a session's chain holds each
+/// one's rules as an `Option` too: whatever the configuration, the
+/// chain is one concrete [`FusedService`] type with no virtual call
+/// between layers, an absent layer a `None` link.
 pub struct Stack {
     trace: Option<TraceLayer>,
     breaker: Option<BreakerLayer>,
@@ -511,17 +578,31 @@ impl Stack {
         &self.metrics
     }
 
-    /// Build one session's service chain around `inner` (the store
-    /// executor), innermost layer first — the type-erased onion, one
-    /// `Box<dyn Service>` per layer. This is the path for partial
-    /// stacks and third-party [`Layer`]s, and the reference the fused
-    /// chain is property-tested against.
+    /// Build one session's chain around `inner` (the store executor),
+    /// boxed: a connection's dispatch chain.
     pub fn service(&self, session: &Session, inner: BoxService) -> BoxService {
-        fn link<L: Layer>(layer: &Option<L>, session: &Session, chain: BoxService) -> BoxService {
-            match layer {
-                Some(layer) => layer.wrap(session, chain),
-                None => chain,
-            }
+        Box::new(self.chain(session, inner))
+    }
+
+    /// Build one session's chain around `inner`, unboxed. Every stack
+    /// builds one, so this is always `Some` (the `Option` is part of
+    /// what the `benchmark/` harness compiles against).
+    pub fn fused_service<S: Service>(
+        &self,
+        session: &Session,
+        inner: S,
+    ) -> Option<FusedService<S>> {
+        Some(self.chain(session, inner))
+    }
+
+    /// The chain, innermost layer first.
+    fn chain<S: Service>(&self, session: &Session, inner: S) -> FusedService<S> {
+        fn link<L: Layer, S: Service>(
+            layer: &Option<L>,
+            session: &Session,
+            inner: S,
+        ) -> Link<L::Rule, S> {
+            Layered::new(layer.as_ref().map(|layer| layer.rule(session)), inner)
         }
         let chain = link(&self.ttl, session, inner);
         let chain = link(&self.shed, session, chain);
@@ -530,36 +611,6 @@ impl Stack {
         let chain = link(&self.deadline, session, chain);
         let chain = link(&self.breaker, session, chain);
         link(&self.trace, session, chain)
-    }
-
-    /// Whether this stack is the canonical full seven-layer pipeline,
-    /// i.e. whether [`Stack::fused_service`] can build the
-    /// monomorphized chain for it.
-    pub fn fusible(&self) -> bool {
-        self.depth() == LAYER_COUNT
-    }
-
-    /// Build one session's **fused** chain around `inner`: the seven
-    /// canonical layers composed as a single concrete type, so every
-    /// inter-layer call is a direct (inlinable) call rather than a
-    /// vtable dispatch, and batch-1 traffic can take
-    /// [`crate::fused::FusedService::call_one`]. Returns `None` unless
-    /// the stack is [`Stack::fusible`] (all seven layers configured).
-    pub fn fused_service<S: Service>(
-        &self,
-        session: &Session,
-        inner: S,
-    ) -> Option<crate::fused::FusedService<S>> {
-        if !self.fusible() {
-            return None; // before any layer builds session state
-        }
-        let chain = self.ttl.as_ref()?.wrap_typed(session, inner);
-        let chain = self.shed.as_ref()?.wrap_typed(session, chain);
-        let chain = self.rate.as_ref()?.wrap_typed(session, chain);
-        let chain = self.auth.as_ref()?.wrap_typed(session, chain);
-        let chain = self.deadline.as_ref()?.wrap_typed(session, chain);
-        let chain = self.breaker.as_ref()?.wrap_typed(session, chain);
-        Some(self.trace.as_ref()?.wrap_typed(session, chain))
     }
 
     /// Seat the live shard-pressure probe the shed layer consults (the
@@ -667,6 +718,16 @@ pub(crate) mod tests {
         }
     }
 
+    /// A stack from `config` and one session's chain around `inner`, as
+    /// a connection holds it.
+    fn session_chain(
+        config: &MiddlewareConfig,
+        inner: impl Service + 'static,
+    ) -> (BoxService, Arc<Stack>) {
+        let stack = Stack::build(config);
+        (stack.service(&session(), Box::new(inner)), stack)
+    }
+
     #[test]
     fn empty_stack_is_a_passthrough() {
         let stack = Stack::build(&MiddlewareConfig::none());
@@ -682,17 +743,40 @@ pub(crate) mod tests {
         let stack = Stack::build(&MiddlewareConfig::full());
         assert_eq!(stack.depth(), 7);
         assert_eq!(stack.kinds(), LayerKind::ALL.to_vec());
-        assert!(stack.fusible());
+    }
+
+    fn stack_shapes() -> [MiddlewareConfig; 3] {
+        let partial = MiddlewareConfig {
+            layers: vec![LayerKind::Trace, LayerKind::Ttl],
+            ..MiddlewareConfig::none()
+        };
+        [MiddlewareConfig::full(), partial, MiddlewareConfig::none()]
     }
 
     #[test]
-    fn partial_stacks_are_not_fusible() {
-        let mut config = MiddlewareConfig::none();
-        assert!(!Stack::build(&config).fusible(), "empty stack");
-        config.layers = vec![LayerKind::Trace, LayerKind::Ttl];
-        let stack = Stack::build(&config);
-        assert!(!stack.fusible());
-        assert!(stack.fused_service(&session(), Echo).is_none());
+    fn every_stack_builds_the_one_chain() {
+        // Full, partial and empty stacks all build the typed chain.
+        for config in stack_shapes() {
+            let stack = Stack::build(&config);
+            assert!(stack.fused_service(&session(), Echo).is_some());
+        }
+    }
+
+    #[test]
+    fn the_fused_chain_is_a_service() {
+        // `call_one` and `call_batch` on the concrete chain, and `call`
+        // through it as a `dyn Service`, give the same replies.
+        for config in stack_shapes() {
+            let stack = Stack::build(&config);
+            let mut chain = stack.fused_service(&session(), Echo).expect("always built");
+            let resp = chain.call_one(Request::new(Command::Ping));
+            assert_eq!(resp.reply, Reply::Value("PING".into()));
+            let want = replies(chain.call_batch(burst()));
+            assert_eq!(want.len(), 4);
+            let svc: &mut dyn Service = &mut chain;
+            let got: Vec<Reply> = burst().into_iter().map(|r| svc.call(r).reply).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -751,23 +835,18 @@ pub(crate) mod tests {
 
     #[test]
     fn a_parked_burst_is_observed_once_when_it_completes() {
-        // Same burst, blocking through one full stack and parked
-        // through its twins (dyn onion and fused chain): same replies,
-        // and the layers record it only once it has completed.
-        let blocking = Stack::build(&MiddlewareConfig::full());
-        let want = replies(
-            blocking
-                .service(&session(), Box::new(Echo))
-                .call_batch(burst()),
-        );
-        let chains: [fn(&Stack, Parking) -> BoxService; 2] = [
-            |stack, inner| stack.service(&session(), Box::new(inner)),
-            |stack, inner| Box::new(stack.fused_service(&session(), inner).expect("fusible")),
-        ];
-        for chain in chains {
-            let stack = Stack::build(&MiddlewareConfig::full());
+        // Same burst, blocking and parked, through a full, a partial
+        // and an empty stack: same replies, and the layers record it
+        // only once it has completed — through `None` links too.
+        let partial = MiddlewareConfig {
+            layers: vec![LayerKind::Deadline, LayerKind::Ttl],
+            ..MiddlewareConfig::none()
+        };
+        for config in [MiddlewareConfig::full(), partial, MiddlewareConfig::none()] {
+            let on = |kind| config.layers.contains(&kind) as u64;
+            let want = replies(session_chain(&config, Echo).0.call_batch(burst()));
             let (parking, ready) = Parking::new();
-            let mut svc = chain(&stack, parking);
+            let (mut svc, stack) = session_chain(&config, parking);
             assert!(matches!(svc.begin_batch(burst()), Progress::Parked));
             assert!(svc.poll_batch().is_none());
             let metrics = stack.metrics();
@@ -775,11 +854,89 @@ pub(crate) mod tests {
             assert_eq!(metrics.deadline_checked.sum(), 0);
             ready.set(true);
             assert_eq!(replies(svc.poll_batch().expect("delivered")), want);
-            assert_eq!(metrics.batches.sum(), 1);
-            assert_eq!(metrics.traced.sum(), 4, "ring verb included");
-            assert_eq!(metrics.deadline_checked.sum(), 2, "GET and SET");
+            assert_eq!(metrics.batches.sum(), on(LayerKind::Trace));
+            let traced = 4 * on(LayerKind::Trace);
+            assert_eq!(metrics.traced.sum(), traced, "ring verb included");
+            let checked = 2 * on(LayerKind::Deadline);
+            assert_eq!(metrics.deadline_checked.sum(), checked, "GET and SET");
             assert!(svc.poll_batch().is_none(), "delivered exactly once");
         }
+    }
+
+    #[test]
+    fn a_breaker_rejection_skips_the_deadline_check_but_is_traced() {
+        // A store slower than the 1 ms read budget: the first read
+        // overruns it, which trips the breaker (one failure); the
+        // second is rejected by the breaker, outside the deadline layer.
+        struct Slow;
+        impl Service for Slow {
+            fn call(&mut self, req: Request) -> Response {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+                Echo.call(req)
+            }
+        }
+        let mut config = MiddlewareConfig::full();
+        config.deadline.read_us = 1_000;
+        config.breaker.failures = 1;
+        config.breaker.cooldown_ms = 60_000;
+        let (mut svc, stack) = session_chain(&config, Slow);
+        let mut read = || match svc.call(Request::new(Command::Get("k".into()))).reply {
+            Reply::Error(e) => e,
+            other => panic!("expected a rejection, got {other:?}"),
+        };
+        assert!(read().starts_with("DEADLINE GET took "));
+        assert!(read().starts_with("BREAKER read open "));
+        let m = stack.metrics();
+        assert_eq!((m.breaker_trips.sum(), m.breaker_rejected.sum()), (1, 1));
+        assert_eq!(m.deadline_checked.sum(), 1, "the rejection skipped it");
+        assert_eq!(m.traced.sum(), 2, "but was traced");
+    }
+
+    #[test]
+    fn a_shed_write_is_auth_admitted_and_rate_charged() {
+        // Shedding sits below auth and rate-limit: a write it refuses
+        // has passed both, while one auth denies never reaches them.
+        struct Stressed;
+        impl PressureProbe for Stressed {
+            fn shard_of(&self, _cmd: &Command) -> Option<usize> {
+                Some(3)
+            }
+            fn pressure_of(&self, _shard: usize) -> crate::shed::ShardPressure {
+                crate::shed::ShardPressure {
+                    queue_depth: 4_096,
+                    ack_p99_us: 0,
+                }
+            }
+        }
+        let mut config = MiddlewareConfig::full();
+        config.shed.queue_depth = 1_024;
+        config.auth.anon_role = crate::auth::Role::ReadOnly;
+        let (mut svc, stack) = session_chain(&config, Echo);
+        assert!(stack.shed_set_probe(Arc::new(Stressed)));
+        let mut set = || svc.call(Request::new(Command::Set("k".into(), "v".into())));
+        assert!(matches!(set().reply, Reply::Error(e) if e.starts_with("AUTH SET requires")));
+        assert!(stack.auth_set_anon_role(crate::auth::Role::ReadWrite));
+        let shed = "SHED shard=3 queue_depth=4096 limit=1024";
+        assert_eq!(set().reply, Reply::Error(shed.into()));
+        let get = svc.call(Request::new(Command::Get("k".into())));
+        assert_eq!(get.reply, Reply::Value("GET".into()), "reads never shed");
+        let m = stack.metrics();
+        assert_eq!(m.shed_shed.sum(), 1);
+        assert_eq!((m.auth_admitted.sum(), m.rate_admitted.sum()), (2, 2));
+    }
+
+    #[test]
+    fn singletons_are_sampled_one_in_n() {
+        // The sampling phase starts at "now": 3 of 7 is singletons 1,
+        // 4 and 7 (any later phase would sample 2).
+        let mut config = MiddlewareConfig::full();
+        config.trace.sample_every = 3;
+        let (mut svc, stack) = session_chain(&config, Echo);
+        for _ in 0..7 {
+            svc.call(Request::new(Command::Get("k".into())));
+        }
+        assert_eq!(stack.metrics().spans_sampled.sum(), 3);
+        assert_eq!(stack.metrics().traced.sum(), 7);
     }
 
     #[test]

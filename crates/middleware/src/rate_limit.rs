@@ -11,8 +11,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
-    Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
 };
 use crate::protocol::Command;
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
@@ -43,13 +42,13 @@ impl Default for RateLimitConfig {
 /// One client's token bucket. Tokens can briefly go negative under a
 /// concurrent burst; negative observations reject and restore.
 #[derive(Debug)]
-pub(crate) struct Bucket {
+struct Bucket {
     tokens: AtomicI64,
     /// Micros since the layer's epoch at the last refill.
     last_refill_us: AtomicU64,
 }
 
-pub(crate) struct RateLimitState {
+struct RateLimitState {
     config: RateLimitConfig,
     epoch: Instant,
     buckets: Arc<SegmentedHashMap<String, Arc<Bucket>>>,
@@ -111,7 +110,7 @@ impl RateLimitState {
     }
 
     /// Try to take one token; `false` means rejected.
-    pub(crate) fn admit(&self, bucket: &Bucket) -> bool {
+    fn admit(&self, bucket: &Bucket) -> bool {
         self.refill(bucket);
         if bucket.tokens.fetch_sub(1, Ordering::AcqRel) > 0 {
             self.metrics.rate_admitted.increment();
@@ -149,7 +148,7 @@ impl RateLimitState {
 
     /// The structured rejection; its `retry_us` hint is the micros
     /// until one token refills.
-    pub(crate) fn rejection(&self) -> Response {
+    fn rejection(&self) -> Response {
         let retry_us = 1_000_000 / self.config.refill_per_sec.max(1);
         Response::rejection("RATELIMIT", format_args!("rejected retry_us={retry_us}"))
     }
@@ -192,13 +191,10 @@ impl Layer for RateLimitLayer {
     }
 }
 
-/// The rate-limit layer's per-session link of the chain.
-pub type RateLimitService<S> = Layered<RateLimitRule, S>;
-
 /// The rate-limit layer's per-session rules.
 pub struct RateLimitRule {
-    pub(crate) state: Arc<RateLimitState>,
-    pub(crate) bucket: Arc<Bucket>,
+    state: Arc<RateLimitState>,
+    bucket: Arc<Bucket>,
     client: String,
 }
 
@@ -315,7 +311,7 @@ mod tests {
     #[test]
     fn burst_admits_then_rejects_with_structured_error() {
         let (layer, metrics) = limited(3, 1); // 1 token/s: no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         for _ in 0..3 {
             assert_eq!(
                 svc.call(Request::new(Command::Ping)).reply,
@@ -337,8 +333,8 @@ mod tests {
     #[test]
     fn buckets_are_per_client() {
         let (layer, _) = limited(2, 1);
-        let mut a = layer.wrap(&session("a"), Box::new(Ok200));
-        let mut b = layer.wrap(&session("b"), Box::new(Ok200));
+        let mut a = layer.wrap(&session("a"), Ok200);
+        let mut b = layer.wrap(&session("b"), Ok200);
         for _ in 0..2 {
             assert!(matches!(
                 a.call(Request::new(Command::Ping)).reply,
@@ -359,7 +355,7 @@ mod tests {
     #[test]
     fn quit_bypasses_an_exhausted_bucket() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         svc.call(Request::new(Command::Ping));
         assert!(matches!(
             svc.call(Request::new(Command::Quit)).reply,
@@ -370,7 +366,7 @@ mod tests {
     #[test]
     fn batch_takes_tokens_in_bulk_and_rejects_the_tail() {
         let (layer, metrics) = limited(3, 1); // no refill mid-test
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         let burst: Vec<Request> = (0..5)
             .map(|i| Request::new(Command::Get(format!("k{i}"))))
             .collect();
@@ -396,7 +392,7 @@ mod tests {
     #[test]
     fn batch_never_charges_quit() {
         let (layer, _) = limited(1, 1);
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         let resps = svc.call_batch(vec![
             Request::new(Command::Ping), // takes the only token
             Request::new(Command::Ping), // rejected
@@ -410,7 +406,7 @@ mod tests {
     #[test]
     fn tokens_refill_over_time() {
         let (layer, metrics) = limited(1, 1_000_000); // 1 token/µs
-        let mut svc = layer.wrap(&session("a"), Box::new(Ok200));
+        let mut svc = layer.wrap(&session("a"), Ok200);
         svc.call(Request::new(Command::Ping));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(matches!(
@@ -423,9 +419,9 @@ mod tests {
     #[test]
     fn buckets_are_reclaimed_when_the_last_session_ends() {
         let (layer, _) = limited(2, 1);
-        let a = layer.wrap(&session("a"), Box::new(Ok200));
-        let _b = layer.wrap(&session("b"), Box::new(Ok200));
-        let a2 = layer.wrap(&session("a"), Box::new(Ok200));
+        let a = layer.wrap(&session("a"), Ok200);
+        let _b = layer.wrap(&session("b"), Ok200);
+        let a2 = layer.wrap(&session("a"), Ok200);
         assert_eq!(layer.state.buckets.len(), 2);
         drop(a);
         assert_eq!(layer.state.buckets.len(), 2, "a still has a session");
@@ -436,8 +432,8 @@ mod tests {
     #[test]
     fn same_client_shares_one_bucket_across_connections() {
         let (layer, _) = limited(2, 1);
-        let mut c1 = layer.wrap(&session("shared"), Box::new(Ok200));
-        let mut c2 = layer.wrap(&session("shared"), Box::new(Ok200));
+        let mut c1 = layer.wrap(&session("shared"), Ok200);
+        let mut c2 = layer.wrap(&session("shared"), Ok200);
         assert!(matches!(
             c1.call(Request::new(Command::Ping)).reply,
             Reply::Status(_)

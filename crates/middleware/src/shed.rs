@@ -26,8 +26,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
-    Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
 };
 use crate::protocol::{Command, CommandClass};
 use crate::span;
@@ -90,7 +89,7 @@ impl std::fmt::Debug for ShedState {
 }
 
 impl ShedState {
-    pub(crate) fn new(config: ShedConfig, metrics: Arc<PipelineMetrics>) -> Self {
+    fn new(config: ShedConfig, metrics: Arc<PipelineMetrics>) -> Self {
         ShedState {
             config,
             probe: OnceLock::new(),
@@ -108,7 +107,7 @@ impl ShedState {
     /// Whether admissions can actually shed: thresholds armed *and* a
     /// probe seated.
     #[inline]
-    pub(crate) fn active(&self) -> Option<&Arc<dyn PressureProbe>> {
+    fn active(&self) -> Option<&Arc<dyn PressureProbe>> {
         if self.config.enabled() {
             self.probe.get()
         } else {
@@ -118,7 +117,7 @@ impl ShedState {
 
     /// Admit or shed one command — `None` means admitted.
     #[inline]
-    pub(crate) fn admit(&self, cmd: &Command) -> Option<Response> {
+    fn admit(&self, cmd: &Command) -> Option<Response> {
         let probe = self.active()?;
         if cmd.class() != CommandClass::Write {
             return None;
@@ -183,9 +182,6 @@ impl Layer for ShedLayer {
     }
 }
 
-/// The shed layer's per-session link of the chain.
-pub type ShedService<S> = Layered<ShedLayer, S>;
-
 impl LayerRule for ShedLayer {
     type Ctx = Split;
 
@@ -238,6 +234,7 @@ impl LayerRule for ShedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Layered;
     use crate::protocol::Reply;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -279,7 +276,13 @@ mod tests {
         }
     }
 
-    fn wrap(config: ShedConfig) -> (ShedService<Always>, Arc<FakeProbe>, Arc<PipelineMetrics>) {
+    fn wrap(
+        config: ShedConfig,
+    ) -> (
+        Layered<ShedLayer, Always>,
+        Arc<FakeProbe>,
+        Arc<PipelineMetrics>,
+    ) {
         let metrics = Arc::new(PipelineMetrics::new());
         let layer = ShedLayer::new(config, Arc::clone(&metrics));
         let probe = FakeProbe::calm();
@@ -289,7 +292,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap_typed(&session, Always), probe, metrics)
+        (layer.wrap(&session, Always), probe, metrics)
     }
 
     fn set(key: &str) -> Request {
@@ -375,7 +378,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        let mut svc = layer.wrap_typed(&session, Always);
+        let mut svc = layer.wrap(&session, Always);
         assert!(matches!(svc.call(set("k")).reply, Reply::Status("OK")));
         assert_eq!(metrics.shed_checked.sum(), 0);
     }

@@ -7,16 +7,17 @@
 //! by [`LayerKind`]. When the guard is finished the trace layer
 //! harvests the table into the shared per-layer histograms.
 //!
-//! Thread-locals are sound here by construction: a connection's service
-//! chain ([`crate::pipeline::BoxService`]) is built and driven entirely
-//! on that connection's thread (no `Send` bound), and a chain whose
-//! burst parks [`SpanGuard::suspend`]s its span before the thread
-//! serves another connection — so at most one span is active per
-//! thread, and it belongs to the chain being driven.
+//! Thread-locals are sound here by construction: a connection's chain
+//! (one [`crate::pipeline::FusedService`], boxed once) is built and
+//! driven entirely on that connection's thread (no `Send` bound), and
+//! a chain whose burst parks [`SpanGuard::suspend`]s its span before
+//! the thread serves another connection — so at most one span is
+//! active per thread, and it belongs to the chain being driven.
 //!
-//! The unsampled fast path is one thread-local boolean load per layer
-//! ([`start`] returns `None` and [`record`] is a no-op), which is what
-//! keeps the default 1-in-N sampling overhead negligible.
+//! The unsampled path, singleton or burst, is one thread-local boolean
+//! load per layer ([`start`] returns `None` and [`record`] is a
+//! no-op), which is what keeps the default 1-in-N sampling overhead
+//! negligible.
 
 use crate::flight::StoreSegment;
 use crate::pipeline::{LayerKind, LAYER_COUNT};

@@ -33,8 +33,7 @@
 use crate::flight::{Capture, CaptureRing, Observation};
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
-    Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
 };
 use crate::prom::Surface;
 use crate::protocol::{Command, CommandClass, Reply};
@@ -42,7 +41,7 @@ use crate::span;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub(crate) fn class_name(class: CommandClass) -> &'static str {
+fn class_name(class: CommandClass) -> &'static str {
     match class {
         CommandClass::Read => "read",
         CommandClass::Write => "write",
@@ -52,7 +51,7 @@ pub(crate) fn class_name(class: CommandClass) -> &'static str {
 
 /// Whether `cmd` is one of the ring verbs [`observability_reply`]
 /// answers.
-pub(crate) fn is_ring_verb(cmd: &Command) -> bool {
+fn is_ring_verb(cmd: &Command) -> bool {
     use Command::*;
     matches!(
         cmd,
@@ -113,19 +112,16 @@ impl Layer for TraceLayer {
     }
 }
 
-/// The trace layer's per-session link of the chain.
-pub type TraceService<S> = Layered<TraceRule, S>;
-
 /// The trace layer's per-session rules.
 pub struct TraceRule {
-    pub(crate) metrics: Arc<PipelineMetrics>,
+    metrics: Arc<PipelineMetrics>,
     depth: usize,
-    pub(crate) client: Arc<str>,
-    pub(crate) sample_every: u32,
+    client: Arc<str>,
+    sample_every: u32,
     /// Per-connection sampling phase: 0 means "sample now", so the
     /// first command of every connection is always covered —
     /// contention-free and deterministic for tests.
-    pub(crate) tick: u32,
+    tick: u32,
 }
 
 /// What a traced burst carries from admission to completion.
@@ -143,7 +139,7 @@ pub struct TraceCtx {
 
 impl TraceRule {
     /// Whether this command/burst is span-sampled; advances the phase.
-    pub(crate) fn tick_sample(&mut self) -> bool {
+    fn tick_sample(&mut self) -> bool {
         if self.sample_every == 0 {
             return false;
         }
@@ -156,7 +152,7 @@ impl TraceRule {
     }
 
     /// Count one singleton into its class's latency histogram.
-    pub(crate) fn record_singleton(&self, class: CommandClass, elapsed_us: u64) {
+    fn record_singleton(&self, class: CommandClass, elapsed_us: u64) {
         self.metrics.traced.increment();
         match class {
             CommandClass::Read => self.metrics.read_latency.record(elapsed_us),
@@ -175,7 +171,7 @@ impl TraceRule {
     /// Close out one traced command/burst: harvest the span (if any)
     /// into the per-layer histograms and offer the completed tree to
     /// the trace ring, then offer the observation to the slowlog ring.
-    pub(crate) fn finish(
+    fn finish(
         &self,
         span: Option<span::SpanGuard>,
         verb: &'static str,
@@ -339,7 +335,7 @@ mod tests {
         let session = Session {
             client: "t:1".into(),
         };
-        (layer.wrap(&session, Box::new(Store)), metrics)
+        (Box::new(layer.wrap(&session, Store)), metrics)
     }
 
     fn traced() -> (BoxService, Arc<PipelineMetrics>) {

@@ -19,13 +19,15 @@
 //! lands after. Either way an acknowledged write is never destroyed by
 //! an expiry.
 //!
-//! Hot path: one lock-free sidecar lookup per `GET`/`SET`/`DEL`/
-//! `INCR`; keys without timers never touch the mutex, and timed keys
+//! Hot path: while no timer is armed anywhere (the sidecar is empty),
+//! `GET`/`SET`/`DEL`/`INCR` forward without a sidecar lookup, one
+//! command or a whole burst alike. Otherwise each pays one lock-free
+//! lookup; keys without timers never touch the mutex, and timed keys
 //! pay it only on mutation or reap (live reads stay lock-free).
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    Admission, Layer, LayerKind, LayerRule, Layered, Request, Response, Service, Session,
+    Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session,
 };
 use crate::protocol::{Command, Reply};
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
@@ -36,17 +38,17 @@ use std::time::Instant;
 /// Sidecar entry: when the key's value expires (micros since the layer
 /// epoch).
 #[derive(Debug)]
-pub(crate) struct TtlEntry {
+struct TtlEntry {
     expires_at_us: AtomicU64,
 }
 
-pub(crate) struct TtlState {
+struct TtlState {
     epoch: Instant,
-    pub(crate) sidecar: Arc<SegmentedHashMap<String, Arc<TtlEntry>>>,
+    sidecar: Arc<SegmentedHashMap<String, Arc<TtlEntry>>>,
     /// Serializes entry insert/remove *and* every cross-plane sequence
     /// (reap `DEL`s, mutations on timed keys) — see the module doc.
     writer: Mutex<SegmentedHashMapWriter<String, Arc<TtlEntry>>>,
-    pub(crate) metrics: Arc<PipelineMetrics>,
+    metrics: Arc<PipelineMetrics>,
 }
 
 impl TtlState {
@@ -64,7 +66,7 @@ impl TtlState {
 /// so it serves as its own session rules.
 #[derive(Clone)]
 pub struct TtlLayer {
-    pub(crate) state: Arc<TtlState>,
+    state: Arc<TtlState>,
 }
 
 impl TtlLayer {
@@ -90,10 +92,6 @@ impl Layer for TtlLayer {
         self.clone()
     }
 }
-
-/// The TTL layer's per-session link of the chain (the innermost layer:
-/// `S` is usually the store executor).
-pub type TtlService<S> = Layered<TtlLayer, S>;
 
 type SidecarWriter<'a> = MutexGuard<'a, SegmentedHashMapWriter<String, Arc<TtlEntry>>>;
 
@@ -235,6 +233,14 @@ impl LayerRule for TtlLayer {
                 self.state.metrics.ttl_checked.increment();
                 Plan::Expire(key.clone(), *millis)
             }
+            // No timer armed anywhere: no key can be timed, so the kv
+            // commands forward without a sidecar lookup, as bursts do.
+            Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
+                if self.state.sidecar.is_empty() =>
+            {
+                self.state.metrics.ttl_checked.increment();
+                Plan::Forward
+            }
             Command::Get(key) => {
                 self.state.metrics.ttl_checked.increment();
                 match self.state.sidecar.get(key) {
@@ -317,7 +323,7 @@ mod tests {
         let store = MapStore {
             map: HashMap::new(),
         };
-        (layer.wrap(&session, Box::new(store)), metrics)
+        (Box::new(layer.wrap(&session, store)), metrics)
     }
 
     fn call(svc: &mut BoxService, cmd: Command) -> Reply {

@@ -3,18 +3,15 @@
 //! encoder and the parser are exact inverses, and malformed input is
 //! rejected rather than misparsed — plus the batch-path law: a
 //! pipelined burst through `call_batch` answers byte-identically, in
-//! order, to the same commands sent through `call` one at a time —
-//! plus the dispatch-plane law: the fused (monomorphized) seven-layer
-//! chain and the boxed `dyn Service` onion produce byte-identical
-//! reply streams for any burst and tuning (the invariant behind
-//! choosing the chain by `Stack::fusible` alone) —
+//! order, to the same commands sent through `call` one at a time, for
+//! any subset of the layers —
 //! plus Prometheus exposition invariants: metric names survive
 //! rendering and label values escape losslessly.
 
 use dego_middleware::protocol::{Command, CommandClass, ParseError, Reply};
 use dego_middleware::{
-    prom, AuthConfig, Kind, MiddlewareConfig, Request, Response, Role, Service, Session, Stack,
-    TokenSpec, WindowedHistogram,
+    prom, AuthConfig, BoxService, Kind, LayerKind, MiddlewareConfig, Request, Response, Role,
+    Service, Session, Stack, TokenSpec, WindowedHistogram,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -142,7 +139,7 @@ fn stable_command() -> impl Strategy<Value = Command> {
         (key(), -100i64..100).prop_map(|(k, d)| Command::Incr(k, d)),
         Just(Command::Ping),
         // HEALTH/READY ride the rate-limit exemption; the equivalence
-        // must hold through the fused fallback and the batch partition.
+        // must hold through the batch partition.
         Just(Command::Health),
         Just(Command::Ready),
         // Both a valid and an invalid token: the sequential fallback
@@ -153,12 +150,15 @@ fn stable_command() -> impl Strategy<Value = Command> {
     )
 }
 
-/// A full seven-layer stack over a fresh [`MapStore`], tuned so no
+/// A stack of `layers` over a fresh [`MapStore`], tuned so no
 /// timing-dependent layer can fire within the test (tiny refill, huge
-/// budgets) while every decision path (ACLs, bucket exhaustion,
-/// armed timers) stays reachable.
-fn equivalence_config(burst: u64) -> MiddlewareConfig {
-    let mut config = MiddlewareConfig::full();
+/// budgets) while every decision path (ACLs, bucket exhaustion, armed
+/// timers) stays reachable.
+fn equivalence_chain(burst: u64, layers: Vec<LayerKind>, sample_every: u32) -> BoxService {
+    let mut config = MiddlewareConfig {
+        layers,
+        ..MiddlewareConfig::default()
+    };
     config.auth = AuthConfig {
         tokens: vec![TokenSpec {
             name: "writer".into(),
@@ -171,20 +171,14 @@ fn equivalence_config(burst: u64) -> MiddlewareConfig {
     config.rate.refill_per_sec = 1; // no refill within a µs-scale test
     config.deadline.read_us = 60_000_000;
     config.deadline.write_us = 60_000_000;
-    config
-}
-
-fn equivalence_chain(burst: u64) -> dego_middleware::BoxService {
-    let stack = Stack::build(&equivalence_config(burst));
+    config.trace.sample_every = sample_every;
     let session = Session {
         client: "prop:1".into(),
     };
-    stack.service(
-        &session,
-        Box::new(MapStore {
-            map: HashMap::new(),
-        }),
-    )
+    let store = MapStore {
+        map: HashMap::new(),
+    };
+    Stack::build(&config).service(&session, Box::new(store))
 }
 
 /// Metric family names as the exposition format allows them.
@@ -360,18 +354,26 @@ proptest! {
         prop_assert!(Command::parse(&format!("AUTH {junk}")).is_ok(), "token is a string position");
     }
 
-    /// The batch law: for any burst, `call_batch` through the full
-    /// seven-layer stack produces byte-identical replies, in order, to
-    /// the same commands driven through `call` one at a time — across
-    /// every decision the layers can take (ACL denials, bucket
-    /// exhaustion, armed TTL timers, mid-burst logins).
+    /// The batch law: for any burst, `call_batch` produces
+    /// byte-identical replies, in order, to the same commands driven
+    /// through `call` one at a time — across every decision the layers
+    /// can take (ACL denials, bucket exhaustion, armed TTL timers,
+    /// mid-burst logins), at every span-sampling phase, and through the
+    /// full stack (half the cases) or any subset of it, whose absent
+    /// layers are pass-through links.
     #[test]
     fn call_batch_matches_sequential_call(
         burst in 4u64..200,
+        sample_every in 0u32..5,
+        mask in prop_oneof!(Just(0x7fu8), 0u8..0x80),
         cmds in proptest::collection::vec(stable_command(), 1..40),
     ) {
-        let mut sequential = equivalence_chain(burst);
-        let mut batched = equivalence_chain(burst);
+        let layers = || {
+            let kinds = LayerKind::ALL.into_iter().enumerate();
+            kinds.filter(|(i, _)| mask >> i & 1 == 1).map(|(_, kind)| kind).collect()
+        };
+        let mut sequential = equivalence_chain(burst, layers(), sample_every);
+        let mut batched = equivalence_chain(burst, layers(), sample_every);
         let want: Vec<(Reply, bool)> = cmds
             .iter()
             .map(|c| {
@@ -385,63 +387,6 @@ proptest! {
             .map(|resp| (resp.reply, resp.close))
             .collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// The dispatch-plane law: for any burst and tuning (including
-    /// every span-sampling phase, which toggles the fused batch-1
-    /// fast path on and off mid-stream), the fused (monomorphized)
-    /// chain answers byte-identically to the boxed `dyn Service`
-    /// onion — singletons through `call_one` vs `call`, then the same
-    /// commands again as one `call_batch` burst through each.
-    #[test]
-    fn fused_stack_matches_dyn_stack(
-        burst in 4u64..200,
-        sample_every in 0u32..5,
-        cmds in proptest::collection::vec(stable_command(), 1..40),
-    ) {
-        let mut config = equivalence_config(burst);
-        config.trace.sample_every = sample_every;
-        let session = Session {
-            client: "prop:1".into(),
-        };
-        let fused_stack = Stack::build(&config);
-        let mut fused = fused_stack
-            .fused_service(&session, MapStore { map: HashMap::new() })
-            .expect("full stack fuses");
-        let dyn_stack = Stack::build(&config);
-        let mut onion = dyn_stack.service(
-            &session,
-            Box::new(MapStore { map: HashMap::new() }),
-        );
-        let want: Vec<(Reply, bool)> = cmds
-            .iter()
-            .map(|c| {
-                let resp = onion.call(Request::new(c.clone()));
-                (resp.reply, resp.close)
-            })
-            .collect();
-        let got: Vec<(Reply, bool)> = cmds
-            .iter()
-            .map(|c| {
-                let resp = fused.call_one(Request::new(c.clone()));
-                (resp.reply, resp.close)
-            })
-            .collect();
-        prop_assert_eq!(got, want, "singleton stream");
-
-        // Both chains advanced through identical state; the same burst
-        // again through each batch path must agree too.
-        let want: Vec<(Reply, bool)> = onion
-            .call_batch(cmds.iter().cloned().map(Request::new).collect())
-            .into_iter()
-            .map(|resp| (resp.reply, resp.close))
-            .collect();
-        let got: Vec<(Reply, bool)> = fused
-            .call_batch(cmds.into_iter().map(Request::new).collect())
-            .into_iter()
-            .map(|resp| (resp.reply, resp.close))
-            .collect();
-        prop_assert_eq!(got, want, "batched burst");
     }
 
     /// Escaping is lossless: unescape ∘ escape = identity, and the

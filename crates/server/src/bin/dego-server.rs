@@ -46,8 +46,9 @@
 //! * `--ack-timeout-ms N` — overall shard-ack deadline per burst/fan-out
 //!
 //! Every flag takes a value; an unknown flag prints the usage and
-//! exits 2. There is one server configuration: epoll event loops, the
-//! fused chain when the stack is the full one, batched pipelining.
+//! exits 2. There is one server configuration: epoll event loops, one
+//! middleware chain type whatever `--middleware` names (absent layers
+//! pass through), batched pipelining.
 
 use dego_server::{spawn, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};

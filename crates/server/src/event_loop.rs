@@ -59,10 +59,10 @@
 //! [`MAX_LINE_BYTES`] closes the connection.
 
 use crate::protocol::{Command, Reply};
-use crate::server::{build_chain, Chain, ExecService};
+use crate::server::ExecService;
 use crate::stats::ServerStats;
 use crate::store::Store;
-use dego_middleware::{Progress, Request, Response, Session, Stack};
+use dego_middleware::{BoxService, Progress, Request, Response, Service, Session, Stack};
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -300,6 +300,17 @@ struct Awaiting {
     deadline: Instant,
 }
 
+/// Begin a burst on its connection's chain: a burst of one is a
+/// [`Service::call`] (nothing to group-commit, and the layers meter a
+/// singleton per command), a longer one [`Service::begin_batch`].
+fn begin(chain: &mut BoxService, mut requests: Vec<Request>) -> Progress {
+    match requests.len() {
+        0 => Progress::Done(Vec::new()),
+        1 => Progress::Done(vec![chain.call(requests.pop().expect("one request"))]),
+        _ => chain.begin_batch(requests),
+    }
+}
+
 /// An empty buffer gives back what it holds above [`READ_CHUNK`], so
 /// one burst of large values does not pin its high-water capacity for
 /// the rest of an idle connection's life. (At or below the floor it is
@@ -354,7 +365,7 @@ impl ReadBuf {
 /// One multiplexed connection's state.
 struct Conn {
     socket: TcpStream,
-    chain: Chain,
+    chain: BoxService,
     /// Bytes read but not yet parsed (at most one partial line after
     /// a drive pass, unless a burst is in flight).
     rbuf: ReadBuf,
@@ -473,7 +484,7 @@ impl EventLoop {
             self.ctx.ack_timeout,
             Arc::clone(&self.ctx.waker),
         );
-        let chain = build_chain(&self.ctx.stack, &session, exec);
+        let chain = self.ctx.stack.service(&session, Box::new(exec));
         let fd = socket.as_raw_fd();
         if self.ctx.epoll.add(fd, token, EPOLLIN | EPOLLRDHUP).is_err() {
             return;
@@ -626,7 +637,7 @@ impl EventLoop {
             self.ctx.stats.note_command();
         }
         line_slots.extend(fault.map(LineSlot::Fault));
-        match conn.chain.begin(requests) {
+        match begin(&mut conn.chain, requests) {
             Progress::Done(responses) => self.render(conn, line_slots, responses),
             Progress::Parked => {
                 conn.awaiting = Some(Awaiting {
@@ -645,7 +656,7 @@ impl EventLoop {
         if conn.awaiting.is_none() {
             return true;
         }
-        let Some(responses) = conn.chain.batch().poll_batch() else {
+        let Some(responses) = conn.chain.poll_batch() else {
             return false;
         };
         let aw = conn.awaiting.take().expect("awaiting checked above");
@@ -1209,17 +1220,17 @@ mod tests {
         let session = Session {
             client: "budget".into(),
         };
-        let mut chain = build_chain(&stack, &session, exec);
+        let mut chain = stack.service(&session, Box::new(exec));
         let mut out: Vec<u8> = Vec::new();
         // One burst, start to finish, returning what it allocated.
         let mut serve = |input: &[u8]| {
             let before = crate::test_alloc::allocations();
             let burst = next_burst(input, false);
             assert_eq!((burst.consumed, burst.fault), (input.len(), None));
-            let responses = match chain.begin(burst.requests) {
+            let responses = match begin(&mut chain, burst.requests) {
                 Progress::Done(responses) => responses,
                 Progress::Parked => loop {
-                    match chain.batch().poll_batch() {
+                    match chain.poll_batch() {
                         Some(responses) => break responses,
                         None => std::thread::yield_now(),
                     }

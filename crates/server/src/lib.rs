@@ -389,4 +389,24 @@ mod tests {
             .expect("no window, no ack shedding boots")
             .shutdown();
     }
+
+    /// A `--metrics-addr` already in use fails the spawn before any
+    /// thread starts, so the server's own address is not left bound.
+    #[test]
+    fn a_failed_spawn_leaves_nothing_listening() {
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = {
+            let free = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            free.local_addr().expect("bound")
+        };
+        let refused = spawn(ServerConfig {
+            shards: 1,
+            addr,
+            metrics_addr: Some(taken.local_addr().expect("bound")),
+            ..ServerConfig::default()
+        });
+        let err = refused.err().expect("the metrics address is taken");
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+        std::net::TcpListener::bind(addr).expect("the server address was released");
+    }
 }

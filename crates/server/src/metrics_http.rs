@@ -17,7 +17,7 @@ use crate::stats::ServerStats;
 use crate::store::Store;
 use dego_middleware::{Row, Stack, Surface};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,24 +43,21 @@ const READY: Row = Row::gauge(
     "1 while the server accepts new traffic, 0 once a drain began.",
 );
 
-/// Bind `addr` and spawn the responder thread. Returns the bound
-/// address (port 0 resolves here) and the join handle; the thread
+/// Spawn the responder thread on its bound `listener`. The thread
 /// exits once `stop` is up and the accept loop is poked with a
 /// throwaway connection. `stop` is deliberately NOT the server's
 /// shutdown flag: during a drain the responder keeps serving probes
 /// (`/ready` answering 503 is how an orchestrator sees the drain) and
 /// only goes down after the connection plane has flushed.
 pub(crate) fn spawn_metrics(
-    addr: SocketAddr,
+    listener: TcpListener,
     store: Arc<Store>,
     stats: Arc<ServerStats>,
     stack: Arc<Stack>,
     stop: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
-) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let handle = std::thread::Builder::new()
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
         .name("dego-metrics".into())
         .spawn(move || loop {
             let socket = match listener.accept() {
@@ -78,8 +75,7 @@ pub(crate) fn spawn_metrics(
                 return;
             }
             let _ = serve_one(socket, &store, &stats, &stack, &ready);
-        })?;
-    Ok((bound, handle))
+        })
 }
 
 /// Read the request line: `None` when the peer sent [`MAX_REQUEST_LINE`]

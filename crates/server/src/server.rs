@@ -9,7 +9,9 @@
 //!
 //! A connection's request lines are parsed and driven through its
 //! session's middleware [`Stack`] chain (trace → breaker → deadline →
-//! auth → rate-limit → shed → ttl, whichever are configured); the
+//! auth → rate-limit → shed → ttl, whichever are configured — one chain
+//! type for every stack, boxed once per connection by
+//! [`Stack::service`], absent layers passing everything through); the
 //! innermost service ([`ExecService`]) executes against the store,
 //! splitting two ways: **reads** (`GET`, `TIMELINE`, `ISFOLLOWING`, …)
 //! are served inline from the lock-free segment readers; **mutations**
@@ -52,8 +54,8 @@ use crate::protocol::{Command, Reply};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
 use dego_middleware::{
-    BoxService, FusedService, LayerKind, MiddlewareConfig, PressureProbe, Progress, Request,
-    Response, Service, Session, ShardPressure, Stack, StoreSegment, Surface,
+    LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
+    ShardPressure, Stack, StoreSegment, Surface,
 };
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -298,8 +300,36 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
              the ack p99 never recovers from a stall and shedding would latch",
         ));
     }
+    // Everything that can fail is acquired before the first thread
+    // starts: an error after that would return while the accept thread
+    // kept `addr` bound and served it, with nothing left to stop it.
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
+    let metrics_listener = config.metrics_addr.map(TcpListener::bind).transpose()?;
+    let metrics_addr = metrics_listener
+        .as_ref()
+        .map(TcpListener::local_addr)
+        .transpose()?;
+    // Default: one loop per core, floored at two. A dispatch can still
+    // block its loop for a bounded stretch (a burst of one and a
+    // read-after-write barrier wait for their acks), and with a
+    // single loop that would head-of-line block every
+    // other connection on the box — two is the minimum that keeps one
+    // stalled burst from serializing the whole connection plane. An
+    // explicit `--event-loops 1` is honored (reproductions and
+    // single-loop tests).
+    let loops = if config.event_loops == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .max(2)
+    } else {
+        config.event_loops
+    };
+    let loop_fds = (0..loops)
+        .map(|_| Ok((Arc::new(LoopWaker::new()?), Epoll::new()?)))
+        .collect::<std::io::Result<Vec<_>>>()?;
+
     let stats = Arc::new(ServerStats::new());
     let stack = Stack::build(&config.middleware);
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -319,28 +349,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         store: Arc::clone(&runtime.store),
     }));
 
-    // Default: one loop per core, floored at two. A dispatch can still
-    // block its loop for a bounded stretch (a burst of one and a
-    // read-after-write barrier wait for their acks), and with a
-    // single loop that would head-of-line block every
-    // other connection on the box — two is the minimum that keeps one
-    // stalled burst from serializing the whole connection plane. An
-    // explicit `--event-loops 1` is honored (reproductions and
-    // single-loop tests).
-    let loops = if config.event_loops == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2)
-    } else {
-        config.event_loops
-    };
     let mut loop_threads: Vec<JoinHandle<()>> = Vec::with_capacity(loops);
     let mut loop_wakers: Vec<Arc<LoopWaker>> = Vec::with_capacity(loops);
     let mut sinks: Vec<LoopSink> = Vec::with_capacity(loops);
-    for i in 0..loops {
-        let waker = Arc::new(LoopWaker::new()?);
-        let epoll = Epoll::new()?;
+    for (i, (waker, epoll)) in loop_fds.into_iter().enumerate() {
         let (conn_tx, conn_rx) = channel::<(TcpStream, u64)>();
         let ctx = LoopCtx {
             epoll,
@@ -374,19 +386,16 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     };
 
     let metrics_stop = Arc::new(AtomicBool::new(false));
-    let (metrics_addr, metrics_thread) = match config.metrics_addr {
-        Some(addr) => {
-            let (bound, handle) = crate::metrics_http::spawn_metrics(
-                addr,
-                Arc::clone(&runtime.store),
-                Arc::clone(&stats),
-                Arc::clone(&stack),
-                Arc::clone(&metrics_stop),
-                Arc::clone(&ready),
-            )?;
-            (Some(bound), Some(handle))
-        }
-        None => (None, None),
+    let metrics_thread = match metrics_listener {
+        Some(listener) => Some(crate::metrics_http::spawn_metrics(
+            listener,
+            Arc::clone(&runtime.store),
+            Arc::clone(&stats),
+            Arc::clone(&stack),
+            Arc::clone(&metrics_stop),
+            Arc::clone(&ready),
+        )?),
+        None => None,
     };
 
     Ok(ServerHandle {
@@ -446,60 +455,6 @@ impl PressureProbe for StorePressure {
             queue_depth: t.queue_depth(),
             ack_p99_us: t.ack_us().percentile_us(0.99),
         }
-    }
-}
-
-/// The per-connection dispatch chain. The canonical seven-layer stack
-/// monomorphizes into one concrete [`FusedService`] — direct calls
-/// between layers, plus the batch-1 inline fast path — while partial
-/// and depth-0 stacks compose as the boxed `dyn Service` onion. Replies
-/// and metrics are identical either way (the middleware proptests pin
-/// this).
-pub(crate) enum Chain {
-    Fused(Box<FusedService<ExecService>>),
-    Dyn(BoxService),
-}
-
-impl Chain {
-    /// Begin a burst's commands.
-    pub(crate) fn begin(&mut self, mut requests: Vec<Request>) -> Progress {
-        match requests.len() {
-            0 => Progress::Done(Vec::new()),
-            // Singletons keep the unamortized path (and its per-command
-            // metrics); nothing to group-commit in a burst of one.
-            1 => Progress::Done(vec![self.call_one(requests.pop().expect("one request"))]),
-            _ => self.batch().begin_batch(requests),
-        }
-    }
-
-    /// Dispatch a singleton: the fused chain takes its inline batch-1
-    /// fast path; the dyn onion pays the per-layer virtual calls.
-    fn call_one(&mut self, req: Request) -> Response {
-        match self {
-            Chain::Fused(chain) => chain.call_one(req),
-            Chain::Dyn(chain) => chain.call(req),
-        }
-    }
-
-    /// The chain as a [`Service`], for the two-phase batch path.
-    pub(crate) fn batch(&mut self) -> &mut dyn Service {
-        match self {
-            Chain::Fused(chain) => &mut **chain,
-            Chain::Dyn(chain) => &mut **chain,
-        }
-    }
-}
-
-/// Build one connection's dispatch chain around its innermost service:
-/// fused iff the stack is the canonical full one.
-pub(crate) fn build_chain(stack: &Arc<Stack>, session: &Session, exec: ExecService) -> Chain {
-    if stack.fusible() {
-        let fused = stack
-            .fused_service(session, exec)
-            .expect("fusible stack fuses");
-        Chain::Fused(Box::new(fused))
-    } else {
-        Chain::Dyn(stack.service(session, Box::new(exec)))
     }
 }
 

@@ -5,10 +5,9 @@
 //!   verbs, parse errors) sent in pipelined bursts of random sizes — so
 //!   through `call_batch`, deferred ack barriers and group commit —
 //!   produce byte-identical reply streams to the same script sent one
-//!   line at a time (every command through `call_one` → `call`) on an
-//!   identically booted server, at depth 0 (boxed onion), behind a
-//!   partial stack (boxed onion + layers) and behind the full stack
-//!   (fused chain);
+//!   line at a time (every command through `call`) on an identically
+//!   booted server, with no layer, a partial stack and the full stack
+//!   (one chain type, absent layers passing through);
 //! * **run boundaries**: the same equivalence for a write-run-heavy
 //!   script (runs of up to 64 consecutive mutations, each followed
 //!   directly by a same-key read, a parse error, a keepalive, `QUIT`
@@ -23,7 +22,7 @@
 //!   rate-limit tokens.
 
 use dego_server::{
-    spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, Stack, TokenSpec,
+    spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, TokenSpec,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,10 +62,8 @@ fn generous(layers: &str) -> MiddlewareConfig {
 /// The equivalence guarantee: however the stream is cut into bursts,
 /// the reply bytes are those of sequential execution. One server takes
 /// each script pipelined in random bursts, an identically booted one
-/// takes it in lock step; the streams must match. `fused` pins which
-/// dispatch chain the stack is expected to build.
-fn assert_pipelined_matches_lock_step(layers: &str, fused: bool, seeds: &[u64]) {
-    assert_eq!(Stack::build(&generous(layers)).fusible(), fused);
+/// takes it in lock step; the streams must match.
+fn assert_pipelined_matches_lock_step(layers: &str, seeds: &[u64]) {
     let pipelined = boot(generous(layers));
     let sequential = boot(generous(layers));
     let login = layers != "none";
@@ -111,23 +108,23 @@ fn assert_pipelined_matches_lock_step(layers: &str, fused: bool, seeds: &[u64]) 
     sequential.shutdown();
 }
 
-/// Depth 0: the boxed onion is just the innermost service.
+/// Depth 0: every link of the chain passes through.
 #[test]
 fn pipelined_replies_match_lock_step_plain() {
-    assert_pipelined_matches_lock_step("none", false, &[0x5eed1, 0x5eed2, 0x5eed3]);
+    assert_pipelined_matches_lock_step("none", &[0x5eed1, 0x5eed2, 0x5eed3]);
 }
 
-/// A partial stack is not fusible, so this is the boxed `dyn Service`
-/// onion — with deferral passing through real layers — over TCP.
+/// A partial stack: deferral passing through real layers and absent
+/// ones alike, over TCP.
 #[test]
 fn pipelined_replies_match_lock_step_partial_stack() {
-    assert_pipelined_matches_lock_step("trace,auth,ttl", false, &[0xe5001, 0xe5002]);
+    assert_pipelined_matches_lock_step("trace,auth,ttl", &[0xe5001, 0xe5002]);
 }
 
-/// The full seven-layer stack: the fused (monomorphized) chain.
+/// The full seven-layer stack.
 #[test]
 fn pipelined_replies_match_lock_step_full_stack() {
-    assert_pipelined_matches_lock_step("full", true, &[0xbee5, 0xfee1]);
+    assert_pipelined_matches_lock_step("full", &[0xbee5, 0xfee1]);
 }
 
 /// Regression (run hand-off): a run still staged when the burst ends
