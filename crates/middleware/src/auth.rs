@@ -230,30 +230,37 @@ fn denied(cmd: &Command, role: Role) -> Response {
 impl LayerRule for AuthRule {
     type Ctx = Split;
 
-    /// Batch rule: **one** role lookup for the whole burst — the
-    /// session principal (or the RCU-published anon policy) is resolved
-    /// once, then every command is a cheap class check against that
-    /// role. Admitted commands travel downstream as one inner batch;
-    /// denied ones are rejected in place, order preserved. A burst
-    /// containing `AUTH` changes the session's role mid-stream, so it
-    /// falls back to the sequential path (logins are not hot).
-    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
-        if reqs.iter().any(|r| matches!(r.command, Command::Auth(_))) {
-            return Admission::Answered(
-                reqs.into_iter().map(|req| self.call(inner, req)).collect(),
-            );
-        }
+    /// **One** role lookup per burst — the session principal (or the
+    /// RCU-published anon policy) is resolved once, then every command
+    /// is a cheap class check against that role. `AUTH` lines are
+    /// answered here in the same pass, and a login switches the role
+    /// for the commands after it, as sequential execution would.
+    /// Admitted commands travel downstream as one inner batch; denied
+    /// ones and the logins are answered in place, order preserved.
+    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
         let admission_t = crate::span::start();
-        let role = self.role();
-        // Fast path: everything admitted (the common case for an
-        // authenticated or read-write session) — no slot bookkeeping.
-        if reqs.iter().all(|req| role.allows(req.command.class())) {
+        let mut role = self.role();
+        // Fast path: no login, everything admitted (the common case for
+        // an authenticated or read-write session) — no slot bookkeeping.
+        let admitted = |req: &Request| {
+            !matches!(req.command, Command::Auth(_)) && role.allows(req.command.class())
+        };
+        if reqs.iter().all(admitted) {
             self.metrics.auth_admitted.add(reqs.len() as u64);
             crate::span::record(LayerKind::Auth, admission_t);
             return Admission::Pass(reqs);
         }
-        let (reqs, denials) = split(reqs, |req| {
-            if role.allows(req.command.class()) {
+        let (reqs, answered) = split(reqs, |req| {
+            if let Command::Auth(token) = &req.command {
+                let Some(principal) = self.state.tokens.get(token) else {
+                    self.metrics.auth_denied.increment();
+                    return Some(Response::rejection("AUTH", "bad token"));
+                };
+                self.metrics.auth_logins.increment();
+                role = principal.role;
+                self.principal = Some(principal);
+                Some(Response::ok(Reply::Status("OK")))
+            } else if role.allows(req.command.class()) {
                 self.metrics.auth_admitted.increment();
                 None
             } else {
@@ -262,40 +269,11 @@ impl LayerRule for AuthRule {
             }
         });
         crate::span::record(LayerKind::Auth, admission_t);
-        Admission::Observe(reqs, denials)
+        Admission::Observe(reqs, answered)
     }
 
-    fn observe(&mut self, denials: Split, inner: Vec<Response>) -> Vec<Response> {
-        denials.zip(inner)
-    }
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        let admission_t = crate::span::start();
-        if let Command::Auth(token) = &req.command {
-            let out = match self.state.tokens.get(token) {
-                Some(principal) => {
-                    self.metrics.auth_logins.increment();
-                    self.principal = Some(principal);
-                    Response::ok(Reply::Status("OK"))
-                }
-                None => {
-                    self.metrics.auth_denied.increment();
-                    Response::rejection("AUTH", "bad token")
-                }
-            };
-            crate::span::record(LayerKind::Auth, admission_t);
-            return out;
-        }
-        let role = self.role();
-        if role.allows(req.command.class()) {
-            self.metrics.auth_admitted.increment();
-            crate::span::record(LayerKind::Auth, admission_t);
-            inner.call(req)
-        } else {
-            crate::span::record(LayerKind::Auth, admission_t);
-            self.metrics.auth_denied.increment();
-            denied(&req.command, role)
-        }
+    fn observe(&mut self, answered: Split, inner: Vec<Response>) -> Vec<Response> {
+        answered.zip(inner)
     }
 }
 

@@ -327,27 +327,12 @@ pub struct BreakerCtx {
 impl LayerRule for BreakerLayer {
     type Ctx = BreakerCtx;
 
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        let admission_t = span::start();
-        let class = req.command.class();
-        if let Some(rejection) = self.state.admit(class) {
-            span::record(LayerKind::Breaker, admission_t);
-            return rejection;
-        }
-        span::record(LayerKind::Breaker, admission_t);
-        let resp = inner.call(req);
-        let observe_t = span::start();
-        self.state.observe(class, &resp);
-        span::record(LayerKind::Breaker, observe_t);
-        resp
-    }
-
-    /// Batch rule: every request is admitted against the state at burst
-    /// start and the admitted ones travel downstream as one inner
-    /// batch. Failure streaks therefore accumulate once per burst
-    /// rather than between its commands — the same amortized metering
-    /// exemption the deadline and rate-limit layers take; ordering and
-    /// reply bytes are unchanged.
+    /// Every request is admitted against the state at burst start and
+    /// the admitted ones travel downstream as one inner batch. Failure
+    /// streaks therefore accumulate once per burst rather than between
+    /// its commands — the same amortized metering exemption the
+    /// deadline and rate-limit layers take; ordering and reply bytes
+    /// are unchanged.
     fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<BreakerCtx> {
         if !self.state.enabled() {
             return Admission::Pass(reqs);

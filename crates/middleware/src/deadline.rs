@@ -62,12 +62,14 @@ impl Layer for DeadlineLayer {
 
 /// A timed burst's budget and clock.
 pub struct DeadlineCtx {
-    /// Which requests carry no budget (and keep their reply on an
-    /// overrun).
-    exempt: Vec<bool>,
+    /// The positions of the requests that carry no budget (and keep
+    /// their reply on an overrun), ascending.
+    exempt: Vec<usize>,
     budget_us: u64,
     /// Requests that do carry one.
     checked: u64,
+    /// What an overrun names: a burst of one's verb, else `batch`.
+    verb: &'static str,
     start: Instant,
 }
 
@@ -80,104 +82,73 @@ impl DeadlineLayer {
             CommandClass::Control => 0,
         }
     }
-
-    /// The singleton check: count it, and answer an overrun with the
-    /// structured `DEADLINE` error instead of its reply.
-    fn check(&self, verb: &str, elapsed_us: u64, budget_us: u64, resp: Response) -> Response {
-        self.metrics.deadline_checked.increment();
-        if elapsed_us <= budget_us {
-            return resp;
-        }
-        self.metrics.deadline_missed.increment();
-        Response {
-            reply: Reply::Error(format!(
-                "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
-            )),
-            close: resp.close,
-        }
-    }
 }
 
 impl LayerRule for DeadlineLayer {
     type Ctx = DeadlineCtx;
 
-    /// Batch rule: **one** deadline check for the whole burst. The
-    /// budget is the sum of the per-request class budgets (exempt
-    /// requests contribute zero), so the SLO scales with the work
-    /// admitted; the clock runs from here to the observe half, so a
-    /// burst that parks is timed over its real wait.
+    /// **One** deadline check per burst. The budget is the sum of the
+    /// per-request class budgets (exempt requests contribute zero), so
+    /// the SLO scales with the work admitted; the clock runs from here
+    /// to the observe half, so a burst that parks is timed over its
+    /// real wait. For a burst of one that is the request's own budget.
     fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<DeadlineCtx> {
         let admission_t = span::start();
-        let mut budget_us = 0u64;
-        let mut checked = 0u64;
-        let exempt: Vec<bool> = reqs
-            .iter()
-            .map(|req| {
-                let b = self.budget_us(req);
-                if b == 0 {
-                    true
-                } else {
+        let (mut budget_us, mut checked, mut exempt) = (0u64, 0u64, Vec::new());
+        for (at, req) in reqs.iter().enumerate() {
+            match self.budget_us(req) {
+                0 => exempt.push(at),
+                b => {
                     budget_us = budget_us.saturating_add(b);
                     checked += 1;
-                    false
                 }
-            })
-            .collect();
+            }
+        }
         span::record(LayerKind::Deadline, admission_t);
         if budget_us == 0 {
             return Admission::Pass(reqs);
         }
+        let verb = match reqs.as_slice() {
+            [req] => req.command.verb(),
+            _ => "batch",
+        };
         let start = Instant::now();
         let ctx = DeadlineCtx {
             exempt,
             budget_us,
             checked,
+            verb,
             start,
         };
         Admission::Observe(reqs, ctx)
     }
 
     /// If the burst overran its budget, every non-exempt response is
-    /// replaced by a structured `DEADLINE` error — the per-request
-    /// attribution is gone, which is exactly the cost amortization
-    /// buys. Under generous budgets (the production default) the group
-    /// check fires in the same pathological stalls the per-request one
-    /// would, and replies stay identical to sequential `call`s.
+    /// replaced by a structured `DEADLINE` error, which names the verb
+    /// of a burst of one and `batch` otherwise — the per-request
+    /// attribution of a longer burst is gone, which is exactly the
+    /// cost amortization buys. Under generous budgets (the production
+    /// default) the group check fires in the same pathological stalls
+    /// the per-request one would, and replies stay identical to
+    /// sequential `call`s.
     fn observe(&mut self, ctx: DeadlineCtx, mut resps: Vec<Response>) -> Vec<Response> {
         let elapsed_us = ctx.start.elapsed().as_micros() as u64;
         let check_t = span::start();
-        let budget_us = ctx.budget_us;
+        let (budget_us, verb) = (ctx.budget_us, ctx.verb);
         self.metrics.deadline_checked.add(ctx.checked);
         if elapsed_us > budget_us {
             self.metrics.deadline_missed.add(ctx.checked);
-            for (resp, exempt) in resps.iter_mut().zip(ctx.exempt) {
-                if !exempt {
+            let mut exempt = ctx.exempt.into_iter().peekable();
+            for (at, resp) in resps.iter_mut().enumerate() {
+                if exempt.next_if_eq(&at).is_none() {
                     resp.reply = Reply::Error(format!(
-                        "DEADLINE batch took {elapsed_us}us budget {budget_us}us"
+                        "DEADLINE {verb} took {elapsed_us}us budget {budget_us}us"
                     ));
                 }
             }
         }
         span::record(LayerKind::Deadline, check_t);
         resps
-    }
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        let admission_t = span::start();
-        let budget_us = self.budget_us(&req);
-        if budget_us == 0 {
-            span::record(LayerKind::Deadline, admission_t);
-            return inner.call(req);
-        }
-        let verb = req.command.verb();
-        let start = Instant::now();
-        span::record(LayerKind::Deadline, admission_t);
-        let resp = inner.call(req);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let check_t = span::start();
-        let out = self.check(verb, elapsed_us, budget_us, resp);
-        span::record(LayerKind::Deadline, check_t);
-        out
     }
 }
 

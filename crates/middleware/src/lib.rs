@@ -28,8 +28,9 @@
 //! [`FusedService`], with direct calls between layers, in which a
 //! layer the configuration leaves out is a `None` link that passes
 //! everything through. A connection holds it boxed once
-//! ([`Stack::service`]). Each layer writes its singleton rule and its
-//! batch rule once, in its [`pipeline::LayerRule`].
+//! ([`Stack::service`]). Each layer writes its rule once, as the admit
+//! and observe halves of its [`pipeline::LayerRule`], and a burst of one
+//! ([`Service::call`]) goes through them like any other burst.
 //!
 //! Rejections are structured (`-ERR RATELIMIT …`, `-ERR AUTH …`,
 //! `-ERR DEADLINE …`, `-ERR SHED …`, `-ERR BREAKER …`); see the

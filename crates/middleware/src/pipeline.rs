@@ -19,12 +19,12 @@
 //! and starts its work; while the outcome is not known yet (the store
 //! executor awaits shard acks) the chain answers [`Progress::Parked`]
 //! instead of blocking its thread, and [`Service::poll_batch`] later
-//! delivers the responses. Each production layer writes its batch rule
-//! once, as the *admit half* and the *observe half* of a [`LayerRule`],
-//! and [`Layered`] derives all three batch entry points from them — so
-//! deferral is nothing but the gap between the halves: deadline,
-//! breaker and trace see the **real replies after the real wait**,
-//! whether the burst blocked or parked.
+//! delivers the responses. Each production layer writes its rule once,
+//! as the *admit half* and the *observe half* of a [`LayerRule`], and
+//! [`Layered`] derives every entry point from them, a burst of one
+//! ([`Service::call`]) included — so deferral is nothing but the gap
+//! between the halves: deadline, breaker and trace see the **real
+//! replies after the real wait**, whether the burst blocked or parked.
 //!
 //! **Every admitted request is observed exactly once.** A chain that
 //! answered `Parked` must be polled until it delivers — also when the
@@ -225,20 +225,18 @@ pub enum Admission<C> {
     /// Forward these requests as one inner batch and hand their
     /// responses, with the context, to [`LayerRule::observe`].
     Observe(Vec<Request>, C),
-    /// Answered here. Any inner traffic was synchronous `call`s.
+    /// Answered here, whatever inner traffic that took already done
+    /// (the TTL layer's sequential path).
     Answered(Vec<Response>),
 }
 
-/// One production layer's rules, written once: the singleton rule, and
-/// the batch rule as an *admit half* and an *observe half*. [`Layered`]
-/// derives the three batch entry points from the halves, so whether a
-/// burst blocks or parks between them is not the layer's business.
+/// One production layer's rule, written once as an *admit half* and an
+/// *observe half*. [`Layered`] derives every entry point from the
+/// halves, a burst of one included, so whether a burst blocks or parks
+/// between them is not the layer's business.
 pub trait LayerRule {
     /// What the admit half hands the observe half.
     type Ctx;
-
-    /// Handle one request.
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response;
 
     /// The admit half: decide, per request, what travels downstream.
     fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx>;
@@ -259,13 +257,6 @@ pub trait LayerRule {
 /// nothing, and forwards every request unchanged.
 impl<L: LayerRule> LayerRule for Option<L> {
     type Ctx = L::Ctx;
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        match self {
-            Some(rule) => rule.call(inner, req),
-            None => inner.call(req),
-        }
-    }
 
     fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<L::Ctx> {
         match self {
@@ -343,8 +334,10 @@ impl<L: LayerRule, S: Service> Layered<L, S> {
 }
 
 impl<L: LayerRule, S: Service> Service for Layered<L, S> {
+    /// A burst of one, through the same halves as any burst.
     fn call(&mut self, req: Request) -> Response {
-        self.layer.call(&mut self.inner, req)
+        let mut resps = self.call_batch(vec![req]);
+        resps.pop().expect("one response per request")
     }
 
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
@@ -419,8 +412,9 @@ pub type FusedService<S> = Link<
 >;
 
 impl<S: Service> FusedService<S> {
-    /// A burst of one: [`Service::call`]. The name is part of what the
-    /// `benchmark/` harness compiles against.
+    /// A burst of one: [`Service::call`], through the same halves as any
+    /// burst. The name is part of what the `benchmark/` harness compiles
+    /// against.
     pub fn call_one(&mut self, req: Request) -> Response {
         self.call(req)
     }

@@ -109,26 +109,12 @@ impl RateLimitState {
         }
     }
 
-    /// Try to take one token; `false` means rejected.
-    fn admit(&self, bucket: &Bucket) -> bool {
-        self.refill(bucket);
-        if bucket.tokens.fetch_sub(1, Ordering::AcqRel) > 0 {
-            self.metrics.rate_admitted.increment();
-            true
-        } else {
-            bucket.tokens.fetch_add(1, Ordering::AcqRel);
-            self.metrics.rate_rejected.increment();
-            false
-        }
-    }
-
-    /// Bulk admission: take up to `n` tokens in **one** refill and one
-    /// `fetch_sub`, returning how many were granted. Matches `n`
-    /// sequential [`Self::admit`] calls: with `t` tokens on hand,
-    /// `min(t, n)` commands are admitted and the rest rejected (the
-    /// sequential path would refill between takes, but a burst is
-    /// sub-millisecond — the next burst's refill recovers the
-    /// difference).
+    /// Take up to `n` tokens in **one** refill and one `fetch_sub`,
+    /// returning how many were granted. Matches `n` one-token takes:
+    /// with `t` tokens on hand, `min(t, n)` commands are admitted and
+    /// the rest rejected (sequential takes would refill between them,
+    /// but a burst is sub-millisecond — the next burst's refill
+    /// recovers the difference).
     fn admit_n(&self, bucket: &Bucket, n: u64) -> u64 {
         if n == 0 {
             return 0;
@@ -228,11 +214,11 @@ fn uncharged(cmd: &Command) -> bool {
 impl LayerRule for RateLimitRule {
     type Ctx = Split;
 
-    /// Batch rule: `token_bucket.take(n)` instead of `n` takes — one
-    /// refill and one `fetch_sub` admit the first `k` chargeable
-    /// commands of the burst; the rest are rejected in place. Order is
-    /// preserved: admitted commands travel downstream as one inner
-    /// batch and are zipped back around the rejections.
+    /// `token_bucket.take(n)` instead of `n` takes — one refill and one
+    /// `fetch_sub` admit the first `k` chargeable commands of the
+    /// burst; the rest are rejected in place. Order is preserved:
+    /// admitted commands travel downstream as one inner batch and are
+    /// zipped back around the rejections.
     fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
         let admission_t = crate::span::start();
         let chargeable = reqs.iter().filter(|r| !uncharged(&r.command)).count() as u64;
@@ -259,20 +245,6 @@ impl LayerRule for RateLimitRule {
 
     fn observe(&mut self, rejections: Split, inner: Vec<Response>) -> Vec<Response> {
         rejections.zip(inner)
-    }
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        if uncharged(&req.command) {
-            return inner.call(req);
-        }
-        let admission_t = crate::span::start();
-        let admitted = self.state.admit(&self.bucket);
-        crate::span::record(LayerKind::RateLimit, admission_t);
-        if admitted {
-            inner.call(req)
-        } else {
-            self.state.rejection()
-        }
     }
 }
 

@@ -115,26 +115,9 @@ impl ShedState {
         }
     }
 
-    /// Admit or shed one command — `None` means admitted.
-    #[inline]
-    fn admit(&self, cmd: &Command) -> Option<Response> {
-        let probe = self.active()?;
-        if cmd.class() != CommandClass::Write {
-            return None;
-        }
-        let shard = probe.shard_of(cmd)?;
-        self.metrics.shed_checked.increment();
-        let verdict = self.verdict(shard, probe.pressure_of(shard));
-        if verdict.is_some() {
-            self.metrics.shed_shed.increment();
-        }
-        verdict
-    }
-
     /// Compare one pressure reading against the thresholds. Metrics
-    /// are counted per *response* at the call sites, not here — the
-    /// batch path caches one verdict per shard but still counts every
-    /// shed reply.
+    /// are counted per *response* by the caller, not here — a burst
+    /// caches one verdict per shard but still counts every shed reply.
     fn verdict(&self, shard: usize, p: ShardPressure) -> Option<Response> {
         if self.config.queue_depth > 0 && p.queue_depth >= self.config.queue_depth {
             return Some(Response::rejection(
@@ -185,18 +168,8 @@ impl Layer for ShedLayer {
 impl LayerRule for ShedLayer {
     type Ctx = Split;
 
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        let admission_t = span::start();
-        let verdict = self.state.admit(&req.command);
-        span::record(LayerKind::Shed, admission_t);
-        match verdict {
-            Some(rejection) => rejection,
-            None => inner.call(req),
-        }
-    }
-
-    /// Batch rule: pressure is read once per *shard* per burst and the
-    /// verdict reused for every write targeting it — the amortized
+    /// Pressure is read once per *shard* per burst and the verdict
+    /// reused for every write targeting it — the amortized
     /// metering exemption the contract allows (pressure is a clock,
     /// not state the burst itself mutates). Ordering and reply bytes
     /// are unchanged.

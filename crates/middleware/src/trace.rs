@@ -126,12 +126,15 @@ pub struct TraceRule {
 
 /// What a traced burst carries from admission to completion.
 pub struct TraceCtx {
-    /// Per request: whether it is a `STATS`, whose reply grows the
+    /// The positions of the burst's `STATS`, whose replies grow the
     /// `mw_*` lines.
-    stats_at: Vec<bool>,
+    stats_at: Vec<usize>,
     has_reset: bool,
     /// The ring verbs answered here, when the burst carried any.
     ring: Option<Split>,
+    /// A burst of one's verb and class: it is metered as that command,
+    /// not as a `BATCH`.
+    single: Option<(&'static str, CommandClass)>,
     /// The burst's span, when it was sampled.
     span: Option<span::SpanGuard>,
     start: Instant,
@@ -200,23 +203,34 @@ impl TraceRule {
 impl LayerRule for TraceRule {
     type Ctx = TraceCtx;
 
-    /// Batch rule: one `Instant::now()` pair and one histogram sample
-    /// for the whole burst (into `batch_latency`), instead of one per
-    /// command — the per-class histograms only see singleton traffic,
-    /// which is what they meter best anyway (a per-batch sample would
-    /// conflate k commands into one latency). The clock runs from here
-    /// to the observe half, so a burst that parks is charged its real
-    /// wait. Ring verbs are answered in place without travelling
-    /// further down.
+    /// One `Instant::now()` pair and one histogram sample per burst. A
+    /// burst of one is metered as its command: into its class's
+    /// histogram, and under its verb and class in the rings. A longer
+    /// one is one sample in `batch_latency` and one `BATCH` entry (a
+    /// per-class sample would conflate k commands into one latency).
+    /// The clock runs from here to the observe half, so a burst that
+    /// parks is charged its real wait. Ring verbs are answered in place
+    /// without travelling further down — a lone one without a sampling
+    /// tick, counted as traffic and nothing else.
     fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<TraceCtx> {
-        let stats_at = reqs
-            .iter()
-            .map(|r| matches!(r.command, Command::Stats))
-            .collect();
-        let has_reset = reqs
-            .iter()
-            .any(|r| matches!(r.command, Command::StatsReset));
-        let has_ring_verbs = reqs.iter().any(|r| is_ring_verb(&r.command));
+        let single = match reqs.as_slice() {
+            [req] => match observability_reply(&self.metrics, &req.command) {
+                Some(reply) => {
+                    self.metrics.traced.increment();
+                    return Admission::Answered(vec![Response::ok(reply)]);
+                }
+                None => Some((req.command.verb(), req.command.class())),
+            },
+            _ => None,
+        };
+        let (mut stats_at, mut has_reset, mut has_ring_verbs) = (Vec::new(), false, false);
+        for (at, req) in reqs.iter().enumerate() {
+            match &req.command {
+                Command::Stats => stats_at.push(at),
+                Command::StatsReset => has_reset = true,
+                cmd => has_ring_verbs |= is_ring_verb(cmd),
+            }
+        }
         let span = self.tick_sample().then(span::enter);
         let start = Instant::now();
         let (reqs, ring) = if has_ring_verbs {
@@ -231,35 +245,44 @@ impl LayerRule for TraceRule {
             stats_at,
             has_reset,
             ring,
+            single,
             span,
             start,
         };
         Admission::Observe(reqs, ctx)
     }
 
-    /// `STATS` replies inside the burst grow the `mw_*` lines at their
-    /// position, and a slow burst enters the slowlog as one `BATCH`
-    /// entry (covering the burst end to end, which no position inside
-    /// it could observe anyway).
+    /// `STATS` replies grow the `mw_*` lines at their position, before
+    /// the burst is recorded, so they reflect the traffic *before* it.
+    /// A slow longer burst enters the slowlog as one `BATCH` entry
+    /// (covering the burst end to end, which no position inside it
+    /// could observe anyway).
     fn observe(&mut self, ctx: TraceCtx, inner: Vec<Response>) -> Vec<Response> {
         let elapsed_us = ctx.start.elapsed().as_micros() as u64;
         let trace_t = span::start();
-        let n = ctx.stats_at.len();
         let mut resps = match ctx.ring {
             Some(ring) => ring.zip(inner),
             None => inner,
         };
-        for (resp, is_stats) in resps.iter_mut().zip(ctx.stats_at) {
-            if is_stats {
-                self.fold_stats(resp);
-            }
+        let burst = resps.len();
+        for at in ctx.stats_at {
+            self.fold_stats(&mut resps[at]);
         }
-        self.metrics.traced.add(n as u64);
-        self.metrics.batch_commands.add(n as u64);
-        self.metrics.batches.increment();
-        self.metrics.batch_latency.record(elapsed_us);
+        let (verb, class) = match ctx.single {
+            Some((verb, class)) => {
+                self.record_singleton(class, elapsed_us);
+                (verb, class_name(class))
+            }
+            None => {
+                self.metrics.traced.add(burst as u64);
+                self.metrics.batch_commands.add(burst as u64);
+                self.metrics.batches.increment();
+                self.metrics.batch_latency.record(elapsed_us);
+                ("BATCH", "batch")
+            }
+        };
         span::record(LayerKind::Trace, trace_t);
-        self.finish(ctx.span, "BATCH", "batch", n, elapsed_us);
+        self.finish(ctx.span, verb, class, burst, elapsed_us);
         if ctx.has_reset {
             // Last, so the burst's own recording nets to zero too.
             self.metrics.reset();
@@ -279,36 +302,6 @@ impl LayerRule for TraceRule {
         if let Some(span) = &mut ctx.span {
             span.resume();
         }
-    }
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        if let Some(reply) = observability_reply(&self.metrics, &req.command) {
-            self.metrics.traced.increment();
-            return Response::ok(reply);
-        }
-        let class = req.command.class();
-        let verb = req.command.verb();
-        let is_stats = matches!(req.command, Command::Stats);
-        let is_reset = matches!(req.command, Command::StatsReset);
-        let span = self.tick_sample().then(span::enter);
-        let start = Instant::now();
-        let mut resp = inner.call(req);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        let trace_t = span::start();
-        // Render before recording, so a `STATS` reply reflects the
-        // traffic *before* it, not itself.
-        if is_stats {
-            self.fold_stats(&mut resp);
-        }
-        self.record_singleton(class, elapsed_us);
-        span::record(LayerKind::Trace, trace_t);
-        self.finish(span, verb, class_name(class), 1, elapsed_us);
-        if is_reset {
-            // Zero the middleware plane last, after this command's own
-            // recording, so the next STATS starts from a clean slate.
-            self.metrics.reset();
-        }
-        resp
     }
 }
 

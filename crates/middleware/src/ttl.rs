@@ -178,50 +178,13 @@ impl TtlLayer {
         drop(writer);
         inner.call(req)
     }
-}
 
-impl LayerRule for TtlLayer {
-    /// Nothing to observe: a burst is forwarded whole or answered here.
-    type Ctx = std::convert::Infallible;
-
-    /// Batch rule: **one** sidecar sweep for the whole burst. When no
-    /// timer is armed anywhere (`sidecar` empty — by far the common
-    /// state under kv load) and the burst carries no `EXPIRE`, no key
-    /// can be timed, so the per-command sidecar probes are skipped and
-    /// the burst forwards as one inner batch. Any armed timer (or an
-    /// `EXPIRE` arming one mid-burst) drops to the sequential path,
-    /// whose reap locking is what makes expiry safe.
-    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx> {
+    /// The sequential path: one request, its sidecar probe and whatever
+    /// store round trips its plan takes, each waited for in turn.
+    fn sequential<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
         let admission_t = crate::span::start();
-        let arming = reqs
-            .iter()
-            .any(|r| matches!(r.command, Command::Expire(..)));
-        if !arming && self.state.sidecar.is_empty() {
-            let kv = reqs
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.command,
-                        Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
-                    )
-                })
-                .count() as u64;
-            self.state.metrics.ttl_checked.add(kv);
-            crate::span::record(LayerKind::Ttl, admission_t);
-            return Admission::Pass(reqs);
-        }
-        crate::span::record(LayerKind::Ttl, admission_t);
-        Admission::Answered(reqs.into_iter().map(|req| self.call(inner, req)).collect())
-    }
-
-    fn observe(&mut self, ctx: Self::Ctx, _inner: Vec<Response>) -> Vec<Response> {
-        match ctx {}
-    }
-
-    fn call<S: Service>(&mut self, inner: &mut S, req: Request) -> Response {
-        let admission_t = crate::span::start();
-        // Decide on a borrowed view first so the fast paths forward
-        // `req` without cloning its key.
+        // Decide on a borrowed view first so forwarding moves `req`
+        // without cloning its key.
         enum Plan {
             Forward,
             MutateTimed(String),
@@ -232,14 +195,6 @@ impl LayerRule for TtlLayer {
             Command::Expire(key, millis) => {
                 self.state.metrics.ttl_checked.increment();
                 Plan::Expire(key.clone(), *millis)
-            }
-            // No timer armed anywhere: no key can be timed, so the kv
-            // commands forward without a sidecar lookup, as bursts do.
-            Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
-                if self.state.sidecar.is_empty() =>
-            {
-                self.state.metrics.ttl_checked.increment();
-                Plan::Forward
             }
             Command::Get(key) => {
                 self.state.metrics.ttl_checked.increment();
@@ -269,6 +224,46 @@ impl LayerRule for TtlLayer {
             Plan::GetLapsed(key) => self.get_lapsed(inner, req, key),
             Plan::Expire(key, millis) => self.expire(inner, key, millis),
         }
+    }
+}
+
+impl LayerRule for TtlLayer {
+    /// Nothing to observe: a burst is forwarded whole or answered here.
+    type Ctx = std::convert::Infallible;
+
+    /// **One** sidecar sweep per burst. When no timer is armed anywhere
+    /// (`sidecar` empty — by far the common state under kv load) and
+    /// the burst carries no `EXPIRE`, no key can be timed, so the
+    /// per-command sidecar probes are skipped and the burst forwards as
+    /// one inner batch. Any armed timer (or an `EXPIRE` arming one
+    /// mid-burst) drops to the sequential path, whose reap locking is
+    /// what makes expiry safe.
+    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx> {
+        let admission_t = crate::span::start();
+        let arming = reqs
+            .iter()
+            .any(|r| matches!(r.command, Command::Expire(..)));
+        if !arming && self.state.sidecar.is_empty() {
+            let kv = reqs
+                .iter()
+                .filter(|r| {
+                    matches!(
+                        r.command,
+                        Command::Get(_) | Command::Set(..) | Command::Del(_) | Command::Incr(..)
+                    )
+                })
+                .count() as u64;
+            self.state.metrics.ttl_checked.add(kv);
+            crate::span::record(LayerKind::Ttl, admission_t);
+            return Admission::Pass(reqs);
+        }
+        crate::span::record(LayerKind::Ttl, admission_t);
+        let answered = reqs.into_iter().map(|req| self.sequential(inner, req));
+        Admission::Answered(answered.collect())
+    }
+
+    fn observe(&mut self, ctx: Self::Ctx, _inner: Vec<Response>) -> Vec<Response> {
+        match ctx {}
     }
 }
 
@@ -379,10 +374,12 @@ mod tests {
     fn rearming_extends_the_deadline() {
         let (mut svc, _) = ttl_over_store();
         call(&mut svc, Command::Set("k".into(), "v".into()));
-        call(&mut svc, Command::Expire("k".into(), 20));
-        std::thread::sleep(Duration::from_millis(10));
+        // Re-armed well inside the first timer, so a loaded box cannot
+        // let it lapse first; then read well past it.
+        call(&mut svc, Command::Expire("k".into(), 200));
+        std::thread::sleep(Duration::from_millis(20));
         call(&mut svc, Command::Expire("k".into(), 10_000));
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(Duration::from_millis(300));
         assert_eq!(
             call(&mut svc, Command::Get("k".into())),
             Reply::Value("v".into())

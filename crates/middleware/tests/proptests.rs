@@ -142,8 +142,8 @@ fn stable_command() -> impl Strategy<Value = Command> {
         // must hold through the batch partition.
         Just(Command::Health),
         Just(Command::Ready),
-        // Both a valid and an invalid token: the sequential fallback
-        // the batch path takes for AUTH must role-switch identically.
+        // Both a valid and an invalid token: the login the batch path
+        // answers in its single pass must role-switch identically.
         Just(Command::Auth("sekrit".into())),
         Just(Command::Auth("wrong".into())),
         (key(), 600_000u64..1_000_000).prop_map(|(k, ms)| Command::Expire(k, ms)),

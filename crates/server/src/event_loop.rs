@@ -3,17 +3,20 @@
 //!
 //! Each loop owns a set of nonblocking sockets. A readable connection
 //! has its buffered burst drained, parsed, and *begun* on its
-//! session's middleware chain (`Service::begin_batch`). The burst's
-//! runs of mutations are published to the shard queues, one envelope
-//! per (run, shard); if the last run's acks are still in flight the
-//! chain **parks** the burst — every layer keeps its own context, the
-//! innermost service the slots and the acks — and the loop moves
-//! straight on to the next readable connection instead of blocking.
+//! session's middleware chain (`Service::begin_batch`) — every burst,
+//! a burst of one included. The burst's runs of mutations are
+//! published to the shard queues, one envelope per (run, shard); while
+//! acks are in flight (at the burst's end, or at a read-after-write
+//! barrier inside it) the chain **parks** the burst — every layer
+//! keeps its own context, the innermost service the slots, the acks
+//! and the requests not staged yet — and the loop moves straight on to
+//! the next readable connection. A loop never blocks on an ack.
 //! Bursts from *different* connections therefore pile into the same
 //! shard sweep — **cross-connection group commit**. A shard owner
 //! answers each envelope with one ack and wakes the loop through the
 //! `eventfd` the envelope carries; the loop then polls the chains of
-//! its parked connections (`Service::poll_batch`), and a chain whose
+//! its parked connections (`Service::poll_batch`): a burst parked at a
+//! barrier resumes staging (and may park again), and a chain whose
 //! burst is complete — or past its ack deadline — hands back the
 //! responses, observed by every layer on the way up, for the loop to
 //! render and flush. How acks are matched to requests is the
@@ -214,7 +217,7 @@ impl Drop for Epoll {
 }
 
 /// An `eventfd` that unblocks a loop's `epoll_wait` from another
-/// thread. Shard owners wake the loop after acking a parked burst's run;
+/// thread. Shard owners wake the loop after acking one of its runs;
 /// the accept thread wakes it after handing off a new connection;
 /// shutdown wakes it so it observes the flag.
 pub(crate) struct LoopWaker {
@@ -270,8 +273,7 @@ pub(crate) struct LoopCtx {
     pub(crate) stack: Arc<Stack>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) ready: Arc<AtomicBool>,
-    /// Overall shard-ack deadline per parked burst (and per
-    /// synchronous barrier inside the chain).
+    /// Overall shard-ack deadline per burst, however often it parks.
     pub(crate) ack_timeout: Duration,
     /// Close connections idle past this deadline (`--idle-timeout-ms`;
     /// `None` = never).
@@ -298,17 +300,6 @@ struct Awaiting {
     /// When the chain's ack deadline will have lapsed: poll again by
     /// then, even if no ack rings the doorbell.
     deadline: Instant,
-}
-
-/// Begin a burst on its connection's chain: a burst of one is a
-/// [`Service::call`] (nothing to group-commit, and the layers meter a
-/// singleton per command), a longer one [`Service::begin_batch`].
-fn begin(chain: &mut BoxService, mut requests: Vec<Request>) -> Progress {
-    match requests.len() {
-        0 => Progress::Done(Vec::new()),
-        1 => Progress::Done(vec![chain.call(requests.pop().expect("one request"))]),
-        _ => chain.begin_batch(requests),
-    }
 }
 
 /// An empty buffer gives back what it holds above [`READ_CHUNK`], so
@@ -625,7 +616,8 @@ impl EventLoop {
 
     /// Drive one parsed burst through the middleware chain. A burst
     /// the chain answers at once is rendered here; one it parks waits
-    /// in `conn.awaiting` for `try_complete`.
+    /// in `conn.awaiting` for `try_complete`. A burst of only blank or
+    /// unparsable lines reaches no layer.
     fn dispatch(&mut self, conn: &mut Conn, burst: BurstInput) {
         let BurstInput {
             requests,
@@ -637,7 +629,12 @@ impl EventLoop {
             self.ctx.stats.note_command();
         }
         line_slots.extend(fault.map(LineSlot::Fault));
-        match begin(&mut conn.chain, requests) {
+        let progress = if requests.is_empty() {
+            Progress::Done(Vec::new())
+        } else {
+            conn.chain.begin_batch(requests)
+        };
+        match progress {
             Progress::Done(responses) => self.render(conn, line_slots, responses),
             Progress::Parked => {
                 conn.awaiting = Some(Awaiting {
@@ -1227,7 +1224,7 @@ mod tests {
             let before = crate::test_alloc::allocations();
             let burst = next_burst(input, false);
             assert_eq!((burst.consumed, burst.fault), (input.len(), None));
-            let responses = match begin(&mut chain, burst.requests) {
+            let responses = match chain.begin_batch(burst.requests) {
                 Progress::Done(responses) => responses,
                 Progress::Parked => loop {
                     match chain.poll_batch() {

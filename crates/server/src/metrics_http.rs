@@ -136,12 +136,14 @@ fn serve_one(
         ),
         _ => ("404 Not Found", plain, "not found\n".into()),
     };
-    write!(
-        socket,
+    // One write: `write!` on the socket would send each formatted piece
+    // on its own, and a peer whose unread bytes turn the close into a
+    // reset would get the pieces before the reset — a torn status line.
+    let reply = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    socket.flush()
+    );
+    socket.write_all(reply.as_bytes())
 }
 
 /// Render every counter, gauge and histogram the server knows about,

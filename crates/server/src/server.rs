@@ -22,11 +22,13 @@
 //! acking, and segment publication is release/acquire).
 //!
 //! Pipelining is **batched end to end** and **two-phase**: the whole
-//! buffered burst is drained into one `Vec<Request>` and begun with
-//! [`Service::begin_batch`], so every layer pays its per-request cost
-//! once per burst; a burst whose last acks are still in flight *parks*
-//! in the chain, and [`Service::poll_batch`] completes it — each layer
-//! then observes the real replies after the real wait. How a burst's
+//! buffered burst — a burst of one included — is drained into one
+//! `Vec<Request>` and begun with [`Service::begin_batch`], so every
+//! layer pays its per-request cost once per burst; a burst whose acks
+//! are still in flight *parks* in the chain, and
+//! [`Service::poll_batch`] completes it — each layer then observes the
+//! real replies after the real wait. Parking is the only way a burst
+//! waits: no loop thread ever blocks on an ack. How a burst's
 //! acks are reassembled (the [`AckTable`], the slots, the ack channel)
 //! is known to this module only: the loop sees `Parked`, then
 //! responses. Below the stack the unit that crosses to the shard
@@ -37,8 +39,8 @@
 //! the owners apply while the loop serves the reads that follow), at a
 //! barrier, and at the end of the burst — one envelope, one owner
 //! wake-up and one ack per (run, shard). When to publish is read off
-//! the input, so there is nothing to tune; a burst of one
-//! ([`Service::call`]) publishes a run of one. Replies are reassembled
+//! the input, so there is nothing to tune; a lone mutation is a run of
+//! one. Replies are reassembled
 //! by sequence number in an [`AckTable`] (a burst's numbers are dense,
 //! so a plain index), rendered back to back into the connection's one
 //! output buffer and written with one socket write.
@@ -46,8 +48,10 @@
 //! Within a burst, replies are byte-identical to sequential execution:
 //! mutations keep per-key order through the FIFO shard queues, and a
 //! read whose key has an outstanding mutation in the same burst waits
-//! for the acks (a *barrier*) before being served — reads on untouched
-//! keys proceed immediately, which is where the batching wins.
+//! for the acks (a *barrier*) before being served — the burst parks
+//! there, and staging resumes once the acks are in, so one burst may
+//! park several times. Reads on untouched keys proceed immediately,
+//! which is where the batching wins.
 
 use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
@@ -62,7 +66,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -114,12 +118,15 @@ pub struct ServerConfig {
     /// requests go straight to the storage plane).
     pub middleware: MiddlewareConfig,
     /// How long a connection waits for shard acknowledgements before
-    /// poisoning itself — **one overall deadline per burst or
-    /// fan-out**, not per ack (only reachable when a shard is stuck or
-    /// shutting down mid-request).
+    /// poisoning itself — **one overall deadline per burst**, armed
+    /// when it begins and covering every time it parks (at each
+    /// read-after-write barrier and at its end), not per ack (only
+    /// reachable when a shard is stuck).
     pub ack_timeout: Duration,
     /// Number of event-loop threads (`--event-loops`); `0` (the
-    /// default) means one per available core, floored at two.
+    /// default) means one per available core, floored at two. No loop
+    /// ever waits on a burst, so one loop serves all its connections
+    /// while any of them is parked.
     pub event_loops: usize,
     /// Close connections that have read nothing for this long
     /// (`--idle-timeout-ms`), freeing their fds; `None` (the default)
@@ -160,10 +167,13 @@ pub struct ServerHandle {
     stack: Arc<Stack>,
     shutdown: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
-    /// Stops the metrics responder. Separate from `shutdown` so the
-    /// responder keeps serving probes (`/ready` → 503) while the drain
-    /// flushes in-flight work; it only goes down last.
-    metrics_stop: Arc<AtomicBool>,
+    /// Raised once the event loops are joined, so nothing can publish
+    /// a run any more: it stops the shard owners and the metrics
+    /// responder. Separate from `shutdown` so the owners keep acking
+    /// what a draining loop still publishes (a burst parked at a
+    /// barrier stages its next run after the wait) and the responder
+    /// keeps serving probes (`/ready` → 503) while the drain flushes.
+    loops_joined: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
@@ -258,18 +268,19 @@ impl ServerHandle {
         for t in self.loop_threads.drain(..) {
             let _ = t.join();
         }
-        // The metrics responder is the last plane to go down — it joins
-        // after the connections so `/ready` keeps answering 503 (and
-        // `/metrics` keeps scraping) while the in-flight bursts flush.
-        self.metrics_stop.store(true, Ordering::Release);
+        // The metrics responder and the shard owners go down last —
+        // after the connections, so `/ready` keeps answering 503 (and
+        // `/metrics` keeps scraping) while the in-flight bursts flush,
+        // and every run a draining burst publishes is acked.
+        self.loops_joined.store(true, Ordering::Release);
         if let Some(addr) = self.metrics_addr {
             let _ = TcpStream::connect(addr);
         }
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
-        // Shard threads exit once the flag is up and their queue is
-        // drained; wake any parked ones.
+        // Shard threads exit once `loops_joined` is up and their queue
+        // is drained; wake any parked ones.
         for _ in 0..2 {
             for shard in 0..self.store.shards() {
                 self.store.wake(shard);
@@ -310,18 +321,15 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .as_ref()
         .map(TcpListener::local_addr)
         .transpose()?;
-    // Default: one loop per core, floored at two. A dispatch can still
-    // block its loop for a bounded stretch (a burst of one and a
-    // read-after-write barrier wait for their acks), and with a
-    // single loop that would head-of-line block every
-    // other connection on the box — two is the minimum that keeps one
-    // stalled burst from serializing the whole connection plane. An
-    // explicit `--event-loops 1` is honored (reproductions and
-    // single-loop tests).
+    // Default: one loop per core, floored at two. The core count is
+    // read off the *calling thread's* affinity, so a server spawned
+    // from a thread pinned to one CPU (the `benchmark/` harness pins
+    // its generator before later set-ups) would otherwise get one loop
+    // however many CPUs the process may use. An explicit
+    // `--event-loops 1` is honored.
     let loops = if config.event_loops == 0 {
         std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+            .map_or(1, |n| n.get())
             .max(2)
     } else {
         config.event_loops
@@ -334,11 +342,12 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let stack = Stack::build(&config.middleware);
     let shutdown = Arc::new(AtomicBool::new(false));
     let ready = Arc::new(AtomicBool::new(true));
+    let loops_joined = Arc::new(AtomicBool::new(false));
     let runtime = store::spawn_shards(
         config.shards,
         config.capacity,
         Arc::clone(&stats),
-        Arc::clone(&shutdown),
+        Arc::clone(&loops_joined),
         config.shard_delay,
         config.middleware.trace.window_secs,
     );
@@ -385,14 +394,13 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
             .expect("spawn accept thread")
     };
 
-    let metrics_stop = Arc::new(AtomicBool::new(false));
     let metrics_thread = match metrics_listener {
         Some(listener) => Some(crate::metrics_http::spawn_metrics(
             listener,
             Arc::clone(&runtime.store),
             Arc::clone(&stats),
             Arc::clone(&stack),
-            Arc::clone(&metrics_stop),
+            Arc::clone(&loops_joined),
             Arc::clone(&ready),
         )?),
         None => None,
@@ -406,7 +414,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         stack,
         shutdown,
         ready,
-        metrics_stop,
+        loops_joined,
         accept_thread: Some(accept_thread),
         metrics_thread,
         shard_threads: runtime.threads,
@@ -655,23 +663,31 @@ impl AckTable {
     }
 }
 
-/// A burst between its staging and its resolution: what each request
-/// waits on, in request order, and the acks gathered so far.
+/// A burst between its staging and its resolution: what each staged
+/// request waits on, in request order, the requests not staged yet, and
+/// the acks gathered so far.
 struct Burst {
     slots: Vec<Slot>,
+    /// The requests still to stage; at a barrier, the one that waits
+    /// comes first.
+    rest: std::vec::IntoIter<Request>,
     acks: AckTable,
+    /// The rows with a mutation outstanding.
+    pending: PendingRows,
     /// Why the session is poisoned (an ack wait failed), if it is.
     dead: Option<&'static str>,
 }
 
 /// The innermost service: executes commands against the storage plane
 /// (the thing every middleware layer ultimately wraps), and the one
-/// place a burst waits. `call` blocks on the ack channel;
-/// `begin_batch` instead parks a burst whose last run is still in
-/// flight, and `poll_batch` resolves it once its table is complete or
-/// `ack_timeout` has lapsed. Mid-burst barriers
-/// (read-after-write and friends) block either way, so reply bytes are
-/// identical to sequential execution.
+/// place a burst waits — by **parking**. `begin_batch` stages a burst
+/// until its end or a barrier (a read-after-write and friends), and
+/// parks it while acks are in flight; `poll_batch` files the acks that
+/// arrived and, once the table is complete, resumes staging after the
+/// barrier — so a burst may park several times, all under the one
+/// `ack_timeout` armed when it began — and resolves it at the end or
+/// once the deadline has lapsed. Reply bytes are identical to
+/// sequential execution.
 pub(crate) struct ExecService {
     store: Arc<Store>,
     stats: Arc<ServerStats>,
@@ -681,15 +697,15 @@ pub(crate) struct ExecService {
     /// Next mutation sequence number (reply reassembly key).
     next_seq: u64,
     /// The run being staged: per shard, the entries of its next
-    /// envelope. Empty between calls — every exit publishes.
+    /// envelope. Empty between staging passes — every pass publishes.
     staged: Vec<Vec<Entry>>,
     ack_timeout: Duration,
     ack_tx: Sender<Vec<Entry>>,
     ack_rx: Receiver<Vec<Entry>>,
     /// The parked burst, and when its wait times out.
     parked: Option<(Burst, Instant)>,
-    /// The owning event loop's `epoll` waker, carried on the envelopes
-    /// of a parking burst so the shard's ack can unblock the loop.
+    /// The owning event loop's `epoll` waker, carried on every envelope
+    /// so the shard's ack wakes the loop to poll the parked burst.
     waker: Arc<LoopWaker>,
 }
 
@@ -755,11 +771,8 @@ impl ExecService {
     }
 
     /// End the staged run: one envelope per touched shard, all stamped
-    /// with the same publish time. `ring` says how this connection will
-    /// wait for the acks — parked, its loop in `epoll_wait` (ring the
-    /// loop's doorbell), or blocked on the ack channel (the send itself
-    /// wakes it).
-    fn publish(&mut self, ring: bool) {
+    /// with the same publish time and carrying the loop's doorbell.
+    fn publish(&mut self) {
         let mut now = None;
         for (shard, staged) in self.staged.iter_mut().enumerate() {
             if staged.is_empty() {
@@ -768,7 +781,7 @@ impl ExecService {
             let run = Envelope {
                 entries: std::mem::take(staged),
                 reply: self.ack_tx.clone(),
-                waker: ring.then(|| Arc::clone(&self.waker)),
+                waker: Arc::clone(&self.waker),
                 enqueued_at: *now.get_or_insert_with(Instant::now),
                 // Only span-sampled requests pay for shard-side
                 // stamping; the flag rides the envelope across the
@@ -777,30 +790,6 @@ impl ExecService {
             };
             self.store.enqueue(shard, run);
         }
-    }
-
-    /// Publish the staged run, then collect acks until every issued
-    /// sequence number has one, under **one overall deadline** for the
-    /// whole wait. On timeout the connection must be poisoned by the
-    /// caller: a late ack may still arrive, and once a stale ack can
-    /// be sitting in the channel every later request/reply pairing
-    /// would be off by one — closing the session is the only honest
-    /// recovery.
-    fn collect(&mut self, acks: &mut AckTable) -> Result<(), &'static str> {
-        self.publish(false);
-        let deadline = Instant::now() + self.ack_timeout;
-        while !acks.complete() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(ACK_TIMEOUT_MSG);
-            }
-            match self.ack_rx.recv_timeout(left) {
-                Ok(acked) => acks.accept(acked),
-                Err(RecvTimeoutError::Timeout) => return Err(ACK_TIMEOUT_MSG),
-                Err(RecvTimeoutError::Disconnected) => return Err(ACK_GONE_MSG),
-            }
-        }
-        Ok(())
     }
 
     /// The single-shard mutation `cmd` moves into (with its shard and
@@ -853,6 +842,22 @@ impl ExecService {
             Command::Stats | Command::StatsShards | Command::StatsReset => return None,
             _ => None,
         })
+    }
+
+    /// Whether `cmd` must wait for `burst`'s outstanding acks — a
+    /// *barrier*: a read of a row with a mutation in flight (or a full
+    /// barrier), or a `POST` whose fan-out reads a follower row being
+    /// written. With nothing outstanding (the common case: reads ahead
+    /// of a burst's first write) no key is even hashed to find out.
+    fn waits(burst: &Burst, cmd: &Command) -> bool {
+        !burst.acks.complete()
+            && match cmd {
+                Command::Post(author, _) => burst.pending.contains(&PendingKey::Follower(*author)),
+                cmd => match Self::read_dep(cmd) {
+                    None => true,
+                    Some(dep) => dep.is_some_and(|row| burst.pending.contains(&row)),
+                },
+            }
     }
 
     /// Serve a read/control command inline from the lock-free segment
@@ -953,99 +958,66 @@ impl ExecService {
 }
 
 impl ExecService {
-    /// The group-commit staging loop. Consecutive mutations are staged
-    /// into a run and published when the run ends (FIFO shard queues
-    /// keep per-key order); reads are served inline unless a row they
-    /// depend on has an outstanding mutation in this burst, in which
-    /// case a barrier collects every outstanding ack first. Returns
-    /// with the last run published and its acks still in flight: the
-    /// caller parks, so every run published here rings the loop (see
-    /// [`ExecService::publish`]).
-    fn stage_burst(&mut self, reqs: Vec<Request>) -> Burst {
-        let mut dead: Option<&'static str> = None;
-        let mut acks = AckTable::new(self.next_seq);
-        let mut pending = PendingRows::default();
-        let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
-
-        // A barrier: publish, wait for every outstanding ack, then
-        // forget the pending rows (they are applied and visible).
-        // Evaluates to the poison cause, if the wait failed.
-        macro_rules! barrier {
-            () => {{
-                match self.collect(&mut acks) {
-                    Ok(()) => pending.clear(),
-                    Err(msg) => dead = Some(msg),
-                }
-                dead
-            }};
+    /// One staging pass: the group-commit loop. Consecutive mutations
+    /// are staged into a run and published when the run ends (FIFO
+    /// shard queues keep per-key order) — at the first non-mutation, so
+    /// the owners apply it while this thread serves the reads that
+    /// follow, and at the end of the pass. The pass ends at the end of
+    /// the burst or at a barrier ([`ExecService::waits`]), the waiting
+    /// request left first in `rest`: the caller parks the burst, and
+    /// the next pass begins once every outstanding ack is filed.
+    fn stage_burst(&mut self, burst: &mut Burst) {
+        if burst.acks.complete() {
+            // Every mutation staged so far is applied and visible.
+            burst.pending.clear();
         }
-
-        for req in reqs {
-            if let Some(cause) = dead {
-                // The session is poisoned: answer without executing
-                // (the sequential path would have hung up already).
-                slots.push(Slot::Done(Reply::Error(cause.into())));
-                continue;
+        while let Some(req) = burst.rest.as_slice().first() {
+            if Self::waits(burst, &req.command) {
+                break;
             }
+            let req = burst.rest.next().expect("the request looked at above");
+            // Pending rows only matter to a request after this one.
+            let later = !burst.rest.as_slice().is_empty();
             if let Some(resp) = Self::structural_rejection(&req.command) {
-                self.publish(true);
-                slots.push(Slot::Done(resp.reply));
+                self.publish();
+                burst.slots.push(Slot::Done(resp.reply));
                 continue;
             }
-            match req.command {
+            let slot = match req.command {
                 Command::Quit => {
-                    self.publish(true);
-                    slots.push(Slot::Quit);
+                    self.publish();
+                    Slot::Quit
                 }
                 Command::Post(author, msg) => {
-                    // The fan-out reads the follower row: wait for any
-                    // outstanding FOLLOW/UNFOLLOW before targeting.
-                    if pending.contains(&PendingKey::Follower(author)) {
-                        if let Some(cause) = barrier!() {
-                            slots.push(Slot::Done(Reply::Error(cause.into())));
-                            continue;
-                        }
-                    }
                     // Every fan-out target's timeline is now dirty: a
-                    // TIMELINE of any of them later in this burst must
-                    // barrier first.
-                    let seqs = self.stage_post(&mut acks, (author, msg), |target| {
-                        pending.insert(PendingKey::Timeline(target));
-                    });
-                    slots.push(Slot::Fanout(seqs));
+                    // TIMELINE of any of them later in this burst waits.
+                    let pending = &mut burst.pending;
+                    Slot::Fanout(self.stage_post(&mut burst.acks, (author, msg), |target| {
+                        if later {
+                            pending.insert(PendingKey::Timeline(target));
+                        }
+                    }))
                 }
                 cmd => match self.plan_mutation(cmd) {
                     Ok((shard, op, touched)) => {
-                        let seq = self.stage(&mut acks, shard, op);
-                        pending.extend(touched.into_iter().flatten());
-                        slots.push(Slot::Single(seq));
+                        if later {
+                            burst.pending.extend(touched.into_iter().flatten());
+                        }
+                        Slot::Single(self.stage(&mut burst.acks, shard, op))
                     }
                     Err(cmd) => {
-                        // Nothing outstanding (the common case: reads
-                        // ahead of a burst's first write): no barrier,
-                        // and no key hashed to find that out.
-                        let needs_barrier = !acks.complete()
-                            && match Self::read_dep(&cmd) {
-                                None => true,
-                                Some(dep) => dep.is_some_and(|row| pending.contains(&row)),
-                            };
-                        if !needs_barrier {
-                            // The run ends here: the owners apply it
-                            // while this thread serves the read.
-                            self.publish(true);
-                        } else if let Some(cause) = barrier!() {
-                            slots.push(Slot::Done(Reply::Error(cause.into())));
-                            continue;
-                        }
-                        slots.push(Slot::Done(self.serve_read(&cmd)));
+                        // The run ends here: the owners apply it while
+                        // this thread serves the read.
+                        self.publish();
+                        Slot::Done(self.serve_read(&cmd))
                     }
                 },
-            }
+            };
+            burst.slots.push(slot);
         }
-        // The end of the burst ends the run, on every way out.
-        self.next_seq = acks.next_seq();
-        self.publish(true);
-        Burst { slots, acks, dead }
+        // The end of the pass ends the run, on every way out.
+        self.next_seq = burst.acks.next_seq();
+        self.publish();
     }
 
     /// The response `slot` resolves to; an ack that never arrived
@@ -1071,17 +1043,25 @@ impl ExecService {
     }
 
     /// Resolve a burst whose wait is over into its responses, in
-    /// request order. A poisoned burst answers its missing acks with
-    /// the cause and, whatever the client was told, ends the session —
-    /// a late ack could otherwise desync every later request/reply
-    /// pairing.
+    /// request order. A poisoned burst answers its missing acks and the
+    /// requests it never staged with the cause and, whatever the client
+    /// was told, ends the session — a late ack could otherwise desync
+    /// every later request/reply pairing.
     fn finish(&mut self, burst: Burst) -> Vec<Response> {
-        let (mut acks, dead) = (burst.acks, burst.dead);
+        let Burst {
+            slots,
+            rest,
+            mut acks,
+            dead,
+            ..
+        } = burst;
         acks.hand_segments_to_span();
         let missing = dead.unwrap_or(ACK_GONE_MSG);
-        let slots = burst.slots.into_iter();
+        let unstaged = rest.map(|_| Response::ok(Reply::Error(missing.into())));
         let mut responses: Vec<Response> = slots
+            .into_iter()
             .map(|slot| Self::resolve(slot, &mut acks, missing))
+            .chain(unstaged)
             .collect();
         if dead.is_some() {
             if let Some(last) = responses.last_mut() {
@@ -1093,62 +1073,65 @@ impl ExecService {
 }
 
 impl Service for ExecService {
-    /// A burst of one: a run of one (or one fan-out), published at
-    /// once and awaited on the ack channel — for a `POST`, every
-    /// target's shard under one overall deadline, so a stuck shard
-    /// costs `ack_timeout` once, not once per follower. What a burst
-    /// tracks to order its reads after its writes is not needed here.
+    /// A burst of one, waited for on this thread: begun like any burst,
+    /// then blocked on the ack channel until [`Service::poll_batch`]
+    /// answers. The event loop parks every burst instead; in the server
+    /// only the TTL layer's sequential path (an armed timer) comes here.
     fn call(&mut self, req: Request) -> Response {
-        if let Some(resp) = Self::structural_rejection(&req.command) {
-            return resp;
-        }
-        let mut acks = AckTable::new(self.next_seq);
-        let slot = match req.command {
-            Command::Quit => Slot::Quit,
-            Command::Post(author, msg) => {
-                Slot::Fanout(self.stage_post(&mut acks, (author, msg), |_| ()))
-            }
-            cmd => match self.plan_mutation(cmd) {
-                Ok((shard, op, _touched)) => Slot::Single(self.stage(&mut acks, shard, op)),
-                Err(cmd) => return Response::ok(self.serve_read(&cmd)),
+        let mut responses = match self.begin_batch(vec![req]) {
+            Progress::Done(responses) => responses,
+            Progress::Parked => loop {
+                let (burst, deadline) = self.parked.as_mut().expect("parked until answered");
+                let left = deadline.saturating_duration_since(Instant::now());
+                if let Ok(acked) = self.ack_rx.recv_timeout(left) {
+                    burst.acks.accept(acked);
+                }
+                if let Some(responses) = self.poll_batch() {
+                    break responses;
+                }
             },
         };
-        self.next_seq = acks.next_seq();
-        let dead = self.collect(&mut acks).err();
-        acks.hand_segments_to_span();
-        let mut resp = Self::resolve(slot, &mut acks, dead.unwrap_or(ACK_GONE_MSG));
-        resp.close |= dead.is_some();
-        resp
+        responses.pop().expect("one response per request")
     }
 
-    /// The parking batch path: stage, and leave acks still in flight
-    /// to [`Service::poll_batch`] — the loop serves other connections
-    /// meanwhile, whose bursts can hit the same shard sweep.
+    /// Stage the burst's first pass and park it while its acks are in
+    /// flight — the loop serves other connections meanwhile, whose
+    /// bursts can hit the same shard sweep. The deadline is armed here,
+    /// once for the whole burst however often it parks.
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
-        let burst = self.stage_burst(reqs);
-        if burst.dead.is_some() || burst.acks.complete() {
+        let mut burst = Burst {
+            slots: Vec::with_capacity(reqs.len()),
+            rest: reqs.into_iter(),
+            acks: AckTable::new(self.next_seq),
+            pending: PendingRows::default(),
+            dead: None,
+        };
+        self.stage_burst(&mut burst);
+        if burst.acks.complete() {
             return Progress::Done(self.finish(burst));
         }
         self.parked = Some((burst, Instant::now() + self.ack_timeout));
         Progress::Parked
     }
 
-    /// File whatever acks arrived; resolve once the table is full
-    /// (every number issued belongs to a slot, so that is a complete
-    /// burst) or the deadline lapsed — which answers exactly like a
-    /// timed-out blocking collection.
+    /// File whatever acks arrived. Once the table is complete, stage
+    /// the next pass (the burst was parked at a barrier, or staged to
+    /// its end); resolve the burst once it is staged to its end with
+    /// every ack in, or once the deadline lapsed — which poisons it.
     fn poll_batch(&mut self) -> Option<Vec<Response>> {
-        let (burst, deadline) = self.parked.as_mut()?;
+        let (mut burst, deadline) = self.parked.take()?;
         while let Ok(acked) = self.ack_rx.try_recv() {
             burst.acks.accept(acked);
         }
-        if !burst.acks.complete() {
-            if Instant::now() < *deadline {
-                return None;
-            }
+        if burst.acks.complete() {
+            self.stage_burst(&mut burst);
+        } else if Instant::now() >= deadline {
             burst.dead = Some(ACK_TIMEOUT_MSG);
         }
-        let (burst, _) = self.parked.take()?;
+        if burst.dead.is_none() && !burst.acks.complete() {
+            self.parked = Some((burst, deadline));
+            return None;
+        }
         Some(self.finish(burst))
     }
 }
@@ -1166,39 +1149,76 @@ mod tests {
         assert_eq!(accept_backoff(u32::MAX), ACCEPT_BACKOFF_CAP);
     }
 
+    /// A store of 2 shards whose owners stall `stall` per apply, one
+    /// connection's innermost service over it, and the owners, stopped
+    /// when the guard drops.
+    fn exec_over(
+        stall: Option<Duration>,
+        ack_timeout: Duration,
+    ) -> (ExecService, Arc<ServerStats>, Owners) {
+        let stats = Arc::new(ServerStats::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let runtime = store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&stop), stall, 60);
+        let exec = ExecService::new(
+            Arc::clone(&runtime.store),
+            Arc::clone(&stats),
+            Arc::new(AtomicBool::new(true)),
+            ack_timeout,
+            Arc::new(LoopWaker::new().expect("eventfd")),
+        );
+        (exec, stats, Owners { runtime, stop })
+    }
+
+    struct Owners {
+        runtime: store::ShardRuntime,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl Drop for Owners {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Release);
+            for thread in self.runtime.threads.drain(..) {
+                thread.join().expect("shard owner exits");
+            }
+        }
+    }
+
+    /// Poll a begun burst to its answer, the way the event loop does.
+    fn answer(exec: &mut ExecService, progress: Progress) -> Vec<Response> {
+        match progress {
+            Progress::Done(responses) => responses,
+            Progress::Parked => loop {
+                match exec.poll_batch() {
+                    Some(responses) => break responses,
+                    None => std::thread::yield_now(),
+                }
+            },
+        }
+    }
+
+    fn set(key: &str, value: &str) -> Request {
+        Request::new(Command::Set(key.into(), value.into()))
+    }
+
+    fn get(key: &str) -> Request {
+        Request::new(Command::Get(key.into()))
+    }
+
     /// The hand-off is counted, not timed: a run of 64 consecutive
     /// SETs over 2 shards is 2 envelopes, so exactly 2 owner sweeps —
     /// and the telemetry still counts the 64 mutations.
     #[test]
     fn a_run_is_handed_off_as_one_envelope_per_shard() {
-        let stats = Arc::new(ServerStats::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let runtime =
-            store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), None, 60);
-        let mut exec = ExecService::new(
-            Arc::clone(&runtime.store),
-            Arc::clone(&stats),
-            Arc::new(AtomicBool::new(true)),
-            Duration::from_secs(5),
-            Arc::new(LoopWaker::new().expect("eventfd")),
-        );
-        let sets = |keys: Range<u32>| {
-            keys.map(|i| Request::new(Command::Set(format!("k{i}"), "v".into())))
-        };
+        let (mut exec, stats, owners) = exec_over(None, Duration::from_secs(5));
+        let store = Arc::clone(&owners.runtime.store);
+        let sets = |keys: Range<u32>| keys.map(|i| set(&format!("k{i}"), "v"));
         // Drive one parking burst to completion the way the event loop
         // does, returning the owner sweeps it cost.
         let mut sweeps_of = |burst: Vec<Request>, writes: usize| {
             let before = stats.snapshot().shard_batches;
             let sent = burst.len();
-            let responses = match exec.begin_batch(burst) {
-                Progress::Done(responses) => responses,
-                Progress::Parked => loop {
-                    match exec.poll_batch() {
-                        Some(responses) => break responses,
-                        None => std::thread::yield_now(),
-                    }
-                },
-            };
+            let progress = exec.begin_batch(burst);
+            let responses = answer(&mut exec, progress);
             assert_eq!(responses.len(), sent);
             let oks = responses.iter().filter(|r| r.reply == Reply::Status("OK"));
             assert_eq!(oks.count(), writes, "every write acknowledged");
@@ -1206,11 +1226,9 @@ mod tests {
         };
 
         assert_eq!(sweeps_of(sets(0..64).collect(), 64), 2);
-        assert_eq!(runtime.store.applied_since_reset(), 64);
+        assert_eq!(store.applied_since_reset(), 64);
         let mut shard_lines = Vec::new();
-        runtime
-            .store
-            .render_shards(&mut Surface::Stats(&mut shard_lines));
+        store.render_shards(&mut Surface::Stats(&mut shard_lines));
         let enqueued: u64 = shard_lines
             .iter()
             .filter_map(|line| line.split_once("_enqueued="))
@@ -1221,14 +1239,48 @@ mod tests {
         // A read of an untouched key in the middle ends the first run
         // (published at once, no barrier): two runs, at most 4 sweeps.
         let mut burst: Vec<Request> = sets(64..96).collect();
-        burst.push(Request::new(Command::Get("untouched".into())));
+        burst.push(get("untouched"));
         burst.extend(sets(96..128));
         assert!((2..=4).contains(&sweeps_of(burst, 64)));
-        assert_eq!(runtime.store.applied_since_reset(), 128);
+        assert_eq!(store.applied_since_reset(), 128);
+    }
 
-        shutdown.store(true, Ordering::Release);
-        for thread in runtime.threads {
-            thread.join().expect("shard owner exits");
-        }
+    /// A burst parks at each read-after-write barrier instead of
+    /// waiting there: `begin_batch` returns within one stall, and each
+    /// poll that finds a barrier's acks in stages on to the next one.
+    /// Past its one deadline, a burst parked at a barrier is poisoned:
+    /// the write never acked, the barrier read and everything after it
+    /// all answer the ack timeout, and the last reply closes.
+    #[test]
+    fn a_burst_reparks_at_each_barrier_and_is_poisoned_at_its_deadline() {
+        const STALL: Duration = Duration::from_millis(20);
+        let (mut exec, _, _owners) = exec_over(Some(STALL), Duration::from_secs(5));
+        let began = Instant::now();
+        let progress = exec.begin_batch(vec![set("k", "1"), get("k"), set("k", "2"), get("k")]);
+        assert!(began.elapsed() < STALL, "waited {:?}", began.elapsed());
+        assert!(matches!(progress, Progress::Parked));
+        let replies: Vec<Reply> = answer(&mut exec, progress)
+            .into_iter()
+            .map(|resp| resp.reply)
+            .collect();
+        let (ok, value) = (Reply::Status("OK"), |v: &str| Reply::Value(v.into()));
+        assert_eq!(replies, [ok.clone(), value("1"), ok, value("2")]);
+
+        let (mut exec, _, _owners) =
+            exec_over(Some(Duration::from_millis(200)), Duration::from_millis(30));
+        let progress = exec.begin_batch(vec![set("k", "1"), get("k"), Request::new(Command::Ping)]);
+        let answered: Vec<(Reply, bool)> = answer(&mut exec, progress)
+            .into_iter()
+            .map(|resp| (resp.reply, resp.close))
+            .collect();
+        let timeout = Reply::Error(ACK_TIMEOUT_MSG.into());
+        assert_eq!(
+            answered,
+            [
+                (timeout.clone(), false),
+                (timeout.clone(), false),
+                (timeout, true)
+            ]
+        );
     }
 }

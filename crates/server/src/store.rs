@@ -18,9 +18,9 @@
 //! [`Entry::Ack`] **in place**, and sends the same `Vec` back as the
 //! envelope's single ack — so the sender's grouping is never
 //! re-derived, and what the loop thread allocated the loop thread
-//! frees. The eventfd doorbell is rung only when the sender said it
-//! waits in `epoll_wait` ([`Envelope::waker`]); a sender blocked on
-//! its ack channel is woken by the send itself. Telemetry counts
+//! frees. After the send the owner rings the sender's event-loop
+//! doorbell ([`Envelope::waker`]): every burst waits for its acks
+//! parked, its loop in `epoll_wait`. Telemetry counts
 //! **mutations**, not envelopes: `enqueued` rises by the run's length
 //! at publish, `drained` by one per apply, and `ack_us` / a traced
 //! entry's `queue_us` are measured from the publish.
@@ -89,11 +89,9 @@ pub(crate) struct Envelope {
     pub entries: Vec<Entry>,
     /// The issuing connection's ack inlet.
     pub reply: Sender<Vec<Entry>>,
-    /// The issuing connection's event-loop doorbell, when the sender
-    /// will wait for this ack in `epoll_wait` (a parked burst); rung
-    /// after the ack send so the woken loop's sweep observes it.
-    /// `None` when the sender blocks on the ack channel itself.
-    pub waker: Option<Arc<LoopWaker>>,
+    /// The issuing connection's event-loop doorbell, rung after the
+    /// ack send so the woken loop's sweep observes the ack.
+    pub waker: Arc<LoopWaker>,
     /// When the run was published — the shard owner turns this into
     /// the publish→apply latency samples.
     pub enqueued_at: Instant,
@@ -374,12 +372,14 @@ pub(crate) struct ShardRuntime {
 /// that long before applying each mutation (a "stuck shard" for
 /// timeout and load-shedding tests). The stall lives in a shared
 /// atomic, so [`Store::set_shard_delay`] can change it at runtime.
-/// `window_secs` sizes the telemetry histograms' rolling window.
+/// `window_secs` sizes the telemetry histograms' rolling window. An
+/// owner exits once `stop` is up and its queue is drained, so `stop`
+/// must go up only when nothing can publish any more.
 pub(crate) fn spawn_shards(
     shards: usize,
     capacity: usize,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
     apply_delay: Option<Duration>,
     window_secs: u64,
 ) -> ShardRuntime {
@@ -406,7 +406,7 @@ pub(crate) fn spawn_shards(
             applied: Arc::clone(&applied),
             stats: Arc::clone(&stats),
             telemetry: Arc::clone(shard_telemetry),
-            shutdown: Arc::clone(&shutdown),
+            stop: Arc::clone(&stop),
             apply_delay: Arc::clone(&shard_delay_ns),
         };
         let handle = Builder::new()
@@ -441,14 +441,15 @@ struct ShardCtx {
     applied: Arc<CounterIncrementOnly>,
     stats: Arc<ServerStats>,
     telemetry: Arc<ShardTelemetry>,
-    shutdown: Arc<AtomicBool>,
+    /// Up once nothing can publish any more (see [`spawn_shards`]).
+    stop: Arc<AtomicBool>,
     /// Nanoseconds slept before each apply (0 = off); shared with the
     /// store so the stall can change at runtime.
     apply_delay: Arc<AtomicU64>,
 }
 
 /// The owner loop: claim this shard's writers, then drain and apply
-/// envelopes in arrival order until shutdown, answering each with one
+/// envelopes in arrival order until stopped, answering each with one
 /// ack — its own entries, applied in place.
 fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<usize>) {
     let mut owned = ctx.tables.claim();
@@ -459,12 +460,12 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<
     loop {
         let batch = inbox.drain();
         if batch.is_empty() {
-            if ctx.shutdown.load(Ordering::Acquire) {
+            if ctx.stop.load(Ordering::Acquire) {
                 // Flag is up and the queue is drained: done.
                 return;
             }
             // Sleep until a producer wakes us (or a timeout, to
-            // re-check the shutdown flag).
+            // re-check the stop flag).
             std::thread::park_timeout(Duration::from_millis(10));
             continue;
         }
@@ -514,9 +515,7 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<
             // A closed channel means the connection died mid-flight;
             // the mutations were still applied.
             let _ = reply.send(entries);
-            if let Some(waker) = waker {
-                waker.wake();
-            }
+            waker.wake();
         }
     }
 }

@@ -421,7 +421,7 @@ fn sigterm_right_after_the_banner_still_drains() {
 }
 
 /// The drain drill. 96 writes in one socket write park behind a 30 ms
-/// shard stall; a second session's burst blocks in a read-after-write
+/// shard stall; a second session's burst parks at a read-after-write
 /// barrier behind them, with a `READY` as its tail. `SIGTERM` lands;
 /// `/ready` flips to 503 while neither session has been answered (the
 /// queues are still flushing); then the barrier's tail reads

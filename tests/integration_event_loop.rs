@@ -8,11 +8,13 @@
 //!   structured error instead of growing server memory, and its loop
 //!   keeps serving everyone else;
 //! * **drain**: a shutdown with a burst parked flips readiness first,
-//!   then acks every parked write before it closes the session;
+//!   then acks every parked write before it closes the session — the
+//!   writes a burst stages after a barrier included;
 //! * **cross-connection group commit**: concurrent bursts share shard
 //!   sweeps;
-//! * **no head-of-line blocking**: a span-sampled burst parks like any
-//!   other, so a second connection on its loop is served meanwhile.
+//! * **no head-of-line blocking**: every burst parks — a span-sampled
+//!   one, one at a read-after-write barrier, a lone write — so the
+//!   other connections on its loop are served meanwhile.
 //!
 //! (Reply-byte equivalence of pipelined and sequential execution lives
 //! in `integration_batch.rs`.)
@@ -125,7 +127,7 @@ fn no_idle_timeout_means_no_reaping() {
 }
 
 /// Drain with a burst parked. A pipelined burst of writes parks behind
-/// a shard stall; a bystander's burst blocks in a read-after-write
+/// a shard stall; a bystander's burst parks at a read-after-write
 /// barrier behind it, a `READY` as its tail. `shutdown()` runs on a
 /// second thread: readiness flips while neither has been answered (the
 /// queues are still flushing), then the barrier's tail reads
@@ -290,4 +292,78 @@ fn sampled_burst_does_not_block_its_loop() {
         .expect("numeric total");
     assert!(total_us >= STALL.as_micros(), "covers the stall: {tree:?}");
     server.shutdown();
+}
+
+/// No loop waits: one event loop, a 200 ms shard stall. B's burst
+/// parks at its read-after-write barrier and A's lone write parks too,
+/// so bystander C on the same loop gets its `+PONG` before either has
+/// a byte to read — then both are answered in full. Ordered by staged
+/// mutations, not by the clock.
+#[test]
+fn no_loop_waits_for_a_barrier_or_a_lone_write() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 256,
+        event_loops: 1,
+        shard_delay: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let staged = |n: u64| {
+        wait_until("the write to be staged", || server.stats().mutations >= n);
+    };
+    let mut barrier = TcpStream::connect(server.local_addr()).expect("connect");
+    barrier.write_all(b"SET k v\nGET k\n").expect("one write");
+    staged(1);
+    let mut lone = TcpStream::connect(server.local_addr()).expect("connect");
+    lone.write_all(b"SET a 1\n").expect("one write");
+    staged(2);
+
+    let mut bystander = Client::connect(server.local_addr()).expect("connect");
+    bystander
+        .ping()
+        .expect("served while both bursts are parked");
+    assert_unanswered(&barrier, "the barrier burst");
+    assert_unanswered(&lone, "the lone write");
+    let mut replies = [0u8; 7];
+    barrier.read_exact(&mut replies).expect("two replies");
+    assert_eq!(&replies, b"+OK\n$v\n");
+    let mut reply = [0u8; 4];
+    lone.read_exact(&mut reply).expect("one reply");
+    assert_eq!(&reply, b"+OK\n");
+    server.shutdown();
+}
+
+/// A drain keeps the writes a burst stages after its barrier: the
+/// burst's second run is published once the first is acked, after the
+/// drain has begun, and the shard owners stay up to ack it — the
+/// session ends with every reply, long before the ack deadline.
+#[test]
+fn drain_acks_the_writes_behind_a_barrier() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 256,
+        ack_timeout: ACK_TIMEOUT,
+        shard_delay: Some(Duration::from_millis(50)),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket
+        .write_all(b"SET k 1\nGET k\nSET k 2\n")
+        .expect("one write");
+    wait_until("the first run to be staged", || {
+        server.stats().mutations >= 1
+    });
+    let began = Instant::now();
+    server.shutdown();
+    let mut replies = String::new();
+    socket.read_to_string(&mut replies).expect("to the close");
+    assert_eq!(replies, "+OK\n$1\n+OK\n");
+    assert!(began.elapsed() < ACK_TIMEOUT, "{:?}", began.elapsed());
 }

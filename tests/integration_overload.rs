@@ -322,7 +322,12 @@ fn pipelined_probe_reopens_a_class_whose_shard_still_stalls() {
     std::thread::sleep(Duration::from_millis(150)); // the cooldown
     let replies = c.pipeline(sets("hp", 2)).expect("probe burst");
     let [probe, rest] = <[ClientReply; 2]>::try_from(replies).expect("two replies");
-    assert!(error_of(probe).starts_with("DEADLINE batch "), "the probe");
+    // The breaker admits the one probe, so the deadline layer below it
+    // times a burst of one and names its verb.
+    assert!(
+        error_of(probe).starts_with("DEADLINE SET took "),
+        "the probe"
+    );
     assert!(error_of(rest).contains("half-open probe quota exhausted"));
     assert_eq!(stat(&mut c, "mw_breaker_trips"), 2, "the probe re-opened");
     assert_eq!(stat(&mut c, "mw_breaker_recoveries"), 0);
