@@ -14,7 +14,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
 use crate::protocol::{Command, CommandClass, Reply};
 use dego_core::rcu::{rcu_cell, RcuReader, RcuWriter};
@@ -237,7 +237,7 @@ impl LayerRule for AuthRule {
     /// for the commands after it, as sequential execution would.
     /// Admitted commands travel downstream as one inner batch; denied
     /// ones and the logins are answered in place, order preserved.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<Split> {
         let admission_t = crate::span::start();
         let mut role = self.role();
         // Fast path: no login, everything admitted (the common case for
@@ -280,6 +280,7 @@ impl LayerRule for AuthRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Service;
 
     struct Ok200;
     impl Service for Ok200 {

@@ -21,7 +21,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
@@ -333,7 +333,7 @@ impl LayerRule for BreakerLayer {
     /// its commands — the same amortized metering exemption the
     /// deadline and rate-limit layers take; ordering and reply bytes
     /// are unchanged.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<BreakerCtx> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<BreakerCtx> {
         if !self.state.enabled() {
             return Admission::Pass(reqs);
         }
@@ -365,6 +365,7 @@ impl LayerRule for BreakerLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Service;
     use crate::protocol::Command;
     use proptest::prelude::*;
 

@@ -8,9 +8,7 @@
 //! `Control` verbs are exempt.
 
 use crate::metrics::PipelineMetrics;
-use crate::pipeline::{
-    Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session,
-};
+use crate::pipeline::{Admission, Layer, LayerKind, LayerRule, Request, Response, Session};
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -92,7 +90,7 @@ impl LayerRule for DeadlineLayer {
     /// the SLO scales with the work admitted; the clock runs from here
     /// to the observe half, so a burst that parks is timed over its
     /// real wait. For a burst of one that is the request's own budget.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<DeadlineCtx> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<DeadlineCtx> {
         let admission_t = span::start();
         let (mut budget_us, mut checked, mut exempt) = (0u64, 0u64, Vec::new());
         for (at, req) in reqs.iter().enumerate() {
@@ -155,7 +153,7 @@ impl LayerRule for DeadlineLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BoxService;
+    use crate::pipeline::{BoxService, Service};
     use crate::protocol::Command;
     use std::time::Duration;
 

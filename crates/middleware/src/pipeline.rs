@@ -3,8 +3,8 @@
 //!
 //! A [`Service`] is one request handler; a [`Layer`] wraps a service in
 //! another service. A [`Stack`] owns the *shared* state of every
-//! configured layer (token buckets, ACL tables, histograms, TTL
-//! sidecar) and stamps out one per-connection service chain per
+//! configured layer (token buckets, ACL tables, histograms, breaker
+//! states) and stamps out one per-connection service chain per
 //! session — per-session state (the authenticated principal, the
 //! session's token bucket) lives in the chain, shared state behind
 //! `Arc`s in the stack.
@@ -41,9 +41,10 @@
 //! outside the deadline layer whose `DEADLINE` overruns trip it,
 //! deadlines cover the layers below them, authentication gates
 //! rate-limit accounting, load shedding consults shard pressure only
-//! for writes that survived admission (and sits above TTL so the TTL
-//! layer's synthesized reap deletes are never shed), and the TTL
-//! rewriter sits immediately in front of the store.
+//! for writes that survived admission, and the TTL gate sits
+//! immediately in front of the store that keeps the timers. No layer
+//! calls the service below it: a burst travels down as one inner batch
+//! or is answered in place.
 
 use crate::auth::{AuthLayer, AuthRule};
 use crate::breaker::BreakerLayer;
@@ -225,8 +226,8 @@ pub enum Admission<C> {
     /// Forward these requests as one inner batch and hand their
     /// responses, with the context, to [`LayerRule::observe`].
     Observe(Vec<Request>, C),
-    /// Answered here, whatever inner traffic that took already done
-    /// (the TTL layer's sequential path).
+    /// Answered here, with no inner traffic and nothing to observe
+    /// (the trace layer's lone ring verb).
     Answered(Vec<Response>),
 }
 
@@ -238,8 +239,9 @@ pub trait LayerRule {
     /// What the admit half hands the observe half.
     type Ctx;
 
-    /// The admit half: decide, per request, what travels downstream.
-    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<Self::Ctx>;
+    /// The admit half: decide, per request, what travels downstream in
+    /// the one inner batch (a layer never calls the service below).
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<Self::Ctx>;
 
     /// The observe half: turn the inner responses of the requests
     /// `admit` forwarded into this layer's responses for the burst.
@@ -258,9 +260,9 @@ pub trait LayerRule {
 impl<L: LayerRule> LayerRule for Option<L> {
     type Ctx = L::Ctx;
 
-    fn admit<S: Service>(&mut self, inner: &mut S, reqs: Vec<Request>) -> Admission<L::Ctx> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<L::Ctx> {
         match self {
-            Some(rule) => rule.admit(inner, reqs),
+            Some(rule) => rule.admit(reqs),
             None => Admission::Pass(reqs),
         }
     }
@@ -311,7 +313,7 @@ impl<L: LayerRule, S: Service> Layered<L, S> {
         reqs: Vec<Request>,
         down: impl FnOnce(&mut S, Vec<Request>) -> Progress,
     ) -> Progress {
-        let (reqs, mut ctx) = match self.layer.admit(&mut self.inner, reqs) {
+        let (reqs, mut ctx) = match self.layer.admit(reqs) {
             Admission::Pass(reqs) => return down(&mut self.inner, reqs),
             Admission::Answered(resps) => return Progress::Done(resps),
             Admission::Observe(reqs, ctx) => (reqs, ctx),
@@ -440,10 +442,10 @@ pub enum LayerKind {
     /// Per-client token-bucket admission control.
     RateLimit,
     /// Shard-pressure load shedding for writes (below rate-limit, so a
-    /// shed burst still pays tokens; above TTL, so reap deletes pass).
+    /// shed burst still pays tokens).
     Shed,
-    /// TTL/expiry sidecar: `EXPIRE` arms timers, `GET` lazily expires
-    /// (innermost, immediately in front of the store).
+    /// TTL/expiry: meters the traffic of the key timers the shard
+    /// owners keep (innermost, immediately in front of the store).
     Ttl,
 }
 

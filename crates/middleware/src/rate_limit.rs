@@ -11,7 +11,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
 use crate::protocol::Command;
 use dego_core::{SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter};
@@ -219,7 +219,7 @@ impl LayerRule for RateLimitRule {
     /// burst; the rest are rejected in place. Order is preserved:
     /// admitted commands travel downstream as one inner batch and are
     /// zipped back around the rejections.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<Split> {
         let admission_t = crate::span::start();
         let chargeable = reqs.iter().filter(|r| !uncharged(&r.command)).count() as u64;
         let granted = self.state.admit_n(&self.bucket, chargeable);
@@ -251,6 +251,7 @@ impl LayerRule for RateLimitRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Service;
     use crate::protocol::Reply;
 
     struct Ok200;

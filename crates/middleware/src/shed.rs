@@ -26,7 +26,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
 use crate::protocol::{Command, CommandClass};
 use crate::span;
@@ -173,7 +173,7 @@ impl LayerRule for ShedLayer {
     /// metering exemption the contract allows (pressure is a clock,
     /// not state the burst itself mutates). Ordering and reply bytes
     /// are unchanged.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<Split> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<Split> {
         let state = &self.state;
         let Some(probe) = state.active() else {
             return Admission::Pass(reqs);
@@ -207,7 +207,7 @@ impl LayerRule for ShedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Layered;
+    use crate::pipeline::{Layered, Service};
     use crate::protocol::Reply;
     use std::sync::atomic::{AtomicU64, Ordering};
 

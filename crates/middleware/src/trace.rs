@@ -33,7 +33,7 @@
 use crate::flight::{Capture, CaptureRing, Observation};
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
-    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Service, Session, Split,
+    split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
 use crate::prom::Surface;
 use crate::protocol::{Command, CommandClass, Reply};
@@ -212,7 +212,7 @@ impl LayerRule for TraceRule {
     /// parks is charged its real wait. Ring verbs are answered in place
     /// without travelling further down — a lone one without a sampling
     /// tick, counted as traffic and nothing else.
-    fn admit<S: Service>(&mut self, _inner: &mut S, reqs: Vec<Request>) -> Admission<TraceCtx> {
+    fn admit(&mut self, reqs: Vec<Request>) -> Admission<TraceCtx> {
         let single = match reqs.as_slice() {
             [req] => match observability_reply(&self.metrics, &req.command) {
                 Some(reply) => {
@@ -309,7 +309,7 @@ impl LayerRule for TraceRule {
 mod tests {
     use super::*;
     use crate::config::TraceConfig;
-    use crate::pipeline::BoxService;
+    use crate::pipeline::{BoxService, Service};
 
     struct Store;
     impl Service for Store {

@@ -1204,8 +1204,15 @@ mod tests {
         const PER_BURST: u64 = 4;
         let stats = Arc::new(ServerStats::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let runtime =
-            crate::store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), None, 60);
+        let runtime = crate::store::spawn_shards(
+            2,
+            256,
+            Arc::clone(&stats),
+            Arc::clone(&shutdown),
+            None,
+            60,
+            None,
+        );
         let exec = ExecService::new(
             Arc::clone(&runtime.store),
             Arc::clone(&stats),

@@ -208,27 +208,40 @@ mod tests {
         // The burst is one run, handed to the one shard as a single
         // envelope — one sweep, if it arrives in one read. The burst
         // is a single socket write, so at worst TCP cuts it in two.
-        let server = spawn(ServerConfig {
-            shards: 1,
-            capacity: 256,
-            ..ServerConfig::default()
-        })
-        .expect("server spawns");
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        let burst: Vec<String> = (0..16).map(|i| format!("SET g{i} v{i}")).collect();
-        for reply in c.pipeline(&burst).unwrap() {
-            assert_eq!(reply, ClientReply::Status("OK".into()));
+        // The same holds through the full stack with a far timer armed
+        // on a key the burst does not touch.
+        for (middleware, timer) in [
+            (MiddlewareConfig::none(), false),
+            (MiddlewareConfig::full(), true),
+        ] {
+            let server = spawn(ServerConfig {
+                shards: 1,
+                capacity: 256,
+                middleware,
+                ..ServerConfig::default()
+            })
+            .expect("server spawns");
+            let mut c = Client::connect(server.local_addr()).unwrap();
+            if timer {
+                c.set("far", "1").unwrap();
+                assert!(c.expire("far", 3_600_000).unwrap(), "timer armed");
+            }
+            let before = server.stats();
+            let burst: Vec<String> = (0..16).map(|i| format!("SET g{i} v{i}")).collect();
+            for reply in c.pipeline(&burst).unwrap() {
+                assert_eq!(reply, ClientReply::Status("OK".into()));
+            }
+            let snap = server.stats();
+            assert_eq!(snap.applied - before.applied, 16);
+            let sweeps = snap.shard_batches - before.shard_batches;
+            assert!(sweeps > 0, "shard drained batches");
+            assert!(
+                sweeps <= 2,
+                "group commit: one sweep per run, got {sweeps} (timer armed: {timer})"
+            );
+            assert_eq!(c.get("g15").unwrap().as_deref(), Some("v15"));
+            server.shutdown();
         }
-        let snap = server.stats();
-        assert_eq!(snap.applied, 16);
-        assert!(snap.shard_batches > 0, "shard drained batches");
-        assert!(
-            snap.shard_batches <= 2,
-            "group commit: one sweep per run, got {}",
-            snap.shard_batches
-        );
-        assert_eq!(c.get("g15").unwrap().as_deref(), Some("v15"));
-        server.shutdown();
     }
 
     #[test]

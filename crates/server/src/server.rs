@@ -15,11 +15,12 @@
 //! innermost service ([`ExecService`]) executes against the store,
 //! splitting two ways: **reads** (`GET`, `TIMELINE`, `ISFOLLOWING`, …)
 //! are served inline from the lock-free segment readers; **mutations**
-//! are handed to the owning shard thread and acknowledged through
-//! the connection's reply channel before the response line is emitted
-//! — so a client that saw `+OK` for a `SET` observes that value on
-//! every later read, from any connection (the shard applied it before
-//! acking, and segment publication is release/acquire).
+//! (`EXPIRE` and a lapsed key's `GET` included) are handed to the
+//! owning shard thread and acknowledged through the connection's reply
+//! channel before the response line is emitted — so a client that saw
+//! `+OK` for a `SET` observes that value on every later read, from any
+//! connection (the shard applied it before acking, and segment
+//! publication is release/acquire).
 //!
 //! Pipelining is **batched end to end** and **two-phase**: the whole
 //! buffered burst — a burst of one included — is drained into one
@@ -343,6 +344,8 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let ready = Arc::new(AtomicBool::new(true));
     let loops_joined = Arc::new(AtomicBool::new(false));
+    // The shard owners keep the key timers, counted with the TTL layer's.
+    let ttl = mw.layers.contains(&LayerKind::Ttl);
     let runtime = store::spawn_shards(
         config.shards,
         config.capacity,
@@ -350,6 +353,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         Arc::clone(&loops_joined),
         config.shard_delay,
         config.middleware.trace.window_secs,
+        ttl.then(|| Arc::clone(stack.metrics())),
     );
     // The shed layer's pressure probe reads the live shard telemetry;
     // the store exists only now, so the probe is seated post-build.
@@ -439,9 +443,8 @@ struct StorePressure {
 impl PressureProbe for StorePressure {
     fn shard_of(&self, cmd: &Command) -> Option<usize> {
         let shard = match cmd {
-            Command::Set(key, _) | Command::Del(key) | Command::Incr(key, _) => {
-                self.store.shard_of_key(key)
-            }
+            Command::Set(key, _) | Command::Del(key) => self.store.shard_of_key(key),
+            Command::Incr(key, _) | Command::Expire(key, _) => self.store.shard_of_key(key),
             Command::AddUser(user)
             | Command::Join(user)
             | Command::Leave(user)
@@ -793,7 +796,8 @@ impl ExecService {
     }
 
     /// The single-shard mutation `cmd` moves into (with its shard and
-    /// the rows it touches), or `cmd` back when it is not one.
+    /// the rows it touches), or `cmd` back when it is not one. A `GET`
+    /// of a key whose timer has lapsed is one: its reap.
     fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
         use PendingKey::{Follower, Group, Profile, Timeline};
         let kv = |key: &String| {
@@ -806,6 +810,8 @@ impl ExecService {
             Command::Set(key, value) => (kv(&key), Mutation::Set { key, value }),
             Command::Del(key) => (kv(&key), Mutation::Del { key }),
             Command::Incr(key, delta) => (kv(&key), Mutation::Incr { key, delta }),
+            Command::Expire(key, millis) => (kv(&key), Mutation::Expire { key, millis }),
+            Command::Get(key) if self.store.lapsed(&key) => (kv(&key), Mutation::Reap { key }),
             Command::AddUser(user) => (
                 (
                     self.store.shard_of_user(user),
@@ -942,10 +948,12 @@ impl ExecService {
     /// (`AUTH`, `EXPIRE`, the `SLOWLOG`/`TRACE` rings) answered here,
     /// at the innermost service, when their layer is not in the
     /// pipeline — they never reach the store.
-    fn structural_rejection(cmd: &Command) -> Option<Response> {
+    fn structural_rejection(&self, cmd: &Command) -> Option<Response> {
         match cmd {
             Command::Auth(_) => Some(Response::rejection("AUTH", "auth layer not enabled")),
-            Command::Expire(..) => Some(Response::rejection("TTL", "ttl layer not enabled")),
+            Command::Expire(..) if self.store.tables.timers.metrics.is_none() => {
+                Some(Response::rejection("TTL", "ttl layer not enabled"))
+            }
             Command::SlowlogGet
             | Command::SlowlogReset
             | Command::SlowlogLen
@@ -978,7 +986,7 @@ impl ExecService {
             let req = burst.rest.next().expect("the request looked at above");
             // Pending rows only matter to a request after this one.
             let later = !burst.rest.as_slice().is_empty();
-            if let Some(resp) = Self::structural_rejection(&req.command) {
+            if let Some(resp) = self.structural_rejection(&req.command) {
                 self.publish();
                 burst.slots.push(Slot::Done(resp.reply));
                 continue;
@@ -1075,8 +1083,8 @@ impl ExecService {
 impl Service for ExecService {
     /// A burst of one, waited for on this thread: begun like any burst,
     /// then blocked on the ack channel until [`Service::poll_batch`]
-    /// answers. The event loop parks every burst instead; in the server
-    /// only the TTL layer's sequential path (an armed timer) comes here.
+    /// answers. Nothing in the server comes here (the loop parks every
+    /// burst, and no layer calls below itself): in-process callers do.
     fn call(&mut self, req: Request) -> Response {
         let mut responses = match self.begin_batch(vec![req]) {
             Progress::Done(responses) => responses,
@@ -1139,6 +1147,7 @@ impl Service for ExecService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dego_middleware::PipelineMetrics;
 
     #[test]
     fn accept_backoff_grows_and_saturates() {
@@ -1149,16 +1158,26 @@ mod tests {
         assert_eq!(accept_backoff(u32::MAX), ACCEPT_BACKOFF_CAP);
     }
 
-    /// A store of 2 shards whose owners stall `stall` per apply, one
+    /// A store of 2 shards whose owners stall `stall` per apply (and
+    /// keep key timers when given the TTL layer's metrics), one
     /// connection's innermost service over it, and the owners, stopped
     /// when the guard drops.
     fn exec_over(
         stall: Option<Duration>,
         ack_timeout: Duration,
+        ttl: Option<Arc<PipelineMetrics>>,
     ) -> (ExecService, Arc<ServerStats>, Owners) {
         let stats = Arc::new(ServerStats::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let runtime = store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&stop), stall, 60);
+        let runtime = store::spawn_shards(
+            2,
+            256,
+            Arc::clone(&stats),
+            Arc::clone(&stop),
+            stall,
+            60,
+            ttl,
+        );
         let exec = ExecService::new(
             Arc::clone(&runtime.store),
             Arc::clone(&stats),
@@ -1209,7 +1228,7 @@ mod tests {
     /// and the telemetry still counts the 64 mutations.
     #[test]
     fn a_run_is_handed_off_as_one_envelope_per_shard() {
-        let (mut exec, stats, owners) = exec_over(None, Duration::from_secs(5));
+        let (mut exec, stats, owners) = exec_over(None, Duration::from_secs(5), None);
         let store = Arc::clone(&owners.runtime.store);
         let sets = |keys: Range<u32>| keys.map(|i| set(&format!("k{i}"), "v"));
         // Drive one parking burst to completion the way the event loop
@@ -1254,7 +1273,7 @@ mod tests {
     #[test]
     fn a_burst_reparks_at_each_barrier_and_is_poisoned_at_its_deadline() {
         const STALL: Duration = Duration::from_millis(20);
-        let (mut exec, _, _owners) = exec_over(Some(STALL), Duration::from_secs(5));
+        let (mut exec, _, _owners) = exec_over(Some(STALL), Duration::from_secs(5), None);
         let began = Instant::now();
         let progress = exec.begin_batch(vec![set("k", "1"), get("k"), set("k", "2"), get("k")]);
         assert!(began.elapsed() < STALL, "waited {:?}", began.elapsed());
@@ -1266,8 +1285,11 @@ mod tests {
         let (ok, value) = (Reply::Status("OK"), |v: &str| Reply::Value(v.into()));
         assert_eq!(replies, [ok.clone(), value("1"), ok, value("2")]);
 
-        let (mut exec, _, _owners) =
-            exec_over(Some(Duration::from_millis(200)), Duration::from_millis(30));
+        let (mut exec, _, _owners) = exec_over(
+            Some(Duration::from_millis(200)),
+            Duration::from_millis(30),
+            None,
+        );
         let progress = exec.begin_batch(vec![set("k", "1"), get("k"), Request::new(Command::Ping)]);
         let answered: Vec<(Reply, bool)> = answer(&mut exec, progress)
             .into_iter()
@@ -1282,5 +1304,166 @@ mod tests {
                 (timeout, true)
             ]
         );
+    }
+
+    /// One connection's executor over owners that keep key timers, the
+    /// metrics they count them in, and the owners' guard.
+    fn timed() -> (ExecService, Arc<PipelineMetrics>, Owners) {
+        let metrics = Arc::new(PipelineMetrics::new());
+        let ttl = Some(Arc::clone(&metrics));
+        let (exec, _, owners) = exec_over(None, Duration::from_secs(5), ttl);
+        (exec, metrics, owners)
+    }
+
+    fn call(exec: &mut ExecService, req: Request) -> Reply {
+        exec.call(req).reply
+    }
+
+    fn expire(key: &str, millis: u64) -> Request {
+        Request::new(Command::Expire(key.into(), millis))
+    }
+
+    fn incr(key: &str, delta: i64) -> Request {
+        Request::new(Command::Incr(key.into(), delta))
+    }
+
+    /// A burst through `begin_batch`, answered as the event loop does.
+    fn burst(exec: &mut ExecService, reqs: Vec<Request>) -> Vec<Reply> {
+        let progress = exec.begin_batch(reqs);
+        let responses = answer(exec, progress);
+        responses.into_iter().map(|resp| resp.reply).collect()
+    }
+
+    #[test]
+    fn expire_on_missing_key_reports_zero() {
+        let (mut exec, _, _owners) = timed();
+        assert_eq!(call(&mut exec, expire("k", 50)), Reply::Int(0));
+    }
+
+    #[test]
+    fn expired_key_reads_as_nil_and_is_reaped() {
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("k", "v"));
+        assert_eq!(call(&mut exec, expire("k", 20)), Reply::Int(1));
+        assert_eq!(
+            call(&mut exec, get("k")),
+            Reply::Value("v".into()),
+            "alive before the deadline"
+        );
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(call(&mut exec, get("k")), Reply::Nil);
+        assert_eq!(metrics.ttl_expired.sum(), 1);
+        // Reaped for real: later reads miss without a timer to look at.
+        assert!(!exec.store.lapsed(&"k".into()));
+        assert_eq!(call(&mut exec, get("k")), Reply::Nil);
+        assert_eq!(metrics.ttl_expired.sum(), 1, "no double expiry");
+    }
+
+    #[test]
+    fn set_disarms_a_pending_timer() {
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("k", "v1"));
+        call(&mut exec, expire("k", 20));
+        call(&mut exec, set("k", "v2"));
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(
+            call(&mut exec, get("k")),
+            Reply::Value("v2".into()),
+            "rewrite must cancel the timer"
+        );
+        assert_eq!(metrics.ttl_expired.sum(), 0);
+    }
+
+    #[test]
+    fn rearming_extends_the_deadline() {
+        let (mut exec, _, _owners) = timed();
+        call(&mut exec, set("k", "v"));
+        // Re-armed well inside the first timer, so a loaded box cannot
+        // let it lapse first; then read well past it.
+        call(&mut exec, expire("k", 200));
+        std::thread::sleep(Duration::from_millis(20));
+        call(&mut exec, expire("k", 10_000));
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(call(&mut exec, get("k")), Reply::Value("v".into()));
+    }
+
+    #[test]
+    fn expire_cannot_resurrect_a_lapsed_key() {
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("k", "v"));
+        call(&mut exec, expire("k", 10));
+        std::thread::sleep(Duration::from_millis(30));
+        // The timer lapsed (no GET reaped it yet): a re-EXPIRE must
+        // treat the key as gone, not re-arm the stale value.
+        assert_eq!(call(&mut exec, expire("k", 10_000)), Reply::Int(0));
+        assert_eq!(call(&mut exec, get("k")), Reply::Nil);
+        assert_eq!(metrics.ttl_expired.sum(), 1);
+    }
+
+    #[test]
+    fn incr_on_a_lapsed_key_restarts_from_zero() {
+        let (mut exec, _, _owners) = timed();
+        call(&mut exec, set("n", "41"));
+        call(&mut exec, expire("n", 10));
+        std::thread::sleep(Duration::from_millis(30));
+        // The expired 41 must not leak into the increment.
+        assert_eq!(call(&mut exec, incr("n", 1)), Reply::Int(1));
+        assert_eq!(
+            call(&mut exec, get("n")),
+            Reply::Value("1".into()),
+            "the incremented row has no timer"
+        );
+    }
+
+    #[test]
+    fn incr_on_a_live_timed_key_clears_the_timer() {
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("n", "1"));
+        call(&mut exec, expire("n", 20));
+        assert_eq!(call(&mut exec, incr("n", 1)), Reply::Int(2));
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(
+            call(&mut exec, get("n")),
+            Reply::Value("2".into()),
+            "rewritten row survives the stale deadline"
+        );
+        assert_eq!(metrics.ttl_expired.sum(), 0);
+    }
+
+    #[test]
+    fn batch_with_timers_keeps_expiry_semantics() {
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("k", "v"));
+        call(&mut exec, expire("k", 10));
+        std::thread::sleep(Duration::from_millis(30));
+        // The first GET is the reap, the second waits for it at a
+        // barrier: both observe the expiry.
+        let replies = burst(&mut exec, vec![get("k"), get("k")]);
+        assert_eq!(replies, [Reply::Nil, Reply::Nil]);
+        assert_eq!(metrics.ttl_expired.sum(), 1, "reaped exactly once");
+    }
+
+    #[test]
+    fn batch_carrying_expire_arms_timers() {
+        let (mut exec, metrics, _owners) = timed();
+        let replies = burst(&mut exec, vec![set("k", "v"), expire("k", 10_000)]);
+        assert_eq!(replies[1], Reply::Int(1), "armed mid-burst");
+        assert_eq!(metrics.ttl_armed.sum(), 1);
+    }
+
+    #[test]
+    fn non_kv_commands_pass_untouched() {
+        // A timer armed, and the verbs that are not kv traffic neither
+        // touch it nor are touched by it.
+        let (mut exec, metrics, _owners) = timed();
+        call(&mut exec, set("k", "v"));
+        call(&mut exec, expire("k", 10_000));
+        let mut other = |cmd| call(&mut exec, Request::new(cmd));
+        assert_eq!(other(Command::Ping), Reply::Status("PONG"));
+        assert_eq!(other(Command::AddUser(1)), Reply::Status("OK"));
+        assert_eq!(other(Command::Timeline(1)), Reply::Ints(vec![]));
+        assert_eq!(call(&mut exec, get("k")), Reply::Value("v".into()));
+        assert_eq!(metrics.ttl_armed.sum(), 1);
+        assert_eq!(metrics.ttl_expired.sum(), 0);
     }
 }

@@ -40,6 +40,16 @@
 //! `TimelinePush` is one local lookup and two stores — no allocation,
 //! nothing retired. `TIMELINE` copies its window straight out of the
 //! ring, newest first.
+//!
+//! **Key timers live with their key's owner.** `EXPIRE` is a mutation
+//! of its key's row, and the deadlines sit in an owner-written segment
+//! beside the keyspace ([`Tables::expiry`]). A `GET` that finds its
+//! key's timer lapsed becomes a reap mutation. A reap never destroys
+//! an acknowledged rewrite: one owner applies a key's mutations in
+//! FIFO order and checks the timer again when it applies the reap, and
+//! a `SET` or `DEL` that got there first cleared it, so the reap
+//! answers the live row. While no timer is armed anywhere, a `GET`
+//! pays one relaxed load for all this and a write one branch.
 
 use crate::event_loop::LoopWaker;
 use crate::protocol::Reply;
@@ -49,11 +59,11 @@ use dego_core::{
     SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter, SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
-    declare_metrics, Histograms, RelaxedCounter, Row, StoreSegment, Surface, WindowedHistogram,
-    P50_P99,
+    declare_metrics, Histograms, PipelineMetrics, RelaxedCounter, Row, StoreSegment, Surface,
+    WindowedHistogram, P50_P99,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle, Thread};
@@ -165,11 +175,14 @@ impl ShardTelemetry {
     }
 }
 
-/// A storage-plane mutation (the payload of an [`Entry::Op`]).
+/// A storage-plane mutation (the payload of an [`Entry::Op`]). `Reap`
+/// is a `GET` whose timer a loop saw lapsed.
 pub(crate) enum Mutation {
     Set { key: String, value: String },
     Del { key: String },
     Incr { key: String, delta: i64 },
+    Expire { key: String, millis: u64 },
+    Reap { key: String },
     AddUser { user: u64 },
     TimelinePush { user: u64, msg: u64 },
     FollowerAdd { followee: u64, follower: u64 },
@@ -186,6 +199,9 @@ pub(crate) enum Mutation {
 pub(crate) struct Tables {
     /// The string keyspace (GET/SET/DEL/INCR).
     pub kv: Arc<SegmentedHashMap<String, String>>,
+    /// key → when its timer lapses; few keys have one, so it starts small.
+    pub expiry: Arc<SegmentedHashMap<String, u64>>,
+    pub timers: Timers,
     /// user → the read half of their timeline log.
     pub timelines: Arc<SegmentedHashMap<u64, RecentReader>>,
     /// user → who follows them.
@@ -196,10 +212,47 @@ pub(crate) struct Tables {
     pub group: Arc<SegmentedSet<u64>>,
 }
 
+/// What every thread shares of the key timers besides their deadlines.
+#[derive(Clone)]
+pub(crate) struct Timers {
+    /// What a deadline counts microseconds from.
+    epoch: Instant,
+    /// Timers armed on all shards: while none is, nobody looks one up.
+    /// Relaxed is enough: a `GET` that must see a timer comes after the
+    /// ack of the `EXPIRE` that armed it, so coherence forbids it the
+    /// older count, and the deadline itself is published by the map.
+    armed: Arc<AtomicUsize>,
+    /// Where the owners count `ttl_armed` and `ttl_expired`; `None`
+    /// when the stack has no TTL layer, which refuses `EXPIRE`.
+    pub metrics: Option<Arc<PipelineMetrics>>,
+}
+
+impl Timers {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// The deadline `lookup` finds; one relaxed load while none is armed.
+    fn deadline(&self, lookup: impl FnOnce() -> Option<u64>) -> Option<u64> {
+        (self.armed.load(Ordering::Relaxed) > 0).then(lookup)?
+    }
+
+    /// Whether `deadline`, if there is one, has passed.
+    fn lapsed(&self, deadline: Option<u64>) -> bool {
+        deadline.is_some_and(|at| self.now_us() >= at)
+    }
+}
+
 impl Tables {
-    fn new(shards: usize, capacity: usize) -> Self {
+    fn new(shards: usize, capacity: usize, ttl: Option<Arc<PipelineMetrics>>) -> Self {
         Tables {
             kv: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            expiry: SegmentedHashMap::new(shards, 0, SegmentationKind::Hash),
+            timers: Timers {
+                epoch: Instant::now(),
+                armed: Arc::new(AtomicUsize::new(0)),
+                metrics: ttl,
+            },
             timelines: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
             followers: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
             profiles: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
@@ -211,6 +264,8 @@ impl Tables {
     fn claim(&self) -> Owned {
         Owned {
             kv: self.kv.writer(),
+            expiry: self.expiry.writer(),
+            timers: self.timers.clone(),
             timelines: self.timelines.writer(),
             logs: HashMap::new(),
             followers: self.followers.writer(),
@@ -252,6 +307,13 @@ impl Store {
     /// The shard owning `user`'s rows.
     pub fn shard_of_user(&self, user: u64) -> usize {
         home_segment(&user, self.shards)
+    }
+
+    /// Whether `key`'s timer has lapsed: a `GET` of it is a reap for
+    /// its owner to make.
+    pub fn lapsed(&self, key: &String) -> bool {
+        let Tables { expiry, timers, .. } = &self.tables;
+        timers.lapsed(timers.deadline(|| expiry.get(key)))
     }
 
     /// Number of shards.
@@ -374,7 +436,8 @@ pub(crate) struct ShardRuntime {
 /// atomic, so [`Store::set_shard_delay`] can change it at runtime.
 /// `window_secs` sizes the telemetry histograms' rolling window. An
 /// owner exits once `stop` is up and its queue is drained, so `stop`
-/// must go up only when nothing can publish any more.
+/// must go up only when nothing can publish any more. `ttl` is the
+/// TTL layer's metrics (see [`Timers::metrics`]).
 pub(crate) fn spawn_shards(
     shards: usize,
     capacity: usize,
@@ -382,9 +445,10 @@ pub(crate) fn spawn_shards(
     stop: Arc<AtomicBool>,
     apply_delay: Option<Duration>,
     window_secs: u64,
+    ttl: Option<Arc<PipelineMetrics>>,
 ) -> ShardRuntime {
     assert!(shards > 0, "need at least one shard");
-    let tables = Tables::new(shards, capacity);
+    let tables = Tables::new(shards, capacity, ttl);
     let applied = CounterIncrementOnly::new(shards);
     let telemetry: Vec<Arc<ShardTelemetry>> = (0..shards)
         .map(|_| Arc::new(ShardTelemetry::new(window_secs)))
@@ -524,6 +588,8 @@ fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<
 /// holds.
 struct Owned {
     kv: SegmentedHashMapWriter<String, String>,
+    expiry: SegmentedHashMapWriter<String, u64>,
+    timers: Timers,
     timelines: SegmentedHashMapWriter<u64, RecentReader>,
     /// The append halves of the logs whose read halves `timelines`
     /// publishes — plain owner-local state, same key set as this
@@ -548,6 +614,47 @@ impl Owned {
         })
     }
 
+    /// When `key`'s timer lapses, if it has one.
+    fn deadline(&self, key: &String) -> Option<u64> {
+        self.timers
+            .deadline(|| self.expiry.peek(key, |at| at.copied()))
+    }
+
+    /// Drop `key`'s timer, if it has one.
+    fn disarm(&mut self, key: &String) {
+        if self.deadline(key).is_some() {
+            self.expiry.remove(key);
+            self.timers.armed.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A key whose timer has lapsed is gone: drop its row and its
+    /// timer, and count it expired. Returns whether it was.
+    fn reap(&mut self, key: &String) -> bool {
+        let lapsed = self.timers.lapsed(self.deadline(key));
+        if lapsed {
+            self.kv.remove(key);
+            self.disarm(key);
+            if let Some(m) = &self.timers.metrics {
+                m.ttl_expired.increment();
+            }
+        }
+        lapsed
+    }
+
+    /// Arm (or re-arm) `key`'s timer to lapse `millis` from now.
+    fn arm(&mut self, key: String, millis: u64) {
+        if self.deadline(&key).is_none() {
+            self.timers.armed.fetch_add(1, Ordering::Relaxed);
+        }
+        let now = self.timers.now_us();
+        self.expiry
+            .put(key, now.saturating_add(millis.saturating_mul(1_000)));
+        if let Some(m) = &self.timers.metrics {
+            m.ttl_armed.increment();
+        }
+    }
+
     /// Apply one mutation through this shard's writers, consuming it
     /// (its strings move into the map). Single-writer per segment, so
     /// read-modify-write sequences on owned rows are races with nobody
@@ -555,14 +662,18 @@ impl Owned {
     fn apply(&mut self, mutation: Mutation) -> Reply {
         match mutation {
             Mutation::Set { key, value } => {
+                self.disarm(&key);
                 self.kv.put(key, value);
                 Reply::Status("OK")
             }
             Mutation::Del { key } => {
+                self.disarm(&key);
                 self.kv.remove(&key);
                 Reply::Status("OK")
             }
             Mutation::Incr { key, delta } => {
+                // An expired value must not leak into the sum.
+                self.reap(&key);
                 let current = self
                     .kv
                     .peek(&key, |raw| raw.map_or(Ok(0), |raw| raw.parse::<i64>()));
@@ -570,8 +681,25 @@ impl Owned {
                     return Reply::Error(format!("value at {key:?} is not an integer"));
                 };
                 let next = current.wrapping_add(delta);
+                self.disarm(&key);
                 self.kv.put(key, next.to_string());
                 Reply::Int(next)
+            }
+            Mutation::Expire { key, millis } => {
+                // A lapsed key is gone: it is not re-armed but reaped.
+                if self.reap(&key) || self.kv.peek(&key, |row| row.is_none()) {
+                    return Reply::Int(0);
+                }
+                self.arm(key, millis);
+                Reply::Int(1)
+            }
+            Mutation::Reap { key } => {
+                if self.reap(&key) {
+                    return Reply::Nil;
+                }
+                // A rewrite since the loop looked cleared the timer.
+                let row = self.kv.peek(&key, |row| row.cloned());
+                row.map_or(Reply::Nil, Reply::Value)
             }
             Mutation::AddUser { user } => {
                 self.timeline(user);
@@ -643,7 +771,7 @@ mod tests {
     /// the value it overwrites, nothing at all for a timeline append.
     #[test]
     fn apply_allocates_only_what_it_stores() {
-        let tables = Tables::new(1, 64);
+        let tables = Tables::new(1, 64, None);
         let mut owned = tables.claim();
         let mut spent = |op: Mutation| {
             let before = allocations();

@@ -7,7 +7,8 @@
 //!   produce byte-identical reply streams to the same script sent one
 //!   line at a time (every command through `call`) on an identically
 //!   booted server, with no layer, a partial stack and the full stack
-//!   (one chain type, absent layers passing through);
+//!   (one chain type, absent layers passing through), and with a key
+//!   timer armed;
 //! * **run boundaries**: the same equivalence for a write-run-heavy
 //!   script (runs of up to 64 consecutive mutations, each followed
 //!   directly by a same-key read, a parse error, a keepalive, `QUIT`
@@ -64,8 +65,21 @@ fn generous(layers: &str) -> MiddlewareConfig {
 /// each script pipelined in random bursts, an identically booted one
 /// takes it in lock step; the streams must match.
 fn assert_pipelined_matches_lock_step(layers: &str, seeds: &[u64]) {
+    assert_servers_agree(layers, seeds, false);
+}
+
+/// [`assert_pipelined_matches_lock_step`], with both servers holding a
+/// far timer on a key the scripts never write when `timer_armed`.
+fn assert_servers_agree(layers: &str, seeds: &[u64], timer_armed: bool) {
     let pipelined = boot(generous(layers));
     let sequential = boot(generous(layers));
+    if timer_armed {
+        for server in [&pipelined, &sequential] {
+            let mut c = Client::connect(server.local_addr()).expect("connect");
+            c.set("far", "1").expect("set");
+            assert!(c.expire("far", 3_600_000).expect("arm"), "timer armed");
+        }
+    }
     let login = layers != "none";
     for &seed in seeds {
         let script = random_script(seed, 400);
@@ -125,6 +139,14 @@ fn pipelined_replies_match_lock_step_partial_stack() {
 #[test]
 fn pipelined_replies_match_lock_step_full_stack() {
     assert_pipelined_matches_lock_step("full", &[0xbee5, 0xfee1]);
+}
+
+/// The partial and full stacks' seeds once more, while a timer is
+/// armed: an armed timer does not change the reply bytes.
+#[test]
+fn pipelined_replies_match_lock_step_with_a_timer_armed() {
+    assert_servers_agree("trace,auth,ttl", &[0xe5001, 0xe5002], true);
+    assert_servers_agree("full", &[0xbee5, 0xfee1], true);
 }
 
 /// Regression (run hand-off): a run still staged when the burst ends

@@ -13,8 +13,9 @@
 //! * **cross-connection group commit**: concurrent bursts share shard
 //!   sweeps;
 //! * **no head-of-line blocking**: every burst parks — a span-sampled
-//!   one, one at a read-after-write barrier, a lone write — so the
-//!   other connections on its loop are served meanwhile.
+//!   one, one at a read-after-write barrier, a lone write, with a key
+//!   timer armed or not — so the other connections on its loop are
+//!   served meanwhile.
 //!
 //! (Reply-byte equivalence of pipelined and sequential execution lives
 //! in `integration_batch.rs`.)
@@ -330,6 +331,45 @@ fn no_loop_waits_for_a_barrier_or_a_lone_write() {
     let mut replies = [0u8; 7];
     barrier.read_exact(&mut replies).expect("two replies");
     assert_eq!(&replies, b"+OK\n$v\n");
+    let mut reply = [0u8; 4];
+    lone.read_exact(&mut reply).expect("one reply");
+    assert_eq!(&reply, b"+OK\n");
+    server.shutdown();
+}
+
+/// An armed timer blocks no loop: with a timer armed on some key, a
+/// lone write through the full stack (TTL layer included) still parks,
+/// so bystander C on the same loop gets its `+PONG` while the write
+/// waits out a 200 ms shard stall. Ordered by staged mutations, not by
+/// the clock.
+#[test]
+fn an_armed_timer_blocks_no_loop() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    let server = spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 256,
+        event_loops: 1,
+        middleware: MiddlewareConfig::full(),
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let mut timer = Client::connect(server.local_addr()).expect("connect");
+    timer.set("t", "1").expect("set");
+    assert!(timer.expire("t", 3_600_000).expect("arm"), "timer armed");
+    server.set_shard_delay(Some(Duration::from_millis(200)));
+
+    let before = server.stats().mutations;
+    let mut lone = TcpStream::connect(server.local_addr()).expect("connect");
+    lone.write_all(b"SET a 1\n").expect("one write");
+    wait_until("the write to be staged", || {
+        server.stats().mutations > before
+    });
+    let mut bystander = Client::connect(server.local_addr()).expect("connect");
+    bystander
+        .ping()
+        .expect("served while the lone write is parked");
+    assert_unanswered(&lone, "the lone write");
     let mut reply = [0u8; 4];
     lone.read_exact(&mut reply).expect("one reply");
     assert_eq!(&reply, b"+OK\n");

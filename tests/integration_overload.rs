@@ -74,6 +74,8 @@ fn shard_stall_sheds_writes_instead_of_hanging() {
     for i in 0..16 {
         latecomer.send(&format!("SET stb{i} v")).expect("send");
     }
+    // An EXPIRE is a write on its key's shard: shed like the SETs.
+    latecomer.send("EXPIRE sta0 60000").expect("send");
     latecomer.flush().expect("flush");
     let mut shed = 0usize;
     for _ in 0..16 {
@@ -91,6 +93,8 @@ fn shard_stall_sheds_writes_instead_of_hanging() {
         }
     }
     assert!(shed > 0, "a backlogged shard plane must shed new writes");
+    let expire = error_of(latecomer.read_reply().expect("reply"));
+    assert!(expire.starts_with("SHED shard="), "got {expire:?}");
 
     // Clear the stall and collect client A's replies: every write the
     // server acknowledged must read back — shedding never eats an ack.
