@@ -4,17 +4,22 @@
 //! Each loop owns a set of nonblocking sockets. A readable connection
 //! has its buffered burst drained, parsed, and *begun* on its
 //! session's middleware chain (`Service::begin_batch`) — every burst,
-//! a burst of one included. The burst's runs of mutations are
-//! published to the shard queues, one envelope per (run, shard); while
-//! acks are in flight (at the burst's end, or at a read-after-write
-//! barrier inside it) the chain **parks** the burst — every layer
-//! keeps its own context, the innermost service the slots, the acks
-//! and the requests not staged yet — and the loop moves straight on to
-//! the next readable connection. A loop never blocks on an ack.
-//! Bursts from *different* connections therefore pile into the same
-//! shard sweep — **cross-connection group commit**. A shard owner
-//! answers each envelope with one ack and wakes the loop through the
-//! `eventfd` the envelope carries; the loop then polls the chains of
+//! a burst of one included. The burst's runs of mutations for the
+//! loop's *home* shards are applied by the loop itself when their
+//! write side is free; the rest are published to the shard queues,
+//! one envelope per (run, shard) (see `store.rs`). A burst with no ack
+//! left in flight is answered at once. While acks are in flight (at
+//! the burst's end, or at a read-after-write barrier inside it) the
+//! chain **parks** the burst — every layer keeps its own context, the
+//! innermost service the slots, the acks and the requests not staged
+//! yet — and the loop moves straight on to the next readable
+//! connection. A loop never blocks on an ack, and never on a write
+//! side: it takes one only if it is free, and an apply in place is the
+//! one slow thing it may run. Bursts from *different* connections
+//! therefore pile into the same shard sweep — **cross-connection group
+//! commit**. A shard owner answers each envelope with one ack and wakes
+//! the loop through the `eventfd` the envelope carries; the loop then
+//! polls the chains of
 //! its parked connections (`Service::poll_batch`): a burst parked at a
 //! barrier resumes staging (and may park again), and a chain whose
 //! burst is complete — or past its ack deadline — hands back the
@@ -266,6 +271,9 @@ impl Drop for LoopWaker {
 pub(crate) struct LoopCtx {
     pub(crate) epoll: Epoll,
     pub(crate) waker: Arc<LoopWaker>,
+    /// Per shard, whether it is this loop's home shard: runs for it are
+    /// applied in place by this thread when its write side is free.
+    pub(crate) home: Arc<[bool]>,
     /// New connections from the accept thread (socket, global conn id).
     pub(crate) inbox: Receiver<(TcpStream, u64)>,
     pub(crate) store: Arc<Store>,
@@ -474,6 +482,7 @@ impl EventLoop {
             Arc::clone(&self.ctx.ready),
             self.ctx.ack_timeout,
             Arc::clone(&self.ctx.waker),
+            Arc::clone(&self.ctx.home),
         );
         let chain = self.ctx.stack.service(&session, Box::new(exec));
         let fd = socket.as_raw_fd();
@@ -1219,6 +1228,7 @@ mod tests {
             Arc::new(AtomicBool::new(true)),
             Duration::from_secs(5),
             Arc::new(LoopWaker::new().expect("eventfd")),
+            Arc::new([false; 2]),
         );
         let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
         let session = Session {

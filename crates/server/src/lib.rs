@@ -8,18 +8,22 @@
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
 //! | keyspace, timeline index, followers, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
-//! | each user's timeline | [`dego_core::swmr_recent()`] log, appended by its shard's owner | SWMR, newest-`n` reads |
+//! | each user's timeline | [`dego_core::swmr_recent()`] log, appended by its shard's writer | SWMR, newest-`n` reads |
 //! | interest group | [`dego_core::SegmentedSet`] | `(S3, CWMR)` |
-//! | mutation funnel, one per shard | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
+//! | mutation funnel, one per shard, drained by whoever holds the shard's write side | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
 //! | applied-mutation counter | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |
 //!
 //! The server keeps the paper's access disciplines **by construction**:
-//! every segmented structure has one segment per shard, and only that
-//! shard's owner thread holds its writer handles. The event-loop
-//! threads read lock-free from any segment and funnel every mutation through
-//! the owning shard's MPSC queue — multi-producer is exactly what the
-//! `(Q1, MWSR)` adjustment grants, and single-consumer is what the
-//! single-writer segments require. The objects themselves take no lock.
+//! every segmented structure has one segment per shard, and a shard's
+//! writer handles and its MPSC queue's consumer end sit together behind
+//! one mutex — its write side — so one thread at a time writes the
+//! segments and drains the queue: the shard's owner thread, or an
+//! event loop applying a run for one of its home shards in place. The
+//! event-loop threads read lock-free from any segment and hand the
+//! other shards' runs to their queues — multi-producer is exactly what
+//! the `(Q1, MWSR)` adjustment grants, and single-consumer is what the
+//! single-writer segments require. The objects themselves take no
+//! lock; a loop only ever `try_lock`s a write side.
 //! The epoch reclamation under the maps does, rarely: the workspace's
 //! offline `crossbeam-epoch` stand-in keeps deferred garbage behind one
 //! mutex, taken by an owner once per 256 retirements and by whichever

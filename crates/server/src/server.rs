@@ -15,11 +15,12 @@
 //! innermost service ([`ExecService`]) executes against the store,
 //! splitting two ways: **reads** (`GET`, `TIMELINE`, `ISFOLLOWING`, …)
 //! are served inline from the lock-free segment readers; **mutations**
-//! (`EXPIRE` and a lapsed key's `GET` included) are handed to the
-//! owning shard thread and acknowledged through the connection's reply
-//! channel before the response line is emitted — so a client that saw
-//! `+OK` for a `SET` observes that value on every later read, from any
-//! connection (the shard applied it before acking, and segment
+//! (`EXPIRE` and a lapsed key's `GET` included) are applied by whoever
+//! holds the shard's write side — this loop for one of its home shards,
+//! the shard's owner thread otherwise (see `store.rs`) — and
+//! acknowledged before the response line is emitted, so a client that
+//! saw `+OK` for a `SET` observes that value on every later read, from
+//! any connection (the shard applied it before acking, and segment
 //! publication is release/acquire).
 //!
 //! Pipelining is **batched end to end** and **two-phase**: the whole
@@ -32,27 +33,30 @@
 //! waits: no loop thread ever blocks on an ack. How a burst's
 //! acks are reassembled (the [`AckTable`], the slots, the ack channel)
 //! is known to this module only: the loop sees `Parked`, then
-//! responses. Below the stack the unit that crosses to the shard
-//! owners is the **run** — the maximal sequence of consecutive
-//! mutations in the burst (a `POST`'s fan-out pushes included), split
-//! per shard. [`ExecService`] stages a run's mutations by value and
-//! *publishes* it when it ends: at the first non-mutation command (so
-//! the owners apply while the loop serves the reads that follow), at a
-//! barrier, and at the end of the burst — one envelope, one owner
-//! wake-up and one ack per (run, shard). When to publish is read off
-//! the input, so there is nothing to tune; a lone mutation is a run of
+//! responses. Below the stack the unit that reaches a shard is the
+//! **run** — the mutations one staging pass stages for it (a `POST`'s
+//! fan-out pushes included). [`ExecService`] stages mutations by value
+//! and *publishes* at one place, the end of each pass (at a barrier or
+//! at the end of the burst): the runs for other shards go to their
+//! owners, one envelope, one owner wake-up and one ack per (run,
+//! shard), and each run for a home shard is applied in place by this
+//! thread, its acks filed at once. A pass whose runs all went in place
+//! needs no wait: the next pass starts at once, and a burst that never
+//! waits finishes inside `begin_batch`. When to publish is read off the
+//! input, so there is nothing to tune; a lone mutation is a run of
 //! one. Replies are reassembled
 //! by sequence number in an [`AckTable`] (a burst's numbers are dense,
 //! so a plain index), rendered back to back into the connection's one
 //! output buffer and written with one socket write.
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
-//! mutations keep per-key order through the FIFO shard queues, and a
-//! read whose key has an outstanding mutation in the same burst waits
-//! for the acks (a *barrier*) before being served — the burst parks
-//! there, and staging resumes once the acks are in, so one burst may
-//! park several times. Reads on untouched keys proceed immediately,
-//! which is where the batching wins.
+//! mutations keep per-key order through the shards' FIFO order, and a
+//! read whose key has a mutation staged or outstanding in the same
+//! burst waits for the acks (a *barrier*) before being served — the
+//! burst parks there unless its runs went in place, and staging resumes
+//! once the acks are in, so one burst may park several times. Reads on
+//! untouched keys proceed immediately, which is where the batching
+//! wins.
 
 use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
@@ -137,7 +141,9 @@ pub struct ServerConfig {
     /// tests). Leave `None` in production.
     pub accept_hook: Option<AcceptHook>,
     /// Test hook: make every shard apply this much slower (stuck-shard
-    /// timeout tests). Leave `None` in production.
+    /// timeout tests). Leave `None` in production. A stalled shard is
+    /// never applied to in place: every run waits for its stalled
+    /// owner, parked, so no loop thread ever sleeps in the stall.
     pub shard_delay: Option<Duration>,
 }
 
@@ -231,7 +237,9 @@ impl ServerHandle {
     /// Set (or clear) the chaos stall every shard owner sleeps before
     /// applying each mutation. Runtime-tunable: the stuck-shard and
     /// load-shedding tests stall a live server, watch shedding engage,
-    /// then clear it and watch the backlog drain.
+    /// then clear it and watch the backlog drain. While it is set no
+    /// loop applies a run in place, so the stall lands on the owners
+    /// only and every loop stays free to serve.
     pub fn set_shard_delay(&self, delay: Option<Duration>) {
         self.store.set_shard_delay(delay);
     }
@@ -367,9 +375,16 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut sinks: Vec<LoopSink> = Vec::with_capacity(loops);
     for (i, (waker, epoll)) in loop_fds.into_iter().enumerate() {
         let (conn_tx, conn_rx) = channel::<(TcpStream, u64)>();
+        // Shard `s` is home to loop `i` iff `s % loops == i % shards`:
+        // every shard has a home loop, and with loops == shards each
+        // loop has exactly one home shard.
+        let home = (0..config.shards)
+            .map(|s| s % loops == i % config.shards)
+            .collect();
         let ctx = LoopCtx {
             epoll,
             waker: Arc::clone(&waker),
+            home,
             inbox: conn_rx,
             store: Arc::clone(&runtime.store),
             stats: Arc::clone(&stats),
@@ -461,7 +476,7 @@ impl PressureProbe for StorePressure {
     }
 
     fn pressure_of(&self, shard: usize) -> ShardPressure {
-        let t = &self.store.telemetry()[shard];
+        let t = self.store.telemetry(shard);
         ShardPressure {
             queue_depth: t.queue_depth(),
             ack_p99_us: t.ack_us().percentile_us(0.99),
@@ -633,11 +648,11 @@ impl AckTable {
         self.filed == self.replies.len()
     }
 
-    /// File one envelope's ack.
-    fn accept(&mut self, acked: Vec<Entry>) {
+    /// File one run's acks.
+    fn accept(&mut self, acked: impl IntoIterator<Item = Entry>) {
         for entry in acked {
             let Entry::Ack(seq, reply, seg) = entry else {
-                unreachable!("shard owners ack every entry of an envelope");
+                unreachable!("a run comes back with every entry acked");
             };
             self.segments.extend(seg);
             let index = seq.checked_sub(self.base).map(|i| i as usize);
@@ -684,8 +699,9 @@ struct Burst {
 /// The innermost service: executes commands against the storage plane
 /// (the thing every middleware layer ultimately wraps), and the one
 /// place a burst waits — by **parking**. `begin_batch` stages a burst
-/// until its end or a barrier (a read-after-write and friends), and
-/// parks it while acks are in flight; `poll_batch` files the acks that
+/// until its end or a barrier (a read-after-write and friends), staging
+/// on past each barrier whose runs all went in place, and parks it
+/// while acks are in flight; `poll_batch` files the acks that
 /// arrived and, once the table is complete, resumes staging after the
 /// barrier — so a burst may park several times, all under the one
 /// `ack_timeout` armed when it began — and resolves it at the end or
@@ -699,9 +715,12 @@ pub(crate) struct ExecService {
     ready: Arc<AtomicBool>,
     /// Next mutation sequence number (reply reassembly key).
     next_seq: u64,
-    /// The run being staged: per shard, the entries of its next
-    /// envelope. Empty between staging passes — every pass publishes.
+    /// The runs being staged, per shard. Empty between staging passes
+    /// — every pass publishes.
     staged: Vec<Vec<Entry>>,
+    /// Per shard, whether it is home to this connection's loop: its
+    /// runs are applied in place when its write side is free.
+    home: Arc<[bool]>,
     ack_timeout: Duration,
     ack_tx: Sender<Vec<Entry>>,
     ack_rx: Receiver<Vec<Entry>>,
@@ -720,10 +739,12 @@ impl ExecService {
         ready: Arc<AtomicBool>,
         ack_timeout: Duration,
         waker: Arc<LoopWaker>,
+        home: Arc<[bool]>,
     ) -> ExecService {
         let (ack_tx, ack_rx) = channel();
         ExecService {
             staged: (0..store.shards()).map(|_| Vec::new()).collect(),
+            home,
             store,
             stats,
             ready,
@@ -773,25 +794,37 @@ impl ExecService {
         first..acks.next_seq()
     }
 
-    /// End the staged run: one envelope per touched shard, all stamped
-    /// with the same publish time and carrying the loop's doorbell.
-    fn publish(&mut self) {
-        let mut now = None;
-        for (shard, staged) in self.staged.iter_mut().enumerate() {
-            if staged.is_empty() {
-                continue;
-            }
-            let run = Envelope {
-                entries: std::mem::take(staged),
-                reply: self.ack_tx.clone(),
-                waker: Arc::clone(&self.waker),
-                enqueued_at: *now.get_or_insert_with(Instant::now),
+    /// End the pass's runs, all stamped with one publish time. The
+    /// runs for other shards go first, one envelope each carrying the
+    /// loop's doorbell, so their owners apply them while this thread
+    /// applies each home run in place, filing its acks into `acks`. A
+    /// home run whose write side is busy, or whose shard is stalled,
+    /// goes to its owner too.
+    fn publish(&mut self, acks: &mut AckTable) {
+        let mut stamp = None;
+        for home in [false, true] {
+            for (shard, staged) in self.staged.iter_mut().enumerate() {
+                if staged.is_empty() || self.home[shard] != home {
+                    continue;
+                }
                 // Only span-sampled requests pay for shard-side
-                // stamping; the flag rides the envelope across the
-                // queue boundary.
-                traced: dego_middleware::span::active(),
-            };
-            self.store.enqueue(shard, run);
+                // stamping; the flag rides the run to its writer.
+                let (at, traced) =
+                    *stamp.get_or_insert_with(|| (Instant::now(), dego_middleware::span::active()));
+                if home && self.store.apply_in_place(shard, staged, (at, traced)) {
+                    // Drained, not taken: the run's vector is reused.
+                    acks.accept(staged.drain(..));
+                    continue;
+                }
+                let run = Envelope {
+                    entries: std::mem::take(staged),
+                    reply: self.ack_tx.clone(),
+                    waker: Arc::clone(&self.waker),
+                    enqueued_at: at,
+                    traced,
+                };
+                self.store.enqueue(shard, run);
+            }
         }
     }
 
@@ -851,10 +884,11 @@ impl ExecService {
     }
 
     /// Whether `cmd` must wait for `burst`'s outstanding acks — a
-    /// *barrier*: a read of a row with a mutation in flight (or a full
-    /// barrier), or a `POST` whose fan-out reads a follower row being
-    /// written. With nothing outstanding (the common case: reads ahead
-    /// of a burst's first write) no key is even hashed to find out.
+    /// *barrier*: a read of a row with a mutation staged or in flight
+    /// (or a full barrier), or a `POST` whose fan-out reads a follower
+    /// row being written. With nothing outstanding (the common case:
+    /// reads ahead of a burst's first write) no key is even hashed to
+    /// find out.
     fn waits(burst: &Burst, cmd: &Command) -> bool {
         !burst.acks.complete()
             && match cmd {
@@ -966,15 +1000,26 @@ impl ExecService {
 }
 
 impl ExecService {
-    /// One staging pass: the group-commit loop. Consecutive mutations
-    /// are staged into a run and published when the run ends (FIFO
-    /// shard queues keep per-key order) — at the first non-mutation, so
-    /// the owners apply it while this thread serves the reads that
-    /// follow, and at the end of the pass. The pass ends at the end of
-    /// the burst or at a barrier ([`ExecService::waits`]), the waiting
-    /// request left first in `rest`: the caller parks the burst, and
-    /// the next pass begins once every outstanding ack is filed.
+    /// The group-commit loop, in staging passes. A pass stages
+    /// mutations per shard, serves reads inline, and publishes its runs
+    /// at its end — the one place a run ends: the shards' FIFO order
+    /// keeps per-key order, and [`ExecService::waits`] makes a barrier
+    /// of any read of a row still staged. A pass ends at the end of the
+    /// burst or at a barrier, the waiting request left first in `rest`.
+    /// If its runs all went in place, every ack is filed and the next
+    /// pass begins here; otherwise the caller parks the burst, and the
+    /// next pass begins once every outstanding ack is filed.
     fn stage_burst(&mut self, burst: &mut Burst) {
+        loop {
+            self.stage_pass(burst);
+            if !burst.acks.complete() || burst.rest.as_slice().is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// One staging pass (see [`ExecService::stage_burst`]).
+    fn stage_pass(&mut self, burst: &mut Burst) {
         if burst.acks.complete() {
             // Every mutation staged so far is applied and visible.
             burst.pending.clear();
@@ -987,15 +1032,11 @@ impl ExecService {
             // Pending rows only matter to a request after this one.
             let later = !burst.rest.as_slice().is_empty();
             if let Some(resp) = self.structural_rejection(&req.command) {
-                self.publish();
                 burst.slots.push(Slot::Done(resp.reply));
                 continue;
             }
             let slot = match req.command {
-                Command::Quit => {
-                    self.publish();
-                    Slot::Quit
-                }
+                Command::Quit => Slot::Quit,
                 Command::Post(author, msg) => {
                     // Every fan-out target's timeline is now dirty: a
                     // TIMELINE of any of them later in this burst waits.
@@ -1013,19 +1054,13 @@ impl ExecService {
                         }
                         Slot::Single(self.stage(&mut burst.acks, shard, op))
                     }
-                    Err(cmd) => {
-                        // The run ends here: the owners apply it while
-                        // this thread serves the read.
-                        self.publish();
-                        Slot::Done(self.serve_read(&cmd))
-                    }
+                    Err(cmd) => Slot::Done(self.serve_read(&cmd)),
                 },
             };
             burst.slots.push(slot);
         }
-        // The end of the pass ends the run, on every way out.
         self.next_seq = burst.acks.next_seq();
-        self.publish();
+        self.publish(&mut burst.acks);
     }
 
     /// The response `slot` resolves to; an ack that never arrived
@@ -1102,10 +1137,11 @@ impl Service for ExecService {
         responses.pop().expect("one response per request")
     }
 
-    /// Stage the burst's first pass and park it while its acks are in
-    /// flight — the loop serves other connections meanwhile, whose
-    /// bursts can hit the same shard sweep. The deadline is armed here,
-    /// once for the whole burst however often it parks.
+    /// Stage the burst and park it while its acks are in flight — the
+    /// loop serves other connections meanwhile, whose bursts can hit
+    /// the same shard sweep — or answer it at once if none is. The
+    /// deadline is armed here, once for the whole burst however often
+    /// it parks.
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
         let mut burst = Burst {
             slots: Vec::with_capacity(reqs.len()),
@@ -1160,7 +1196,8 @@ mod tests {
 
     /// A store of 2 shards whose owners stall `stall` per apply (and
     /// keep key timers when given the TTL layer's metrics), one
-    /// connection's innermost service over it, and the owners, stopped
+    /// connection's innermost service over it — on a loop home to no
+    /// shard, so every run goes to an owner — and the owners, stopped
     /// when the guard drops.
     fn exec_over(
         stall: Option<Duration>,
@@ -1178,14 +1215,26 @@ mod tests {
             60,
             ttl,
         );
-        let exec = ExecService::new(
-            Arc::clone(&runtime.store),
-            Arc::clone(&stats),
+        let exec = connection(&runtime.store, &stats, ack_timeout, [false; 2]);
+        (exec, stats, Owners { runtime, stop })
+    }
+
+    /// One connection's innermost service over `store`, on a loop whose
+    /// home shards are those `home` marks.
+    fn connection(
+        store: &Arc<Store>,
+        stats: &Arc<ServerStats>,
+        ack_timeout: Duration,
+        home: [bool; 2],
+    ) -> ExecService {
+        ExecService::new(
+            Arc::clone(store),
+            Arc::clone(stats),
             Arc::new(AtomicBool::new(true)),
             ack_timeout,
             Arc::new(LoopWaker::new().expect("eventfd")),
-        );
-        (exec, stats, Owners { runtime, stop })
+            Arc::new(home),
+        )
     }
 
     struct Owners {
@@ -1255,12 +1304,12 @@ mod tests {
             .sum();
         assert_eq!(enqueued, 64, "STATS SHARDS counts mutations, not envelopes");
 
-        // A read of an untouched key in the middle ends the first run
-        // (published at once, no barrier): two runs, at most 4 sweeps.
+        // A read of an untouched key in the middle is no barrier and
+        // ends no run: the pass publishes once, at its end.
         let mut burst: Vec<Request> = sets(64..96).collect();
         burst.push(get("untouched"));
         burst.extend(sets(96..128));
-        assert!((2..=4).contains(&sweeps_of(burst, 64)));
+        assert_eq!(sweeps_of(burst, 64), 2);
         assert_eq!(store.applied_since_reset(), 128);
     }
 
@@ -1304,6 +1353,80 @@ mod tests {
                 (timeout, true)
             ]
         );
+    }
+
+    /// A key that routes to `shard`.
+    fn key_on(store: &Store, shard: usize) -> String {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .find(|key| store.shard_of_key(key) == shard)
+            .expect("some key routes to every shard")
+    }
+
+    /// The replies of a burst begun on `exec` if it finished inside
+    /// `begin_batch`; a burst that parked is answered, and `None`.
+    fn finished_at_once(exec: &mut ExecService, reqs: Vec<Request>) -> Option<Vec<Reply>> {
+        match exec.begin_batch(reqs) {
+            Progress::Done(responses) => Some(responses.into_iter().map(|r| r.reply).collect()),
+            parked => {
+                answer(exec, parked);
+                None
+            }
+        }
+    }
+
+    /// With shard 0 home to its loop, a connection applies its writes
+    /// there in place: a lone `SET` finishes inside `begin_batch`, and
+    /// so does a burst with read-after-write barriers, each pass staging
+    /// on at once. A `SET` on shard 1 goes to that shard's owner and
+    /// parks. An owner caught mid-sweep sends a home write to the owner
+    /// too, so the home bursts get a few tries.
+    #[test]
+    fn a_home_shard_write_finishes_inside_begin_batch() {
+        let (_, stats, owners) = exec_over(None, Duration::from_secs(5), None);
+        let store = &owners.runtime.store;
+        let mut exec = connection(store, &stats, Duration::from_secs(5), [true, false]);
+        let (home, away) = (key_on(store, 0), key_on(store, 1));
+        let (ok, value) = (Reply::Status("OK"), |v: &str| Reply::Value(v.into()));
+        let mut at_once = |reqs: &dyn Fn() -> Vec<Request>| {
+            (0..100).find_map(|_| finished_at_once(&mut exec, reqs()))
+        };
+        let lone = at_once(&|| vec![set(&home, "1")]).expect("a lone home write in place");
+        assert_eq!(lone, std::slice::from_ref(&ok));
+        let barriers = at_once(&|| vec![set(&home, "2"), get(&home), set(&home, "3"), get(&home)])
+            .expect("a home burst in place");
+        assert_eq!(barriers, [ok.clone(), value("2"), ok.clone(), value("3")]);
+
+        let parked = exec.begin_batch(vec![set(&away, "v")]);
+        assert!(matches!(parked, Progress::Parked));
+        let replies: Vec<Reply> = answer(&mut exec, parked)
+            .into_iter()
+            .map(|resp| resp.reply)
+            .collect();
+        assert_eq!(replies, [ok]);
+        assert_eq!(store.tables.kv.get(&away).as_deref(), Some("v"));
+    }
+
+    /// Per-shard FIFO across the two paths. A connection on a loop home
+    /// to no shard enqueues `SET k a`; a connection on the shard's home
+    /// loop then writes `SET k b` — in place, after sweeping the queued
+    /// `a`, or (owner mid-sweep) queued behind it. Either way `b` is the
+    /// last write, every time.
+    #[test]
+    fn a_run_in_place_applies_after_the_runs_queued_before_it() {
+        let (mut away, stats, owners) = exec_over(None, Duration::from_secs(5), None);
+        let store = &owners.runtime.store;
+        let mut home = connection(store, &stats, Duration::from_secs(5), [true; 2]);
+        let key = String::from("k");
+        for round in 0..10_000 {
+            let queued = away.begin_batch(vec![set(&key, &format!("a{round}"))]);
+            assert!(matches!(queued, Progress::Parked));
+            let last = format!("b{round}");
+            let progress = home.begin_batch(vec![set(&key, &last)]);
+            answer(&mut home, progress);
+            answer(&mut away, queued);
+            assert_eq!(store.tables.kv.get(&key), Some(last), "round {round}");
+        }
     }
 
     /// One connection's executor over owners that keep key timers, the

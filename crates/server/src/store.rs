@@ -1,52 +1,69 @@
-//! The sharded storage plane: dego-core adjusted objects behind N
-//! shard-owner threads, handed work **one run at a time**.
+//! The sharded storage plane: dego-core adjusted objects whose
+//! per-shard writers are held by **one thread at a time**.
 //!
 //! Every structure is segmented with [`SegmentationKind::Hash`] into
-//! one segment per shard, and each shard's segment writers are claimed
-//! by exactly one **shard-owner thread** — the single-writer (M2,
-//! CWMR) discipline the paper's map adjustment requires. Reads go
-//! straight to the lock-free segment readers from any thread;
-//! mutations travel through a [`dego_core::mpsc`] queue (the paper's
-//! `QueueMasp`, MWSR) to the owning shard, which applies them in
-//! arrival order and acks through a per-connection reply channel.
+//! one segment per shard. A shard's segment writers, its inbox (a
+//! [`dego_core::mpsc`] queue, the paper's `QueueMasp`, MWSR) and its
+//! applied-counter cell are its **write side** ([`WriteSide`]), kept
+//! behind one `Mutex`: whoever holds it is the segments' one writer —
+//! the single-writer (M2, CWMR) discipline the paper's map adjustment
+//! requires. Reads go straight to the lock-free segment readers from
+//! any thread.
 //!
-//! **The unit of hand-off is the run.** A connection stages the
-//! consecutive mutations of a burst per shard and publishes them as
-//! one [`Envelope`] per touched shard: one queue node, one reply
-//! handle, one timestamp, one `unpark`. The owner drains its inbox in
-//! one sweep, turns each envelope's entries from [`Entry::Op`] into
-//! [`Entry::Ack`] **in place**, and sends the same `Vec` back as the
-//! envelope's single ack — so the sender's grouping is never
-//! re-derived, and what the loop thread allocated the loop thread
-//! frees. After the send the owner rings the sender's event-loop
-//! doorbell ([`Envelope::waker`]): every burst waits for its acks
-//! parked, its loop in `epoll_wait`. Telemetry counts
-//! **mutations**, not envelopes: `enqueued` rises by the run's length
-//! at publish, `drained` by one per apply, and `ack_us` / a traced
-//! entry's `queue_us` are measured from the publish.
+//! **Who holds the write side.** A connection stages the consecutive
+//! mutations of a burst per shard as **runs** and publishes them at the
+//! end of each staging pass. The runs for other shards go to their
+//! owner threads (`dego-shard-<i>`) as one [`Envelope`] per (run,
+//! shard): one queue node, one reply handle, one timestamp, one
+//! `unpark`. A run for one of the loop's *home* shards is applied by
+//! the loop itself ([`Store::apply_in_place`]): it `try_lock`s the
+//! write side, sweeps whatever is queued first, applies its own run and
+//! files the acks straight into its burst — no wake-up, no ack channel,
+//! no doorbell. This is flat combining (Hendler, Incze, Shavit and
+//! Tzafrir, SPAA 2010) on the paper's single-writer segments: whoever
+//! finds the writer free does the writer's work. A write side that is
+//! busy (its owner or another loop mid-sweep) or poisoned, or a shard
+//! stalled by the chaos hook, gets the run as an envelope instead. The
+//! owner parks while its queue depth reads 0 and takes the write side
+//! only to sweep. Either way a sweep ([`Store::sweep`]) applies the
+//! queued envelopes in arrival order, turns each one's entries from
+//! [`Entry::Op`] into [`Entry::Ack`] **in place** and sends the same
+//! `Vec` back as its single ack — what the loop allocated the loop
+//! frees — then rings the sender's event-loop doorbell
+//! ([`Envelope::waker`]). A run applied in place comes after every
+//! envelope queued before it, so each shard's mutations still apply in
+//! FIFO order.
+//!
+//! The trade-off is where a slow apply lands. In place it runs on the
+//! loop thread, so a slow one — say a 512-line `FOLLOW` burst against a
+//! 10k-follower row — stalls that loop and every connection on it, not
+//! an owner. Telemetry counts **mutations** on both paths, not
+//! envelopes: `enqueued` rises by the run's length when it is handed
+//! over, `drained` by one per apply, and `ack_us` / a traced entry's
+//! `queue_us` are measured from the publish.
 //!
 //! Routing is [`dego_core::home_segment`] of the key (or user id), the
 //! same hash the maps use internally, so a shard writer never touches
 //! a foreign segment (`debug_assert`ed inside dego-core).
 //!
-//! **The owner's write path costs what a single writer should**
-//! ([`Owned::apply`]). It reads its own rows through
-//! `SegmentedHashMapWriter::peek` — no pin, no clone: nobody else
-//! unlinks them — and its `put`s are blind, so an overwrite allocates
-//! the new value's box and nothing else. A timeline is a
-//! [`dego_core::swmr_recent()`] log **appended to in place**: the
-//! `timelines` map holds each user's read half, the owner keeps the
-//! append halves in plain owner-local state ([`Owned::logs`]), and a
+//! **The write path costs what a single writer should**
+//! ([`Owned::apply`]), whoever holds the write side. It reads its own
+//! rows through `SegmentedHashMapWriter::peek` — no pin, no clone:
+//! nobody else unlinks them — and its `put`s are blind, so an
+//! overwrite allocates the new value's box and nothing else. A
+//! timeline is a [`dego_core::swmr_recent()`] log **appended to in
+//! place**: the `timelines` map holds each user's read half, the write
+//! side keeps the append halves in plain state ([`Owned::logs`]), and a
 //! `TimelinePush` is one local lookup and two stores — no allocation,
 //! nothing retired. `TIMELINE` copies its window straight out of the
 //! ring, newest first.
 //!
 //! **Key timers live with their key's owner.** `EXPIRE` is a mutation
-//! of its key's row, and the deadlines sit in an owner-written segment
-//! beside the keyspace ([`Tables::expiry`]). A `GET` that finds its
+//! of its key's row, and the deadlines sit in a segment of the write
+//! side beside the keyspace ([`Tables::expiry`]). A `GET` that finds its
 //! key's timer lapsed becomes a reap mutation. A reap never destroys
-//! an acknowledged rewrite: one owner applies a key's mutations in
-//! FIFO order and checks the timer again when it applies the reap, and
+//! an acknowledged rewrite: a key's mutations apply one at a time in
+//! FIFO order, the timer is checked again when the reap applies, and
 //! a `SET` or `DEL` that got there first cleared it, so the reap
 //! answers the live row. While no timer is armed anywhere, a `GET`
 //! pays one relaxed load for all this and a write one branch.
@@ -55,17 +72,17 @@ use crate::event_loop::LoopWaker;
 use crate::protocol::Reply;
 use crate::stats::ServerStats;
 use dego_core::{
-    home_segment, mpsc, swmr_recent, CounterIncrementOnly, RecentReader, RecentWriter,
+    home_segment, mpsc, swmr_recent, CounterCell, CounterIncrementOnly, RecentReader, RecentWriter,
     SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter, SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
-    declare_metrics, Histograms, PipelineMetrics, RelaxedCounter, Row, StoreSegment, Surface,
+    declare_metrics, Histograms, PipelineMetrics, Reading, Row, StoreSegment, Surface,
     WindowedHistogram, P50_P99,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::{Builder, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -80,17 +97,20 @@ const _: () = assert!(crate::TIMELINE_LIMIT < TIMELINE_KEEP);
 /// `dego_retwis::FANOUT_LIMIT`).
 pub const FANOUT_LIMIT: usize = 16;
 
-/// One slot of an [`Envelope`]: a planned mutation on the way to the
-/// shard owner, its acknowledgement on the way back. Both carry the
+/// One slot of a run: a planned mutation on the way to the shard's
+/// writer, its acknowledgement on the way back. Both carry the
 /// per-connection sequence number replies are reassembled by.
 pub(crate) enum Entry {
     /// To apply.
     Op(u64, Mutation),
-    /// Applied: the reply plus — for a traced envelope — the
-    /// store-side span segment the owner stamped (queue wait and apply
-    /// time on the owner thread).
+    /// Applied: the reply plus — for a traced run — the store-side
+    /// span segment its writer stamped (queue wait and apply time).
     Ack(u64, Reply, Option<StoreSegment>),
 }
+
+/// When a run was published, and whether a trace span is open on the
+/// connection that published it (see [`Envelope`]).
+pub(crate) type Stamp = (Instant, bool);
 
 /// One connection's run of consecutive mutations for one shard.
 pub(crate) struct Envelope {
@@ -102,12 +122,12 @@ pub(crate) struct Envelope {
     /// The issuing connection's event-loop doorbell, rung after the
     /// ack send so the woken loop's sweep observes the ack.
     pub waker: Arc<LoopWaker>,
-    /// When the run was published — the shard owner turns this into
-    /// the publish→apply latency samples.
+    /// When the run was published — its writer turns this into the
+    /// publish→apply latency samples.
     pub enqueued_at: Instant,
     /// Whether a trace span is open on the issuing connection: asks
-    /// the shard owner to stamp a [`StoreSegment`] into each ack.
-    /// Untraced envelopes pay nothing extra on the owner thread.
+    /// the shard's writer to stamp a [`StoreSegment`] into each ack.
+    /// Untraced runs pay nothing extra when applied.
     pub traced: bool,
 }
 
@@ -119,21 +139,22 @@ pub const KEYS: Row = Row::gauge("keys", "Keys in the string keyspace.");
 
 declare_metrics! {
     /// Per-shard observability counters: the load-shedding inputs
-    /// (`STATS SHARDS`, `/metrics`) for one shard owner. Each row is a
+    /// (`STATS SHARDS`, `/metrics`) for one shard. Each row is a
     /// family labelled by shard: the `{}` in its name.
     ///
-    /// Counters are relaxed atomics and the histograms are the same
-    /// log₂-bucket windowed histograms the middleware uses — statistics,
-    /// not synchronization, on the storage plane's hottest path.
+    /// Counters are atomics and the histograms are the same log₂-bucket
+    /// windowed histograms the middleware uses — statistics on the
+    /// storage plane's hottest path, but for the queue depth, which the
+    /// owner parks on ([`ShardTelemetry::queue_depth`]).
     pub(crate) struct ShardTelemetry {
         /// Mutations handed to the shard since boot.
-        enqueued: RelaxedCounter => "shard{}_enqueued",
+        enqueued: Rebased => "shard{}_enqueued",
     }
 
     fn new(window_secs: u64) {
-        /// Mutations the owner has drained and applied.
+        /// Mutations applied since boot, whoever held the write side.
         drained: AtomicU64 = AtomicU64::new(0),
-        /// Mutations per owner sweep (the group-commit width, log₂ buckets).
+        /// Mutations per sweep (the group-commit width, log₂ buckets).
         drained_batch: WindowedHistogram = WindowedHistogram::new(window_secs),
         /// Publish→apply latency per mutation, microseconds.
         ack_us: WindowedHistogram = WindowedHistogram::new(window_secs),
@@ -148,25 +169,55 @@ declare_metrics! {
     }
 }
 
+/// A counter `STATS RESET` re-bases rather than zeroes: it reads the
+/// count since the reset, while its total never goes back. The queue
+/// depth is a difference of two totals, and an owner parks on it: a
+/// zeroing that raced a publish or an apply would skew it for good.
+#[derive(Default)]
+pub(crate) struct Rebased {
+    total: AtomicU64,
+    base: AtomicU64,
+}
+
+impl Rebased {
+    fn add(&self, n: u64) {
+        self.total.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
+
+    /// `STATS RESET`: count from here.
+    pub fn reset(&self) {
+        self.base.store(self.total(), Ordering::Relaxed);
+    }
+}
+
+impl Reading for Rebased {
+    fn reading(&self) -> u64 {
+        self.total()
+            .saturating_sub(self.base.load(Ordering::Relaxed))
+    }
+}
+
 impl ShardTelemetry {
-    /// `STATS RESET`: zero the counters and both histogram planes.
-    /// The enqueued/drained pair is zeroed together; a mutation in
-    /// flight across the reset can transiently read as depth, which
-    /// the next drain clears.
+    /// `STATS RESET`: re-base the counter and zero both histogram
+    /// planes. The queue depth is untouched.
     pub fn reset(&self) {
         self.reset_rows();
-        self.drained.store(0, Ordering::Relaxed);
         self.drained_batch.reset();
         self.ack_us.reset();
     }
 
-    /// Mutations enqueued but not yet applied. The two counters are
-    /// read independently, so the gauge can transiently read high
-    /// while a drain is in flight — never negative.
+    /// Mutations handed over but not yet applied. `drained` is read
+    /// first, Acquire against each apply's Release, so every hand-over
+    /// an apply it counts came after is counted too: the gauge can
+    /// transiently read high while a run is being applied, never low —
+    /// an owner parked on 0 sleeps on nothing queued.
     pub fn queue_depth(&self) -> u64 {
-        self.enqueued
-            .sum()
-            .saturating_sub(self.drained.load(Ordering::Relaxed))
+        let drained = self.drained.load(Ordering::Acquire);
+        self.enqueued.total().saturating_sub(drained)
     }
 
     /// Publish→apply latency histogram, microseconds.
@@ -193,8 +244,8 @@ pub(crate) enum Mutation {
 }
 
 /// The storage plane's tables, each Hash-segmented one segment per
-/// shard. Any thread reads them; [`Tables::claim`] hands a shard owner
-/// its segment of each.
+/// shard. Any thread reads them; [`Tables::claim`] hands a shard's
+/// write side its segment of each.
 #[derive(Clone)]
 pub(crate) struct Tables {
     /// The string keyspace (GET/SET/DEL/INCR).
@@ -275,38 +326,56 @@ impl Tables {
     }
 }
 
+/// One shard's write side: its segment writers, its inbox and its
+/// applied-counter cell. Whoever holds it is the shard's one writer.
+struct WriteSide {
+    owned: Owned,
+    inbox: mpsc::Consumer<Envelope>,
+    /// The shard's cell of [`Store::applied`] (C3: one writer at a
+    /// time, which the lock provides).
+    applied: CounterCell,
+}
+
+/// One shard of the storage plane.
+struct Shard {
+    /// Held by the owner thread for a sweep, or by a home loop for a
+    /// run in place.
+    write: Mutex<WriteSide>,
+    /// The inbox's producer end.
+    inlet: mpsc::Producer<Envelope>,
+    /// The owner thread, unparked after each enqueue.
+    owner: Thread,
+    telemetry: ShardTelemetry,
+}
+
 /// The shared storage plane.
 pub(crate) struct Store {
-    shards: usize,
     pub tables: Tables,
-    /// Mutations applied, one owner-exclusive cell per shard (C3).
+    /// Mutations applied, one cell per shard (C3).
     pub applied: Arc<CounterIncrementOnly>,
-    /// Mutation inlets, indexed by shard.
-    producers: Vec<mpsc::Producer<Envelope>>,
-    /// Shard threads, for post-enqueue wakeups.
-    wakers: Vec<Thread>,
-    /// Per-shard observability counters, indexed by shard.
-    telemetry: Vec<Arc<ShardTelemetry>>,
+    /// Indexed by shard.
+    shards: Vec<Shard>,
+    stats: Arc<ServerStats>,
     /// `applied` reading at the last `STATS RESET`
     /// ([`CounterIncrementOnly`] cells are owner-exclusive and cannot
     /// be zeroed, so resets subtract an offset instead).
     applied_offset: AtomicU64,
     /// Chaos hook: nanoseconds every shard owner sleeps before applying
-    /// each mutation (0 = off). Shared with every [`ShardCtx`] so the
-    /// stall can be turned on and off at runtime
-    /// ([`crate::ServerHandle::set_shard_delay`]).
-    shard_delay_ns: Arc<AtomicU64>,
+    /// each mutation (0 = off), changeable at runtime
+    /// ([`crate::ServerHandle::set_shard_delay`]). While it is set no
+    /// loop applies a run in place: every run goes to a stalled owner.
+    shard_delay_ns: AtomicU64,
 }
 
 impl Store {
     /// The shard owning `key`.
     pub fn shard_of_key(&self, key: &String) -> usize {
-        home_segment(key, self.shards)
+        home_segment(key, self.shards.len())
     }
 
     /// The shard owning `user`'s rows.
     pub fn shard_of_user(&self, user: u64) -> usize {
-        home_segment(&user, self.shards)
+        home_segment(&user, self.shards.len())
     }
 
     /// Whether `key`'s timer has lapsed: a `GET` of it is a reap for
@@ -318,24 +387,136 @@ impl Store {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shards.len()
     }
 
     /// Hand a run to its owning shard and wake the owner.
     pub(crate) fn enqueue(&self, shard: usize, run: Envelope) {
-        self.telemetry[shard].enqueued.add(run.entries.len() as u64);
-        self.producers[shard].offer(run);
-        self.wakers[shard].unpark();
+        let plane = &self.shards[shard];
+        plane.telemetry.enqueued.add(run.entries.len() as u64);
+        plane.inlet.offer(run);
+        plane.owner.unpark();
+    }
+
+    /// Apply `run`, published and traced as `stamp` says, on the calling
+    /// thread if `shard`'s write side is free and the shard is not
+    /// stalled: sweep what is queued first, so the shard's FIFO order
+    /// holds, then turn `run`'s ops into acks in place. Returns whether
+    /// it did; if not, `run` is untouched, for the owner to apply from
+    /// an envelope.
+    pub(crate) fn apply_in_place(&self, shard: usize, run: &mut [Entry], stamp: Stamp) -> bool {
+        if self.shard_delay_ns.load(Ordering::Relaxed) > 0 {
+            return false;
+        }
+        // Busy or poisoned alike: the owner takes the run.
+        let Ok(mut side) = self.shards[shard].write.try_lock() else {
+            return false;
+        };
+        self.shards[shard].telemetry.enqueued.add(run.len() as u64);
+        self.sweep(shard, &mut side, Some((run, stamp)));
+        true
+    }
+
+    /// One hold of `shard`'s write side, by its owner or by a home loop:
+    /// apply every envelope queued in its inbox, in arrival order,
+    /// acking each through its reply channel and doorbell (neither
+    /// blocks), then `own`, a loop's run, in place. Returns the number
+    /// of mutations applied.
+    fn sweep(
+        &self,
+        shard: usize,
+        side: &mut WriteSide,
+        own: Option<(&mut [Entry], Stamp)>,
+    ) -> usize {
+        let queued = side.inbox.drain();
+        let own_len = own.as_ref().map_or(0, |(run, _)| run.len());
+        let width = queued.iter().map(|run| run.entries.len()).sum::<usize>() + own_len;
+        if width == 0 {
+            return 0;
+        }
+        self.stats.note_shard_batch();
+        let telemetry = &self.shards[shard].telemetry;
+        telemetry.drained_batch.record(width as u64);
+        // The stall hook delays owners only: a loop that took the write
+        // side must not sleep under it if the hook goes up meanwhile.
+        let stall = own.is_none();
+        for run in queued {
+            let Envelope {
+                mut entries,
+                reply,
+                waker,
+                enqueued_at,
+                traced,
+            } = run;
+            self.apply_run(shard, side, &mut entries, (enqueued_at, traced), stall);
+            // A closed channel means the connection died mid-flight;
+            // the mutations were still applied.
+            let _ = reply.send(entries);
+            waker.wake();
+        }
+        if let Some((run, stamp)) = own {
+            self.apply_run(shard, side, run, stamp, false);
+        }
+        width
+    }
+
+    /// Turn a run's ops into their acks, in order, with the shard's
+    /// telemetry and, for a traced run, a store segment in each ack.
+    fn apply_run(
+        &self,
+        shard: usize,
+        side: &mut WriteSide,
+        run: &mut [Entry],
+        (published, traced): Stamp,
+        stall: bool,
+    ) {
+        let telemetry = &self.shards[shard].telemetry;
+        for entry in run {
+            let Entry::Op(seq, op) = std::mem::replace(entry, Entry::Ack(0, Reply::Nil, None))
+            else {
+                unreachable!("a run arrives as ops");
+            };
+            // Stamp the apply start before the delay hook: a stuck
+            // shard's stall is apply time, and the trace tree must
+            // account for it.
+            let apply_started = traced.then(Instant::now);
+            let stall_ns = if stall {
+                self.shard_delay_ns.load(Ordering::Relaxed)
+            } else {
+                0
+            };
+            if stall_ns > 0 {
+                std::thread::sleep(Duration::from_nanos(stall_ns));
+            }
+            let reply = side.owned.apply(op);
+            let seg = apply_started.map(|started| StoreSegment {
+                shard,
+                // Saturates to zero if clocks read out of order.
+                queue_us: started.duration_since(published).as_micros() as u64,
+                apply_us: started.elapsed().as_micros() as u64,
+            });
+            telemetry
+                .ack_us
+                .record(published.elapsed().as_micros() as u64);
+            telemetry.drained.fetch_add(1, Ordering::Release);
+            // Rejected mutations (e.g. INCR on a non-integer) must
+            // not inflate the applied count.
+            if !matches!(reply, Reply::Error(_)) {
+                side.applied.inc();
+                self.stats.note_applied();
+            }
+            *entry = Entry::Ack(seq, reply, seg);
+        }
     }
 
     /// Wake a parked shard owner (e.g. to notice shutdown).
     pub(crate) fn wake(&self, shard: usize) {
-        self.wakers[shard].unpark();
+        self.shards[shard].owner.unpark();
     }
 
-    /// Per-shard observability counters, indexed by shard.
-    pub(crate) fn telemetry(&self) -> &[Arc<ShardTelemetry>] {
-        &self.telemetry
+    /// `shard`'s observability counters.
+    pub(crate) fn telemetry(&self, shard: usize) -> &ShardTelemetry {
+        &self.shards[shard].telemetry
     }
 
     /// Mutations applied since boot or the last `STATS RESET` — the
@@ -358,8 +539,8 @@ impl Store {
     /// `STATS RESET` on the storage plane: zero every shard's
     /// telemetry and re-baseline the applied counter.
     pub(crate) fn reset_telemetry(&self) {
-        for t in &self.telemetry {
-            t.reset();
+        for shard in &self.shards {
+            shard.telemetry.reset();
         }
         self.applied_offset
             .store(self.applied.get(), Ordering::Relaxed);
@@ -367,7 +548,7 @@ impl Store {
 
     /// The storage plane's two gauges on either surface.
     pub(crate) fn render_gauges(&self, out: &mut Surface<'_>) {
-        out.scalar(&SHARDS, self.shards as u64);
+        out.scalar(&SHARDS, self.shards() as u64);
         out.scalar(&KEYS, self.tables.kv.len() as u64);
     }
 
@@ -379,9 +560,10 @@ impl Store {
     /// lines report the rolling window, with `_total`-suffixed lifetime
     /// twins (same contract as the `mw_*` block).
     pub(crate) fn render_shards(&self, out: &mut Surface<'_>) {
-        let labels: Vec<String> = (0..self.shards).map(|i| i.to_string()).collect();
-        let shards = || labels.iter().map(String::as_str).zip(&self.telemetry);
-        let values: Vec<Vec<u64>> = self.telemetry.iter().map(|t| t.values()).collect();
+        let labels: Vec<String> = (0..self.shards()).map(|i| i.to_string()).collect();
+        let telemetry = self.shards.iter().map(|shard| &shard.telemetry);
+        let shards = || labels.iter().map(String::as_str).zip(telemetry.clone());
+        let values: Vec<Vec<u64>> = telemetry.clone().map(|t| t.values()).collect();
         for (r, row) in ShardTelemetry::ROWS.iter().enumerate() {
             let members: Vec<_> = labels
                 .iter()
@@ -392,7 +574,7 @@ impl Store {
         }
         if let Surface::Stats(lines) = out {
             // On the scrape side this is the batch family's `_count`.
-            let drained = |(l, t): (_, &Arc<ShardTelemetry>)| {
+            let drained = |(l, t): (_, &ShardTelemetry)| {
                 format!("shard{l}_drained_batches={}", t.drained_batch.count())
             };
             lines.extend(shards().map(drained));
@@ -428,7 +610,9 @@ pub(crate) struct ShardRuntime {
 /// Shard threads are spawned **serially**: each claims its segment
 /// writers before the next thread starts, so shard `i` always holds
 /// slot `i` of every segmented structure and key routing stays aligned
-/// with writer ownership.
+/// with writer ownership. The claimed writers come back to be the
+/// shard's write side, and the owner starts once the store holding
+/// every write side exists.
 ///
 /// `apply_delay` seeds the chaos hook: when set, every owner sleeps
 /// that long before applying each mutation (a "stuck shard" for
@@ -450,149 +634,103 @@ pub(crate) fn spawn_shards(
     assert!(shards > 0, "need at least one shard");
     let tables = Tables::new(shards, capacity, ttl);
     let applied = CounterIncrementOnly::new(shards);
-    let telemetry: Vec<Arc<ShardTelemetry>> = (0..shards)
-        .map(|_| Arc::new(ShardTelemetry::new(window_secs)))
-        .collect();
-    let shard_delay_ns = Arc::new(AtomicU64::new(
-        apply_delay.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64),
-    ));
-
-    let mut producers = Vec::with_capacity(shards);
-    let mut wakers = Vec::with_capacity(shards);
+    let mut planes = Vec::with_capacity(shards);
     let mut threads = Vec::with_capacity(shards);
-
-    for (shard, shard_telemetry) in telemetry.iter().enumerate() {
-        let (producer, consumer) = mpsc::queue::<Envelope>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<usize>();
-        let ctx = ShardCtx {
-            shard,
-            tables: tables.clone(),
-            applied: Arc::clone(&applied),
-            stats: Arc::clone(&stats),
-            telemetry: Arc::clone(shard_telemetry),
-            stop: Arc::clone(&stop),
-            apply_delay: Arc::clone(&shard_delay_ns),
-        };
+    let mut starts = Vec::with_capacity(shards);
+    for shard in 0..shards {
+        let (inlet, inbox) = mpsc::queue::<Envelope>();
+        let (claimed_tx, claimed_rx) = channel::<WriteSide>();
+        let (start_tx, start_rx) = channel::<Arc<Store>>();
+        let (tables, applied, stop) = (tables.clone(), Arc::clone(&applied), Arc::clone(&stop));
         let handle = Builder::new()
             .name(format!("dego-shard-{shard}"))
-            .spawn(move || shard_loop(ctx, consumer, ready_tx))
+            .spawn(move || {
+                let side = WriteSide {
+                    owned: tables.claim(),
+                    inbox,
+                    applied: applied.cell(),
+                };
+                claimed_tx.send(side).expect("startup handshake");
+                if let Ok(store) = start_rx.recv() {
+                    owner_loop(&store, shard, &stop);
+                }
+            })
             .expect("spawn shard thread");
-        wakers.push(handle.thread().clone());
-        threads.push(handle);
-        producers.push(producer);
-        let claimed = ready_rx
+        let side = claimed_rx
             .recv()
             .expect("shard thread died before claiming its writers");
-        assert_eq!(claimed, shard, "serialized startup must assign slot=shard");
+        assert_eq!(
+            side.owned.kv.slot(),
+            shard,
+            "serialized startup must assign slot=shard"
+        );
+        planes.push(Shard {
+            write: Mutex::new(side),
+            inlet,
+            owner: handle.thread().clone(),
+            telemetry: ShardTelemetry::new(window_secs),
+        });
+        threads.push(handle);
+        starts.push(start_tx);
     }
 
     let store = Arc::new(Store {
-        shards,
         tables,
         applied,
-        producers,
-        wakers,
-        telemetry,
+        shards: planes,
+        stats,
         applied_offset: AtomicU64::new(0),
-        shard_delay_ns,
+        shard_delay_ns: AtomicU64::new(
+            apply_delay.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64),
+        ),
     });
+    for start in starts {
+        start
+            .send(Arc::clone(&store))
+            .expect("owner waits for its store");
+    }
     ShardRuntime { store, threads }
 }
 
-struct ShardCtx {
-    shard: usize,
-    tables: Tables,
-    applied: Arc<CounterIncrementOnly>,
-    stats: Arc<ServerStats>,
-    telemetry: Arc<ShardTelemetry>,
-    /// Up once nothing can publish any more (see [`spawn_shards`]).
-    stop: Arc<AtomicBool>,
-    /// Nanoseconds slept before each apply (0 = off); shared with the
-    /// store so the stall can change at runtime.
-    apply_delay: Arc<AtomicU64>,
-}
-
-/// The owner loop: claim this shard's writers, then drain and apply
-/// envelopes in arrival order until stopped, answering each with one
-/// ack — its own entries, applied in place.
-fn shard_loop(ctx: ShardCtx, mut inbox: mpsc::Consumer<Envelope>, ready: Sender<usize>) {
-    let mut owned = ctx.tables.claim();
-    let cell = ctx.applied.cell();
-    debug_assert_eq!(owned.kv.slot(), ctx.shard);
-    ready.send(owned.kv.slot()).expect("startup handshake");
-
+/// The owner thread: sweep while its shard has mutations queued, park
+/// while the queue depth reads 0. The write side is left alone while
+/// idle, so a timeout wake never fails a home loop's `try_lock`. Exits
+/// once `stop` is up and nothing is queued.
+fn owner_loop(store: &Store, shard: usize, stop: &AtomicBool) {
+    let plane = &store.shards[shard];
     loop {
-        let batch = inbox.drain();
-        if batch.is_empty() {
-            if ctx.stop.load(Ordering::Acquire) {
-                // Flag is up and the queue is drained: done.
+        // `stop` first: once it reads up, every run ever handed over
+        // is counted in the depth read after it.
+        let stopping = stop.load(Ordering::Acquire);
+        if plane.telemetry.queue_depth() == 0 {
+            if stopping {
                 return;
             }
-            // Sleep until a producer wakes us (or a timeout, to
-            // re-check the stop flag).
-            std::thread::park_timeout(Duration::from_millis(10));
-            continue;
-        }
-        ctx.stats.note_shard_batch();
-        let swept: usize = batch.iter().map(|run| run.entries.len()).sum();
-        ctx.telemetry.drained_batch.record(swept as u64);
-        for run in batch {
-            let Envelope {
-                mut entries,
-                reply,
-                waker,
-                enqueued_at,
-                traced,
-            } = run;
-            for entry in &mut entries {
-                let Entry::Op(seq, op) = std::mem::replace(entry, Entry::Ack(0, Reply::Nil, None))
-                else {
-                    unreachable!("an envelope arrives as ops");
-                };
-                // Stamp the apply start before the delay hook: a stuck
-                // shard's stall is apply time, and the trace tree must
-                // account for it.
-                let apply_started = traced.then(Instant::now);
-                let stall_ns = ctx.apply_delay.load(Ordering::Relaxed);
-                if stall_ns > 0 {
-                    std::thread::sleep(Duration::from_nanos(stall_ns));
-                }
-                let reply = owned.apply(op);
-                let seg = apply_started.map(|started| StoreSegment {
-                    shard: ctx.shard,
-                    // Saturates to zero if clocks read out of order.
-                    queue_us: started.duration_since(enqueued_at).as_micros() as u64,
-                    apply_us: started.elapsed().as_micros() as u64,
-                });
-                ctx.telemetry
-                    .ack_us
-                    .record(enqueued_at.elapsed().as_micros() as u64);
-                ctx.telemetry.drained.fetch_add(1, Ordering::Relaxed);
-                // Rejected mutations (e.g. INCR on a non-integer) must
-                // not inflate the applied count.
-                if !matches!(reply, Reply::Error(_)) {
-                    cell.inc();
-                    ctx.stats.note_applied();
-                }
-                *entry = Entry::Ack(seq, reply, seg);
+        } else {
+            // A loop holding the write side is applying, briefly. One
+            // that panicked there may have left a segment torn: this
+            // shard stops, and its writes time out as if it were stuck.
+            let mut side = plane.write.lock().expect("a writer panicked mid-apply");
+            if store.sweep(shard, &mut side, None) > 0 {
+                continue;
             }
-            // A closed channel means the connection died mid-flight;
-            // the mutations were still applied.
-            let _ = reply.send(entries);
-            waker.wake();
         }
+        // Idle, or the depth was a loop's run in flight in place: sleep
+        // until an enqueue unparks us (or a timeout, to re-check
+        // `stop`).
+        std::thread::park_timeout(Duration::from_millis(10));
     }
 }
 
-/// One shard's write handles: what its owner thread, and nobody else,
-/// holds.
+/// One shard's write handles: used by whoever holds the shard's write
+/// side, and by nobody else.
 struct Owned {
     kv: SegmentedHashMapWriter<String, String>,
     expiry: SegmentedHashMapWriter<String, u64>,
     timers: Timers,
     timelines: SegmentedHashMapWriter<u64, RecentReader>,
     /// The append halves of the logs whose read halves `timelines`
-    /// publishes — plain owner-local state, same key set as this
+    /// publishes — plain writer-local state, same key set as this
     /// shard's segment of that map.
     logs: HashMap<u64, RecentWriter>,
     followers: SegmentedHashMapWriter<u64, Vec<u64>>,
@@ -764,6 +902,22 @@ impl Owned {
 mod tests {
     use super::*;
     use crate::test_alloc::allocations;
+
+    /// `STATS RESET` with mutations in flight: `enqueued` reads from 0
+    /// again, and the queue depth an owner parks on stays exact — a
+    /// zeroed pair would read the next hand-over as nothing queued.
+    #[test]
+    fn a_reset_keeps_the_queue_depth_exact() {
+        let t = ShardTelemetry::new(60);
+        let enqueued = |t: &ShardTelemetry| t.values()[0];
+        t.enqueued.add(3);
+        t.drained.fetch_add(1, Ordering::Release);
+        t.reset();
+        assert_eq!((enqueued(&t), t.queue_depth()), (0, 2));
+        t.drained.fetch_add(2, Ordering::Release);
+        t.enqueued.add(1);
+        assert_eq!((enqueued(&t), t.queue_depth()), (1, 1));
+    }
 
     /// The owner's allocation budget, counted on this thread with the
     /// writers claimed here: a mutation allocates what it leaves in the
