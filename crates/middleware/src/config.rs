@@ -32,8 +32,10 @@ pub struct TraceConfig {
     /// retained (`--trace-threshold-us`); the default 0 keeps every
     /// sampled tree.
     pub trace_threshold_us: u64,
-    /// Rolling-window width (s) for `STATS`/`STATS SHARDS` percentiles
-    /// (`--stats-window-secs`); 0 reports lifetime percentiles only.
+    /// Rolling-window width (s) of the shard ack latency, the one
+    /// windowed histogram: its `STATS SHARDS` percentiles and the shed
+    /// layer's ack p99 (`--stats-window-secs`); 0 reports the lifetime
+    /// figure there too. Every other histogram is lifetime-only.
     pub window_secs: u64,
 }
 

@@ -11,7 +11,10 @@
 //! `LongAdder` here would buy nothing and its per-bump stall-proxy
 //! accounting would tax the hot path). Latencies go into fixed
 //! log₂-bucket histograms of relaxed atomics: recording is one
-//! `fetch_add`, never a lock.
+//! `fetch_add`, never a lock. Every histogram here is lifetime-only
+//! ([`LatencyHistogram`]); the one figure anything acts on over a
+//! rolling window, a shard's ack p99, is a [`WindowedHistogram`] kept
+//! by the shard's one writer.
 
 use crate::config::TraceConfig;
 use crate::flight::CaptureRing;
@@ -237,13 +240,9 @@ impl LatencyHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Raw per-bucket counts, low bucket first (bucket count is an
-    /// internal constant, so callers get a `Vec` sized to match).
-    pub fn counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+    /// Raw per-bucket counts, low bucket first.
+    pub fn counts(&self) -> [u64; BUCKETS] {
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
     }
 
     /// Zero every bucket and the sample sum. Relaxed: a record racing
@@ -296,25 +295,29 @@ struct WindowSlot {
     hist: LatencyHistogram,
 }
 
-/// A latency histogram with rolling windowed aggregation on top.
+/// A latency histogram with a rolling window on top, kept by **one
+/// writer**.
 ///
 /// Every sample lands in a lifetime [`LatencyHistogram`] (served under
-/// the `_total` stat names and as the Prometheus histogram families,
-/// which stay cumulative per the exposition contract) *and* in one of
+/// the `_total` stat names and as the Prometheus histogram family,
+/// which stays cumulative per the exposition contract) *and* in one of
 /// [`WINDOW_SLOTS`] slot histograms keyed by a coarse epoch tick
 /// (`elapsed_secs / slot_secs`). Reads merge the slots whose epoch
-/// falls inside the last full window, so `STATS` percentiles describe
-/// the last ~window seconds and recover after a spike clears instead
-/// of averaging it forever.
+/// falls inside the last full window, so the percentile describes the
+/// last ~window seconds and recovers after a spike clears instead of
+/// averaging it forever.
 ///
-/// Rotation is rotate-on-access: the first recorder (or reader) to
-/// touch a slot under a new epoch claims it with one CAS and clears
-/// it. A sample racing that clear can be lost or double-counted in
-/// that one slot for one tick — transient fuzz in a statistics plane,
-/// never a lock on the hot path.
+/// Only the writer rotates: recording into a slot still holding an
+/// older epoch clears it and stamps the new one — a plain check, clear
+/// and store, because nobody else records. Its one user is a shard's
+/// ack latency, recorded only by whoever holds the shard's write side.
+/// Reads never rotate: the epoch filter of
+/// [`WindowedHistogram::windowed_counts_at`] already skips a stale
+/// slot. [`WindowedHistogram::reset`] (`STATS RESET`) is the one
+/// foreign writer; a sample racing it may survive or vanish.
 ///
-/// `window_secs = 0` disables windowing entirely (no slots, no extra
-/// work per record): the bench A/B off-side and a pure-lifetime mode.
+/// `window_secs = 0` disables windowing entirely (no slots): the
+/// percentile is then the lifetime one.
 #[derive(Debug)]
 pub struct WindowedHistogram {
     lifetime: LatencyHistogram,
@@ -324,26 +327,34 @@ pub struct WindowedHistogram {
 }
 
 impl WindowedHistogram {
-    /// A histogram windowed over roughly `window_secs` (rounded to the
-    /// slot granularity; 0 disables windowing).
+    /// A histogram windowed over [`WindowedHistogram::width`] of
+    /// `window_secs`.
     pub fn new(window_secs: u64) -> Self {
-        let slot_secs = (window_secs / WINDOW_SLOTS as u64).max(1);
-        let slots = if window_secs == 0 {
+        let width = Self::width(window_secs);
+        let slot = |_| WindowSlot {
+            epoch: AtomicU64::new(u64::MAX),
+            hist: LatencyHistogram::new(),
+        };
+        let slots = if width == 0 {
             Vec::new()
         } else {
-            (0..WINDOW_SLOTS)
-                .map(|_| WindowSlot {
-                    epoch: AtomicU64::new(u64::MAX),
-                    hist: LatencyHistogram::new(),
-                })
-                .collect()
+            (0..WINDOW_SLOTS).map(slot).collect()
         };
         WindowedHistogram {
             lifetime: LatencyHistogram::new(),
             slots,
-            slot_secs,
+            slot_secs: (width / WINDOW_SLOTS as u64).max(1),
             born: Instant::now(),
         }
+    }
+
+    /// The window a request for `window_secs` gets: whole slots of at
+    /// least a second each, or 0 (no window).
+    pub fn width(window_secs: u64) -> u64 {
+        if window_secs == 0 {
+            return 0;
+        }
+        (window_secs / WINDOW_SLOTS as u64).max(1) * WINDOW_SLOTS as u64
     }
 
     /// The effective window width in seconds (0 when disabled).
@@ -351,38 +362,16 @@ impl WindowedHistogram {
         self.slot_secs * self.slots.len() as u64
     }
 
-    /// The current coarse epoch tick.
-    fn current_epoch(&self) -> u64 {
-        self.born.elapsed().as_secs() / self.slot_secs
+    /// The coarse epoch tick `now` falls in.
+    fn epoch(&self, now: Instant) -> u64 {
+        now.saturating_duration_since(self.born).as_secs() / self.slot_secs
     }
 
-    /// Claim `slot` for `epoch`, clearing stale samples. Returns the
-    /// slot's histogram, now attributed to `epoch`.
-    fn rotated(&self, epoch: u64) -> &LatencyHistogram {
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
-        let cur = slot.epoch.load(Ordering::Relaxed);
-        if cur != epoch
-            && slot
-                .epoch
-                .compare_exchange(cur, epoch, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            // This thread won the rotation: drop the previous epoch's
-            // samples. Concurrent recorders may slip a sample in on
-            // either side of the clear — accepted fuzz.
-            slot.hist.clear();
-        }
-        &slot.hist
-    }
-
-    /// Record one sample of `micros` at the current wall-clock epoch.
+    /// Record one sample of `micros`, taken at `now`. The one writer's
+    /// call.
     #[inline]
-    pub fn record(&self, micros: u64) {
-        if self.slots.is_empty() {
-            self.lifetime.record(micros);
-            return;
-        }
-        self.record_at(micros, self.current_epoch());
+    pub fn record(&self, micros: u64, now: Instant) {
+        self.record_at(micros, self.epoch(now));
     }
 
     /// Record one sample at an explicit `epoch` — the deterministic
@@ -394,15 +383,23 @@ impl WindowedHistogram {
         if self.slots.is_empty() {
             return;
         }
-        self.rotated(epoch).record(micros);
+        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        if slot.epoch.load(Ordering::Relaxed) != epoch {
+            // The previous epoch's samples go before the slot is
+            // stamped (Release, against the readers' Acquire), so no
+            // reader counts them as this epoch's.
+            slot.hist.clear();
+            slot.epoch.store(epoch, Ordering::Release);
+        }
+        slot.hist.record(micros);
     }
 
     /// Merged per-bucket counts over the window ending at `epoch`
     /// (slots whose epoch lies in `(epoch - WINDOW_SLOTS, epoch]`).
-    pub fn windowed_counts_at(&self, epoch: u64) -> Vec<u64> {
-        let mut merged = vec![0u64; BUCKETS];
+    pub fn windowed_counts_at(&self, epoch: u64) -> [u64; BUCKETS] {
+        let mut merged = [0u64; BUCKETS];
         for slot in &self.slots {
-            let e = slot.epoch.load(Ordering::Relaxed);
+            let e = slot.epoch.load(Ordering::Acquire);
             // `e + slots > epoch` (not `e > epoch - slots`): the
             // subtraction form saturates at epoch 0 and would exclude
             // the very first epoch from its own window.
@@ -416,15 +413,14 @@ impl WindowedHistogram {
     }
 
     /// The `p`-th percentile over the last window, or over the
-    /// lifetime histogram when windowing is disabled.
+    /// lifetime histogram when windowing is disabled. Allocates
+    /// nothing and writes nothing: the shed layer reads it on every
+    /// write burst's admission.
     pub fn percentile_us(&self, p: f64) -> u64 {
         if self.slots.is_empty() {
             return self.lifetime.percentile_us(p);
         }
-        let epoch = self.current_epoch();
-        // Touch the current slot first so a quiet period expires it
-        // instead of a stale spike lingering until the next record.
-        self.rotated(epoch);
+        let epoch = self.epoch(Instant::now());
         percentile_from_counts(&self.windowed_counts_at(epoch), p)
     }
 
@@ -433,7 +429,7 @@ impl WindowedHistogram {
         self.lifetime.count()
     }
 
-    /// The cumulative lifetime histogram (Prometheus families and
+    /// The cumulative lifetime histogram (the Prometheus family and the
     /// `_total` stat lines render from this).
     pub fn lifetime(&self) -> &LatencyHistogram {
         &self.lifetime
@@ -451,7 +447,7 @@ impl WindowedHistogram {
 
 /// A latency class: label, histogram, the percentiles `STATS` shows,
 /// and the histogram family's help.
-type Class<'a> = (&'static str, &'a WindowedHistogram, Quantiles, String);
+type Class<'a> = (&'static str, &'a LatencyHistogram, Quantiles, String);
 
 /// Live breaker state per class on both surfaces.
 const BREAKER_STATE: Row = Row::gauge(
@@ -462,20 +458,8 @@ const BREAKER_STATE: Row = Row::gauge(
 /// The scrape-side name of `mw_window_secs`, which predates the rule.
 const WINDOW_SECONDS: Row = Row::gauge(
     "mw_window_seconds",
-    "Rolling-percentile window width (0 = windowing disabled).",
+    "Rolling window of the shard ack percentiles (0 = windowing disabled).",
 );
-
-/// Scrape-only families, one per entry of [`P50_P99`].
-const WINDOWED: [Row; 2] = [
-    Row::gauge(
-        "mw_p50_us_window",
-        "Windowed p50 latency per command class, microseconds.",
-    ),
-    Row::gauge(
-        "mw_p99_us_window",
-        "Windowed p99 latency per command class, microseconds.",
-    ),
-];
 
 declare_metrics! {
     /// Shared counters for the whole pipeline: each layer bumps its own
@@ -539,18 +523,18 @@ declare_metrics! {
         pub spans_sampled: RelaxedCounter => "mw_spans_sampled",
     }
 
-    /// A zeroed sink whose slowlog ring, trace ring and aggregation
-    /// windows are sized per `trace`.
+    /// A zeroed sink whose slowlog and trace rings are sized per
+    /// `trace`.
     pub fn with_trace(trace: &TraceConfig) {
         /// Latency of read-class commands (µs, end-to-end below trace).
-        pub read_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        pub read_latency: LatencyHistogram = LatencyHistogram::new(),
         /// Latency of write-class commands.
-        pub write_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        pub write_latency: LatencyHistogram = LatencyHistogram::new(),
         /// Latency of control-class commands.
-        pub control_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        pub control_latency: LatencyHistogram = LatencyHistogram::new(),
         /// Whole-batch latency (µs): one sample per burst, however many
         /// commands it carried.
-        pub batch_latency: WindowedHistogram = WindowedHistogram::new(trace.window_secs),
+        pub batch_latency: LatencyHistogram = LatencyHistogram::new(),
         /// Live breaker state per class (read 0, write 1): 0 closed,
         /// 1 open, 2 half-open — a gauge mirror, not reset by
         /// `STATS RESET`.
@@ -558,14 +542,16 @@ declare_metrics! {
         /// Per-layer admission cost (µs), indexed by
         /// [`LayerKind::index`]; fed only by sampled spans, so each
         /// histogram describes the sampled population.
-        pub layer_admission_us: [WindowedHistogram; LAYER_COUNT] =
-            std::array::from_fn(|_| WindowedHistogram::new(trace.window_secs)),
+        pub layer_admission_us: [LatencyHistogram; LAYER_COUNT] =
+            std::array::from_fn(|_| LatencyHistogram::new()),
         /// The slow-command ring served by `SLOWLOG GET|RESET|LEN`.
         pub slowlog: CaptureRing =
             CaptureRing::new(trace.slowlog_threshold_us, trace.slowlog_capacity),
         /// The flight-recorder ring of sampled cross-thread trace
         /// trees, served by `TRACE GET|RESET|LEN` and `/trace`.
         pub trace: CaptureRing = CaptureRing::new(trace.trace_threshold_us, trace.trace_capacity),
+        /// The width of the shard ack window, `mw_window_secs`.
+        window_secs: u64 = WindowedHistogram::width(trace.window_secs),
     }
 
     impl PipelineMetrics {
@@ -616,14 +602,14 @@ impl PipelineMetrics {
         ]
     }
 
-    /// `STATS RESET`: zero every counter and histogram (lifetime and
-    /// windowed). The slowlog and trace rings are *not* touched — they
-    /// have their own `RESET` verbs.
+    /// `STATS RESET`: zero every counter and histogram. The slowlog
+    /// and trace rings are *not* touched — they have their own `RESET`
+    /// verbs.
     pub fn reset(&self) {
         self.reset_rows();
         let classes = self.classes().map(|(_, hist, ..)| hist);
         for hist in classes.into_iter().chain(&self.layer_admission_us) {
-            hist.reset();
+            hist.clear();
         }
     }
 
@@ -639,15 +625,11 @@ impl PipelineMetrics {
 
     /// The pipeline plane on either surface: the `mw_*` lines appended
     /// to a `STATS` reply, or the `dego_mw_*` families of a scrape.
-    ///
-    /// `STATS` percentile lines report the rolling window (the last
-    /// `mw_window_secs` seconds); each carries a `_total`-suffixed twin
-    /// computed over the lifetime histogram. When windowing is disabled
-    /// (`--stats-window-secs 0`) the two are identical.
+    /// Every percentile line is over the histogram's lifetime (since
+    /// boot or the last `STATS RESET`).
     pub fn render(&self, depth: usize, out: &mut Surface<'_>) {
         out.rows(Self::ROWS, &self.values(depth));
-        let classes = self.classes();
-        for (class, hist, quantiles, help) in &classes {
+        for (class, hist, quantiles, help) in &self.classes() {
             let family = Histograms {
                 stat: &format!("mw_{class}_{{p}}_us"),
                 quantiles,
@@ -672,24 +654,11 @@ impl PipelineMetrics {
             "class",
             &[("read", state(0)), ("write", state(1))],
         );
-        self.render_window(&classes, out);
-    }
-
-    /// The rolling window: its width and — on the scrape side, where
-    /// the histogram families are cumulative — the windowed percentiles
-    /// `STATS` serves as `mw_<class>_p50_us` / `_p99_us`.
-    fn render_window(&self, classes: &[Class<'_>; 4], out: &mut Surface<'_>) {
-        let secs = self.read_latency.window_secs();
+        // The shard ack window's width, named before the naming rule.
         if let Surface::Stats(lines) = out {
-            return lines.push(format!("mw_window_secs={secs}"));
+            return lines.push(format!("mw_window_secs={}", self.window_secs));
         }
-        out.scalar(&WINDOW_SECONDS, secs);
-        for (row, (_, rank)) in WINDOWED.iter().zip(P50_P99) {
-            let windowed = classes
-                .each_ref()
-                .map(|(c, hist, ..)| (*c, hist.percentile_us(*rank)));
-            out.labelled(row, "class", &windowed);
-        }
+        out.scalar(&WINDOW_SECONDS, self.window_secs);
     }
 }
 
@@ -791,10 +760,34 @@ mod tests {
     fn zero_window_disables_slots_and_serves_lifetime() {
         let h = WindowedHistogram::new(0);
         assert_eq!(h.window_secs(), 0);
-        h.record(1000);
+        h.record(1000, Instant::now());
         assert_eq!(h.count(), 1);
         assert_eq!(h.percentile_us(0.5), 1024, "lifetime percentile");
         assert!(h.windowed_counts_at(0).iter().all(|&c| c == 0));
+    }
+
+    /// Only the writer rotates: a read between two records, over the
+    /// live window or past every slot's expiry, leaves each slot's
+    /// epoch as it was, and the next record moves only its own slot.
+    #[test]
+    fn a_read_between_two_records_rotates_no_slot() {
+        let h = WindowedHistogram::new(60);
+        let epochs = |h: &WindowedHistogram| -> Vec<u64> {
+            h.slots
+                .iter()
+                .map(|s| s.epoch.load(Ordering::Relaxed))
+                .collect()
+        };
+        h.record_at(100, 3);
+        let before = epochs(&h);
+        assert_eq!(h.percentile_us(0.99), 0, "epoch 3 is not the clock's");
+        assert_eq!(h.windowed_counts_at(3).iter().sum::<u64>(), 1);
+        assert_eq!(h.windowed_counts_at(20).iter().sum::<u64>(), 0, "expired");
+        assert_eq!(epochs(&h), before, "the reads rotated nothing");
+        h.record_at(100, 4);
+        let mut moved = before;
+        moved[4] = 4;
+        assert_eq!(epochs(&h), moved);
     }
 
     #[test]

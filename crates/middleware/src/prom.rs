@@ -9,7 +9,7 @@
 //! two cannot name a metric differently: the `STATS` name is the source
 //! of truth and the Prometheus family name is [`Row::family`] of it.
 
-use crate::metrics::{LatencyHistogram, WindowedHistogram};
+use crate::metrics::LatencyHistogram;
 use std::fmt::Write as _;
 
 /// Whether a metric only grows or moves both ways — its `# TYPE`.
@@ -71,13 +71,12 @@ pub const P50_P99: Quantiles = &[("p50", 0.50), ("p99", 0.99)];
 #[derive(Clone, Copy, Debug)]
 pub struct Histograms<'a> {
     /// The `STATS` percentile line's name: `{l}` is the member's label,
-    /// `{p}` the percentile. Each line reports the rolling window and
-    /// has a `_total`-suffixed twin over the lifetime histogram.
+    /// `{p}` the percentile.
     pub stat: &'a str,
     /// Which percentiles `STATS` shows.
     pub quantiles: Quantiles,
-    /// The Prometheus histogram family, rendered from the lifetime
-    /// histograms (cumulative, per the exposition contract).
+    /// The Prometheus histogram family (cumulative, per the exposition
+    /// contract).
     pub family: &'a str,
     /// The label key, or `""` for a family of one unlabelled member.
     pub key: &'a str,
@@ -124,24 +123,22 @@ impl Surface<'_> {
         }
     }
 
-    /// A family of histograms: percentile lines on `STATS`, cumulative
-    /// buckets on `/metrics`.
-    pub fn histograms(&mut self, family: &Histograms<'_>, members: &[(&str, &WindowedHistogram)]) {
+    /// A family of histograms: lifetime percentile lines on `STATS`,
+    /// cumulative buckets on `/metrics`.
+    pub fn histograms(&mut self, family: &Histograms<'_>, members: &[(&str, &LatencyHistogram)]) {
         match self {
             Surface::Stats(lines) => {
                 for (label, hist) in members {
                     for (p, rank) in family.quantiles {
                         let name = family.stat.replace("{l}", label).replace("{p}", p);
                         lines.push(format!("{name}={}", hist.percentile_us(*rank)));
-                        let lifetime = hist.lifetime().percentile_us(*rank);
-                        lines.push(format!("{name}_total={lifetime}"));
                     }
                 }
             }
             Surface::Prom(text) => {
                 header(text, family.family, family.help, "histogram");
                 for (label, hist) in members {
-                    histogram(text, family.family, family.key, label, hist.lifetime());
+                    histogram(text, family.family, family.key, label, hist);
                 }
             }
         }
@@ -268,7 +265,7 @@ mod tests {
 
     #[test]
     fn histogram_emits_cumulative_buckets_sum_and_count() {
-        let hist = WindowedHistogram::new(60);
+        let hist = LatencyHistogram::new();
         for us in [0, 3, 3, 100] {
             hist.record(us);
         }
@@ -290,14 +287,6 @@ mod tests {
         assert!(text.contains("dego_lat_us_count 4\n"));
         let mut lines = Vec::new();
         Surface::Stats(&mut lines).histograms(&family, &[("", &hist)]);
-        assert_eq!(
-            lines,
-            [
-                "lat_p50_us=4",
-                "lat_p50_us_total=4",
-                "lat_p99_us=128",
-                "lat_p99_us_total=128"
-            ]
-        );
+        assert_eq!(lines, ["lat_p50_us=4", "lat_p99_us=128"]);
     }
 }

@@ -33,9 +33,11 @@
 //! * `--trace-capacity N` / `--trace-threshold-us N` — flight-recorder
 //!   ring tuning for sampled trace trees (`TRACE GET`; 0 capacity
 //!   disables, 0 threshold keeps every sampled tree, default 64/0)
-//! * `--stats-window-secs N` — rolling window for `STATS` percentiles
-//!   (0 = lifetime only, default 60; refused together with
-//!   `--shed-ack-p99-us`, which reads the windowed p99)
+//! * `--stats-window-secs N` — rolling window of the shard ack
+//!   latency, `STATS SHARDS`' `shard<i>_ack_p50_us`/`_p99_us` (0 =
+//!   lifetime only, default 60; refused together with
+//!   `--shed-ack-p99-us`, which reads the windowed p99); every other
+//!   percentile is lifetime-only
 //! * `--metrics-addr ADDR` — serve Prometheus text exposition at
 //!   `http://ADDR/metrics` and flight-recorder JSON at
 //!   `http://ADDR/trace` (off by default)

@@ -387,8 +387,8 @@ impl Client {
     }
 
     /// `STATS RESET` — zero the middleware and server counter planes
-    /// (lifetime `_total` percentiles restart; slowlog and flight
-    /// recorder keep their own `RESET` verbs).
+    /// (lifetime percentiles restart; slowlog and flight recorder keep
+    /// their own `RESET` verbs).
     pub fn stats_reset(&mut self) -> std::io::Result<()> {
         self.request("STATS RESET")?.expect_status("STATS RESET")
     }

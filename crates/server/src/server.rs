@@ -1313,6 +1313,27 @@ mod tests {
         assert_eq!(store.applied_since_reset(), 128);
     }
 
+    /// While shedding is armed, every write burst's admission reads its
+    /// target shards' pressure: that read allocates nothing, however
+    /// many ack samples the window holds.
+    #[test]
+    fn a_pressure_read_allocates_nothing() {
+        use crate::test_alloc::allocations;
+        let (mut exec, _, owners) = exec_over(None, Duration::from_secs(5), None);
+        let burst = (0..16).map(|i| set(&format!("k{i}"), "v")).collect();
+        let progress = exec.begin_batch(burst);
+        assert_eq!(answer(&mut exec, progress).len(), 16);
+        let probe = StorePressure {
+            store: Arc::clone(&owners.runtime.store),
+        };
+        for shard in 0..2 {
+            let before = allocations();
+            let pressure = probe.pressure_of(shard);
+            assert_eq!(allocations() - before, 0, "shard {shard}");
+            assert!(pressure.ack_p99_us > 0, "shard {shard} recorded acks");
+        }
+    }
+
     /// A burst parks at each read-after-write barrier instead of
     /// waiting there: `begin_batch` returns within one stall, and each
     /// poll that finds a barrier's acks in stages on to the next one.

@@ -28,7 +28,7 @@ declare_metrics! {
         get_hits: RelaxedCounter => "get_hits",
         /// Mutations enqueued to shard owners.
         mutations: RelaxedCounter => "mutations",
-        /// Mutations applied by shard owners.
+        /// Mutations applied, filled in from the storage plane's count.
         applied: RelaxedCounter => "applied",
         /// TIMELINE reads served.
         timeline_reads: RelaxedCounter => "timeline_reads",
@@ -84,7 +84,6 @@ impl ServerStats {
         note_command => commands,
         note_get_miss => gets,
         note_mutation => mutations,
-        note_applied => applied,
         note_timeline_read => timeline_reads,
         note_error => errors,
         note_accept_error => accept_errors,
@@ -126,7 +125,6 @@ mod tests {
         s.note_get_hit();
         s.note_get_miss();
         s.note_mutation();
-        s.note_applied();
         s.note_timeline_read();
         s.note_error();
         let snap = s.snapshot();
@@ -135,7 +133,7 @@ mod tests {
         assert_eq!(snap.gets, 2);
         assert_eq!(snap.get_hits, 1);
         assert_eq!(snap.mutations, 1);
-        assert_eq!(snap.applied, 1);
+        assert_eq!(snap.applied, 0, "the storage plane fills it");
         assert_eq!(snap.timeline_reads, 1);
         assert_eq!(snap.errors, 1);
         let mut lines = Vec::new();

@@ -76,8 +76,8 @@ use dego_core::{
     SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter, SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
-    declare_metrics, Histograms, PipelineMetrics, Reading, Row, StoreSegment, Surface,
-    WindowedHistogram, P50_P99,
+    declare_metrics, Histograms, LatencyHistogram, PipelineMetrics, Reading, Row, StoreSegment,
+    Surface, WindowedHistogram, P50_P99,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -142,10 +142,14 @@ declare_metrics! {
     /// (`STATS SHARDS`, `/metrics`) for one shard. Each row is a
     /// family labelled by shard: the `{}` in its name.
     ///
-    /// Counters are atomics and the histograms are the same log₂-bucket
-    /// windowed histograms the middleware uses — statistics on the
-    /// storage plane's hottest path, but for the queue depth, which the
-    /// owner parks on ([`ShardTelemetry::queue_depth`]).
+    /// Counters are atomics and the histograms the middleware's log₂-
+    /// bucket ones — statistics on the storage plane's hottest path, but
+    /// for the queue depth, which the owner parks on
+    /// ([`ShardTelemetry::queue_depth`]). The batch width is
+    /// lifetime-only. The ack latency alone keeps a rolling window, for
+    /// the shed layer: it is recorded only in [`Store::apply_run`],
+    /// under the shard's write side, so its holder is the window's one
+    /// writer.
     pub(crate) struct ShardTelemetry {
         /// Mutations handed to the shard since boot.
         enqueued: Rebased => "shard{}_enqueued",
@@ -155,8 +159,9 @@ declare_metrics! {
         /// Mutations applied since boot, whoever held the write side.
         drained: AtomicU64 = AtomicU64::new(0),
         /// Mutations per sweep (the group-commit width, log₂ buckets).
-        drained_batch: WindowedHistogram = WindowedHistogram::new(window_secs),
-        /// Publish→apply latency per mutation, microseconds.
+        drained_batch: LatencyHistogram = LatencyHistogram::new(),
+        /// Publish→apply latency per mutation, microseconds, over the
+        /// last `window_secs` and since boot.
         ack_us: WindowedHistogram = WindowedHistogram::new(window_secs),
     }
 
@@ -202,11 +207,11 @@ impl Reading for Rebased {
 }
 
 impl ShardTelemetry {
-    /// `STATS RESET`: re-base the counter and zero both histogram
-    /// planes. The queue depth is untouched.
+    /// `STATS RESET`: re-base the counter and zero both histograms.
+    /// The queue depth is untouched.
     pub fn reset(&self) {
         self.reset_rows();
-        self.drained_batch.reset();
+        self.drained_batch.clear();
         self.ack_us.reset();
     }
 
@@ -489,21 +494,23 @@ impl Store {
                 std::thread::sleep(Duration::from_nanos(stall_ns));
             }
             let reply = side.owned.apply(op);
+            // One clock read for the ack latency, the window's epoch
+            // and a traced apply's end.
+            let now = Instant::now();
             let seg = apply_started.map(|started| StoreSegment {
                 shard,
                 // Saturates to zero if clocks read out of order.
                 queue_us: started.duration_since(published).as_micros() as u64,
-                apply_us: started.elapsed().as_micros() as u64,
+                apply_us: now.duration_since(started).as_micros() as u64,
             });
-            telemetry
-                .ack_us
-                .record(published.elapsed().as_micros() as u64);
+            // The write side's holder is the ack window's one writer.
+            let ack_us = now.duration_since(published).as_micros() as u64;
+            telemetry.ack_us.record(ack_us, now);
             telemetry.drained.fetch_add(1, Ordering::Release);
             // Rejected mutations (e.g. INCR on a non-integer) must
             // not inflate the applied count.
             if !matches!(reply, Reply::Error(_)) {
                 side.applied.inc();
-                self.stats.note_applied();
             }
             *entry = Entry::Ack(seq, reply, seg);
         }
@@ -556,9 +563,9 @@ impl Store {
     /// `STATS SHARDS` reply, or the `dego_shard_*` families of a scrape:
     /// per-shard queue depth, group-commit batch shape, and
     /// publish→apply latency percentiles — the inputs a load shedder
-    /// (or a human squinting at a hot shard) needs. `STATS` percentile
-    /// lines report the rolling window, with `_total`-suffixed lifetime
-    /// twins (same contract as the `mw_*` block).
+    /// (or a human squinting at a hot shard) needs. The batch
+    /// percentiles are lifetime; the ack ones report the rolling window,
+    /// with `_total`-suffixed lifetime twins.
     pub(crate) fn render_shards(&self, out: &mut Surface<'_>) {
         let labels: Vec<String> = (0..self.shards()).map(|i| i.to_string()).collect();
         let telemetry = self.shards.iter().map(|shard| &shard.telemetry);
@@ -588,13 +595,22 @@ impl Store {
         };
         let members: Vec<_> = shards().map(|(l, t)| (l, &t.drained_batch)).collect();
         out.histograms(&batch, &members);
+        if let Surface::Stats(lines) = out {
+            for (l, t) in shards() {
+                for (p, rank) in P50_P99 {
+                    let windowed = t.ack_us.percentile_us(*rank);
+                    lines.push(format!("shard{l}_ack_{p}_us={windowed}"));
+                }
+            }
+        }
+        // The lifetime figures: `_total` lines, and the scrape family.
         let ack = Histograms {
-            stat: "shard{l}_ack_{p}_us",
+            stat: "shard{l}_ack_{p}_us_total",
             family: "dego_shard_ack_us",
             help: "Enqueue-to-apply latency per mutation, microseconds.",
             ..batch
         };
-        let members: Vec<_> = shards().map(|(l, t)| (l, &t.ack_us)).collect();
+        let members: Vec<_> = shards().map(|(l, t)| (l, t.ack_us.lifetime())).collect();
         out.histograms(&ack, &members);
     }
 }
@@ -618,7 +634,7 @@ pub(crate) struct ShardRuntime {
 /// that long before applying each mutation (a "stuck shard" for
 /// timeout and load-shedding tests). The stall lives in a shared
 /// atomic, so [`Store::set_shard_delay`] can change it at runtime.
-/// `window_secs` sizes the telemetry histograms' rolling window. An
+/// `window_secs` sizes the ack latency's rolling window. An
 /// owner exits once `stop` is up and its queue is drained, so `stop`
 /// must go up only when nothing can publish any more. `ttl` is the
 /// TTL layer's metrics (see [`Timers::metrics`]).

@@ -504,10 +504,13 @@ fn stats_reset_zeroes_both_planes_over_the_wire() {
     assert!(lookup(&stats, "mutations") >= 8);
     assert!(lookup(&stats, "applied") >= 8);
     assert!(lookup(&stats, "mw_traced") >= 16);
-    // The windowed/lifetime split is visible: `_total` twins ride
-    // alongside the windowed percentiles.
+    // The window width is reported; the mw_* percentiles are
+    // lifetime-only, so they have no `_total` twin.
     assert!(stats.contains_key("mw_window_secs"), "window width line");
-    assert!(stats.contains_key("mw_read_p99_us_total"), "lifetime twin");
+    assert!(
+        !stats.contains_key("mw_read_p99_us_total"),
+        "no lifetime twin"
+    );
     let slow_before = c.slowlog_len().expect("slowlog len");
     assert!(slow_before >= 1, "threshold 0 captures everything");
 
@@ -569,9 +572,9 @@ fn trace_endpoint_serves_flight_recorder_json() {
         "store-side segment crossed into the JSON: {payload:?}"
     );
     assert!(payload.contains("\"verb\":\"SET\""), "got {payload:?}");
-    // The windowed gauge families ride the Prometheus exposition too.
+    // No windowed gauge family rides the Prometheus exposition.
     let metrics = http_get(metrics_addr, "/metrics");
-    assert!(metrics.contains("dego_mw_p99_us_window"));
+    assert!(!metrics.contains("dego_mw_p99_us_window"));
     assert!(metrics.contains("dego_mw_trace_total"));
     server.shutdown();
 }
@@ -724,24 +727,19 @@ const STATS_NAMES: &[&str] = &[
     "applied", "timeline_reads", "errors", "accept_errors", "shard_batches",
     "idle_closed", "loop_wakeups", "cas_failures", "lock_spins", "rmw_ops", "mw_depth",
     "mw_window_secs", "mw_traced", "mw_read_p50_us", "mw_read_p99_us",
-    "mw_read_p50_us_total", "mw_read_p99_us_total", "mw_write_p50_us",
-    "mw_write_p99_us", "mw_write_p50_us_total", "mw_write_p99_us_total", "mw_batches",
-    "mw_batch_commands", "mw_batch_p99_us", "mw_batch_p99_us_total",
+    "mw_write_p50_us", "mw_write_p99_us", "mw_batches",
+    "mw_batch_commands", "mw_batch_p99_us",
     "mw_rate_admitted", "mw_rate_rejected", "mw_rate_refilled", "mw_auth_admitted",
     "mw_auth_denied", "mw_auth_logins", "mw_auth_reloads", "mw_deadline_checked",
     "mw_deadline_missed", "mw_breaker_checked", "mw_breaker_rejected",
     "mw_breaker_trips", "mw_breaker_recoveries", "mw_breaker_probes",
     "mw_breaker_read_state", "mw_breaker_write_state", "mw_shed_checked",
     "mw_shed_shed", "mw_ttl_checked", "mw_ttl_armed", "mw_ttl_expired",
-    "mw_spans_sampled", "mw_trace_us_p50", "mw_trace_us_p99", "mw_trace_us_p50_total",
-    "mw_trace_us_p99_total", "mw_breaker_us_p50", "mw_breaker_us_p99",
-    "mw_breaker_us_p50_total", "mw_breaker_us_p99_total", "mw_deadline_us_p50",
-    "mw_deadline_us_p99", "mw_deadline_us_p50_total", "mw_deadline_us_p99_total",
-    "mw_auth_us_p50", "mw_auth_us_p99", "mw_auth_us_p50_total", "mw_auth_us_p99_total",
-    "mw_ratelimit_us_p50", "mw_ratelimit_us_p99", "mw_ratelimit_us_p50_total",
-    "mw_ratelimit_us_p99_total", "mw_shed_us_p50", "mw_shed_us_p99",
-    "mw_shed_us_p50_total", "mw_shed_us_p99_total", "mw_ttl_us_p50", "mw_ttl_us_p99",
-    "mw_ttl_us_p50_total", "mw_ttl_us_p99_total", "mw_slowlog_len", "mw_slowlog_total",
+    "mw_spans_sampled", "mw_trace_us_p50", "mw_trace_us_p99", "mw_breaker_us_p50",
+    "mw_breaker_us_p99", "mw_deadline_us_p50", "mw_deadline_us_p99",
+    "mw_auth_us_p50", "mw_auth_us_p99", "mw_ratelimit_us_p50", "mw_ratelimit_us_p99",
+    "mw_shed_us_p50", "mw_shed_us_p99", "mw_ttl_us_p50", "mw_ttl_us_p99",
+    "mw_slowlog_len", "mw_slowlog_total",
     "mw_trace_len", "mw_trace_total",
 ];
 
@@ -749,8 +747,7 @@ const STATS_NAMES: &[&str] = &[
 #[rustfmt::skip]
 const SHARD_STATS_NAMES: &[&str] = &[
     "shard{}_queue_depth", "shard{}_enqueued", "shard{}_drained_batches",
-    "shard{}_batch_p50", "shard{}_batch_p99", "shard{}_batch_p50_total",
-    "shard{}_batch_p99_total", "shard{}_ack_p50_us", "shard{}_ack_p99_us",
+    "shard{}_batch_p50", "shard{}_batch_p99", "shard{}_ack_p50_us", "shard{}_ack_p99_us",
     "shard{}_ack_p50_us_total", "shard{}_ack_p99_us_total",
 ];
 
@@ -781,7 +778,6 @@ const FAMILIES: &[&str] = &[
     "dego_mw_ttl_expired_total", "dego_mw_spans_sampled_total",
     "dego_mw_layer_admission_us", "dego_mw_slowlog_len", "dego_mw_slowlog_total",
     "dego_mw_trace_len", "dego_mw_trace_total", "dego_mw_window_seconds",
-    "dego_mw_p50_us_window", "dego_mw_p99_us_window",
 ];
 
 /// Both surfaces serve exactly the names they served before the
