@@ -10,7 +10,7 @@
 //!
 //! | Layer | Concern | Shared state |
 //! |---|---|---|
-//! | [`TraceLayer`] | latency histograms + per-layer counters in `STATS` | relaxed-atomic histograms, `LongAdder`s |
+//! | [`TraceLayer`] | latency histograms, span sampling, the `SLOWLOG`/`TRACE` rings | relaxed-atomic histograms, lock-free capture rings |
 //! | [`BreakerLayer`] | per-class circuit breaker (closed/open/half-open) | lock-free per-class atomics |
 //! | [`DeadlineLayer`] | per-class execution budgets | none (config only) |
 //! | [`AuthLayer`] | `AUTH` tokens + role ACLs | SWMR hash map, RCU-published policy |

@@ -1,7 +1,7 @@
 //! Pipeline observability: per-command latency histograms and
-//! per-layer counters, folded into the server's `STATS` reply by the
-//! trace layer — and [`declare_metrics!`], the one place a plane says
-//! which counters and gauges it has.
+//! per-layer counters, which the server lays out after its own planes
+//! on `STATS` and `/metrics` — and [`declare_metrics!`], the one place a
+//! plane says which counters and gauges it has.
 //!
 //! The rate limiter's admission/refill counters are
 //! [`dego_juc::LongAdder`]s — the striped, contention-relieved sums the
@@ -463,7 +463,7 @@ const WINDOW_SECONDS: Row = Row::gauge(
 
 declare_metrics! {
     /// Shared counters for the whole pipeline: each layer bumps its own
-    /// section; the trace layer renders everything into `STATS` lines.
+    /// section; [`PipelineMetrics::render`] lays them all out.
     #[derive(Debug)]
     pub struct PipelineMetrics {
         /// Commands observed by the trace layer.

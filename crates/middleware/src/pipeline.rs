@@ -429,8 +429,8 @@ pub const LAYER_COUNT: usize = 7;
 /// The seven production layers, in canonical outer→inner order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LayerKind {
-    /// Per-command latency histograms + per-layer counters folded into
-    /// `STATS` (outermost, so it observes every rejection).
+    /// Per-command latency histograms, span sampling and the slowlog
+    /// and trace rings (outermost, so it observes every rejection).
     Trace,
     /// Per-verb-class circuit breaker (outside deadline, so it observes
     /// the `DEADLINE` overruns that trip it).
@@ -533,11 +533,10 @@ impl Stack {
     pub fn build(config: &MiddlewareConfig) -> Arc<Stack> {
         let metrics = Arc::new(PipelineMetrics::with_trace(&config.trace));
         let on = |kind: LayerKind| config.layers.contains(&kind);
-        let depth = LayerKind::ALL.into_iter().filter(|kind| on(*kind)).count();
         let m = || Arc::clone(&metrics);
         let sample_every = config.trace.sample_every;
         Arc::new(Stack {
-            trace: on(LayerKind::Trace).then(|| TraceLayer::new(m(), depth, sample_every)),
+            trace: on(LayerKind::Trace).then(|| TraceLayer::new(m(), sample_every)),
             breaker: on(LayerKind::Breaker).then(|| BreakerLayer::new(config.breaker.clone(), m())),
             deadline: on(LayerKind::Deadline)
                 .then(|| DeadlineLayer::new(config.deadline.clone(), m())),

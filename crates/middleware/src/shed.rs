@@ -12,10 +12,10 @@
 //! ack deadline.
 //!
 //! Only `Write`-class verbs shed: reads are served from the lock-free
-//! plane without queueing, control verbs must stay answerable under
-//! load, and the TTL layer's synthesized reap deletes originate
-//! *below* this layer, so expiry still makes progress while the shard
-//! drains.
+//! plane without queueing, and control verbs must stay answerable under
+//! load. A lapsed key's reap is a store mutation planned from its
+//! `GET`, a read-class verb, so this layer never sheds it and expiry
+//! still makes progress while the shard drains.
 //!
 //! The probe is injected after the stack is built (the store does not
 //! exist yet when layers are constructed): [`Stack::shed_set_probe`]

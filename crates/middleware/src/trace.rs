@@ -1,10 +1,10 @@
-//! Tracing/metrics: the outermost layer.
+//! Tracing: the outermost layer.
 //!
 //! Times every command (whatever layer ultimately answers it) into the
-//! per-class latency histograms, counts it, and — when the command is
-//! `STATS` and the store answered with the usual `name=value` array —
-//! folds the whole pipeline's `mw_*` lines into the reply, so one
-//! `STATS` round-trip observes both planes.
+//! per-class latency histograms and counts it. It does not render or
+//! reset the plane it records into: the server lays out every plane,
+//! this one included, for `STATS` and `/metrics`, and zeroes them all
+//! on `STATS RESET`, whatever layers the stack has.
 //!
 //! Being outermost also makes it the observability anchor:
 //!
@@ -25,17 +25,12 @@
 //!   answered here — they never travel further down the stack, so they
 //!   are immune to deadline/rate/ACL policy and usable for diagnosis
 //!   even mid-overload.
-//! * **`STATS RESET`** travels down (the server zeroes its own plane)
-//!   and, on the way back up, zeroes the middleware counters and
-//!   histograms too — after this command's own recording, so the next
-//!   `STATS` starts from a clean slate.
 
 use crate::flight::{Capture, CaptureRing, Observation};
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{
     split, Admission, Layer, LayerKind, LayerRule, Request, Response, Session, Split,
 };
-use crate::prom::Surface;
 use crate::protocol::{Command, CommandClass, Reply};
 use crate::span;
 use std::sync::Arc;
@@ -81,18 +76,15 @@ fn observability_reply(metrics: &PipelineMetrics, cmd: &Command) -> Option<Reply
 /// The trace [`Layer`].
 pub struct TraceLayer {
     metrics: Arc<PipelineMetrics>,
-    depth: usize,
     sample_every: u32,
 }
 
 impl TraceLayer {
-    /// Build the layer; `depth` is the configured stack depth reported
-    /// as `mw_depth`, `sample_every` the span-sampling period (0
+    /// Build the layer; `sample_every` is the span-sampling period (0
     /// disables sampling, 1 samples everything).
-    pub fn new(metrics: Arc<PipelineMetrics>, depth: usize, sample_every: u32) -> Self {
+    pub fn new(metrics: Arc<PipelineMetrics>, sample_every: u32) -> Self {
         TraceLayer {
             metrics,
-            depth,
             sample_every,
         }
     }
@@ -104,7 +96,6 @@ impl Layer for TraceLayer {
     fn rule(&self, session: &Session) -> TraceRule {
         TraceRule {
             metrics: Arc::clone(&self.metrics),
-            depth: self.depth,
             client: Arc::from(session.client.as_str()),
             sample_every: self.sample_every,
             tick: 0,
@@ -115,7 +106,6 @@ impl Layer for TraceLayer {
 /// The trace layer's per-session rules.
 pub struct TraceRule {
     metrics: Arc<PipelineMetrics>,
-    depth: usize,
     client: Arc<str>,
     sample_every: u32,
     /// Per-connection sampling phase: 0 means "sample now", so the
@@ -126,10 +116,6 @@ pub struct TraceRule {
 
 /// What a traced burst carries from admission to completion.
 pub struct TraceCtx {
-    /// The positions of the burst's `STATS`, whose replies grow the
-    /// `mw_*` lines.
-    stats_at: Vec<usize>,
-    has_reset: bool,
     /// The ring verbs answered here, when the burst carried any.
     ring: Option<Split>,
     /// A burst of one's verb and class: it is metered as that command,
@@ -161,13 +147,6 @@ impl TraceRule {
             CommandClass::Read => self.metrics.read_latency.record(elapsed_us),
             CommandClass::Write => self.metrics.write_latency.record(elapsed_us),
             CommandClass::Control => self.metrics.control_latency.record(elapsed_us),
-        }
-    }
-
-    /// Grow the store's `STATS` reply by the pipeline's `mw_*` lines.
-    fn fold_stats(&self, resp: &mut Response) {
-        if let Reply::Array(lines) = &mut resp.reply {
-            self.metrics.render(self.depth, &mut Surface::Stats(lines));
         }
     }
 
@@ -223,14 +202,7 @@ impl LayerRule for TraceRule {
             },
             _ => None,
         };
-        let (mut stats_at, mut has_reset, mut has_ring_verbs) = (Vec::new(), false, false);
-        for (at, req) in reqs.iter().enumerate() {
-            match &req.command {
-                Command::Stats => stats_at.push(at),
-                Command::StatsReset => has_reset = true,
-                cmd => has_ring_verbs |= is_ring_verb(cmd),
-            }
-        }
+        let has_ring_verbs = reqs.iter().any(|req| is_ring_verb(&req.command));
         let span = self.tick_sample().then(span::enter);
         let start = Instant::now();
         let (reqs, ring) = if has_ring_verbs {
@@ -242,8 +214,6 @@ impl LayerRule for TraceRule {
             (reqs, None)
         };
         let ctx = TraceCtx {
-            stats_at,
-            has_reset,
             ring,
             single,
             span,
@@ -252,22 +222,17 @@ impl LayerRule for TraceRule {
         Admission::Observe(reqs, ctx)
     }
 
-    /// `STATS` replies grow the `mw_*` lines at their position, before
-    /// the burst is recorded, so they reflect the traffic *before* it.
     /// A slow longer burst enters the slowlog as one `BATCH` entry
     /// (covering the burst end to end, which no position inside it
     /// could observe anyway).
     fn observe(&mut self, ctx: TraceCtx, inner: Vec<Response>) -> Vec<Response> {
         let elapsed_us = ctx.start.elapsed().as_micros() as u64;
         let trace_t = span::start();
-        let mut resps = match ctx.ring {
+        let resps = match ctx.ring {
             Some(ring) => ring.zip(inner),
             None => inner,
         };
         let burst = resps.len();
-        for at in ctx.stats_at {
-            self.fold_stats(&mut resps[at]);
-        }
         let (verb, class) = match ctx.single {
             Some((verb, class)) => {
                 self.record_singleton(class, elapsed_us);
@@ -283,10 +248,6 @@ impl LayerRule for TraceRule {
         };
         span::record(LayerKind::Trace, trace_t);
         self.finish(ctx.span, verb, class, burst, elapsed_us);
-        if ctx.has_reset {
-            // Last, so the burst's own recording nets to zero too.
-            self.metrics.reset();
-        }
         resps
     }
 
@@ -313,18 +274,15 @@ mod tests {
 
     struct Store;
     impl Service for Store {
-        fn call(&mut self, req: Request) -> Response {
-            match req.command {
-                Command::Stats => Response::ok(Reply::Array(vec!["shards=2".into()])),
-                _ => Response::ok(Reply::Status("OK")),
-            }
+        fn call(&mut self, _: Request) -> Response {
+            Response::ok(Reply::Status("OK"))
         }
     }
 
     fn traced_with(config: TraceConfig) -> (BoxService, Arc<PipelineMetrics>) {
         let sample_every = config.sample_every;
         let metrics = Arc::new(PipelineMetrics::with_trace(&config));
-        let layer = TraceLayer::new(Arc::clone(&metrics), 5, sample_every);
+        let layer = TraceLayer::new(Arc::clone(&metrics), sample_every);
         let session = Session {
             client: "t:1".into(),
         };
@@ -363,29 +321,6 @@ mod tests {
         assert_eq!(metrics.batch_latency.count(), 1, "one sample per burst");
         // Per-class histograms only meter singleton traffic.
         assert_eq!(metrics.read_latency.count(), 0);
-        // STATS inside the burst still grows the mw_* lines in place.
-        match &resps[3].reply {
-            Reply::Array(lines) => {
-                assert!(lines.contains(&"shards=2".to_string()));
-                assert!(lines.iter().any(|l| l.starts_with("mw_batches=")));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stats_replies_grow_the_mw_lines() {
-        let (mut svc, _) = traced();
-        svc.call(Request::new(Command::Ping));
-        let resp = svc.call(Request::new(Command::Stats));
-        match resp.reply {
-            Reply::Array(lines) => {
-                assert!(lines.contains(&"shards=2".to_string()), "store lines kept");
-                assert!(lines.contains(&"mw_depth=5".to_string()));
-                assert!(lines.contains(&"mw_traced=1".to_string()));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
     }
 
     #[test]
@@ -551,26 +486,6 @@ mod tests {
         assert_eq!(resps[0].reply, Reply::Status("OK"), "inner store reply");
         assert_eq!(resps[1].reply, Reply::Int(1), "answered by trace");
         assert_eq!(resps[2].reply, Reply::Status("OK"));
-    }
-
-    #[test]
-    fn stats_reset_zeroes_the_middleware_plane() {
-        let (mut svc, metrics) = traced_with(TraceConfig {
-            slowlog_threshold_us: 0,
-            ..TraceConfig::default()
-        });
-        svc.call(Request::new(Command::Set("k".into(), "v".into())));
-        svc.call(Request::new(Command::Get("k".into())));
-        assert!(metrics.traced.sum() > 0);
-        let resp = svc.call(Request::new(Command::StatsReset));
-        assert_eq!(resp.reply, Reply::Status("OK"), "inner store answered");
-        assert_eq!(metrics.traced.sum(), 0, "counters zeroed after reply");
-        assert_eq!(metrics.read_latency.count(), 0);
-        assert_eq!(metrics.write_latency.count(), 0);
-        assert_eq!(metrics.control_latency.count(), 0);
-        assert_eq!(metrics.spans_sampled.sum(), 0);
-        // The rings are not touched: they have their own RESET verbs.
-        assert!(!metrics.slowlog.is_empty(), "slowlog survives STATS RESET");
     }
 
     #[test]

@@ -479,6 +479,7 @@ impl EventLoop {
         let exec = ExecService::new(
             Arc::clone(&self.ctx.store),
             Arc::clone(&self.ctx.stats),
+            Arc::clone(&self.ctx.stack),
             Arc::clone(&self.ctx.ready),
             self.ctx.ack_timeout,
             Arc::clone(&self.ctx.waker),
@@ -1222,15 +1223,16 @@ mod tests {
             60,
             None,
         );
+        let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
         let exec = ExecService::new(
             Arc::clone(&runtime.store),
             Arc::clone(&stats),
+            Arc::clone(&stack),
             Arc::new(AtomicBool::new(true)),
             Duration::from_secs(5),
             Arc::new(LoopWaker::new().expect("eventfd")),
             Arc::new([false; 2]),
         );
-        let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
         let session = Session {
             client: "budget".into(),
         };

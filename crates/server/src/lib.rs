@@ -343,7 +343,7 @@ mod tests {
         // No tokens are configured, so AUTH is a structured rejection.
         let err = c.auth("nope").unwrap_err();
         assert!(err.to_string().contains("AUTH"), "got {err}");
-        // The trace layer folds mw_* lines into STATS.
+        // STATS carries the pipeline plane's mw_* lines.
         let stats = c.stats_map().unwrap();
         assert_eq!(stats.get("mw_depth").map(String::as_str), Some("7"));
         assert!(stats.contains_key("mw_ttl_expired"));

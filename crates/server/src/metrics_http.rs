@@ -13,9 +13,9 @@
 //! is involved: the protocol surface is a request line in, a
 //! `Content-Length`-framed body out.
 
-use crate::stats::ServerStats;
+use crate::stats::{self, ServerStats, View};
 use crate::store::Store;
-use dego_middleware::{Row, Stack, Surface};
+use dego_middleware::{Stack, Surface};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,12 +36,6 @@ const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// drain that keeps `/ready` probes from being answered, so the
 /// orchestrator never sees the 503.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// The readiness gate as a scrape-side gauge (`READY` is its verb).
-const READY: Row = Row::gauge(
-    "ready",
-    "1 while the server accepts new traffic, 0 once a drain began.",
-);
 
 /// Spawn the responder thread on its bound `listener`. The thread
 /// exits once `stop` is up and the accept loop is poked with a
@@ -124,11 +118,12 @@ fn serve_one(
         // stop routing new traffic while the queues flush.
         "/ready" if is_get && ready.load(Ordering::Acquire) => ("200 OK", plain, "ready\n".into()),
         "/ready" if is_get => ("503 Service Unavailable", plain, "draining\n".into()),
-        "/metrics" if is_get => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            render_exposition(store, stats, stack, ready.load(Ordering::Acquire)),
-        ),
+        "/metrics" if is_get => {
+            let (mut text, ready) = (String::new(), ready.load(Ordering::Acquire));
+            let out = &mut Surface::Prom(&mut text);
+            stats::render(View::Scrape { ready }, stats, store, stack, out);
+            ("200 OK", "text/plain; version=0.0.4", text)
+        }
         "/trace" if is_get => (
             "200 OK",
             "application/json",
@@ -144,25 +139,4 @@ fn serve_one(
         body.len()
     );
     socket.write_all(reply.as_bytes())
-}
-
-/// Render every counter, gauge and histogram the server knows about,
-/// plane by plane: server counters (`dego_*_total`), storage-plane
-/// gauges and per-shard series (`dego_shard_*`), then the middleware
-/// pipeline (`dego_mw_*`) including the sampled per-layer
-/// admission-cost histograms. Each plane renders itself — the same
-/// declarations `STATS` and `STATS SHARDS` are rendered from.
-fn render_exposition(store: &Store, stats: &ServerStats, stack: &Stack, ready: bool) -> String {
-    let mut text = String::new();
-    let mut out = Surface::Prom(&mut text);
-    out.scalar(&READY, ready as u64);
-    let mut snap = stats.snapshot();
-    // Prometheus counters must be monotonic: the raw count, not the
-    // one `STATS RESET` re-bases.
-    snap.applied = store.applied.get();
-    snap.render(&mut out);
-    store.render_gauges(&mut out);
-    store.render_shards(&mut out);
-    stack.metrics().render(stack.depth(), &mut out);
-    text
 }

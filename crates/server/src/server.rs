@@ -60,7 +60,7 @@
 
 use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
-use crate::stats::{ServerStats, StatsSnapshot};
+use crate::stats::{self, ServerStats, StatsSnapshot, View};
 use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
@@ -211,13 +211,10 @@ impl ServerHandle {
         &self.stack
     }
 
-    /// A snapshot of the operation counters.
+    /// A snapshot of the operation counters, as `STATS` reports them
+    /// (`applied` since the last `STATS RESET`).
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        // The authoritative applied count lives in the storage plane's
-        // per-shard counter (reported since the last `STATS RESET`).
-        snap.applied = self.store.applied_since_reset();
-        snap
+        stats::snapshot(&self.stats, &self.store, false)
     }
 
     /// Whether the server currently reports itself ready (the `READY`
@@ -710,6 +707,9 @@ struct Burst {
 pub(crate) struct ExecService {
     store: Arc<Store>,
     stats: Arc<ServerStats>,
+    /// The connection's stack, whose pipeline plane `STATS` shows and
+    /// `STATS RESET` zeroes.
+    stack: Arc<Stack>,
     /// The readiness gate `READY` reports; flips to `false` the moment
     /// a drain begins.
     ready: Arc<AtomicBool>,
@@ -736,6 +736,7 @@ impl ExecService {
     pub(crate) fn new(
         store: Arc<Store>,
         stats: Arc<ServerStats>,
+        stack: Arc<Stack>,
         ready: Arc<AtomicBool>,
         ack_timeout: Duration,
         waker: Arc<LoopWaker>,
@@ -747,6 +748,7 @@ impl ExecService {
             home,
             store,
             stats,
+            stack,
             ready,
             next_seq: 0,
             ack_timeout,
@@ -937,28 +939,10 @@ impl ExecService {
             Command::ProfileVer(user) => {
                 Reply::Int(self.store.tables.profiles.get(user).unwrap_or(0) as i64)
             }
-            Command::Stats => {
-                let mut snap = self.stats.snapshot();
-                snap.applied = self.store.applied_since_reset();
-                let mut lines = Vec::new();
-                let mut out = Surface::Stats(&mut lines);
-                self.store.render_gauges(&mut out);
-                snap.render(&mut out);
-                Reply::Array(lines)
-            }
-            Command::StatsShards => {
-                let mut lines = Vec::new();
-                let mut out = Surface::Stats(&mut lines);
-                out.scalar(&store::SHARDS, self.store.shards() as u64);
-                self.store.render_shards(&mut out);
-                Reply::Array(lines)
-            }
+            Command::Stats => self.render_stats(View::Stats),
+            Command::StatsShards => self.render_stats(View::Shards),
             Command::StatsReset => {
-                // Zero the server-plane counters and shard telemetry;
-                // the trace layer (when present) resets the middleware
-                // plane after this reply travels back up through it.
-                self.stats.reset_rows();
-                self.store.reset_telemetry();
+                stats::reset(&self.stats, &self.store, &self.stack);
                 Reply::Status("OK")
             }
             Command::Ping => Reply::Status("PONG"),
@@ -976,6 +960,14 @@ impl ExecService {
             }
             other => Reply::Error(format!("{} reached the read executor", other.verb())),
         }
+    }
+
+    /// A `STATS` or `STATS SHARDS` reply.
+    fn render_stats(&self, view: View) -> Reply {
+        let mut lines = Vec::new();
+        let out = &mut Surface::Stats(&mut lines);
+        stats::render(view, &self.stats, &self.store, &self.stack, out);
+        Reply::Array(lines)
     }
 
     /// The structural depth-0 rejections: middleware-owned verbs
@@ -1183,7 +1175,7 @@ impl Service for ExecService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dego_middleware::PipelineMetrics;
+    use dego_middleware::{BoxService, PipelineMetrics, Session, TraceConfig};
 
     #[test]
     fn accept_backoff_grows_and_saturates() {
@@ -1194,20 +1186,18 @@ mod tests {
         assert_eq!(accept_backoff(u32::MAX), ACCEPT_BACKOFF_CAP);
     }
 
-    /// A store of 2 shards whose owners stall `stall` per apply (and
-    /// keep key timers when given the TTL layer's metrics), one
-    /// connection's innermost service over it — on a loop home to no
-    /// shard, so every run goes to an owner — and the owners, stopped
-    /// when the guard drops.
-    fn exec_over(
+    /// A store of `shards` shards whose owners stall `stall` per apply
+    /// (and keep key timers when given the TTL layer's metrics), its
+    /// server counters, and the owners, stopped when the guard drops.
+    fn owners(
+        shards: usize,
         stall: Option<Duration>,
-        ack_timeout: Duration,
         ttl: Option<Arc<PipelineMetrics>>,
-    ) -> (ExecService, Arc<ServerStats>, Owners) {
+    ) -> (Arc<ServerStats>, Owners) {
         let stats = Arc::new(ServerStats::new());
         let stop = Arc::new(AtomicBool::new(false));
         let runtime = store::spawn_shards(
-            2,
+            shards,
             256,
             Arc::clone(&stats),
             Arc::clone(&stop),
@@ -1215,25 +1205,45 @@ mod tests {
             60,
             ttl,
         );
-        let exec = connection(&runtime.store, &stats, ack_timeout, [false; 2]);
-        (exec, stats, Owners { runtime, stop })
+        (stats, Owners { runtime, stop })
     }
 
-    /// One connection's innermost service over `store`, on a loop whose
-    /// home shards are those `home` marks.
+    /// A 2-shard store (see [`owners`]) and one connection's innermost
+    /// service over it, below an empty stack — on a loop home to no
+    /// shard, so every run goes to an owner.
+    fn exec_over(
+        stall: Option<Duration>,
+        ack_timeout: Duration,
+        ttl: Option<Arc<PipelineMetrics>>,
+    ) -> (ExecService, Arc<ServerStats>, Owners) {
+        let (stats, owners) = owners(2, stall, ttl);
+        let store = &owners.runtime.store;
+        let exec = connection(store, &stats, &bare(), ack_timeout, &[false; 2]);
+        (exec, stats, owners)
+    }
+
+    /// The empty stack.
+    fn bare() -> Arc<Stack> {
+        Stack::build(&MiddlewareConfig::none())
+    }
+
+    /// One connection's innermost service over `store`, below `stack`,
+    /// on a loop whose home shards are those `home` marks.
     fn connection(
         store: &Arc<Store>,
         stats: &Arc<ServerStats>,
+        stack: &Arc<Stack>,
         ack_timeout: Duration,
-        home: [bool; 2],
+        home: &[bool],
     ) -> ExecService {
         ExecService::new(
             Arc::clone(store),
             Arc::clone(stats),
+            Arc::clone(stack),
             Arc::new(AtomicBool::new(true)),
             ack_timeout,
             Arc::new(LoopWaker::new().expect("eventfd")),
-            Arc::new(home),
+            home.into(),
         )
     }
 
@@ -1406,7 +1416,13 @@ mod tests {
     fn a_home_shard_write_finishes_inside_begin_batch() {
         let (_, stats, owners) = exec_over(None, Duration::from_secs(5), None);
         let store = &owners.runtime.store;
-        let mut exec = connection(store, &stats, Duration::from_secs(5), [true, false]);
+        let mut exec = connection(
+            store,
+            &stats,
+            &bare(),
+            Duration::from_secs(5),
+            &[true, false],
+        );
         let (home, away) = (key_on(store, 0), key_on(store, 1));
         let (ok, value) = (Reply::Status("OK"), |v: &str| Reply::Value(v.into()));
         let mut at_once = |reqs: &dyn Fn() -> Vec<Request>| {
@@ -1437,7 +1453,7 @@ mod tests {
     fn a_run_in_place_applies_after_the_runs_queued_before_it() {
         let (mut away, stats, owners) = exec_over(None, Duration::from_secs(5), None);
         let store = &owners.runtime.store;
-        let mut home = connection(store, &stats, Duration::from_secs(5), [true; 2]);
+        let mut home = connection(store, &stats, &bare(), Duration::from_secs(5), &[true; 2]);
         let key = String::from("k");
         for round in 0..10_000 {
             let queued = away.begin_batch(vec![set(&key, &format!("a{round}"))]);
@@ -1609,5 +1625,160 @@ mod tests {
         assert_eq!(call(&mut exec, get("k")), Reply::Value("v".into()));
         assert_eq!(metrics.ttl_armed.sum(), 1);
         assert_eq!(metrics.ttl_expired.sum(), 0);
+    }
+
+    /// The shed layer routes a write with [`StorePressure::shard_of`],
+    /// the executor with [`ExecService::plan_mutation`] (a `POST`'s
+    /// first push, to the author's timeline, with `stage_post`): two
+    /// tables of one decision. They agree on every write, whatever the
+    /// shard count, and every read of a live key is served inline.
+    #[test]
+    fn the_shed_layer_routes_each_write_to_the_shard_it_is_staged_on() {
+        use crate::protocol::CommandClass;
+        for shards in [1, 2, 4] {
+            let (stats, owners) = owners(shards, None, None);
+            let store = &owners.runtime.store;
+            let home = vec![false; shards];
+            let mut exec = connection(store, &stats, &bare(), Duration::from_secs(5), &home);
+            let probe = StorePressure {
+                store: Arc::clone(store),
+            };
+            for i in 0..16u64 {
+                let (key, user, fan) = (format!("k{i}"), i, i + 100);
+                let every = [
+                    Command::Get(key.clone()),
+                    Command::Set(key.clone(), "v".into()),
+                    Command::Del(key.clone()),
+                    Command::Incr(key.clone(), 1),
+                    Command::Expire(key, 10_000),
+                    Command::AddUser(user),
+                    Command::Post(user, 7),
+                    Command::Follow(fan, user),
+                    Command::Unfollow(fan, user),
+                    Command::Timeline(user),
+                    Command::IsFollowing(fan, user),
+                    Command::Followers(user),
+                    Command::Join(user),
+                    Command::Leave(user),
+                    Command::InGroup(user),
+                    Command::Profile(user),
+                    Command::ProfileVer(user),
+                ];
+                for cmd in every {
+                    let routed = probe.shard_of(&cmd);
+                    let what = format!("{cmd:?} over {shards} shards");
+                    match (cmd.class(), cmd) {
+                        (CommandClass::Write, Command::Post(author, msg)) => {
+                            let mut acks = AckTable::new(0);
+                            let first = exec.stage_post(&mut acks, (author, msg), |_| {}).start;
+                            let author_push = |run: &Vec<Entry>| match run.first() {
+                                Some(Entry::Op(seq, Mutation::TimelinePush { user, .. })) => {
+                                    *seq == first && *user == author
+                                }
+                                _ => false,
+                            };
+                            let staged = exec.staged.iter().position(author_push);
+                            exec.staged.iter_mut().for_each(Vec::clear);
+                            assert_eq!(routed, staged, "{what}");
+                        }
+                        (CommandClass::Write, cmd) => {
+                            let (staged, ..) = exec.plan_mutation(cmd).expect("a write plans");
+                            assert_eq!(routed, Some(staged), "{what}");
+                        }
+                        (CommandClass::Read, cmd) => {
+                            assert_eq!(routed, None, "{what}: reads are never shed");
+                            let Err(cmd) = exec.plan_mutation(cmd) else {
+                                panic!("{what}: a read of a live key plans a mutation");
+                            };
+                            let reply = exec.serve_read(&cmd);
+                            assert!(!matches!(reply, Reply::Error(_)), "{what}: {reply:?}");
+                        }
+                        (CommandClass::Control, cmd) => panic!("{cmd:?} is not kv traffic"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A stack of five layers, trace outermost, and one connection's
+    /// chain through it over a 2-shard store; the store's guard; and an
+    /// executor over the same store and stack with no layer above it.
+    fn traced(trace: TraceConfig) -> (BoxService, ExecService, Arc<Stack>, Owners) {
+        let mut config = MiddlewareConfig::none();
+        config.layers = vec![
+            LayerKind::Trace,
+            LayerKind::Breaker,
+            LayerKind::Deadline,
+            LayerKind::Shed,
+            LayerKind::Ttl,
+        ];
+        config.trace = trace;
+        let stack = Stack::build(&config);
+        let (stats, owners) = owners(2, None, None);
+        let store = &owners.runtime.store;
+        let exec = || connection(store, &stats, &stack, Duration::from_secs(5), &[false; 2]);
+        let session = Session {
+            client: "t:1".into(),
+        };
+        let chain = stack.service(&session, Box::new(exec()));
+        (chain, exec(), Arc::clone(&stack), owners)
+    }
+
+    fn lines(reply: &Reply) -> &[String] {
+        match reply {
+            Reply::Array(lines) => lines,
+            other => panic!("expected array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stats_replies_grow_the_mw_lines() {
+        let (mut svc, _, _, _owners) = traced(TraceConfig::default());
+        svc.call(Request::new(Command::Ping));
+        let resp = svc.call(Request::new(Command::Stats));
+        let lines = lines(&resp.reply);
+        assert!(lines.contains(&"shards=2".to_string()), "store lines kept");
+        assert!(lines.contains(&"mw_depth=5".to_string()));
+        assert!(lines.contains(&"mw_traced=1".to_string()));
+    }
+
+    /// A `STATS` inside a burst grows the `mw_*` lines in place.
+    #[test]
+    fn stats_in_a_burst_grows_the_mw_lines() {
+        let (mut svc, _, _, _owners) = traced(TraceConfig::default());
+        let resps = svc.call_batch(vec![
+            get("k"),
+            set("k", "v"),
+            Request::new(Command::Ping),
+            Request::new(Command::Stats),
+        ]);
+        assert_eq!(resps.len(), 4);
+        let lines = lines(&resps[3].reply);
+        assert!(lines.contains(&"shards=2".to_string()));
+        assert!(lines.iter().any(|l| l.starts_with("mw_batches=")));
+    }
+
+    /// `STATS RESET` zeroes the middleware plane, whichever layers the
+    /// stack has: sent to the executor itself, so no layer counts the
+    /// command after the zeroing.
+    #[test]
+    fn stats_reset_zeroes_the_middleware_plane() {
+        let (mut svc, mut exec, stack, _owners) = traced(TraceConfig {
+            slowlog_threshold_us: 0,
+            ..TraceConfig::default()
+        });
+        let metrics = stack.metrics();
+        svc.call(set("k", "v"));
+        svc.call(get("k"));
+        assert!(metrics.traced.sum() > 0);
+        let resp = exec.call(Request::new(Command::StatsReset));
+        assert_eq!(resp.reply, Reply::Status("OK"), "inner store answered");
+        assert_eq!(metrics.traced.sum(), 0, "counters zeroed after reply");
+        assert_eq!(metrics.read_latency.count(), 0);
+        assert_eq!(metrics.write_latency.count(), 0);
+        assert_eq!(metrics.control_latency.count(), 0);
+        assert_eq!(metrics.spans_sampled.sum(), 0);
+        // The rings are not touched: they have their own RESET verbs.
+        assert!(!metrics.slowlog.is_empty(), "slowlog survives STATS RESET");
     }
 }

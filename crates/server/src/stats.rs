@@ -1,14 +1,18 @@
-//! Server-side operation counters and the `STATS` snapshot.
+//! Server-side operation counters, the `STATS` snapshot, and the one
+//! assembly of every metric plane.
 //!
 //! Per-connection counters are plain relaxed atomics (statistics, not
 //! synchronization — the same doctrine as [`dego_metrics`]); the
 //! mutation-application counter lives in the storage plane as a
 //! [`dego_core::CounterIncrementOnly`] with one owner-exclusive cell
 //! per shard. The server block also carries the process-wide contention
-//! stall proxy from [`dego_metrics::GLOBAL`].
+//! stall proxy from [`dego_metrics::GLOBAL`]. Each plane renders and
+//! resets itself; `render` and `reset` here are the one place the planes
+//! are assembled, whatever layers the stack has.
 
+use crate::store::{Store, SHARDS};
 use dego_metrics::ContentionSnapshot;
-use dego_middleware::{declare_metrics, RelaxedCounter, Surface};
+use dego_middleware::{declare_metrics, RelaxedCounter, Row, Stack, Surface};
 
 declare_metrics! {
     /// A point-in-time view of [`ServerStats`], served by the `STATS`
@@ -100,15 +104,74 @@ impl ServerStats {
     }
 }
 
-impl StatsSnapshot {
-    /// The server block on either surface: the first lines of a `STATS`
-    /// reply, or the `dego_*` counter families of a scrape.
-    pub fn render(&self, out: &mut Surface<'_>) {
-        out.rows(
-            ServerStats::ROWS,
-            &self.values(dego_metrics::GLOBAL.snapshot()),
-        );
+/// The readiness gate as a scrape-side gauge (`READY` is its verb).
+const READY: Row = Row::gauge(
+    "ready",
+    "1 while the server accepts new traffic, 0 once a drain began.",
+);
+
+/// A surface the metric planes are laid out on: `STATS`,
+/// `STATS SHARDS`, or `/metrics` with the readiness gate.
+pub(crate) enum View {
+    Stats,
+    Shards,
+    Scrape { ready: bool },
+}
+
+/// The server block with the storage plane's applied count filled in:
+/// since the last `STATS RESET`, or — for a scrape, whose counters must
+/// be monotonic — since boot.
+pub(crate) fn snapshot(stats: &ServerStats, store: &Store, monotonic: bool) -> StatsSnapshot {
+    let mut snap = stats.snapshot();
+    snap.applied = if monotonic {
+        store.applied.get()
+    } else {
+        store.applied_since_reset()
+    };
+    snap
+}
+
+/// Lay `view` out on `out`, every plane from its own renderer. `STATS`
+/// is the server block, the storage gauges, then the middleware block;
+/// `STATS SHARDS` the shard count, then the per-shard rows; `/metrics`
+/// readiness, server, gauges, shards, middleware.
+pub(crate) fn render(
+    view: View,
+    stats: &ServerStats,
+    store: &Store,
+    stack: &Stack,
+    out: &mut Surface<'_>,
+) {
+    let scrape = match view {
+        View::Shards => {
+            out.scalar(&SHARDS, store.shards() as u64);
+            return store.render_shards(out);
+        }
+        View::Stats => false,
+        View::Scrape { ready } => {
+            out.scalar(&READY, ready as u64);
+            true
+        }
+    };
+    let snap = snapshot(stats, store, scrape);
+    out.rows(
+        ServerStats::ROWS,
+        &snap.values(dego_metrics::GLOBAL.snapshot()),
+    );
+    store.render_gauges(out);
+    if scrape {
+        store.render_shards(out);
     }
+    stack.metrics().render(stack.depth(), out);
+}
+
+/// `STATS RESET`: zero the server counters, the shard telemetry and
+/// the middleware plane. The slowlog and trace rings keep their own
+/// `RESET` verbs.
+pub(crate) fn reset(stats: &ServerStats, store: &Store, stack: &Stack) {
+    stats.reset_rows();
+    store.reset_telemetry();
+    stack.metrics().reset();
 }
 
 #[cfg(test)]
@@ -137,7 +200,8 @@ mod tests {
         assert_eq!(snap.timeline_reads, 1);
         assert_eq!(snap.errors, 1);
         let mut lines = Vec::new();
-        snap.render(&mut Surface::Stats(&mut lines));
+        let values = snap.values(dego_metrics::GLOBAL.snapshot());
+        Surface::Stats(&mut lines).rows(ServerStats::ROWS, &values);
         assert!(lines.contains(&"get_hits=1".to_string()));
         assert!(lines.iter().any(|l| l.starts_with("cas_failures=")));
     }

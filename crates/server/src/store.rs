@@ -131,8 +131,8 @@ pub(crate) struct Envelope {
     pub traced: bool,
 }
 
-/// Storage shards — on `/metrics`, and the first line of both `STATS`
-/// and `STATS SHARDS`.
+/// Storage shards — on `/metrics` and `STATS`, and the first line of
+/// `STATS SHARDS`.
 pub const SHARDS: Row = Row::gauge("shards", "Storage shards.");
 /// Keys in the string keyspace.
 pub const KEYS: Row = Row::gauge("keys", "Keys in the string keyspace.");

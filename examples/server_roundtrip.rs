@@ -125,9 +125,8 @@ fn main() -> std::io::Result<()> {
     c.join_group(u + 2)?;
     println!("u+2 in group      -> {}", c.in_group(u + 2)?);
 
-    // 7. The stats endpoint: storage-plane counters plus — when a
-    //    middleware stack is configured — the per-layer mw_* lines the
-    //    trace layer folds in.
+    // 7. The stats endpoint: server and storage-plane counters, then
+    //    the pipeline's per-layer mw_* lines (whatever the stack).
     println!("\nSTATS:");
     for (name, value) in c.stats()? {
         println!("  {name:>20} = {value}");

@@ -25,12 +25,12 @@
 use dego_server::{
     spawn, AcceptHook, Client, MiddlewareConfig, Role, ServerConfig, ServerHandle, TokenSpec,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{drive, drive_raw, lock_step, random_script, shards, write_run_script};
+use common::{drive, drive_raw, lock_step, random_script, shards, wait_until, write_run_script};
 
 fn boot(middleware: MiddlewareConfig) -> ServerHandle {
     spawn(ServerConfig {
@@ -170,15 +170,17 @@ fn writes_ahead_of_quit_in_one_burst_are_applied() {
 #[test]
 fn accept_errors_back_off_instead_of_spinning() {
     let injected = Arc::new(AtomicU64::new(0));
+    let healthy = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     let hook = {
-        let injected = Arc::clone(&injected);
+        let (injected, healthy) = (Arc::clone(&injected), Arc::clone(&healthy));
         AcceptHook(Arc::new(move || {
             // EMFILE-style pressure for the first 250 ms, then healthy.
             if started.elapsed() < Duration::from_millis(250) {
                 injected.fetch_add(1, Ordering::Relaxed);
                 Some(std::io::Error::other("injected EMFILE"))
             } else {
+                healthy.store(true, Ordering::Release);
                 None
             }
         }))
@@ -191,7 +193,9 @@ fn accept_errors_back_off_instead_of_spinning() {
     })
     .expect("server boots");
     // Wait out the pressure window, then the listener must serve again.
-    std::thread::sleep(Duration::from_millis(350));
+    wait_until("the pressure window to end", || {
+        healthy.load(Ordering::Acquire)
+    });
     let mut c = Client::connect(server.local_addr()).expect("connect after pressure");
     c.ping().expect("server survived fd pressure");
     let errors = injected.load(Ordering::Relaxed);

@@ -535,6 +535,75 @@ fn stats_reset_zeroes_both_planes_over_the_wire() {
     server.shutdown();
 }
 
+/// A server with the metrics responder and `layers` for a stack.
+fn scraped_server(layers: &str) -> ServerHandle {
+    let mut middleware = MiddlewareConfig::none();
+    middleware.layers = MiddlewareConfig::parse_layers(layers).expect("layer list");
+    spawn(ServerConfig {
+        shards: shards(2),
+        capacity: 256,
+        middleware,
+        metrics_addr: Some("127.0.0.1:0".parse().expect("literal addr")),
+        ..ServerConfig::default()
+    })
+    .expect("server boots")
+}
+
+/// `STATS` shows, and `STATS RESET` zeroes, the whole pipeline plane
+/// whatever the stack. A rate-limit + auth stack has no trace layer,
+/// yet its `STATS` carries every `mw_*` row once and its reset reaches
+/// `/metrics` too; the `STATS` and `STATS SHARDS` name sets of the
+/// empty, this partial and the full stack are one.
+#[test]
+fn every_stack_shows_and_resets_the_whole_pipeline_plane() {
+    let server = scraped_server("ratelimit,auth");
+    let metrics_addr = server.metrics_addr().expect("metrics endpoint configured");
+    let mut c = connect(&server);
+    for i in 0..8 {
+        c.set(&format!("p{i}"), "v").expect("set");
+        let _ = c.get(&format!("p{i}")).expect("get");
+    }
+    let stats = line_names(&mut c, "STATS");
+    for row in PipelineMetrics::ROWS {
+        let hits = stats.iter().filter(|n| *n == row.stat).count();
+        assert_eq!(hits, 1, "{} is one STATS line", row.stat);
+    }
+    let stats = c.stats_map().expect("stats");
+    assert_eq!(lookup(&stats, "mw_depth"), 2);
+    assert!(
+        lookup(&stats, "mw_rate_admitted") > 0,
+        "rate layer admitted"
+    );
+
+    c.stats_reset().expect("stats reset");
+    // The RESET's own tail and the STATS that observes it are counted.
+    let admitted = lookup(
+        &c.stats_map().expect("stats after reset"),
+        "mw_rate_admitted",
+    );
+    assert!(
+        admitted <= 4,
+        "STATS RESET zeroed the rate plane: {admitted}"
+    );
+    let scraped = sample(
+        &http_get(metrics_addr, "/metrics"),
+        "dego_mw_rate_admitted_total",
+    );
+    assert!(scraped <= 4, "and /metrics shows it: {scraped}");
+
+    let names = |c: &mut Client| {
+        ["STATS", "STATS SHARDS"]
+            .map(|verb| line_names(c, verb).into_iter().collect::<BTreeSet<_>>())
+    };
+    let partial = names(&mut c);
+    server.shutdown();
+    for layers in ["none", "full"] {
+        let server = scraped_server(layers);
+        assert_eq!(names(&mut connect(&server)), partial, "{layers} stack");
+        server.shutdown();
+    }
+}
+
 /// `GET /trace` on the metrics endpoint serves the flight recorder as
 /// JSON, store-side segments included.
 #[test]

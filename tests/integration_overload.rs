@@ -23,10 +23,12 @@
 //!   acknowledged write remains readable until the connection closes.
 
 use dego_server::{spawn, Client, ClientReply, MiddlewareConfig, ServerConfig, ServerHandle};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{error_of, shards};
+use common::{error_of, shards, wait_until};
 
 fn connect(server: &ServerHandle) -> Client {
     Client::connect(server.local_addr()).expect("connect")
@@ -453,6 +455,8 @@ fn drain_under_load_keeps_acked_writes() {
     })
     .expect("server boots");
     let addr = server.local_addr();
+    let acked = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&acked);
 
     let worker = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect");
@@ -471,11 +475,12 @@ fn drain_under_load_keeps_acked_writes() {
                 Err(_) => break, // Cut between ack and read-back.
             }
             pairs += 1;
+            counted.store(pairs, Ordering::Release);
         }
         pairs
     });
 
-    std::thread::sleep(Duration::from_millis(100));
+    wait_until("16 acked pairs", || acked.load(Ordering::Acquire) >= 16);
     assert!(server.ready(), "serving before the drain");
     let begun = Instant::now();
     server.shutdown();
