@@ -22,10 +22,12 @@
 //! | [`SegmentedBag`] | write-dominant `(S2, CWMR)` | synchronized lists |
 //! | [`rcu_cell`] | RCU-like copy-swap (§5.3) | `synchronized` snapshots |
 //! | [`swmr_recent()`] | append-only, newest-`n` reads, SWMR | a copy-and-replace list as a map value |
+//! | [`RosterWriter`] / [`RosterReader`] | insertion-ordered set, size / member / first-`k` reads, SWMR | a copy-and-replace list as a map value |
 //!
 //! Substrates: [`swmr_hash`] and [`swmr_skiplist`] are the single-writer
-//! multi-reader segments (§5.3), [`swmr_recent`](mod@swmr_recent) their
-//! bounded-log sibling, [`segmentation`] the segment plumbing
+//! multi-reader segments (§5.3), [`swmr_recent`](mod@swmr_recent) and
+//! [`swmr_roster`] their bounded-log and ordered-set siblings,
+//! [`segmentation`] the segment plumbing
 //! (§5.2), [`registry`] the thread-slot registry.
 //!
 //! **Permissions are types.** Where the Java library documents "only one
@@ -65,6 +67,7 @@ pub mod segmentation;
 pub mod segmented;
 pub mod swmr_hash;
 pub mod swmr_recent;
+pub mod swmr_roster;
 pub mod swmr_skiplist;
 pub mod write_once;
 
@@ -79,5 +82,6 @@ pub use segmented::{
 };
 pub use swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
 pub use swmr_recent::{swmr_recent, RecentReader, RecentWriter};
+pub use swmr_roster::{RosterReader, RosterWriter};
 pub use swmr_skiplist::{swmr_skip_list_map, SwmrSkipListReader, SwmrSkipListWriter};
 pub use write_once::{WriteOnceReader, WriteOnceRef};

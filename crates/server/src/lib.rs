@@ -7,8 +7,9 @@
 //!
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
-//! | keyspace, timeline index, followers, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
+//! | keyspace, timeline index, follower index, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
 //! | each user's timeline | [`dego_core::swmr_recent()`] log, appended by its shard's writer | SWMR, newest-`n` reads |
+//! | each user's followers | [`dego_core::RosterWriter`] row, edited in place by its shard's writer | SWMR, size / member / first-`k` reads |
 //! | interest group | [`dego_core::SegmentedSet`] | `(S3, CWMR)` |
 //! | mutation funnel, one per shard, drained by whoever holds the shard's write side | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
 //! | applied-mutation counter | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |

@@ -62,6 +62,7 @@ use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
 use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
+use dego_core::RosterReader;
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
     ShardPressure, Stack, StoreSegment, Surface,
@@ -789,10 +790,10 @@ impl ExecService {
                 .push(Entry::Op(seq, Mutation::TimelinePush { user, msg }));
         };
         push(author);
-        store.tables.followers.read(&author, |row| {
-            let followers = row.iter().filter(|f| **f != author);
-            followers.take(FANOUT_LIMIT).copied().for_each(&mut push);
-        });
+        let mut fans = [0; FANOUT_LIMIT];
+        let followers = &store.tables.followers;
+        let n = followers.read(&author, |row| row.first(Some(author), &mut fans));
+        fans[..n.unwrap_or(0)].iter().copied().for_each(push);
         first..acks.next_seq()
     }
 
@@ -850,7 +851,7 @@ impl ExecService {
             Command::AddUser(user) => (
                 (
                     self.store.shard_of_user(user),
-                    [Timeline(user), Follower(user), Profile(user)].map(Some),
+                    [Some(Timeline(user)), Some(Profile(user)), None],
                 ),
                 Mutation::AddUser { user },
             ),
@@ -925,14 +926,14 @@ impl ExecService {
             }
             Command::IsFollowing(follower, followee) => {
                 let followers = &self.store.tables.followers;
-                let follows = followers.read(followee, |row| row.contains(follower));
+                let follows = followers.read(followee, |row| row.contains(*follower));
                 Reply::Int(follows.unwrap_or(false) as i64)
             }
             Command::Followers(user) => Reply::Int(
                 self.store
                     .tables
                     .followers
-                    .read(user, Vec::len)
+                    .read(user, RosterReader::len)
                     .unwrap_or(0) as i64,
             ),
             Command::InGroup(user) => Reply::Int(self.store.tables.group.contains(user) as i64),

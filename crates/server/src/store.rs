@@ -51,12 +51,17 @@
 //! rows through `SegmentedHashMapWriter::peek` — no pin, no clone:
 //! nobody else unlinks them — and its `put`s are blind, so an
 //! overwrite allocates the new value's box and nothing else. A
-//! timeline is a [`dego_core::swmr_recent()`] log **appended to in
-//! place**: the `timelines` map holds each user's read half, the write
-//! side keeps the append halves in plain state ([`Owned::logs`]), and a
-//! `TimelinePush` is one local lookup and two stores — no allocation,
-//! nothing retired. `TIMELINE` copies its window straight out of the
-//! ring, newest first.
+//! timeline is a [`dego_core::swmr_recent()`] log and a follower row a
+//! [`dego_core::RosterWriter`] row, both **appended to in place**: the
+//! `timelines` and `followers` maps hold each user's read halves, the
+//! write side keeps the edit halves in plain state ([`Owned::logs`],
+//! [`Owned::rows`]). A `TimelinePush` is one local lookup and two
+//! stores — no allocation, nothing retired. A `FollowerAdd` or
+//! `FollowerDel` is one local lookup, a scan of the row's ids for the
+//! follower and a few stores; only a row that moves (full, or less than
+//! a quarter live) allocates, and republishes its read half with a
+//! `put`. `TIMELINE` copies its window straight out of the ring, newest
+//! first, and a `POST` its fan-out straight out of the row's head.
 //!
 //! **Key timers live with their key's owner.** `EXPIRE` is a mutation
 //! of its key's row, and the deadlines sit in a segment of the write
@@ -73,7 +78,8 @@ use crate::protocol::Reply;
 use crate::stats::ServerStats;
 use dego_core::{
     home_segment, mpsc, swmr_recent, CounterCell, CounterIncrementOnly, RecentReader, RecentWriter,
-    SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter, SegmentedSet, SegmentedSetWriter,
+    RosterReader, RosterWriter, SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter,
+    SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
     declare_metrics, Histograms, LatencyHistogram, PipelineMetrics, Reading, Row, StoreSegment,
@@ -96,6 +102,9 @@ const _: () = assert!(crate::TIMELINE_LIMIT < TIMELINE_KEEP);
 /// How many followers receive a post synchronously (mirrors
 /// `dego_retwis::FANOUT_LIMIT`).
 pub const FANOUT_LIMIT: usize = 16;
+
+/// Slots a follower row starts with, and never shrinks below.
+const FOLLOWERS_MIN: usize = 4;
 
 /// One slot of a run: a planned mutation on the way to the shard's
 /// writer, its acknowledgement on the way back. Both carry the
@@ -260,8 +269,8 @@ pub(crate) struct Tables {
     pub timers: Timers,
     /// user → the read half of their timeline log.
     pub timelines: Arc<SegmentedHashMap<u64, RecentReader>>,
-    /// user → who follows them.
-    pub followers: Arc<SegmentedHashMap<u64, Vec<u64>>>,
+    /// user → the read half of who follows them, in follow order.
+    pub followers: Arc<SegmentedHashMap<u64, RosterReader>>,
     /// user → profile version.
     pub profiles: Arc<SegmentedHashMap<u64, u64>>,
     /// The interest group.
@@ -325,6 +334,7 @@ impl Tables {
             timelines: self.timelines.writer(),
             logs: HashMap::new(),
             followers: self.followers.writer(),
+            rows: HashMap::new(),
             profiles: self.profiles.writer(),
             group: self.group.writer(),
         }
@@ -749,7 +759,10 @@ struct Owned {
     /// publishes — plain writer-local state, same key set as this
     /// shard's segment of that map.
     logs: HashMap<u64, RecentWriter>,
-    followers: SegmentedHashMapWriter<u64, Vec<u64>>,
+    followers: SegmentedHashMapWriter<u64, RosterReader>,
+    /// The edit halves of the rows whose read halves `followers`
+    /// publishes, kept like [`Owned::logs`].
+    rows: HashMap<u64, RosterWriter>,
     profiles: SegmentedHashMapWriter<u64, u64>,
     group: SegmentedSetWriter<u64>,
 }
@@ -857,9 +870,6 @@ impl Owned {
             }
             Mutation::AddUser { user } => {
                 self.timeline(user);
-                if self.followers.peek(&user, |row| row.is_none()) {
-                    self.followers.put(user, Vec::new());
-                }
                 if self.profiles.peek(&user, |version| version.is_none()) {
                     self.profiles.put(user, 0);
                 }
@@ -870,30 +880,21 @@ impl Owned {
                 Reply::Status("OK")
             }
             Mutation::FollowerAdd { followee, follower } => {
-                let grown = self.followers.peek(&followee, |row| {
-                    let row = row.map_or(&[][..], Vec::as_slice);
-                    (!row.contains(&follower)).then(|| {
-                        let mut grown = Vec::with_capacity(row.len() + 1);
-                        grown.extend_from_slice(row);
-                        grown.push(follower);
-                        grown
-                    })
-                });
-                if let Some(row) = grown {
-                    self.followers.put(followee, row);
-                }
+                let Owned {
+                    rows, followers, ..
+                } = self;
+                let row = rows
+                    .entry(followee)
+                    .or_insert_with(|| RosterWriter::new(FOLLOWERS_MIN));
+                row.insert(follower, |moved| followers.put(followee, moved));
                 Reply::Status("OK")
             }
             Mutation::FollowerDel { followee, follower } => {
-                let shrunk = self.followers.peek(&followee, |row| {
-                    let row = row.filter(|row| row.contains(&follower))?;
-                    // `FollowerAdd` admits no duplicates: one goes.
-                    let mut shrunk = Vec::with_capacity(row.len() - 1);
-                    shrunk.extend(row.iter().filter(|f| **f != follower));
-                    Some(shrunk)
-                });
-                if let Some(row) = shrunk {
-                    self.followers.put(followee, row);
+                let Owned {
+                    rows, followers, ..
+                } = self;
+                if let Some(row) = rows.get_mut(&followee) {
+                    row.remove(follower, |moved| followers.put(followee, moved));
                 }
                 Reply::Status("OK")
             }
@@ -938,7 +939,8 @@ mod tests {
     /// The owner's allocation budget, counted on this thread with the
     /// writers claimed here: a mutation allocates what it leaves in the
     /// store and nothing else — no clone of the row it extends, none of
-    /// the value it overwrites, nothing at all for a timeline append.
+    /// the value it overwrites, nothing at all for a timeline append or
+    /// a follower edit that fits its row.
     #[test]
     fn apply_allocates_only_what_it_stores() {
         let tables = Tables::new(1, 64, None);
@@ -974,9 +976,19 @@ mod tests {
         spent(incr());
         assert_eq!(spent(incr()), 2, "the new string and its box");
 
+        let unfollow = |follower| Mutation::FollowerDel {
+            followee: 1,
+            follower,
+        };
         spent(follow(2));
-        assert_eq!(spent(follow(3)), 2, "the new row and its box");
+        assert_eq!(spent(follow(3)), 0, "into spare capacity");
         assert_eq!(spent(follow(3)), 0, "already following");
+        assert_eq!(spent(follow(4)), 0, "into spare capacity");
+        assert_eq!(spent(unfollow(4)), 0, "three of four left");
+        assert_eq!(spent(unfollow(4)), 0, "not following");
+        assert_eq!(spent(follow(5)), 0, "into spare capacity");
+        // All four slots used, three live: the row moves to six.
+        assert!(spent(follow(6)) <= 2, "the grown row and its box");
 
         let mut row = Vec::new();
         tables.timelines.read(&1, |log| log.newest(3, &mut row));
@@ -986,6 +998,8 @@ mod tests {
             Some("its replacement")
         );
         assert_eq!(tables.kv.get(&"n".into()).as_deref(), Some("2000000014"));
-        assert_eq!(tables.followers.get(&1), Some(vec![2, 3]));
+        let mut fans = [0; 8];
+        let n = tables.followers.read(&1, |row| row.first(None, &mut fans));
+        assert_eq!(&fans[..n.unwrap()], [2, 3, 5, 6]);
     }
 }

@@ -6,6 +6,7 @@
 
 use dego_core::{mpsc, swmr_recent, CounterIncrementOnly};
 use dego_juc::{AtomicLong, ConcurrentHashMap, ConcurrentLinkedQueue};
+use dego_metrics::rng::XorShift64;
 use dego_spec::lin::{is_linearizable, Completed};
 use dego_spec::types::{counter_c1, map_m1, op, queue_q1};
 use dego_spec::{DataType, SpecType, Value};
@@ -261,6 +262,166 @@ fn torn_or_stale_log_windows_are_rejected() {
     // Whole, but older than a push that had returned before the read.
     let stale: Vec<_> = pushes(5).chain([read(&[4, 3, 2], 6)]).collect();
     assert!(!is_linearizable(&RecentLog, &Vec::new(), &stale));
+}
+
+/// The sequential specification of a `dego_core::RosterWriter` row: an
+/// insertion-ordered set of ids.
+#[derive(Debug)]
+struct Roster;
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum RosterOp {
+    Add(u64),
+    Remove(u64),
+    Len,
+    Contains(u64),
+    /// The first `k` ids other than the skipped one, in order.
+    First(usize, Option<u64>),
+}
+
+impl DataType for Roster {
+    type State = Vec<u64>;
+    type Op = RosterOp;
+    /// A prefix read's ids; otherwise one number — the length, or 1
+    /// for an edit that changed the row or a member found, else 0.
+    type Ret = Vec<u64>;
+
+    fn apply(&self, row: &Vec<u64>, op: &RosterOp) -> (Vec<u64>, Vec<u64>) {
+        let mut next = row.clone();
+        let ret = match op {
+            RosterOp::Add(id) => {
+                let fresh = !row.contains(id);
+                if fresh {
+                    next.push(*id);
+                }
+                vec![fresh as u64]
+            }
+            RosterOp::Remove(id) => {
+                next.retain(|f| f != id);
+                vec![(next.len() < row.len()) as u64]
+            }
+            RosterOp::Len => vec![row.len() as u64],
+            RosterOp::Contains(id) => vec![row.contains(id) as u64],
+            RosterOp::First(k, skip) => {
+                let others = row.iter().filter(|f| Some(**f) != *skip);
+                others.take(*k).copied().collect()
+            }
+        };
+        (next, ret)
+    }
+}
+
+/// Many small histories of one writer and two readers over a row made
+/// at four slots, republished through a single-writer map as the server
+/// does: the writer adds most of eight ids, then removes most of them,
+/// so rows grow and compact inside the histories while readers ask for
+/// sizes, members and prefixes.
+#[test]
+fn roster_histories_are_linearizable() {
+    use dego_core::swmr_hash::swmr_hash_map;
+    use dego_core::{RosterReader, RosterWriter};
+    let (mut grown, mut compacted) = (0, 0);
+    for round in 0..300u64 {
+        let (mut published, rows) = swmr_hash_map::<u8, RosterReader>(1);
+        let mut writer = RosterWriter::new(4);
+        let ts = AtomicU64::new(1);
+        let hist = std::sync::Mutex::new(Vec::<Completed<Roster>>::new());
+        let start = std::sync::Barrier::new(3);
+        let rng = |salt: u64| XorShift64::new(round * 16 + salt);
+        std::thread::scope(|s| {
+            for reader in 0..2 {
+                let (rows, hist, ts, start) = (rows.clone(), &hist, &ts, &start);
+                s.spawn(move || {
+                    let mut rng = rng(reader);
+                    start.wait();
+                    for i in 0..14 {
+                        let id = 1 + rng.next_bounded(8);
+                        let op = match i % 4 {
+                            0 => RosterOp::Len,
+                            1 => RosterOp::Contains(id),
+                            2 => RosterOp::First(3, None),
+                            _ => RosterOp::First(2, Some(id)),
+                        };
+                        let t0 = clock(ts);
+                        let ret = match op {
+                            RosterOp::Len => {
+                                vec![rows.read(&0, RosterReader::len).unwrap_or(0) as u64]
+                            }
+                            RosterOp::Contains(id) => {
+                                vec![rows.read(&0, |r| r.contains(id)).unwrap_or(false) as u64]
+                            }
+                            RosterOp::First(k, skip) => {
+                                let mut out = vec![0; k];
+                                let n = rows.read(&0, |r| r.first(skip, &mut out));
+                                out.truncate(n.unwrap_or(0));
+                                out
+                            }
+                            _ => unreachable!("readers only read"),
+                        };
+                        let t1 = clock(ts);
+                        hist.lock().unwrap().push(Completed::new(op, ret, t0, t1));
+                    }
+                });
+            }
+            s.spawn(|| {
+                let mut rng = rng(7);
+                start.wait();
+                for i in 0..20 {
+                    let id = 1 + rng.next_bounded(8);
+                    let adding = rng.next_bounded(5) != 0;
+                    let t0 = clock(&ts);
+                    let (op, changed) = if (i < 11) == adding {
+                        let changed = writer.insert(id, |moved| {
+                            grown += 1;
+                            published.put(0, moved);
+                        });
+                        (RosterOp::Add(id), changed)
+                    } else {
+                        let changed = writer.remove(id, |moved| {
+                            compacted += 1;
+                            published.put(0, moved);
+                        });
+                        (RosterOp::Remove(id), changed)
+                    };
+                    let t1 = clock(&ts);
+                    let edit = Completed::new(op, vec![changed as u64], t0, t1);
+                    hist.lock().unwrap().push(edit);
+                }
+            });
+        });
+        let hist = hist.into_inner().unwrap();
+        assert!(
+            is_linearizable(&Roster, &Vec::new(), &hist),
+            "round {round}: not linearizable against the ordered set: {hist:?}"
+        );
+    }
+    assert!(
+        grown > 300 && compacted > 30,
+        "moves: {grown} grown, {compacted} compacted"
+    );
+}
+
+#[test]
+fn a_torn_roster_prefix_is_rejected() {
+    let (a, b, c) = (1, 2, 3);
+    let edit = |op, at| Completed::new(op, vec![1], at, at);
+    let history = |prefix: &[u64]| {
+        vec![
+            edit(RosterOp::Add(a), 1),
+            edit(RosterOp::Add(b), 2),
+            edit(RosterOp::Add(c), 3),
+            // A prefix read overlapping both removals.
+            Completed::new(RosterOp::First(2, None), prefix.to_vec(), 4, 7),
+            edit(RosterOp::Remove(a), 5),
+            edit(RosterOp::Remove(b), 6),
+        ]
+    };
+    for whole in [&[a, b][..], &[b, c], &[c]] {
+        assert!(is_linearizable(&Roster, &Vec::new(), &history(whole)));
+    }
+    // `a` read before its removal, `b` skipped after its own: no instant
+    // had that prefix.
+    assert!(!is_linearizable(&Roster, &Vec::new(), &history(&[a, c])));
 }
 
 #[test]

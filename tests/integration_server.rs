@@ -11,7 +11,8 @@
 //! * **shutdown is clean** — every thread joins, the port dies.
 
 use dego_server::{
-    spawn, Client, ClientReply, ServerConfig, ServerHandle, TIMELINE_KEEP, TIMELINE_LIMIT,
+    spawn, Client, ClientReply, ServerConfig, ServerHandle, FANOUT_LIMIT, TIMELINE_KEEP,
+    TIMELINE_LIMIT,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -245,6 +246,73 @@ fn timeline_serves_the_newest_posts_of_a_wrapped_log() {
     assert_eq!((own.len(), own[0].as_str()), (TIMELINE_LIMIT, ":9000"));
     // A user nobody added: the post creates the row it reads back.
     assert_eq!(pair[3], ClientReply::Array(vec![":9001".into()]));
+    server.shutdown();
+}
+
+/// The follower row's wire contract over its in-place set, through the
+/// row's growth and compaction: after 300 `FOLLOW`s of user 0 (lock
+/// step, a self-follow among them), 250 `UNFOLLOW`s (one pipelined
+/// burst) and 50 re-`FOLLOW`s, `FOLLOWERS 0` and every `ISFOLLOWING f 0`
+/// answer as a `Vec` model does, and a `POST 0` reaches exactly the
+/// model's first `FANOUT_LIMIT` followers but the author.
+#[test]
+fn followers_serve_the_model_through_growth_and_compaction() {
+    const USERS: u64 = 400;
+    let server = boot(2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut rng = dego_metrics::rng::XorShift64::new(0x5eed);
+    let mut model: Vec<u64> = Vec::new();
+    let mut followed = Vec::new();
+    let check = |client: &mut Client, model: &[u64], msg: u64| {
+        assert_eq!(client.follower_count(0).expect("followers"), model.len());
+        for f in 0..USERS {
+            let follows = client.is_following(f, 0).expect("isfollowing");
+            assert_eq!(follows, model.contains(&f), "ISFOLLOWING {f} 0");
+        }
+        client.post(0, msg).expect("post");
+        let fans: Vec<u64> = model.iter().copied().filter(|f| *f != 0).collect();
+        assert!(fans.len() > FANOUT_LIMIT, "the seed left too few followers");
+        for (rank, fan) in fans.iter().take(FANOUT_LIMIT + 1).enumerate() {
+            let got = client.timeline(*fan).expect("timeline").contains(&msg);
+            assert_eq!(
+                got,
+                rank < FANOUT_LIMIT,
+                "follower #{rank} ({fan}) of {fans:?}"
+            );
+        }
+        assert_eq!(client.timeline(0).expect("own timeline")[0], msg);
+    };
+
+    let follow = |client: &mut Client, model: &mut Vec<u64>, fan: u64| {
+        client.follow(fan, 0).expect("follow");
+        if !model.contains(&fan) {
+            model.push(fan);
+        }
+    };
+
+    for i in 0..300 {
+        let fan = if i == 150 { 0 } else { rng.next_bounded(USERS) };
+        follow(&mut client, &mut model, fan);
+        followed.push(fan);
+    }
+    check(&mut client, &model, 1);
+
+    let burst: Vec<String> = (0..250)
+        .map(|_| {
+            let fan = followed[rng.next_bounded(followed.len() as u64) as usize];
+            model.retain(|f| *f != fan);
+            format!("UNFOLLOW {fan} 0")
+        })
+        .collect();
+    let acks = client.pipeline(&burst).expect("burst of unfollows");
+    assert!(acks.iter().all(|ack| matches!(ack, ClientReply::Status(_))));
+    check(&mut client, &model, 2);
+
+    for _ in 0..50 {
+        let fan = followed[rng.next_bounded(followed.len() as u64) as usize];
+        follow(&mut client, &mut model, fan);
+    }
+    check(&mut client, &model, 3);
     server.shutdown();
 }
 
