@@ -1,7 +1,8 @@
 //! Pipeline observability: per-command latency histograms and
 //! per-layer counters, which the server lays out after its own planes
-//! on `STATS` and `/metrics` — and [`declare_metrics!`], the one place a
-//! plane says which counters and gauges it has.
+//! on `STATS` and `/metrics` — and
+//! [`declare_metrics!`](crate::declare_metrics), the one place a plane
+//! says which counters and gauges it has.
 //!
 //! The rate limiter's admission/refill counters are
 //! [`dego_juc::LongAdder`]s — the striped, contention-relieved sums the
@@ -301,7 +302,7 @@ struct WindowSlot {
 /// Every sample lands in a lifetime [`LatencyHistogram`] (served under
 /// the `_total` stat names and as the Prometheus histogram family,
 /// which stays cumulative per the exposition contract) *and* in one of
-/// [`WINDOW_SLOTS`] slot histograms keyed by a coarse epoch tick
+/// `WINDOW_SLOTS` slot histograms keyed by a coarse epoch tick
 /// (`elapsed_secs / slot_secs`). Reads merge the slots whose epoch
 /// falls inside the last full window, so the percentile describes the
 /// last ~window seconds and recovers after a spike clears instead of
@@ -468,7 +469,7 @@ declare_metrics! {
     pub struct PipelineMetrics {
         /// Commands observed by the trace layer.
         pub traced: RelaxedCounter => "mw_traced",
-        /// Pipelined bursts driven through call_batch.
+        /// Pipelined bursts the trace layer observed.
         pub batches: RelaxedCounter => "mw_batches",
         /// Commands carried by those bursts.
         pub batch_commands: RelaxedCounter => "mw_batch_commands",

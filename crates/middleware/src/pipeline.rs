@@ -15,16 +15,17 @@
 //! link that passes every entry point straight through. Calls between
 //! layers are direct; [`Stack::service`] boxes the chain once.
 //!
-//! **A burst is two-phase.** [`Service::begin_batch`] admits a burst
-//! and starts its work; while the outcome is not known yet (the store
-//! executor awaits shard acks) the chain answers [`Progress::Parked`]
-//! instead of blocking its thread, and [`Service::poll_batch`] later
-//! delivers the responses. Each production layer writes its rule once,
-//! as the *admit half* and the *observe half* of a [`LayerRule`], and
-//! [`Layered`] derives every entry point from them, a burst of one
-//! ([`Service::call`]) included — so deferral is nothing but the gap
-//! between the halves: deadline, breaker and trace see the **real
-//! replies after the real wait**, whether the burst blocked or parked.
+//! **A burst is two-phase, and that is the only way through a chain.**
+//! [`Service::begin_batch`] admits a burst and starts its work; while
+//! the outcome is not known yet (the store executor awaits shard acks)
+//! the chain answers [`Progress::Parked`] instead of blocking its
+//! thread, and [`Service::poll_batch`] later delivers the responses
+//! ([`Service::call_batch`] polls for in-process callers). Each
+//! production layer writes its rule once, as the *admit half* and the
+//! *observe half* of a [`LayerRule`], and [`Layered`] builds both
+//! phases from them — so deferral is nothing but the gap between the
+//! halves: deadline, breaker and trace see the **real replies after
+//! the real wait**.
 //!
 //! **Every admitted request is observed exactly once.** A chain that
 //! answered `Parked` must be polled until it delivers — also when the
@@ -113,38 +114,46 @@ pub enum Progress {
 /// One request handler (the innermost one executes against the store;
 /// every other one is a layer's wrapper).
 pub trait Service {
-    /// Handle one request.
+    /// Handle one request. A `call` written as a [`Service::call_batch`]
+    /// of one is valid only where [`Service::begin_batch`] is
+    /// overridden: the default `begin_batch` loops `call`.
     fn call(&mut self, req: Request) -> Response;
 
     /// Handle a pipelined burst of requests, returning one response per
-    /// request **in request order**, blocking until every one is known.
-    ///
-    /// The default loops [`Service::call`], so third-party layers keep
-    /// working; the production layers pay their per-request costs once
-    /// per burst (see [`LayerRule`]).
+    /// request **in request order**: [`Service::begin_batch`], then
+    /// [`Service::poll_batch`], yielding the thread, until it answers.
+    /// No service overrides it, and the event loops never call it.
     ///
     /// Contract: `call_batch(reqs)` must produce the same responses, in
     /// the same order, as calling `call` on each request sequentially
     /// (timing-dependent layers — deadline, rate-limit refill — are
     /// exempt only in how they meter time, never in ordering).
     fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        reqs.into_iter().map(|req| self.call(req)).collect()
+        if let Progress::Done(resps) = self.begin_batch(reqs) {
+            return resps;
+        }
+        loop {
+            match self.poll_batch() {
+                Some(resps) => return resps,
+                None => std::thread::yield_now(),
+            }
+        }
     }
 
-    /// The non-blocking first phase of [`Service::call_batch`]: admit
-    /// the burst and start its work, but rather than wait for an
-    /// outcome, keep the burst's context and answer
-    /// [`Progress::Parked`]. The default never waits: `Done` at once.
+    /// The first phase of a burst: admit it and start its work, but
+    /// rather than wait for an outcome, keep the burst's context and
+    /// answer [`Progress::Parked`]. The default loops [`Service::call`]
+    /// and is `Done` at once; the production layers pay their
+    /// per-request costs once per burst (see [`LayerRule`]).
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
-        Progress::Done(self.call_batch(reqs))
+        Progress::Done(reqs.into_iter().map(|req| self.call(req)).collect())
     }
 
     /// The second phase: `None` while the parked burst is still in
-    /// flight, its responses — exactly what `call_batch` would have
-    /// returned — once it is not. Must be called until it answers
-    /// after every `Parked`, and nothing else may be dispatched to the
-    /// service in between: that is what lets each layer observe every
-    /// request it admitted exactly once.
+    /// flight, its responses once it is not. Must be called until it
+    /// answers after every `Parked`, and nothing else may be dispatched
+    /// to the service in between: that is what lets each layer observe
+    /// every request it admitted exactly once.
     fn poll_batch(&mut self) -> Option<Vec<Response>> {
         None
     }
@@ -154,17 +163,13 @@ pub trait Service {
 /// their connection's thread, so no `Send` bound is needed.
 pub type BoxService = Box<dyn Service>;
 
-/// A `Box<S>` (including the type-erased [`BoxService`]) delegates
-/// every entry point to its contents. The explicit forwarding matters:
-/// the defaults would loop `call` and never park, silently losing the
-/// inner service's amortization and blocking where it would park.
+/// A `Box<S>` (including the type-erased [`BoxService`]) delegates to
+/// its contents. Forwarding both phases matters: the default
+/// `begin_batch` loops `call` and never parks, losing the inner
+/// service's amortization and waiting in `call` where it would park.
 impl<S: Service + ?Sized> Service for Box<S> {
     fn call(&mut self, req: Request) -> Response {
         (**self).call(req)
-    }
-
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        (**self).call_batch(reqs)
     }
 
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
@@ -232,9 +237,9 @@ pub enum Admission<C> {
 }
 
 /// One production layer's rule, written once as an *admit half* and an
-/// *observe half*. [`Layered`] derives every entry point from the
-/// halves, a burst of one included, so whether a burst blocks or parks
-/// between them is not the layer's business.
+/// *observe half*. [`Layered`] derives both phases of a burst from the
+/// halves, so how long a burst stays parked between them is not the
+/// layer's business.
 pub trait LayerRule {
     /// What the admit half hands the observe half.
     type Ctx;
@@ -288,7 +293,7 @@ impl<L: LayerRule> LayerRule for Option<L> {
 }
 
 /// A [`LayerRule`] around an inner service: one layer's per-session
-/// link of the chain.
+/// link of the chain. `begin_batch` is admit · inner · observe-or-park.
 pub struct Layered<L: LayerRule, S> {
     layer: L,
     inner: S,
@@ -304,35 +309,6 @@ impl<L: LayerRule, S: Service> Layered<L, S> {
             parked: None,
         }
     }
-
-    /// admit · `down` · observe-or-park: the one composition behind
-    /// both `call_batch` (`down` blocks) and `begin_batch` (`down` may
-    /// park).
-    fn drive(
-        &mut self,
-        reqs: Vec<Request>,
-        down: impl FnOnce(&mut S, Vec<Request>) -> Progress,
-    ) -> Progress {
-        let (reqs, mut ctx) = match self.layer.admit(reqs) {
-            Admission::Pass(reqs) => return down(&mut self.inner, reqs),
-            Admission::Answered(resps) => return Progress::Done(resps),
-            Admission::Observe(reqs, ctx) => (reqs, ctx),
-        };
-        // Nothing admitted: no inner traffic, but still observed.
-        let progress = if reqs.is_empty() {
-            Progress::Done(Vec::new())
-        } else {
-            down(&mut self.inner, reqs)
-        };
-        match progress {
-            Progress::Done(inner) => Progress::Done(self.layer.observe(ctx, inner)),
-            Progress::Parked => {
-                self.layer.suspend(&mut ctx);
-                self.parked = Some(ctx);
-                Progress::Parked
-            }
-        }
-    }
 }
 
 impl<L: LayerRule, S: Service> Service for Layered<L, S> {
@@ -342,15 +318,26 @@ impl<L: LayerRule, S: Service> Service for Layered<L, S> {
         resps.pop().expect("one response per request")
     }
 
-    fn call_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        match self.drive(reqs, |inner, reqs| Progress::Done(inner.call_batch(reqs))) {
-            Progress::Done(resps) => resps,
-            Progress::Parked => unreachable!("call_batch blocks instead of parking"),
-        }
-    }
-
     fn begin_batch(&mut self, reqs: Vec<Request>) -> Progress {
-        self.drive(reqs, S::begin_batch)
+        let (reqs, mut ctx) = match self.layer.admit(reqs) {
+            Admission::Pass(reqs) => return self.inner.begin_batch(reqs),
+            Admission::Answered(resps) => return Progress::Done(resps),
+            Admission::Observe(reqs, ctx) => (reqs, ctx),
+        };
+        // Nothing admitted: no inner traffic, but still observed.
+        let progress = if reqs.is_empty() {
+            Progress::Done(Vec::new())
+        } else {
+            self.inner.begin_batch(reqs)
+        };
+        match progress {
+            Progress::Done(inner) => Progress::Done(self.layer.observe(ctx, inner)),
+            Progress::Parked => {
+                self.layer.suspend(&mut ctx);
+                self.parked = Some(ctx);
+                Progress::Parked
+            }
+        }
     }
 
     fn poll_batch(&mut self) -> Option<Vec<Response>> {
@@ -806,7 +793,7 @@ pub(crate) mod tests {
     #[test]
     fn call_only_services_are_done_at_once() {
         // A third-party service that implements nothing but `call`
-        // never parks: `begin_batch` is `call_batch`.
+        // never parks: `begin_batch` loops `call`.
         let mut svc = Echo;
         match svc.begin_batch(burst()) {
             Progress::Done(resps) => assert_eq!(resps.len(), 4),
@@ -818,7 +805,7 @@ pub(crate) mod tests {
     #[test]
     fn boxed_services_forward_both_phases() {
         // The bare server stack is a `Box` around the parking executor:
-        // a missed forward would fall back to the blocking defaults.
+        // a missed forward would fall back to defaults that never park.
         let (parking, ready) = Parking::new();
         let mut svc: BoxService = Box::new(parking);
         assert!(matches!(svc.begin_batch(burst()), Progress::Parked));
@@ -830,9 +817,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_parked_burst_is_observed_once_when_it_completes() {
-        // Same burst, blocking and parked, through a full, a partial
-        // and an empty stack: same replies, and the layers record it
-        // only once it has completed — through `None` links too.
+        // Same burst, answered at once and parked, through a full, a
+        // partial and an empty stack: same replies, and the layers record
+        // it only once it has completed — through `None` links too.
         let partial = MiddlewareConfig {
             layers: vec![LayerKind::Deadline, LayerKind::Ttl],
             ..MiddlewareConfig::none()

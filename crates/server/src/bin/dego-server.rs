@@ -92,6 +92,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
     let mut config = ServerConfig::default();
+    let mut shard_delay = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -107,8 +108,8 @@ fn main() {
                     _ => usage_exit(&format!("bad shard count {value:?}")),
                 },
                 Ok(false) if flag == "--shard-delay-ms" => match value.parse() {
-                    Ok(0u64) => config.shard_delay = None,
-                    Ok(ms) => config.shard_delay = Some(std::time::Duration::from_millis(ms)),
+                    Ok(0u64) => shard_delay = None,
+                    Ok(ms) => shard_delay = Some(std::time::Duration::from_millis(ms)),
                     _ => usage_exit(&format!("bad shard delay {value:?}")),
                 },
                 Ok(false) if flag == "--event-loops" => match value.parse() {
@@ -151,6 +152,7 @@ fn main() {
         eprintln!("failed to start on {addr}: {e}");
         std::process::exit(1);
     });
+    server.set_shard_delay(shard_delay);
     println!(
         "dego-server listening on {} ({} shards, {} middleware layers)",
         server.local_addr(),

@@ -1214,15 +1214,8 @@ mod tests {
         const PER_BURST: u64 = 4;
         let stats = Arc::new(ServerStats::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let runtime = crate::store::spawn_shards(
-            2,
-            256,
-            Arc::clone(&stats),
-            Arc::clone(&shutdown),
-            None,
-            60,
-            None,
-        );
+        let runtime =
+            crate::store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), 60, None);
         let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
         let exec = ExecService::new(
             Arc::clone(&runtime.store),
@@ -1304,14 +1297,15 @@ mod tests {
     }
 
     fn stalled_one_loop_server(shard_delay: Option<Duration>) -> crate::ServerHandle {
-        crate::spawn(crate::ServerConfig {
+        let server = crate::spawn(crate::ServerConfig {
             shards: 2,
             capacity: 256,
             event_loops: 1,
-            shard_delay,
             ..crate::ServerConfig::default()
         })
-        .expect("server spawns")
+        .expect("server spawns");
+        server.set_shard_delay(shard_delay);
+        server
     }
 
     /// Write a two-`SET` burst and return once the server has staged

@@ -30,7 +30,8 @@
 //! are still in flight *parks* in the chain, and
 //! [`Service::poll_batch`] completes it — each layer then observes the
 //! real replies after the real wait. Parking is the only way a burst
-//! waits: no loop thread ever blocks on an ack. How a burst's
+//! waits: no thread ever blocks on an ack, and an in-process caller's
+//! [`Service::call_batch`] polls the parked burst too. How a burst's
 //! acks are reassembled (the [`AckTable`], the slots, the ack channel)
 //! is known to this module only: the loop sees `Parked`, then
 //! responses. Below the stack the unit that reaches a shard is the
@@ -141,11 +142,6 @@ pub struct ServerConfig {
     /// Test hook: inject `accept()` failures (fd-pressure regression
     /// tests). Leave `None` in production.
     pub accept_hook: Option<AcceptHook>,
-    /// Test hook: make every shard apply this much slower (stuck-shard
-    /// timeout tests). Leave `None` in production. A stalled shard is
-    /// never applied to in place: every run waits for its stalled
-    /// owner, parked, so no loop thread ever sleeps in the stall.
-    pub shard_delay: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -160,7 +156,6 @@ impl Default for ServerConfig {
             event_loops: 0,
             idle_timeout: None,
             accept_hook: None,
-            shard_delay: None,
         }
     }
 }
@@ -357,7 +352,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         config.capacity,
         Arc::clone(&stats),
         Arc::clone(&loops_joined),
-        config.shard_delay,
         config.middleware.trace.window_secs,
         ttl.then(|| Arc::clone(stack.metrics())),
     );
@@ -444,8 +438,8 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
 type LoopSink = (Sender<(TcpStream, u64)>, Arc<LoopWaker>);
 
 /// The shed layer's window onto live shard pressure: routes a write
-/// the way [`ExecService::plan_mutation`] will (same `home_segment`
-/// hash), then reads the target shard's queue-depth gauge and windowed
+/// with [`Store::shard_of_write`], as [`ExecService::plan_mutation`]
+/// does, then reads the target shard's queue-depth gauge and windowed
 /// ack p99 straight off the telemetry the shard owners already
 /// publish. Lock-free on both calls — this runs on every write's
 /// admission path when shedding is armed.
@@ -455,22 +449,7 @@ struct StorePressure {
 
 impl PressureProbe for StorePressure {
     fn shard_of(&self, cmd: &Command) -> Option<usize> {
-        let shard = match cmd {
-            Command::Set(key, _) | Command::Del(key) => self.store.shard_of_key(key),
-            Command::Incr(key, _) | Command::Expire(key, _) => self.store.shard_of_key(key),
-            Command::AddUser(user)
-            | Command::Join(user)
-            | Command::Leave(user)
-            | Command::Profile(user) => self.store.shard_of_user(*user),
-            Command::Follow(_, followee) | Command::Unfollow(_, followee) => {
-                self.store.shard_of_user(*followee)
-            }
-            // A POST fans out to many shards; gate it on the author's
-            // timeline shard (always a target, and the hottest row).
-            Command::Post(author, _) => self.store.shard_of_user(*author),
-            _ => return None,
-        };
-        Some(shard)
+        self.store.shard_of_write(cmd)
     }
 
     fn pressure_of(&self, shard: usize) -> ShardPressure {
@@ -703,8 +682,8 @@ struct Burst {
 /// arrived and, once the table is complete, resumes staging after the
 /// barrier — so a burst may park several times, all under the one
 /// `ack_timeout` armed when it began — and resolves it at the end or
-/// once the deadline has lapsed. Reply bytes are identical to
-/// sequential execution.
+/// once the deadline has lapsed. Nothing blocks on the ack channel.
+/// Reply bytes are identical to sequential execution.
 pub(crate) struct ExecService {
     store: Arc<Store>,
     stats: Arc<ServerStats>,
@@ -831,41 +810,44 @@ impl ExecService {
         }
     }
 
-    /// The single-shard mutation `cmd` moves into (with its shard and
-    /// the rows it touches), or `cmd` back when it is not one. A `GET`
-    /// of a key whose timer has lapsed is one: its reap.
+    /// The single-shard mutation `cmd` moves into (with its shard, from
+    /// [`Store::shard_of_write`], and the rows it touches), or `cmd`
+    /// back when it is not one. A `GET` of a key whose timer has lapsed
+    /// is one: its reap.
     fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
         use PendingKey::{Follower, Group, Profile, Timeline};
-        let kv = |key: &String| {
-            let touched = [Some(kv_pending(key)), None, None];
-            (self.store.shard_of_key(key), touched)
+        let shard = match &cmd {
+            Command::Get(key) if self.store.lapsed(key) => Some(self.store.shard_of_key(key)),
+            cmd => self.store.shard_of_write(cmd),
         };
-        let row =
-            |user: u64, row: PendingKey| (self.store.shard_of_user(user), [Some(row), None, None]);
-        let ((shard, touched), op) = match cmd {
-            Command::Set(key, value) => (kv(&key), Mutation::Set { key, value }),
-            Command::Del(key) => (kv(&key), Mutation::Del { key }),
-            Command::Incr(key, delta) => (kv(&key), Mutation::Incr { key, delta }),
-            Command::Expire(key, millis) => (kv(&key), Mutation::Expire { key, millis }),
-            Command::Get(key) if self.store.lapsed(&key) => (kv(&key), Mutation::Reap { key }),
+        let Some(shard) = shard else {
+            return Err(cmd);
+        };
+        let one = |row| [Some(row), None, None];
+        let (touched, op) = match cmd {
+            Command::Set(key, value) => (one(kv_pending(&key)), Mutation::Set { key, value }),
+            Command::Del(key) => (one(kv_pending(&key)), Mutation::Del { key }),
+            Command::Incr(key, delta) => (one(kv_pending(&key)), Mutation::Incr { key, delta }),
+            Command::Expire(key, millis) => {
+                (one(kv_pending(&key)), Mutation::Expire { key, millis })
+            }
+            Command::Get(key) => (one(kv_pending(&key)), Mutation::Reap { key }),
             Command::AddUser(user) => (
-                (
-                    self.store.shard_of_user(user),
-                    [Some(Timeline(user)), Some(Profile(user)), None],
-                ),
+                [Some(Timeline(user)), Some(Profile(user)), None],
                 Mutation::AddUser { user },
             ),
             Command::Follow(follower, followee) => (
-                row(followee, Follower(followee)),
+                one(Follower(followee)),
                 Mutation::FollowerAdd { followee, follower },
             ),
             Command::Unfollow(follower, followee) => (
-                row(followee, Follower(followee)),
+                one(Follower(followee)),
                 Mutation::FollowerDel { followee, follower },
             ),
-            Command::Join(user) => (row(user, Group(user)), Mutation::GroupJoin { user }),
-            Command::Leave(user) => (row(user, Group(user)), Mutation::GroupLeave { user }),
-            Command::Profile(user) => (row(user, Profile(user)), Mutation::ProfileBump { user }),
+            Command::Join(user) => (one(Group(user)), Mutation::GroupJoin { user }),
+            Command::Leave(user) => (one(Group(user)), Mutation::GroupLeave { user }),
+            Command::Profile(user) => (one(Profile(user)), Mutation::ProfileBump { user }),
+            // A `POST` is staged by `stage_post`, push by push.
             other => return Err(other),
         };
         Ok((shard, op, touched))
@@ -1109,24 +1091,10 @@ impl ExecService {
 }
 
 impl Service for ExecService {
-    /// A burst of one, waited for on this thread: begun like any burst,
-    /// then blocked on the ack channel until [`Service::poll_batch`]
-    /// answers. Nothing in the server comes here (the loop parks every
-    /// burst, and no layer calls below itself): in-process callers do.
+    /// A burst of one, for in-process callers (the loop begins every
+    /// burst, and no layer calls below itself).
     fn call(&mut self, req: Request) -> Response {
-        let mut responses = match self.begin_batch(vec![req]) {
-            Progress::Done(responses) => responses,
-            Progress::Parked => loop {
-                let (burst, deadline) = self.parked.as_mut().expect("parked until answered");
-                let left = deadline.saturating_duration_since(Instant::now());
-                if let Ok(acked) = self.ack_rx.recv_timeout(left) {
-                    burst.acks.accept(acked);
-                }
-                if let Some(responses) = self.poll_batch() {
-                    break responses;
-                }
-            },
-        };
+        let mut responses = self.call_batch(vec![req]);
         responses.pop().expect("one response per request")
     }
 
@@ -1197,15 +1165,9 @@ mod tests {
     ) -> (Arc<ServerStats>, Owners) {
         let stats = Arc::new(ServerStats::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let runtime = store::spawn_shards(
-            shards,
-            256,
-            Arc::clone(&stats),
-            Arc::clone(&stop),
-            stall,
-            60,
-            ttl,
-        );
+        let runtime =
+            store::spawn_shards(shards, 256, Arc::clone(&stats), Arc::clone(&stop), 60, ttl);
+        runtime.store.set_shard_delay(stall);
         (stats, Owners { runtime, stop })
     }
 
@@ -1322,6 +1284,23 @@ mod tests {
         burst.extend(sets(96..128));
         assert_eq!(sweeps_of(burst, 64), 2);
         assert_eq!(store.applied_since_reset(), 128);
+    }
+
+    /// In process, a chain's `call_batch` takes the served path: the
+    /// burst is begun and polled, not split into bursts of one, so 64
+    /// `SET`s over 2 shards group-commit into 2 owner sweeps.
+    #[test]
+    fn call_batch_through_a_chain_group_commits_like_the_served_path() {
+        let (exec, stats, _owners) = exec_over(None, Duration::from_secs(5), None);
+        let session = Session {
+            client: "t:1".into(),
+        };
+        let mut chain = bare().service(&session, Box::new(exec));
+        let before = stats.snapshot().shard_batches;
+        let responses = chain.call_batch((0..64).map(|i| set(&format!("k{i}"), "v")).collect());
+        let oks = responses.iter().filter(|r| r.reply == Reply::Status("OK"));
+        assert_eq!(oks.count(), 64, "every write acknowledged");
+        assert_eq!(stats.snapshot().shard_batches - before, 2);
     }
 
     /// While shedding is armed, every write burst's admission reads its

@@ -74,7 +74,7 @@
 //! pays one relaxed load for all this and a write one branch.
 
 use crate::event_loop::LoopWaker;
-use crate::protocol::Reply;
+use crate::protocol::{Command, Reply};
 use crate::stats::ServerStats;
 use dego_core::{
     home_segment, mpsc, swmr_recent, CounterCell, CounterIncrementOnly, RecentReader, RecentWriter,
@@ -393,6 +393,25 @@ impl Store {
         home_segment(&user, self.shards.len())
     }
 
+    /// The shard a write is staged on, or `None` for a command that is
+    /// not a write. A `POST` fans out to many shards; it routes to its
+    /// author's timeline shard (always a target, and the first staged).
+    pub(crate) fn shard_of_write(&self, cmd: &Command) -> Option<usize> {
+        Some(match cmd {
+            Command::Set(key, _) | Command::Del(key) => self.shard_of_key(key),
+            Command::Incr(key, _) | Command::Expire(key, _) => self.shard_of_key(key),
+            Command::AddUser(user)
+            | Command::Join(user)
+            | Command::Leave(user)
+            | Command::Profile(user)
+            | Command::Post(user, _) => self.shard_of_user(*user),
+            Command::Follow(_, followee) | Command::Unfollow(_, followee) => {
+                self.shard_of_user(*followee)
+            }
+            _ => return None,
+        })
+    }
+
     /// Whether `key`'s timer has lapsed: a `GET` of it is a reap for
     /// its owner to make.
     pub fn lapsed(&self, key: &String) -> bool {
@@ -640,11 +659,8 @@ pub(crate) struct ShardRuntime {
 /// shard's write side, and the owner starts once the store holding
 /// every write side exists.
 ///
-/// `apply_delay` seeds the chaos hook: when set, every owner sleeps
-/// that long before applying each mutation (a "stuck shard" for
-/// timeout and load-shedding tests). The stall lives in a shared
-/// atomic, so [`Store::set_shard_delay`] can change it at runtime.
-/// `window_secs` sizes the ack latency's rolling window. An
+/// The owners start unstalled: [`Store::set_shard_delay`] sets the
+/// chaos hook. `window_secs` sizes the ack latency's rolling window. An
 /// owner exits once `stop` is up and its queue is drained, so `stop`
 /// must go up only when nothing can publish any more. `ttl` is the
 /// TTL layer's metrics (see [`Timers::metrics`]).
@@ -653,7 +669,6 @@ pub(crate) fn spawn_shards(
     capacity: usize,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-    apply_delay: Option<Duration>,
     window_secs: u64,
     ttl: Option<Arc<PipelineMetrics>>,
 ) -> ShardRuntime {
@@ -706,9 +721,7 @@ pub(crate) fn spawn_shards(
         shards: planes,
         stats,
         applied_offset: AtomicU64::new(0),
-        shard_delay_ns: AtomicU64::new(
-            apply_delay.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64),
-        ),
+        shard_delay_ns: AtomicU64::new(0),
     });
     for start in starts {
         start

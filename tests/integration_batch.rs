@@ -223,13 +223,13 @@ fn stuck_shard_fanout_times_out_once_overall() {
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 256,
-        // Every mutation applies 100 ms late; a single command fits the
-        // 250 ms deadline, a 9-target fan-out (~900 ms) cannot.
-        shard_delay: Some(Duration::from_millis(100)),
         ack_timeout: Duration::from_millis(250),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    // Every mutation applies 100 ms late; a single command fits the
+    // 250 ms deadline, a 9-target fan-out (~900 ms) cannot.
+    server.set_shard_delay(Some(Duration::from_millis(100)));
     let mut c = Client::connect(server.local_addr()).expect("connect");
     for u in 0..=FOLLOWERS {
         c.add_user(u).expect("adduser");

@@ -197,10 +197,10 @@ fn concurrent_bursts_share_shard_sweeps() {
     let server = spawn(ServerConfig {
         shards: shards(2),
         capacity: 4096,
-        shard_delay: Some(Duration::from_millis(1)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_millis(1)));
     let addr = server.local_addr();
     const WRITERS: usize = 4;
     const BURSTS: usize = 5;
@@ -261,10 +261,10 @@ fn sampled_burst_does_not_block_its_loop() {
         capacity: 256,
         middleware,
         event_loops: 2,
-        shard_delay: Some(STALL),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(STALL));
     // The k-th connection is served by loop k mod 2.
     let mut first = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     let _other_loop = Client::connect(server.local_addr()).expect("connect");
@@ -308,10 +308,10 @@ fn no_loop_waits_for_a_barrier_or_a_lone_write() {
         shards: shards(2),
         capacity: 256,
         event_loops: 1,
-        shard_delay: Some(Duration::from_millis(200)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_millis(200)));
     let staged = |n: u64| {
         wait_until("the write to be staged", || server.stats().mutations >= n);
     };
@@ -389,10 +389,10 @@ fn drain_acks_the_writes_behind_a_barrier() {
         shards: shards(2),
         capacity: 256,
         ack_timeout: ACK_TIMEOUT,
-        shard_delay: Some(Duration::from_millis(50)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_millis(50)));
     let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
     socket
         .write_all(b"SET k 1\nGET k\nSET k 2\n")

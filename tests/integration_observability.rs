@@ -111,11 +111,11 @@ fn slowlog_captures_the_seeded_slow_request() {
         shards: shards(1),
         capacity: 256,
         middleware,
-        // Every mutation applies 30 ms late: comfortably over threshold.
-        shard_delay: Some(Duration::from_millis(30)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    // Every mutation applies 30 ms late: comfortably over threshold.
+    server.set_shard_delay(Some(Duration::from_millis(30)));
     let mut c = connect(&server);
     c.set("slow", "v").expect("slow set");
     let _ = c.get("slow").expect("fast get");
@@ -146,10 +146,10 @@ fn slowlog_captures_a_stalled_pipelined_burst() {
         shards: shards(1),
         capacity: 256,
         middleware,
-        shard_delay: Some(Duration::from_millis(30)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_millis(30)));
     let mut c = connect(&server);
     // Past the connection's first, always span-sampled command.
     c.ping().expect("ping");
@@ -366,12 +366,12 @@ fn trace_tree_crosses_the_shard_boundary() {
         shards: shards(1),
         capacity: 256,
         middleware,
-        // The shard applies 30 ms late: the tree's apply segment must
-        // own that stall.
-        shard_delay: Some(Duration::from_millis(30)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    // The shard applies 30 ms late: the tree's apply segment must
+    // own that stall.
+    server.set_shard_delay(Some(Duration::from_millis(30)));
     let mut c = connect(&server);
     c.set("slow", "v").expect("slow set");
 
@@ -439,10 +439,10 @@ fn sampled_burst_keeps_one_store_segment_per_mutation() {
         shards: 1, // every segment from shard0, in issue order
         capacity: 256,
         middleware,
-        shard_delay: Some(Duration::from_micros(STALL_US)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_micros(STALL_US)));
     let mut c = connect(&server);
     let burst: Vec<String> = (0..WRITES).map(|i| format!("SET run{i} v")).collect();
     for reply in c.pipeline(&burst).expect("burst") {
@@ -615,10 +615,10 @@ fn trace_endpoint_serves_flight_recorder_json() {
         capacity: 256,
         middleware,
         metrics_addr: Some("127.0.0.1:0".parse().expect("literal addr")),
-        shard_delay: Some(Duration::from_millis(20)),
         ..ServerConfig::default()
     })
     .expect("server boots");
+    server.set_shard_delay(Some(Duration::from_millis(20)));
     let metrics_addr = server.metrics_addr().expect("metrics endpoint configured");
     let mut c = connect(&server);
     c.set("jsonslow", "v").expect("set");

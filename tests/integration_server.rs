@@ -10,10 +10,13 @@
 //!   means increments to a key serialize, losing nothing;
 //! * **shutdown is clean** — every thread joins, the port dies.
 
+use dego_metrics::rng::XorShift64;
 use dego_server::{
     spawn, Client, ClientReply, ServerConfig, ServerHandle, FANOUT_LIMIT, TIMELINE_KEEP,
     TIMELINE_LIMIT,
 };
+use dego_spec::lin::{is_linearizable, Completed};
+use dego_spec::DataType;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -314,6 +317,157 @@ fn followers_serve_the_model_through_growth_and_compaction() {
     }
     check(&mut client, &model, 3);
     server.shutdown();
+}
+
+/// One kv key as the wire shows it: an integer register that `GET`,
+/// `SET`, `INCR` and `DEL` act on.
+#[derive(Debug)]
+struct Register;
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum KvOp {
+    Get,
+    Set(i64),
+    Incr(i64),
+    Del,
+}
+
+/// A reply as the register's specification returns it.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum KvRet {
+    Value(Option<i64>),
+    Ok,
+    Int(i64),
+}
+
+impl DataType for Register {
+    type State = Option<i64>;
+    type Op = KvOp;
+    type Ret = KvRet;
+
+    fn apply(&self, state: &Option<i64>, op: &KvOp) -> (Option<i64>, KvRet) {
+        match op {
+            KvOp::Get => (*state, KvRet::Value(*state)),
+            KvOp::Set(v) => (Some(*v), KvRet::Ok),
+            KvOp::Incr(d) => {
+                let next = state.unwrap_or(0).wrapping_add(*d);
+                (Some(next), KvRet::Int(next))
+            }
+            KvOp::Del => (None, KvRet::Ok),
+        }
+    }
+}
+
+impl KvOp {
+    fn line(&self, key: &str) -> String {
+        match self {
+            KvOp::Get => format!("GET {key}"),
+            KvOp::Set(v) => format!("SET {key} {v}"),
+            KvOp::Incr(d) => format!("INCR {key} {d}"),
+            KvOp::Del => format!("DEL {key}"),
+        }
+    }
+
+    fn ret(reply: ClientReply) -> KvRet {
+        match reply {
+            ClientReply::Value(v) => KvRet::Value(Some(v.parse().expect("an integer value"))),
+            ClientReply::Nil => KvRet::Value(None),
+            ClientReply::Status(s) if s == "OK" => KvRet::Ok,
+            ClientReply::Int(n) => KvRet::Int(n),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+}
+
+/// Per-key linearizability over the wire, across connections, loops
+/// and shards. Two event loops over two shards, so a run one loop
+/// applies in place races the runs the other loop queued on the same
+/// shard; half the rounds stall the owners instead, so every run goes
+/// through a queue. In each round four pipelined clients send two
+/// bursts of six random `GET`/`SET`/`INCR`/`DEL`s on four fresh keys,
+/// and each key's history must linearize against [`Register`].
+///
+/// An op's invocation is stamped just before its burst is flushed and
+/// its response just after its reply is read, so the check covers
+/// real-time order only: the ops of one burst overlap, and their order
+/// inside the connection is pinned by `integration_batch` instead.
+#[test]
+fn wire_histories_are_linearizable_per_key() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: u64 = 200;
+    const KEYS: u64 = 4;
+    const BURSTS: usize = 2;
+    const OPS: usize = 6;
+    let server = spawn(ServerConfig {
+        shards: common::shards(2),
+        capacity: 4096,
+        event_loops: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let addr = server.local_addr();
+    let clock = AtomicU64::new(0);
+    let tick = || clock.fetch_add(1, Ordering::SeqCst);
+    let barrier = Barrier::new(CLIENTS + 1);
+    type History = Vec<Completed<Register>>;
+    let histories: Vec<Vec<std::sync::Mutex<History>>> = (0..ROUNDS)
+        .map(|_| (0..KEYS).map(|_| Default::default()).collect())
+        .collect();
+    std::thread::scope(|s| {
+        for id in 0..CLIENTS {
+            let (barrier, histories, tick) = (&barrier, &histories, &tick);
+            s.spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut rng = XorShift64::new(0x11E5 + id as u64);
+                for (round, keys) in histories.iter().enumerate() {
+                    barrier.wait();
+                    for _ in 0..BURSTS {
+                        let burst: Vec<(usize, KvOp)> = (0..OPS)
+                            .map(|_| {
+                                let key = rng.next_bounded(KEYS) as usize;
+                                let arg = rng.next_bounded(100) as i64;
+                                let op = match rng.next_bounded(4) {
+                                    0 => KvOp::Get,
+                                    1 => KvOp::Set(arg),
+                                    2 => KvOp::Incr(arg % 5 + 1),
+                                    _ => KvOp::Del,
+                                };
+                                (key, op)
+                            })
+                            .collect();
+                        for (key, op) in &burst {
+                            c.send(&op.line(&format!("lin{round}k{key}")))
+                                .expect("send");
+                        }
+                        let invoke = tick();
+                        c.flush().expect("flush");
+                        for (key, op) in burst {
+                            let ret = KvOp::ret(c.read_reply().expect("reply"));
+                            let done = Completed::new(op, ret, invoke, tick());
+                            keys[key].lock().expect("history lock").push(done);
+                        }
+                    }
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            let stall = round % 2 == 1;
+            server.set_shard_delay(stall.then_some(std::time::Duration::from_micros(200)));
+            barrier.wait();
+            barrier.wait();
+        }
+    });
+    server.shutdown();
+    for (round, keys) in histories.into_iter().enumerate() {
+        for (key, history) in keys.into_iter().enumerate() {
+            let history = history.into_inner().expect("history lock");
+            assert!(
+                is_linearizable(&Register, &None, &history),
+                "round {round} key lin{round}k{key}: {history:#?}"
+            );
+        }
+    }
 }
 
 /// Shutdown with live connections parked on the socket: the server
