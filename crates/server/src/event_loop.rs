@@ -103,6 +103,7 @@ mod sys {
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         pub fn close(fd: i32) -> i32;
+        pub fn prctl(option: i32, ...) -> i32;
     }
 }
 
@@ -115,6 +116,8 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
+
+const PR_SET_NAME: i32 = 15;
 
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EFD_CLOEXEC: i32 = 0x80000;
@@ -264,6 +267,17 @@ impl Drop for LoopWaker {
         // SAFETY: `fd` is owned by this instance and closed once.
         unsafe { sys::close(self.fd) };
     }
+}
+
+/// Rename the calling thread out of its role (`dego-loop-<i>`,
+/// `dego-shard-<i>`); a server thread does this as it returns. `join`
+/// returns once the kernel clears the thread's tid, which is before the
+/// thread leaves `/proc/self/task`, and whoever counts a server's
+/// threads there by role name must not count one that is done.
+pub(crate) fn drop_role_name() {
+    // SAFETY: PR_SET_NAME reads one NUL-terminated string, at most 16
+    // bytes with the NUL.
+    unsafe { sys::prctl(PR_SET_NAME, c"dego-exited".as_ptr()) };
 }
 
 /// Everything a loop thread needs, built in `spawn()` so fd-creation
@@ -1214,8 +1228,15 @@ mod tests {
         const PER_BURST: u64 = 4;
         let stats = Arc::new(ServerStats::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let runtime =
-            crate::store::spawn_shards(2, 256, Arc::clone(&stats), Arc::clone(&shutdown), 60, None);
+        let runtime = crate::store::spawn_shards(
+            2,
+            1,
+            256,
+            Arc::clone(&stats),
+            Arc::clone(&shutdown),
+            60,
+            None,
+        );
         let stack = Stack::build(&dego_middleware::MiddlewareConfig::none());
         let exec = ExecService::new(
             Arc::clone(&runtime.store),
@@ -1283,6 +1304,20 @@ mod tests {
             "{allocated} allocations for {TIMELINES} TIMELINEs"
         );
 
+        // Writes to rows that exist apply on this thread and answer at
+        // once: nothing per command.
+        let writes: String = (0..TIMELINES)
+            .map(|u| format!("POST {u} 7\nPROFILE {u}\nJOIN {u}\nLEAVE {u}\n"))
+            .collect();
+        serve(writes.as_bytes());
+        let (allocated, replies) = serve(writes.as_bytes());
+        assert!(replies.starts_with(b"+OK\n:2\n+OK\n+OK\n"));
+        assert!(
+            allocated <= PER_BURST,
+            "{allocated} allocations for {} user-row writes",
+            4 * TIMELINES
+        );
+
         shutdown.store(true, Ordering::Release);
         for shard in 0..2 {
             runtime.store.wake(shard);
@@ -1290,6 +1325,23 @@ mod tests {
         for thread in runtime.threads {
             thread.join().expect("shard owner exits");
         }
+    }
+
+    /// A server thread that is done renames itself out of its role.
+    #[test]
+    fn a_finished_thread_drops_its_role_name() {
+        let comm = || std::fs::read_to_string("/proc/thread-self/comm").expect("comm");
+        let names = std::thread::Builder::new()
+            .name("dego-shard-7".into())
+            .spawn(move || {
+                let before = comm();
+                drop_role_name();
+                (before, comm())
+            })
+            .expect("spawn")
+            .join()
+            .expect("join");
+        assert_eq!(names, ("dego-shard-7\n".into(), "dego-exited\n".into()));
     }
 
     fn one_loop_server() -> crate::ServerHandle {

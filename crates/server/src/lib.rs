@@ -7,12 +7,12 @@
 //!
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
-//! | keyspace, timeline index, follower index, profiles | [`dego_core::SegmentedHashMap`] | `(M2, CWMR)` |
-//! | each user's timeline | [`dego_core::swmr_recent()`] log, appended by its shard's writer | SWMR, newest-`n` reads |
+//! | keyspace, user rows, follower index | [`dego_core::SegmentedHashMap`], rows created only by their shard's writer | `(M2, CWMR)` |
+//! | each user's timeline | [`dego_core::swmr_recent()`] log, appended under its row's lock by any thread | CWMR at row grain, newest-`n` reads |
+//! | each user's profile version / group membership | `AtomicU64` increment-and-get / `AtomicBool` flag in the user's row | written by any thread |
 //! | each user's followers | [`dego_core::RosterWriter`] row, edited in place by its shard's writer | SWMR, size / member / first-`k` reads |
-//! | interest group | [`dego_core::SegmentedSet`] | `(S3, CWMR)` |
 //! | mutation funnel, one per shard, drained by whoever holds the shard's write side | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
-//! | applied-mutation counter | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |
+//! | applied-mutation counter, one cell per shard and per event loop | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |
 //!
 //! The server keeps the paper's access disciplines **by construction**:
 //! every segmented structure has one segment per shard, and a shard's
@@ -23,8 +23,10 @@
 //! event-loop threads read lock-free from any segment and hand the
 //! other shards' runs to their queues — multi-producer is exactly what
 //! the `(Q1, MWSR)` adjustment grants, and single-consumer is what the
-//! single-writer segments require. The objects themselves take no
-//! lock; a loop only ever `try_lock`s a write side.
+//! single-writer segments require. A user row's writes need no write
+//! side once the row exists: any loop applies them, its timeline push
+//! under the row's own lock, held for two stores. Otherwise the objects
+//! take no lock, and a loop only ever `try_lock`s a write side.
 //! The epoch reclamation under the maps does, rarely: the workspace's
 //! offline `crossbeam-epoch` stand-in keeps deferred garbage behind one
 //! mutex, taken by an owner once per 256 retirements and by whichever
@@ -32,8 +34,8 @@
 //! and every map read bumps its process-wide guard count twice (see
 //! `dego_core::swmr_hash`; ROADMAP item 10).
 //!
-//! Consistency: a mutation is acknowledged only after the owning shard
-//! applied it, so `GET` after a `SET`'s `+OK` observes the value from
+//! Consistency: a mutation is acknowledged only after it was applied,
+//! so `GET` after a `SET`'s `+OK` observes the value from
 //! any connection (per-key linearizable — one writer serializes each
 //! key, and segment publication is release/acquire).
 //!

@@ -17,8 +17,10 @@
 //! are served inline from the lock-free segment readers; **mutations**
 //! (`EXPIRE` and a lapsed key's `GET` included) are applied by whoever
 //! holds the shard's write side — this loop for one of its home shards,
-//! the shard's owner thread otherwise (see `store.rs`) — and
-//! acknowledged before the response line is emitted, so a client that
+//! the shard's owner thread otherwise (see `store.rs`), this loop again
+//! for a write to a user row that exists (a `POST`'s push to one
+//! timeline, `PROFILE`, `JOIN`, `LEAVE`) — and applied before the
+//! response line is emitted, so a client that
 //! saw `+OK` for a `SET` observes that value on every later read, from
 //! any connection (the shard applied it before acking, and segment
 //! publication is release/acquire).
@@ -36,7 +38,9 @@
 //! is known to this module only: the loop sees `Parked`, then
 //! responses. Below the stack the unit that reaches a shard is the
 //! **run** — the mutations one staging pass stages for it (a `POST`'s
-//! fan-out pushes included). [`ExecService`] stages mutations by value
+//! fan-out pushes included), but for the user-row writes it applies
+//! inline ([`ExecService::apply_inline`]). [`ExecService`] stages
+//! mutations by value
 //! and *publishes* at one place, the end of each pass (at a barrier or
 //! at the end of the burst): the runs for other shards go to their
 //! owners, one envelope, one owner wake-up and one ack per (run,
@@ -57,13 +61,16 @@
 //! burst parks there unless its runs went in place, and staging resumes
 //! once the acks are in, so one burst may park several times. Reads on
 //! untouched keys proceed immediately, which is where the batching
-//! wins.
+//! wins. A user-row write applied inline is visible at once, so a read
+//! after it needs no barrier, and it never overtakes a staged write of
+//! its row, which keeps that row pending. It reaches no shard, so a
+//! traced burst's inline writes carry no store segment.
 
-use crate::event_loop::{run_loop, Epoll, LoopCtx, LoopWaker};
+use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
-use crate::store::{self, Entry, Envelope, Mutation, Store, FANOUT_LIMIT};
-use dego_core::RosterReader;
+use crate::store::{self, Entry, Envelope, Mutation, Store, UserOp, FANOUT_LIMIT};
+use dego_core::{CounterCell, RosterReader};
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
     ShardPressure, Stack, StoreSegment, Surface,
@@ -349,6 +356,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let ttl = mw.layers.contains(&LayerKind::Ttl);
     let runtime = store::spawn_shards(
         config.shards,
+        loops,
         config.capacity,
         Arc::clone(&stats),
         Arc::clone(&loops_joined),
@@ -389,7 +397,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         loop_threads.push(
             std::thread::Builder::new()
                 .name(format!("dego-loop-{i}"))
-                .spawn(move || run_loop(ctx))?,
+                .spawn(move || {
+                    run_loop(ctx);
+                    drop_role_name();
+                })?,
         );
         sinks.push((conn_tx, Arc::clone(&waker)));
         loop_wakers.push(waker);
@@ -572,12 +583,32 @@ fn kv_pending(key: &str) -> PendingKey {
     PendingKey::Kv(hasher.finish())
 }
 
-/// The rows a single-shard mutation touches (`ADDUSER` creates three).
-type Touched = [Option<PendingKey>; 3];
+/// The rows a single-shard mutation touches (`ADDUSER` two: its row's
+/// timeline and profile version).
+type Touched = [Option<PendingKey>; 2];
+
+/// The pending row a write to `user`'s row touches.
+fn user_row(user: u64, op: UserOp) -> PendingKey {
+    match op {
+        UserOp::Push(_) => PendingKey::Timeline(user),
+        UserOp::Profile => PendingKey::Profile(user),
+        UserOp::Join | UserOp::Leave => PendingKey::Group(user),
+    }
+}
+
+/// A write to `user`'s row, planned: the row it touches and the
+/// mutation.
+fn user_write(user: u64, op: UserOp) -> (Touched, Mutation) {
+    (
+        [Some(user_row(user, op)), None],
+        Mutation::User { user, op },
+    )
+}
 
 /// What a batched request is waiting on when assembly begins.
 enum Slot {
-    /// Answered inline (read, control, structural rejection).
+    /// Answered inline (read, control, structural rejection, a user-row
+    /// write applied inline).
     Done(Reply),
     /// `QUIT`: `+OK`, then the session closes.
     Quit,
@@ -709,6 +740,10 @@ pub(crate) struct ExecService {
     /// The owning event loop's `epoll` waker, carried on every envelope
     /// so the shard's ack wakes the loop to poll the parked burst.
     waker: Arc<LoopWaker>,
+    /// The creating thread's cell of [`Store::applied`], which counts
+    /// the user-row writes this connection applies itself. Every
+    /// connection of a loop holds the loop thread's one cell.
+    applied: CounterCell,
 }
 
 impl ExecService {
@@ -725,6 +760,7 @@ impl ExecService {
         let (ack_tx, ack_rx) = channel();
         ExecService {
             staged: (0..store.shards()).map(|_| Vec::new()).collect(),
+            applied: store.applied.cell(),
             home,
             store,
             stats,
@@ -741,39 +777,62 @@ impl ExecService {
 
     /// Stage one mutation for its shard, returning its sequence number.
     fn stage(&mut self, acks: &mut AckTable, shard: usize, op: Mutation) -> u64 {
-        self.stats.note_mutation();
         let seq = acks.issue();
         self.staged[shard].push(Entry::Op(seq, op));
         seq
     }
 
+    /// Apply `op` on this thread if it is a write to a user row that
+    /// exists, the pass may (`inline`: the stall was down when it
+    /// began) and `pending` holds no mutation of that row staged or in
+    /// flight before it: its reply. `None` means stage it: its shard's
+    /// writer creates a missing row, then applies the same [`UserOp`].
+    fn apply_inline(&self, inline: bool, pending: &PendingRows, op: &Mutation) -> Option<Reply> {
+        let &Mutation::User { user, op } = op else {
+            return None;
+        };
+        if !inline || pending.contains(&user_row(user, op)) {
+            return None;
+        }
+        let reply = self.store.tables.users.read(&user, |row| row.apply(op))?;
+        self.applied.inc();
+        Some(reply)
+    }
+
     /// Stage a `POST`'s fan-out (author plus up to `FANOUT_LIMIT`
-    /// followers), returning its sequence numbers; `dirty` sees every
-    /// target.
+    /// followers), push by push, returning the sequence numbers of the
+    /// pushes not applied inline: none, when all were, and then the
+    /// `POST` is done. A staged push marks its timeline pending if a
+    /// request comes `later` in the burst.
     fn stage_post(
         &mut self,
-        acks: &mut AckTable,
+        burst: &mut Burst,
+        (inline, later): (bool, bool),
         (author, msg): (u64, u64),
-        mut dirty: impl FnMut(u64),
     ) -> Range<u64> {
         self.stats.note_mutation();
-        let first = acks.next_seq();
+        let first = burst.acks.next_seq();
         // The author's own timeline is always a target; a self-follow
         // must not deliver twice, so filter the author out of the
         // follower fan-out.
-        let ExecService { store, staged, .. } = self;
-        let mut push = |user: u64| {
-            dirty(user);
-            let seq = acks.issue();
-            staged[store.shard_of_user(user)]
-                .push(Entry::Op(seq, Mutation::TimelinePush { user, msg }));
-        };
-        push(author);
         let mut fans = [0; FANOUT_LIMIT];
-        let followers = &store.tables.followers;
+        let followers = &self.store.tables.followers;
         let n = followers.read(&author, |row| row.first(Some(author), &mut fans));
-        fans[..n.unwrap_or(0)].iter().copied().for_each(push);
-        first..acks.next_seq()
+        for user in std::iter::once(author).chain(fans[..n.unwrap_or(0)].iter().copied()) {
+            let push = Mutation::User {
+                user,
+                op: UserOp::Push(msg),
+            };
+            if self.apply_inline(inline, &burst.pending, &push).is_some() {
+                continue;
+            }
+            if later {
+                burst.pending.insert(PendingKey::Timeline(user));
+            }
+            let shard = self.store.shard_of_user(user);
+            self.stage(&mut burst.acks, shard, push);
+        }
+        first..burst.acks.next_seq()
     }
 
     /// End the pass's runs, all stamped with one publish time. The
@@ -815,7 +874,7 @@ impl ExecService {
     /// back when it is not one. A `GET` of a key whose timer has lapsed
     /// is one: its reap.
     fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
-        use PendingKey::{Follower, Group, Profile, Timeline};
+        use PendingKey::{Follower, Profile, Timeline};
         let shard = match &cmd {
             Command::Get(key) if self.store.lapsed(key) => Some(self.store.shard_of_key(key)),
             cmd => self.store.shard_of_write(cmd),
@@ -823,7 +882,7 @@ impl ExecService {
         let Some(shard) = shard else {
             return Err(cmd);
         };
-        let one = |row| [Some(row), None, None];
+        let one = |row| [Some(row), None];
         let (touched, op) = match cmd {
             Command::Set(key, value) => (one(kv_pending(&key)), Mutation::Set { key, value }),
             Command::Del(key) => (one(kv_pending(&key)), Mutation::Del { key }),
@@ -833,7 +892,7 @@ impl ExecService {
             }
             Command::Get(key) => (one(kv_pending(&key)), Mutation::Reap { key }),
             Command::AddUser(user) => (
-                [Some(Timeline(user)), Some(Profile(user)), None],
+                [Some(Timeline(user)), Some(Profile(user))],
                 Mutation::AddUser { user },
             ),
             Command::Follow(follower, followee) => (
@@ -844,9 +903,9 @@ impl ExecService {
                 one(Follower(followee)),
                 Mutation::FollowerDel { followee, follower },
             ),
-            Command::Join(user) => (one(Group(user)), Mutation::GroupJoin { user }),
-            Command::Leave(user) => (one(Group(user)), Mutation::GroupLeave { user }),
-            Command::Profile(user) => (one(Profile(user)), Mutation::ProfileBump { user }),
+            Command::Join(user) => user_write(user, UserOp::Join),
+            Command::Leave(user) => user_write(user, UserOp::Leave),
+            Command::Profile(user) => user_write(user, UserOp::Profile),
             // A `POST` is staged by `stage_post`, push by push.
             other => return Err(other),
         };
@@ -901,10 +960,10 @@ impl ExecService {
             },
             Command::Timeline(user) => {
                 self.stats.note_timeline_read();
-                let mut row = Vec::new();
-                let timelines = &self.store.tables.timelines;
-                timelines.read(user, |log| log.newest(TIMELINE_LIMIT, &mut row));
-                Reply::Ints(row)
+                let mut newest = Vec::new();
+                let users = &self.store.tables.users;
+                users.read(user, |row| row.timeline.newest(TIMELINE_LIMIT, &mut newest));
+                Reply::Ints(newest)
             }
             Command::IsFollowing(follower, followee) => {
                 let followers = &self.store.tables.followers;
@@ -918,9 +977,15 @@ impl ExecService {
                     .read(user, RosterReader::len)
                     .unwrap_or(0) as i64,
             ),
-            Command::InGroup(user) => Reply::Int(self.store.tables.group.contains(user) as i64),
+            Command::InGroup(user) => {
+                let users = &self.store.tables.users;
+                let member = users.read(user, |row| row.member.load(Ordering::Acquire));
+                Reply::Int(member.unwrap_or(false) as i64)
+            }
             Command::ProfileVer(user) => {
-                Reply::Int(self.store.tables.profiles.get(user).unwrap_or(0) as i64)
+                let users = &self.store.tables.users;
+                let version = users.read(user, |row| row.profile.load(Ordering::Acquire));
+                Reply::Int(version.unwrap_or(0) as i64)
             }
             Command::Stats => self.render_stats(View::Stats),
             Command::StatsShards => self.render_stats(View::Shards),
@@ -999,6 +1064,8 @@ impl ExecService {
             // Every mutation staged so far is applied and visible.
             burst.pending.clear();
         }
+        // With the stall up, every write goes to the stalled owners.
+        let inline = !self.store.stalled();
         while let Some(req) = burst.rest.as_slice().first() {
             if Self::waits(burst, &req.command) {
                 break;
@@ -1013,21 +1080,19 @@ impl ExecService {
             let slot = match req.command {
                 Command::Quit => Slot::Quit,
                 Command::Post(author, msg) => {
-                    // Every fan-out target's timeline is now dirty: a
-                    // TIMELINE of any of them later in this burst waits.
-                    let pending = &mut burst.pending;
-                    Slot::Fanout(self.stage_post(&mut burst.acks, (author, msg), |target| {
-                        if later {
-                            pending.insert(PendingKey::Timeline(target));
-                        }
-                    }))
+                    Slot::Fanout(self.stage_post(burst, (inline, later), (author, msg)))
                 }
                 cmd => match self.plan_mutation(cmd) {
                     Ok((shard, op, touched)) => {
-                        if later {
-                            burst.pending.extend(touched.into_iter().flatten());
+                        self.stats.note_mutation();
+                        if let Some(reply) = self.apply_inline(inline, &burst.pending, &op) {
+                            Slot::Done(reply)
+                        } else {
+                            if later {
+                                burst.pending.extend(touched.into_iter().flatten());
+                            }
+                            Slot::Single(self.stage(&mut burst.acks, shard, op))
                         }
-                        Slot::Single(self.stage(&mut burst.acks, shard, op))
                     }
                     Err(cmd) => Slot::Done(self.serve_read(&cmd)),
                 },
@@ -1165,8 +1230,15 @@ mod tests {
     ) -> (Arc<ServerStats>, Owners) {
         let stats = Arc::new(ServerStats::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let runtime =
-            store::spawn_shards(shards, 256, Arc::clone(&stats), Arc::clone(&stop), 60, ttl);
+        let runtime = store::spawn_shards(
+            shards,
+            1,
+            256,
+            Arc::clone(&stats),
+            Arc::clone(&stop),
+            60,
+            ttl,
+        );
         runtime.store.set_shard_delay(stall);
         (stats, Owners { runtime, stop })
     }
@@ -1649,11 +1721,17 @@ mod tests {
                     let what = format!("{cmd:?} over {shards} shards");
                     match (cmd.class(), cmd) {
                         (CommandClass::Write, Command::Post(author, msg)) => {
-                            let mut acks = AckTable::new(0);
-                            let first = exec.stage_post(&mut acks, (author, msg), |_| {}).start;
+                            let mut burst = Burst {
+                                slots: Vec::new(),
+                                rest: Vec::new().into_iter(),
+                                acks: AckTable::new(0),
+                                pending: PendingRows::default(),
+                                dead: None,
+                            };
+                            let first = exec.stage_post(&mut burst, (true, false), (author, msg));
                             let author_push = |run: &Vec<Entry>| match run.first() {
-                                Some(Entry::Op(seq, Mutation::TimelinePush { user, .. })) => {
-                                    *seq == first && *user == author
+                                Some(Entry::Op(seq, Mutation::User { user, .. })) => {
+                                    *seq == first.start && *user == author
                                 }
                                 _ => false,
                             };

@@ -34,13 +34,26 @@
 //! envelope queued before it, so each shard's mutations still apply in
 //! FIFO order.
 //!
+//! **What needs no write side.** A user's timeline, profile version and
+//! group membership are one [`User`] row in [`Tables::users`]. Only the
+//! shard's writer creates a row (at `ADDUSER`, or when a staged write
+//! finds none), so each segment of the map keeps its one writer; once a
+//! row exists, any thread may write it through [`User::apply`]. A
+//! connection applies a `POST`'s push, `PROFILE`, `JOIN` or `LEAVE` so
+//! on its own loop while it stages the burst, counted in its loop's
+//! cell of [`Store::applied`] — no run, no hand-off, no ack — unless the
+//! row is missing, the chaos stall is up, or the burst has a write of
+//! that row staged or in flight.
+//!
 //! The trade-off is where a slow apply lands. In place it runs on the
 //! loop thread, so a slow one — say a 512-line `FOLLOW` burst against a
 //! 10k-follower row — stalls that loop and every connection on it, not
 //! an owner. Telemetry counts **mutations** on both paths, not
 //! envelopes: `enqueued` rises by the run's length when it is handed
 //! over, `drained` by one per apply, and `ack_us` / a traced entry's
-//! `queue_us` are measured from the publish.
+//! `queue_us` are measured from the publish. A user-row write applied
+//! on a loop is none of these, and a traced one carries no store
+//! segment.
 //!
 //! Routing is [`dego_core::home_segment`] of the key (or user id), the
 //! same hash the maps use internally, so a shard writer never touches
@@ -53,10 +66,10 @@
 //! overwrite allocates the new value's box and nothing else. A
 //! timeline is a [`dego_core::swmr_recent()`] log and a follower row a
 //! [`dego_core::RosterWriter`] row, both **appended to in place**: the
-//! `timelines` and `followers` maps hold each user's read halves, the
-//! write side keeps the edit halves in plain state ([`Owned::logs`],
-//! [`Owned::rows`]). A `TimelinePush` is one local lookup and two
-//! stores — no allocation, nothing retired. A `FollowerAdd` or
+//! `followers` map holds each row's read half, the write side keeps the
+//! edit halves in plain state ([`Owned::rows`]). A timeline push is one
+//! lookup, an uncontended lock and two stores — no allocation, nothing
+//! retired. A `FollowerAdd` or
 //! `FollowerDel` is one local lookup, a scan of the row's ids for the
 //! follower and a few stores; only a row that moves (full, or less than
 //! a quarter live) allocates, and republishes its read half with a
@@ -79,7 +92,6 @@ use crate::stats::ServerStats;
 use dego_core::{
     home_segment, mpsc, swmr_recent, CounterCell, CounterIncrementOnly, RecentReader, RecentWriter,
     RosterReader, RosterWriter, SegmentationKind, SegmentedHashMap, SegmentedHashMapWriter,
-    SegmentedSet, SegmentedSetWriter,
 };
 use dego_middleware::{
     declare_metrics, Histograms, LatencyHistogram, PipelineMetrics, Reading, Row, StoreSegment,
@@ -249,12 +261,65 @@ pub(crate) enum Mutation {
     Expire { key: String, millis: u64 },
     Reap { key: String },
     AddUser { user: u64 },
-    TimelinePush { user: u64, msg: u64 },
+    User { user: u64, op: UserOp },
     FollowerAdd { followee: u64, follower: u64 },
     FollowerDel { followee: u64, follower: u64 },
-    GroupJoin { user: u64 },
-    GroupLeave { user: u64 },
-    ProfileBump { user: u64 },
+}
+
+/// A write to one user's row: a `POST`'s push to one timeline,
+/// `PROFILE`, `JOIN` or `LEAVE`.
+#[derive(Clone, Copy)]
+pub(crate) enum UserOp {
+    Push(u64),
+    Profile,
+    Join,
+    Leave,
+}
+
+/// One user's state, one value of [`Tables::users`], each field cut
+/// down to its one use. Only the user's shard writer creates a row
+/// ([`Owned::user`]).
+pub(crate) struct User {
+    /// The timeline's append half, behind the row's own lock: one
+    /// writer at a time, the paper's CWMR discipline at row grain.
+    log: Mutex<RecentWriter>,
+    /// The timeline's read half: newest-`n` reads, lock-free.
+    pub timeline: RecentReader,
+    /// Profile version, an increment-and-get counter. The writes
+    /// (`AcqRel`) and the flag's stores (`Release`) pair with the
+    /// readers' `Acquire` loads.
+    pub profile: AtomicU64,
+    /// Membership of the interest group, a flag.
+    pub member: AtomicBool,
+}
+
+impl User {
+    fn new() -> User {
+        let (log, timeline) = swmr_recent(TIMELINE_KEEP);
+        User {
+            log: Mutex::new(log),
+            timeline,
+            profile: AtomicU64::new(0),
+            member: AtomicBool::new(false),
+        }
+    }
+
+    /// Apply `op` — the one implementation, whoever applies it.
+    pub(crate) fn apply(&self, op: UserOp) -> Reply {
+        match op {
+            UserOp::Push(msg) => {
+                let mut log = self.log.lock().expect("no push panics holding its log");
+                log.push(msg);
+            }
+            UserOp::Profile => {
+                let version = self.profile.fetch_add(1, Ordering::AcqRel) + 1;
+                return Reply::Int(version as i64);
+            }
+            UserOp::Join => self.member.store(true, Ordering::Release),
+            UserOp::Leave => self.member.store(false, Ordering::Release),
+        }
+        Reply::Status("OK")
+    }
 }
 
 /// The storage plane's tables, each Hash-segmented one segment per
@@ -267,14 +332,10 @@ pub(crate) struct Tables {
     /// key → when its timer lapses; few keys have one, so it starts small.
     pub expiry: Arc<SegmentedHashMap<String, u64>>,
     pub timers: Timers,
-    /// user → the read half of their timeline log.
-    pub timelines: Arc<SegmentedHashMap<u64, RecentReader>>,
+    /// user → their row.
+    pub users: Arc<SegmentedHashMap<u64, Arc<User>>>,
     /// user → the read half of who follows them, in follow order.
     pub followers: Arc<SegmentedHashMap<u64, RosterReader>>,
-    /// user → profile version.
-    pub profiles: Arc<SegmentedHashMap<u64, u64>>,
-    /// The interest group.
-    pub group: Arc<SegmentedSet<u64>>,
 }
 
 /// What every thread shares of the key timers besides their deadlines.
@@ -318,10 +379,8 @@ impl Tables {
                 armed: Arc::new(AtomicUsize::new(0)),
                 metrics: ttl,
             },
-            timelines: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
+            users: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
             followers: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
-            profiles: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
-            group: SegmentedSet::new(shards, capacity, SegmentationKind::Hash),
         }
     }
 
@@ -331,12 +390,9 @@ impl Tables {
             kv: self.kv.writer(),
             expiry: self.expiry.writer(),
             timers: self.timers.clone(),
-            timelines: self.timelines.writer(),
-            logs: HashMap::new(),
+            users: self.users.writer(),
             followers: self.followers.writer(),
             rows: HashMap::new(),
-            profiles: self.profiles.writer(),
-            group: self.group.writer(),
         }
     }
 }
@@ -366,7 +422,8 @@ struct Shard {
 /// The shared storage plane.
 pub(crate) struct Store {
     pub tables: Tables,
-    /// Mutations applied, one cell per shard (C3).
+    /// Mutations applied, one cell per shard write side and one per
+    /// event loop (C3).
     pub applied: Arc<CounterIncrementOnly>,
     /// Indexed by shard.
     shards: Vec<Shard>,
@@ -439,7 +496,7 @@ impl Store {
     /// it did; if not, `run` is untouched, for the owner to apply from
     /// an envelope.
     pub(crate) fn apply_in_place(&self, shard: usize, run: &mut [Entry], stamp: Stamp) -> bool {
-        if self.shard_delay_ns.load(Ordering::Relaxed) > 0 {
+        if self.stalled() {
             return false;
         }
         // Busy or poisoned alike: the owner takes the run.
@@ -449,6 +506,12 @@ impl Store {
         self.shards[shard].telemetry.enqueued.add(run.len() as u64);
         self.sweep(shard, &mut side, Some((run, stamp)));
         true
+    }
+
+    /// Whether the chaos stall is up: then every write, a user row's
+    /// included, goes to the stalled owners.
+    pub(crate) fn stalled(&self) -> bool {
+        self.shard_delay_ns.load(Ordering::Relaxed) > 0
     }
 
     /// One hold of `shard`'s write side, by its owner or by a home loop:
@@ -660,12 +723,15 @@ pub(crate) struct ShardRuntime {
 /// every write side exists.
 ///
 /// The owners start unstalled: [`Store::set_shard_delay`] sets the
-/// chaos hook. `window_secs` sizes the ack latency's rolling window. An
+/// chaos hook. [`Store::applied`] has a cell per owner and per event
+/// loop, of which there are `loops`. `window_secs` sizes the ack
+/// latency's rolling window. An
 /// owner exits once `stop` is up and its queue is drained, so `stop`
 /// must go up only when nothing can publish any more. `ttl` is the
 /// TTL layer's metrics (see [`Timers::metrics`]).
 pub(crate) fn spawn_shards(
     shards: usize,
+    loops: usize,
     capacity: usize,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
@@ -674,7 +740,7 @@ pub(crate) fn spawn_shards(
 ) -> ShardRuntime {
     assert!(shards > 0, "need at least one shard");
     let tables = Tables::new(shards, capacity, ttl);
-    let applied = CounterIncrementOnly::new(shards);
+    let applied = CounterIncrementOnly::new(shards + loops);
     let mut planes = Vec::with_capacity(shards);
     let mut threads = Vec::with_capacity(shards);
     let mut starts = Vec::with_capacity(shards);
@@ -695,6 +761,7 @@ pub(crate) fn spawn_shards(
                 if let Ok(store) = start_rx.recv() {
                     owner_loop(&store, shard, &stop);
                 }
+                crate::event_loop::drop_role_name();
             })
             .expect("spawn shard thread");
         let side = claimed_rx
@@ -767,31 +834,22 @@ struct Owned {
     kv: SegmentedHashMapWriter<String, String>,
     expiry: SegmentedHashMapWriter<String, u64>,
     timers: Timers,
-    timelines: SegmentedHashMapWriter<u64, RecentReader>,
-    /// The append halves of the logs whose read halves `timelines`
-    /// publishes — plain writer-local state, same key set as this
-    /// shard's segment of that map.
-    logs: HashMap<u64, RecentWriter>,
+    users: SegmentedHashMapWriter<u64, Arc<User>>,
     followers: SegmentedHashMapWriter<u64, RosterReader>,
     /// The edit halves of the rows whose read halves `followers`
-    /// publishes, kept like [`Owned::logs`].
+    /// publishes — plain writer-local state, same key set as this
+    /// shard's segment of that map.
     rows: HashMap<u64, RosterWriter>,
-    profiles: SegmentedHashMapWriter<u64, u64>,
-    group: SegmentedSetWriter<u64>,
 }
 
 impl Owned {
-    /// `user`'s timeline log, created (and its read half published) on
-    /// first use.
-    fn timeline(&mut self, user: u64) -> &mut RecentWriter {
-        let Owned {
-            logs, timelines, ..
-        } = self;
-        logs.entry(user).or_insert_with(|| {
-            let (log, reader) = swmr_recent(TIMELINE_KEEP);
-            timelines.put(user, reader);
-            log
-        })
+    /// `f` of `user`'s row, created (and published) first if it is
+    /// missing.
+    fn user<R>(&mut self, user: u64, f: impl FnOnce(&User) -> R) -> R {
+        if self.users.peek(&user, |row| row.is_none()) {
+            self.users.put(user, Arc::new(User::new()));
+        }
+        self.users.peek(&user, |row| f(row.expect("created above")))
     }
 
     /// When `key`'s timer lapses, if it has one.
@@ -882,16 +940,10 @@ impl Owned {
                 row.map_or(Reply::Nil, Reply::Value)
             }
             Mutation::AddUser { user } => {
-                self.timeline(user);
-                if self.profiles.peek(&user, |version| version.is_none()) {
-                    self.profiles.put(user, 0);
-                }
+                self.user(user, |_| ());
                 Reply::Status("OK")
             }
-            Mutation::TimelinePush { user, msg } => {
-                self.timeline(user).push(msg);
-                Reply::Status("OK")
-            }
+            Mutation::User { user, op } => self.user(user, |row| row.apply(op)),
             Mutation::FollowerAdd { followee, follower } => {
                 let Owned {
                     rows, followers, ..
@@ -910,19 +962,6 @@ impl Owned {
                     row.remove(follower, |moved| followers.put(followee, moved));
                 }
                 Reply::Status("OK")
-            }
-            Mutation::GroupJoin { user } => {
-                self.group.add(user);
-                Reply::Status("OK")
-            }
-            Mutation::GroupLeave { user } => {
-                self.group.remove(&user);
-                Reply::Status("OK")
-            }
-            Mutation::ProfileBump { user } => {
-                let version = self.profiles.peek(&user, |v| v.copied().unwrap_or(0)) + 1;
-                self.profiles.put(user, version);
-                Reply::Int(version as i64)
             }
         }
     }
@@ -980,7 +1019,11 @@ mod tests {
         spent(Mutation::AddUser { user: 1 });
         // Well past a wrap of the ring.
         for msg in 0..3 * TIMELINE_KEEP as u64 {
-            assert_eq!(spent(Mutation::TimelinePush { user: 1, msg }), 0);
+            let push = UserOp::Push(msg);
+            assert_eq!(spent(Mutation::User { user: 1, op: push }), 0);
+        }
+        for op in [UserOp::Profile, UserOp::Join, UserOp::Leave] {
+            assert_eq!(spent(Mutation::User { user: 1, op }), 0);
         }
 
         spent(set("a first value, long enough to be worth not cloning"));
@@ -1004,7 +1047,9 @@ mod tests {
         assert!(spent(follow(6)) <= 2, "the grown row and its box");
 
         let mut row = Vec::new();
-        tables.timelines.read(&1, |log| log.newest(3, &mut row));
+        tables
+            .users
+            .read(&1, |user| user.timeline.newest(3, &mut row));
         assert_eq!(row, [191, 190, 189]);
         assert_eq!(
             tables.kv.get(&"key".into()).as_deref(),

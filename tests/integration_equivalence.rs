@@ -152,8 +152,14 @@ fn mpsc_queue_history_is_linearizable_against_q1() {
         let ts2 = Arc::clone(&ts);
         let hist2 = Arc::clone(&hist);
         s.spawn(move || {
+            // At most 40 polls, empty ones included: with the 12 offers
+            // the history holds at most 52 events, within the checker's
+            // bound however the threads interleave.
             let mut polled = 0;
-            while polled < 12 {
+            for _ in 0..40 {
+                if polled == 12 {
+                    break;
+                }
                 let t0 = clock(&ts2);
                 let r = consumer.poll();
                 let t1 = clock(&ts2);
@@ -165,10 +171,6 @@ fn mpsc_queue_history_is_linearizable_against_q1() {
                     .lock()
                     .unwrap()
                     .push(Completed::new(op("poll", &[]), ret, t0, t1));
-                // Bound the history length for the checker.
-                if hist2.lock().unwrap().len() > 55 {
-                    break;
-                }
             }
         });
     });
