@@ -43,7 +43,7 @@
 //! republish is entitled to.
 //!
 //! The single-writer permission is a type, as in
-//! [`swmr_recent`](crate::swmr_recent): [`RosterWriter`] is unique and
+//! [`swmr_recent`](mod@crate::swmr_recent): [`RosterWriter`] is unique and
 //! its edits take `&mut self`; [`RosterReader`] is `Clone`.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};

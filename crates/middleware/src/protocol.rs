@@ -98,7 +98,7 @@ pub enum Command {
     /// `PING` → `+PONG`
     Ping,
     /// `HEALTH` → `+OK` while the process is alive (a liveness probe;
-    /// exempt from rate-limit charging, like `PING`/`QUIT`)
+    /// exempt from rate-limit charging, like `QUIT`)
     Health,
     /// `READY` → `+READY` while the server accepts work,
     /// `-ERR NOTREADY draining` once a graceful drain has begun
@@ -113,17 +113,44 @@ pub enum Command {
     Expire(String, u64),
 }
 
-/// The coarse class of a command, used by the middleware layers for
-/// ACL checks and per-class deadline budgets.
+/// The coarse class of a command, read off its [`Footprint`], used by
+/// the middleware layers for ACL checks and per-class deadline budgets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommandClass {
-    /// Lock-free reads served inline by the connection thread.
+    /// Reads a row and writes none.
     Read,
-    /// Mutations funneled through a shard owner (plus `EXPIRE`, which
-    /// arms a TTL timer).
+    /// Writes a row.
     Write,
-    /// Session/diagnostic verbs (`PING`, `QUIT`, `STATS`, `AUTH`).
+    /// Touches no row (`PING`, `AUTH`, the rings …) or every row (`STATS`).
     Control,
+}
+
+/// One row of the storage plane, borrowing its key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DataRow<'a> {
+    /// A key of the string keyspace (and its timer).
+    Key(&'a str),
+    /// The user's timeline.
+    Timeline(u64),
+    /// The user's profile version.
+    Profile(u64),
+    /// The user's group membership.
+    Group(u64),
+    /// Who follows the user.
+    Follower(u64),
+}
+
+/// The rows a command reads and writes: what the server routes it by
+/// and makes it wait for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Footprint<'a> {
+    /// The row it reads where it is staged, ahead of the writes queued
+    /// before it: a barrier while a write of that row is outstanding.
+    pub reads: Option<DataRow<'a>>,
+    /// The rows it writes; its shard is the first one's.
+    pub writes: [Option<DataRow<'a>>; 2],
+    /// It observes every row (`STATS*`): a full barrier.
+    pub full_barrier: bool,
 }
 
 /// A parse failure, reported to the client as `-ERR ...`.
@@ -307,30 +334,32 @@ impl Command {
         }
     }
 
-    /// The coarse class this command belongs to.
-    pub fn class(&self) -> CommandClass {
-        match self {
-            Command::Get(..)
-            | Command::Timeline(..)
-            | Command::IsFollowing(..)
-            | Command::Followers(..)
-            | Command::InGroup(..)
-            | Command::ProfileVer(..) => CommandClass::Read,
-            Command::Set(..)
-            | Command::Del(..)
-            | Command::Incr(..)
-            | Command::AddUser(..)
-            | Command::Post(..)
-            | Command::Follow(..)
-            | Command::Unfollow(..)
-            | Command::Join(..)
-            | Command::Leave(..)
-            | Command::Profile(..)
-            | Command::Expire(..) => CommandClass::Write,
-            Command::Stats
-            | Command::StatsShards
-            | Command::StatsReset
-            | Command::SlowlogGet
+    /// The rows this command reads and writes: the one place a verb's
+    /// rows are written down. Inlined, so `class` folds to a lookup.
+    #[inline]
+    pub fn footprint(&self) -> Footprint<'_> {
+        use DataRow::{Follower, Group, Key, Profile, Timeline};
+        let (reads, writes, full_barrier) = match *self {
+            Command::Get(ref key) => (Some(Key(key)), [None; 2], false),
+            Command::Set(ref key, _)
+            | Command::Del(ref key)
+            | Command::Incr(ref key, _)
+            | Command::Expire(ref key, _) => (None, [Some(Key(key)), None], false),
+            Command::AddUser(user) => (None, [Some(Timeline(user)), Some(Profile(user))], false),
+            Command::Post(user, _) => (Some(Follower(user)), [Some(Timeline(user)), None], false),
+            Command::Follow(_, followee) | Command::Unfollow(_, followee) => {
+                (None, [Some(Follower(followee)), None], false)
+            }
+            Command::Timeline(user) => (Some(Timeline(user)), [None; 2], false),
+            Command::IsFollowing(_, followee) | Command::Followers(followee) => {
+                (Some(Follower(followee)), [None; 2], false)
+            }
+            Command::Join(user) | Command::Leave(user) => (None, [Some(Group(user)), None], false),
+            Command::InGroup(user) => (Some(Group(user)), [None; 2], false),
+            Command::Profile(user) => (None, [Some(Profile(user)), None], false),
+            Command::ProfileVer(user) => (Some(Profile(user)), [None; 2], false),
+            Command::Stats | Command::StatsShards | Command::StatsReset => (None, [None; 2], true),
+            Command::SlowlogGet
             | Command::SlowlogReset
             | Command::SlowlogLen
             | Command::TraceGet
@@ -340,7 +369,22 @@ impl Command {
             | Command::Health
             | Command::Ready
             | Command::Quit
-            | Command::Auth(..) => CommandClass::Control,
+            | Command::Auth(_) => (None, [None; 2], false),
+        };
+        Footprint {
+            reads,
+            writes,
+            full_barrier,
+        }
+    }
+
+    /// The coarse class this command belongs to, read off its footprint.
+    pub fn class(&self) -> CommandClass {
+        let footprint = self.footprint();
+        match (footprint.writes[0], footprint.reads) {
+            (Some(_), _) => CommandClass::Write,
+            (None, Some(_)) => CommandClass::Read,
+            (None, None) => CommandClass::Control,
         }
     }
 
@@ -595,11 +639,32 @@ mod tests {
 
     #[test]
     fn render_line_round_trips() {
-        let cmds = [
+        for cmd in every_variant() {
+            assert_eq!(Command::parse(&cmd.render_line()), Ok(cmd));
+        }
+    }
+
+    /// One command of every [`Command`] variant. Adding a variant
+    /// breaks the `match` below until it is numbered, and then the
+    /// final assertion until it is listed.
+    fn every_variant() -> Vec<Command> {
+        let every = vec![
             Command::Get("a".into()),
             Command::Set("k".into(), "hello world".into()),
+            Command::Del("k".into()),
             Command::Incr("n".into(), -4),
+            Command::AddUser(3),
             Command::Post(3, 77),
+            Command::Follow(4, 3),
+            Command::Unfollow(4, 3),
+            Command::Timeline(3),
+            Command::IsFollowing(4, 3),
+            Command::Followers(3),
+            Command::Join(3),
+            Command::Leave(3),
+            Command::InGroup(3),
+            Command::Profile(3),
+            Command::ProfileVer(3),
             Command::Stats,
             Command::StatsShards,
             Command::StatsReset,
@@ -609,28 +674,129 @@ mod tests {
             Command::TraceGet,
             Command::TraceReset,
             Command::TraceLen,
+            Command::Ping,
             Command::Health,
             Command::Ready,
+            Command::Quit,
             Command::Auth("tok".into()),
             Command::Expire("k".into(), 99),
         ];
-        for cmd in cmds {
-            assert_eq!(Command::parse(&cmd.render_line()), Ok(cmd));
+        let mut listed = [false; 31];
+        for cmd in &every {
+            let variant = match cmd {
+                Command::Get(_) => 0,
+                Command::Set(..) => 1,
+                Command::Del(_) => 2,
+                Command::Incr(..) => 3,
+                Command::AddUser(_) => 4,
+                Command::Post(..) => 5,
+                Command::Follow(..) => 6,
+                Command::Unfollow(..) => 7,
+                Command::Timeline(_) => 8,
+                Command::IsFollowing(..) => 9,
+                Command::Followers(_) => 10,
+                Command::Join(_) => 11,
+                Command::Leave(_) => 12,
+                Command::InGroup(_) => 13,
+                Command::Profile(_) => 14,
+                Command::ProfileVer(_) => 15,
+                Command::Stats => 16,
+                Command::StatsShards => 17,
+                Command::StatsReset => 18,
+                Command::SlowlogGet => 19,
+                Command::SlowlogReset => 20,
+                Command::SlowlogLen => 21,
+                Command::TraceGet => 22,
+                Command::TraceReset => 23,
+                Command::TraceLen => 24,
+                Command::Ping => 25,
+                Command::Health => 26,
+                Command::Ready => 27,
+                Command::Quit => 28,
+                Command::Auth(_) => 29,
+                Command::Expire(..) => 30,
+            };
+            listed[variant] = true;
         }
+        assert!(listed.iter().all(|&listed| listed), "{listed:?}");
+        every
     }
 
+    /// The footprint table, checked whole: each verb's class is the one
+    /// its rows give it (and the one it had before the table), every
+    /// row kind some verb waits to read is written by some verb, so no
+    /// barrier is unreachable, and the `STATS` verbs alone are full
+    /// barriers, touching no row of their own.
     #[test]
     fn classes_partition_the_verbs() {
-        assert_eq!(Command::Get("k".into()).class(), CommandClass::Read);
+        let writes = [
+            "SET", "DEL", "INCR", "ADDUSER", "POST", "FOLLOW", "UNFOLLOW", "JOIN", "LEAVE",
+            "PROFILE", "EXPIRE",
+        ];
+        let reads = [
+            "GET",
+            "TIMELINE",
+            "ISFOLLOWING",
+            "FOLLOWERS",
+            "INGROUP",
+            "PROFILEVER",
+        ];
+        /// A row's kind: the row with its key or user dropped.
+        fn kind(row: DataRow) -> DataRow<'static> {
+            match row {
+                DataRow::Key(_) => DataRow::Key(""),
+                DataRow::Timeline(_) => DataRow::Timeline(0),
+                DataRow::Profile(_) => DataRow::Profile(0),
+                DataRow::Group(_) => DataRow::Group(0),
+                DataRow::Follower(_) => DataRow::Follower(0),
+            }
+        }
+        let (mut read_kinds, mut written_kinds) = (Vec::new(), Vec::new());
+        for cmd in every_variant() {
+            let rows = cmd.footprint();
+            let class = match (rows.writes, rows.reads) {
+                ([Some(_), _], _) => CommandClass::Write,
+                ([None, None], Some(_)) => CommandClass::Read,
+                ([None, None], None) => CommandClass::Control,
+                ([None, Some(_)], _) => panic!("{cmd:?} writes a second row but no first"),
+            };
+            assert_eq!(cmd.class(), class, "{cmd:?}");
+            let verb = cmd.verb();
+            let expected = if writes.contains(&verb) {
+                CommandClass::Write
+            } else if reads.contains(&verb) {
+                CommandClass::Read
+            } else {
+                CommandClass::Control
+            };
+            assert_eq!(class, expected, "{cmd:?}");
+            read_kinds.extend(rows.reads.map(kind));
+            written_kinds.extend(rows.writes.into_iter().flatten().map(kind));
+            let stats = matches!(
+                cmd,
+                Command::Stats | Command::StatsShards | Command::StatsReset
+            );
+            assert_eq!(rows.full_barrier, stats, "{cmd:?}");
+            if stats {
+                assert_eq!(class, CommandClass::Control, "{cmd:?}");
+            }
+        }
+        for read in &read_kinds {
+            assert!(
+                written_kinds.contains(read),
+                "{read:?} is read, never written"
+            );
+        }
         assert_eq!(
-            Command::Set("k".into(), "v".into()).class(),
-            CommandClass::Write
+            Command::Post(3, 77).footprint().reads,
+            Some(DataRow::Follower(3))
         );
-        assert_eq!(Command::Expire("k".into(), 1).class(), CommandClass::Write);
-        assert_eq!(Command::Auth("t".into()).class(), CommandClass::Control);
-        assert_eq!(Command::Ping.class(), CommandClass::Control);
-        assert_eq!(Command::Health.class(), CommandClass::Control);
-        assert_eq!(Command::Ready.class(), CommandClass::Control);
+        let timed = ["GET", "SET", "DEL", "INCR", "EXPIRE"];
+        for cmd in every_variant() {
+            let rows = cmd.footprint();
+            let keyed = matches!(rows.reads.or(rows.writes[0]), Some(DataRow::Key(_)));
+            assert_eq!(keyed, timed.contains(&cmd.verb()), "{cmd:?}");
+        }
     }
 
     #[test]

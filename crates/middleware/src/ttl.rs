@@ -5,7 +5,7 @@
 
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{Admission, Layer, LayerKind, LayerRule, Request, Response, Session};
-use crate::protocol::Command;
+use crate::protocol::DataRow;
 use std::sync::Arc;
 
 /// The TTL [`Layer`]: stateless per session, so it serves as its own
@@ -34,13 +34,11 @@ impl LayerRule for TtlLayer {
     /// Nothing to observe: every burst passes on whole.
     type Ctx = std::convert::Infallible;
 
-    /// One pass per burst, counting the commands a timer concerns.
+    /// One pass per burst, counting the commands whose row is a key.
     fn admit(&mut self, reqs: Vec<Request>) -> Admission<Self::Ctx> {
-        use Command::{Del, Expire, Get, Incr, Set};
         let admission_t = crate::span::start();
-        let timed = reqs
-            .iter()
-            .filter(|r| matches!(r.command, Get(_) | Set(..) | Del(_) | Incr(..) | Expire(..)));
+        let timed = reqs.iter().map(|r| r.command.footprint());
+        let timed = timed.filter(|f| matches!(f.reads.or(f.writes[0]), Some(DataRow::Key(_))));
         self.metrics.ttl_checked.add(timed.count() as u64);
         crate::span::record(LayerKind::Ttl, admission_t);
         Admission::Pass(reqs)
@@ -55,7 +53,7 @@ impl LayerRule for TtlLayer {
 mod tests {
     use super::*;
     use crate::pipeline::Service;
-    use crate::protocol::Reply;
+    use crate::protocol::{Command, Reply};
 
     /// Answers every request with its verb.
     struct Echo;

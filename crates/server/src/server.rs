@@ -55,9 +55,9 @@
 //! output buffer and written with one socket write.
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
-//! mutations keep per-key order through the shards' FIFO order, and a
-//! read whose key has a mutation staged or outstanding in the same
-//! burst waits for the acks (a *barrier*) before being served — the
+//! mutations keep per-row order through the shards' FIFO order, and a
+//! read of a row (its verb's `Command::footprint`) with a mutation staged
+//! or outstanding in the burst waits for the acks (a *barrier*) — the
 //! burst parks there unless its runs went in place, and staging resumes
 //! once the acks are in, so one burst may park several times. Reads on
 //! untouched keys proceed immediately, which is where the batching
@@ -67,7 +67,7 @@
 //! traced burst's inline writes carry no store segment.
 
 use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
-use crate::protocol::{Command, Reply};
+use crate::protocol::{Command, DataRow, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
 use crate::store::{self, Entry, Envelope, Mutation, Store, UserOp, FANOUT_LIMIT};
 use dego_core::{CounterCell, RosterReader};
@@ -76,7 +76,7 @@ use dego_middleware::{
     ShardPressure, Stack, StoreSegment, Surface,
 };
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,19 +448,19 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
 /// One event loop's connection inlet plus its epoll doorbell.
 type LoopSink = (Sender<(TcpStream, u64)>, Arc<LoopWaker>);
 
-/// The shed layer's window onto live shard pressure: routes a write
-/// with [`Store::shard_of_write`], as [`ExecService::plan_mutation`]
-/// does, then reads the target shard's queue-depth gauge and windowed
-/// ack p99 straight off the telemetry the shard owners already
-/// publish. Lock-free on both calls — this runs on every write's
-/// admission path when shedding is armed.
+/// The shed layer's window onto live shard pressure: routes a write to
+/// the home of the first row its footprint writes, as
+/// [`ExecService::plan_mutation`] does, then reads the target shard's
+/// queue-depth gauge and windowed ack p99 straight off the telemetry
+/// the shard owners already publish. Lock-free on both calls — this
+/// runs on every write's admission path when shedding is armed.
 struct StorePressure {
     store: Arc<Store>,
 }
 
 impl PressureProbe for StorePressure {
     fn shard_of(&self, cmd: &Command) -> Option<usize> {
-        self.store.shard_of_write(cmd)
+        Some(self.store.shard_of_row(cmd.footprint().writes[0]?))
     }
 
     fn pressure_of(&self, shard: usize) -> ShardPressure {
@@ -528,9 +528,9 @@ fn accept_loop(
     }
 }
 
-/// A storage-plane row a burst's outstanding mutation is about to
-/// touch; reads declare the rows they depend on, and a match forces a
-/// barrier so the read observes the writes before it in the burst.
+/// A storage-plane row ([`PendingKey::of`] a [`DataRow`]) a burst's
+/// outstanding mutation is about to touch; a command whose footprint
+/// reads it waits at a barrier, so it observes the writes before it.
 ///
 /// Kv keys are tracked by **hash**, not by owned string, so the hot
 /// batch path never clones a key: a hash collision merely forces a
@@ -546,7 +546,7 @@ enum PendingKey {
 }
 
 /// The hash of the pending rows: one multiply-xor per word, for the
-/// kv keys ([`kv_pending`]) and for the burst's set of them alike. It
+/// kv keys ([`PendingKey::of`]) and for the burst's set of them alike. It
 /// is unkeyed, which a general-purpose table could not afford with
 /// keys a peer chooses; this one holds one burst's rows (at most
 /// `MAX_BURST_LINES` lines' worth) for the length of that burst, and
@@ -573,37 +573,27 @@ impl Hasher for RowHasher {
     }
 }
 
-/// The rows with a mutation outstanding in the burst being staged.
-type PendingRows = HashSet<PendingKey, BuildHasherDefault<RowHasher>>;
-
-/// The hash [`PendingKey::Kv`] tracks string keys by.
-fn kv_pending(key: &str) -> PendingKey {
-    let mut hasher = RowHasher::default();
-    key.hash(&mut hasher);
-    PendingKey::Kv(hasher.finish())
-}
-
-/// The rows a single-shard mutation touches (`ADDUSER` two: its row's
-/// timeline and profile version).
-type Touched = [Option<PendingKey>; 2];
-
-/// The pending row a write to `user`'s row touches.
-fn user_row(user: u64, op: UserOp) -> PendingKey {
-    match op {
-        UserOp::Push(_) => PendingKey::Timeline(user),
-        UserOp::Profile => PendingKey::Profile(user),
-        UserOp::Join | UserOp::Leave => PendingKey::Group(user),
+impl PendingKey {
+    /// How `row` is tracked: a kv key by its hash.
+    fn of(row: DataRow) -> PendingKey {
+        match row {
+            DataRow::Key(key) => PendingKey::Kv(RowHash::new().hash_one(key)),
+            DataRow::Timeline(user) => PendingKey::Timeline(user),
+            DataRow::Follower(user) => PendingKey::Follower(user),
+            DataRow::Profile(user) => PendingKey::Profile(user),
+            DataRow::Group(user) => PendingKey::Group(user),
+        }
     }
 }
 
-/// A write to `user`'s row, planned: the row it touches and the
-/// mutation.
-fn user_write(user: u64, op: UserOp) -> (Touched, Mutation) {
-    (
-        [Some(user_row(user, op)), None],
-        Mutation::User { user, op },
-    )
-}
+/// Builds the [`RowHasher`]s of a kv key and of the pending set.
+type RowHash = BuildHasherDefault<RowHasher>;
+
+/// The rows with a mutation outstanding in the burst being staged.
+type PendingRows = HashSet<PendingKey, RowHash>;
+
+/// The rows a single-shard mutation touches: its footprint's writes.
+type Touched = [Option<PendingKey>; 2];
 
 /// What a batched request is waiting on when assembly begins.
 enum Slot {
@@ -783,15 +773,25 @@ impl ExecService {
     }
 
     /// Apply `op` on this thread if it is a write to a user row that
-    /// exists, the pass may (`inline`: the stall was down when it
-    /// began) and `pending` holds no mutation of that row staged or in
+    /// exists, the pass may (`inline`: the stall was down when it began)
+    /// and `burst` has no mutation of a row it `touched` staged or in
     /// flight before it: its reply. `None` means stage it: its shard's
     /// writer creates a missing row, then applies the same [`UserOp`].
-    fn apply_inline(&self, inline: bool, pending: &PendingRows, op: &Mutation) -> Option<Reply> {
+    fn apply_inline(
+        &self,
+        inline: bool,
+        burst: &Burst,
+        (op, touched): (&Mutation, Touched),
+    ) -> Option<Reply> {
         let &Mutation::User { user, op } = op else {
             return None;
         };
-        if !inline || pending.contains(&user_row(user, op)) {
+        if !inline
+            || touched
+                .iter()
+                .flatten()
+                .any(|row| burst.pending.contains(row))
+        {
             return None;
         }
         let reply = self.store.tables.users.read(&user, |row| row.apply(op))?;
@@ -823,13 +823,15 @@ impl ExecService {
                 user,
                 op: UserOp::Push(msg),
             };
-            if self.apply_inline(inline, &burst.pending, &push).is_some() {
+            let timeline = PendingKey::Timeline(user);
+            let touched = [Some(timeline), None];
+            if self.apply_inline(inline, burst, (&push, touched)).is_some() {
                 continue;
             }
             if later {
-                burst.pending.insert(PendingKey::Timeline(user));
+                burst.pending.insert(timeline);
             }
-            let shard = self.store.shard_of_user(user);
+            let shard = self.store.shard_of_row(DataRow::Timeline(user));
             self.stage(&mut burst.acks, shard, push);
         }
         first..burst.acks.next_seq()
@@ -869,79 +871,47 @@ impl ExecService {
         }
     }
 
-    /// The single-shard mutation `cmd` moves into (with its shard, from
-    /// [`Store::shard_of_write`], and the rows it touches), or `cmd`
-    /// back when it is not one. A `GET` of a key whose timer has lapsed
-    /// is one: its reap.
+    /// The single-shard mutation `cmd` moves into, with its shard and
+    /// the rows it touches — both read off the rows its footprint
+    /// writes — or `cmd` back when it is not one. A `GET` of a key whose
+    /// timer has lapsed is one: its reap, a write of the key it reads.
     fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
-        use PendingKey::{Follower, Profile, Timeline};
-        let shard = match &cmd {
-            Command::Get(key) if self.store.lapsed(key) => Some(self.store.shard_of_key(key)),
-            cmd => self.store.shard_of_write(cmd),
+        use UserOp::{Join, Leave, Profile};
+        let writes = match &cmd {
+            Command::Get(key) if self.store.lapsed(key) => [Some(DataRow::Key(key)), None],
+            cmd => cmd.footprint().writes,
         };
-        let Some(shard) = shard else {
+        let Some(shard) = writes[0].map(|row| self.store.shard_of_row(row)) else {
             return Err(cmd);
         };
-        let one = |row| [Some(row), None];
-        let (touched, op) = match cmd {
-            Command::Set(key, value) => (one(kv_pending(&key)), Mutation::Set { key, value }),
-            Command::Del(key) => (one(kv_pending(&key)), Mutation::Del { key }),
-            Command::Incr(key, delta) => (one(kv_pending(&key)), Mutation::Incr { key, delta }),
-            Command::Expire(key, millis) => {
-                (one(kv_pending(&key)), Mutation::Expire { key, millis })
-            }
-            Command::Get(key) => (one(kv_pending(&key)), Mutation::Reap { key }),
-            Command::AddUser(user) => (
-                [Some(Timeline(user)), Some(Profile(user))],
-                Mutation::AddUser { user },
-            ),
-            Command::Follow(follower, followee) => (
-                one(Follower(followee)),
-                Mutation::FollowerAdd { followee, follower },
-            ),
-            Command::Unfollow(follower, followee) => (
-                one(Follower(followee)),
-                Mutation::FollowerDel { followee, follower },
-            ),
-            Command::Join(user) => user_write(user, UserOp::Join),
-            Command::Leave(user) => user_write(user, UserOp::Leave),
-            Command::Profile(user) => user_write(user, UserOp::Profile),
+        let touched = writes.map(|row| row.map(PendingKey::of));
+        let op = match cmd {
+            Command::Set(key, value) => Mutation::Set { key, value },
+            Command::Del(key) => Mutation::Del { key },
+            Command::Incr(key, delta) => Mutation::Incr { key, delta },
+            Command::Expire(key, millis) => Mutation::Expire { key, millis },
+            Command::Get(key) => Mutation::Reap { key },
+            Command::AddUser(user) => Mutation::AddUser { user },
+            Command::Follow(follower, followee) => Mutation::FollowerAdd { followee, follower },
+            Command::Unfollow(follower, followee) => Mutation::FollowerDel { followee, follower },
+            Command::Join(user) => Mutation::User { user, op: Join },
+            Command::Leave(user) => Mutation::User { user, op: Leave },
+            Command::Profile(user) => Mutation::User { user, op: Profile },
             // A `POST` is staged by `stage_post`, push by push.
             other => return Err(other),
         };
         Ok((shard, op, touched))
     }
 
-    /// The row a read-class (or `STATS`) command depends on: `None`
-    /// means "everything" (a full barrier), `Some(None)` nothing.
-    fn read_dep(cmd: &Command) -> Option<Option<PendingKey>> {
-        Some(match cmd {
-            Command::Get(key) => Some(kv_pending(key)),
-            Command::Timeline(user) => Some(PendingKey::Timeline(*user)),
-            Command::IsFollowing(_, followee) => Some(PendingKey::Follower(*followee)),
-            Command::Followers(user) => Some(PendingKey::Follower(*user)),
-            Command::InGroup(user) => Some(PendingKey::Group(*user)),
-            Command::ProfileVer(user) => Some(PendingKey::Profile(*user)),
-            Command::Stats | Command::StatsShards | Command::StatsReset => return None,
-            _ => None,
-        })
-    }
-
     /// Whether `cmd` must wait for `burst`'s outstanding acks — a
-    /// *barrier*: a read of a row with a mutation staged or in flight
-    /// (or a full barrier), or a `POST` whose fan-out reads a follower
-    /// row being written. With nothing outstanding (the common case:
-    /// reads ahead of a burst's first write) no key is even hashed to
-    /// find out.
+    /// *barrier*: a full barrier, or a read of a row (a `POST`'s: the
+    /// follower row its fan-out copies) with a mutation staged or in
+    /// flight. With nothing outstanding (the common case: reads ahead of
+    /// a burst's first write) no key is even hashed to find out.
     fn waits(burst: &Burst, cmd: &Command) -> bool {
-        !burst.acks.complete()
-            && match cmd {
-                Command::Post(author, _) => burst.pending.contains(&PendingKey::Follower(*author)),
-                cmd => match Self::read_dep(cmd) {
-                    None => true,
-                    Some(dep) => dep.is_some_and(|row| burst.pending.contains(&row)),
-                },
-            }
+        let rows = cmd.footprint();
+        let read_pending = |row| burst.pending.contains(&PendingKey::of(row));
+        !burst.acks.complete() && (rows.full_barrier || rows.reads.is_some_and(read_pending))
     }
 
     /// Serve a read/control command inline from the lock-free segment
@@ -1085,7 +1055,7 @@ impl ExecService {
                 cmd => match self.plan_mutation(cmd) {
                     Ok((shard, op, touched)) => {
                         self.stats.note_mutation();
-                        if let Some(reply) = self.apply_inline(inline, &burst.pending, &op) {
+                        if let Some(reply) = self.apply_inline(inline, burst, (&op, touched)) {
                             Slot::Done(reply)
                         } else {
                             if later {
@@ -1442,7 +1412,7 @@ mod tests {
     fn key_on(store: &Store, shard: usize) -> String {
         (0..)
             .map(|i| format!("k{i}"))
-            .find(|key| store.shard_of_key(key) == shard)
+            .find(|key| store.shard_of_row(DataRow::Key(key)) == shard)
             .expect("some key routes to every shard")
     }
 
@@ -1544,6 +1514,84 @@ mod tests {
         let progress = exec.begin_batch(reqs);
         let responses = answer(exec, progress);
         responses.into_iter().map(|resp| resp.reply).collect()
+    }
+
+    /// Every write verb, followed in one burst by each read verb that
+    /// observes it, answers as the same lines do one at a time. On a
+    /// loop home to no shard a staged write applies only after its pass
+    /// publishes, so a read that does not wait at its barrier reads the
+    /// row from before the write, which each script checks is another
+    /// answer. The rows are fresh, so a user-row write is staged too,
+    /// and with the stall up every write is (`LEAVE` of a joined user
+    /// included). `ADDUSER` has no such read: it only creates a row.
+    /// The last script checks that a `POST`'s fan-out waits for the
+    /// `FOLLOW` before it.
+    #[test]
+    fn each_read_waits_for_the_writes_it_observes() {
+        // (setup, the burst) over a key `k` and users `u` and `x`.
+        let scripts: [(&[&str], &[&str]); 13] = [
+            (&[], &["SET k v", "GET k"]),
+            (&["SET k v"], &["DEL k", "GET k"]),
+            (&[], &["INCR k 5", "GET k"]),
+            (&["SET k v"], &["EXPIRE k 0", "GET k"]),
+            (&[], &["POST u 7", "TIMELINE u"]),
+            (&[], &["FOLLOW x u", "ISFOLLOWING x u"]),
+            (&[], &["FOLLOW x u", "FOLLOWERS u"]),
+            (&["FOLLOW x u"], &["UNFOLLOW x u", "ISFOLLOWING x u"]),
+            (&["FOLLOW x u"], &["UNFOLLOW x u", "FOLLOWERS u"]),
+            (&[], &["JOIN u", "INGROUP u"]),
+            (&["JOIN u"], &["LEAVE u", "INGROUP u"]),
+            (&[], &["PROFILE u", "PROFILEVER u"]),
+            (&[], &["FOLLOW x u", "POST u 9", "TIMELINE x"]),
+        ];
+        // The lines over fresh rows, numbered `run`.
+        let requests = |lines: &[&str], run: usize| -> Vec<Request> {
+            let token = |token: &str| match token {
+                "k" => format!("k{run}"),
+                "u" => (2 * run).to_string(),
+                "x" => (2 * run + 1).to_string(),
+                token => token.to_string(),
+            };
+            let line = |line: &&str| line.split(' ').map(token).collect::<Vec<_>>().join(" ");
+            let parse = |line: String| Command::parse(&line).expect("a script line parses");
+            lines
+                .iter()
+                .map(line)
+                .map(parse)
+                .map(Request::new)
+                .collect()
+        };
+        let mut run = 0;
+        for stall in [None, Some(Duration::from_micros(100))] {
+            let ttl = Some(Arc::new(PipelineMetrics::new()));
+            let (mut exec, _, _owners) = exec_over(stall, Duration::from_secs(5), ttl);
+            for (setup, script) in scripts {
+                let (read, writes) = script.split_last().expect("a script ends in its read");
+                let mut replies = |lines: &[&str], whole: bool| {
+                    run += 1;
+                    for req in requests(setup, run) {
+                        call(&mut exec, req);
+                    }
+                    let reqs = requests(lines, run);
+                    if whole {
+                        return burst(&mut exec, reqs);
+                    }
+                    reqs.into_iter().map(|req| call(&mut exec, req)).collect()
+                };
+                let before = replies(std::slice::from_ref(read), false);
+                let lock_step = replies(script, false);
+                assert_ne!(
+                    lock_step.last(),
+                    before.last(),
+                    "{script:?} observes {writes:?}"
+                );
+                assert_eq!(
+                    replies(script, true),
+                    lock_step,
+                    "{script:?}, stall {stall:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1681,9 +1729,10 @@ mod tests {
 
     /// The shed layer routes a write with [`StorePressure::shard_of`],
     /// the executor with [`ExecService::plan_mutation`] (a `POST`'s
-    /// first push, to the author's timeline, with `stage_post`): two
-    /// tables of one decision. They agree on every write, whatever the
-    /// shard count, and every read of a live key is served inline.
+    /// first push, to the author's timeline, with `stage_post`): both
+    /// read the first row of the verb's footprint. They agree on every
+    /// write, whatever the shard count, and every read of a live key is
+    /// served inline.
     #[test]
     fn the_shed_layer_routes_each_write_to_the_shard_it_is_staged_on() {
         use crate::protocol::CommandClass;

@@ -87,7 +87,7 @@
 //! pays one relaxed load for all this and a write one branch.
 
 use crate::event_loop::LoopWaker;
-use crate::protocol::{Command, Reply};
+use crate::protocol::{DataRow, Reply};
 use crate::stats::ServerStats;
 use dego_core::{
     home_segment, mpsc, swmr_recent, CounterCell, CounterIncrementOnly, RecentReader, RecentWriter,
@@ -440,33 +440,16 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    /// The shard owning `key`.
-    pub fn shard_of_key(&self, key: &String) -> usize {
-        home_segment(key, self.shards.len())
-    }
-
-    /// The shard owning `user`'s rows.
-    pub fn shard_of_user(&self, user: u64) -> usize {
-        home_segment(&user, self.shards.len())
-    }
-
-    /// The shard a write is staged on, or `None` for a command that is
-    /// not a write. A `POST` fans out to many shards; it routes to its
-    /// author's timeline shard (always a target, and the first staged).
-    pub(crate) fn shard_of_write(&self, cmd: &Command) -> Option<usize> {
-        Some(match cmd {
-            Command::Set(key, _) | Command::Del(key) => self.shard_of_key(key),
-            Command::Incr(key, _) | Command::Expire(key, _) => self.shard_of_key(key),
-            Command::AddUser(user)
-            | Command::Join(user)
-            | Command::Leave(user)
-            | Command::Profile(user)
-            | Command::Post(user, _) => self.shard_of_user(*user),
-            Command::Follow(_, followee) | Command::Unfollow(_, followee) => {
-                self.shard_of_user(*followee)
-            }
-            _ => return None,
-        })
+    /// The shard owning `row`: its key's, or its user's.
+    pub(crate) fn shard_of_row(&self, row: DataRow) -> usize {
+        let shards = self.shards.len();
+        match row {
+            DataRow::Key(key) => home_segment(&key, shards),
+            DataRow::Timeline(user)
+            | DataRow::Profile(user)
+            | DataRow::Group(user)
+            | DataRow::Follower(user) => home_segment(&user, shards),
+        }
     }
 
     /// Whether `key`'s timer has lapsed: a `GET` of it is a reap for

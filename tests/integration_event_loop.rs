@@ -44,15 +44,14 @@ fn idle_timeout_reaps_quiet_connections() {
     idle.ping().expect("idle client serves before going quiet");
     active.ping().expect("active client serves");
 
-    // Stay quiet well past the deadline; the active client keeps the
-    // clock honest by talking the whole time.
-    let parked = Instant::now();
-    while parked.elapsed() < Duration::from_millis(400) {
+    // Stay quiet until the sweep reaps the idle client; the active
+    // client keeps talking the whole time, and must survive it.
+    wait_until("the idle reap", || {
         active
             .ping()
             .expect("active connection must survive the sweep");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        server.stats().idle_closed >= 1
+    });
 
     assert!(
         idle.ping().is_err(),
