@@ -8,6 +8,9 @@
 //! [`drain`] between trials to settle outstanding deferred destructions.
 
 use crossbeam_epoch as epoch;
+/// The pin a caller holds across a run of reads
+/// ([`SegmentedHashMap::read_in`](crate::SegmentedHashMap::read_in)).
+pub use crossbeam_epoch::{pin, Guard};
 
 /// Advance the epoch and collect deferred garbage, `rounds` times.
 ///

@@ -19,6 +19,7 @@ use crate::registry::ThreadRegistry;
 use crate::segmentation::SegmentationKind;
 use crate::swmr_hash::{swmr_hash_map, SwmrHashReader, SwmrHashWriter};
 use crate::swmr_skiplist::{swmr_skip_list_map, SwmrSkipListReader, SwmrSkipListWriter};
+use crossbeam_epoch::{self as epoch, Guard};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -146,8 +147,14 @@ impl<K: Hash + Eq + Clone, V: Clone> SegmentedHashMap<K, V> {
     /// Borrow a key's value where it lies: one segment under Hash,
     /// hint-then-scan under Extended, full scan under Base. `f` runs at
     /// most once, in the first segment found holding the key.
-    pub fn read<R>(&self, key: &K, mut f: impl FnMut(&V) -> R) -> Option<R> {
-        let mut in_segment = |segment: &SwmrHashReader<K, V>| segment.read(key, &mut f);
+    pub fn read<R>(&self, key: &K, f: impl FnMut(&V) -> R) -> Option<R> {
+        self.read_in(&epoch::pin(), key, f)
+    }
+
+    /// [`SegmentedHashMap::read`] under a pin the caller holds, so that
+    /// a run of reads pins once.
+    pub fn read_in<R>(&self, guard: &Guard, key: &K, mut f: impl FnMut(&V) -> R) -> Option<R> {
+        let mut in_segment = |segment: &SwmrHashReader<K, V>| segment.read_in(guard, key, &mut f);
         match self.kind {
             SegmentationKind::Hash => {
                 in_segment(&self.readers[home_segment(key, self.readers.len())])

@@ -383,17 +383,22 @@ impl<K: Hash + Eq + Clone, V: Clone> SwmrHashReader<K, V> {
     /// Borrow a key's value under the pin: Acquire loads only on the
     /// table, and no clone unless `f` makes one.
     pub fn read<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        let guard = epoch::pin();
-        let table_ptr = self.core.table.load(Ordering::Acquire, &guard);
+        self.read_in(&epoch::pin(), key, f)
+    }
+
+    /// [`SwmrHashReader::read`] under a pin the caller holds, so that a
+    /// run of reads pins once.
+    pub fn read_in<R>(&self, guard: &Guard, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+        let table_ptr = self.core.table.load(Ordering::Acquire, guard);
         // SAFETY: tables/entries are epoch-reclaimed.
         let table = unsafe { table_ptr.deref() };
-        let mut cur = table.bin(key).load(Ordering::Acquire, &guard);
+        let mut cur = table.bin(key).load(Ordering::Acquire, guard);
         while let Some(entry) = unsafe { cur.as_ref() } {
             if entry.key == *key {
-                let v = entry.value.load(Ordering::Acquire, &guard);
+                let v = entry.value.load(Ordering::Acquire, guard);
                 return unsafe { v.as_ref() }.map(f);
             }
-            cur = entry.next.load(Ordering::Acquire, &guard);
+            cur = entry.next.load(Ordering::Acquire, guard);
         }
         None
     }

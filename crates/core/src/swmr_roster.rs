@@ -1,9 +1,9 @@
 //! `swmr_roster`: a single-writer multi-reader insertion-ordered set of
 //! `u64` ids — the adjusted object behind a follower row.
 //!
-//! A follower row is added to and removed from by one thread (its
-//! shard's owner), read by any, and asked only for its size, for one
-//! id, and for its first few ids in insertion order. A general map value
+//! A follower row is added to and removed from by one thread at a time,
+//! read by any, and asked only for its size, for one id, and for its
+//! first few ids in insertion order. A general map value
 //! serves that by copy-and-replace: clone the row, edit, publish the
 //! copy, retire the original — O(row) time and a row of garbage per
 //! edge. Narrowed to what its callers do, the row is one allocation of
@@ -20,6 +20,11 @@
 //!   allocation of twice their number, which the caller republishes.
 //!   Each move of `n` ids follows about `n / 2` edits or more since the
 //!   last: amortised O(1).
+//! * [`RosterWriter::try_insert`] and [`RosterWriter::try_remove`] are
+//!   the same edits for a caller that cannot republish: they return
+//!   `None`, the row untouched, where the edit would move it. One rule
+//!   decides both ways, so an edit fits exactly when it would not call
+//!   `publish`.
 //! * [`RosterReader::len`] is one load; [`RosterReader::contains`] and
 //!   [`RosterReader::first`] scan the alive bits and re-scan if a
 //!   removal raced them, so a prefix is the prefix of one instant — a
@@ -44,7 +49,10 @@
 //!
 //! The single-writer permission is a type, as in
 //! [`swmr_recent`](mod@crate::swmr_recent): [`RosterWriter`] is unique and
-//! its edits take `&mut self`; [`RosterReader`] is `Clone`.
+//! its edits take `&mut self`; [`RosterReader`] is `Clone`. Behind a
+//! `Mutex` the handle passes between threads, one edit at a time: the
+//! server's shard writer takes it for the edits that move a row, and an
+//! event loop `try_lock`s it for the edits that fit.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -192,33 +200,61 @@ impl RosterWriter {
     /// returns whether it was added. A row without room moves first and
     /// hands `publish` the reader of its new allocation.
     pub fn insert(&mut self, id: u64, publish: impl FnOnce(RosterReader)) -> bool {
+        if let Some(added) = self.try_insert(id) {
+            return added;
+        }
+        self.move_to((2 * self.live).max(self.min_capacity), None);
+        self.append(id);
+        publish(self.reader());
+        true
+    }
+
+    /// [`RosterWriter::insert`] if it fits: `None`, and the row
+    /// untouched, when it would move the row.
+    pub fn try_insert(&mut self, id: u64) -> Option<bool> {
         if self.find(id).is_some() {
-            return false;
+            return Some(false);
         }
         let capacity = self.row.as_ref().map_or(0, Row::capacity);
-        if self.used < capacity {
-            self.append(id);
-        } else {
-            self.move_to((2 * self.live).max(self.min_capacity), None);
-            self.append(id);
-            publish(self.reader());
+        if self.used == capacity {
+            return None;
         }
-        true
+        self.append(id);
+        Some(true)
     }
 
     /// Take `id` out of the row; returns whether it was in it. A row
     /// left less than a quarter live moves and hands `publish` the
     /// reader of its new allocation.
     pub fn remove(&mut self, id: u64, publish: impl FnOnce(RosterReader)) -> bool {
+        match self.remove_in_place(id) {
+            Ok(removed) => removed,
+            Err(slot) => {
+                let left = (2 * (self.live - 1)).max(self.min_capacity);
+                self.move_to(left, Some(slot));
+                publish(self.reader());
+                true
+            }
+        }
+    }
+
+    /// [`RosterWriter::remove`] if it fits: `None`, and the row
+    /// untouched, when it would move the row.
+    pub fn try_remove(&mut self, id: u64) -> Option<bool> {
+        self.remove_in_place(id).ok()
+    }
+
+    /// Take `id` out of the row in place; `Err` with its slot when that
+    /// would leave the row less than a quarter live, for the caller to
+    /// move it instead.
+    fn remove_in_place(&mut self, id: u64) -> Result<bool, usize> {
         let Some(slot) = self.find(id) else {
-            return false;
+            return Ok(false);
         };
         let row = self.row.as_ref().expect("a found id has a row");
         let (left, capacity) = (self.live - 1, row.capacity());
         if 4 * left < capacity && capacity > self.min_capacity {
-            self.move_to((2 * left).max(self.min_capacity), Some(slot));
-            publish(self.reader());
-            return true;
+            return Err(slot);
         }
         let word = &row.bits()[slot / 64];
         self.seq += 1;
@@ -229,7 +265,7 @@ impl RosterWriter {
         word.store(cleared, Ordering::Release);
         self.live -= 1;
         row.0[LIVE].store(self.live as u64, Ordering::Release);
-        true
+        Ok(true)
     }
 
     /// The writer's plain view of the ids of the used slots.
@@ -469,6 +505,54 @@ mod tests {
         assert!(moves > 20, "only {moves} moves");
     }
 
+    /// `try_insert` and `try_remove` refuse exactly the edits that move
+    /// the row: run in lockstep with a row edited only through `insert`
+    /// and `remove`, a `try_` edit answers `None` exactly when the same
+    /// edit there calls `publish`, and otherwise answers the same.
+    #[test]
+    fn an_edit_fits_exactly_when_it_does_not_publish() {
+        let mut rng = dego_metrics::rng::XorShift64::new(0xf17);
+        let (mut tried, mut moving) = (RosterWriter::new(4), Published::new(4));
+        let (mut fits, mut moves) = (0, 0);
+        for i in 0..20_000 {
+            // Phases that mostly insert grow the row through its moves;
+            // phases that mostly remove shrink it back through them.
+            let id = rng.next_bounded(128);
+            let remove = rng.next_bounded(4) < if i / 200 % 2 == 0 { 1 } else { 3 };
+            let mut published = false;
+            let publish = |moved| {
+                moving.reader = moved;
+                published = true;
+            };
+            let (fit, done) = if remove {
+                (tried.try_remove(id), moving.writer.remove(id, publish))
+            } else {
+                (tried.try_insert(id), moving.writer.insert(id, publish))
+            };
+            assert_eq!(fit.is_none(), published, "remove {remove} of {id}");
+            match fit {
+                Some(fit) => {
+                    assert_eq!(fit, done);
+                    fits += 1;
+                }
+                None => {
+                    // The edit the try refused, as the writer makes it.
+                    let publish = |_| {};
+                    if remove {
+                        tried.remove(id, publish);
+                    } else {
+                        tried.insert(id, publish);
+                    }
+                    moves += 1;
+                }
+            }
+            let mut mine = [0; 512];
+            let n = tried.reader().first(None, &mut mine);
+            assert_eq!(moving.first(512, None), &mine[..n]);
+        }
+        assert!(fits > 1_000 && moves > 50, "{fits} fits, {moves} moves");
+    }
+
     #[test]
     fn first_honours_skip_and_k() {
         let mut row = Published::new(4);
@@ -539,5 +623,104 @@ mod tests {
                 done.store(true, Ordering::Relaxed);
             });
         });
+    }
+
+    /// [`concurrent_prefixes_are_prefixes_of_one_instant`] with the
+    /// edit handle passed between two threads behind one `Mutex`, as the
+    /// server passes a follower row between its shard's writer and the
+    /// event loops. Under the lock either thread makes the row's next
+    /// edit — append the next id, or remove the oldest once the row
+    /// holds `WINDOW` — so the row stays a run of consecutive ids. One
+    /// thread makes every edit with `insert`/`remove` and publishes the
+    /// moves; the other makes only the edits that fit, with
+    /// `try_insert`/`try_remove`, and leaves a move to the first.
+    /// Readers scan the published allocation throughout.
+    #[test]
+    fn edits_from_two_threads_keep_prefixes_of_one_instant() {
+        const ROUNDS: u64 = 200_000;
+        const WINDOW: u64 = 32;
+        /// The row, the next id to append, and the oldest id in it.
+        struct Shared {
+            writer: RosterWriter,
+            next: u64,
+            oldest: u64,
+        }
+        let published = std::sync::Mutex::new(RosterReader::default());
+        let row = std::sync::Mutex::new(Shared {
+            writer: RosterWriter::new(256),
+            next: 1,
+            oldest: 1,
+        });
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let moves = AtomicU64::new(0);
+        // Applies the row's next edit, moving it only if `may_move`;
+        // returns whether it made one, `None` once the rounds are done.
+        let step = |may_move: bool| -> Option<bool> {
+            let mut row = row.lock().unwrap();
+            let Shared {
+                writer,
+                next,
+                oldest,
+            } = &mut *row;
+            if *next == ROUNDS {
+                return None;
+            }
+            let publish = |moved| {
+                *published.lock().unwrap() = moved;
+                moves.fetch_add(1, Ordering::Relaxed);
+            };
+            let removing = *next - *oldest == WINDOW;
+            let edited = match (removing, may_move) {
+                (true, true) => writer.remove(*oldest, publish),
+                (true, false) => match writer.try_remove(*oldest) {
+                    Some(removed) => removed,
+                    None => return Some(false),
+                },
+                (false, true) => writer.insert(*next, publish),
+                (false, false) => match writer.try_insert(*next) {
+                    Some(added) => added,
+                    None => return Some(false),
+                },
+            };
+            assert!(edited, "every edit changes the row");
+            if removing {
+                *oldest += 1;
+            } else {
+                *next += 1;
+            }
+            Some(true)
+        };
+        let by_fitter = std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut out = [0; 16];
+                    while !done.load(Ordering::Relaxed) {
+                        let reader = published.lock().unwrap().clone();
+                        let n = reader.first(None, &mut out);
+                        for pair in out[..n].windows(2) {
+                            assert_eq!(pair[1], pair[0] + 1, "torn prefix {:?}", &out[..n]);
+                        }
+                    }
+                });
+            }
+            let fitter = s.spawn(move || {
+                let mut made = 0;
+                while let Some(edited) = step(false) {
+                    made += edited as u64;
+                    if !edited {
+                        std::thread::yield_now();
+                    }
+                }
+                made
+            });
+            while step(true).is_some() {}
+            let made = fitter.join().unwrap();
+            done.store(true, Ordering::Relaxed);
+            made
+        });
+        // The row of 256 slots moves about every 224 appends.
+        let moves = moves.into_inner();
+        assert!(moves > ROUNDS / 256, "{moves} moves");
+        assert!(by_fitter > 0, "the fitting thread made no edit");
     }
 }

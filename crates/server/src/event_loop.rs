@@ -1318,6 +1318,25 @@ mod tests {
             4 * TIMELINES
         );
 
+        // So do `ADDUSER` of a user that exists and the follower edits
+        // that fit their row, once a first `FOLLOW` (staged: it moves
+        // the row into its first slots) has given each row its slots.
+        let first: String = (0..TIMELINES)
+            .map(|u| format!("FOLLOW 100 {u}\n"))
+            .collect();
+        serve(first.as_bytes());
+        let edits: String = (0..TIMELINES)
+            .map(|u| format!("ADDUSER {u}\nFOLLOW 101 {u}\nUNFOLLOW 101 {u}\n"))
+            .collect();
+        serve(edits.as_bytes());
+        let (allocated, replies) = serve(edits.as_bytes());
+        assert_eq!(replies, b"+OK\n".repeat(3 * TIMELINES as usize));
+        assert!(
+            allocated <= PER_BURST,
+            "{allocated} allocations for {} user-row writes",
+            3 * TIMELINES
+        );
+
         shutdown.store(true, Ordering::Release);
         for shard in 0..2 {
             runtime.store.wake(shard);

@@ -18,8 +18,9 @@
 //! (`EXPIRE` and a lapsed key's `GET` included) are applied by whoever
 //! holds the shard's write side — this loop for one of its home shards,
 //! the shard's owner thread otherwise (see `store.rs`), this loop again
-//! for a write to a user row that exists (a `POST`'s push to one
-//! timeline, `PROFILE`, `JOIN`, `LEAVE`) — and applied before the
+//! for a write to a user row that exists (`ADDUSER`, a `POST`'s push to
+//! one timeline, `PROFILE`, `JOIN`, `LEAVE`, and a `FOLLOW` or
+//! `UNFOLLOW` that fits the followee's row) — and applied before the
 //! response line is emitted, so a client that
 //! saw `+OK` for a `SET` observes that value on every later read, from
 //! any connection (the shard applied it before acking, and segment
@@ -70,7 +71,7 @@ use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, DataRow, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
 use crate::store::{self, Entry, Envelope, Mutation, Store, UserOp, FANOUT_LIMIT};
-use dego_core::{CounterCell, RosterReader};
+use dego_core::{reclaim, CounterCell, RosterReader};
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
     ShardPressure, Stack, StoreSegment, Surface,
@@ -595,6 +596,15 @@ type PendingRows = HashSet<PendingKey, RowHash>;
 /// The rows a single-shard mutation touches: its footprint's writes.
 type Touched = [Option<PendingKey>; 2];
 
+/// What a staging pass's inline writes share: whether it may apply any
+/// (the chaos stall was down when it began), and one epoch pin for all
+/// their row lookups, taken at the first and dropped before the pass
+/// publishes, so a pass pays one pin however many it applies.
+struct Inline {
+    allowed: bool,
+    pin: Option<reclaim::Guard>,
+}
+
 /// What a batched request is waiting on when assembly begins.
 enum Slot {
     /// Answered inline (read, control, structural rejection, a user-row
@@ -773,20 +783,22 @@ impl ExecService {
     }
 
     /// Apply `op` on this thread if it is a write to a user row that
-    /// exists, the pass may (`inline`: the stall was down when it began)
-    /// and `burst` has no mutation of a row it `touched` staged or in
-    /// flight before it: its reply. `None` means stage it: its shard's
-    /// writer creates a missing row, then applies the same [`UserOp`].
+    /// exists, the pass may (see [`Inline`]) and `burst` has no mutation
+    /// of a row it `touched` staged or in flight before it: its reply.
+    /// `None` means stage it: its shard's writer creates a missing row,
+    /// then applies the same [`UserOp`], and so it does a follower edit
+    /// that would move its row or finds the row's lock busy
+    /// ([`store::User::apply`]).
     fn apply_inline(
         &self,
-        inline: bool,
+        inline: &mut Inline,
         burst: &Burst,
         (op, touched): (&Mutation, Touched),
     ) -> Option<Reply> {
         let &Mutation::User { user, op } = op else {
             return None;
         };
-        if !inline
+        if !inline.allowed
             || touched
                 .iter()
                 .flatten()
@@ -794,7 +806,10 @@ impl ExecService {
         {
             return None;
         }
-        let reply = self.store.tables.users.read(&user, |row| row.apply(op))?;
+        let users = &self.store.tables.users;
+        let pin = inline.pin.get_or_insert_with(reclaim::pin);
+        let reply = users.read_in(pin, &user, |row| row.apply(op, None));
+        let reply = reply.flatten()?;
         self.applied.inc();
         Some(reply)
     }
@@ -807,7 +822,7 @@ impl ExecService {
     fn stage_post(
         &mut self,
         burst: &mut Burst,
-        (inline, later): (bool, bool),
+        (inline, later): (&mut Inline, bool),
         (author, msg): (u64, u64),
     ) -> Range<u64> {
         self.stats.note_mutation();
@@ -876,7 +891,7 @@ impl ExecService {
     /// writes — or `cmd` back when it is not one. A `GET` of a key whose
     /// timer has lapsed is one: its reap, a write of the key it reads.
     fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
-        use UserOp::{Join, Leave, Profile};
+        use UserOp::{Add, Follow, Join, Leave, Profile, Unfollow};
         let writes = match &cmd {
             Command::Get(key) if self.store.lapsed(key) => [Some(DataRow::Key(key)), None],
             cmd => cmd.footprint().writes,
@@ -891,9 +906,15 @@ impl ExecService {
             Command::Incr(key, delta) => Mutation::Incr { key, delta },
             Command::Expire(key, millis) => Mutation::Expire { key, millis },
             Command::Get(key) => Mutation::Reap { key },
-            Command::AddUser(user) => Mutation::AddUser { user },
-            Command::Follow(follower, followee) => Mutation::FollowerAdd { followee, follower },
-            Command::Unfollow(follower, followee) => Mutation::FollowerDel { followee, follower },
+            Command::AddUser(user) => Mutation::User { user, op: Add },
+            Command::Follow(follower, user) => Mutation::User {
+                user,
+                op: Follow(follower),
+            },
+            Command::Unfollow(follower, user) => Mutation::User {
+                user,
+                op: Unfollow(follower),
+            },
             Command::Join(user) => Mutation::User { user, op: Join },
             Command::Leave(user) => Mutation::User { user, op: Leave },
             Command::Profile(user) => Mutation::User { user, op: Profile },
@@ -1035,7 +1056,10 @@ impl ExecService {
             burst.pending.clear();
         }
         // With the stall up, every write goes to the stalled owners.
-        let inline = !self.store.stalled();
+        let mut inline = Inline {
+            allowed: !self.store.stalled(),
+            pin: None,
+        };
         while let Some(req) = burst.rest.as_slice().first() {
             if Self::waits(burst, &req.command) {
                 break;
@@ -1050,12 +1074,13 @@ impl ExecService {
             let slot = match req.command {
                 Command::Quit => Slot::Quit,
                 Command::Post(author, msg) => {
-                    Slot::Fanout(self.stage_post(burst, (inline, later), (author, msg)))
+                    Slot::Fanout(self.stage_post(burst, (&mut inline, later), (author, msg)))
                 }
                 cmd => match self.plan_mutation(cmd) {
                     Ok((shard, op, touched)) => {
                         self.stats.note_mutation();
-                        if let Some(reply) = self.apply_inline(inline, burst, (&op, touched)) {
+                        let inlined = self.apply_inline(&mut inline, burst, (&op, touched));
+                        if let Some(reply) = inlined {
                             Slot::Done(reply)
                         } else {
                             if later {
@@ -1069,6 +1094,8 @@ impl ExecService {
             };
             burst.slots.push(slot);
         }
+        // Unpinned before the runs apply, which may retire garbage.
+        drop(inline);
         self.next_seq = burst.acks.next_seq();
         self.publish(&mut burst.acks);
     }
@@ -1310,14 +1337,11 @@ mod tests {
 
         assert_eq!(sweeps_of(sets(0..64).collect(), 64), 2);
         assert_eq!(store.applied_since_reset(), 64);
-        let mut shard_lines = Vec::new();
-        store.render_shards(&mut Surface::Stats(&mut shard_lines));
-        let enqueued: u64 = shard_lines
-            .iter()
-            .filter_map(|line| line.split_once("_enqueued="))
-            .map(|(_, count)| count.parse::<u64>().expect("numeric"))
-            .sum();
-        assert_eq!(enqueued, 64, "STATS SHARDS counts mutations, not envelopes");
+        assert_eq!(
+            enqueued(&store),
+            64,
+            "STATS SHARDS counts mutations, not envelopes"
+        );
 
         // A read of an untouched key in the middle is no barrier and
         // ends no run: the pass publishes once, at its end.
@@ -1326,6 +1350,68 @@ mod tests {
         burst.extend(sets(96..128));
         assert_eq!(sweeps_of(burst, 64), 2);
         assert_eq!(store.applied_since_reset(), 128);
+    }
+
+    /// The mutations handed to every shard, as `STATS SHARDS` counts
+    /// them (`shard{}_enqueued`).
+    fn enqueued(store: &Store) -> u64 {
+        let mut shard_lines = Vec::new();
+        store.render_shards(&mut Surface::Stats(&mut shard_lines));
+        shard_lines
+            .iter()
+            .filter_map(|line| line.split_once("_enqueued="))
+            .map(|(_, count)| count.parse::<u64>().expect("numeric"))
+            .sum()
+    }
+
+    /// A write to a user row that exists applies on the connection's
+    /// loop, and so does a follower edit that fits its row: on a loop
+    /// home to no shard, a burst of one of each per verb finishes inside
+    /// `begin_batch` and hands no owner a mutation. Counted, not timed.
+    #[test]
+    fn user_row_writes_to_rows_that_exist_reach_no_owner() {
+        let (mut exec, _, owners) = exec_over(None, Duration::from_secs(5), None);
+        let store = &owners.runtime.store;
+        let requests = |lines: &[&str]| -> Vec<Request> {
+            let parse = |line: &&str| Command::parse(line).expect("a line parses");
+            lines.iter().map(parse).map(Request::new).collect()
+        };
+        // Both rows exist, and 1's follower row has its first slots.
+        burst(
+            &mut exec,
+            requests(&["ADDUSER 1", "ADDUSER 2", "FOLLOW 2 1"]),
+        );
+        let before = enqueued(store);
+        let lines = [
+            "ADDUSER 1",
+            "FOLLOW 3 1",
+            "UNFOLLOW 3 1",
+            "POST 1 7",
+            "PROFILE 1",
+            "JOIN 1",
+            "LEAVE 1",
+        ];
+        let replies = finished_at_once(&mut exec, requests(&lines)).expect("the burst parked");
+        let ok = Reply::Status("OK");
+        assert_eq!(
+            replies,
+            [
+                ok.clone(),
+                ok.clone(),
+                ok.clone(),
+                ok.clone(),
+                Reply::Int(1),
+                ok.clone(),
+                ok
+            ]
+        );
+        assert_eq!(enqueued(store), before, "handed to an owner");
+        let reads = requests(&["FOLLOWERS 1", "ISFOLLOWING 3 1", "TIMELINE 2"]);
+        let replies = burst(&mut exec, reads);
+        assert_eq!(
+            replies,
+            [Reply::Int(1), Reply::Int(0), Reply::Ints(vec![7])]
+        );
     }
 
     /// In process, a chain's `call_batch` takes the served path: the
@@ -1777,7 +1863,11 @@ mod tests {
                                 pending: PendingRows::default(),
                                 dead: None,
                             };
-                            let first = exec.stage_post(&mut burst, (true, false), (author, msg));
+                            let inline = &mut Inline {
+                                allowed: true,
+                                pin: None,
+                            };
+                            let first = exec.stage_post(&mut burst, (inline, false), (author, msg));
                             let author_push = |run: &Vec<Entry>| match run.first() {
                                 Some(Entry::Op(seq, Mutation::User { user, .. })) => {
                                     *seq == first.start && *user == author

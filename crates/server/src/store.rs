@@ -32,18 +32,23 @@
 //! frees — then rings the sender's event-loop doorbell
 //! ([`Envelope::waker`]). A run applied in place comes after every
 //! envelope queued before it, so each shard's mutations still apply in
-//! FIFO order.
+//! FIFO order. What reaches a write side at all is the kv verbs and, of
+//! the user rows, only the writes that create a row or move a follower
+//! row (below); the owners apply those of them that no home loop took.
 //!
-//! **What needs no write side.** A user's timeline, profile version and
-//! group membership are one [`User`] row in [`Tables::users`]. Only the
-//! shard's writer creates a row (at `ADDUSER`, or when a staged write
-//! finds none), so each segment of the map keeps its one writer; once a
-//! row exists, any thread may write it through [`User::apply`]. A
-//! connection applies a `POST`'s push, `PROFILE`, `JOIN` or `LEAVE` so
-//! on its own loop while it stages the burst, counted in its loop's
-//! cell of [`Store::applied`] — no run, no hand-off, no ack — unless the
-//! row is missing, the chaos stall is up, or the burst has a write of
-//! that row staged or in flight.
+//! **What needs no write side.** A user's timeline, profile version,
+//! group membership and the edit half of their follower row are one
+//! [`User`] row in [`Tables::users`]. Only the shard's writer creates a
+//! row (when a staged write finds none), so each segment of the map
+//! keeps its one writer; once a row exists, any thread may write it
+//! through [`User::apply`]. A connection applies `ADDUSER` (nothing to
+//! do on a row that exists), a `POST`'s push, `PROFILE`, `JOIN`, `LEAVE`,
+//! `FOLLOW` and `UNFOLLOW` so on its own loop while it stages the burst,
+//! counted in its loop's cell of [`Store::applied`] — no run, no
+//! hand-off, no ack — unless the row is missing, the chaos stall is up,
+//! or the burst has a write of that row staged or in flight. A follower
+//! edit is staged, too, if it would move its row, or if the row's lock
+//! is busy: the loop only `try_lock`s it, as the writer may be mid-move.
 //!
 //! The trade-off is where a slow apply lands. In place it runs on the
 //! loop thread, so a slow one — say a 512-line `FOLLOW` burst against a
@@ -66,15 +71,16 @@
 //! overwrite allocates the new value's box and nothing else. A
 //! timeline is a [`dego_core::swmr_recent()`] log and a follower row a
 //! [`dego_core::RosterWriter`] row, both **appended to in place**: the
-//! `followers` map holds each row's read half, the write side keeps the
-//! edit halves in plain state ([`Owned::rows`]). A timeline push is one
+//! `followers` map holds each row's read half, the followee's [`User`]
+//! row its edit half behind the row's own lock. A timeline push is one
 //! lookup, an uncontended lock and two stores — no allocation, nothing
-//! retired. A `FollowerAdd` or
-//! `FollowerDel` is one local lookup, a scan of the row's ids for the
-//! follower and a few stores; only a row that moves (full, or less than
-//! a quarter live) allocates, and republishes its read half with a
-//! `put`. `TIMELINE` copies its window straight out of the ring, newest
-//! first, and a `POST` its fan-out straight out of the row's head.
+//! retired. A `FOLLOW` or `UNFOLLOW` is one lookup, a lock, a scan of
+//! the row's ids for the follower and a few stores; only a row that
+//! moves (full, or less than a quarter live) allocates, and the shard's
+//! writer republishes its read half with a `put`: it stays the one
+//! thread that writes the `followers` map. `TIMELINE` copies its window
+//! straight out of the ring, newest first, and a `POST` its fan-out
+//! straight out of the row's head.
 //!
 //! **Key timers live with their key's owner.** `EXPIRE` is a mutation
 //! of its key's row, and the deadlines sit in a segment of the write
@@ -97,7 +103,6 @@ use dego_middleware::{
     declare_metrics, Histograms, LatencyHistogram, PipelineMetrics, Reading, Row, StoreSegment,
     Surface, WindowedHistogram, P50_P99,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
@@ -260,20 +265,21 @@ pub(crate) enum Mutation {
     Incr { key: String, delta: i64 },
     Expire { key: String, millis: u64 },
     Reap { key: String },
-    AddUser { user: u64 },
     User { user: u64, op: UserOp },
-    FollowerAdd { followee: u64, follower: u64 },
-    FollowerDel { followee: u64, follower: u64 },
 }
 
-/// A write to one user's row: a `POST`'s push to one timeline,
-/// `PROFILE`, `JOIN` or `LEAVE`.
+/// A write to one user's row: `ADDUSER`, a `POST`'s push to one
+/// timeline, `PROFILE`, `JOIN`, `LEAVE`, and a `FOLLOW` or `UNFOLLOW`
+/// of the user by the follower it carries.
 #[derive(Clone, Copy)]
 pub(crate) enum UserOp {
+    Add,
     Push(u64),
     Profile,
     Join,
     Leave,
+    Follow(u64),
+    Unfollow(u64),
 }
 
 /// One user's state, one value of [`Tables::users`], each field cut
@@ -291,6 +297,9 @@ pub(crate) struct User {
     pub profile: AtomicU64,
     /// Membership of the interest group, a flag.
     pub member: AtomicBool,
+    /// The edit half of who follows the user, behind the row's own
+    /// lock; [`Tables::followers`] publishes its read half.
+    roster: Mutex<RosterWriter>,
 }
 
 impl User {
@@ -301,24 +310,53 @@ impl User {
             timeline,
             profile: AtomicU64::new(0),
             member: AtomicBool::new(false),
+            roster: Mutex::new(RosterWriter::new(FOLLOWERS_MIN)),
         }
     }
 
-    /// Apply `op` — the one implementation, whoever applies it.
-    pub(crate) fn apply(&self, op: UserOp) -> Reply {
+    /// Apply `op` — the one implementation, whoever applies it. The
+    /// shard's writer passes `publish`, which republishes a follower row
+    /// that moves, and always gets the reply. A loop passes `None`, and
+    /// gets `None` with the row untouched, for the writer to apply, when
+    /// a follower edit would move the row or its lock is busy: the
+    /// writer may be mid-move, copying the whole row.
+    pub(crate) fn apply(
+        &self,
+        op: UserOp,
+        publish: Option<&mut dyn FnMut(RosterReader)>,
+    ) -> Option<Reply> {
         match op {
+            UserOp::Add => {}
             UserOp::Push(msg) => {
                 let mut log = self.log.lock().expect("no push panics holding its log");
                 log.push(msg);
             }
             UserOp::Profile => {
                 let version = self.profile.fetch_add(1, Ordering::AcqRel) + 1;
-                return Reply::Int(version as i64);
+                return Some(Reply::Int(version as i64));
             }
             UserOp::Join => self.member.store(true, Ordering::Release),
             UserOp::Leave => self.member.store(false, Ordering::Release),
+            UserOp::Follow(id) | UserOp::Unfollow(id) => {
+                let follow = matches!(op, UserOp::Follow(_));
+                if let Some(publish) = publish {
+                    let mut roster = self.roster.lock().expect("no roster edit panics");
+                    if follow {
+                        roster.insert(id, publish);
+                    } else {
+                        roster.remove(id, publish);
+                    }
+                } else {
+                    let mut roster = self.roster.try_lock().ok()?;
+                    if follow {
+                        roster.try_insert(id)
+                    } else {
+                        roster.try_remove(id)
+                    }?;
+                }
+            }
         }
-        Reply::Status("OK")
+        Some(Reply::Status("OK"))
     }
 }
 
@@ -392,7 +430,6 @@ impl Tables {
             timers: self.timers.clone(),
             users: self.users.writer(),
             followers: self.followers.writer(),
-            rows: HashMap::new(),
         }
     }
 }
@@ -819,22 +856,9 @@ struct Owned {
     timers: Timers,
     users: SegmentedHashMapWriter<u64, Arc<User>>,
     followers: SegmentedHashMapWriter<u64, RosterReader>,
-    /// The edit halves of the rows whose read halves `followers`
-    /// publishes — plain writer-local state, same key set as this
-    /// shard's segment of that map.
-    rows: HashMap<u64, RosterWriter>,
 }
 
 impl Owned {
-    /// `f` of `user`'s row, created (and published) first if it is
-    /// missing.
-    fn user<R>(&mut self, user: u64, f: impl FnOnce(&User) -> R) -> R {
-        if self.users.peek(&user, |row| row.is_none()) {
-            self.users.put(user, Arc::new(User::new()));
-        }
-        self.users.peek(&user, |row| f(row.expect("created above")))
-    }
-
     /// When `key`'s timer lapses, if it has one.
     fn deadline(&self, key: &String) -> Option<u64> {
         self.timers
@@ -922,29 +946,23 @@ impl Owned {
                 let row = self.kv.peek(&key, |row| row.cloned());
                 row.map_or(Reply::Nil, Reply::Value)
             }
-            Mutation::AddUser { user } => {
-                self.user(user, |_| ());
-                Reply::Status("OK")
-            }
-            Mutation::User { user, op } => self.user(user, |row| row.apply(op)),
-            Mutation::FollowerAdd { followee, follower } => {
+            Mutation::User { user, op } => {
                 let Owned {
-                    rows, followers, ..
+                    users, followers, ..
                 } = self;
-                let row = rows
-                    .entry(followee)
-                    .or_insert_with(|| RosterWriter::new(FOLLOWERS_MIN));
-                row.insert(follower, |moved| followers.put(followee, moved));
-                Reply::Status("OK")
-            }
-            Mutation::FollowerDel { followee, follower } => {
-                let Owned {
-                    rows, followers, ..
-                } = self;
-                if let Some(row) = rows.get_mut(&followee) {
-                    row.remove(follower, |moved| followers.put(followee, moved));
+                let mut publish = |moved| followers.put(user, moved);
+                let mut apply = |row: &Arc<User>| row.apply(op, Some(&mut publish));
+                if let Some(reply) = users.peek(&user, |row| row.map(&mut apply)) {
+                    return reply.expect("the writer applies every op");
                 }
-                Reply::Status("OK")
+                // A missing row is created (and published) first, but
+                // for an unfollow, which has nothing to take out.
+                if let UserOp::Unfollow(_) = op {
+                    return Reply::Status("OK");
+                }
+                users.put(user, Arc::new(User::new()));
+                let reply = users.peek(&user, |row| row.map(apply)).flatten();
+                reply.expect("the writer applies every op to the row it created")
             }
         }
     }
@@ -994,12 +1012,15 @@ mod tests {
             key: "n".into(),
             delta: 1_000_000_007,
         };
-        let follow = |follower| Mutation::FollowerAdd {
-            followee: 1,
-            follower,
+        let follow = |follower| Mutation::User {
+            user: 1,
+            op: UserOp::Follow(follower),
         };
 
-        spent(Mutation::AddUser { user: 1 });
+        spent(Mutation::User {
+            user: 1,
+            op: UserOp::Add,
+        });
         // Well past a wrap of the ring.
         for msg in 0..3 * TIMELINE_KEEP as u64 {
             let push = UserOp::Push(msg);
@@ -1015,9 +1036,9 @@ mod tests {
         spent(incr());
         assert_eq!(spent(incr()), 2, "the new string and its box");
 
-        let unfollow = |follower| Mutation::FollowerDel {
-            followee: 1,
-            follower,
+        let unfollow = |follower| Mutation::User {
+            user: 1,
+            op: UserOp::Unfollow(follower),
         };
         spent(follow(2));
         assert_eq!(spent(follow(3)), 0, "into spare capacity");
@@ -1028,6 +1049,11 @@ mod tests {
         assert_eq!(spent(follow(5)), 0, "into spare capacity");
         // All four slots used, three live: the row moves to six.
         assert!(spent(follow(6)) <= 2, "the grown row and its box");
+        let nobody = Mutation::User {
+            user: 9,
+            op: UserOp::Unfollow(2),
+        };
+        assert_eq!(spent(nobody), 0, "an unfollow creates no row");
 
         let mut row = Vec::new();
         tables
@@ -1042,5 +1068,6 @@ mod tests {
         let mut fans = [0; 8];
         let n = tables.followers.read(&1, |row| row.first(None, &mut fans));
         assert_eq!(&fans[..n.unwrap()], [2, 3, 5, 6]);
+        assert!(!tables.users.contains_key(&9));
     }
 }

@@ -663,6 +663,179 @@ fn wire_histories_of_user_rows_are_linearizable() {
     }
 }
 
+/// One user's follower row as the wire shows it: a set that `FOLLOW f
+/// u` adds `f` to, `UNFOLLOW f u` takes `f` out of, and `ISFOLLOWING f
+/// u` and `FOLLOWERS u` read. The server also answers a burst as it
+/// would the same lines one at a time, so each connection's ops on a row
+/// take effect in the order it sent them: an op carries its connection
+/// and its turn there, and the model answers an op out of turn with a
+/// reply no wire reply matches. The check then covers program order
+/// inside a burst as well as real-time order across bursts.
+#[derive(Debug)]
+struct FollowerRow;
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum FanOp {
+    Follow(u64),
+    Unfollow(u64),
+    IsFollowing(u64),
+    Followers,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum FanRet {
+    Ok,
+    Int(i64),
+    OutOfTurn,
+}
+
+/// Connections of [`wire_histories_of_follower_rows_are_linearizable`].
+const FAN_CLIENTS: usize = 4;
+
+impl DataType for FollowerRow {
+    /// The followers, ascending, and each connection's next turn.
+    type State = (Vec<u64>, [u32; FAN_CLIENTS]);
+    /// The connection, its turn, the op.
+    type Op = (usize, u32, FanOp);
+    type Ret = FanRet;
+
+    fn apply(&self, state: &Self::State, (client, turn, op): &Self::Op) -> (Self::State, FanRet) {
+        let (mut fans, mut turns) = state.clone();
+        if turns[*client] != *turn {
+            return (state.clone(), FanRet::OutOfTurn);
+        }
+        turns[*client] += 1;
+        let ret = match op {
+            FanOp::Follow(fan) => {
+                if let Err(at) = fans.binary_search(fan) {
+                    fans.insert(at, *fan);
+                }
+                FanRet::Ok
+            }
+            FanOp::Unfollow(fan) => {
+                if let Ok(at) = fans.binary_search(fan) {
+                    fans.remove(at);
+                }
+                FanRet::Ok
+            }
+            FanOp::IsFollowing(fan) => FanRet::Int(fans.binary_search(fan).is_ok() as i64),
+            FanOp::Followers => FanRet::Int(fans.len() as i64),
+        };
+        ((fans, turns), ret)
+    }
+}
+
+impl FanOp {
+    fn line(&self, user: u64) -> String {
+        match self {
+            FanOp::Follow(fan) => format!("FOLLOW {fan} {user}"),
+            FanOp::Unfollow(fan) => format!("UNFOLLOW {fan} {user}"),
+            FanOp::IsFollowing(fan) => format!("ISFOLLOWING {fan} {user}"),
+            FanOp::Followers => format!("FOLLOWERS {user}"),
+        }
+    }
+
+    fn ret(reply: ClientReply) -> FanRet {
+        match reply {
+            ClientReply::Status(s) if s == "OK" => FanRet::Ok,
+            ClientReply::Int(n) => FanRet::Int(n),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+}
+
+/// Linearizability of follower rows over the wire, in the shape of
+/// [`wire_histories_are_linearizable_per_key`]: two loops over two
+/// shards, four pipelined clients, and every other round with the
+/// owners stalled. Each round's followees are fresh, so a row's first
+/// edit is staged (it moves the row into its first four slots); its six
+/// followers then overflow those, so the shard's writer moves the row
+/// while, the stall down, the edits that fit apply on the loops. Each
+/// row's history is checked against [`FollowerRow`].
+#[test]
+fn wire_histories_of_follower_rows_are_linearizable() {
+    const ROUNDS: u64 = 400;
+    const USERS: u64 = 2;
+    const FANS: u64 = 6;
+    const BURSTS: usize = 2;
+    const OPS: usize = 4;
+    let server = spawn(ServerConfig {
+        shards: common::shards(2),
+        capacity: 4096,
+        event_loops: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let addr = server.local_addr();
+    let clock = AtomicU64::new(0);
+    let tick = || clock.fetch_add(1, Ordering::SeqCst);
+    let barrier = Barrier::new(FAN_CLIENTS + 1);
+    type History = Vec<Completed<FollowerRow>>;
+    let histories: Vec<Vec<std::sync::Mutex<History>>> = (0..ROUNDS)
+        .map(|_| (0..USERS).map(|_| Default::default()).collect())
+        .collect();
+    let user_of = |round: usize, user: usize| 2_000_000 + round as u64 * USERS + user as u64;
+    std::thread::scope(|s| {
+        for id in 0..FAN_CLIENTS {
+            let (barrier, histories, tick) = (&barrier, &histories, &tick);
+            s.spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut rng = XorShift64::new(0xFA45 + id as u64);
+                for (round, users) in histories.iter().enumerate() {
+                    let mut turns = [0u32; USERS as usize];
+                    barrier.wait();
+                    for _ in 0..BURSTS {
+                        let burst: Vec<(usize, FanOp)> = (0..OPS)
+                            .map(|_| {
+                                let user = rng.next_bounded(USERS) as usize;
+                                let fan = 1 + rng.next_bounded(FANS);
+                                let op = match rng.next_bounded(16) {
+                                    0..=6 => FanOp::Follow(fan),
+                                    7..=9 => FanOp::Unfollow(fan),
+                                    10..=12 => FanOp::IsFollowing(fan),
+                                    _ => FanOp::Followers,
+                                };
+                                (user, op)
+                            })
+                            .collect();
+                        for (user, op) in &burst {
+                            c.send(&op.line(user_of(round, *user))).expect("send");
+                        }
+                        let invoke = tick();
+                        c.flush().expect("flush");
+                        for (user, op) in burst {
+                            let ret = FanOp::ret(c.read_reply().expect("reply"));
+                            let turn = turns[user];
+                            turns[user] += 1;
+                            let done = Completed::new((id, turn, op), ret, invoke, tick());
+                            users[user].lock().expect("history lock").push(done);
+                        }
+                    }
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            let stall = round % 2 == 1;
+            server.set_shard_delay(stall.then_some(std::time::Duration::from_micros(200)));
+            barrier.wait();
+            barrier.wait();
+        }
+    });
+    server.shutdown();
+    let init = (Vec::new(), [0; FAN_CLIENTS]);
+    for (round, users) in histories.into_iter().enumerate() {
+        for (user, history) in users.into_iter().enumerate() {
+            let history = history.into_inner().expect("history lock");
+            assert!(
+                is_linearizable(&FollowerRow, &init, &history),
+                "round {round} followee {}: {history:#?}",
+                user_of(round, user)
+            );
+        }
+    }
+}
+
 /// Shutdown with live connections parked on the socket: the server
 /// must still come down within the read-timeout tick, joining every
 /// shard and connection thread (ServerHandle::shutdown blocks on the
