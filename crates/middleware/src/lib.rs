@@ -16,7 +16,7 @@
 //! | [`AuthLayer`] | `AUTH` tokens + role ACLs | SWMR hash map, RCU-published policy |
 //! | [`RateLimitLayer`] | per-client token buckets | `SegmentedHashMap` of atomic buckets, `LongAdder` refill counters |
 //! | [`ShedLayer`] | shard-pressure load shedding for writes | injected [`PressureProbe`] over live shard telemetry |
-//! | [`TtlLayer`] | meters `EXPIRE` timers and lazy expiry on `GET`, both kept by the key's shard owner | none (the deadlines are an owner-written segment beside the keyspace) |
+//! | [`TtlLayer`] | meters `EXPIRE` timers and lazy expiry on `GET`, both applied by the key's shard writer | none (a key's deadline lives in its keyspace row) |
 //!
 //! Composition is canonical regardless of configuration order:
 //!

@@ -431,8 +431,8 @@ pub enum LayerKind {
     /// Shard-pressure load shedding for writes (below rate-limit, so a
     /// shed burst still pays tokens).
     Shed,
-    /// TTL/expiry: meters the traffic of the key timers the shard
-    /// owners keep (innermost, immediately in front of the store).
+    /// TTL/expiry: meters the traffic of the key timers, which live in
+    /// the keys' rows (innermost, immediately in front of the store).
     Ttl,
 }
 

@@ -1,5 +1,6 @@
-//! TTL/expiry: the gate in front of the key timers, which live with
-//! their key's shard owner in `dego-server` (its `store.rs` says how).
+//! TTL/expiry: the gate in front of the key timers. In `dego-server` a
+//! key's deadline lives in its keyspace row, beside its value, and its
+//! shard's writer arms and reaps it (its `store.rs` says how).
 //! This layer counts `ttl_checked` in one pass over a burst and passes
 //! the burst on whole; without it the store refuses `EXPIRE`.
 

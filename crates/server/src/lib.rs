@@ -7,7 +7,7 @@
 //!
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
-//! | keyspace, user rows, follower index | [`dego_core::SegmentedHashMap`], rows created only by their shard's writer | `(M2, CWMR)` |
+//! | keyspace, user rows, follower index | [`dego_core::SegmentedHashMap`], rows created only by their shard's writer; a key's row holds its value and its deadline, replaced together | `(M2, CWMR)` |
 //! | each user's timeline | [`dego_core::swmr_recent()`] log, appended under its row's lock by any thread | CWMR at row grain, newest-`n` reads |
 //! | each user's profile version / group membership | `AtomicU64` increment-and-get / `AtomicBool` flag in the user's row | written by any thread |
 //! | each user's followers | [`dego_core::RosterWriter`] row in the user's row, edited in place under its lock by any thread, moved only by its shard's writer | CWMR at row grain, size / member / first-`k` reads |
@@ -34,7 +34,7 @@
 //! mutex, taken by an owner once per 256 retirements and by whichever
 //! thread next drops the process's last guard while garbage waits —
 //! and every map read bumps its process-wide guard count twice (see
-//! `dego_core::swmr_hash`; ROADMAP item 10), but a staging pass's
+//! `dego_core::swmr_hash`; ROADMAP item 14), but a staging pass's
 //! user-row writes, whose row lookups share one pin.
 //!
 //! Consistency: a mutation is acknowledged only after it was applied,

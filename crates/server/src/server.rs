@@ -70,7 +70,7 @@
 use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, DataRow, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
-use crate::store::{self, Entry, Envelope, Mutation, Store, UserOp, FANOUT_LIMIT};
+use crate::store::{self, Entry, Envelope, KvRow, Mutation, Store, UserOp, FANOUT_LIMIT};
 use dego_core::{reclaim, CounterCell, RosterReader};
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
@@ -353,7 +353,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let ready = Arc::new(AtomicBool::new(true));
     let loops_joined = Arc::new(AtomicBool::new(false));
-    // The shard owners keep the key timers, counted with the TTL layer's.
+    // The shard writers count key timers with the TTL layer's metrics.
     let ttl = mw.layers.contains(&LayerKind::Ttl);
     let runtime = store::spawn_shards(
         config.shards,
@@ -888,16 +888,28 @@ impl ExecService {
 
     /// The single-shard mutation `cmd` moves into, with its shard and
     /// the rows it touches — both read off the rows its footprint
-    /// writes — or `cmd` back when it is not one. A `GET` of a key whose
-    /// timer has lapsed is one: its reap, a write of the key it reads.
-    fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Command> {
+    /// writes — or, when it is not one, its reply, served inline. A
+    /// `GET` reads its key's row once: a live value or a miss is its
+    /// reply, and a lapsed row makes it the key's reap, a write of the
+    /// key it reads.
+    fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Reply> {
         use UserOp::{Add, Follow, Join, Leave, Profile, Unfollow};
         let writes = match &cmd {
-            Command::Get(key) if self.store.lapsed(key) => [Some(DataRow::Key(key)), None],
+            Command::Get(key) => match self.store.tables.kv.read(key, KvRow::live) {
+                Some(None) => [Some(DataRow::Key(key)), None],
+                Some(Some(value)) => {
+                    self.stats.note_get_hit();
+                    return Err(Reply::Value(value));
+                }
+                None => {
+                    self.stats.note_get_miss();
+                    return Err(Reply::Nil);
+                }
+            },
             cmd => cmd.footprint().writes,
         };
         let Some(shard) = writes[0].map(|row| self.store.shard_of_row(row)) else {
-            return Err(cmd);
+            return Err(self.serve_read(&cmd));
         };
         let touched = writes.map(|row| row.map(PendingKey::of));
         let op = match cmd {
@@ -919,7 +931,7 @@ impl ExecService {
             Command::Leave(user) => Mutation::User { user, op: Leave },
             Command::Profile(user) => Mutation::User { user, op: Profile },
             // A `POST` is staged by `stage_post`, push by push.
-            other => return Err(other),
+            other => return Err(self.serve_read(&other)),
         };
         Ok((shard, op, touched))
     }
@@ -936,19 +948,10 @@ impl ExecService {
     }
 
     /// Serve a read/control command inline from the lock-free segment
-    /// readers (never a mutation, `QUIT`, or a middleware verb).
+    /// readers (never a `GET`, which [`ExecService::plan_mutation`]
+    /// answers, a mutation, `QUIT`, or a middleware verb).
     fn serve_read(&self, cmd: &Command) -> Reply {
         match cmd {
-            Command::Get(key) => match self.store.tables.kv.get(key) {
-                Some(v) => {
-                    self.stats.note_get_hit();
-                    Reply::Value(v)
-                }
-                None => {
-                    self.stats.note_get_miss();
-                    Reply::Nil
-                }
-            },
             Command::Timeline(user) => {
                 self.stats.note_timeline_read();
                 let mut newest = Vec::new();
@@ -1016,7 +1019,7 @@ impl ExecService {
     fn structural_rejection(&self, cmd: &Command) -> Option<Response> {
         match cmd {
             Command::Auth(_) => Some(Response::rejection("AUTH", "auth layer not enabled")),
-            Command::Expire(..) if self.store.tables.timers.metrics.is_none() => {
+            Command::Expire(..) if self.store.tables.ttl.is_none() => {
                 Some(Response::rejection("TTL", "ttl layer not enabled"))
             }
             Command::SlowlogGet
@@ -1089,7 +1092,7 @@ impl ExecService {
                             Slot::Single(self.stage(&mut burst.acks, shard, op))
                         }
                     }
-                    Err(cmd) => Slot::Done(self.serve_read(&cmd)),
+                    Err(reply) => Slot::Done(reply),
                 },
             };
             burst.slots.push(slot);
@@ -1218,7 +1221,7 @@ mod tests {
     }
 
     /// A store of `shards` shards whose owners stall `stall` per apply
-    /// (and keep key timers when given the TTL layer's metrics), its
+    /// (and count key timers when given the TTL layer's metrics), its
     /// server counters, and the owners, stopped when the guard drops.
     fn owners(
         shards: usize,
@@ -1549,7 +1552,8 @@ mod tests {
             .map(|resp| resp.reply)
             .collect();
         assert_eq!(replies, [ok]);
-        assert_eq!(store.tables.kv.get(&away).as_deref(), Some("v"));
+        let row = store.tables.kv.get(&away).map(|row| row.value);
+        assert_eq!(row.as_deref(), Some("v"));
     }
 
     /// Per-shard FIFO across the two paths. A connection on a loop home
@@ -1570,11 +1574,12 @@ mod tests {
             let progress = home.begin_batch(vec![set(&key, &last)]);
             answer(&mut home, progress);
             answer(&mut away, queued);
-            assert_eq!(store.tables.kv.get(&key), Some(last), "round {round}");
+            let row = store.tables.kv.get(&key).map(|row| row.value);
+            assert_eq!(row, Some(last), "round {round}");
         }
     }
 
-    /// One connection's executor over owners that keep key timers, the
+    /// One connection's executor over owners that count key timers, the
     /// metrics they count them in, and the owners' guard.
     fn timed() -> (ExecService, Arc<PipelineMetrics>, Owners) {
         let metrics = Arc::new(PipelineMetrics::new());
@@ -1700,7 +1705,7 @@ mod tests {
         assert_eq!(call(&mut exec, get("k")), Reply::Nil);
         assert_eq!(metrics.ttl_expired.sum(), 1);
         // Reaped for real: later reads miss without a timer to look at.
-        assert!(!exec.store.lapsed(&"k".into()));
+        assert!(!exec.store.tables.kv.contains_key(&"k".into()));
         assert_eq!(call(&mut exec, get("k")), Reply::Nil);
         assert_eq!(metrics.ttl_expired.sum(), 1, "no double expiry");
     }
@@ -1884,10 +1889,9 @@ mod tests {
                         }
                         (CommandClass::Read, cmd) => {
                             assert_eq!(routed, None, "{what}: reads are never shed");
-                            let Err(cmd) = exec.plan_mutation(cmd) else {
+                            let Err(reply) = exec.plan_mutation(cmd) else {
                                 panic!("{what}: a read of a live key plans a mutation");
                             };
-                            let reply = exec.serve_read(&cmd);
                             assert!(!matches!(reply, Reply::Error(_)), "{what}: {reply:?}");
                         }
                         (CommandClass::Control, cmd) => panic!("{cmd:?} is not kv traffic"),

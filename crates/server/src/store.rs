@@ -82,15 +82,18 @@
 //! straight out of the ring, newest first, and a `POST` its fan-out
 //! straight out of the row's head.
 //!
-//! **Key timers live with their key's owner.** `EXPIRE` is a mutation
-//! of its key's row, and the deadlines sit in a segment of the write
-//! side beside the keyspace ([`Tables::expiry`]). A `GET` that finds its
-//! key's timer lapsed becomes a reap mutation. A reap never destroys
-//! an acknowledged rewrite: a key's mutations apply one at a time in
-//! FIFO order, the timer is checked again when the reap applies, and
-//! a `SET` or `DEL` that got there first cleared it, so the reap
-//! answers the live row. While no timer is armed anywhere, a `GET`
-//! pays one relaxed load for all this and a write one branch.
+//! **A key's deadline lives in its row.** A key is one [`KvRow`] of
+//! [`Tables::kv`]: its value and, once `EXPIRE` gave it one, its
+//! deadline, published together by one `put`. So a rewrite drops the
+//! timer by replacing the row, and a reader never sees one value with
+//! another value's deadline. A `GET` reads the row once and finds the
+//! live value, nothing, or a lapsed deadline; a lapsed key's `GET`
+//! becomes a reap mutation. A reap never destroys an acknowledged
+//! rewrite: a key's mutations apply one at a time in FIFO order, the
+//! deadline is checked again when the reap applies, and a `SET` or
+//! `DEL` that got there first replaced or removed the row, so the reap
+//! answers the live row. A row without a deadline costs a `GET` one
+//! branch and a write nothing.
 
 use crate::event_loop::LoopWaker;
 use crate::protocol::{DataRow, Reply};
@@ -103,7 +106,7 @@ use dego_middleware::{
     declare_metrics, Histograms, LatencyHistogram, PipelineMetrics, Reading, Row, StoreSegment,
     Surface, WindowedHistogram, P50_P99,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{Builder, JoinHandle, Thread};
@@ -258,7 +261,7 @@ impl ShardTelemetry {
 }
 
 /// A storage-plane mutation (the payload of an [`Entry::Op`]). `Reap`
-/// is a `GET` whose timer a loop saw lapsed.
+/// is a `GET` whose row a loop saw lapsed.
 pub(crate) enum Mutation {
     Set { key: String, value: String },
     Del { key: String },
@@ -360,63 +363,55 @@ impl User {
     }
 }
 
+/// One key of [`Tables::kv`]: its value and, if `EXPIRE` set one, when
+/// it lapses. A write replaces the whole row, deadline included.
+#[derive(Clone)]
+pub(crate) struct KvRow {
+    pub value: String,
+    deadline: Option<Instant>,
+}
+
+impl KvRow {
+    /// A row of `value` with no deadline, as every write but `EXPIRE`
+    /// leaves it.
+    fn new(value: String) -> KvRow {
+        KvRow {
+            value,
+            deadline: None,
+        }
+    }
+
+    fn lapsed(&self) -> bool {
+        self.deadline.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// The value, unless the row has lapsed.
+    pub(crate) fn live(&self) -> Option<String> {
+        (!self.lapsed()).then(|| self.value.clone())
+    }
+}
+
 /// The storage plane's tables, each Hash-segmented one segment per
 /// shard. Any thread reads them; [`Tables::claim`] hands a shard's
 /// write side its segment of each.
 #[derive(Clone)]
 pub(crate) struct Tables {
-    /// The string keyspace (GET/SET/DEL/INCR).
-    pub kv: Arc<SegmentedHashMap<String, String>>,
-    /// key → when its timer lapses; few keys have one, so it starts small.
-    pub expiry: Arc<SegmentedHashMap<String, u64>>,
-    pub timers: Timers,
+    /// The string keyspace (GET/SET/DEL/INCR/EXPIRE).
+    pub kv: Arc<SegmentedHashMap<String, KvRow>>,
+    /// Where the writers count `ttl_armed` and `ttl_expired`; `None`
+    /// when the stack has no TTL layer, which refuses `EXPIRE`.
+    pub ttl: Option<Arc<PipelineMetrics>>,
     /// user → their row.
     pub users: Arc<SegmentedHashMap<u64, Arc<User>>>,
     /// user → the read half of who follows them, in follow order.
     pub followers: Arc<SegmentedHashMap<u64, RosterReader>>,
 }
 
-/// What every thread shares of the key timers besides their deadlines.
-#[derive(Clone)]
-pub(crate) struct Timers {
-    /// What a deadline counts microseconds from.
-    epoch: Instant,
-    /// Timers armed on all shards: while none is, nobody looks one up.
-    /// Relaxed is enough: a `GET` that must see a timer comes after the
-    /// ack of the `EXPIRE` that armed it, so coherence forbids it the
-    /// older count, and the deadline itself is published by the map.
-    armed: Arc<AtomicUsize>,
-    /// Where the owners count `ttl_armed` and `ttl_expired`; `None`
-    /// when the stack has no TTL layer, which refuses `EXPIRE`.
-    pub metrics: Option<Arc<PipelineMetrics>>,
-}
-
-impl Timers {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// The deadline `lookup` finds; one relaxed load while none is armed.
-    fn deadline(&self, lookup: impl FnOnce() -> Option<u64>) -> Option<u64> {
-        (self.armed.load(Ordering::Relaxed) > 0).then(lookup)?
-    }
-
-    /// Whether `deadline`, if there is one, has passed.
-    fn lapsed(&self, deadline: Option<u64>) -> bool {
-        deadline.is_some_and(|at| self.now_us() >= at)
-    }
-}
-
 impl Tables {
     fn new(shards: usize, capacity: usize, ttl: Option<Arc<PipelineMetrics>>) -> Self {
         Tables {
             kv: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
-            expiry: SegmentedHashMap::new(shards, 0, SegmentationKind::Hash),
-            timers: Timers {
-                epoch: Instant::now(),
-                armed: Arc::new(AtomicUsize::new(0)),
-                metrics: ttl,
-            },
+            ttl,
             users: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
             followers: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
         }
@@ -426,8 +421,7 @@ impl Tables {
     fn claim(&self) -> Owned {
         Owned {
             kv: self.kv.writer(),
-            expiry: self.expiry.writer(),
-            timers: self.timers.clone(),
+            ttl: self.ttl.clone(),
             users: self.users.writer(),
             followers: self.followers.writer(),
         }
@@ -487,13 +481,6 @@ impl Store {
             | DataRow::Group(user)
             | DataRow::Follower(user) => home_segment(&user, shards),
         }
-    }
-
-    /// Whether `key`'s timer has lapsed: a `GET` of it is a reap for
-    /// its owner to make.
-    pub fn lapsed(&self, key: &String) -> bool {
-        let Tables { expiry, timers, .. } = &self.tables;
-        timers.lapsed(timers.deadline(|| expiry.get(key)))
     }
 
     /// Number of shards.
@@ -748,7 +735,7 @@ pub(crate) struct ShardRuntime {
 /// latency's rolling window. An
 /// owner exits once `stop` is up and its queue is drained, so `stop`
 /// must go up only when nothing can publish any more. `ttl` is the
-/// TTL layer's metrics (see [`Timers::metrics`]).
+/// TTL layer's metrics (see [`Tables::ttl`]).
 pub(crate) fn spawn_shards(
     shards: usize,
     loops: usize,
@@ -851,53 +838,28 @@ fn owner_loop(store: &Store, shard: usize, stop: &AtomicBool) {
 /// One shard's write handles: used by whoever holds the shard's write
 /// side, and by nobody else.
 struct Owned {
-    kv: SegmentedHashMapWriter<String, String>,
-    expiry: SegmentedHashMapWriter<String, u64>,
-    timers: Timers,
+    kv: SegmentedHashMapWriter<String, KvRow>,
+    ttl: Option<Arc<PipelineMetrics>>,
     users: SegmentedHashMapWriter<u64, Arc<User>>,
     followers: SegmentedHashMapWriter<u64, RosterReader>,
 }
 
 impl Owned {
-    /// When `key`'s timer lapses, if it has one.
-    fn deadline(&self, key: &String) -> Option<u64> {
-        self.timers
-            .deadline(|| self.expiry.peek(key, |at| at.copied()))
-    }
-
-    /// Drop `key`'s timer, if it has one.
-    fn disarm(&mut self, key: &String) {
-        if self.deadline(key).is_some() {
-            self.expiry.remove(key);
-            self.timers.armed.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A key whose timer has lapsed is gone: drop its row and its
-    /// timer, and count it expired. Returns whether it was.
-    fn reap(&mut self, key: &String) -> bool {
-        let lapsed = self.timers.lapsed(self.deadline(key));
-        if lapsed {
+    /// A key whose deadline has passed is gone: drop its row, and count
+    /// it expired.
+    fn reap(&mut self, key: &String) {
+        if self.kv.peek(key, |row| row.is_some_and(KvRow::lapsed)) {
             self.kv.remove(key);
-            self.disarm(key);
-            if let Some(m) = &self.timers.metrics {
+            if let Some(m) = &self.ttl {
                 m.ttl_expired.increment();
             }
         }
-        lapsed
     }
 
-    /// Arm (or re-arm) `key`'s timer to lapse `millis` from now.
-    fn arm(&mut self, key: String, millis: u64) {
-        if self.deadline(&key).is_none() {
-            self.timers.armed.fetch_add(1, Ordering::Relaxed);
-        }
-        let now = self.timers.now_us();
-        self.expiry
-            .put(key, now.saturating_add(millis.saturating_mul(1_000)));
-        if let Some(m) = &self.timers.metrics {
-            m.ttl_armed.increment();
-        }
+    /// `key`'s value, once a lapsed row is reaped.
+    fn live_value(&mut self, key: &String) -> Option<String> {
+        self.reap(key);
+        self.kv.peek(key, |row| row.map(|row| row.value.clone()))
     }
 
     /// Apply one mutation through this shard's writers, consuming it
@@ -907,45 +869,42 @@ impl Owned {
     fn apply(&mut self, mutation: Mutation) -> Reply {
         match mutation {
             Mutation::Set { key, value } => {
-                self.disarm(&key);
-                self.kv.put(key, value);
+                self.kv.put(key, KvRow::new(value));
                 Reply::Status("OK")
             }
             Mutation::Del { key } => {
-                self.disarm(&key);
                 self.kv.remove(&key);
                 Reply::Status("OK")
             }
             Mutation::Incr { key, delta } => {
                 // An expired value must not leak into the sum.
                 self.reap(&key);
-                let current = self
-                    .kv
-                    .peek(&key, |raw| raw.map_or(Ok(0), |raw| raw.parse::<i64>()));
+                let current = self.kv.peek(&key, |row| {
+                    row.map_or(Ok(0), |row| row.value.parse::<i64>())
+                });
                 let Ok(current) = current else {
                     return Reply::Error(format!("value at {key:?} is not an integer"));
                 };
                 let next = current.wrapping_add(delta);
-                self.disarm(&key);
-                self.kv.put(key, next.to_string());
+                self.kv.put(key, KvRow::new(next.to_string()));
                 Reply::Int(next)
             }
             Mutation::Expire { key, millis } => {
                 // A lapsed key is gone: it is not re-armed but reaped.
-                if self.reap(&key) || self.kv.peek(&key, |row| row.is_none()) {
+                let Some(value) = self.live_value(&key) else {
                     return Reply::Int(0);
+                };
+                // A deadline past the clock's range is none: it never lapses.
+                let deadline = Instant::now().checked_add(Duration::from_millis(millis));
+                self.kv.put(key, KvRow { value, deadline });
+                if let Some(m) = &self.ttl {
+                    m.ttl_armed.increment();
                 }
-                self.arm(key, millis);
                 Reply::Int(1)
             }
-            Mutation::Reap { key } => {
-                if self.reap(&key) {
-                    return Reply::Nil;
-                }
-                // A rewrite since the loop looked cleared the timer.
-                let row = self.kv.peek(&key, |row| row.cloned());
-                row.map_or(Reply::Nil, Reply::Value)
-            }
+            // Checked again: a rewrite since the loop looked replaced
+            // the lapsed row.
+            Mutation::Reap { key } => self.live_value(&key).map_or(Reply::Nil, Reply::Value),
             Mutation::User { user, op } => {
                 let Owned {
                     users, followers, ..
@@ -1036,6 +995,23 @@ mod tests {
         spent(incr());
         assert_eq!(spent(incr()), 2, "the new string and its box");
 
+        let timed = || "timed".to_string();
+        let expire = |millis| Mutation::Expire {
+            key: timed(),
+            millis,
+        };
+        spent(Mutation::Set {
+            key: timed(),
+            value: "v".into(),
+        });
+        assert_eq!(spent(expire(3_600_000)), 2, "the value's clone and its box");
+        assert_eq!(spent(expire(0)), 2, "the value's clone and its box");
+        assert_eq!(
+            spent(Mutation::Reap { key: timed() }),
+            0,
+            "a reap stores nothing"
+        );
+
         let unfollow = |follower| Mutation::User {
             user: 1,
             op: UserOp::Unfollow(follower),
@@ -1060,11 +1036,10 @@ mod tests {
             .users
             .read(&1, |user| user.timeline.newest(3, &mut row));
         assert_eq!(row, [191, 190, 189]);
-        assert_eq!(
-            tables.kv.get(&"key".into()).as_deref(),
-            Some("its replacement")
-        );
-        assert_eq!(tables.kv.get(&"n".into()).as_deref(), Some("2000000014"));
+        let value = |key: &str| tables.kv.get(&key.into()).map(|row| row.value);
+        assert_eq!(value("key").as_deref(), Some("its replacement"));
+        assert_eq!(value("n").as_deref(), Some("2000000014"));
+        assert!(!tables.kv.contains_key(&timed()), "reaped");
         let mut fans = [0; 8];
         let n = tables.followers.read(&1, |row| row.first(None, &mut fans));
         assert_eq!(&fans[..n.unwrap()], [2, 3, 5, 6]);

