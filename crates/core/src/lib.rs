@@ -22,7 +22,7 @@
 //! | [`SegmentedBag`] | write-dominant `(S2, CWMR)` | synchronized lists |
 //! | [`rcu_cell`] | RCU-like copy-swap (§5.3) | `synchronized` snapshots |
 //! | [`swmr_recent()`] | append-only, newest-`n` reads, SWMR | a copy-and-replace list as a map value |
-//! | [`RosterWriter`] / [`RosterReader`] | insertion-ordered set, size / member / first-`k` reads, SWMR | a copy-and-replace list as a map value |
+//! | [`RosterWriter`] / [`RosterReader`] | insertion-ordered set, size / member / first-`k` reads, SWMR; moves published through one epoch-protected pointer, read under the caller's pin | a copy-and-replace list as a map value |
 //!
 //! Substrates: [`swmr_hash`] and [`swmr_skiplist`] are the single-writer
 //! multi-reader segments (§5.3), [`swmr_recent`](mod@swmr_recent) and

@@ -7,10 +7,10 @@
 //!
 //! | Piece | Adjusted object | Type (Table 1) |
 //! |---|---|---|
-//! | keyspace, user rows, follower index | [`dego_core::SegmentedHashMap`], rows created only by their shard's writer; a key's row holds its value and its deadline, replaced together | `(M2, CWMR)` |
+//! | keyspace, user rows | [`dego_core::SegmentedHashMap`], rows created only by their shard's writer; a key's row holds its value and its deadline, replaced together | `(M2, CWMR)` |
 //! | each user's timeline | [`dego_core::swmr_recent()`] log, appended under its row's lock by any thread | CWMR at row grain, newest-`n` reads |
 //! | each user's profile version / group membership | `AtomicU64` increment-and-get / `AtomicBool` flag in the user's row | written by any thread |
-//! | each user's followers | [`dego_core::RosterWriter`] row in the user's row, edited in place under its lock by any thread, moved only by its shard's writer | CWMR at row grain, size / member / first-`k` reads |
+//! | each user's followers | [`dego_core::RosterWriter`] row in the user's row, edited under its lock by any thread, in place or by a move the row publishes itself | CWMR at row grain, size / member / first-`k` reads |
 //! | mutation funnel, one per shard, drained by whoever holds the shard's write side | [`dego_core::mpsc`] (`QueueMasp`) | `(Q1, MWSR)` |
 //! | applied-mutation counter, one cell per shard and per event loop | [`dego_core::CounterIncrementOnly`] | `(C3, CWSR)` |
 //!
@@ -26,16 +26,18 @@
 //! single-writer segments require. A user row's writes need no write
 //! side once the row exists: any loop applies them, its timeline push
 //! under the row's own lock, held for two stores, and a follower edit
-//! that fits its row under the row's roster lock, which a loop only
-//! `try_lock`s. Otherwise the objects take no lock, and a loop only ever
-//! `try_lock`s a write side.
-//! The epoch reclamation under the maps does, rarely: the workspace's
+//! under the row's roster lock, held for a scan of the row's ids and,
+//! when the row moves, a copy of them. Otherwise the objects take no
+//! lock, and a loop only ever `try_lock`s a write side.
+//! The epoch reclamation under the maps and the follower rows does,
+//! rarely: the workspace's
 //! offline `crossbeam-epoch` stand-in keeps deferred garbage behind one
 //! mutex, taken by an owner once per 256 retirements and by whichever
 //! thread next drops the process's last guard while garbage waits —
 //! and every map read bumps its process-wide guard count twice (see
 //! `dego_core::swmr_hash`; ROADMAP item 14), but a staging pass's
-//! user-row writes, whose row lookups share one pin.
+//! user-row writes and `POST` fan-out reads, whose row lookups share one
+//! pin.
 //!
 //! Consistency: a mutation is acknowledged only after it was applied,
 //! so `GET` after a `SET`'s `+OK` observes the value from

@@ -19,9 +19,9 @@
 //! holds the shard's write side — this loop for one of its home shards,
 //! the shard's owner thread otherwise (see `store.rs`), this loop again
 //! for a write to a user row that exists (`ADDUSER`, a `POST`'s push to
-//! one timeline, `PROFILE`, `JOIN`, `LEAVE`, and a `FOLLOW` or
-//! `UNFOLLOW` that fits the followee's row) — and applied before the
-//! response line is emitted, so a client that
+//! one timeline, `PROFILE`, `JOIN`, `LEAVE`, `FOLLOW` and `UNFOLLOW`,
+//! whether or not it moves the followee's follower row) — and applied
+//! before the response line is emitted, so a client that
 //! saw `+OK` for a `SET` observes that value on every later read, from
 //! any connection (the shard applied it before acking, and segment
 //! publication is release/acquire).
@@ -71,7 +71,7 @@ use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, DataRow, Reply};
 use crate::stats::{self, ServerStats, StatsSnapshot, View};
 use crate::store::{self, Entry, Envelope, KvRow, Mutation, Store, UserOp, FANOUT_LIMIT};
-use dego_core::{reclaim, CounterCell, RosterReader};
+use dego_core::{reclaim, CounterCell};
 use dego_middleware::{
     LayerKind, MiddlewareConfig, PressureProbe, Progress, Request, Response, Service,
     ShardPressure, Stack, StoreSegment, Surface,
@@ -598,8 +598,9 @@ type Touched = [Option<PendingKey>; 2];
 
 /// What a staging pass's inline writes share: whether it may apply any
 /// (the chaos stall was down when it began), and one epoch pin for all
-/// their row lookups, taken at the first and dropped before the pass
-/// publishes, so a pass pays one pin however many it applies.
+/// their row lookups and its `POST`s' follower-row reads, taken at the
+/// first and dropped before the pass publishes, so a pass pays one pin
+/// however many it applies.
 struct Inline {
     allowed: bool,
     pin: Option<reclaim::Guard>,
@@ -786,9 +787,7 @@ impl ExecService {
     /// exists, the pass may (see [`Inline`]) and `burst` has no mutation
     /// of a row it `touched` staged or in flight before it: its reply.
     /// `None` means stage it: its shard's writer creates a missing row,
-    /// then applies the same [`UserOp`], and so it does a follower edit
-    /// that would move its row or finds the row's lock busy
-    /// ([`store::User::apply`]).
+    /// then applies the same [`UserOp`] ([`store::User::apply`]).
     fn apply_inline(
         &self,
         inline: &mut Inline,
@@ -808,8 +807,7 @@ impl ExecService {
         }
         let users = &self.store.tables.users;
         let pin = inline.pin.get_or_insert_with(reclaim::pin);
-        let reply = users.read_in(pin, &user, |row| row.apply(op, None));
-        let reply = reply.flatten()?;
+        let reply = users.read_in(pin, &user, |row| row.apply(op))?;
         self.applied.inc();
         Some(reply)
     }
@@ -831,8 +829,11 @@ impl ExecService {
         // must not deliver twice, so filter the author out of the
         // follower fan-out.
         let mut fans = [0; FANOUT_LIMIT];
-        let followers = &self.store.tables.followers;
-        let n = followers.read(&author, |row| row.first(Some(author), &mut fans));
+        let pin = inline.pin.get_or_insert_with(reclaim::pin);
+        let users = &self.store.tables.users;
+        let n = users.read_in(pin, &author, |row| {
+            row.followers.first(pin, Some(author), &mut fans)
+        });
         for user in std::iter::once(author).chain(fans[..n.unwrap_or(0)].iter().copied()) {
             let push = Mutation::User {
                 user,
@@ -960,17 +961,17 @@ impl ExecService {
                 Reply::Ints(newest)
             }
             Command::IsFollowing(follower, followee) => {
-                let followers = &self.store.tables.followers;
-                let follows = followers.read(followee, |row| row.contains(*follower));
+                let (pin, users) = (reclaim::pin(), &self.store.tables.users);
+                let follows = users.read_in(&pin, followee, |row| {
+                    row.followers.contains(&pin, *follower)
+                });
                 Reply::Int(follows.unwrap_or(false) as i64)
             }
-            Command::Followers(user) => Reply::Int(
-                self.store
-                    .tables
-                    .followers
-                    .read(user, RosterReader::len)
-                    .unwrap_or(0) as i64,
-            ),
+            Command::Followers(user) => {
+                let (pin, users) = (reclaim::pin(), &self.store.tables.users);
+                let n = users.read_in(&pin, user, |row| row.followers.len(&pin));
+                Reply::Int(n.unwrap_or(0) as i64)
+            }
             Command::InGroup(user) => {
                 let users = &self.store.tables.users;
                 let member = users.read(user, |row| row.member.load(Ordering::Acquire));
@@ -1368,9 +1369,11 @@ mod tests {
     }
 
     /// A write to a user row that exists applies on the connection's
-    /// loop, and so does a follower edit that fits its row: on a loop
-    /// home to no shard, a burst of one of each per verb finishes inside
-    /// `begin_batch` and hands no owner a mutation. Counted, not timed.
+    /// loop, a follower edit that moves its row included: on a loop home
+    /// to no shard, a burst of one of each per verb finishes inside
+    /// `begin_batch` and hands no owner a mutation, and so does a burst
+    /// of `FOLLOW`s past the row's four slots and `UNFOLLOW`s until it
+    /// is less than a quarter live. Counted, not timed.
     #[test]
     fn user_row_writes_to_rows_that_exist_reach_no_owner() {
         let (mut exec, _, owners) = exec_over(None, Duration::from_secs(5), None);
@@ -1405,7 +1408,7 @@ mod tests {
                 ok.clone(),
                 Reply::Int(1),
                 ok.clone(),
-                ok
+                ok.clone()
             ]
         );
         assert_eq!(enqueued(store), before, "handed to an owner");
@@ -1415,6 +1418,51 @@ mod tests {
             replies,
             [Reply::Int(1), Reply::Int(0), Reply::Ints(vec![7])]
         );
+
+        // The row moves from four slots to 6, 12 and 24, then to 10 and 4.
+        let follows = (10..30).map(|fan| format!("FOLLOW {fan} 1"));
+        let unfollows = (10..29).map(|fan| format!("UNFOLLOW {fan} 1"));
+        let moving: Vec<String> = follows.chain(unfollows).collect();
+        let moving: Vec<&str> = moving.iter().map(String::as_str).collect();
+        let replies = finished_at_once(&mut exec, requests(&moving)).expect("the burst parked");
+        assert!(replies.iter().all(|reply| *reply == ok), "{replies:?}");
+        assert_eq!(enqueued(store), before, "a move handed to an owner");
+        let reads = requests(&["FOLLOWERS 1", "ISFOLLOWING 29 1", "ISFOLLOWING 10 1"]);
+        let replies = burst(&mut exec, reads);
+        assert_eq!(replies, [Reply::Int(2), Reply::Int(1), Reply::Int(0)]);
+    }
+
+    /// A burst stages a user-row write only to create the row (or under
+    /// the stall), so its next write of that row finds the row only when
+    /// another connection created it meanwhile. That write must still
+    /// wait behind the staged one: a row pending in the burst is never
+    /// written inline, though it exists, and is once nothing is pending.
+    #[test]
+    fn an_inline_write_never_overtakes_a_staged_write_of_its_row() {
+        let (mut exec, _, _owners) = exec_over(None, Duration::from_secs(5), None);
+        call(&mut exec, Request::new(Command::AddUser(1)));
+        let follower = PendingKey::Follower(1);
+        let mut burst = Burst {
+            slots: Vec::new(),
+            rest: Vec::new().into_iter(),
+            acks: AckTable::new(0),
+            pending: PendingRows::from_iter([follower]),
+            dead: None,
+        };
+        let inline = &mut Inline {
+            allowed: true,
+            pin: None,
+        };
+        let unfollow = Mutation::User {
+            user: 1,
+            op: UserOp::Unfollow(5),
+        };
+        let touched = [Some(follower), None];
+        let applied = exec.apply_inline(inline, &burst, (&unfollow, touched));
+        assert!(applied.is_none(), "overtook the staged write");
+        burst.pending.clear();
+        let applied = exec.apply_inline(inline, &burst, (&unfollow, touched));
+        assert_eq!(applied, Some(Reply::Status("OK")));
     }
 
     /// In process, a chain's `call_batch` takes the served path: the

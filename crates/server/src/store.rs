@@ -33,12 +33,12 @@
 //! ([`Envelope::waker`]). A run applied in place comes after every
 //! envelope queued before it, so each shard's mutations still apply in
 //! FIFO order. What reaches a write side at all is the kv verbs and, of
-//! the user rows, only the writes that create a row or move a follower
-//! row (below); the owners apply those of them that no home loop took.
+//! the user rows, only the writes that create a row (below); the owners
+//! apply those of them that no home loop took.
 //!
 //! **What needs no write side.** A user's timeline, profile version,
-//! group membership and the edit half of their follower row are one
-//! [`User`] row in [`Tables::users`]. Only the shard's writer creates a
+//! group membership and follower row are one [`User`] row in
+//! [`Tables::users`]. Only the shard's writer creates a
 //! row (when a staged write finds none), so each segment of the map
 //! keeps its one writer; once a row exists, any thread may write it
 //! through [`User::apply`]. A connection applies `ADDUSER` (nothing to
@@ -46,9 +46,9 @@
 //! `FOLLOW` and `UNFOLLOW` so on its own loop while it stages the burst,
 //! counted in its loop's cell of [`Store::applied`] — no run, no
 //! hand-off, no ack — unless the row is missing, the chaos stall is up,
-//! or the burst has a write of that row staged or in flight. A follower
-//! edit is staged, too, if it would move its row, or if the row's lock
-//! is busy: the loop only `try_lock`s it, as the writer may be mid-move.
+//! or the burst has a write of that row staged or in flight. A loop
+//! `lock`s a follower row as it locks a timeline, and moves the row
+//! itself when the edit calls for it.
 //!
 //! The trade-off is where a slow apply lands. In place it runs on the
 //! loop thread, so a slow one — say a 512-line `FOLLOW` burst against a
@@ -70,17 +70,16 @@
 //! nobody else unlinks them — and its `put`s are blind, so an
 //! overwrite allocates the new value's box and nothing else. A
 //! timeline is a [`dego_core::swmr_recent()`] log and a follower row a
-//! [`dego_core::RosterWriter`] row, both **appended to in place**: the
-//! `followers` map holds each row's read half, the followee's [`User`]
-//! row its edit half behind the row's own lock. A timeline push is one
-//! lookup, an uncontended lock and two stores — no allocation, nothing
-//! retired. A `FOLLOW` or `UNFOLLOW` is one lookup, a lock, a scan of
-//! the row's ids for the follower and a few stores; only a row that
-//! moves (full, or less than a quarter live) allocates, and the shard's
-//! writer republishes its read half with a `put`: it stays the one
-//! thread that writes the `followers` map. `TIMELINE` copies its window
-//! straight out of the ring, newest first, and a `POST` its fan-out
-//! straight out of the row's head.
+//! [`dego_core::RosterWriter`] row, both **appended to in place**, each
+//! edit half behind the [`User`] row's own lock and each read half in
+//! the row beside it. A timeline push is one lookup, an uncontended lock
+//! and two stores — no allocation, nothing retired. A `FOLLOW` or
+//! `UNFOLLOW` is one lookup, a lock, a scan of the row's ids for the
+//! follower and a few stores; only a row that moves (full, or less than
+//! a quarter live) allocates, and the roster publishes the move itself,
+//! retiring the old allocation through the epoch, so no map is written.
+//! `TIMELINE` copies its window straight out of the ring, newest first,
+//! and a `POST` its fan-out straight out of the row's head.
 //!
 //! **A key's deadline lives in its row.** A key is one [`KvRow`] of
 //! [`Tables::kv`]: its value and, once `EXPIRE` gave it one, its
@@ -287,7 +286,7 @@ pub(crate) enum UserOp {
 
 /// One user's state, one value of [`Tables::users`], each field cut
 /// down to its one use. Only the user's shard writer creates a row
-/// ([`Owned::user`]).
+/// ([`Owned::apply`]).
 pub(crate) struct User {
     /// The timeline's append half, behind the row's own lock: one
     /// writer at a time, the paper's CWMR discipline at row grain.
@@ -301,33 +300,30 @@ pub(crate) struct User {
     /// Membership of the interest group, a flag.
     pub member: AtomicBool,
     /// The edit half of who follows the user, behind the row's own
-    /// lock; [`Tables::followers`] publishes its read half.
+    /// lock, as the timeline's.
     roster: Mutex<RosterWriter>,
+    /// Who follows the user, in follow order: the read half, lock-free
+    /// under the reader's pin, whichever allocation the row moved to.
+    pub followers: RosterReader,
 }
 
 impl User {
     fn new() -> User {
         let (log, timeline) = swmr_recent(TIMELINE_KEEP);
+        let roster = RosterWriter::new(FOLLOWERS_MIN);
         User {
             log: Mutex::new(log),
             timeline,
             profile: AtomicU64::new(0),
             member: AtomicBool::new(false),
-            roster: Mutex::new(RosterWriter::new(FOLLOWERS_MIN)),
+            followers: roster.reader(),
+            roster: Mutex::new(roster),
         }
     }
 
-    /// Apply `op` — the one implementation, whoever applies it. The
-    /// shard's writer passes `publish`, which republishes a follower row
-    /// that moves, and always gets the reply. A loop passes `None`, and
-    /// gets `None` with the row untouched, for the writer to apply, when
-    /// a follower edit would move the row or its lock is busy: the
-    /// writer may be mid-move, copying the whole row.
-    pub(crate) fn apply(
-        &self,
-        op: UserOp,
-        publish: Option<&mut dyn FnMut(RosterReader)>,
-    ) -> Option<Reply> {
+    /// Apply `op` — the one implementation, whoever applies it: a loop
+    /// or the shard's writer, which alone creates the row.
+    pub(crate) fn apply(&self, op: UserOp) -> Reply {
         match op {
             UserOp::Add => {}
             UserOp::Push(msg) => {
@@ -336,30 +332,24 @@ impl User {
             }
             UserOp::Profile => {
                 let version = self.profile.fetch_add(1, Ordering::AcqRel) + 1;
-                return Some(Reply::Int(version as i64));
+                return Reply::Int(version as i64);
             }
             UserOp::Join => self.member.store(true, Ordering::Release),
             UserOp::Leave => self.member.store(false, Ordering::Release),
-            UserOp::Follow(id) | UserOp::Unfollow(id) => {
-                let follow = matches!(op, UserOp::Follow(_));
-                if let Some(publish) = publish {
-                    let mut roster = self.roster.lock().expect("no roster edit panics");
-                    if follow {
-                        roster.insert(id, publish);
-                    } else {
-                        roster.remove(id, publish);
-                    }
-                } else {
-                    let mut roster = self.roster.try_lock().ok()?;
-                    if follow {
-                        roster.try_insert(id)
-                    } else {
-                        roster.try_remove(id)
-                    }?;
-                }
+            UserOp::Follow(id) => {
+                self.roster
+                    .lock()
+                    .expect("no roster edit panics")
+                    .insert(id);
+            }
+            UserOp::Unfollow(id) => {
+                self.roster
+                    .lock()
+                    .expect("no roster edit panics")
+                    .remove(id);
             }
         }
-        Some(Reply::Status("OK"))
+        Reply::Status("OK")
     }
 }
 
@@ -403,8 +393,6 @@ pub(crate) struct Tables {
     pub ttl: Option<Arc<PipelineMetrics>>,
     /// user → their row.
     pub users: Arc<SegmentedHashMap<u64, Arc<User>>>,
-    /// user → the read half of who follows them, in follow order.
-    pub followers: Arc<SegmentedHashMap<u64, RosterReader>>,
 }
 
 impl Tables {
@@ -413,7 +401,6 @@ impl Tables {
             kv: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
             ttl,
             users: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
-            followers: SegmentedHashMap::new(shards, capacity, SegmentationKind::Hash),
         }
     }
 
@@ -423,7 +410,6 @@ impl Tables {
             kv: self.kv.writer(),
             ttl: self.ttl.clone(),
             users: self.users.writer(),
-            followers: self.followers.writer(),
         }
     }
 }
@@ -841,7 +827,6 @@ struct Owned {
     kv: SegmentedHashMapWriter<String, KvRow>,
     ttl: Option<Arc<PipelineMetrics>>,
     users: SegmentedHashMapWriter<u64, Arc<User>>,
-    followers: SegmentedHashMapWriter<u64, RosterReader>,
 }
 
 impl Owned {
@@ -906,22 +891,18 @@ impl Owned {
             // the lapsed row.
             Mutation::Reap { key } => self.live_value(&key).map_or(Reply::Nil, Reply::Value),
             Mutation::User { user, op } => {
-                let Owned {
-                    users, followers, ..
-                } = self;
-                let mut publish = |moved| followers.put(user, moved);
-                let mut apply = |row: &Arc<User>| row.apply(op, Some(&mut publish));
-                if let Some(reply) = users.peek(&user, |row| row.map(&mut apply)) {
-                    return reply.expect("the writer applies every op");
+                if let Some(reply) = self.users.peek(&user, |row| row.map(|row| row.apply(op))) {
+                    return reply;
                 }
-                // A missing row is created (and published) first, but
+                // A missing row is created, written and published, but
                 // for an unfollow, which has nothing to take out.
                 if let UserOp::Unfollow(_) = op {
                     return Reply::Status("OK");
                 }
-                users.put(user, Arc::new(User::new()));
-                let reply = users.peek(&user, |row| row.map(apply)).flatten();
-                reply.expect("the writer applies every op to the row it created")
+                let row = User::new();
+                let reply = row.apply(op);
+                self.users.put(user, Arc::new(row));
+                reply
             }
         }
     }
@@ -1023,8 +1004,21 @@ mod tests {
         assert_eq!(spent(unfollow(4)), 0, "three of four left");
         assert_eq!(spent(unfollow(4)), 0, "not following");
         assert_eq!(spent(follow(5)), 0, "into spare capacity");
+        // A move retires the old row through the epoch, in a box of its
+        // own. The epoch's list of retired boxes is warmed by a first
+        // move on another row, and the move is made under a pin, as a
+        // loop's staging pass holds one: its unpin then collects
+        // nothing, which would allocate the list of what it frees.
+        for fan in 1..=5 {
+            spent(Mutation::User {
+                user: 8,
+                op: UserOp::Follow(fan),
+            });
+        }
+        let pin = dego_core::reclaim::pin();
         // All four slots used, three live: the row moves to six.
-        assert!(spent(follow(6)) <= 2, "the grown row and its box");
+        assert!(spent(follow(6)) <= 2, "the grown row and the old one's box");
+        drop(pin);
         let nobody = Mutation::User {
             user: 9,
             op: UserOp::Unfollow(2),
@@ -1041,7 +1035,10 @@ mod tests {
         assert_eq!(value("n").as_deref(), Some("2000000014"));
         assert!(!tables.kv.contains_key(&timed()), "reaped");
         let mut fans = [0; 8];
-        let n = tables.followers.read(&1, |row| row.first(None, &mut fans));
+        let pin = dego_core::reclaim::pin();
+        let n = tables
+            .users
+            .read_in(&pin, &1, |row| row.followers.first(&pin, None, &mut fans));
         assert_eq!(&fans[..n.unwrap()], [2, 3, 5, 6]);
         assert!(!tables.users.contains_key(&9));
     }

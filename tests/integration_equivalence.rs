@@ -314,25 +314,25 @@ impl DataType for Roster {
 }
 
 /// Many small histories of one writer and two readers over a row made
-/// at four slots, republished through a single-writer map as the server
-/// does: the writer adds most of eight ids, then removes most of them,
-/// so rows grow and compact inside the histories while readers ask for
-/// sizes, members and prefixes.
+/// at four slots, each read under a pin of its own: the writer adds
+/// most of eight ids, then removes most of them, so rows grow and
+/// compact inside the histories — each move published by the row
+/// itself — while readers ask for sizes, members and prefixes.
 #[test]
 fn roster_histories_are_linearizable() {
-    use dego_core::swmr_hash::swmr_hash_map;
-    use dego_core::{RosterReader, RosterWriter};
+    use dego_core::reclaim::pin;
+    use dego_core::RosterWriter;
     let (mut grown, mut compacted) = (0, 0);
     for round in 0..300u64 {
-        let (mut published, rows) = swmr_hash_map::<u8, RosterReader>(1);
         let mut writer = RosterWriter::new(4);
+        let row = writer.reader();
         let ts = AtomicU64::new(1);
         let hist = std::sync::Mutex::new(Vec::<Completed<Roster>>::new());
         let start = std::sync::Barrier::new(3);
         let rng = |salt: u64| XorShift64::new(round * 16 + salt);
         std::thread::scope(|s| {
             for reader in 0..2 {
-                let (rows, hist, ts, start) = (rows.clone(), &hist, &ts, &start);
+                let (row, hist, ts, start) = (row.clone(), &hist, &ts, &start);
                 s.spawn(move || {
                     let mut rng = rng(reader);
                     start.wait();
@@ -345,21 +345,19 @@ fn roster_histories_are_linearizable() {
                             _ => RosterOp::First(2, Some(id)),
                         };
                         let t0 = clock(ts);
+                        let pin = pin();
                         let ret = match op {
-                            RosterOp::Len => {
-                                vec![rows.read(&0, RosterReader::len).unwrap_or(0) as u64]
-                            }
-                            RosterOp::Contains(id) => {
-                                vec![rows.read(&0, |r| r.contains(id)).unwrap_or(false) as u64]
-                            }
+                            RosterOp::Len => vec![row.len(&pin) as u64],
+                            RosterOp::Contains(id) => vec![row.contains(&pin, id) as u64],
                             RosterOp::First(k, skip) => {
                                 let mut out = vec![0; k];
-                                let n = rows.read(&0, |r| r.first(skip, &mut out));
-                                out.truncate(n.unwrap_or(0));
+                                let n = row.first(&pin, skip, &mut out);
+                                out.truncate(n);
                                 out
                             }
                             _ => unreachable!("readers only read"),
                         };
+                        drop(pin);
                         let t1 = clock(ts);
                         hist.lock().unwrap().push(Completed::new(op, ret, t0, t1));
                     }
@@ -371,21 +369,18 @@ fn roster_histories_are_linearizable() {
                 for i in 0..20 {
                     let id = 1 + rng.next_bounded(8);
                     let adding = rng.next_bounded(5) != 0;
+                    let capacity = writer.capacity();
                     let t0 = clock(&ts);
                     let (op, changed) = if (i < 11) == adding {
-                        let changed = writer.insert(id, |moved| {
-                            grown += 1;
-                            published.put(0, moved);
-                        });
-                        (RosterOp::Add(id), changed)
+                        (RosterOp::Add(id), writer.insert(id))
                     } else {
-                        let changed = writer.remove(id, |moved| {
-                            compacted += 1;
-                            published.put(0, moved);
-                        });
-                        (RosterOp::Remove(id), changed)
+                        (RosterOp::Remove(id), writer.remove(id))
                     };
                     let t1 = clock(&ts);
+                    // The moves that change the row's size, the first
+                    // allocation included.
+                    grown += (writer.capacity() > capacity) as u32;
+                    compacted += (writer.capacity() < capacity) as u32;
                     let edit = Completed::new(op, vec![changed as u64], t0, t1);
                     hist.lock().unwrap().push(edit);
                 }
