@@ -25,7 +25,7 @@ use crate::pipeline::{
 };
 use crate::protocol::{CommandClass, Reply};
 use crate::span;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,16 +52,16 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Breaker states, stored as one atomic byte per class (mirrored into
-/// `mw_breaker_<class>_state`).
+/// Breaker states, stored as one atomic byte per class, which
+/// `mw_breaker_<class>_state` reads.
 const CLOSED: u8 = 0;
 const OPEN: u8 = 1;
 const HALF_OPEN: u8 = 2;
 
-/// One class's lock-free state machine.
+/// One class's lock-free state machine, all but its state word, which
+/// is the gauge [`PipelineMetrics::breaker_state`] itself.
 #[derive(Debug)]
 struct ClassBreaker {
-    state: AtomicU8,
     consecutive_failures: AtomicU32,
     /// When the class last tripped, µs since the breaker was built.
     opened_at_us: AtomicU64,
@@ -72,7 +72,6 @@ struct ClassBreaker {
 impl ClassBreaker {
     fn new() -> Self {
         ClassBreaker {
-            state: AtomicU8::new(CLOSED),
             consecutive_failures: AtomicU32::new(0),
             opened_at_us: AtomicU64::new(0),
             probes_issued: AtomicU32::new(0),
@@ -140,10 +139,6 @@ impl BreakerState {
         self.born.elapsed().as_micros() as u64
     }
 
-    fn publish_state(&self, slot: usize, state: u8) {
-        self.metrics.breaker_state[slot].store(state, Ordering::Relaxed);
-    }
-
     /// Admit or reject one command of `class` — `None` means admitted.
     /// Callers must pair every admission with one
     /// [`BreakerState::observe`] of the eventual response.
@@ -158,10 +153,10 @@ impl BreakerState {
 
     /// Clock-explicit admission (the deterministic test surface).
     fn admit_at(&self, slot: usize, now_us: u64) -> Option<Response> {
-        let b = &self.classes[slot];
+        let (b, state) = (&self.classes[slot], &self.metrics.breaker_state[slot]);
         self.metrics.breaker_checked.increment();
         loop {
-            match b.state.load(Ordering::Relaxed) {
+            match state.load(Ordering::Relaxed) {
                 OPEN => {
                     let opened = b.opened_at_us.load(Ordering::Relaxed);
                     let cooldown_us = self.config.cooldown_ms.saturating_mul(1_000);
@@ -180,13 +175,12 @@ impl BreakerState {
                     // Cooldown over: one CAS moves to half-open; the
                     // loser of a race simply re-reads and may become a
                     // probe itself.
-                    if b.state
+                    if state
                         .compare_exchange(OPEN, HALF_OPEN, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                     {
                         b.probes_issued.store(0, Ordering::Relaxed);
                         b.probe_successes.store(0, Ordering::Relaxed);
-                        self.publish_state(slot, HALF_OPEN);
                     }
                 }
                 HALF_OPEN => {
@@ -231,20 +225,19 @@ impl BreakerState {
 
     /// Clock-explicit observation (the deterministic test surface).
     fn observe_at(&self, slot: usize, failure: bool, now_us: u64) {
-        let b = &self.classes[slot];
-        match b.state.load(Ordering::Relaxed) {
+        let (b, state) = (&self.classes[slot], &self.metrics.breaker_state[slot]);
+        match state.load(Ordering::Relaxed) {
             CLOSED => {
                 if failure {
                     let streak = b.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
                     if streak >= self.config.failures
-                        && b.state
+                        && state
                             .compare_exchange(CLOSED, OPEN, Ordering::Relaxed, Ordering::Relaxed)
                             .is_ok()
                     {
                         b.opened_at_us.store(now_us, Ordering::Relaxed);
                         b.consecutive_failures.store(0, Ordering::Relaxed);
                         self.metrics.breaker_trips.increment();
-                        self.publish_state(slot, OPEN);
                     }
                 } else if b.consecutive_failures.load(Ordering::Relaxed) != 0 {
                     b.consecutive_failures.store(0, Ordering::Relaxed);
@@ -254,18 +247,17 @@ impl BreakerState {
                 if failure {
                     // One failed probe re-opens the class and restarts
                     // the cooldown.
-                    if b.state
+                    if state
                         .compare_exchange(HALF_OPEN, OPEN, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                     {
                         b.opened_at_us.store(now_us, Ordering::Relaxed);
                         self.metrics.breaker_trips.increment();
-                        self.publish_state(slot, OPEN);
                     }
                 } else {
                     let ok = b.probe_successes.fetch_add(1, Ordering::Relaxed) + 1;
                     if ok >= self.config.probes
-                        && b.state
+                        && state
                             .compare_exchange(
                                 HALF_OPEN,
                                 CLOSED,
@@ -276,7 +268,6 @@ impl BreakerState {
                     {
                         b.consecutive_failures.store(0, Ordering::Relaxed);
                         self.metrics.breaker_recoveries.increment();
-                        self.publish_state(slot, CLOSED);
                     }
                 }
             }
@@ -288,7 +279,7 @@ impl BreakerState {
 
     #[cfg(test)]
     fn state_of(&self, slot: usize) -> u8 {
-        self.classes[slot].state.load(Ordering::Relaxed)
+        self.metrics.breaker_state[slot].load(Ordering::Relaxed)
     }
 }
 

@@ -536,9 +536,9 @@ declare_metrics! {
         /// Whole-batch latency (µs): one sample per burst, however many
         /// commands it carried.
         pub batch_latency: LatencyHistogram = LatencyHistogram::new(),
-        /// Live breaker state per class (read 0, write 1): 0 closed,
-        /// 1 open, 2 half-open — a gauge mirror, not reset by
-        /// `STATS RESET`.
+        /// Breaker state per class (read 0, write 1): 0 closed,
+        /// 1 open, 2 half-open — the word the breaker's state machine
+        /// moves by CAS, read as a gauge; not reset by `STATS RESET`.
         pub breaker_state: [AtomicU8; 2] = [AtomicU8::new(0), AtomicU8::new(0)],
         /// Per-layer admission cost (µs), indexed by
         /// [`LayerKind::index`]; fed only by sampled spans, so each

@@ -125,19 +125,15 @@ pub enum CommandClass {
     Control,
 }
 
-/// One row of the storage plane, borrowing its key.
+/// One row of the storage plane, borrowing its key: the rows the store
+/// keeps, so a user is one row whatever field a verb touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataRow<'a> {
     /// A key of the string keyspace (and its timer).
     Key(&'a str),
-    /// The user's timeline.
-    Timeline(u64),
-    /// The user's profile version.
-    Profile(u64),
-    /// The user's group membership.
-    Group(u64),
-    /// Who follows the user.
-    Follower(u64),
+    /// The user: timeline, profile version, group membership and who
+    /// follows them.
+    User(u64),
 }
 
 /// The rows a command reads and writes: what the server routes it by
@@ -147,8 +143,8 @@ pub struct Footprint<'a> {
     /// The row it reads where it is staged, ahead of the writes queued
     /// before it: a barrier while a write of that row is outstanding.
     pub reads: Option<DataRow<'a>>,
-    /// The rows it writes; its shard is the first one's.
-    pub writes: [Option<DataRow<'a>>; 2],
+    /// The row it writes, whose shard is its shard.
+    pub writes: Option<DataRow<'a>>,
     /// It observes every row (`STATS*`): a full barrier.
     pub full_barrier: bool,
 }
@@ -338,27 +334,28 @@ impl Command {
     /// rows are written down. Inlined, so `class` folds to a lookup.
     #[inline]
     pub fn footprint(&self) -> Footprint<'_> {
-        use DataRow::{Follower, Group, Key, Profile, Timeline};
+        use DataRow::{Key, User};
         let (reads, writes, full_barrier) = match *self {
-            Command::Get(ref key) => (Some(Key(key)), [None; 2], false),
+            Command::Get(ref key) => (Some(Key(key)), None, false),
             Command::Set(ref key, _)
             | Command::Del(ref key)
             | Command::Incr(ref key, _)
-            | Command::Expire(ref key, _) => (None, [Some(Key(key)), None], false),
-            Command::AddUser(user) => (None, [Some(Timeline(user)), Some(Profile(user))], false),
-            Command::Post(user, _) => (Some(Follower(user)), [Some(Timeline(user)), None], false),
-            Command::Follow(_, followee) | Command::Unfollow(_, followee) => {
-                (None, [Some(Follower(followee)), None], false)
-            }
-            Command::Timeline(user) => (Some(Timeline(user)), [None; 2], false),
-            Command::IsFollowing(_, followee) | Command::Followers(followee) => {
-                (Some(Follower(followee)), [None; 2], false)
-            }
-            Command::Join(user) | Command::Leave(user) => (None, [Some(Group(user)), None], false),
-            Command::InGroup(user) => (Some(Group(user)), [None; 2], false),
-            Command::Profile(user) => (None, [Some(Profile(user)), None], false),
-            Command::ProfileVer(user) => (Some(Profile(user)), [None; 2], false),
-            Command::Stats | Command::StatsShards | Command::StatsReset => (None, [None; 2], true),
+            | Command::Expire(ref key, _) => (None, Some(Key(key)), false),
+            Command::AddUser(user)
+            | Command::Follow(_, user)
+            | Command::Unfollow(_, user)
+            | Command::Join(user)
+            | Command::Leave(user)
+            | Command::Profile(user) => (None, Some(User(user)), false),
+            Command::Timeline(user)
+            | Command::IsFollowing(_, user)
+            | Command::Followers(user)
+            | Command::InGroup(user)
+            | Command::ProfileVer(user) => (Some(User(user)), None, false),
+            // It copies the author's followers and pushes to the
+            // author's timeline first.
+            Command::Post(user, _) => (Some(User(user)), Some(User(user)), false),
+            Command::Stats | Command::StatsShards | Command::StatsReset => (None, None, true),
             Command::SlowlogGet
             | Command::SlowlogReset
             | Command::SlowlogLen
@@ -369,7 +366,7 @@ impl Command {
             | Command::Health
             | Command::Ready
             | Command::Quit
-            | Command::Auth(_) => (None, [None; 2], false),
+            | Command::Auth(_) => (None, None, false),
         };
         Footprint {
             reads,
@@ -381,7 +378,7 @@ impl Command {
     /// The coarse class this command belongs to, read off its footprint.
     pub fn class(&self) -> CommandClass {
         let footprint = self.footprint();
-        match (footprint.writes[0], footprint.reads) {
+        match (footprint.writes, footprint.reads) {
             (Some(_), _) => CommandClass::Write,
             (None, Some(_)) => CommandClass::Read,
             (None, None) => CommandClass::Control,
@@ -745,20 +742,16 @@ mod tests {
         fn kind(row: DataRow) -> DataRow<'static> {
             match row {
                 DataRow::Key(_) => DataRow::Key(""),
-                DataRow::Timeline(_) => DataRow::Timeline(0),
-                DataRow::Profile(_) => DataRow::Profile(0),
-                DataRow::Group(_) => DataRow::Group(0),
-                DataRow::Follower(_) => DataRow::Follower(0),
+                DataRow::User(_) => DataRow::User(0),
             }
         }
         let (mut read_kinds, mut written_kinds) = (Vec::new(), Vec::new());
         for cmd in every_variant() {
             let rows = cmd.footprint();
             let class = match (rows.writes, rows.reads) {
-                ([Some(_), _], _) => CommandClass::Write,
-                ([None, None], Some(_)) => CommandClass::Read,
-                ([None, None], None) => CommandClass::Control,
-                ([None, Some(_)], _) => panic!("{cmd:?} writes a second row but no first"),
+                (Some(_), _) => CommandClass::Write,
+                (None, Some(_)) => CommandClass::Read,
+                (None, None) => CommandClass::Control,
             };
             assert_eq!(cmd.class(), class, "{cmd:?}");
             let verb = cmd.verb();
@@ -771,7 +764,7 @@ mod tests {
             };
             assert_eq!(class, expected, "{cmd:?}");
             read_kinds.extend(rows.reads.map(kind));
-            written_kinds.extend(rows.writes.into_iter().flatten().map(kind));
+            written_kinds.extend(rows.writes.map(kind));
             let stats = matches!(
                 cmd,
                 Command::Stats | Command::StatsShards | Command::StatsReset
@@ -789,12 +782,12 @@ mod tests {
         }
         assert_eq!(
             Command::Post(3, 77).footprint().reads,
-            Some(DataRow::Follower(3))
+            Some(DataRow::User(3))
         );
         let timed = ["GET", "SET", "DEL", "INCR", "EXPIRE"];
         for cmd in every_variant() {
             let rows = cmd.footprint();
-            let keyed = matches!(rows.reads.or(rows.writes[0]), Some(DataRow::Key(_)));
+            let keyed = matches!(rows.reads.or(rows.writes), Some(DataRow::Key(_)));
             assert_eq!(keyed, timed.contains(&cmd.verb()), "{cmd:?}");
         }
     }

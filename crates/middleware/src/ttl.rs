@@ -35,11 +35,12 @@ impl LayerRule for TtlLayer {
     /// Nothing to observe: every burst passes on whole.
     type Ctx = std::convert::Infallible;
 
-    /// One pass per burst, counting the commands whose row is a key.
+    /// One pass per burst, counting the commands whose row, read or
+    /// written, is a key (a user's verbs touch no timer).
     fn admit(&mut self, reqs: Vec<Request>) -> Admission<Self::Ctx> {
         let admission_t = crate::span::start();
         let timed = reqs.iter().map(|r| r.command.footprint());
-        let timed = timed.filter(|f| matches!(f.reads.or(f.writes[0]), Some(DataRow::Key(_))));
+        let timed = timed.filter(|f| matches!(f.reads.or(f.writes), Some(DataRow::Key(_))));
         self.metrics.ttl_checked.add(timed.count() as u64);
         crate::span::record(LayerKind::Ttl, admission_t);
         Admission::Pass(reqs)

@@ -57,15 +57,18 @@
 //!
 //! Within a burst, replies are byte-identical to sequential execution:
 //! mutations keep per-row order through the shards' FIFO order, and a
-//! read of a row (its verb's `Command::footprint`) with a mutation staged
-//! or outstanding in the burst waits for the acks (a *barrier*) — the
+//! read of a row (its verb's `Command::footprint`: a kv key, or a user,
+//! whose fields are one row) with a mutation staged or outstanding in
+//! the burst waits for the acks (a *barrier*) — the
 //! burst parks there unless its runs went in place, and staging resumes
 //! once the acks are in, so one burst may park several times. Reads on
 //! untouched keys proceed immediately, which is where the batching
 //! wins. A user-row write applied inline is visible at once, so a read
 //! after it needs no barrier, and it never overtakes a staged write of
-//! its row, which keeps that row pending. It reaches no shard, so a
-//! traced burst's inline writes carry no store segment.
+//! its row, which keeps that row pending. A user's row is staged only
+//! to create it or under the chaos stall, so reads of one user's
+//! fields barrier on each other only then. An inline write reaches no
+//! shard, so a traced burst's inline writes carry no store segment.
 
 use crate::event_loop::{drop_role_name, run_loop, Epoll, LoopCtx, LoopWaker};
 use crate::protocol::{Command, DataRow, Reply};
@@ -450,7 +453,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
 type LoopSink = (Sender<(TcpStream, u64)>, Arc<LoopWaker>);
 
 /// The shed layer's window onto live shard pressure: routes a write to
-/// the home of the first row its footprint writes, as
+/// the home of the row its footprint writes, as
 /// [`ExecService::plan_mutation`] does, then reads the target shard's
 /// queue-depth gauge and windowed ack p99 straight off the telemetry
 /// the shard owners already publish. Lock-free on both calls — this
@@ -461,7 +464,7 @@ struct StorePressure {
 
 impl PressureProbe for StorePressure {
     fn shard_of(&self, cmd: &Command) -> Option<usize> {
-        Some(self.store.shard_of_row(cmd.footprint().writes[0]?))
+        Some(self.store.shard_of_row(cmd.footprint().writes?))
     }
 
     fn pressure_of(&self, shard: usize) -> ShardPressure {
@@ -532,6 +535,8 @@ fn accept_loop(
 /// A storage-plane row ([`PendingKey::of`] a [`DataRow`]) a burst's
 /// outstanding mutation is about to touch; a command whose footprint
 /// reads it waits at a barrier, so it observes the writes before it.
+/// A user is one row, so a read of any of its fields waits for a
+/// staged write of any other.
 ///
 /// Kv keys are tracked by **hash**, not by owned string, so the hot
 /// batch path never clones a key: a hash collision merely forces a
@@ -540,10 +545,7 @@ fn accept_loop(
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum PendingKey {
     Kv(u64),
-    Timeline(u64),
-    Follower(u64),
-    Profile(u64),
-    Group(u64),
+    User(u64),
 }
 
 /// The hash of the pending rows: one multiply-xor per word, for the
@@ -579,10 +581,7 @@ impl PendingKey {
     fn of(row: DataRow) -> PendingKey {
         match row {
             DataRow::Key(key) => PendingKey::Kv(RowHash::new().hash_one(key)),
-            DataRow::Timeline(user) => PendingKey::Timeline(user),
-            DataRow::Follower(user) => PendingKey::Follower(user),
-            DataRow::Profile(user) => PendingKey::Profile(user),
-            DataRow::Group(user) => PendingKey::Group(user),
+            DataRow::User(user) => PendingKey::User(user),
         }
     }
 }
@@ -592,9 +591,6 @@ type RowHash = BuildHasherDefault<RowHasher>;
 
 /// The rows with a mutation outstanding in the burst being staged.
 type PendingRows = HashSet<PendingKey, RowHash>;
-
-/// The rows a single-shard mutation touches: its footprint's writes.
-type Touched = [Option<PendingKey>; 2];
 
 /// What a staging pass's inline writes share: whether it may apply any
 /// (the chaos stall was down when it began), and one epoch pin for all
@@ -785,24 +781,14 @@ impl ExecService {
 
     /// Apply `op` on this thread if it is a write to a user row that
     /// exists, the pass may (see [`Inline`]) and `burst` has no mutation
-    /// of a row it `touched` staged or in flight before it: its reply.
-    /// `None` means stage it: its shard's writer creates a missing row,
-    /// then applies the same [`UserOp`] ([`store::User::apply`]).
-    fn apply_inline(
-        &self,
-        inline: &mut Inline,
-        burst: &Burst,
-        (op, touched): (&Mutation, Touched),
-    ) -> Option<Reply> {
+    /// of that row staged or in flight before it: its reply. `None`
+    /// means stage it: its shard's writer creates a missing row, then
+    /// applies the same [`UserOp`] ([`store::User::apply`]).
+    fn apply_inline(&self, inline: &mut Inline, burst: &Burst, op: &Mutation) -> Option<Reply> {
         let &Mutation::User { user, op } = op else {
             return None;
         };
-        if !inline.allowed
-            || touched
-                .iter()
-                .flatten()
-                .any(|row| burst.pending.contains(row))
-        {
+        if !inline.allowed || burst.pending.contains(&PendingKey::User(user)) {
             return None;
         }
         let users = &self.store.tables.users;
@@ -815,7 +801,7 @@ impl ExecService {
     /// Stage a `POST`'s fan-out (author plus up to `FANOUT_LIMIT`
     /// followers), push by push, returning the sequence numbers of the
     /// pushes not applied inline: none, when all were, and then the
-    /// `POST` is done. A staged push marks its timeline pending if a
+    /// `POST` is done. A staged push marks its user's row pending if a
     /// request comes `later` in the burst.
     fn stage_post(
         &mut self,
@@ -839,15 +825,13 @@ impl ExecService {
                 user,
                 op: UserOp::Push(msg),
             };
-            let timeline = PendingKey::Timeline(user);
-            let touched = [Some(timeline), None];
-            if self.apply_inline(inline, burst, (&push, touched)).is_some() {
+            if self.apply_inline(inline, burst, &push).is_some() {
                 continue;
             }
             if later {
-                burst.pending.insert(timeline);
+                burst.pending.insert(PendingKey::User(user));
             }
-            let shard = self.store.shard_of_row(DataRow::Timeline(user));
+            let shard = self.store.shard_of_row(DataRow::User(user));
             self.stage(&mut burst.acks, shard, push);
         }
         first..burst.acks.next_seq()
@@ -888,16 +872,16 @@ impl ExecService {
     }
 
     /// The single-shard mutation `cmd` moves into, with its shard and
-    /// the rows it touches — both read off the rows its footprint
+    /// the row it marks pending — both read off the row its footprint
     /// writes — or, when it is not one, its reply, served inline. A
     /// `GET` reads its key's row once: a live value or a miss is its
     /// reply, and a lapsed row makes it the key's reap, a write of the
     /// key it reads.
-    fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, Touched), Reply> {
+    fn plan_mutation(&self, cmd: Command) -> Result<(usize, Mutation, PendingKey), Reply> {
         use UserOp::{Add, Follow, Join, Leave, Profile, Unfollow};
-        let writes = match &cmd {
+        let row = match &cmd {
             Command::Get(key) => match self.store.tables.kv.read(key, KvRow::live) {
-                Some(None) => [Some(DataRow::Key(key)), None],
+                Some(None) => DataRow::Key(key),
                 Some(Some(value)) => {
                     self.stats.note_get_hit();
                     return Err(Reply::Value(value));
@@ -907,12 +891,12 @@ impl ExecService {
                     return Err(Reply::Nil);
                 }
             },
-            cmd => cmd.footprint().writes,
+            cmd => match cmd.footprint().writes {
+                Some(row) => row,
+                None => return Err(self.serve_read(cmd)),
+            },
         };
-        let Some(shard) = writes[0].map(|row| self.store.shard_of_row(row)) else {
-            return Err(self.serve_read(&cmd));
-        };
-        let touched = writes.map(|row| row.map(PendingKey::of));
+        let (shard, pending) = (self.store.shard_of_row(row), PendingKey::of(row));
         let op = match cmd {
             Command::Set(key, value) => Mutation::Set { key, value },
             Command::Del(key) => Mutation::Del { key },
@@ -934,13 +918,13 @@ impl ExecService {
             // A `POST` is staged by `stage_post`, push by push.
             other => return Err(self.serve_read(&other)),
         };
-        Ok((shard, op, touched))
+        Ok((shard, op, pending))
     }
 
     /// Whether `cmd` must wait for `burst`'s outstanding acks — a
-    /// *barrier*: a full barrier, or a read of a row (a `POST`'s: the
-    /// follower row its fan-out copies) with a mutation staged or in
-    /// flight. With nothing outstanding (the common case: reads ahead of
+    /// *barrier*: a full barrier, or a read of a row (a `POST`'s: its
+    /// author's, whose followers its fan-out copies) with a mutation
+    /// staged or in flight. With nothing outstanding (the common case: reads ahead of
     /// a burst's first write) no key is even hashed to find out.
     fn waits(burst: &Burst, cmd: &Command) -> bool {
         let rows = cmd.footprint();
@@ -1081,14 +1065,13 @@ impl ExecService {
                     Slot::Fanout(self.stage_post(burst, (&mut inline, later), (author, msg)))
                 }
                 cmd => match self.plan_mutation(cmd) {
-                    Ok((shard, op, touched)) => {
+                    Ok((shard, op, pending)) => {
                         self.stats.note_mutation();
-                        let inlined = self.apply_inline(&mut inline, burst, (&op, touched));
-                        if let Some(reply) = inlined {
+                        if let Some(reply) = self.apply_inline(&mut inline, burst, &op) {
                             Slot::Done(reply)
                         } else {
                             if later {
-                                burst.pending.extend(touched.into_iter().flatten());
+                                burst.pending.insert(pending);
                             }
                             Slot::Single(self.stage(&mut burst.acks, shard, op))
                         }
@@ -1373,7 +1356,8 @@ mod tests {
     /// to no shard, a burst of one of each per verb finishes inside
     /// `begin_batch` and hands no owner a mutation, and so does a burst
     /// of `FOLLOW`s past the row's four slots and `UNFOLLOW`s until it
-    /// is less than a quarter live. Counted, not timed.
+    /// is less than a quarter live, and a burst that reads each field
+    /// right after writing it. Counted, not timed.
     #[test]
     fn user_row_writes_to_rows_that_exist_reach_no_owner() {
         let (mut exec, _, owners) = exec_over(None, Duration::from_secs(5), None);
@@ -1430,6 +1414,38 @@ mod tests {
         let reads = requests(&["FOLLOWERS 1", "ISFOLLOWING 29 1", "ISFOLLOWING 10 1"]);
         let replies = burst(&mut exec, reads);
         assert_eq!(replies, [Reply::Int(2), Reply::Int(1), Reply::Int(0)]);
+
+        // A user is one row, yet a read of it after an inline write of
+        // another of its fields is no barrier: the burst still finishes
+        // inside `begin_batch`, with the replies of one line at a time.
+        // 29 follows 1, so its row must exist for `POST 1 8` to apply.
+        burst(&mut exec, requests(&["ADDUSER 29"]));
+        let before = enqueued(store);
+        let lines = [
+            "PROFILE 1",
+            "PROFILEVER 1",
+            "JOIN 1",
+            "INGROUP 1",
+            "POST 1 8",
+            "TIMELINE 1",
+            "FOLLOW 5 1",
+            "FOLLOWERS 1",
+            "ISFOLLOWING 5 1",
+        ];
+        let replies = finished_at_once(&mut exec, requests(&lines)).expect("the burst parked");
+        let lock_step = [
+            Reply::Int(2),
+            Reply::Int(2),
+            ok.clone(),
+            Reply::Int(1),
+            ok.clone(),
+            Reply::Ints(vec![8, 7]),
+            ok,
+            Reply::Int(3),
+            Reply::Int(1),
+        ];
+        assert_eq!(replies, lock_step);
+        assert_eq!(enqueued(store), before, "handed to an owner");
     }
 
     /// A burst stages a user-row write only to create the row (or under
@@ -1441,12 +1457,12 @@ mod tests {
     fn an_inline_write_never_overtakes_a_staged_write_of_its_row() {
         let (mut exec, _, _owners) = exec_over(None, Duration::from_secs(5), None);
         call(&mut exec, Request::new(Command::AddUser(1)));
-        let follower = PendingKey::Follower(1);
+        let row = PendingKey::User(1);
         let mut burst = Burst {
             slots: Vec::new(),
             rest: Vec::new().into_iter(),
             acks: AckTable::new(0),
-            pending: PendingRows::from_iter([follower]),
+            pending: PendingRows::from_iter([row]),
             dead: None,
         };
         let inline = &mut Inline {
@@ -1457,11 +1473,10 @@ mod tests {
             user: 1,
             op: UserOp::Unfollow(5),
         };
-        let touched = [Some(follower), None];
-        let applied = exec.apply_inline(inline, &burst, (&unfollow, touched));
+        let applied = exec.apply_inline(inline, &burst, &unfollow);
         assert!(applied.is_none(), "overtook the staged write");
         burst.pending.clear();
-        let applied = exec.apply_inline(inline, &burst, (&unfollow, touched));
+        let applied = exec.apply_inline(inline, &burst, &unfollow);
         assert_eq!(applied, Some(Reply::Status("OK")));
     }
 

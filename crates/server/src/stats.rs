@@ -30,7 +30,7 @@ declare_metrics! {
         gets: RelaxedCounter => "gets",
         /// GETs that found the key.
         get_hits: RelaxedCounter => "get_hits",
-        /// Mutations enqueued to shard owners.
+        /// Mutations begun, staged for a shard or applied inline (a GET's reap too; a POST once).
         mutations: RelaxedCounter => "mutations",
         /// Mutations applied, filled in from the storage plane's count.
         applied: RelaxedCounter => "applied",
@@ -44,7 +44,7 @@ declare_metrics! {
         /// accept() failures observed by the accept loop.
         accept_errors: RelaxedCounter => "accept_errors",
         // The amortization ratio is `applied / shard_batches`.
-        /// Mutation batches drained by shard owners (group commits).
+        /// Write-side sweeps, by a shard's owner or a home loop, that applied mutations (group commits).
         shard_batches: RelaxedCounter => "shard_batches",
         // `--idle-timeout-ms`: idle that long with nothing in flight.
         /// Connections reaped by the event loops' idle-timeout sweep.

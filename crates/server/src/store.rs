@@ -462,10 +462,7 @@ impl Store {
         let shards = self.shards.len();
         match row {
             DataRow::Key(key) => home_segment(&key, shards),
-            DataRow::Timeline(user)
-            | DataRow::Profile(user)
-            | DataRow::Group(user)
-            | DataRow::Follower(user) => home_segment(&user, shards),
+            DataRow::User(user) => home_segment(&user, shards),
         }
     }
 

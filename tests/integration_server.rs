@@ -853,10 +853,12 @@ impl FanOp {
 /// [`wire_histories_are_linearizable_per_key`]: two loops over two
 /// shards, four pipelined clients, and every other round with the
 /// owners stalled. Each round's followees are fresh, so a row's first
-/// edit is staged (it moves the row into its first four slots); its six
-/// followers then overflow those, so the shard's writer moves the row
-/// while, the stall down, the edits that fit apply on the loops. Each
-/// row's history is checked against [`FollowerRow`].
+/// edit is staged (its shard's writer creates the row); its six
+/// followers then overflow the first four slots. With the stall down,
+/// every later edit applies on a loop, and the loop whose edit
+/// overflows the row moves it under the row's lock while readers scan;
+/// with the stall up, the owners apply them all. Each row's history is
+/// checked against [`FollowerRow`].
 #[test]
 fn wire_histories_of_follower_rows_are_linearizable() {
     const ROUNDS: u64 = 400;
